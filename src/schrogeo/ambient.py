@@ -117,11 +117,16 @@ def flat_metric(d: int) -> MetricField:
     return MetricField(flat_chart(d), gram, (d + 1, 1))
 
 
+@lru_cache(maxsize=None)
 def ambient_gram(d: int) -> np.ndarray:
-    """G on R^{d+4}: the flat Bargmann block plus one more null pair."""
+    """G on R^{d+4}: the flat Bargmann block plus one more null pair.
+
+    Built once per d and shared, so the array is read-only.
+    """
     G = np.zeros((d + 4, d + 4))
     G[: d + 2, : d + 2] = flat_gram_matrix(d)
     G[d + 2, d + 3] = G[d + 3, d + 2] = 1.0
+    G.flags.writeable = False
     return G
 
 
@@ -183,14 +188,21 @@ def make_special(P, Q, G: np.ndarray, tol: float = 1e-12) -> SpecialNullVector:
     return SpecialNullVector(P, Q, Z)
 
 
+@lru_cache(maxsize=None)
 def build_Z0(d: int) -> SpecialNullVector:
     """The canonical vertical generator built on the s-direction and the
-    first extra null direction."""
+    first extra null direction.
+
+    Built once per d and shared, so its arrays are read-only.
+    """
     P0 = np.zeros(d + 4)
     P0[d + 1] = 1.0
     Q0 = np.zeros(d + 4)
     Q0[d + 2] = 1.0
-    return make_special(P0, Q0, ambient_gram(d))
+    sn = make_special(P0, Q0, ambient_gram(d))
+    for a in (sn.P, sn.Q, sn.matrix):
+        a.flags.writeable = False
+    return sn
 
 
 # ---------------------------------------------------------------------------

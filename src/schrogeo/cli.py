@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .suites import SUITES, ConfigError, SuiteConfig, emit_report, run_suite
@@ -86,6 +87,29 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser
+
+
+# argparse takes a token such as "-1e-4" for an option, so a negative value
+# given after one of these flags is bound to it as "--flag=-1e-4" first.
+_NUMERIC_FLAGS = frozenset({"--dim", "--lambda", "--mu"})
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            return out + argv[i:]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in _NUMERIC_FLAGS and _NEGATIVE_NUMBER.fullmatch(nxt):
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 _FILE_KEYS = {
@@ -178,8 +202,9 @@ def _build_config(args) -> SuiteConfig:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_negative_values(argv))
         cfg = _build_config(args)
         cfg.validate()
     except _UsageError as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "VectorField",
     "christoffel",
     "christoffel_from_derivatives",
+    "component_values",
     "conformal_deviation",
     "covariant_derivative",
     "divergence",
@@ -91,11 +92,32 @@ class OneForm:
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
+#
+# Every evaluator takes one point of shape (n,) or a batch of shape (N, n).
+# A batch is seeded as jets with a trailing sample axis (see ``Jet2``) and
+# comes back with a leading sample axis on every returned array.
+
+
+def _coordinates(pts: np.ndarray) -> list:
+    """Chart coordinates for a callable: floats, or one (N,) array each."""
+    return pts.tolist() if pts.ndim == 1 else list(np.ascontiguousarray(pts.T))
+
+
+def _samples_first(a: np.ndarray, batch: tuple) -> np.ndarray:
+    """A jet array with its trailing sample axis (if any) moved to the front."""
+    return a.transpose(-1, *range(a.ndim - 1)) if batch else a
 
 
 def gram_values(metric: MetricField, p: Sequence[float]) -> np.ndarray:
-    rows = metric.gram(list(p))
-    return np.array([[float(e) for e in row] for row in rows])
+    """Gram matrix (n, n) at a point, or (N, n, n) on a batch of points."""
+    pts = np.asarray(p, dtype=float)
+    rows = metric.gram(_coordinates(pts))
+    n = len(rows)
+    out = np.empty(pts.shape[:-1] + (n, n))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
 
 
 def gram_jets(
@@ -104,22 +126,26 @@ def gram_jets(
     """Gram matrix and its first/second coordinate derivatives at ``p``.
 
     Returns (g0, dg, d2g) with dg[a, i, j] = d_a g_ij and
-    d2g[a, b, i, j] = d_a d_b g_ij.
+    d2g[a, b, i, j] = d_a d_b g_ij: shapes (n, n), (n, n, n), (n, n, n, n)
+    at one point; a batch of N points (``p`` of shape (N, n)) prepends a
+    sample axis, so g0 is (N, n, n) and dg[s, a, i, j] = d_a g_ij at sample s.
     """
-    n = len(p)
-    rows = metric.gram(seed_point(p))
-    g0 = np.zeros((n, n))
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
+    pts = np.asarray(p, dtype=float)
+    n = pts.shape[-1]
+    batch = pts.shape[:-1]
+    rows = metric.gram(seed_point(pts))
+    g0 = np.zeros(batch + (n, n))
+    dg = np.zeros(batch + (n, n, n))
+    d2g = np.zeros(batch + (n, n, n, n))
     for i in range(n):
         for j in range(n):
             e = rows[i][j]
             if isinstance(e, Jet2):
-                g0[i, j] = e.value
-                dg[:, i, j] = e.grad
-                d2g[:, :, i, j] = e.hess
+                g0[..., i, j] = e.value
+                dg[..., :, i, j] = _samples_first(e.grad, batch)
+                d2g[..., :, :, i, j] = _samples_first(e.hess, batch)
             else:
-                g0[i, j] = e
+                g0[..., i, j] = e
     return g0, dg, d2g
 
 
@@ -129,10 +155,15 @@ def jet_components(
     """Evaluate a component callable on seeds.
 
     Returns (vals, jac, hess) with jac[i, a] = d_a comp_i and
-    hess[i, a, b] = d_a d_b comp_i.  Complex components are allowed.
+    hess[i, a, b] = d_a d_b comp_i: shapes (m,), (m, n), (m, n, n) at one
+    point; a batch of N points (``p`` of shape (N, n)) prepends a sample
+    axis, giving (N, m), (N, m, n), (N, m, n, n).  Complex components are
+    allowed.
     """
-    n = len(p)
-    comps = fn(seed_point(p))
+    pts = np.asarray(p, dtype=float)
+    n = pts.shape[-1]
+    batch = pts.shape[:-1]
+    comps = fn(seed_point(pts))
     m = len(comps)
     some_complex = any(
         isinstance(c, Jet2) and np.iscomplexobj(np.asarray(c.value)) or
@@ -140,17 +171,30 @@ def jet_components(
         for c in comps
     )
     dtype = complex if some_complex else float
-    vals = np.zeros(m, dtype=dtype)
-    jac = np.zeros((m, n), dtype=dtype)
-    hess = np.zeros((m, n, n), dtype=dtype)
+    vals = np.zeros(batch + (m,), dtype=dtype)
+    jac = np.zeros(batch + (m, n), dtype=dtype)
+    hess = np.zeros(batch + (m, n, n), dtype=dtype)
     for i, c in enumerate(comps):
         if isinstance(c, Jet2):
-            vals[i] = c.value
-            jac[i] = c.grad
-            hess[i] = c.hess
+            vals[..., i] = c.value
+            jac[..., i, :] = _samples_first(c.grad, batch)
+            hess[..., i, :, :] = _samples_first(c.hess, batch)
         else:
-            vals[i] = c
+            vals[..., i] = c
     return vals, jac, hess
+
+
+def component_values(
+    fn: Callable[[Sequence], Sequence], p: Sequence[float]
+) -> np.ndarray:
+    """Components of a callable evaluated on plain floats: (m,) at one
+    point, (N, m) on a batch."""
+    pts = np.asarray(p, dtype=float)
+    comps = fn(_coordinates(pts))
+    out = np.empty(pts.shape[:-1] + (len(comps),))
+    for i, c in enumerate(comps):
+        out[..., i] = c
+    return out
 
 
 def map_jets(fn: Callable[[Sequence], Sequence], p: Sequence[float]):
@@ -166,26 +210,45 @@ def _scalar_jet(f: Callable[[Sequence], Jet2], p: Sequence[float]) -> Jet2:
 
 
 def _invert_gram(g0: np.ndarray) -> np.ndarray:
-    n = g0.shape[0]
-    det = np.linalg.det(g0)
-    scale = max(1.0, float(np.abs(g0).max()))
-    if abs(det) < 1e-14 * scale**n:
-        raise DegenerateMetricError(f"Gram matrix is singular (det = {det:.3e})")
+    """Inverse of one Gram matrix (n, n) or of a stack (N, n, n).
+
+    A sample counts as singular when its smallest singular value is below
+    1e-12 of its largest: a relative test, blind to the overall scale of
+    the metric and to its determinant.  A Gram matrix is symmetric, so its
+    singular values are the absolute values of its eigenvalues.
+    """
+    s = np.abs(np.linalg.eigvalsh(g0))
+    s.sort(axis=-1)
+    singular = s[..., 0] <= 1e-12 * s[..., -1]
+    if np.any(singular):
+        k = np.flatnonzero(singular)[0]
+        smin, smax = s.reshape(-1, s.shape[-1])[k, [0, -1]]
+        where = f" at sample {k}" if g0.ndim > 2 else ""
+        raise DegenerateMetricError(
+            f"Gram matrix is singular{where} "
+            f"(sigma_min = {smin:.3e}, sigma_max = {smax:.3e})"
+        )
     return np.linalg.inv(g0)
 
 
 # ---------------------------------------------------------------------------
 # connection and curvature
+#
+# These act on one point or on a stack with a leading sample axis.
+
+
+def _first_kind(dg: np.ndarray) -> np.ndarray:
+    """Gamma_{a,ij} = (d_i g_aj + d_j g_ai - d_a g_ij) / 2 over the last three
+    axes, so d2g in place of dg gives d_b Gamma_{a,ij}."""
+    out = np.einsum("...iaj->...aij", dg) + np.einsum("...jai->...aij", dg)
+    out -= dg
+    out *= 0.5
+    return out
 
 
 def christoffel_from_derivatives(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma[k, i, j] from the metric and its gradient."""
-    ginv = _invert_gram(g0)
-    # first kind: Gamma_{a,ij} = (d_i g_aj + d_j g_ai - d_a g_ij) / 2
-    first = 0.5 * (
-        np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg
-    )
-    return np.einsum("ka,aij->kij", ginv, first)
+    return np.einsum("...ka,...aij->...kij", _invert_gram(g0), _first_kind(dg))
 
 
 def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
@@ -193,49 +256,41 @@ def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
     return christoffel_from_derivatives(g0, dg)
 
 
-def _connection(metric: MetricField, p: Sequence[float]):
-    """(g0, ginv, Gamma, dGamma) with dGamma[b, k, i, j] = d_b Gamma^k_ij."""
-    g0, dg, d2g = gram_jets(metric, p)
-    ginv = _invert_gram(g0)
-    first = 0.5 * (np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg)
-    gamma = np.einsum("ka,aij->kij", ginv, first)
-    dginv = -np.einsum("km,bml,la->bka", ginv, dg, ginv)
-    dfirst = 0.5 * (
-        np.einsum("biaj->baij", d2g)
-        + np.einsum("bjai->baij", d2g)
-        - np.einsum("baij->baij", d2g)
-    )
-    dgamma = np.einsum("bka,aij->bkij", dginv, first) + np.einsum(
-        "ka,baij->bkij", ginv, dfirst
-    )
-    return g0, ginv, gamma, dgamma
-
-
 def ricci_from_derivatives(
     g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Ricci tensor and scalar from metric derivatives (any source)."""
+    """Ricci tensor and scalar from metric derivatives (any source).
+
+    Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
+    - Gamma^k_il Gamma^l_kj.  Only the two traces of d Gamma are formed, as
+    n^3 arrays; the n^4 array d Gamma and its n^5 contraction are not.
+    The scalar is a float at one point and an (N,) array on a stack.
+    """
     ginv = _invert_gram(g0)
-    first = 0.5 * (np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg)
-    gamma = np.einsum("ka,aij->kij", ginv, first)
-    dginv = -np.einsum("km,bml,la->bka", ginv, dg, ginv)
-    dfirst = 0.5 * (
-        np.einsum("biaj->baij", d2g)
-        + np.einsum("bjai->baij", d2g)
-        - np.einsum("baij->baij", d2g)
+    first = _first_kind(dg)
+    dfirst = _first_kind(d2g)
+    gamma = np.einsum("...ka,...aij->...kij", ginv, first)
+    # d_b g^ka = -g^km d_b g_ml g^la
+    dginv = -np.einsum(
+        "...bkl,...la->...bka", np.einsum("...km,...bml->...bkl", ginv, dg), ginv
     )
-    dgamma = np.einsum("bka,aij->bkij", dginv, first) + np.einsum(
-        "ka,baij->bkij", ginv, dfirst
+    # d_k Gamma^k_ij and d_i Gamma^k_kj: both parts of d Gamma are added
+    # before the sum over k, so the rounding is that of the full d Gamma
+    div = np.einsum("...kka,...aij->...kij", dginv, first) + np.einsum(
+        "...ka,...kaij->...kij", ginv, dfirst
+    )
+    grad = np.einsum("...ika,...akj->...ikj", dginv, first) + np.einsum(
+        "...ka,...iakj->...ikj", ginv, dfirst
     )
     ric = (
-        np.einsum("kkij->ij", dgamma)
-        - np.einsum("ikkj->ij", dgamma)
-        + np.einsum("kkl,lij->ij", gamma, gamma)
-        - np.einsum("kil,lkj->ij", gamma, gamma)
+        div.sum(axis=-3)
+        - grad.sum(axis=-2)
+        + np.einsum("...kkl,...lij->...ij", gamma, gamma)
+        - np.einsum("...kil,...lkj->...ij", gamma, gamma)
     )
-    ric = 0.5 * (ric + ric.T)
-    scalar = float(np.einsum("ij,ij->", ginv, ric))
-    return ric, scalar
+    ric = 0.5 * (ric + ric.swapaxes(-1, -2))
+    scalar = np.einsum("...ij,...ij->...", ginv, ric)
+    return ric, (float(scalar) if scalar.ndim == 0 else scalar)
 
 
 def ricci_scalar(metric: MetricField, p: Sequence[float]) -> tuple[np.ndarray, float]:
@@ -268,9 +323,9 @@ def covariant_derivative(metric: MetricField, w, p: Sequence[float]) -> np.ndarr
     gamma = christoffel(metric, p)
     vals, jac, _ = jet_components(w.components, p)
     if isinstance(w, OneForm):
-        return jac.T - np.einsum("cab,c->ab", gamma, vals)
+        return jac.swapaxes(-1, -2) - np.einsum("...cab,...c->...ab", gamma, vals)
     if isinstance(w, VectorField):
-        return jac.T + np.einsum("bac,c->ab", gamma, vals)
+        return jac.swapaxes(-1, -2) + np.einsum("...bac,...c->...ab", gamma, vals)
     raise ContractViolationError("covariant_derivative expects a OneForm or VectorField")
 
 
@@ -282,9 +337,9 @@ def lie_derivative_metric(
     zv, zj, _ = jet_components(field.components, p)
     zv, zj = zv.real, zj.real
     return (
-        np.einsum("c,cab->ab", zv, dg)
-        + np.einsum("cb,ca->ab", g0, zj)
-        + np.einsum("ac,cb->ab", g0, zj)
+        np.einsum("...c,...cab->...ab", zv, dg)
+        + np.einsum("...cb,...ca->...ab", g0, zj)
+        + np.einsum("...ac,...cb->...ab", g0, zj)
     )
 
 
@@ -331,16 +386,13 @@ def exterior_wedge(
     weights: (w ^ dw)_abc = w_a (dw)_bc + w_b (dw)_ca + w_c (dw)_ab.
     """
     vals, jac, _ = jet_components(omega.components, p)
-    vals, jac = vals.real, jac.real
-    dw = jac.T - jac
-    n = vals.shape[0]
-    wedge = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                wedge[a, b, c] = (
-                    vals[a] * dw[b, c] + vals[b] * dw[c, a] + vals[c] * dw[a, b]
-                )
+    w, jac = vals.real, jac.real
+    dw = jac.swapaxes(-1, -2) - jac
+    wedge = (
+        w[..., :, None, None] * dw[..., None, :, :]
+        + w[..., None, :, None] * dw.swapaxes(-1, -2)[..., :, None, :]
+        + w[..., None, None, :] * dw[..., :, :, None]
+    )
     return dw, wedge
 
 

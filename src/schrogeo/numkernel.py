@@ -2,9 +2,14 @@
 linear algebra, and seeded sampling with rejection of singular loci.
 
 Matrices are plain ``numpy`` arrays (row-major).  Everything handled here is
-at most (d+4) x (d+4) with d <= 8, so no dedicated matrix wrapper is needed;
-``JetMatrix`` exists only to batch jet-valued matrix products that would be
-slow entrywise.
+at most (d+4) x (d+4) with d <= 8, so no dedicated matrix wrapper is needed.
+
+Two kinds of batching exist.  A ``Jet2`` may carry a trailing sample axis:
+seeding a batch of N points gives jets whose value, gradient and Hessian
+hold all N points at once, so one pass of a closed-form expression yields
+the second-order Taylor data at every point (Taylor-mode propagation over a
+batch).  ``JetMatrix`` batches the entries of a jet-valued matrix so that
+matrix products need a handful of einsums instead of entrywise jet products.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ class Jet2:
     order with no truncation error beyond floating point.  Values may be real
     or complex; the Hessian is symmetrized on construction (plain transpose,
     not conjugate) and stays symmetric under every operation.
+
+    Shapes: at one point ``value`` is a scalar, ``grad`` is (n,) and ``hess``
+    is (n, n).  A batch of N points adds a trailing sample axis: ``value`` is
+    (N,), ``grad`` is (n, N) and ``hess`` is (n, n, N).  Scalars broadcast
+    against either form; a batched jet and an unbatched one do not mix.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -58,20 +68,23 @@ class Jet2:
         self.value = value
         self.grad = np.asarray(grad)
         h = np.asarray(hess)
-        self.hess = 0.5 * (h + h.T)
+        self.hess = 0.5 * (h + h.swapaxes(0, 1))
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def variable(cls, value, index: int, dim: int) -> "Jet2":
-        """Seed jet for the ``index``-th of ``dim`` chart coordinates."""
-        g = np.zeros(dim)
+        """Seed jet for the ``index``-th of ``dim`` chart coordinates;
+        ``value`` may be an (N,) array of sample values."""
+        batch = np.shape(value)
+        g = np.zeros((dim,) + batch)
         g[index] = 1.0
-        return cls(value, g, np.zeros((dim, dim)))
+        return cls(value, g, np.zeros((dim, dim) + batch))
 
     @classmethod
     def constant(cls, value, dim: int) -> "Jet2":
-        return cls(value, np.zeros(dim), np.zeros((dim, dim)))
+        batch = np.shape(value)
+        return cls(value, np.zeros((dim,) + batch), np.zeros((dim, dim) + batch))
 
     @property
     def dim(self) -> int:
@@ -84,9 +97,9 @@ class Jet2:
 
     def _coerce(self, other):
         if isinstance(other, Jet2):
-            if other.dim != self.dim:
+            if other.grad.shape != self.grad.shape:
                 raise ContractViolationError(
-                    f"jet dimensions differ: {self.dim} vs {other.dim}"
+                    f"jet shapes differ: {self.grad.shape} vs {other.grad.shape}"
                 )
             return other
         if isinstance(other, numbers.Number):
@@ -125,21 +138,25 @@ class Jet2:
             return NotImplemented
         if o is None:
             return Jet2(self.value * other, self.grad * other, self.hess * other)
-        og = np.outer(self.grad, o.grad)
+        og = _outer(self.grad, o.grad)
         return Jet2(
             self.value * o.value,
             self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + og + og.T,
+            self.value * o.hess + o.value * self.hess + og + og.swapaxes(0, 1),
         )
 
     __rmul__ = __mul__
 
     def _reciprocal(self) -> "Jet2":
         v = self.value
-        if v == 0:
+        if (np.any(v == 0) if isinstance(v, np.ndarray) else v == 0):
             raise JetSingularityError("jet singularity: reciprocal of zero value")
-        og = np.outer(self.grad, self.grad)
-        return Jet2(1.0 / v, -self.grad / v**2, -self.hess / v**2 + 2.0 * og / v**3)
+        og = _outer(self.grad, self.grad)
+        return Jet2(
+            1.0 / v,
+            -self.grad / _pow(v, 2),
+            -self.hess / _pow(v, 2) + 2.0 * og / _pow(v, 3),
+        )
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -160,26 +177,52 @@ class Jet2:
         if isinstance(k, numbers.Integral):
             k = int(k)
             if k == 0:
-                return Jet2.constant(1.0, self.dim)
+                v = self.value
+                one = np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
+                return Jet2.constant(one, self.dim)
             if k == 1:
                 return Jet2(self.value, self.grad, self.hess)
             if k < 0:
                 return self._reciprocal() ** (-k)
             v = self.value
-            return _chain(self, v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
+            return _chain(
+                self, _pow(v, k), k * _pow(v, k - 1), k * (k - 1) * _pow(v, k - 2)
+            )
         if isinstance(k, numbers.Real):
             v = self.value
-            if not (isinstance(v, numbers.Real) and v > 0):
+            if not _positive_real(v):
                 raise ContractViolationError(
                     "non-integer powers need a positive real jet value"
                 )
-            return _chain(self, v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0))
+            return _chain(
+                self, _pow(v, k), k * _pow(v, k - 1.0), k * (k - 1.0) * _pow(v, k - 2.0)
+            )
         return NotImplemented
+
+
+def _pow(v, k):
+    """v ** k with the rounding of a scalar power, sample by sample on an
+    array: numpy's vectorized power rounds differently, and a batch must
+    reproduce its points bit for bit."""
+    if isinstance(v, np.ndarray):
+        return np.array([x**k for x in v.tolist()], dtype=v.dtype)
+    return v**k
+
+
+def _outer(g, h):
+    """g_a h_b per sample: (n, n) at one point, (n, n, N) on a batch."""
+    return g[:, None] * h[None, :]
+
+
+def _positive_real(v) -> bool:
+    if isinstance(v, np.ndarray):
+        return np.isrealobj(v) and bool(np.all(v > 0))
+    return isinstance(v, numbers.Real) and v > 0
 
 
 def _chain(u: Jet2, f0, f1, f2) -> Jet2:
     """Second-order chain rule for a scalar function applied to a jet."""
-    og = np.outer(u.grad, u.grad)
+    og = _outer(u.grad, u.grad)
     return Jet2(f0, f1 * u.grad, f1 * u.hess + f2 * og)
 
 
@@ -193,7 +236,7 @@ def exp(x):
 def log(x):
     if isinstance(x, Jet2):
         v = x.value
-        if not (isinstance(v, numbers.Real) and v > 0):
+        if not _positive_real(v):
             raise ContractViolationError("log needs a positive real jet value")
         return _chain(x, np.log(v), 1.0 / v, -1.0 / v**2)
     return np.log(x)
@@ -202,7 +245,7 @@ def log(x):
 def sqrt(x):
     if isinstance(x, Jet2):
         v = x.value
-        if not (isinstance(v, numbers.Real) and v > 0):
+        if not _positive_real(v):
             raise ContractViolationError("sqrt needs a positive real jet value")
         s = np.sqrt(v)
         return _chain(x, s, 0.5 / s, -0.25 / (s * v))
@@ -224,10 +267,15 @@ def cos(x):
 
 
 def seed_point(coords: Sequence[float]) -> list[Jet2]:
-    """Seed one jet per coordinate of a chart point."""
-    coords = list(coords)
-    n = len(coords)
-    return [Jet2.variable(float(c), i, n) for i, c in enumerate(coords)]
+    """Seed one jet per coordinate of a chart point.
+
+    ``coords`` is one point of shape (n,) or a batch of shape (N, n); a batch
+    gives jets with a trailing sample axis (see ``Jet2``).
+    """
+    pts = np.asarray(coords, dtype=float)
+    n = pts.shape[-1]
+    values = pts.tolist() if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+    return [Jet2.variable(c, i, n) for i, c in enumerate(values)]
 
 
 def as_jet(x, dim: int) -> Jet2:

@@ -644,11 +644,10 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             for lam in cfg.lams:
                 for mu in cfg.mus:
                     mc = hg.SchrodingerManifoldConfig(d, lam, mu)
-                    for p in pts:
-                        v1 = rng.normal(size=d + 3)
-                        v2 = rng.normal(size=d + 3)
-                        res = hg.induced_metric(mc, p, v1, v2)
-                        worst = max(worst, res["difference"])
+                    # the same stream as a (v1, v2) draw per point in turn
+                    v = rng.normal(size=(len(pts), 2, d + 3))
+                    res = hg.induced_metric(mc, pts, v[:, 0], v[:, 1])
+                    worst = max(worst, float(res["difference"].max()))
             return _pass(worst < 1e-10), worst, 1e-10, {}
 
         _guarded(
@@ -667,9 +666,8 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             rng = np.random.default_rng(check_seed(cfg, f"{base}_clock"))
             for lam in cfg.lams:
                 mc = hg.SchrodingerManifoldConfig(d, lam, cfg.mus[0])
-                for p in pts:
-                    res = hg.theta_hat(mc, p, rng.normal(size=d + 3))
-                    worst = max(worst, res["difference"])
+                res = hg.theta_hat(mc, pts, rng.normal(size=(len(pts), d + 3)))
+                worst = max(worst, float(res["difference"].max()))
             return _pass(worst < 1e-10), worst, 1e-10, {}
 
         _guarded(
@@ -688,9 +686,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             for lam in cfg.lams:
                 for mu in cfg.mus:
                     mc = hg.SchrodingerManifoldConfig(d, lam, mu)
-                    for p in pts:
-                        if hg.negative_eigenvalue_count(mc, p) != 1:
-                            bad += 1
+                    bad += int((hg.negative_eigenvalue_count(mc, pts) != 1).sum())
             return _pass(bad == 0), float(bad), 0.5, {}
 
         _guarded(
@@ -709,11 +705,9 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             for lam in cfg.lams:
                 for mu in cfg.mus:
                     mc = hg.SchrodingerManifoldConfig(d, lam, mu)
-                    for p in pts:
-                        res = hg.xi_hat_consistency(mc, p)
-                        worst = max(
-                            worst, res["pushforward"], res["nullity"], res["killing"]
-                        )
+                    res = hg.xi_hat_consistency(mc, pts)
+                    for key in ("pushforward", "nullity", "killing"):
+                        worst = max(worst, float(res[key].max()))
             return _pass(worst < 1e-10), worst, 1e-10, {}
 
         _guarded(
@@ -734,13 +728,9 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             for lam in cfg.lams:
                 mc = hg.SchrodingerManifoldConfig(d, lam, 0.0)
                 is_einstein = abs(lam + 0.5) < 1e-12
-                vanish = 0.0
-                for p in pts:
-                    computed, predicted = hg.einstein_residual(mc, p)
-                    identity = max(
-                        identity, float(np.abs(computed - predicted).max())
-                    )
-                    vanish = max(vanish, float(np.abs(computed).max()))
+                computed, predicted = hg.einstein_residual(mc, pts)
+                identity = max(identity, float(np.abs(computed - predicted).max()))
+                vanish = float(np.abs(computed).max())
                 factors[f"{lam:g}"] = (d + 2.0) * (1.0 + 2.0 * lam) / (2.0 * lam)
                 if is_einstein:
                     ok = ok and vanish < cfg.tol
@@ -765,9 +755,8 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             for lam in cfg.lams:
                 for mu in cfg.mus:
                     mc = hg.SchrodingerManifoldConfig(d, lam, mu)
-                    for p in pts:
-                        res, _ = hg.nullfluid_residual(mc, p)
-                        worst = max(worst, float(np.abs(res).max()))
+                    res, _ = hg.nullfluid_residual(mc, pts)
+                    worst = max(worst, float(np.abs(res).max()))
             return _pass(worst < cfg.tol), worst, cfg.tol, {}
 
         _guarded(
@@ -782,7 +771,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
 
         def recovery_thunk(d=d):
             pts = grid_points(f"{base}_recovery")
-            worst = max(hg.metric_recovery_residual(d, p) for p in pts)
+            worst = float(hg.metric_recovery_residual(d, pts).max())
             return _pass(worst < 1e-12), worst, 1e-12, {}
 
         _guarded(
@@ -869,8 +858,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             worst = 0.0
             for lam in cfg.lams:
                 mc = hg.SchrodingerManifoldConfig(d, lam, cfg.mus[0])
-                for p in pts:
-                    worst = max(worst, hg.integrability_residual(mc, p))
+                worst = max(worst, float(hg.integrability_residual(mc, pts).max()))
             return _pass(worst < 1e-12), worst, 1e-12, {}
 
         _guarded(

@@ -24,6 +24,7 @@ from schrogeo.ambient import (
     extract_blocks,
     flat_gram_matrix,
     g_adjoint,
+    make_special,
     group_inverse,
     projective_action,
     random_algebra_element,
@@ -69,6 +70,26 @@ class TestSpecialElement:
         S = basis_change(d)
         G = ambient_gram(d)
         assert np.abs(S.T @ G @ S - ambient_gram_split(d)).max() < 1e-14
+
+
+class TestSharedConstants:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_cached_arrays_are_read_only_and_fresh(self, d):
+        G = ambient_gram(d)
+        sn = build_Z0(d)
+        assert ambient_gram(d) is G and build_Z0(d) is sn
+        for a in (G, sn.P, sn.Q, sn.matrix):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        fresh_G = np.zeros((d + 4, d + 4))
+        fresh_G[: d + 2, : d + 2] = flat_gram_matrix(d)
+        fresh_G[d + 2, d + 3] = fresh_G[d + 3, d + 2] = 1.0
+        assert np.array_equal(G, fresh_G)
+        P, Q = np.eye(d + 4)[d + 1], np.eye(d + 4)[d + 2]
+        fresh = make_special(P, Q, fresh_G)
+        for a, b in ((sn.P, fresh.P), (sn.Q, fresh.Q), (sn.matrix, fresh.matrix)):
+            assert np.array_equal(a, b)
 
 
 class TestCommutant:

@@ -1,0 +1,400 @@
+"""Sample-batched jets: a batch of N points evaluated in one jet pass must
+give, sample by sample, what N single-point evaluations give."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schrogeo import numkernel as nk
+from schrogeo.ambient import ChartEscapeError, ambient_gram, build_Z0, random_group_element
+from schrogeo.geometry import (
+    DegenerateMetricError,
+    _invert_gram,
+    gram_jets,
+    gram_values,
+    jet_components,
+    ricci_from_derivatives,
+)
+from schrogeo.homogeneous import (
+    BoundaryPointError,
+    SchrodingerManifoldConfig,
+    boundary_metric,
+    bulk_boxes,
+    bulk_metric,
+    chart_from_ambient,
+    einstein_residual,
+    embed,
+    embed_components,
+    induced_metric,
+    integrability_residual,
+    isometry_check,
+    metric_recovery_residual,
+    negative_eigenvalue_count,
+    null_plane_boost,
+    nullfluid_residual,
+    theta_hat,
+    xi_hat_consistency,
+)
+from schrogeo.numkernel import Jet2, SeededSampler
+from schrogeo.suites import SuiteConfig, run_suite
+
+
+def bulk_points(d, count, seed=0):
+    return SeededSampler(seed, bulk_boxes(d)).points(count)
+
+
+# ---------------------------------------------------------------------------
+# Jet2 with a trailing sample axis
+
+
+def _column(jet, k):
+    return Jet2(jet.value[k], jet.grad[..., k], jet.hess[..., k])
+
+
+def _same(batched, points):
+    for k, pj in enumerate(points):
+        assert np.array_equal(batched.value[k], pj.value)
+        assert np.array_equal(batched.grad[..., k], pj.grad)
+        assert np.array_equal(batched.hess[..., k], pj.hess)
+
+
+@st.composite
+def jet_batches(draw):
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 4))
+    fl = st.floats(-3.0, 3.0, allow_nan=False)
+    pos = st.floats(0.2, 3.0)
+
+    def arr(elems, shape):
+        flat = draw(st.lists(elems, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=float).reshape(shape)
+
+    u = Jet2(arr(pos, (count,)), arr(fl, (n, count)), arr(fl, (n, n, count)))
+    w = Jet2(arr(pos, (count,)) * draw(st.sampled_from([1.0, -1.0])),
+             arr(fl, (n, count)), arr(fl, (n, n, count)))
+    return u, w, draw(st.floats(-2.5, 2.5).filter(lambda c: abs(c) > 0.1))
+
+
+UNARY = {
+    "neg": lambda a: -a,
+    "square": lambda a: a**2,
+    "cube": lambda a: a**3,
+    "inverse_square": lambda a: a**-2,
+    "zeroth": lambda a: a**0,
+    "real_power": lambda a: a**1.5,
+    "exp": nk.exp,
+    "log": nk.log,
+    "sqrt": nk.sqrt,
+    "sin": nk.sin,
+    "cos": nk.cos,
+}
+
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+}
+
+WITH_SCALAR = {
+    "radd": lambda a, c: c + a,
+    "rsub": lambda a, c: c - a,
+    "rmul": lambda a, c: c * a,
+    "truediv": lambda a, c: a / c,
+    "rtruediv": lambda a, c: c / a,
+}
+
+
+class TestBatchedJet:
+    @settings(max_examples=40, deadline=None)
+    @given(jet_batches())
+    def test_every_operation_matches_per_point_bitwise(self, data):
+        u, w, c = data
+        count = u.value.shape[0]
+        us = [_column(u, k) for k in range(count)]
+        ws = [_column(w, k) for k in range(count)]
+        for op in UNARY.values():
+            _same(op(u), [op(a) for a in us])
+        for op in BINARY.values():
+            _same(op(u, w), [op(a, b) for a, b in zip(us, ws)])
+        for op in WITH_SCALAR.values():
+            _same(op(u, c), [op(a, c) for a in us])
+
+    def test_shapes(self):
+        xs = nk.seed_point(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        f = xs[0] * xs[1]
+        assert f.value.shape == (3,)
+        assert f.grad.shape == (2, 3)
+        assert f.hess.shape == (2, 2, 3)
+        assert np.array_equal(f.grad[:, 1], [4.0, 3.0])
+
+    def test_single_point_stays_unbatched(self):
+        xs = nk.seed_point([1.0, 2.0])
+        assert isinstance(xs[0].value, float)
+        assert (xs[0] * xs[1]).grad.shape == (2,)
+
+    def test_batched_and_unbatched_jets_do_not_mix(self):
+        one = nk.seed_point([1.0, 2.0])[0]
+        many = nk.seed_point([[1.0, 2.0], [3.0, 4.0]])[0]
+        with pytest.raises(nk.ContractViolationError):
+            one + many
+
+    def test_zero_in_any_sample_is_a_singularity(self):
+        x = nk.seed_point([[1.0], [0.0], [2.0]])[0]
+        with pytest.raises(nk.JetSingularityError):
+            1.0 / x
+
+    def test_positivity_guards_check_every_sample(self):
+        x = nk.seed_point([[1.0], [-0.5]])[0]
+        for op in (nk.log, nk.sqrt, lambda a: a**0.5):
+            with pytest.raises(nk.ContractViolationError):
+                op(x)
+
+
+# ---------------------------------------------------------------------------
+# geometry on a leading sample axis
+
+
+METRICS = [
+    pytest.param(bulk_metric(SchrodingerManifoldConfig(d, lam, mu)), d + 3, id=f"bulk_d{d}")
+    for d, lam, mu in ((1, -0.5, 1.0), (2, -1.3, 2.0), (3, -0.3, -1.0))
+] + [pytest.param(boundary_metric(d), d + 2, id=f"boundary_d{d}") for d in (1, 2)]
+
+
+class TestBatchedGeometry:
+    @pytest.mark.parametrize("metric, n", METRICS)
+    def test_gram_jets_and_ricci_match_per_point(self, metric, n):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1.2, 1.2, size=(6, n))
+        if metric.chart.names[-1] == "rh":
+            pts[:, -1] = rng.uniform(0.7, 2.2, size=6)
+        batch = gram_jets(metric, pts)
+        assert [a.shape for a in batch] == [(6,) + (n,) * k for k in (2, 3, 4)]
+        ric, scalar = ricci_from_derivatives(*batch)
+        assert ric.shape == (6, n, n) and scalar.shape == (6,)
+        for k, p in enumerate(pts):
+            single = gram_jets(metric, p)
+            for a, b in zip(batch, single):
+                assert np.abs(a[k] - b).max() <= 1e-13
+            r, s = ricci_from_derivatives(*single)
+            assert isinstance(s, float)
+            assert np.abs(ric[k] - r).max() <= 1e-13
+            assert abs(scalar[k] - s) <= 1e-13
+
+    def test_jet_components_match_per_point(self):
+        cfg = SchrodingerManifoldConfig(2, -0.7, 1.5)
+        pts = bulk_points(2, 5)
+        fn = lambda q: embed_components(cfg, q)  # noqa: E731
+        vals, jac, hess = jet_components(fn, pts)
+        assert (vals.shape, jac.shape, hess.shape) == ((5, 6), (5, 6, 5), (5, 6, 5, 5))
+        for k, p in enumerate(pts):
+            for a, b in zip((vals, jac, hess), jet_components(fn, p)):
+                assert np.array_equal(a[k], b)
+
+    def test_gram_values_on_a_batch(self):
+        metric = bulk_metric(SchrodingerManifoldConfig(3, -2.0, 2.0))
+        pts = bulk_points(3, 4)
+        batch = gram_values(metric, pts)
+        for k, p in enumerate(pts):
+            assert np.array_equal(batch[k], gram_values(metric, p))
+
+
+class TestInvertGram:
+    def test_small_uniform_scale_is_not_singular(self):
+        g = 1e-9 * np.diag([1.0, -1.0, 2.0, 0.5])
+        assert np.allclose(_invert_gram(g) @ g, np.eye(4))
+
+    def test_ill_conditioned_but_regular(self):
+        g = np.diag([5e7, 1.0, -2.0])
+        assert np.allclose(_invert_gram(g) @ g, np.eye(3))
+
+    def test_singular_sample_named_in_stack(self):
+        stack = np.array([np.eye(3), np.diag([1.0, 1.0, 1e-14]), np.eye(3)])
+        with pytest.raises(DegenerateMetricError, match="sample 1"):
+            _invert_gram(stack)
+
+    def test_zero_metric_is_singular(self):
+        with pytest.raises(DegenerateMetricError):
+            _invert_gram(np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# homogeneous checks on a batch
+
+
+class TestBatchedHomogeneous:
+    cfg = SchrodingerManifoldConfig(2, -1.0, 2.0)
+
+    def test_dict_checks_match_per_point(self):
+        pts = bulk_points(2, 5, seed=3)
+        v1, v2 = np.random.default_rng(3).normal(size=(2, 5, 5))
+        cases = (
+            (xi_hat_consistency(self.cfg, pts), lambda k: xi_hat_consistency(self.cfg, pts[k])),
+            (induced_metric(self.cfg, pts, v1, v2),
+             lambda k: induced_metric(self.cfg, pts[k], v1[k], v2[k])),
+            (theta_hat(self.cfg, pts, v1), lambda k: theta_hat(self.cfg, pts[k], v1[k])),
+        )
+        for batch, single in cases:
+            for k in range(5):
+                one = single(k)
+                assert set(one) == set(batch)
+                for key, value in one.items():
+                    assert isinstance(value, float)
+                    assert batch[key][k] == value
+
+    def test_curvature_residuals_match_per_point(self):
+        pts = bulk_points(2, 4, seed=4)
+        res, _ = nullfluid_residual(self.cfg, pts)
+        plus = SchrodingerManifoldConfig(2, -0.5, 0.0)
+        computed, predicted = einstein_residual(plus, pts)
+        counts = negative_eigenvalue_count(self.cfg, pts)
+        wedge = integrability_residual(self.cfg, pts)
+        recovery = metric_recovery_residual(2, pts)
+        for k, p in enumerate(pts):
+            assert np.abs(res[k] - nullfluid_residual(self.cfg, p)[0]).max() <= 1e-13
+            c, q = einstein_residual(plus, p)
+            assert np.abs(computed[k] - c).max() <= 1e-13
+            assert np.abs(predicted[k] - q).max() <= 1e-13
+            assert counts[k] == negative_eigenvalue_count(self.cfg, p) == 1
+            assert wedge[k] == integrability_residual(self.cfg, p)
+            assert recovery[k] == metric_recovery_residual(2, p)
+
+    def test_boundary_guard_checks_every_sample(self):
+        cols = [np.array([0.1, 0.2])] * 3 + [np.array([1.0, 0.0])]
+        with pytest.raises(BoundaryPointError):
+            embed_components(SchrodingerManifoldConfig(1, -0.5), cols)
+
+    def test_chart_escape_is_a_mask_on_a_batch(self):
+        cfg = SchrodingerManifoldConfig(1, -0.5, 1.0)
+        Q = [np.array([0.3, 0.3]), np.array([0.1, 0.1]), np.array([0.2, 0.2]),
+             np.array([-0.4, -0.4]), np.array([1.5, -1.5])]
+        out = chart_from_ambient(cfg, Q)
+        assert np.isnan([c[1] for c in out]).all()
+        assert np.allclose([c[0] for c in out], chart_from_ambient(cfg, [q[0] for q in Q]))
+        with pytest.raises(ChartEscapeError):
+            chart_from_ambient(cfg, [q[1] for q in Q])
+
+
+def sequential_isometry(cfg, A, samples, seed, tol=1e-8):
+    """Reference: one point at a time, each escape raised and caught."""
+    d = cfg.d
+    G = ambient_gram(d)
+    Z0 = build_Z0(d).matrix
+    metric = bulk_metric(cfg)
+    sampler = SeededSampler(seed, bulk_boxes(d))
+
+    def moved(q):
+        comps = embed_components(cfg, q)
+        mixed = []
+        for a_idx in range(d + 4):
+            val = None
+            for b_idx in range(d + 4):
+                if A[a_idx, b_idx] != 0.0:
+                    term = A[a_idx, b_idx] * comps[b_idx]
+                    val = term if val is None else val + term
+            mixed.append(0.0 if val is None else val)
+        return chart_from_ambient(cfg, mixed)
+
+    metric_r = quadric_r = zy_r = 0.0
+    used = escapes = 0
+    while used < samples and escapes < 50:
+        p = sampler.sample()
+        ep = embed(cfg, p)
+        Q2 = A @ ep.Q
+        quadric_r = max(
+            quadric_r, abs(float(Q2 @ G @ Q2) - 2.0 * cfg.lam) / abs(2.0 * cfg.lam)
+        )
+        zy_r = max(zy_r, float(np.abs(Z0 @ (A @ ep.Y)).max()))
+        try:
+            vals, jac, _ = jet_components(moved, p)
+        except ChartEscapeError:
+            escapes += 1
+            continue
+        used += 1
+        image = [float(v) for v in vals.real]
+        pulled = jac.real.T @ gram_values(metric, image) @ jac.real
+        metric_r = max(metric_r, float(np.abs(pulled - gram_values(metric, p)).max()))
+    if used < samples:
+        raise ChartEscapeError(f"only {used}/{samples} samples stayed on the chart sheet")
+    return {
+        "metric_residual": metric_r,
+        "quadric_residual": quadric_r,
+        "zy_residual": zy_r,
+        "samples": used,
+        "escapes": escapes,
+        "isometry": metric_r < tol,
+    }
+
+
+def _group_matrix(d, seed):
+    return random_group_element(d, np.random.default_rng(seed)).matrix
+
+
+def _escaping_matrix(d, c):
+    # last ambient component becomes (scale / rh) (1 + c xh1): off the sheet
+    # wherever xh1 < -1/c
+    A = np.eye(d + 4)
+    A[d + 3, 0] = c
+    return A
+
+
+class TestBatchedIsometry:
+    @pytest.mark.parametrize(
+        "d, lam, mu, make, samples, seed",
+        [
+            (2, -0.5, 1.0, lambda d: null_plane_boost(d, 1.7), 6, 5),
+            (1, -1.0, 2.0, lambda d: _group_matrix(d, 1), 7, 2),
+            (3, -0.5, 1.0, lambda d: _group_matrix(d, 9), 5, 11),
+            (2, -0.5, 1.0, lambda d: _escaping_matrix(d, 1.5), 12, 3),
+            (1, -2.0, 0.0, lambda d: _escaping_matrix(d, 1.0), 20, 8),
+        ],
+    )
+    def test_matches_sequential_walk(self, d, lam, mu, make, samples, seed):
+        cfg = SchrodingerManifoldConfig(d, lam, mu)
+        A = make(d)
+        batched = isometry_check(cfg, A, samples=samples, seed=seed)
+        reference = sequential_isometry(cfg, A, samples, seed)
+        assert batched["samples"] == reference["samples"] == samples
+        assert batched["escapes"] == reference["escapes"]
+        assert batched["isometry"] == reference["isometry"]
+        for key in ("metric_residual", "quadric_residual", "zy_residual"):
+            assert abs(batched[key] - reference[key]) <= 1e-13
+
+    def test_escape_forcing_matrix_does_escape(self):
+        cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
+        res = isometry_check(cfg, _escaping_matrix(2, 1.5), samples=12, seed=3)
+        assert res["escapes"] > 0
+
+    @pytest.mark.parametrize(
+        "c, samples", [(None, 5), (3.0, 200), (3.0, 100), (3.0, 70)]
+    )
+    def test_escape_cap_ends_both_walks_alike(self, c, samples):
+        cfg = SchrodingerManifoldConfig(1, -0.5, 1.0)
+        A = np.diag([1.0, 1.0, 1.0, 1.0, -1.0]) if c is None else _escaping_matrix(1, c)
+
+        def outcome(fn):
+            try:
+                return fn()
+            except ChartEscapeError as exc:
+                return str(exc)
+
+        batched = outcome(lambda: isometry_check(cfg, A, samples=samples, seed=4))
+        reference = outcome(lambda: sequential_isometry(cfg, A, samples, 4))
+        if isinstance(reference, str):
+            assert batched == reference
+        else:
+            assert (batched["samples"], batched["escapes"]) == (
+                reference["samples"], reference["escapes"])
+
+
+# ---------------------------------------------------------------------------
+# verdicts over a seed sweep
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bulk_suites_pass_over_seed_sweep(seed):
+    for suite in ("homogeneous", "axioms"):
+        report = run_suite(SuiteConfig(suite=suite, seed=seed))
+        failed = [c.name for c in report.checks if c.status != "PASS"]
+        assert not failed, failed

@@ -98,6 +98,45 @@ class TestPrecedence:
         assert doc["config"]["seed"] == 5
 
 
+class TestNegativeValues:
+    def _config(self, tmp_path, args):
+        out = tmp_path / "r.json"
+        code = main(["homogeneous", *args, "--format", "json", "--out", str(out)])
+        return code, json.loads(out.read_text())["config"] if code in (0, 3) else None
+
+    def test_scientific_notation_with_or_without_equals(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        spaced = ["--dim", "1", "--lambda", "-1e-4", "--mu", "-2.5E1"]
+        joined = ["--dim=1", "--lambda=-1e-4", "--mu=-2.5E1"]
+        spaced, joined = (self._config(tmp_path, [*a, "--samples", "4"]) for a in (spaced, joined))
+        assert spaced == joined
+        assert spaced[1]["lams"] == [-1e-4] and spaced[1]["mus"] == [-25.0]
+
+    def test_negative_dim_reaches_validation(self, capsys):
+        assert main(["homogeneous", "--dim", "-1", "--samples", "4"]) == 2
+
+    def test_other_flags_still_rejected(self, capsys):
+        assert main(["homogeneous", "--samples", "-1e-4"]) == 1
+
+
+class TestDegenerateMetricRegressions:
+    """Valid couplings whose Gram matrices are tiny or ill-conditioned but
+    regular; a determinant threshold once reported them as singular."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--dim", "1", "--lambda=-1e-4", "--mu", "1000"],
+            ["--dim", "2", "--lambda=-50", "--mu", "-30"],
+        ],
+    )
+    def test_homogeneous_all_pass(self, args, capsys, monkeypatch):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        assert main(["homogeneous", *args]) == 0
+        out = capsys.readouterr().out
+        assert "ERROR" not in out and "FAIL" not in out
+
+
 class TestReproducibility:
     def test_json_byte_identical(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SCHROGEO_SEED", raising=False)
