@@ -537,15 +537,19 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = 1e-8):
     """Linear-fractional action on the flat chart and the fiber coordinate.
 
     x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t); inputs
-    may be floats or jets.  Raises ChartEscapeError when the denominator
-    falls below ``guard``.
+    may be floats or jets.  ``x`` holds n = d + 2 coordinates: scalars for
+    one point, or (N,) arrays (jets with a trailing sample axis) for a batch
+    of N points, whose images come back in the same form.  Raises
+    ChartEscapeError when the denominator falls below ``guard`` at any
+    sample.
     """
     d = ge.dim
     blocks = ge.blocks
     xi = xi_vector(d)
     t = x[d]
     den = blocks.e - blocks.a * t
-    if abs(jet_value(den)) <= guard:
+    v = jet_value(den)
+    if (np.any(np.abs(v) <= guard) if isinstance(v, np.ndarray) else abs(v) <= guard):
         raise ChartEscapeError("projective denominator vanished")
     xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
     out = []

@@ -9,6 +9,11 @@ Psi = f |Vol|^w with w = d / (2d+4): with that weight the pair
 
 is preserved by the conformal transformations fixing xi, which is what the
 transport checks in this module exercise.
+
+Every check evaluates its seeded samples as one batch: the points are
+seeded as jets with a trailing sample axis, so one jet pass gives the
+residuals at all of them.  The residual functions take one point of shape
+(n,) or a batch of shape (N, n), and return scalars or (N,) arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .geometry import (
     MetricField,
     OneForm,
     VectorField,
+    component_values,
     covariant_derivative,
     divergence,
     exterior_wedge,
@@ -49,6 +55,7 @@ __all__ = [
     "SchrodingerParams",
     "bargmann_axioms_check",
     "boost_map",
+    "complex_magnitude",
     "conformal_equivalence_check",
     "density_lie_derivative",
     "density_weight",
@@ -164,30 +171,22 @@ def bargmann_axioms_check(
 ) -> VerificationReport:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
     vanishing divergence, each maximized over seeded samples."""
-    n = structure.metric.chart.dim
-    sampler = nk.SeededSampler(seed, [(-box, box)] * n, exclude=structure.metric.chart.singular)
+    metric, xi = structure.metric, structure.xi
+    n = metric.chart.dim
+    sampler = nk.SeededSampler(seed, [(-box, box)] * n, exclude=metric.chart.singular)
     pts = sampler.points(samples)
-    clock = metric_clock(structure)
-    null_r = parallel_r = closed_r = div_r = 0.0
-    for p in pts:
-        g0 = gram_values(structure.metric, p)
-        xv = np.array([jet_value(c) for c in structure.xi.components(list(p))])
-        null_r = max(null_r, abs(float(xv @ g0 @ xv)))
-        parallel_r = max(
-            parallel_r,
-            float(np.abs(covariant_derivative(structure.metric, structure.xi, p)).max()),
-        )
-        dw, _ = exterior_wedge(clock, p)
-        closed_r = max(closed_r, float(np.abs(dw).max()))
-        div_r = max(div_r, abs(divergence(structure.metric, structure.xi, p)))
+    xv = component_values(xi.components, pts)
+    null = np.einsum("...a,...ab,...b->...", xv, gram_values(metric, pts), xv)
+    dw, _ = exterior_wedge(metric_clock(structure), pts)
     report = VerificationReport()
     meta = {"samples": samples, "seed": seed, "rejected": sampler.rejections}
-    for name, resid, claim in (
-        ("xi_null", null_r, "g(xi, xi) = 0"),
-        ("xi_parallel", parallel_r, "nabla xi = 0"),
-        ("clock_closed", closed_r, "d theta = 0 for theta = g(xi)"),
-        ("xi_divergence_free", div_r, "Div xi = 0"),
+    for name, values, claim in (
+        ("xi_null", null, "g(xi, xi) = 0"),
+        ("xi_parallel", covariant_derivative(metric, xi, pts), "nabla xi = 0"),
+        ("clock_closed", dw, "d theta = 0 for theta = g(xi)"),
+        ("xi_divergence_free", divergence(metric, xi, pts), "Div xi = 0"),
     ):
+        resid = float(np.abs(values).max())
         report.add(
             CheckResult(
                 name=name,
@@ -211,15 +210,12 @@ def conformal_equivalence_check(
     """Whether d Omega ^ theta = 0, i.e. the conformal factor descends to the
     time axis.  Returns (equivalent, max residual)."""
     n = structure.metric.chart.dim
-    clock = metric_clock(structure)
-    sampler = nk.SeededSampler(seed, [(-1.2, 1.2)] * n)
-    worst = 0.0
-    for p in sampler.points(samples):
-        oj = omega(nk.seed_point(p))
-        oj = oj if isinstance(oj, Jet2) else Jet2.constant(oj, n)
-        tv = np.array([jet_value(c) for c in clock.components(list(p))])
-        wedge = np.outer(oj.grad, tv) - np.outer(tv, oj.grad)
-        worst = max(worst, float(np.abs(wedge).max()))
+    pts = nk.SeededSampler(seed, [(-1.2, 1.2)] * n).points(samples)
+    oj = omega(nk.seed_point(pts))
+    grad = oj.grad.T if isinstance(oj, Jet2) else np.zeros(pts.shape)
+    tv = component_values(metric_clock(structure).components, pts)
+    wedge = grad[:, :, None] * tv[:, None, :] - tv[:, :, None] * grad[:, None, :]
+    worst = float(np.abs(wedge).max())
     return worst < tol, worst
 
 
@@ -230,11 +226,15 @@ def conformal_equivalence_check(
 def density_lie_derivative(
     metric: MetricField, field: VectorField, psi: DensityFunction, p: Sequence[float]
 ):
-    """L_X^w f = X(f) + w Div(X) f at ``p`` (complex scalar)."""
-    fj = psi.coefficient(nk.seed_point(p))
-    xv, _, _ = jet_components(field.components, p)
-    div = divergence(metric, field, p)
-    return complex(xv @ fj.grad + psi.weight * div * fj.value)
+    """L_X^w f = X(f) + w Div(X) f: a complex scalar at a point of shape (n,),
+    an (N,) array on a batch (N, n)."""
+    pts = np.asarray(p, dtype=float)
+    fj = psi.coefficient(nk.seed_point(pts))
+    xv = component_values(field.components, pts)
+    lie = np.einsum("...a,a...->...", xv, fj.grad) + psi.weight * divergence(
+        metric, field, pts
+    ) * fj.value
+    return complex(lie) if pts.ndim == 1 else lie
 
 
 def schrodinger_residual(
@@ -242,12 +242,14 @@ def schrodinger_residual(
     psi: DensityFunction,
     params: SchrodingerParams,
     p: Sequence[float],
-) -> tuple[complex, complex]:
-    """Residuals of the covariant pair at ``p``:
+) -> tuple:
+    """Residuals of the covariant pair:
 
     r1 = (Delta_g - (n-2)/(4(n-1)) R) f,
     r2 = (hbar/i) (xi(f) + w Div(xi) f) - m f.
 
+    Two complex scalars at a point of shape (n,); two (N,) complex arrays on
+    a batch (N, n), sample by sample bitwise equal to the point values.
     Requires the density to carry the covariant weight d/(2d+4).
     """
     w = density_weight(structure.d)
@@ -255,11 +257,20 @@ def schrodinger_residual(
         raise ContractViolationError(
             f"density weight {psi.weight} != covariant weight {w}"
         )
-    r1 = complex(yamabe_residual(structure.metric, psi.coefficient, p))
-    lie = density_lie_derivative(structure.metric, structure.xi, psi, p)
-    fj = psi.coefficient(nk.seed_point(p))
-    r2 = (params.hbar / 1j) * lie - params.mass * complex(fj.value)
-    return r1, r2
+    pts = np.asarray(p, dtype=float)
+    r1 = yamabe_residual(structure.metric, psi.coefficient, pts)
+    lie = density_lie_derivative(structure.metric, structure.xi, psi, pts)
+    f = psi.coefficient(nk.seed_point(pts)).value
+    if pts.ndim == 1:
+        r1, f = complex(r1), complex(f)
+    return r1, (params.hbar / 1j) * lie - params.mass * f
+
+
+def complex_magnitude(z) -> np.ndarray:
+    """|z| per sample, rounded as Python's abs(complex) rounds it (numpy's
+    vectorized complex abs can differ in the last bit)."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
 
 
 def plane_wave(
@@ -544,20 +555,18 @@ def symmetry_transport_check(
     evaluated at images of seeded samples (so the inverse map stays in its
     chart).  Also spot-checks that phi is a conformal map fixing xi."""
     n = structure.d + 2
-    sampler = nk.SeededSampler(seed, [(-box, box)] * n)
+    pts = nk.SeededSampler(seed, [(-box, box)] * n).points(samples)
+    vals, jac, _ = jet_components(phi.forward, pts)
+    q, J = vals.real, jac.real
+    g_here = gram_values(structure.metric, pts)
+    pulled = J.swapaxes(-1, -2) @ gram_values(structure.metric, q) @ J
+    # conformality: pulled metric proportional to the metric
+    scale = (pulled * g_here).sum(axis=(-2, -1)) / (g_here * g_here).sum(axis=(-2, -1))
+    conf = np.abs(pulled - scale[:, None, None] * g_here).max()
     moved = transported_density(phi, psi, weight=weight)
-    r1 = r2 = 0.0
-    conf = 0.0
-    for p in sampler.points(samples):
-        vals, jac, _ = jet_components(phi.forward, p)
-        q = vals.real
-        g_here = gram_values(structure.metric, p)
-        g_there = gram_values(structure.metric, q)
-        pulled = jac.real.T @ g_there @ jac.real
-        # conformality: pulled metric proportional to the metric
-        scale = float((pulled * g_here).sum() / (g_here * g_here).sum())
-        conf = max(conf, float(np.abs(pulled - scale * g_here).max()))
-        a, b = schrodinger_residual(structure, moved, params, q)
-        r1 = max(r1, abs(a))
-        r2 = max(r2, abs(b))
-    return {"r1": r1, "r2": r2, "conformal_residual": conf}
+    r1, r2 = schrodinger_residual(structure, moved, params, q)
+    return {
+        "r1": float(complex_magnitude(r1).max()),
+        "r2": float(complex_magnitude(r2).max()),
+        "conformal_residual": float(conf),
+    }

@@ -40,7 +40,6 @@ __all__ = [
     "jet_components",
     "lie_bracket",
     "lie_derivative_metric",
-    "map_jets",
     "metricity_residual",
     "ricci_from_derivatives",
     "ricci_scalar",
@@ -197,15 +196,13 @@ def component_values(
     return out
 
 
-def map_jets(fn: Callable[[Sequence], Sequence], p: Sequence[float]):
-    """Alias of jet_components for chart maps (values, Jacobian, Hessian)."""
-    return jet_components(fn, p)
-
-
-def _scalar_jet(f: Callable[[Sequence], Jet2], p: Sequence[float]) -> Jet2:
-    out = f(seed_point(p))
+def _scalar_jet(f: Callable[[Sequence], Jet2], pts: np.ndarray) -> Jet2:
+    """f on seeded jets; a constant result becomes a constant jet, with one
+    value per sample on a batch."""
+    out = f(seed_point(pts))
     if not isinstance(out, Jet2):
-        out = Jet2.constant(out, len(p))
+        batch = pts.shape[:-1]
+        out = Jet2.constant(np.full(batch, out) if batch else out, pts.shape[-1])
     return out
 
 
@@ -364,17 +361,19 @@ def conformal_deviation(
     return phi, residual
 
 
-def divergence(metric: MetricField, field: VectorField, p: Sequence[float]) -> float:
+def divergence(metric: MetricField, field: VectorField, p: Sequence[float]):
     """Div X = d_a X^a + X^a d_a log sqrt|det g|, via tr(g^{-1} d_a g)/2.
 
-    This is the divergence of the metric volume density |det g|^{1/2}.
+    This is the divergence of the metric volume density |det g|^{1/2}: a
+    float at one point of shape (n,), an (N,) array on a batch (N, n).
     """
     g0, dg, _ = gram_jets(metric, p)
     ginv = _invert_gram(g0)
     xv, xj, _ = jet_components(field.components, p)
-    return float(
-        np.trace(xj.T.real) + 0.5 * np.einsum("a,ij,aij->", xv.real, ginv, dg)
+    div = np.trace(xj.real, axis1=-2, axis2=-1) + 0.5 * np.einsum(
+        "...a,...ij,...aij->...", xv.real, ginv, dg
     )
+    return float(div) if div.ndim == 0 else div
 
 
 def exterior_wedge(
@@ -396,32 +395,41 @@ def exterior_wedge(
     return dw, wedge
 
 
-def scalar_laplacian(metric: MetricField, f, p: Sequence[float]):
-    """Laplace-Beltrami of a scalar: g^{ab} (d_a d_b f - Gamma^c_ab d_c f)."""
-    g0, dg, _ = gram_jets(metric, p)
+def _laplacian(g0: np.ndarray, dg: np.ndarray, fj: Jet2, batch: tuple):
+    """g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from the metric derivatives and
+    the jet of f."""
     ginv = _invert_gram(g0)
     gamma = christoffel_from_derivatives(g0, dg)
-    fj = _scalar_jet(f, p)
-    return np.einsum("ab,ab->", ginv, fj.hess) - np.einsum(
-        "ab,cab,c->", ginv, gamma, fj.grad
+    hess = _samples_first(fj.hess, batch)
+    grad = _samples_first(fj.grad, batch)
+    return np.einsum("...ab,...ab->...", ginv, hess) - np.einsum(
+        "...ab,...cab,...c->...", ginv, gamma, grad
     )
+
+
+def scalar_laplacian(metric: MetricField, f, p: Sequence[float]):
+    """Laplace-Beltrami of a scalar: g^{ab} (d_a d_b f - Gamma^c_ab d_c f).
+
+    One value at a point of shape (n,); an (N,) array on a batch (N, n).
+    """
+    pts = np.asarray(p, dtype=float)
+    g0, dg, _ = gram_jets(metric, pts)
+    return _laplacian(g0, dg, _scalar_jet(f, pts), pts.shape[:-1])
 
 
 def yamabe_residual(metric: MetricField, f, p: Sequence[float]):
-    """(Delta_g - (n-2)/(4(n-1)) R) f at ``p``; complex scalars welcome.
+    """(Delta_g - (n-2)/(4(n-1)) R) f; complex scalars welcome.
 
     The operator acts on a complex coefficient componentwise (it has real
-    coefficients), so the return value is one complex number.
+    coefficients): one complex number at a point of shape (n,), an (N,)
+    array on a batch (N, n).
     """
     n = metric.chart.dim
-    g0, dg, d2g = gram_jets(metric, p)
-    ginv = _invert_gram(g0)
-    gamma = christoffel_from_derivatives(g0, dg)
+    pts = np.asarray(p, dtype=float)
+    g0, dg, d2g = gram_jets(metric, pts)
     _, scalar = ricci_from_derivatives(g0, dg, d2g)
-    fj = _scalar_jet(f, p)
-    lap = np.einsum("ab,ab->", ginv, fj.hess) - np.einsum(
-        "ab,cab,c->", ginv, gamma, fj.grad
-    )
+    fj = _scalar_jet(f, pts)
+    lap = _laplacian(g0, dg, fj, pts.shape[:-1])
     return lap - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value
 
 

@@ -775,47 +775,44 @@ def boundary_structure(
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = boundary_metric(d)
-    clock = theta_f0_form(d)
-    xi = boundary_xi(d)
     flat = flat_gram_matrix(d)
     sampler = nk.SeededSampler(seed, [(-1.2, 1.2)] * (d + 2))
     pts = sampler.points(samples)
 
-    scale_r = closed_r = par_r = null_r = 0.0
-    xi_amb_r = 0.0
+    # the jet and float work on every sample at once
+    X = component_values(lambda q: boundary_embed_components(d, q), pts)
+    J = component_values(
+        lambda q: [e for row in _section_jacobian(d, q) for e in row], pts
+    ).reshape(samples, d + 4, d + 2)
+    f0 = boundary_f0(d, X.T)
+    alpha = 3.7
+    f0_scaled = boundary_f0(d, (alpha * X).T)
+    dw, _ = exterior_wedge(theta_f0_form(d), pts)
+    closed_r = float(np.abs(dw).max())
+    par_r = float(np.abs(covariant_derivative(metric, boundary_xi(d), pts)).max())
+    g0 = gram_values(metric, pts)
+    null_r = float(np.abs(g0[:, d + 1, d + 1]).max())
+    xi_amb_r = float(np.abs(X @ Z0.T - J[:, :, d + 1]).max())
+    factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
+    conf_r = float(np.abs(g0 - factor[:, None, None] * flat).max())
+    min_f0 = float(f0.min())
+
+    # the draws of ``rng`` stay in their per-point order
+    scale_r = angle_r = 0.0
     kernel_dims = set()
-    angle_r = 0.0
-    conf_r = 0.0
-    min_f0 = math.inf
     rng = np.random.default_rng(seed + 1)
-    for p in pts:
-        X = np.array([float(v) for v in boundary_embed_components(d, p)])
-        J = np.array(
-            [[float(v) for v in row] for row in _section_jacobian(d, p)]
-        )
-        f0 = float(boundary_f0(d, X))
-        min_f0 = min(min_f0, f0)
+    for k in range(samples):
         # degree-2 homogeneity: the quotient value is blind to the scale of
         # the representative
-        v1 = J @ rng.normal(size=d + 2)
-        v2 = J @ rng.normal(size=d + 2)
-        base = float(v1 @ G @ v2) / f0
-        alpha = 3.7
-        scaled = float((alpha * v1) @ G @ (alpha * v2)) / float(
-            boundary_f0(d, alpha * X)
-        )
+        v1 = J[k] @ rng.normal(size=d + 2)
+        v2 = J[k] @ rng.normal(size=d + 2)
+        base = float(v1 @ G @ v2) / f0[k]
+        scaled = float((alpha * v1) @ G @ (alpha * v2)) / f0_scaled[k]
         scale_r = max(scale_r, abs(base - scaled))
-
-        dw, _ = exterior_wedge(clock, p)
-        closed_r = max(closed_r, float(np.abs(dw).max()))
-        par_r = max(par_r, float(np.abs(covariant_derivative(metric, xi, p)).max()))
-        g0 = gram_values(metric, p)
-        null_r = max(null_r, abs(float(g0[d + 1, d + 1])))
-        xi_amb_r = max(xi_amb_r, float(np.abs(Z0 @ X - J[:, d + 1]).max()))
 
         # cone-form kernel at an off-section representative
         alpha2 = float(rng.uniform(0.4, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        Xa = alpha2 * X
+        Xa = alpha2 * X[k]
         _, tangent = rank_nullspace((Xa @ G).reshape(1, -1))
         K = tangent @ G @ tangent.T
         rank_k, null_k = rank_nullspace(K)
@@ -828,22 +825,15 @@ def boundary_structure(
                 float(np.linalg.norm(vec - (vec @ xhat) * xhat) / np.linalg.norm(vec)),
             )
 
-        factor = float((g0 * flat).sum() / (flat * flat).sum())
-        conf_r = max(conf_r, float(np.abs(g0 - factor * flat).max()))
-
-    # the conformal factor varies with t but not with x or s
+    # the conformal factor varies with t but not with x or s: five random
+    # points at each of four times
     t_vals = (-0.9, -0.2, 0.5, 1.1)
-    spread_within = 0.0
-    factors_by_t = []
-    for tv in t_vals:
-        facs = []
-        for _ in range(5):
-            q = list(rng.uniform(-1.2, 1.2, size=d + 2))
-            q[d] = tv
-            g0 = gram_values(metric, q)
-            facs.append(float((g0 * flat).sum() / (flat * flat).sum()))
-        spread_within = max(spread_within, max(facs) - min(facs))
-        factors_by_t.append(sum(facs) / len(facs))
+    qs = rng.uniform(-1.2, 1.2, size=(len(t_vals) * 5, d + 2))
+    qs[:, d] = np.repeat(t_vals, 5)
+    g_t = gram_values(metric, qs)
+    facs = ((g_t * flat).sum(axis=(-2, -1)) / (flat * flat).sum()).reshape(-1, 5)
+    spread_within = max(max(row) - min(row) for row in facs.tolist())
+    factors_by_t = [sum(row) / len(row) for row in facs.tolist()]
     spread_across = max(factors_by_t) - min(factors_by_t)
 
     meta = {"samples": samples, "seed": seed, "min_f0": min_f0}
@@ -986,17 +976,23 @@ def schrodinger_axiom_audit(
     # which must be Einstein and induce the flat structure at rh = 0
     g0 = gram_values(metric, pts)
     row = component_values(theta_hat_form(cfg).components, pts)
-    clock2 = row[:, :, None] * row[:, None, :]
-    identity_r = float(np.abs(g0 + mu * clock2 - gram_values(plus, pts)).max())
+    mu_clock2 = mu * (row[:, :, None] * row[:, None, :])
+    g_plus = gram_values(plus, pts)
+    identity_r = float(np.abs(g0 + mu_clock2 - g_plus).max())
+    # a few ulps of the largest entry compared: the entries reach ~1e6 at
+    # large couplings, where a fixed 1e-12 is below one rounding
+    identity_tol = 16.0 * np.finfo(float).eps * max(
+        1.0, *(float(np.abs(a).max()) for a in (g0, mu_clock2, g_plus))
+    )
     computed, predicted = einstein_residual(plus_cfg, pts)
     einstein_self = float(np.abs(computed - predicted).max())
     einstein_zero = float(np.abs(computed).max())
     report.add(
         CheckResult(
             name="axiom3_deformation_identity",
-            status="PASS" if identity_r < 1e-12 else "FAIL",
+            status="PASS" if identity_r < identity_tol else "FAIL",
             residual=identity_r,
-            tolerance=1e-12,
+            tolerance=identity_tol,
             claim="metric plus mu clock^2 equals the undeformed metric",
             extra={"axiom": 3},
         )

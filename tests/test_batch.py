@@ -6,15 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
-from schrogeo.ambient import ChartEscapeError, ambient_gram, build_Z0, random_group_element
+from schrogeo.ambient import (
+    ChartEscapeError,
+    ambient_gram,
+    build_Z0,
+    projective_action,
+    random_algebra_element,
+    random_group_element,
+    realize_field,
+)
 from schrogeo.geometry import (
     DegenerateMetricError,
     _invert_gram,
+    divergence,
     gram_jets,
     gram_values,
     jet_components,
     ricci_from_derivatives,
+    scalar_laplacian,
+    yamabe_residual,
 )
 from schrogeo.homogeneous import (
     BoundaryPointError,
@@ -389,6 +401,157 @@ class TestBatchedIsometry:
 
 
 # ---------------------------------------------------------------------------
+# the Bargmann and Schrödinger-equation operators on a batch
+
+
+PARAMS = bg.SchrodingerParams()
+
+
+def _maps(d):
+    return {
+        "translation": bg.translation_map(d, [0.3] * d + [0.2, -0.4]),
+        "boost": bg.boost_map(d, [0.35] * d),
+        "dilation": bg.dilation_map(d, 0.3),
+        "expansion": bg.expansion_map_projective(d, 0.25),
+    }
+
+
+def _densities(d):
+    psi = bg.plane_wave(d, 0.8 * np.random.default_rng(d).normal(size=d), PARAMS)
+    out = {"plane_wave": psi}
+    for name, phi in _maps(d).items():
+        out[name] = bg.transported_density(phi, psi)
+    return out
+
+
+def _flat_points(d, count=5, seed=0, box=0.8):
+    return SeededSampler(seed, [(-box, box)] * (d + 2)).points(count)
+
+
+def _assert_bitwise(batch, single):
+    assert np.shape(batch)[0] == len(single)
+    for k, one in enumerate(single):
+        assert batch[k] == one, (k, batch[k], one)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+class TestBatchedWaveOperators:
+    def test_divergence(self, d):
+        structure = bg.flat_bargmann(d)
+        field, _ = realize_field(random_algebra_element(d, np.random.default_rng(d)).blocks, d)
+        pts = _flat_points(d)
+        for vf in (structure.xi, field):
+            batch = divergence(structure.metric, vf, pts)
+            assert batch.shape == (len(pts),)
+            single = [divergence(structure.metric, vf, p) for p in pts]
+            assert all(isinstance(v, float) for v in single)
+            _assert_bitwise(batch, single)
+
+    @pytest.mark.parametrize("density", ["plane_wave", "translation", "boost", "dilation", "expansion"])
+    def test_laplacian_and_yamabe(self, d, density):
+        structure = bg.flat_bargmann(d)
+        f = _densities(d)[density].coefficient
+        pts = _flat_points(d, seed=1)
+        for op in (scalar_laplacian, yamabe_residual):
+            batch = op(structure.metric, f, pts)
+            _assert_bitwise(batch, [op(structure.metric, f, p) for p in pts])
+
+    @pytest.mark.parametrize("density", ["plane_wave", "translation", "boost", "dilation", "expansion"])
+    def test_density_lie_derivative_and_residual(self, d, density):
+        structure = bg.flat_bargmann(d)
+        psi = _densities(d)[density]
+        field, _ = realize_field(random_algebra_element(d, np.random.default_rng(7)).blocks, d)
+        pts = _flat_points(d, seed=2)
+        for vf in (structure.xi, field):
+            batch = bg.density_lie_derivative(structure.metric, vf, psi, pts)
+            single = [bg.density_lie_derivative(structure.metric, vf, psi, p) for p in pts]
+            assert all(isinstance(v, complex) for v in single)
+            _assert_bitwise(batch, single)
+        r1, r2 = bg.schrodinger_residual(structure, psi, PARAMS, pts)
+        single = [bg.schrodinger_residual(structure, psi, PARAMS, p) for p in pts]
+        _assert_bitwise(r1, [a for a, _ in single])
+        _assert_bitwise(r2, [b for _, b in single])
+        # the magnitudes round as Python's abs(complex) does
+        _assert_bitwise(bg.complex_magnitude(r1), [abs(a) for a, _ in single])
+
+
+def test_constant_function_on_a_batch():
+    structure = bg.flat_bargmann(2)
+    pts = _flat_points(2, count=3)
+    out = scalar_laplacian(structure.metric, lambda x: 2.5, pts)
+    assert out.shape == (3,) and not out.any()
+
+
+def _escaping_element(d):
+    for seed in range(50):
+        ge = random_group_element(d, np.random.default_rng(seed))
+        if abs(ge.blocks.a) > 0.05:
+            return ge
+    raise AssertionError("no element with a visible expansion block")
+
+
+class TestBatchedProjectiveAction:
+    def test_batch_matches_points(self):
+        d = 2
+        ge = _escaping_element(d)
+        pts = _flat_points(d, count=4)
+        batch = projective_action(ge, nk.seed_point(pts))
+        for k, p in enumerate(pts):
+            for b, one in zip(batch, projective_action(ge, nk.seed_point(p))):
+                assert b.value[k] == one.value
+                assert np.array_equal(b.grad[:, k], one.grad)
+                assert np.array_equal(b.hess[..., k], one.hess)
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_one_escaping_sample_raises(self, bad):
+        d = 2
+        ge = _escaping_element(d)
+        pts = _flat_points(d, count=5)
+        pts[bad, d] = ge.blocks.e / ge.blocks.a  # denominator e - a t ~ 0
+        assert abs(ge.blocks.e - ge.blocks.a * pts[bad, d]) <= 1e-8
+        for x in (nk.seed_point(pts), list(pts.T)):
+            with pytest.raises(ChartEscapeError):
+                projective_action(ge, x)
+        keep = np.arange(5) != bad
+        projective_action(ge, nk.seed_point(pts[keep]))
+
+
+def sequential_transport(phi, psi, structure, params, samples, seed, weight=None, box=1.0):
+    """Reference: one point at a time, magnitudes by Python's abs."""
+    n = structure.d + 2
+    sampler = SeededSampler(seed, [(-box, box)] * n)
+    moved = bg.transported_density(phi, psi, weight=weight)
+    r1 = r2 = conf = 0.0
+    for p in sampler.points(samples):
+        vals, jac, _ = jet_components(phi.forward, p)
+        q = vals.real
+        g_here = gram_values(structure.metric, p)
+        pulled = jac.real.T @ gram_values(structure.metric, q) @ jac.real
+        scale = float((pulled * g_here).sum() / (g_here * g_here).sum())
+        conf = max(conf, float(np.abs(pulled - scale * g_here).max()))
+        a, b = bg.schrodinger_residual(structure, moved, params, q)
+        r1 = max(r1, abs(a))
+        r2 = max(r2, abs(b))
+    return {"r1": r1, "r2": r2, "conformal_residual": conf}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("weight", [None, 0.0])
+def test_symmetry_transport_matches_per_point_loop(d, weight):
+    structure = bg.flat_bargmann(d)
+    psi = _densities(d)["plane_wave"]
+    maps = dict(_maps(d), group=bg.group_map(random_group_element(d, np.random.default_rng(3), scale=0.25)))
+    for name, phi in maps.items():
+        batched = bg.symmetry_transport_check(
+            phi, psi, structure, PARAMS, samples=5, seed=11, weight=weight, box=0.5
+        )
+        reference = sequential_transport(
+            phi, psi, structure, PARAMS, 5, 11, weight=weight, box=0.5
+        )
+        assert batched == reference, name
+
+
+# ---------------------------------------------------------------------------
 # verdicts over a seed sweep
 
 
@@ -398,3 +561,14 @@ def test_bulk_suites_pass_over_seed_sweep(seed):
         report = run_suite(SuiteConfig(suite=suite, seed=seed))
         failed = [c.name for c in report.checks if c.status != "PASS"]
         assert not failed, failed
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_wave_boundary_and_group_suites_pass_over_seed_sweep(seed):
+    for suite in ("bargmann", "schrodinger-eq", "boundary", "group"):
+        report = run_suite(SuiteConfig(suite=suite, seed=seed))
+        failed = [c.name for c in report.checks if c.status != "PASS"]
+        assert not failed, failed
+        for c in report.checks:
+            if "must_exceed" in c.extra:
+                assert c.residual > c.extra["must_exceed"], c.name

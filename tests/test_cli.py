@@ -137,6 +137,17 @@ class TestDegenerateMetricRegressions:
         assert "ERROR" not in out and "FAIL" not in out
 
 
+class TestLargeCouplingAudit:
+    """The deformation identity compares Gram entries of size ~1e6 at
+    (2, -50, -30); a fixed 1e-12 bound sat below one rounding there."""
+
+    def test_axioms_pass(self, capsys, monkeypatch):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        assert main(["axioms", "--dim", "2", "--lambda=-50", "--mu", "-30"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  axioms_d2_lam-50_mu-30" in out
+
+
 class TestReproducibility:
     def test_json_byte_identical(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("SCHROGEO_SEED", raising=False)

@@ -2,11 +2,20 @@
 Einstein and null-fluid identities, isotropy counting, and the conformal
 boundary.  Frozen numbers come from hand evaluation of the closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 
+from schrogeo import homogeneous as hg
 from schrogeo.ambient import ambient_gram, build_Z0, random_group_element
-from schrogeo.geometry import covariant_derivative, exterior_wedge, gram_jets, gram_values
+from schrogeo.geometry import (
+    OneForm,
+    covariant_derivative,
+    exterior_wedge,
+    gram_jets,
+    gram_values,
+)
 from schrogeo.homogeneous import (
     BoundaryPointError,
     SchrodingerManifoldConfig,
@@ -332,3 +341,22 @@ class TestAudit:
         # the decay exponent itself is still right
         assert 80.0 < bad.extra["decay_ratio"] < 120.0
         assert by_name["axiom3_einstein"].status == "PASS"
+
+    @pytest.mark.parametrize("d, lam, mu", [(2, -0.5, 1.0), (2, -50.0, -30.0), (3, -2.0, 2.0)])
+    def test_deformation_identity_sees_mu_scaled_by_one_ppb(self, d, lam, mu, monkeypatch):
+        # scaling the clock by sqrt(1 + 1e-9) is mu scaled by (1 + 1e-9) in
+        # the identity g + mu clock^2 = g_plus, and nothing else in the audit
+        cfg = SchrodingerManifoldConfig(d, lam, mu)
+        name = "axiom3_deformation_identity"
+        assert schrodinger_axiom_audit(cfg, samples=5, seed=1).named(name).status == "PASS"
+        original = hg.theta_hat_form
+        root = math.sqrt(1.0 + 1e-9)
+
+        def scaled(c):
+            form = original(c)
+            return OneForm(form.chart, lambda p: [root * v for v in form.components(p)])
+
+        monkeypatch.setattr(hg, "theta_hat_form", scaled)
+        flipped = schrodinger_axiom_audit(cfg, samples=5, seed=1).named(name)
+        assert flipped.status == "FAIL"
+        assert flipped.residual > 1e3 * flipped.tolerance
