@@ -12,11 +12,11 @@ null pair.  Bars denote the G-adjoint: Abar = G A^T G, vbar = (G v)^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import Chart, MetricField, VectorField, lie_bracket
 from .numkernel import ContractViolationError, jet_value, rank_nullspace
@@ -490,24 +490,144 @@ def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> G
     return GroupElement(A, blocks, d)
 
 
+# Scaling and squaring after Al-Mohy & Higham, "A new scaling and squaring
+# algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl. 31 (2009),
+# doi:10.1137/09074721X.  Per Padé order m: the threshold theta_m on
+# d_k = ||A^k||_1^(1/k), 1/|c_{2m+1}| of the backward-error bound behind
+# ell(A, m), and the coefficients b_0..b_m of r_m = (V - U)^-1 (V + U).
+_PADE = {
+    3: (1.495585217958292e-2, 100800.0, (120.0, 60.0, 12.0, 1.0)),
+    5: (
+        2.539398330063230e-1,
+        10059033600.0,
+        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    ),
+    7: (
+        9.504178996162932e-1,
+        4487938430976000.0,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    ),
+    9: (
+        2.097847961257068,
+        5914384781877411840000.0,
+        (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        ),
+    ),
+    13: (
+        4.25,
+        113250775606021113483283660800000000.0,
+        (
+            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0,
+        ),
+    ),
+}
+# rows (odd b, even b) against the powers I, A^2, ..., A^(m-1): U = A (row 0
+# . powers) and V = row 1 . powers
+_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, (_, _, b) in _PADE.items() if m < 13}
+# r_13 is U = A (A^6 hiU + loU), V = A^6 hiV + loV, rows of b against I, A^2,
+# A^4, A^6 in the order hiU, loU, hiV, loV
+_B13 = _PADE[13][2]
+_PADE13_ROWS = np.array([(0.0, *_B13[9::2]), _B13[1:9:2], (0.0, *_B13[8::2]), _B13[0:8:2]])
+# r_13 of 2^-s A scales the column of A^2j by 2^(-2js), the hi rows by the
+# 2^(-6s) of their A^6 factor and both U rows by the 2^-s of their A factor
+_PADE13_SHIFTS = 2 * np.arange(4) + np.array([[7], [1], [6], [0]])
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _pade_exp(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
+    """e^Z by Padé scaling and squaring, with exact 1-norms (n is tiny).
+
+    The order m and the scaling s come from d_k of the even powers, raised by
+    ell(A, m) where the backward-error bound of 2^-s Z needs it.  r_m is
+    evaluated as I + 2 (V - U)^-1 U with one solve, then squared s times.
+    """
+    n = Z.shape[0]
+    # I, Z^2, Z^4, Z^6, Z^8 and Z as one stack: the 1-norms are one call, and
+    # the Padé sums one matrix product
+    P = np.zeros((6, n, n))
+    P[0].flat[:: n + 1] = 1.0
+    P[1] = Z2
+    np.matmul(Z2, Z2, out=P[2])
+    np.matmul(P[2], Z2, out=P[3])
+    np.matmul(P[3], Z2, out=P[4])
+    P[5] = Z
+    abs_p = np.abs(P[2:])
+    col_sums = abs_p.sum(axis=1)
+    n4, n6, n8, norm1 = col_sums.max(axis=1).tolist()
+    abs_z = abs_p[3]
+    # 1-norm of |Z|^k as the largest column sum 1^T |Z|^k, one vector-matrix
+    # product per power, carried on from order to order
+    col = col_sums[3]
+    k = 1
+
+    def ell(m: int, s: int = 0) -> int:
+        # ell(2^-s Z, m) = max(ell(Z, m) - s, 0): scaling by 2^-s is exact
+        nonlocal col, k
+        log_cu = math.log2(_PADE[m][1] * _UNIT_ROUNDOFF)
+        # ||Z||_1^(2m+1) bounds ||(|Z|^(2m+1))||_1: where the bound already
+        # gives 0, so does the exact norm, and no product is needed
+        if 2 * m * (math.log2(norm1) - s) < log_cu - 1e-9:
+            return 0
+        while k < 2 * m + 1:
+            col = col.dot(abs_z)
+            k += 1
+        top = float(col.max())
+        if top == 0.0:
+            return 0
+        return max(math.ceil((math.log2(top / norm1) - log_cu) / (2 * m)) - s, 0)
+
+    def solve(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        X = np.linalg.solve(V - U, U)
+        X *= 2.0
+        X += P[0]
+        return X
+
+    d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
+    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+        if eta < _PADE[m][0] and ell(m) == 0:
+            odd, even = _PADE_ROWS[m] @ P[: m // 2 + 1].reshape(m // 2 + 1, n * n)
+            return solve(Z @ odd.reshape(n, n), even.reshape(n, n))
+
+    d10 = float(np.abs(P[2] @ P[3]).sum(axis=0).max()) ** 0.1
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
+    s += ell(13, s)
+    rows = np.ldexp(_PADE13_ROWS, -s * _PADE13_SHIFTS)
+    hi_u, lo_u, hi_v, lo_v = (rows @ P[:4].reshape(4, n * n)).reshape(4, n, n)
+    X = solve(Z @ (P[3] @ hi_u + lo_u), P[3] @ hi_v + lo_v)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
 def exp_algebra(Z: np.ndarray) -> np.ndarray:
     """Matrix exponential: exact terminating series for nilpotent input,
-    scaling-and-squaring otherwise."""
+    Padé scaling and squaring otherwise.
+
+    A nilpotent Z has tr Z^2 = 0, and the rounding error of the computed
+    trace is below 2n u ||Z||_F^2 (u the unit roundoff); a trace far above
+    that proves Z is not nilpotent, so only otherwise are the powers of Z
+    probed for the series.
+    """
     n = Z.shape[0]
-    power = np.eye(n)
-    terms = [power]
-    nilpotent = False
+    Z2 = Z @ Z
+    if abs(float(Z2.trace())) > 128.0 * n * _UNIT_ROUNDOFF * float(np.vdot(Z, Z)):
+        return _pade_exp(Z, Z2)
+    terms = [np.eye(n)]
+    power = Z
     fact = 1.0
     for k in range(1, n + 1):
-        power = power @ Z
         fact *= k
         if float(np.abs(power).max()) <= 1e-300:
-            nilpotent = True
-            break
+            return sum(terms)
         terms.append(power / fact)
-    if nilpotent:
-        return sum(terms)
-    return scipy.linalg.expm(Z)
+        power = Z2 if k == 1 else power @ Z
+    return _pade_exp(Z, Z2)
 
 
 def random_group_element(

@@ -80,9 +80,6 @@ def _build_parser() -> _Parser:
         "--seed", type=int, metavar="N", help=f"base seed (overrides ${ENV_SEED})"
     )
     parser.add_argument("--tol", type=float, metavar="F", help="main tolerance")
-    parser.add_argument(
-        "--fd-tol", dest="fd_tol", type=float, metavar="F", help="finite-difference tolerance"
-    )
     parser.add_argument("--format", choices=("json", "text"), help="output format")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
@@ -120,8 +117,6 @@ _FILE_KEYS = {
     "samples": int,
     "seed": int,
     "tol": (float, int),
-    "fd_tol": (float, int),
-    "fd-tol": (float, int),
     "format": str,
     "out": str,
 }
@@ -165,8 +160,6 @@ def _grid(flag_values, data: dict, key: str, cast, default: tuple) -> tuple:
 
 def _build_config(args) -> SuiteConfig:
     data = _load_file(args.config) if args.config else {}
-    if "fd-tol" in data:
-        data.setdefault("fd_tol", data.pop("fd-tol"))
 
     suite = args.suite or data.get("suite")
     if suite is None:
@@ -194,7 +187,6 @@ def _build_config(args) -> SuiteConfig:
         samples=args.samples if args.samples is not None else data.get("samples", 20),
         seed=seed,
         tol=args.tol if args.tol is not None else data.get("tol", 1e-8),
-        fd_tol=args.fd_tol if args.fd_tol is not None else data.get("fd_tol", 1e-5),
         fmt=args.format or data.get("format", "text"),
         out=args.out or data.get("out"),
     )

@@ -79,7 +79,6 @@ class SuiteConfig:
     samples: int = 20
     seed: int = 42
     tol: float = 1e-8
-    fd_tol: float = 1e-5
     fmt: str = "text"
     out: str | None = None
 
@@ -108,7 +107,6 @@ class SuiteConfig:
             "samples": self.samples,
             "seed": self.seed,
             "tol": self.tol,
-            "fd_tol": self.fd_tol,
         }
 
 
@@ -807,7 +805,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
         _guarded(
             checks,
             f"{base}_isometry",
-            "group elements act by isometries of every grid metric",
+            "group elements act by isometries at (lambda, mu) = (-1/2, 1) and (-1, 2)",
             conf,
             check_seed(cfg, f"{base}_isometry"),
             per,

@@ -2,6 +2,7 @@
 element, commutant dimensions, the block constraints, and the moving-frame
 one-form checked against hand-expanded formulas."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -34,6 +35,7 @@ from schrogeo.ambient import (
     sch_matrix,
     xi_vector,
 )
+from schrogeo.bargmann import _expansion_generator
 from schrogeo.numkernel import ContractViolationError
 
 
@@ -237,6 +239,88 @@ class TestGroup:
             xp, rp = projective_action(ge, x, r)
             lifted = ge.matrix @ cone_point(x, r)
             assert np.abs(lifted - cone_point(xp, rp)).max() < 1e-12
+
+
+EPS = np.finfo(float).eps
+EXP_DIMS = (1, 2, 3, 4, 6, 8)
+
+
+def algebra_sweep(d, scale, count):
+    """Seeded random algebra elements at the default spread, times ``scale``."""
+    rng = np.random.default_rng(400 + d)
+    return [scale * random_algebra_element(d, rng).matrix for _ in range(count)]
+
+
+def terminating_series(Z):
+    """sum Z^k / k! up to the first vanishing power, summed term by term as
+    the nilpotent branch of exp_algebra does."""
+    n = Z.shape[0]
+    power = np.eye(n)
+    terms = [power]
+    fact = 1.0
+    for k in range(1, n + 1):
+        power = power @ Z
+        fact *= k
+        if float(np.abs(power).max()) <= 1e-300:
+            return sum(terms)
+        terms.append(power / fact)
+    raise AssertionError("input is not nilpotent")
+
+
+def orthogonality_defect(A, d):
+    return float(np.abs(g_adjoint(A, ambient_gram(d)) @ A - np.eye(d + 4)).max())
+
+
+class TestExponential:
+    """The Padé exponential against independent references.  Scales 1 and 4
+    select the orders 5, 7, 9 and 13 without squaring; scale 16 adds order 13
+    with one or two squarings."""
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0])
+    @pytest.mark.parametrize("d", EXP_DIMS)
+    def test_matches_reference_exponential(self, d, scale):
+        for Z in algebra_sweep(d, scale, 25):
+            ref = scipy.linalg.expm(Z)
+            err = np.abs(exp_algebra(Z) - ref).max()
+            assert err <= 8 * EPS * np.abs(ref).max()
+
+    @pytest.mark.parametrize("d", EXP_DIMS)
+    def test_scaled_and_squared_against_extended_precision(self, d):
+        for Z in algebra_sweep(d, 16.0, 4):
+            with mpmath.workdps(40):
+                exact = np.array(mpmath.expm(mpmath.matrix(Z.tolist())).tolist(), dtype=float)
+            unit = EPS * np.abs(exact).max()
+            ours = np.abs(exp_algebra(Z) - exact).max()
+            reference = np.abs(scipy.linalg.expm(Z) - exact).max()
+            assert ours <= 2 * reference + 4 * unit
+
+    def test_group_orthogonality_as_tight_as_reference(self):
+        ours, reference = [], []
+        for d in EXP_DIMS:
+            for Z in algebra_sweep(d, 1.0, 25):
+                ours.append(orthogonality_defect(exp_algebra(Z), d))
+                reference.append(orthogonality_defect(scipy.linalg.expm(Z), d))
+        assert np.mean(ours) <= 1.25 * np.mean(reference)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nilpotent_inputs_keep_terminating_series(self, d):
+        rng = np.random.default_rng(50 + d)
+        gam = rng.uniform(-1, 1, d + 2)
+        translation = sch_matrix(
+            SchBlocks(Lam=np.zeros((d + 2, d + 2)), Gam=gam, alpha=0.0, chi=0.0), d
+        )
+        for Z in (translation, _expansion_generator(d, 0.3), _expansion_generator(d, -1.7)):
+            assert exp_algebra(Z).tobytes() == terminating_series(Z).tobytes()
+
+    def test_nilpotent_probe_when_trace_vanishes(self):
+        # tr Z^2 = 0 without Z nilpotent: the probe finds no vanishing power
+        # and falls through to the Padé branch
+        Z = np.zeros((5, 5))
+        Z[0, 1] = Z[1, 0] = 0.5
+        Z[2, 3] = -0.5
+        Z[3, 2] = 0.5
+        assert abs(np.trace(Z @ Z)) == 0.0
+        assert np.abs(exp_algebra(Z) - scipy.linalg.expm(Z)).max() < 4 * EPS
 
 
 class TestWitnesses:

@@ -4,6 +4,7 @@ over file, and byte identity of repeated runs."""
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -53,6 +54,16 @@ class TestExitCodes:
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
         assert main(["boundary", *FAST, "--out", str(target)]) == 4
+
+    @pytest.mark.parametrize("key", ["fd_tol", "fd-tol"])
+    def test_removed_fd_tol_key_is_io_error(self, key, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps({"suite": "boundary", key: 1e-5}))
+        assert main(["--config", str(bad), *FAST]) == 4
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_removed_fd_tol_flag_is_usage_error(self, capsys):
+        assert main(["boundary", "--fd-tol", "1e-5", *FAST]) == 1
 
     def test_config_file_lambda_validated(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -177,3 +188,25 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "summary:" in proc.stdout
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: neither the import nor the
+        # suites that exponentiate algebra elements may load scipy, at module
+        # level or lazily
+        script = textwrap.dedent(
+            """
+            import sys
+            import schrogeo, schrogeo.cli as cli
+            for suite in ("group", "homogeneous"):
+                out = f"{sys.argv[1]}/{suite}.json"
+                assert cli.main([suite, *sys.argv[2:], "--format", "json", "--out", out]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), *FAST],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
