@@ -18,10 +18,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Chart, MetricField, VectorField, lie_bracket
+from .geometry import Chart, MetricField, VectorField, component_values, lie_bracket
 from .numkernel import ContractViolationError, jet_value, rank_nullspace
 
 __all__ = [
+    "CHART_GUARD",
     "AlgebraElement",
     "ChartEscapeError",
     "CoadjointSample",
@@ -39,6 +40,7 @@ __all__ = [
     "build_Z0",
     "coadjoint_oneform",
     "commutant_basis",
+    "commutant_stack",
     "component_witnesses",
     "cone_point",
     "decompose_sch",
@@ -54,8 +56,10 @@ __all__ = [
     "random_algebra_element",
     "random_group_element",
     "realize_field",
+    "require_sch",
     "sch_dimension",
     "sch_matrix",
+    "sch_residuals",
     "skew_basis",
     "xi_vector",
 ]
@@ -80,6 +84,10 @@ class StabilizerConstraintError(ValueError):
 
 class ChartEscapeError(ValueError):
     """Projective denominator vanished: the image left the chart."""
+
+
+# |e - a t| at or below which the projective image leaves the chart
+CHART_GUARD = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -253,63 +261,108 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _commutant_cached(d: int, tol: float) -> tuple[np.ndarray, ...]:
+def _commutant_cached(d: int, tol: float) -> np.ndarray:
     Z0 = build_Z0(d).matrix
     basis = skew_basis(d)
     cols = np.column_stack([(b @ Z0 - Z0 @ b).ravel() for b in basis])
     _, null = rank_nullspace(cols, tol=tol)
-    mats = []
-    for coeff in null:
-        m = sum(c * b for c, b in zip(coeff, basis))
-        mats.append(m)
-    return tuple(m.copy() for m in mats)
+    stack = np.array([sum(c * b for c, b in zip(coeff, basis)) for coeff in null])
+    stack.flags.writeable = False
+    return stack
+
+
+def commutant_stack(d: int, tol: float = 1e-10) -> np.ndarray:
+    """The basis of ``commutant_basis`` as one (k, d+4, d+4) matrix stack.
+
+    Built once per (d, tol) on first use and shared, so the array is
+    read-only.
+    """
+    return _commutant_cached(d, tol)
 
 
 def commutant_basis(d: int, tol: float = 1e-10) -> list[AlgebraElement]:
     """Frobenius-orthonormal basis of {Z in o(d+2,2) : [Z, Z0] = 0}.
 
     The nullspace coefficients come from an SVD over an orthonormal ambient
-    basis, so the returned matrices are orthonormal too.
+    basis, so the returned matrices are orthonormal too.  Each call returns
+    fresh writable copies.
     """
     return [
         AlgebraElement(m.copy(), decompose_sch(m, d, validate=False))
-        for m in _commutant_cached(d, tol)
+        for m in commutant_stack(d, tol)
     ]
+
+
+def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
+    """How far each matrix of M, one (d+4, d+4) matrix or a stack of them,
+    is from the algebra.
+
+    "commutator" is |[M, Z0]| and "skew" |G M^T G + M|, both relative to
+    max(1, max|M|); "block" is |sch_matrix(decompose_sch(M)) - M| relative
+    likewise, and "vertical" the absolute |Lam xi + chi xi|.  Each holds
+    one value per matrix.
+    """
+    n = d + 2
+    M = np.asarray(M, dtype=float)
+    Z0 = build_Z0(d).matrix
+    G = ambient_gram(d)
+    g = flat_gram_matrix(d)
+    xi = xi_vector(d)
+    alpha = M[..., d + 1, n]
+    chi = M[..., n, n]
+    # sch_matrix of the decomposed blocks, entry for entry
+    back = np.zeros_like(M)
+    back[..., :n, :n] = M[..., :n, :n]
+    back[..., :n, n] = alpha[..., None] * xi
+    back[..., :n, n + 1] = M[..., :n, n + 1]
+    back[..., n, :n] = -(M[..., :n, n + 1] @ g)
+    back[..., n, n] = chi
+    back[..., n + 1, :n] = -alpha[..., None] * (g @ xi)
+    back[..., n + 1, n + 1] = -chi
+
+    def worst(a):
+        return np.abs(a).max(axis=(-2, -1))
+
+    scale = np.maximum(1.0, worst(M))
+    return {
+        "commutator": worst(M @ Z0 - Z0 @ M) / scale,
+        "skew": worst(G @ M.swapaxes(-1, -2) @ G + M) / scale,
+        "block": worst(back - M) / scale,
+        "vertical": np.abs(M[..., :n, :n] @ xi + chi[..., None] * xi).max(axis=-1),
+    }
 
 
 def decompose_sch(Z: np.ndarray, d: int, validate: bool = True) -> SchBlocks:
     """Split a commutant element into (Lam, Gam, alpha, chi) block data.
 
     The redundant rows of Z are permutations/negations of these blocks, so
-    reassembly via ``sch_matrix`` reproduces Z exactly.
+    reassembly via ``sch_matrix`` reproduces Z exactly.  ``validate`` checks
+    Z against Z0, the block form and the vertical condition, in that order
+    (``require_sch``).
     """
     n = d + 2
     Z = np.asarray(Z, dtype=float)
     if validate:
-        Z0 = build_Z0(d).matrix
-        comm = float(np.abs(Z @ Z0 - Z0 @ Z).max())
-        if comm > 1e-10 * max(1.0, float(np.abs(Z).max())):
-            raise ContractViolationError(
-                f"matrix does not commute with Z0 (residual {comm:.3e})"
-            )
+        require_sch(sch_residuals(Z, d))
     lam = Z[:n, :n].copy()
     alpha = float(Z[d + 1, n])
     gam = Z[:n, n + 1].copy()
     chi = float(Z[n, n])
-    blocks = SchBlocks(lam, gam, alpha, chi)
-    if validate:
-        resid = float(np.abs(sch_matrix(blocks, d) - Z).max())
-        if resid > 1e-12 * max(1.0, float(np.abs(Z).max())):
-            raise ContractViolationError(
-                f"matrix is not in block form (residual {resid:.3e})"
-            )
-        xi = xi_vector(d)
-        vert = float(np.abs(lam @ xi + chi * xi).max())
-        if vert > 1e-10:
-            raise ContractViolationError(
-                f"Lam xi + chi xi != 0 (residual {vert:.3e})"
-            )
-    return blocks
+    return SchBlocks(lam, gam, alpha, chi)
+
+
+def require_sch(residuals: dict) -> None:
+    """Raise ContractViolationError at the first of decompose_sch's checks
+    that ``sch_residuals`` output fails (Z0, block form, vertical), each
+    taken at its worst matrix."""
+    for key, tol, what in (
+        ("commutator", 1e-10, "matrix does not commute with Z0"),
+        ("block", 1e-12, "matrix is not in block form"),
+        ("vertical", 1e-10, "Lam xi + chi xi != 0"),
+    ):
+        value = float(np.max(residuals[key]))
+        if value > tol:
+            raise ContractViolationError(f"{what} (residual {value:.3e})")
 
 
 def sch_matrix(blocks: SchBlocks, d: int) -> np.ndarray:
@@ -330,9 +383,10 @@ def sch_matrix(blocks: SchBlocks, d: int) -> np.ndarray:
 
 
 def random_algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> AlgebraElement:
-    basis = commutant_basis(d)
-    coeffs = rng.uniform(-scale, scale, size=len(basis))
-    m = sum(c * b.matrix for c, b in zip(coeffs, basis))
+    stack = commutant_stack(d)
+    coeffs = rng.uniform(-scale, scale, size=len(stack))
+    # summed basis element by basis element, as sum(c * b) would
+    m = (coeffs[:, None, None] * stack).sum(axis=0)
     return AlgebraElement(m, decompose_sch(m, d, validate=False))
 
 
@@ -376,14 +430,16 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
 
     The realization is an anti-homomorphism (left action), so the field
     bracket matches realize(-[Z1, Z2]); both signed residuals are returned
-    so callers can record the verified sign.
+    so callers can record the verified sign.  ``p`` is one point (n,) or a
+    batch (N, n), evaluated in one jet pass; the residuals are the worst
+    over the batch.
     """
     v1, _ = realize_field(e1.blocks, d)
     v2, _ = realize_field(e2.blocks, d)
     fb = lie_bracket(v1, v2, p)
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
     vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
-    mv = np.array([jet_value(c) for c in vm.components(list(p))], dtype=float)
+    mv = component_values(vm.components, p)
     return {
         "minus": float(np.abs(fb + mv).max()),
         "plus": float(np.abs(fb - mv).max()),
@@ -539,16 +595,10 @@ _PADE13_SHIFTS = 2 * np.arange(4) + np.array([[7], [1], [6], [0]])
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _pade_exp(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """e^Z by Padé scaling and squaring, with exact 1-norms (n is tiny).
-
-    The order m and the scaling s come from d_k of the even powers, raised by
-    ell(A, m) where the backward-error bound of 2^-s Z needs it.  r_m is
-    evaluated as I + 2 (V - U)^-1 U with one solve, then squared s times.
-    """
+def _pade_powers(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
+    """I, Z^2, Z^4, Z^6, Z^8 and Z as one (6, n, n) stack: the 1-norms are
+    one call, and the Padé sums one matrix product."""
     n = Z.shape[0]
-    # I, Z^2, Z^4, Z^6, Z^8 and Z as one stack: the 1-norms are one call, and
-    # the Padé sums one matrix product
     P = np.zeros((6, n, n))
     P[0].flat[:: n + 1] = 1.0
     P[1] = Z2
@@ -556,6 +606,16 @@ def _pade_exp(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     np.matmul(P[2], Z2, out=P[3])
     np.matmul(P[3], Z2, out=P[4])
     P[5] = Z
+    return P
+
+
+def _pade_order(P: np.ndarray) -> tuple[int, int]:
+    """The Padé order m and the scaling s for Z = P[5] (``_pade_powers``).
+
+    m and s come from d_k = ||Z^k||_1^(1/k) of the even powers, raised by
+    ell(Z, m) where the backward-error bound of 2^-s Z needs it; s is 0
+    below order 13.
+    """
     abs_p = np.abs(P[2:])
     col_sums = abs_p.sum(axis=1)
     n4, n6, n8, norm1 = col_sums.max(axis=1).tolist()
@@ -581,22 +641,37 @@ def _pade_exp(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
             return 0
         return max(math.ceil((math.log2(top / norm1) - log_cu) / (2 * m)) - s, 0)
 
+    d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
+    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+        if eta < _PADE[m][0] and ell(m) == 0:
+            return m, 0
+
+    d10 = float(np.abs(P[2] @ P[3]).sum(axis=0).max()) ** 0.1
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
+    return 13, s + ell(13, s)
+
+
+def _pade_exp(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
+    """e^Z by Padé scaling and squaring, with exact 1-norms (n is tiny).
+
+    r_m is evaluated as I + 2 (V - U)^-1 U with one solve, then squared s
+    times; m and s come from ``_pade_order``.
+    """
+    n = Z.shape[0]
+    P = _pade_powers(Z, Z2)
+    m, s = _pade_order(P)
+
     def solve(U: np.ndarray, V: np.ndarray) -> np.ndarray:
         X = np.linalg.solve(V - U, U)
         X *= 2.0
         X += P[0]
         return X
 
-    d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
-    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
-        if eta < _PADE[m][0] and ell(m) == 0:
-            odd, even = _PADE_ROWS[m] @ P[: m // 2 + 1].reshape(m // 2 + 1, n * n)
-            return solve(Z @ odd.reshape(n, n), even.reshape(n, n))
+    if m < 13:
+        odd, even = _PADE_ROWS[m] @ P[: m // 2 + 1].reshape(m // 2 + 1, n * n)
+        return solve(Z @ odd.reshape(n, n), even.reshape(n, n))
 
-    d10 = float(np.abs(P[2] @ P[3]).sum(axis=0).max()) ** 0.1
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
-    s += ell(13, s)
     rows = np.ldexp(_PADE13_ROWS, -s * _PADE13_SHIFTS)
     hi_u, lo_u, hi_v, lo_v = (rows @ P[:4].reshape(4, n * n)).reshape(4, n, n)
     X = solve(Z @ (P[3] @ hi_u + lo_u), P[3] @ hi_v + lo_v)
@@ -653,7 +728,7 @@ def group_inverse(ge: GroupElement) -> GroupElement:
     return assemble_group_element(extract_blocks(Ainv, ge.dim), ge.dim)
 
 
-def projective_action(ge: GroupElement, x, r=None, guard: float = 1e-8):
+def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     """Linear-fractional action on the flat chart and the fiber coordinate.
 
     x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t); inputs

@@ -341,10 +341,11 @@ def lie_derivative_metric(
 
 
 def lie_bracket(v: VectorField, w: VectorField, p: Sequence[float]) -> np.ndarray:
-    """[V, W]^a = V^c d_c W^a - W^c d_c V^a."""
+    """[V, W]^a = V^c d_c W^a - W^c d_c V^a: (n,) at one point, (N, n) on
+    a batch."""
     vv, vj, _ = jet_components(v.components, p)
     wv, wj, _ = jet_components(w.components, p)
-    return np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
+    return np.einsum("...c,...ac->...a", vv, wj) - np.einsum("...c,...ac->...a", wv, vj)
 
 
 def conformal_deviation(

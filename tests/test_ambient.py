@@ -9,6 +9,8 @@ import scipy.linalg
 
 from schrogeo.ambient import (
     SchBlocks,
+    _pade_order,
+    _pade_powers,
     StabilizerConstraintError,
     ambient_gram,
     ambient_gram_split,
@@ -33,6 +35,7 @@ from schrogeo.ambient import (
     realize_field,
     sch_dimension,
     sch_matrix,
+    sch_residuals,
     xi_vector,
 )
 from schrogeo.bargmann import _expansion_generator
@@ -113,6 +116,28 @@ class TestCommutant:
                 Z = basis[i].matrix @ basis[j].matrix - basis[j].matrix @ basis[i].matrix
                 blocks = decompose_sch(Z, d)
                 assert np.abs(sch_matrix(blocks, d) - Z).max() < 1e-10
+
+    def test_decompose_rejects_matrices_outside_the_algebra(self):
+        d = 2
+        with pytest.raises(ContractViolationError, match="commute with Z0"):
+            decompose_sch(generic_tangent(d, np.random.default_rng(1)), d)
+        M = np.zeros((d + 4, d + 4))
+        M[d + 2, d + 3] = 1.0  # commutes with Z0, outside the block pattern
+        with pytest.raises(ContractViolationError, match="block form"):
+            decompose_sch(M, d)
+
+    def test_residuals_of_a_stack_match_one_matrix_at_a_time(self):
+        d = 3
+        rng = np.random.default_rng(4)
+        stack = np.array(
+            [random_algebra_element(d, rng).matrix for _ in range(3)]
+            + [generic_tangent(d, rng)]
+        )
+        res = sch_residuals(stack, d)
+        for k, M in enumerate(stack):
+            for key, value in sch_residuals(M, d).items():
+                assert res[key][k] == value
+        assert res["commutator"][3] > 0.1 and res["skew"][3] < 1e-15
 
     def test_elements_commute_with_special(self):
         d = 2
@@ -311,6 +336,30 @@ class TestExponential:
         )
         for Z in (translation, _expansion_generator(d, 0.3), _expansion_generator(d, -1.7)):
             assert exp_algebra(Z).tobytes() == terminating_series(Z).tobytes()
+
+    # Padé order m and squarings s as Al-Mohy & Higham's algorithm chooses
+    # them with exact 1-norms; scipy.sparse.linalg._matfuncs._expm's decision
+    # steps give the same table.  The nonnormal "tri" and "nil" x100 take a
+    # lower order without ell(Z, m); "diag" x5 lies between theta_13 and
+    # 2 theta_13, so it pins theta_13.
+    @pytest.mark.parametrize(
+        "kind, x, m, s",
+        [
+            ("alg", 0.01, 3, 0), ("alg", 0.05, 5, 0), ("alg", 0.3, 5, 0),
+            ("alg", 1.0, 7, 0), ("alg", 3.0, 9, 0), ("alg", 8.0, 13, 0),
+            ("alg", 30.0, 13, 2), ("alg", 100.0, 13, 3),
+            ("nil", 0.013, 5, 0), ("nil", 1.0, 9, 0), ("nil", 100.0, 13, 6),
+            ("tri", 1.0, 5, 0), ("diag", 5.0, 13, 1), ("diag", 12.0, 13, 2),
+        ],
+    )
+    def test_order_and_scaling_pinned(self, kind, x, m, s):
+        Z = x * {
+            "alg": lambda: random_algebra_element(2, np.random.default_rng(7)).matrix,
+            "nil": lambda: np.array([[1.0, 1.0], [-1.0, -1.0]]),
+            "tri": lambda: np.array([[0.013, 1e3], [0.0, -0.013]]),
+            "diag": lambda: np.diag([1.0, -1.0]),
+        }[kind]()
+        assert _pade_order(_pade_powers(Z, Z @ Z)) == (m, s)
 
     def test_nilpotent_probe_when_trace_vanishes(self):
         # tr Z^2 = 0 without Z nilpotent: the probe finds no vanishing power

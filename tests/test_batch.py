@@ -1,6 +1,8 @@
 """Sample-batched jets: a batch of N points evaluated in one jet pass must
 give, sample by sample, what N single-point evaluations give."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,20 @@ from hypothesis import strategies as st
 
 from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
+from schrogeo import suites
 from schrogeo.ambient import (
     ChartEscapeError,
     ambient_gram,
+    assemble_group_element,
+    bracket_fields,
     build_Z0,
+    commutant_basis,
+    commutant_stack,
+    cone_point,
+    decompose_sch,
+    exp_algebra,
+    extract_blocks,
+    group_inverse,
     projective_action,
     random_algebra_element,
     random_group_element,
@@ -48,8 +60,8 @@ from schrogeo.homogeneous import (
     theta_hat,
     xi_hat_consistency,
 )
-from schrogeo.numkernel import Jet2, SeededSampler
-from schrogeo.suites import SuiteConfig, run_suite
+from schrogeo.numkernel import Jet2, SeededSampler, jet_value
+from schrogeo.suites import SuiteConfig, check_seed, run_suite
 
 
 def bulk_points(d, count, seed=0):
@@ -552,23 +564,175 @@ def test_symmetry_transport_matches_per_point_loop(d, weight):
 
 
 # ---------------------------------------------------------------------------
+# the algebra layer: the basis stack, field brackets and the chart action
+
+
+def sequential_bracket_fields(e1, e2, d, p):
+    """Reference: one point, both fields and the matrix bracket realized at
+    that point alone."""
+    v1, _ = realize_field(e1.blocks, d)
+    v2, _ = realize_field(e2.blocks, d)
+    vv, vj, _ = jet_components(v1.components, p)
+    wv, wj, _ = jet_components(v2.components, p)
+    fb = np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
+    m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
+    vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
+    mv = np.array([jet_value(c) for c in vm.components(list(p))], dtype=float)
+    return {"minus": float(np.abs(fb + mv).max()), "plus": float(np.abs(fb - mv).max())}
+
+
+class TestBatchedAlgebra:
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_bracket_fields_batch_matches_points(self, d):
+        rng = np.random.default_rng(20 + d)
+        pts = _flat_points(d, count=3, seed=d, box=1.0)
+        for _ in range(3):
+            e1, e2 = random_algebra_element(d, rng), random_algebra_element(d, rng)
+            single = [sequential_bracket_fields(e1, e2, d, p) for p in pts]
+            batch = bracket_fields(e1, e2, d, pts)
+            for key in ("minus", "plus"):
+                assert batch[key] == max(r[key] for r in single)
+            assert bracket_fields(e1, e2, d, pts[1]) == single[1]
+
+    @pytest.mark.parametrize("d", [1, 4, 8])
+    def test_random_elements_match_basis_sums(self, d):
+        basis = commutant_basis(d)
+        rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(20):
+            got = random_algebra_element(d, rng).matrix
+            coeffs = ref.uniform(-0.4, 0.4, size=len(basis))
+            want = sum(c * b.matrix for c, b in zip(coeffs, basis))
+            assert got.tobytes() == want.tobytes()
+
+    def test_stack_is_read_only_and_basis_copies_are_fresh(self):
+        d = 2
+        before = commutant_stack(d).copy()
+        with pytest.raises(ValueError):
+            commutant_stack(d)[0, 0, 0] = 1.0
+        basis = commutant_basis(d)
+        basis[0].matrix[:] = 7.0
+        basis[1].blocks.Lam[:] = 7.0
+        assert commutant_stack(d).tobytes() == before.tobytes()
+        again = commutant_basis(d)
+        assert np.array_equal(again[0].matrix, before[0])
+        assert np.array_equal(again[1].blocks.Lam, before[1][: d + 2, : d + 2])
+
+
+def sequential_projective(cfg, d, sample_group):
+    """Reference: the projective check one point and one r draw at a time,
+    each escape raised and caught."""
+    seed = check_seed(cfg, f"group_d{d}_projective")
+    rng = np.random.default_rng(seed)
+    pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
+    worst, used = 0.0, 0
+    for _ in range(max(5, cfg.samples // 2)):
+        ge = sample_group(d, rng)
+        for p in pts:
+            r = 1.0 + 0.3 * float(rng.uniform())
+            try:
+                img, r2 = projective_action(ge, list(p), r)
+            except ChartEscapeError:
+                continue
+            used += 1
+            lifted = np.array([float(v) for v in cone_point([float(v) for v in img], r2)])
+            moved = ge.matrix @ np.array([float(v) for v in cone_point(list(p), r)])
+            worst = max(worst, float(np.abs(lifted - moved).max()))
+    return worst, used
+
+
+def sequential_inverse(cfg, d, sample_group):
+    """Reference: the inverse check one point at a time."""
+    seed = check_seed(cfg, f"group_d{d}_inverse")
+    rng = np.random.default_rng(seed)
+    pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
+    worst, used = 0.0, 0
+    for _ in range(max(3, max(5, cfg.samples // 2) // 3)):
+        ge = sample_group(d, rng)
+        gi = group_inverse(ge)
+        for p in pts:
+            try:
+                img = projective_action(ge, list(p))
+                back = projective_action(gi, [jet_value(v) for v in img])
+            except ChartEscapeError:
+                continue
+            used += 1
+            worst = max(worst, float(np.abs(np.array(back, dtype=float) - p).max()))
+    return worst, used
+
+
+def sometimes_escaping(ts):
+    """random_group_element, except that about half the draws become a pure
+    expansion with denominator 1 - t/t_k, which leaves the chart where
+    t = t_k for one of ``ts``.  The choice depends only on the draw."""
+
+    def sample(d, rng):
+        ge = random_group_element(d, rng)
+        k = zlib.crc32(ge.matrix.tobytes()) % (2 * len(ts))
+        if k >= len(ts):
+            return ge
+        A = exp_algebra(bg._expansion_generator(d, 1.0 / ts[k]))
+        return assemble_group_element(extract_blocks(A, d), d)
+
+    return sample
+
+
+@pytest.mark.parametrize("d, seed", [(1, 5), (2, 0), (4, 3)])
+def test_group_chart_checks_match_per_point_loops(monkeypatch, d, seed):
+    cfg = SuiteConfig(suite="group", dims=(d,), samples=40, seed=seed)
+    ts = [
+        float(t)
+        for check in ("projective", "inverse")
+        for t in SeededSampler(check_seed(cfg, f"group_d{d}_{check}"), [(-1.0, 1.0)] * (d + 2))
+        .points(4)[:, d]
+    ]
+    sample = sometimes_escaping(ts)
+    monkeypatch.setattr(suites, "random_group_element", sample)
+    records = {c.name: c for c in run_suite(cfg).checks}
+    escapes = 0
+    for check, reference, rounds in (
+        ("projective", sequential_projective, 20),
+        ("inverse", sequential_inverse, 6),
+    ):
+        rec = records[f"group_d{d}_{check}"]
+        worst, used = reference(cfg, d, sample)
+        assert rec.residual == worst
+        assert rec.extra["evaluations"] == used
+        assert rec.extra["escapes"] == 4 * rounds - used
+        escapes += rec.extra["escapes"]
+    assert escapes > 0
+
+
+# ---------------------------------------------------------------------------
 # verdicts over a seed sweep
+
+
+def assert_sweep_passes(cfg):
+    """Every record PASSes, and every must-exceed control is exceeded.  The
+    witness records hold their control in the T and PT commutator norms; the
+    residual is their must-vanish part."""
+    report = run_suite(cfg)
+    failed = [c.name for c in report.checks if c.status != "PASS"]
+    assert not failed, failed
+    for c in report.checks:
+        if "must_exceed" in c.extra:
+            norms = c.extra.get("commutator_norms")
+            control = c.residual if norms is None else min(norms["T"], norms["PT"])
+            assert control > c.extra["must_exceed"], c.name
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_bulk_suites_pass_over_seed_sweep(seed):
     for suite in ("homogeneous", "axioms"):
-        report = run_suite(SuiteConfig(suite=suite, seed=seed))
-        failed = [c.name for c in report.checks if c.status != "PASS"]
-        assert not failed, failed
+        assert_sweep_passes(SuiteConfig(suite=suite, seed=seed))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_wave_boundary_and_group_suites_pass_over_seed_sweep(seed):
     for suite in ("bargmann", "schrodinger-eq", "boundary", "group"):
-        report = run_suite(SuiteConfig(suite=suite, seed=seed))
-        failed = [c.name for c in report.checks if c.status != "PASS"]
-        assert not failed, failed
-        for c in report.checks:
-            if "must_exceed" in c.extra:
-                assert c.residual > c.extra["must_exceed"], c.name
+        assert_sweep_passes(SuiteConfig(suite=suite, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_wide_algebra_and_group_suites_pass_over_seed_sweep(seed):
+    for suite in ("lie-algebra", "group"):
+        assert_sweep_passes(SuiteConfig(suite=suite, dims=(4, 6, 8), samples=40, seed=seed))

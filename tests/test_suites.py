@@ -3,8 +3,11 @@ expectation-aware coupling scan."""
 
 import json
 
+import numpy as np
 import pytest
 
+from schrogeo import suites
+from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
 from schrogeo.suites import (
     BULK_SUITES,
     SUITES,
@@ -138,3 +141,30 @@ class TestCouplingScan:
         assert report.all_passed(), [
             (c.name, c.status) for c in report.checks if c.status != "PASS"
         ]
+
+
+class TestClosureMutation:
+    """Brackets that leave the commutant of Z0, or leave o(d+2,2), flip the
+    closure record to FAIL."""
+
+    @pytest.mark.parametrize("leave", ["commutant", "skew"])
+    def test_nudged_basis_fails_closure(self, monkeypatch, leave):
+        d = 2
+        n = d + 4
+        G, Z0 = ambient_gram(d), build_Z0(d).matrix
+        if leave == "commutant":
+            N = np.random.default_rng(0).normal(size=(n, n))
+            nudge = 0.5 * (N - G @ N.T @ G)
+            assert np.abs(nudge @ Z0 - Z0 @ nudge).max() > 0.1
+        else:
+            nudge = np.zeros((n, n))
+            nudge[0, 0] = 1.0  # commutes with Z0 but is not G-skew
+            assert not np.abs(nudge @ Z0 - Z0 @ nudge).any()
+        stack = commutant_stack(d).copy()
+        stack[0] += 1e-7 * nudge
+        monkeypatch.setattr(suites, "commutant_stack", lambda d, tol=1e-10: stack)
+        checks = run_suite(small("lie-algebra", dims=(d,))).checks
+        closure = {c.name: c for c in checks}["liealgebra_d2_closure"]
+        assert closure.status == "FAIL"
+        assert closure.residual > 1e-10
+        assert closure.extra == {"evaluations": 36}
