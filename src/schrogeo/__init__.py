@@ -36,7 +36,7 @@ from .homogeneous import (
     schrodinger_axiom_audit,
 )
 from .numkernel import Jet2, JetMatrix, SeededSampler
-from .report import CheckResult, VerificationReport
+from .report import CheckResult
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "SchrodingerManifoldConfig",
     "SchrodingerParams",
     "SeededSampler",
-    "VerificationReport",
     "bargmann_axioms_check",
     "boundary_structure",
     "bulk_metric",

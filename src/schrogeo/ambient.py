@@ -25,7 +25,6 @@ __all__ = [
     "CHART_GUARD",
     "AlgebraElement",
     "ChartEscapeError",
-    "CoadjointSample",
     "DegeneratePairError",
     "GroupBlocks",
     "GroupElement",
@@ -38,7 +37,6 @@ __all__ = [
     "basis_change",
     "bracket_fields",
     "build_Z0",
-    "coadjoint_oneform",
     "commutant_basis",
     "commutant_stack",
     "component_witnesses",
@@ -832,49 +830,3 @@ def component_witnesses(d: int) -> WitnessReport:
             "PT": isom(PT),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# coadjoint one-form
-
-
-@dataclass(frozen=True)
-class CoadjointSample:
-    varpi: float
-    dvarpi: float
-    pbar_dq: float
-
-
-def coadjoint_oneform(
-    A: np.ndarray, dA: np.ndarray, dpA: np.ndarray, d: int, tol: float = 1e-10
-) -> CoadjointSample:
-    """varpi = -tr(Z0 A^{-1} dA)/2 and its exterior derivative on a pair of
-    tangents, plus the moving-frame pairing Pbar dQ for sign comparison.
-
-    Requires A in the group and both dA, dpA tangent at A (A^{-1} dA G-skew).
-    """
-    G = ambient_gram(d)
-    Ainv = g_adjoint(A, G)
-    if float(np.abs(Ainv @ A - np.eye(d + 4)).max()) > tol:
-        raise ContractViolationError("A is not a G-isometry")
-    Z0 = build_Z0(d).matrix
-
-    def tangency(W):
-        N = G @ W
-        return float(np.abs(N + N.T).max())
-
-    W = Ainv @ dA
-    for name, M in (("dA", dA), ("dpA", dpA)):
-        if tangency(Ainv @ M) > tol:
-            raise ContractViolationError(f"{name} is not tangent at A")
-    varpi = -0.5 * float(np.trace(Z0 @ W))
-    P0 = np.zeros(d + 4)
-    P0[d + 1] = 1.0
-    Q0 = np.zeros(d + 4)
-    Q0[d + 2] = 1.0
-    P = A @ P0
-    dP, dpP = dA @ P0, dpA @ P0
-    dQ, dpQ = dA @ Q0, dpA @ Q0
-    dvarpi = float(dP @ G @ dpQ - dpP @ G @ dQ)
-    pbar_dq = float(P @ G @ dQ)
-    return CoadjointSample(varpi=varpi, dvarpi=dvarpi, pbar_dq=pbar_dq)

@@ -46,7 +46,7 @@ from .geometry import (
     yamabe_residual,
 )
 from .numkernel import ContractViolationError, Jet2, JetMatrix, jet_det, jet_value
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, judged
 
 __all__ = [
     "BargmannStructure",
@@ -168,7 +168,7 @@ def bargmann_axioms_check(
     seed: int = 0,
     tol: float = 1e-10,
     box: float = 1.2,
-) -> VerificationReport:
+) -> list[CheckResult]:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
     vanishing divergence, each maximized over seeded samples."""
     metric, xi = structure.metric, structure.xi
@@ -178,26 +178,16 @@ def bargmann_axioms_check(
     xv = component_values(xi.components, pts)
     null = np.einsum("...a,...ab,...b->...", xv, gram_values(metric, pts), xv)
     dw, _ = exterior_wedge(metric_clock(structure), pts)
-    report = VerificationReport()
     meta = {"samples": samples, "seed": seed, "rejected": sampler.rejections}
-    for name, values, claim in (
-        ("xi_null", null, "g(xi, xi) = 0"),
-        ("xi_parallel", covariant_derivative(metric, xi, pts), "nabla xi = 0"),
-        ("clock_closed", dw, "d theta = 0 for theta = g(xi)"),
-        ("xi_divergence_free", divergence(metric, xi, pts), "Div xi = 0"),
-    ):
-        resid = float(np.abs(values).max())
-        report.add(
-            CheckResult(
-                name=name,
-                status="PASS" if resid < tol else "FAIL",
-                residual=resid,
-                tolerance=tol,
-                claim=claim,
-                extra=meta,
-            )
+    return [
+        judged(float(np.abs(values).max()), tol, name=name, claim=claim, extra=meta)
+        for name, values, claim in (
+            ("xi_null", null, "g(xi, xi) = 0"),
+            ("xi_parallel", covariant_derivative(metric, xi, pts), "nabla xi = 0"),
+            ("clock_closed", dw, "d theta = 0 for theta = g(xi)"),
+            ("xi_divergence_free", divergence(metric, xi, pts), "Div xi = 0"),
         )
-    return report
+    ]
 
 
 def conformal_equivalence_check(

@@ -30,7 +30,6 @@ __all__ = [
     "christoffel",
     "christoffel_from_derivatives",
     "component_values",
-    "conformal_deviation",
     "covariant_derivative",
     "divergence",
     "exterior_wedge",
@@ -40,7 +39,6 @@ __all__ = [
     "jet_components",
     "lie_bracket",
     "lie_derivative_metric",
-    "metricity_residual",
     "ricci_from_derivatives",
     "ricci_scalar",
     "scalar_laplacian",
@@ -295,18 +293,6 @@ def ricci_scalar(metric: MetricField, p: Sequence[float]) -> tuple[np.ndarray, f
     return ricci_from_derivatives(g0, dg, d2g)
 
 
-def metricity_residual(metric: MetricField, p: Sequence[float]) -> float:
-    """Max |nabla_c g_ab|; zero for the Levi-Civita connection."""
-    g0, dg, _ = gram_jets(metric, p)
-    gamma = christoffel_from_derivatives(g0, dg)
-    nabla = (
-        dg
-        - np.einsum("eca,eb->cab", gamma, g0)
-        - np.einsum("ecb,ae->cab", gamma, g0)
-    )
-    return float(np.abs(nabla).max())
-
-
 # ---------------------------------------------------------------------------
 # derivative operators
 
@@ -346,20 +332,6 @@ def lie_bracket(v: VectorField, w: VectorField, p: Sequence[float]) -> np.ndarra
     vv, vj, _ = jet_components(v.components, p)
     wv, wj, _ = jet_components(w.components, p)
     return np.einsum("...c,...ac->...a", vv, wj) - np.einsum("...c,...ac->...a", wv, vj)
-
-
-def conformal_deviation(
-    metric: MetricField, field: VectorField, p: Sequence[float]
-) -> tuple[float, float]:
-    """Best conformal factor phi = tr(g^{-1} L_Z g)/n and the relative
-    Frobenius residual of L_Z g - phi g."""
-    g0, _, _ = gram_jets(metric, p)
-    lie = lie_derivative_metric(metric, field, p)
-    ginv = _invert_gram(g0)
-    n = g0.shape[0]
-    phi = float(np.einsum("ij,ij->", ginv, lie)) / n
-    residual = float(np.linalg.norm(lie - phi * g0) / np.linalg.norm(g0))
-    return phi, residual
 
 
 def divergence(metric: MetricField, field: VectorField, p: Sequence[float]):

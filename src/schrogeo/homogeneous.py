@@ -51,7 +51,7 @@ from .geometry import (
     ricci_scalar,
 )
 from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace
-from .report import CheckResult, VerificationReport
+from .report import CheckResult, judged
 
 __all__ = [
     "BoundaryPointError",
@@ -766,12 +766,11 @@ def boundary_xi(d: int) -> VectorField:
 
 def boundary_structure(
     d: int, samples: int = 20, seed: int = 0, tol: float = 1e-8
-) -> VerificationReport:
+) -> list[CheckResult]:
     """The conformal Bargmann structure of the boundary, checked on seeded
     samples: homogeneity of the normalizer, closed clock, parallel null
     vertical field, one-dimensional cone-form kernel along the ray, and
     conformal flatness with a factor depending on time only."""
-    report = VerificationReport()
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = boundary_metric(d)
@@ -846,39 +845,28 @@ def boundary_structure(
         ("conformal_to_flat", conf_r, 1e-9, "quotient metric proportional to the flat Gram"),
         ("factor_time_only", spread_within, 1e-12, "conformal factor constant at fixed t"),
     ]
-    for name, resid, tl, claim in rows:
-        report.add(
-            CheckResult(
-                name=name,
-                status="PASS" if resid < tl else "FAIL",
-                residual=resid,
-                tolerance=tl,
-                claim=claim,
-                extra=dict(meta),
-            )
-        )
-    kernel_ok = kernel_dims == {1} and angle_r < tol
-    report.add(
-        CheckResult(
+    return [
+        *(
+            judged(resid, tl, name=name, claim=claim, extra=meta)
+            for name, resid, tl, claim in rows
+        ),
+        judged(
+            angle_r,
+            tol,
             name="cone_kernel",
-            status="PASS" if kernel_ok else "FAIL",
-            residual=angle_r,
-            tolerance=tol,
             claim="cone form degenerates exactly along the ray direction",
+            holds=kernel_dims == {1},
             extra={**meta, "kernel_dims": sorted(kernel_dims)},
-        )
-    )
-    report.add(
-        CheckResult(
+        ),
+        judged(
+            spread_across,
+            1e-3,
             name="factor_varies_with_t",
-            status="PASS" if spread_across > 1e-3 else "FAIL",
-            residual=spread_across,
-            tolerance=1e-3,
             claim="conformal factor genuinely depends on t",
-            extra={**meta, "must_exceed": 1e-3},
-        )
-    )
-    return report
+            control=True,
+            extra=meta,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +883,7 @@ def schrodinger_axiom_audit(
     samples: int = 10,
     seed: int = 0,
     tol: float = 1e-8,
-) -> VerificationReport:
+) -> list[CheckResult]:
     """Audit the three defining conditions of the asymptotic structure.
 
     1. The vertical Killing field extends to the boundary vertical field.
@@ -909,7 +897,7 @@ def schrodinger_axiom_audit(
     and ratios are carried in ``extra`` for the audit trail.
     """
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
-    report = VerificationReport()
+    report: list[CheckResult] = []
     metric = bulk_metric(cfg)
     plus_cfg = SchrodingerManifoldConfig(d, lam, 0.0)
     plus = bulk_metric(plus_cfg)
@@ -933,14 +921,13 @@ def schrodinger_axiom_audit(
         ray = Q / Q[:, d + 3 :]
         gaps[rh] = float(np.abs(ray - bnd).max())
     ratio1 = _two_scale_ratio(gaps)
-    ok1 = killing < tol and nullity < tol and 80.0 <= ratio1 <= 120.0
-    report.add(
-        CheckResult(
+    report.append(
+        judged(
+            max(killing, nullity),
+            tol,
             name="axiom1_vertical_extension",
-            status="PASS" if ok1 else "FAIL",
-            residual=max(killing, nullity),
-            tolerance=tol,
             claim="null Killing vertical field extends to the boundary vertical",
+            holds=80.0 <= ratio1 <= 120.0,
             extra={"axiom": 1, "decay_ratio": ratio1, "gaps": {str(k): v for k, v in gaps.items()}},
         )
     )
@@ -955,14 +942,13 @@ def schrodinger_axiom_audit(
         decay[rh] = float(np.abs(ginv - E).max())
     ratio2 = _two_scale_ratio(decay)
     normalized = abs(mu - 1.0) < 1e-12
-    ok2 = 80.0 <= ratio2 <= 120.0 and normalized
-    report.add(
-        CheckResult(
+    report.append(
+        judged(
+            decay[1e-3],
+            None,
             name="axiom2_inverse_metric",
-            status="PASS" if ok2 else "FAIL",
-            residual=decay[1e-3],
-            tolerance=None,
             claim="inverse metric approaches the squared vertical with weight 1",
+            holds=80.0 <= ratio2 <= 120.0 and normalized,
             extra={
                 "axiom": 2,
                 "decay_ratio": ratio2,
@@ -987,23 +973,21 @@ def schrodinger_axiom_audit(
     computed, predicted = einstein_residual(plus_cfg, pts)
     einstein_self = float(np.abs(computed - predicted).max())
     einstein_zero = float(np.abs(computed).max())
-    report.add(
-        CheckResult(
+    report.append(
+        judged(
+            identity_r,
+            identity_tol,
             name="axiom3_deformation_identity",
-            status="PASS" if identity_r < identity_tol else "FAIL",
-            residual=identity_r,
-            tolerance=identity_tol,
             claim="metric plus mu clock^2 equals the undeformed metric",
             extra={"axiom": 3},
         )
     )
     factor = (d + 2.0) * (1.0 + 2.0 * lam) / (2.0 * lam)
-    report.add(
-        CheckResult(
+    report.append(
+        judged(
+            einstein_zero,
+            tol,
             name="axiom3_einstein",
-            status="PASS" if einstein_zero < tol else "FAIL",
-            residual=einstein_zero,
-            tolerance=tol,
             claim="undeformed metric satisfies Ric = -(d+2) g",
             extra={
                 "axiom": 3,
@@ -1017,12 +1001,11 @@ def schrodinger_axiom_audit(
     block = (rh * rh) * gp[:, : d + 2, : d + 2]
     ci = float(np.abs(block - flat).max())
     ci_tol = max(tol, 10.0 * rh * rh)
-    report.add(
-        CheckResult(
+    report.append(
+        judged(
+            ci,
+            ci_tol,
             name="axiom3_conformal_infinity",
-            status="PASS" if ci < ci_tol else "FAIL",
-            residual=ci,
-            tolerance=ci_tol,
             claim="rescaled metric induces the flat structure at the boundary",
             extra={"axiom": 3},
         )
@@ -1033,12 +1016,11 @@ def schrodinger_axiom_audit(
     ginv = np.linalg.inv(g0)
     val = ginv[:, n - 1, n - 1] / pts[:, n - 1] ** 2
     grad_r = float(np.abs(val - (-1.0 / (2.0 * lam))).max())
-    report.add(
-        CheckResult(
+    report.append(
+        judged(
+            grad_r,
+            tol,
             name="defining_function",
-            status="PASS" if grad_r < tol else "FAIL",
-            residual=grad_r,
-            tolerance=tol,
             claim="rh is a defining function with |d rh|^2 = -1/(2 lam)",
             extra={"expected": -1.0 / (2.0 * lam)},
         )

@@ -35,7 +35,6 @@ __all__ = [
     "seed_point",
     "sin",
     "sqrt",
-    "sym_eigen",
 ]
 
 
@@ -415,24 +414,6 @@ def rank_nullspace(m, tol: float = 1e-10) -> tuple[int, np.ndarray]:
         return 0, np.eye(m.shape[1])
     rank = int(np.sum(s > tol * smax))
     return rank, vh[rank:]
-
-
-def sym_eigen(m, sym_tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    Raises ContractViolationError when the input is not symmetric within
-    ``sym_tol`` (relative to the largest entry), instead of silently
-    symmetrizing.
-    """
-    m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > sym_tol * scale:
-        raise ContractViolationError("sym_eigen: input matrix is not symmetric")
-    w, v = np.linalg.eigh(m)
-    resid = float(np.abs(m @ v - v * w).max())
-    if resid > 1e-10 * scale:
-        raise RuntimeError(f"eigendecomposition residual too large: {resid}")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Check results and report containers shared by the suites and the CLI."""
+"""Check records and the one status rule shared by the suites and the CLI."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["CheckResult", "VerificationReport"]
+__all__ = ["CheckResult", "judged", "status_of"]
 
 _STATUSES = ("PASS", "FAIL", "ERROR")
 
@@ -67,27 +67,40 @@ class CheckResult:
         return out
 
 
-@dataclass
-class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+def status_of(ok: bool) -> str:
+    """The status word of a verdict that did not error."""
+    return "PASS" if ok else "FAIL"
 
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
+def judged(
+    residual: float,
+    tolerance: float | None,
+    *,
+    name: str = "",
+    claim: str = "",
+    control: bool = False,
+    holds: bool = True,
+    extra: dict | None = None,
+) -> CheckResult:
+    """A record whose status follows the one rule.
 
-    def all_passed(self) -> bool:
-        return all(c.status == "PASS" for c in self.checks)
-
-    def counts(self) -> dict[str, int]:
-        out = {s: 0 for s in _STATUSES}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
-
-    def named(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+    A bound passes iff ``residual < tolerance`` (a ``None`` tolerance sets
+    no bound) and ``holds``, the check's own extra condition.  A control
+    passes iff ``residual > tolerance``; it records that as
+    ``extra["must_exceed"] = tolerance``.  The suite runner files the record
+    under its own name, seed and config.
+    """
+    extra = dict(extra or {})
+    if control:
+        ok = residual > tolerance
+        extra["must_exceed"] = tolerance
+    else:
+        ok = (tolerance is None or residual < tolerance) and holds
+    return CheckResult(
+        name=name,
+        status=status_of(ok),
+        residual=residual,
+        tolerance=tolerance,
+        claim=claim,
+        extra=extra,
+    )

@@ -311,7 +311,7 @@ def test_criterion_10_boundary_structure():
             gate.check(abs(float(xv @ g0 @ xv)) < 1e-8, f"vertical not null d={d}")
             gate.check(float(np.abs(xv).max()) > 1e-8, f"vertical vanishes d={d}")
         report = boundary_structure(d, samples=10, seed=3)
-        by_name = {c.name: c for c in report.checks}
+        by_name = {c.name: c for c in report}
         gate.check(by_name["cone_kernel"].status == "PASS", f"cone kernel d={d}")
     gate.finish()
 
@@ -323,10 +323,10 @@ def test_criterion_11_coupling_audit():
             for mu in MU_GRID:
                 cfg = SchrodingerManifoldConfig(d, lam, mu)
                 report = schrodinger_axiom_audit(cfg, samples=5, seed=21)
-                by_name = {c.name: c for c in report.checks}
+                by_name = {c.name: c for c in report}
                 should_pass = lam == -0.5 and mu == 1.0
                 gate.check(
-                    report.all_passed() == should_pass,
+                    all(c.status == "PASS" for c in report) == should_pass,
                     f"audit verdict wrong at ({d},{lam},{mu})",
                 )
                 ein = by_name["axiom3_einstein"]

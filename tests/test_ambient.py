@@ -18,7 +18,6 @@ from schrogeo.ambient import (
     basis_change,
     bracket_fields,
     build_Z0,
-    coadjoint_oneform,
     commutant_basis,
     component_witnesses,
     cone_point,
@@ -382,51 +381,6 @@ class TestWitnesses:
         assert rep.conjugation_residual < 1e-12
         for v in rep.isometry_residuals.values():
             assert v < 1e-12
-
-
-class TestCoadjoint:
-    def test_moving_frame_identity(self):
-        rng = np.random.default_rng(17)
-        d = 2
-        ge = random_group_element(d, rng)
-        A = ge.matrix
-        W1, W2 = generic_tangent(d, rng), generic_tangent(d, rng)
-        sample = coadjoint_oneform(A, A @ W1, A @ W2, d)
-        assert sample.varpi == pytest.approx(sample.pbar_dq, abs=1e-14)
-        assert abs(sample.varpi) > 1e-4  # genuinely nonzero on generic tangents
-
-    def test_left_invariance(self):
-        rng = np.random.default_rng(19)
-        d = 1
-        ge = random_group_element(d, rng)
-        W = generic_tangent(d, rng)
-        Wp = generic_tangent(d, rng)
-        at_e = coadjoint_oneform(np.eye(d + 4), W, Wp, d)
-        at_a = coadjoint_oneform(ge.matrix, ge.matrix @ W, ge.matrix @ Wp, d)
-        assert at_a.varpi == pytest.approx(at_e.varpi, abs=1e-13)
-
-    def test_vanishes_on_commutant_directions(self):
-        # the form only sees directions transverse to the stabilizer
-        d = 2
-        basis = commutant_basis(d)
-        for e in basis:
-            s = coadjoint_oneform(np.eye(d + 4), e.matrix, basis[0].matrix, d)
-            assert abs(s.varpi) < 1e-14
-
-    def test_rejects_non_tangent(self):
-        d = 1
-        rng = np.random.default_rng(2)
-        with pytest.raises(ContractViolationError):
-            coadjoint_oneform(
-                np.eye(d + 4), rng.normal(size=(d + 4, d + 4)), generic_tangent(d, rng), d
-            )
-
-    def test_rejects_non_isometry_base(self):
-        d = 1
-        rng = np.random.default_rng(4)
-        W = generic_tangent(d, rng)
-        with pytest.raises(ContractViolationError):
-            coadjoint_oneform(1.1 * np.eye(d + 4), W, W, d)
 
 
 class TestVerticalCompatibility:

@@ -306,9 +306,11 @@ class TestBoundary:
     def test_structure_report_passes(self):
         for d in (1, 2):
             report = boundary_structure(d, samples=8, seed=2)
-            assert report.all_passed(), [
-                (c.name, c.status) for c in report.checks if c.status != "PASS"
-            ]
+            assert not [(c.name, c.status) for c in report if c.status != "PASS"]
+
+
+def audit_record(cfg, name):
+    return {c.name: c for c in schrodinger_axiom_audit(cfg, samples=5, seed=1)}[name]
 
 
 class TestAudit:
@@ -316,13 +318,13 @@ class TestAudit:
         report = schrodinger_axiom_audit(
             SchrodingerManifoldConfig(2, -0.5, 1.0), samples=5, seed=1
         )
-        assert report.all_passed()
+        assert all(c.status == "PASS" for c in report)
 
     def test_wrong_lambda_fails_einstein_axiom(self):
         report = schrodinger_axiom_audit(
             SchrodingerManifoldConfig(2, -1.0, 1.0), samples=5, seed=1
         )
-        by_name = {c.name: c for c in report.checks}
+        by_name = {c.name: c for c in report}
         bad = by_name["axiom3_einstein"]
         assert bad.status == "FAIL"
         assert bad.extra["predicted_factor"] == pytest.approx(2.0)
@@ -334,7 +336,7 @@ class TestAudit:
         report = schrodinger_axiom_audit(
             SchrodingerManifoldConfig(2, -0.5, mu), samples=5, seed=1
         )
-        by_name = {c.name: c for c in report.checks}
+        by_name = {c.name: c for c in report}
         bad = by_name["axiom2_inverse_metric"]
         assert bad.status == "FAIL"
         assert bad.extra["normalized"] is False
@@ -348,7 +350,7 @@ class TestAudit:
         # the identity g + mu clock^2 = g_plus, and nothing else in the audit
         cfg = SchrodingerManifoldConfig(d, lam, mu)
         name = "axiom3_deformation_identity"
-        assert schrodinger_axiom_audit(cfg, samples=5, seed=1).named(name).status == "PASS"
+        assert audit_record(cfg, name).status == "PASS"
         original = hg.theta_hat_form
         root = math.sqrt(1.0 + 1e-9)
 
@@ -357,6 +359,6 @@ class TestAudit:
             return OneForm(form.chart, lambda p: [root * v for v in form.components(p)])
 
         monkeypatch.setattr(hg, "theta_hat_form", scaled)
-        flipped = schrodinger_axiom_audit(cfg, samples=5, seed=1).named(name)
+        flipped = audit_record(cfg, name)
         assert flipped.status == "FAIL"
         assert flipped.residual > 1e3 * flipped.tolerance

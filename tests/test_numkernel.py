@@ -16,7 +16,6 @@ from schrogeo.numkernel import (
     jet_value,
     rank_nullspace,
     seed_point,
-    sym_eigen,
 )
 
 
@@ -218,20 +217,6 @@ class TestLinearAlgebra:
         assert rank == 1
         assert null.shape[0] == 2
         assert np.abs(null @ m.T).max() < 1e-12
-
-    def test_sym_eigen_char_poly(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(5, 5))
-        s = 0.5 * (a + a.T)
-        vals = sym_eigen(s)
-        # each eigenvalue is a root of det(S - x I)
-        for v in vals:
-            assert abs(np.linalg.det(s - v * np.eye(5))) < 1e-8
-        assert list(vals) == sorted(vals)
-
-    def test_sym_eigen_rejects_asymmetric(self):
-        with pytest.raises(ContractViolationError):
-            sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSeededSampler:

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from schrogeo import suites
+from schrogeo import bargmann, homogeneous, suites
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
+from schrogeo.report import judged
 from schrogeo.suites import (
     BULK_SUITES,
     SUITES,
@@ -168,3 +169,92 @@ class TestClosureMutation:
         assert closure.status == "FAIL"
         assert closure.residual > 1e-10
         assert closure.extra == {"evaluations": 36}
+
+
+class TestStatusRule:
+    def test_residual_at_tolerance_fails_bound_and_control(self):
+        bound = judged(1e-8, 1e-8)
+        control = judged(1e-8, 1e-8, control=True)
+        assert (bound.status, control.status) == ("FAIL", "FAIL")
+        assert control.extra == {"must_exceed": 1e-8}
+        assert judged(0.5, 1e-8, control=True).status == "PASS"
+        assert judged(0.0, 1e-8, holds=False).status == "FAIL"
+        assert judged(0.0, None).status == "PASS"
+
+    def test_controls_of_default_run_exceed_their_tolerance(self):
+        checks = run_suite(SuiteConfig(suite="all")).checks
+        controls = [c for c in checks if "must_exceed" in c.extra]
+        assert controls
+        for c in controls:
+            assert c.extra["must_exceed"] == c.tolerance, c.name
+            assert c.residual > c.tolerance, c.name
+
+
+# (module, function made to raise, ERROR record, its claim, seed name,
+# samples, records under other names that the failing body would have filed)
+ERROR_CASES = [
+    (
+        suites,
+        "ambient_gram",
+        "group_d1_constraints",
+        "sampled elements preserve the pairing and the vertical generator",
+        "group_d1_constraints",
+        5,
+        0,
+    ),
+    (
+        bargmann,
+        "bargmann_axioms_check",
+        "bargmann_d1_axioms",
+        "flat structure axioms",
+        "bargmann_d1",
+        4,
+        4,
+    ),
+    (
+        homogeneous,
+        "boundary_structure",
+        "boundary_d1_structure",
+        "boundary structure",
+        "boundary_d1",
+        4,
+        9,
+    ),
+]
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize(
+        "module, attr, name, claim, seed_name, samples, replaced",
+        ERROR_CASES,
+        ids=[case[2] for case in ERROR_CASES],
+    )
+    def test_raising_body_files_one_error_and_the_run_goes_on(
+        self, monkeypatch, module, attr, name, claim, seed_name, samples, replaced
+    ):
+        cfg = small("all")
+        before = {c.name: c.to_dict() for c in run_suite(cfg).checks}
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(module, attr, boom)
+        after = {c.name: c.to_dict() for c in run_suite(cfg).checks}
+        errors = [rec for rec in after.values() if rec["status"] == "ERROR"]
+        assert errors == [
+            {
+                "name": name,
+                "status": "ERROR",
+                "claim": claim,
+                "config": {"d": 1},
+                "samples": samples,
+                "seed": check_seed(cfg, seed_name),
+                "error": "RuntimeError: injected",
+            }
+        ]
+        lost = set(before) - set(after)
+        assert len(lost) == replaced
+        assert all(n.startswith(seed_name) for n in lost)
+        for n, rec in after.items():
+            if n != name:
+                assert rec == before[n], n
