@@ -43,7 +43,7 @@ from .geometry import (
     exterior_wedge,
     gram_values,
     jet_components,
-    yamabe_residual,
+    yamabe_and_divergence,
 )
 from .numkernel import ContractViolationError, Jet2, JetMatrix, jet_det, jet_value
 from .report import CheckResult, judged
@@ -220,11 +220,14 @@ def density_lie_derivative(
     an (N,) array on a batch (N, n)."""
     pts = np.asarray(p, dtype=float)
     fj = psi.coefficient(nk.seed_point(pts))
-    xv = component_values(field.components, pts)
-    lie = np.einsum("...a,a...->...", xv, fj.grad) + psi.weight * divergence(
-        metric, field, pts
-    ) * fj.value
+    lie = _lie_term(field, psi.weight, fj, divergence(metric, field, pts), pts)
     return complex(lie) if pts.ndim == 1 else lie
+
+
+def _lie_term(field: VectorField, weight: float, fj: Jet2, div, pts: np.ndarray):
+    """X(f) + w Div(X) f from the jet of f and the divergence of X."""
+    xv = component_values(field.components, pts)
+    return np.einsum("...a,a...->...", xv, fj.grad) + weight * div * fj.value
 
 
 def schrodinger_residual(
@@ -240,7 +243,9 @@ def schrodinger_residual(
 
     Two complex scalars at a point of shape (n,); two (N,) complex arrays on
     a batch (N, n), sample by sample bitwise equal to the point values.
-    Requires the density to carry the covariant weight d/(2d+4).
+    Requires the density to carry the covariant weight d/(2d+4).  One jet
+    pass of the metric, one inverse Gram and one evaluation of the
+    coefficient serve both members.
     """
     w = density_weight(structure.d)
     if abs(psi.weight - w) > 1e-12:
@@ -248,11 +253,13 @@ def schrodinger_residual(
             f"density weight {psi.weight} != covariant weight {w}"
         )
     pts = np.asarray(p, dtype=float)
-    r1 = yamabe_residual(structure.metric, psi.coefficient, pts)
-    lie = density_lie_derivative(structure.metric, structure.xi, psi, pts)
-    f = psi.coefficient(nk.seed_point(pts)).value
+    r1, div, fj = yamabe_and_divergence(
+        structure.metric, psi.coefficient, structure.xi, pts
+    )
+    lie = _lie_term(structure.xi, psi.weight, fj, div, pts)
+    f = fj.value
     if pts.ndim == 1:
-        r1, f = complex(r1), complex(f)
+        r1, lie, f = complex(r1), complex(lie), complex(f)
     return r1, (params.hbar / 1j) * lie - params.mass * f
 
 

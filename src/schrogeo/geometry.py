@@ -42,12 +42,24 @@ __all__ = [
     "ricci_from_derivatives",
     "ricci_scalar",
     "scalar_laplacian",
+    "yamabe_and_divergence",
     "yamabe_residual",
 ]
 
 
 class DegenerateMetricError(ValueError):
-    """Gram matrix not invertible at the evaluation point."""
+    """Gram matrix not invertible at the evaluation point.
+
+    ``sample`` is the index of the first singular sample of a stack (None at
+    one point) and ``detail`` the singular values that condemned it, so a
+    caller that stacked several batches can name the batch and the index
+    within it.
+    """
+
+    def __init__(self, message: str, sample: int | None = None, detail: str = ""):
+        super().__init__(message)
+        self.sample = sample
+        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -216,12 +228,14 @@ def _invert_gram(g0: np.ndarray) -> np.ndarray:
     s.sort(axis=-1)
     singular = s[..., 0] <= 1e-12 * s[..., -1]
     if np.any(singular):
-        k = np.flatnonzero(singular)[0]
+        k = int(np.flatnonzero(singular)[0])
         smin, smax = s.reshape(-1, s.shape[-1])[k, [0, -1]]
-        where = f" at sample {k}" if g0.ndim > 2 else ""
+        detail = f"sigma_min = {smin:.3e}, sigma_max = {smax:.3e}"
+        stacked = g0.ndim > 2
         raise DegenerateMetricError(
-            f"Gram matrix is singular{where} "
-            f"(sigma_min = {smin:.3e}, sigma_max = {smax:.3e})"
+            f"Gram matrix is singular{f' at sample {k}' if stacked else ''} ({detail})",
+            sample=k if stacked else None,
+            detail=detail,
         )
     return np.linalg.inv(g0)
 
@@ -229,7 +243,8 @@ def _invert_gram(g0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # connection and curvature
 #
-# These act on one point or on a stack with a leading sample axis.
+# These act on one point or on a stack with a leading sample axis.  A
+# caller that already holds the inverse Gram passes it as ``ginv``.
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -241,9 +256,13 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return out
 
 
-def christoffel_from_derivatives(g0: np.ndarray, dg: np.ndarray) -> np.ndarray:
+def christoffel_from_derivatives(
+    g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray | None = None
+) -> np.ndarray:
     """Levi-Civita symbols Gamma[k, i, j] from the metric and its gradient."""
-    return np.einsum("...ka,...aij->...kij", _invert_gram(g0), _first_kind(dg))
+    if ginv is None:
+        ginv = _invert_gram(g0)
+    return np.einsum("...ka,...aij->...kij", ginv, _first_kind(dg))
 
 
 def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
@@ -252,7 +271,7 @@ def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
 
 
 def ricci_from_derivatives(
-    g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray
+    g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray, ginv: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Ricci tensor and scalar from metric derivatives (any source).
 
@@ -261,7 +280,8 @@ def ricci_from_derivatives(
     n^3 arrays; the n^4 array d Gamma and its n^5 contraction are not.
     The scalar is a float at one point and an (N,) array on a stack.
     """
-    ginv = _invert_gram(g0)
+    if ginv is None:
+        ginv = _invert_gram(g0)
     first = _first_kind(dg)
     dfirst = _first_kind(d2g)
     gamma = np.einsum("...ka,...aij->...kij", ginv, first)
@@ -341,7 +361,10 @@ def divergence(metric: MetricField, field: VectorField, p: Sequence[float]):
     float at one point of shape (n,), an (N,) array on a batch (N, n).
     """
     g0, dg, _ = gram_jets(metric, p)
-    ginv = _invert_gram(g0)
+    return _divergence(_invert_gram(g0), dg, field, p)
+
+
+def _divergence(ginv: np.ndarray, dg: np.ndarray, field: VectorField, p):
     xv, xj, _ = jet_components(field.components, p)
     div = np.trace(xj.real, axis1=-2, axis2=-1) + 0.5 * np.einsum(
         "...a,...ij,...aij->...", xv.real, ginv, dg
@@ -368,11 +391,12 @@ def exterior_wedge(
     return dw, wedge
 
 
-def _laplacian(g0: np.ndarray, dg: np.ndarray, fj: Jet2, batch: tuple):
-    """g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from the metric derivatives and
-    the jet of f."""
-    ginv = _invert_gram(g0)
-    gamma = christoffel_from_derivatives(g0, dg)
+def _laplacian(
+    g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray, fj: Jet2, batch: tuple
+):
+    """g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from the metric derivatives,
+    the inverse Gram and the jet of f."""
+    gamma = christoffel_from_derivatives(g0, dg, ginv=ginv)
     hess = _samples_first(fj.hess, batch)
     grad = _samples_first(fj.grad, batch)
     return np.einsum("...ab,...ab->...", ginv, hess) - np.einsum(
@@ -387,7 +411,7 @@ def scalar_laplacian(metric: MetricField, f, p: Sequence[float]):
     """
     pts = np.asarray(p, dtype=float)
     g0, dg, _ = gram_jets(metric, pts)
-    return _laplacian(g0, dg, _scalar_jet(f, pts), pts.shape[:-1])
+    return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
 
 
 def yamabe_residual(metric: MetricField, f, p: Sequence[float]):
@@ -397,12 +421,28 @@ def yamabe_residual(metric: MetricField, f, p: Sequence[float]):
     coefficients): one complex number at a point of shape (n,), an (N,)
     array on a batch (N, n).
     """
-    n = metric.chart.dim
     pts = np.asarray(p, dtype=float)
     g0, dg, d2g = gram_jets(metric, pts)
-    _, scalar = ricci_from_derivatives(g0, dg, d2g)
+    return _yamabe(g0, dg, d2g, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
+
+
+def yamabe_and_divergence(metric: MetricField, f, field: VectorField, p):
+    """``yamabe_residual(metric, f, p)``, ``divergence(metric, field, p)``
+    and the jet of f, from one jet pass of the metric, one inverse Gram and
+    one evaluation of f: the metric pieces of the covariant Schrödinger
+    pair, each bitwise equal to its separate call."""
+    pts = np.asarray(p, dtype=float)
+    g0, dg, d2g = gram_jets(metric, pts)
+    ginv = _invert_gram(g0)
     fj = _scalar_jet(f, pts)
-    lap = _laplacian(g0, dg, fj, pts.shape[:-1])
+    yamabe = _yamabe(g0, dg, d2g, ginv, fj, pts.shape[:-1])
+    return yamabe, _divergence(ginv, dg, field, pts), fj
+
+
+def _yamabe(g0, dg, d2g, ginv, fj: Jet2, batch: tuple):
+    n = g0.shape[-1]
+    _, scalar = ricci_from_derivatives(g0, dg, d2g, ginv=ginv)
+    lap = _laplacian(g0, dg, ginv, fj, batch)
     return lap - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "jet_det",
     "jet_value",
     "log",
+    "max_entry",
     "rank_nullspace",
     "seed_point",
     "sin",
@@ -58,10 +59,16 @@ class Jet2:
     Shapes: at one point ``value`` is a scalar, ``grad`` is (n,) and ``hess``
     is (n, n).  A batch of N points adds a trailing sample axis: ``value`` is
     (N,), ``grad`` is (n, N) and ``hess`` is (n, n, N).  Scalars broadcast
-    against either form; a batched jet and an unbatched one do not mix.
+    against either form; a batched jet and an unbatched one do not mix.  On
+    a batch, an (N,) array acts as a per-sample scalar: ``a * u`` scales
+    sample k of ``u`` by ``a[k]``, with the rounding of a scalar product.
     """
 
     __slots__ = ("value", "grad", "hess")
+
+    # keep ndarray * Jet2 from being swallowed by numpy's broadcasting, so
+    # a per-sample array reaches the reflected operator
+    __array_ufunc__ = None
 
     def __init__(self, value, grad, hess):
         self.value = value
@@ -103,6 +110,13 @@ class Jet2:
             return other
         if isinstance(other, numbers.Number):
             return None  # handled on the scalar fast path
+        if isinstance(other, np.ndarray):
+            if other.ndim == 0 or other.shape == self.grad.shape[1:]:
+                return None  # a per-sample scalar takes the same path
+            raise ContractViolationError(
+                f"array of shape {other.shape} is not a per-sample scalar "
+                f"of a jet batch {self.grad.shape[1:]}"
+            )
         return NotImplemented
 
     # -- ring operations -----------------------------------------------
@@ -162,13 +176,13 @@ class Jet2:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            if other == 0:
+            if np.any(other == 0):
                 raise JetSingularityError("jet singularity: division by zero scalar")
             return self * (1.0 / other)
         return self * o._reciprocal()
 
     def __rtruediv__(self, other):
-        if isinstance(other, numbers.Number):
+        if self._coerce(other) is None:
             return self._reciprocal() * other
         return NotImplemented
 
@@ -395,6 +409,13 @@ class JetMatrix:
             np.einsum("ik,kjn->ijn", other, self.grad),
             np.einsum("ik,kjab->ijab", other, self.hess),
         )
+
+
+def max_entry(*values) -> float:
+    """The largest entry of ``values`` (numbers or arrays) as a float, NaN if
+    any entry is NaN: Python's ``max(0.0, nan)`` is 0.0, and a residual
+    accumulated that way would read a NaN as a pass."""
+    return float(np.max([np.max(v) for v in values]))
 
 
 # ---------------------------------------------------------------------------

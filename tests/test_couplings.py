@@ -1,0 +1,437 @@
+"""Coupling-batched bulk geometry: a config whose (lam, mu) vary along the
+batch must give, sample by sample, what each coupling's own float config
+gives, and the suites that stack the (lam, mu) grid into budgeted jet passes
+must file the same records as one pass per coupling."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from schrogeo import geometry
+from schrogeo import homogeneous as hg
+from schrogeo import numkernel as nk
+from schrogeo import suites
+from schrogeo.bargmann import (
+    SchrodingerParams,
+    density_lie_derivative,
+    flat_bargmann,
+    plane_wave,
+    schrodinger_residual,
+)
+from schrogeo.geometry import (
+    DegenerateMetricError,
+    MetricField,
+    component_values,
+    gram_jets,
+    gram_values,
+    jet_components,
+    yamabe_residual,
+)
+from schrogeo.numkernel import ContractViolationError, Jet2, SeededSampler
+from schrogeo.suites import SuiteConfig, check_seed, run_suite
+
+GRID = [(lam, mu) for lam in (-2.0, -1.0, -0.5, -0.3) for mu in (-1.0, 0.0, 1.0, 2.0)]
+N = 5
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: a -0.0 against a 0.0 is a difference."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_values(a, b) -> bool:
+    """Bitwise equal up to the sign of zeros.
+
+    A per-sample mu = 0 computes the metric's dt^2 entry, a signed zero,
+    where a float mu = 0 leaves the constant 0.0; raw tensors may differ
+    there, and only there.  Residuals are magnitudes and must agree in
+    every bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    # float == is bit equality except that -0.0 == 0.0
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def no_negative_zero(x) -> bool:
+    x = np.asarray(x)
+    return not np.any((x == 0) & np.signbit(x))
+
+
+def segments(x, count=len(GRID)):
+    """Split a stacked per-sample result into its couplings."""
+    return np.split(np.asarray(x), count)
+
+
+# ---------------------------------------------------------------------------
+# Jet2 with a per-sample scalar
+
+
+class TestPerSampleScalar:
+    u = Jet2(
+        np.array([0.7, -1.3, 2.1]),
+        np.arange(6.0).reshape(2, 3) / 7.0,
+        np.arange(12.0).reshape(2, 2, 3) / 11.0,
+    )
+    a = np.array([1.9, -0.4, 3.3])
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda u, c: c * u,
+            lambda u, c: u * c,
+            lambda u, c: c + u,
+            lambda u, c: u - c,
+            lambda u, c: c - u,
+            lambda u, c: u / c,
+            lambda u, c: c / u,
+        ],
+        ids=["rmul", "mul", "radd", "sub", "rsub", "truediv", "rtruediv"],
+    )
+    def test_each_sample_rounds_as_its_scalar(self, op):
+        out = op(self.u, self.a)
+        assert isinstance(out, Jet2)
+        for k, c in enumerate(self.a.tolist()):
+            one = op(Jet2(self.u.value[k], self.u.grad[:, k], self.u.hess[..., k]), c)
+            assert same_bits(out.value[k], one.value)
+            assert same_bits(out.grad[:, k], one.grad)
+            assert same_bits(out.hess[..., k], one.hess)
+
+    def test_array_of_another_shape_is_refused(self):
+        with pytest.raises(ContractViolationError):
+            self.u * np.ones(2)
+        point = Jet2.variable(0.5, 0, 3)
+        with pytest.raises(ContractViolationError):
+            np.ones(3) * point
+
+    def test_zero_in_a_per_sample_divisor(self):
+        with pytest.raises(nk.JetSingularityError):
+            self.u / np.array([1.0, 0.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# every coupling-batched function, per sample, against its float config
+
+
+@pytest.fixture(scope="module", params=[1, 3], ids=["d1", "d3"])
+def stacked(request):
+    d = request.param
+    pts = SeededSampler(11, hg.bulk_boxes(d)).points(N)
+    return d, pts, hg.coupling_config(d, GRID, N), np.tile(pts, (len(GRID), 1))
+
+
+class TestCouplingBatchedBitwise:
+    def test_config_stacks_each_coupling_over_its_samples(self, stacked):
+        d, _, mc, _ = stacked
+        assert mc.lam.shape == mc.mu.shape == (len(GRID) * N,)
+        for (lam, mu), lams, mus in zip(GRID, segments(mc.lam), segments(mc.mu)):
+            assert (lams == lam).all() and (mus == mu).all()
+        for (lam, _), scale in zip(GRID, segments(mc.scale)):
+            assert same_bits(scale, np.full(N, hg.SchrodingerManifoldConfig(d, lam).scale))
+        # a parameter every coupling shares stays a float
+        shared = hg.coupling_config(d, [(-1.0, 0.0), (-0.5, 0.0)], N)
+        assert shared.mu == 0.0 and isinstance(shared.mu, float)
+        assert shared.lam.shape == (2 * N,)
+
+    def test_metric_clock_and_embedding(self, stacked):
+        d, pts, mc, x = stacked
+        jets = gram_jets(hg.bulk_metric(mc), x)
+        values = gram_values(hg.bulk_metric(mc), x)
+        clock = jet_components(hg.theta_hat_form(mc).components, x)
+        embed = jet_components(lambda q: hg.embed_components(mc, q), x)
+        embed_values = component_values(lambda q: hg.embed_components(mc, q), x)
+        for c, (lam, mu) in enumerate(GRID):
+            one = hg.SchrodingerManifoldConfig(d, lam, mu)
+            rows = slice(c * N, (c + 1) * N)
+            for g, w in zip(jets, gram_jets(hg.bulk_metric(one), pts)):
+                assert same_values(g[rows], w)
+            for got, want in (
+                (clock, jet_components(hg.theta_hat_form(one).components, pts)),
+                (embed, jet_components(lambda q: hg.embed_components(one, q), pts)),
+            ):
+                for g, w in zip(got, want):
+                    assert same_bits(g[rows], w)
+            assert same_values(values[rows], gram_values(hg.bulk_metric(one), pts))
+            assert same_bits(
+                embed_values[rows],
+                component_values(lambda q: hg.embed_components(one, q), pts),
+            )
+
+    def test_dual_path_vertical_and_scalar_checks(self, stacked):
+        d, pts, mc, x = stacked
+        v = np.random.default_rng(2).normal(size=(len(GRID) * N, 2, d + 3))
+        batched = {
+            "induced": hg.induced_metric(mc, x, v[:, 0], v[:, 1]),
+            "clock": hg.theta_hat(mc, x, v[:, 0]),
+            "vertical": hg.xi_hat_consistency(mc, x),
+        }
+        counts = hg.negative_eigenvalue_count(mc, x)
+        wedge = hg.integrability_residual(mc, x)
+        for c, (lam, mu) in enumerate(GRID):
+            one = hg.SchrodingerManifoldConfig(d, lam, mu)
+            rows = slice(c * N, (c + 1) * N)
+            w = v[rows]
+            singles = {
+                "induced": hg.induced_metric(one, pts, w[:, 0], w[:, 1]),
+                "clock": hg.theta_hat(one, pts, w[:, 0]),
+                "vertical": hg.xi_hat_consistency(one, pts),
+            }
+            for name, single in singles.items():
+                assert set(single) == set(batched[name])
+                for key, value in single.items():
+                    same = same_values if key in ("ambient", "chart") else same_bits
+                    assert same(batched[name][key][rows], value), (name, key)
+            assert same_bits(counts[rows], hg.negative_eigenvalue_count(one, pts))
+            assert same_bits(wedge[rows], hg.integrability_residual(one, pts))
+        # residuals are magnitudes: the -0.0 of a mu = 0 clock entry stops short
+        for res in batched.values():
+            for key in ("difference", "pushforward", "nullity", "killing"):
+                if key in res:
+                    assert no_negative_zero(res[key])
+        assert no_negative_zero(wedge)
+
+    def test_curvature_identities(self, stacked):
+        d, pts, mc, x = stacked
+        res, lam_cos = hg.nullfluid_residual(mc, x)
+        undeformed = hg.coupling_config(d, [(lam, 0.0) for lam, _ in GRID], N)
+        computed, predicted = hg.einstein_residual(undeformed, x)
+        for c, (lam, mu) in enumerate(GRID):
+            rows = slice(c * N, (c + 1) * N)
+            r1, cos1 = hg.nullfluid_residual(hg.SchrodingerManifoldConfig(d, lam, mu), pts)
+            assert same_values(res[rows], r1)
+            assert same_bits(np.abs(res[rows]), np.abs(r1))
+            assert (lam_cos[rows] == cos1).all()
+            c1, p1 = hg.einstein_residual(hg.SchrodingerManifoldConfig(d, lam, 0.0), pts)
+            for got, want in ((computed[rows], c1), (predicted[rows], p1)):
+                assert same_values(got, want)
+            assert same_bits(np.abs(computed[rows] - predicted[rows]), np.abs(c1 - p1))
+
+    def test_einstein_checks_mu_on_every_sample(self, stacked):
+        d, _, mc, x = stacked
+        with pytest.raises(ContractViolationError):
+            hg.einstein_residual(mc, x)
+
+    def test_axiom_audit(self, stacked):
+        d = stacked[0]
+        seeds = [100 + c for c in range(len(GRID))]
+        reports = hg.schrodinger_axiom_audit(
+            hg.coupling_config(d, GRID, N), samples=N, seed=seeds
+        )
+        assert len(reports) == len(GRID)
+        for (lam, mu), seed, rep in zip(GRID, seeds, reports):
+            alone = hg.schrodinger_axiom_audit(
+                hg.SchrodingerManifoldConfig(d, lam, mu), samples=N, seed=seed
+            )
+            assert json.dumps([r.to_dict() for r in rep]) == json.dumps(
+                [r.to_dict() for r in alone]
+            )
+
+
+def test_config_rejects_mismatched_or_positive_couplings():
+    with pytest.raises(ValueError):
+        hg.SchrodingerManifoldConfig(1, np.array([-1.0, 0.5]))
+    with pytest.raises(ValueError):
+        hg.SchrodingerManifoldConfig(1, np.array([-1.0, -0.5]), np.zeros(3))
+    with pytest.raises(ValueError):
+        hg.SchrodingerManifoldConfig(1, np.full((2, 2), -1.0))
+
+
+# ---------------------------------------------------------------------------
+# the pass budget and the stacked random draws
+
+
+@pytest.mark.parametrize("samples", [5, 20, 80])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_passes_hold_whole_couplings_within_the_budget(d, samples):
+    per_coupling = samples * (d + 3) ** 4
+    for count in (1, 3, 16, 40):
+        parts = hg.coupling_passes(d, count, samples)
+        held = [list(range(count)[p]) for p in parts]
+        # every coupling in exactly one pass, in order
+        assert [i for h in held for i in h] == list(range(count))
+        for h in held:
+            assert h
+            assert len(h) * per_coupling <= hg.COUPLING_PASS_ENTRIES or len(h) == 1
+        # no pass is cut short while a later one could have filled it
+        assert all(
+            (len(h) + 1) * per_coupling > hg.COUPLING_PASS_ENTRIES for h in held[:-1]
+        )
+
+
+@pytest.mark.parametrize(
+    "d, samples, per_pass",
+    [(1, 5, 16), (2, 5, 16), (3, 5, 10), (1, 20, 12), (2, 20, 5), (3, 20, 2),
+     (6, 5, 1), (8, 5, 1)],
+)
+def test_pass_sizes_of_the_benchmarked_grids(d, samples, per_pass):
+    parts = hg.coupling_passes(d, 16, samples)
+    assert len(range(16)[parts[0]]) == per_pass
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_one_stacked_normal_draw_is_consecutive_draws(d):
+    couplings = len(GRID)
+    stacked = np.random.default_rng(9).normal(size=(couplings, N, 2, d + 3))
+    rng = np.random.default_rng(9)
+    for c in range(couplings):
+        assert same_bits(stacked[c], rng.normal(size=(N, 2, d + 3)))
+
+
+# ---------------------------------------------------------------------------
+# ERROR isolation: one singular coupling of a pass
+
+
+def _singular_at(monkeypatch, coordinate):
+    """Make the bulk Gram vanish at the samples whose first coordinate is
+    ``coordinate``; every other sample is multiplied by 1.0, exactly."""
+    original = hg.bulk_metric
+
+    def broken(cfg):
+        metric = original(cfg)
+
+        def gram(p):
+            keep = np.where(nk.jet_value(p[0]) == coordinate, 0.0, 1.0)
+            return [[e * keep for e in row] for row in metric.gram(p)]
+
+        return MetricField(metric.chart, gram, metric.signature)
+
+    monkeypatch.setattr(hg, "bulk_metric", broken)
+
+
+def test_a_singular_coupling_errors_alone(monkeypatch):
+    cfg = SuiteConfig("axioms", dims=(1,), seed=5)
+    before = {c.name: c.to_dict() for c in run_suite(cfg).checks}
+    target = "axioms_d1_lam-1_mu2"
+    samples = max(4, cfg.samples // 4)
+    pts, _ = hg.audit_points(1, samples, check_seed(cfg, target))
+    _singular_at(monkeypatch, pts[2, 0])
+
+    # the pass names the coupling and the index within it, not the stack's
+    names = [f"axioms_d1_lam{lam:g}_mu{mu:g}" for lam, mu in GRID]
+    with pytest.raises(DegenerateMetricError) as info:
+        hg.schrodinger_axiom_audit(
+            hg.coupling_config(1, GRID, samples),
+            samples=samples,
+            seed=[check_seed(cfg, n) for n in names],
+        )
+    assert info.value.sample == 2
+    assert "(lam, mu) = (-1, 2), sample 2 (" in str(info.value)
+
+    after = {c.name: c.to_dict() for c in run_suite(cfg).checks}
+    assert set(after) == set(before)
+    errors = [n for n, rec in after.items() if rec["status"] == "ERROR"]
+    assert errors == [target]
+    assert after[target]["error"].startswith(
+        "DegenerateMetricError: Gram matrix is singular at (lam, mu) = (-1, 2), sample 2 ("
+    )
+    assert after[target]["seed"] == before[target]["seed"]
+    for n, rec in after.items():
+        if n != target:
+            assert rec == before[n], n
+
+
+def test_a_singular_grid_sample_is_named_in_the_homogeneous_error(monkeypatch):
+    cfg = SuiteConfig("homogeneous", dims=(1,), seed=5)
+    name = "homogeneous_d1_nullfluid"
+    pts = SeededSampler(check_seed(cfg, name), hg.bulk_boxes(1)).points(5)
+    _singular_at(monkeypatch, pts[3, 0])
+    rec = {c.name: c for c in run_suite(cfg).checks}[name]
+    assert rec.status == "ERROR"
+    # the first coupling of the grid meets the singular sample first
+    assert "(lam, mu) = (-2, -1), sample 3 (" in rec.error
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals fail
+
+
+def test_nan_difference_fails_the_dual_path(monkeypatch):
+    original = hg.induced_metric
+
+    def nan_difference(*args, **kwargs):
+        res = original(*args, **kwargs)
+        res["difference"] = res["difference"].copy()
+        res["difference"][-1] = np.nan
+        return res
+
+    monkeypatch.setattr(hg, "induced_metric", nan_difference)
+    rec = {
+        c.name: c for c in run_suite(SuiteConfig("homogeneous", dims=(1,))).checks
+    }["homogeneous_d1_dualpath"]
+    assert rec.status == "FAIL"
+    assert math.isnan(rec.residual)
+
+
+def test_nan_stabilizer_fails_the_isotropy(monkeypatch):
+    original = hg.bulk_isotropy_element
+    made = []
+
+    def nan_first(*args, **kwargs):
+        ge = original(*args, **kwargs)
+        if not made:
+            ge.matrix[0, 0] = np.nan
+        made.append(ge)
+        return ge
+
+    monkeypatch.setattr(hg, "bulk_isotropy_element", nan_first)
+    rec = {
+        c.name: c for c in run_suite(SuiteConfig("homogeneous", dims=(1,))).checks
+    }["homogeneous_d1_isotropy"]
+    assert rec.status == "FAIL"
+    assert math.isnan(rec.residual)
+
+
+def test_nan_bracket_fails_the_realization(monkeypatch):
+    original = suites.bracket_fields
+
+    def nan_bracket(*args, **kwargs):
+        return {**original(*args, **kwargs), "minus": math.nan}
+
+    monkeypatch.setattr(suites, "bracket_fields", nan_bracket)
+    rec = {
+        c.name: c for c in run_suite(SuiteConfig("lie-algebra", dims=(1,))).checks
+    }["liealgebra_d1_realization"]
+    assert rec.status == "FAIL"
+    assert math.isnan(rec.residual)
+
+
+# ---------------------------------------------------------------------------
+# the covariant Schrödinger pair shares its metric pass
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
+    structure = flat_bargmann(d)
+    params = SchrodingerParams()
+    wave = plane_wave(d, [0.4] * d, params)
+    pts = SeededSampler(3, [(-1.0, 1.0)] * (d + 2)).points(4)
+    want1 = yamabe_residual(structure.metric, wave.coefficient, pts)
+    lie = density_lie_derivative(structure.metric, structure.xi, wave, pts)
+    want2 = (params.hbar / 1j) * lie - params.mass * wave.coefficient(
+        nk.seed_point(pts)
+    ).value
+
+    calls = {"coefficient": 0, "gram_jets": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(geometry, "gram_jets", counted("gram_jets", geometry.gram_jets))
+    monkeypatch.setattr(
+        geometry, "_invert_gram", counted("inverse", geometry._invert_gram)
+    )
+    psi = type(wave)(
+        coefficient=counted("coefficient", wave.coefficient),
+        weight=wave.weight,
+        d=wave.d,
+    )
+    r1, r2 = schrodinger_residual(structure, psi, params, pts)
+    assert calls == {"coefficient": 1, "gram_jets": 1, "inverse": 1}
+    assert same_bits(r1, want1)
+    assert same_bits(r2, want2)
