@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .geometry import Chart, MetricField, VectorField, component_values, lie_bracket
-from .numkernel import ContractViolationError, jet_value, rank_nullspace
+from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace
 
 __all__ = [
     "CHART_GUARD",
@@ -45,6 +46,7 @@ __all__ = [
     "exp_algebra",
     "extract_blocks",
     "group_inverse",
+    "group_inverses",
     "flat_chart",
     "flat_gram_matrix",
     "flat_metric",
@@ -53,6 +55,7 @@ __all__ = [
     "projective_action",
     "random_algebra_element",
     "random_group_element",
+    "random_group_elements",
     "realize_field",
     "require_sch",
     "sch_dimension",
@@ -92,20 +95,40 @@ CHART_GUARD = 1e-8
 # flat Bargmann block and ambient metric
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def flat_gram_matrix(d: int) -> np.ndarray:
-    """Flat Bargmann Gram on R^{d+2}: sum dx_i^2 + 2 dt ds."""
+    """Flat Bargmann Gram on R^{d+2}: sum dx_i^2 + 2 dt ds.
+
+    Built once per d and shared, so the array is read-only.
+    """
     g = np.eye(d + 2)
     g[d, d] = 0.0
     g[d + 1, d + 1] = 0.0
     g[d, d + 1] = g[d + 1, d] = 1.0
-    return g
+    return _read_only(g)
 
 
+@lru_cache(maxsize=None)
 def xi_vector(d: int) -> np.ndarray:
-    """The vertical null translation direction d/ds."""
+    """The vertical null translation direction d/ds.
+
+    Built once per d and shared, so the array is read-only.
+    """
     xi = np.zeros(d + 2)
     xi[d + 1] = 1.0
-    return xi
+    return _read_only(xi)
+
+
+@lru_cache(maxsize=None)
+def _frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g, xi, theta = g xi, and the (d+2) and (d+4) identities, read-only."""
+    g, xi = flat_gram_matrix(d), xi_vector(d)
+    return g, xi, _read_only(g @ xi), _read_only(np.eye(d + 2)), _read_only(np.eye(d + 4))
 
 
 def flat_chart(d: int) -> Chart:
@@ -132,8 +155,7 @@ def ambient_gram(d: int) -> np.ndarray:
     G = np.zeros((d + 4, d + 4))
     G[: d + 2, : d + 2] = flat_gram_matrix(d)
     G[d + 2, d + 3] = G[d + 3, d + 2] = 1.0
-    G.flags.writeable = False
-    return G
+    return _read_only(G)
 
 
 def ambient_gram_split(d: int) -> np.ndarray:
@@ -158,8 +180,9 @@ def basis_change(d: int) -> np.ndarray:
 
 
 def g_adjoint(a: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Abar = G A^T G (G is involutive here, so no explicit inverse)."""
-    return G @ a.T @ G
+    """Abar = G A^T G (G is involutive here, so no explicit inverse), of one
+    matrix or of each matrix of a stack."""
+    return G @ a.swapaxes(-1, -2) @ G
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +415,86 @@ def random_algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4)
 # realization as conformal vector fields on the flat chart
 
 
+def _stack_rows(x):
+    """The coordinates x[0..n-1] as one value with a trailing row axis: a
+    Jet2 whose batch gains that axis, or an array of shape batch + (n,)."""
+    if isinstance(x[0], Jet2):
+        parts = zip(*((c.value, c.grad, c.hess) for c in x))
+        return Jet2(*(np.stack(part, axis=-1) for part in parts))
+    return np.array(x).T
+
+
+def _over_rows(u, rows):
+    """A per-point value ``u`` (jet, number or (N,) array) repeated along the
+    row axis of the stack ``rows``."""
+    if isinstance(u, Jet2):
+        n = rows.value.shape[-1]
+        parts = map(np.asarray, (u.value, u.grad, u.hess))
+        return Jet2(*(np.broadcast_to(a[..., None], a.shape + (n,)) for a in parts))
+    return np.asarray(u)[..., None]
+
+
+def _unstack_rows(rows) -> list:
+    """The rows of a stack as a list of jets, numbers or (N,) arrays."""
+    if isinstance(rows, Jet2):
+        parts = (np.moveaxis(a, -1, 0) for a in (rows.value, rows.grad, rows.hess))
+        return [Jet2(v, g, h) for v, g, h in zip(*parts)]
+    return list(rows.T)
+
+
+def _packed(u: Jet2) -> np.ndarray:
+    """A jet's value, gradient and Hessian entries along one leading axis."""
+    hess = u.hess.reshape((u.dim**2,) + u.hess.shape[2:])
+    return np.concatenate([u.value[None], u.grad, hess])
+
+
+def _add_linear(rows, M: np.ndarray, X):
+    """rows[a] + M[a, b] X[b], summed column b by column b over the nonzero
+    M[a, b] only: each row adds its terms in b order and skips its zeros, as
+    a per-row loop would.  Jets go through as one packed array, since every
+    step is elementwise."""
+    if isinstance(rows, Jet2):
+        dim = rows.dim
+        out = _add_linear(_packed(rows), M, _packed(X))
+        return Jet2(out[0], out[1 : dim + 1], out[dim + 1 :].reshape((dim, dim) + out.shape[1:]))
+    nonzero = M != 0.0
+    for b, hits in enumerate(nonzero.sum(axis=0).tolist()):
+        if hits:
+            step = rows + X[..., b : b + 1] * M[:, b]
+            rows = step if hits == len(M) else np.where(nonzero[:, b], step, rows)
+    return rows
+
+
+def _affine_rows(x, d: int, const: np.ndarray, M: np.ndarray, quad, rate=None):
+    """Row a of one stack: const[a] (+ rate x[a]) - quad xi[a] + sum_b M[a, b] x[b].
+
+    ``x`` holds the d + 2 chart coordinates (jets, numbers or (N,) arrays);
+    ``quad`` and ``rate`` are per-point values.  Every row is the same IEEE
+    computation, operand for operand, as that expression evaluated alone
+    (``_add_linear`` keeps the order of the linear terms).
+    """
+    X = _stack_rows(x)
+    xi = xi_vector(d)
+    if isinstance(X, Jet2):
+        # a jet takes an array operand only in the shape of its batch
+        const, xi = (np.broadcast_to(a, X.value.shape) for a in (const, xi))
+    rows = const if rate is None else const + _over_rows(rate, X) * X
+    rows = rows - _over_rows(quad, X) * xi
+    return _add_linear(rows, M, X)
+
+
 def realize_field(blocks: SchBlocks, d: int):
     """Vector field on the flat chart plus the fiber-scaling coefficient.
 
     delta x = Lam x + Gam - (alpha/2) g(x,x) xi + alpha t x + chi x, and the
     fiber coordinate scales with rate alpha t + chi.
+
+    The components are built as one stack of d + 2 rows (``_affine_rows``):
+    alpha t + chi and (alpha/2) g(x,x) are formed once, and row a adds its
+    Lam[a, b] x[b] in column order b, skipping zero entries.  Each component
+    is therefore rounded exactly as Gam[a] + (alpha t + chi) x[a] -
+    (alpha/2) g(x,x) xi[a] + Lam[a, 0] x[0] + ... evaluated on its own, and
+    comes back as a jet, number or (N,) array like its inputs.
     """
     xi = xi_vector(d)
     vert = float(np.abs(blocks.Lam @ xi + blocks.chi * xi).max())
@@ -408,14 +506,8 @@ def realize_field(blocks: SchBlocks, d: int):
     def comps(x):
         t = x[d]
         xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
-        out = []
-        for a in range(d + 2):
-            val = gam[a] + (alpha * t + chi) * x[a] - 0.5 * alpha * xx * xi[a]
-            for b in range(d + 2):
-                if lam[a, b] != 0.0:
-                    val = val + lam[a, b] * x[b]
-            out.append(val)
-        return out
+        rows = _affine_rows(x, d, gam, lam, 0.5 * alpha * xx, rate=alpha * t + chi)
+        return _unstack_rows(rows)
 
     def fiber_rate(x):
         return alpha * x[d] + chi
@@ -467,34 +559,94 @@ class GroupElement:
 
 
 def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
+    """The (d+4) matrix of one element's blocks, or the (E, d+4, d+4) stack
+    of blocks whose fields carry a leading element axis."""
     n = d + 2
-    g = flat_gram_matrix(d)
-    xi = xi_vector(d)
-    theta = g @ xi
-    A = np.zeros((n + 2, n + 2))
-    A[:n, :n] = blocks.L
-    A[:n, n] = blocks.a * xi
-    A[:n, n + 1] = blocks.C
-    A[n, :n] = g @ blocks.B
-    A[n, n] = blocks.b
-    A[n, n + 1] = blocks.dd
-    A[n + 1, :n] = -blocks.a * theta
-    A[n + 1, n + 1] = blocks.e
+    g, xi, theta, _, _ = _frame(d)
+    A = np.zeros(np.shape(blocks.a) + (n + 2, n + 2))
+    A[..., :n, :n] = blocks.L
+    A[..., :n, n] = np.multiply.outer(blocks.a, xi)
+    A[..., :n, n + 1] = blocks.C
+    A[..., n, :n] = blocks.B @ g
+    A[..., n, n] = blocks.b
+    A[..., n, n + 1] = blocks.dd
+    A[..., n + 1, :n] = np.multiply.outer(-np.asarray(blocks.a), theta)
+    A[..., n + 1, n + 1] = blocks.e
     return A
 
 
 def extract_blocks(A: np.ndarray, d: int) -> GroupBlocks:
+    """Blocks of one (d+4) matrix, or of an (E, d+4, d+4) stack: every field
+    then gains the leading element axis.  The arrays are fresh copies."""
     n = d + 2
-    g = flat_gram_matrix(d)
+    A = np.asarray(A)
+    scalars = (A[..., d + 1, n], A[..., n, n], A[..., n, n + 1], A[..., n + 1, n + 1])
     return GroupBlocks(
-        L=A[:n, :n].copy(),
-        B=g @ A[n, :n],
-        C=A[:n, n + 1].copy(),
-        a=float(A[d + 1, n]),
-        b=float(A[n, n]),
-        dd=float(A[n, n + 1]),
-        e=float(A[n + 1, n + 1]),
+        A[..., :n, :n].copy(),
+        A[..., n, :n] @ flat_gram_matrix(d),
+        A[..., :n, n + 1].copy(),
+        *(s.copy() if A.ndim > 2 else float(s) for s in scalars),
     )
+
+
+# assemble_group_element's checks in the order it reports them: the seven
+# block constraints, then the two on the assembled matrix
+_CONSTRAINTS = (
+    (1, "L xi = e xi"),
+    (2, "Lbar xi = b xi"),
+    (3, "Lbar L = 1 + a (xi Bbar + B xibar)"),
+    (4, "Lbar C = a d xi - e B"),
+    (5, "a xibar C + b e = 1"),
+    (6, "xibar (B + C) = 0"),
+    (7, "Cbar C + 2 d e = 0"),
+    (0, "Abar A = 1"),
+    (0, "A Z0 = Z0 A"),
+)
+
+
+def _assembled(blocks: GroupBlocks, d: int, tol: float):
+    """Matrices of a block stack (fields with a leading element axis) and
+    the first failure: (A, None), or (A, (i, error)) for the first element i
+    that violates a constraint, naming its first violated one."""
+    g, xi, theta, eye_n, eye = _frame(d)
+    L, B, C = blocks.L, blocks.B, blocks.C
+    a, b, dd, e = (np.asarray(f)[:, None] for f in (blocks.a, blocks.b, blocks.dd, blocks.e))
+    Lstar = g @ L.swapaxes(-1, -2) @ g
+    cross = xi[:, None] * (B @ g)[:, None, :] + B[:, :, None] * theta
+    A = _group_matrix(blocks, d)
+    G = ambient_gram(d)
+    Z0 = build_Z0(d).matrix
+    residuals = [
+        r.reshape(len(A), -1)
+        for r in (
+            L @ xi - e * xi,
+            Lstar @ xi - b * xi,
+            Lstar @ L - eye_n - a[..., None] * cross,
+            (Lstar @ C[..., None])[..., 0] - a * dd * xi + e * B,
+            a * (C @ theta)[:, None] + b * e - 1.0,
+            (B + C) @ theta,
+            np.einsum("ea,ea->e", C @ g, C)[:, None] + 2.0 * dd * e,
+            g_adjoint(A, G) @ A - eye,
+            A @ Z0 - Z0 @ A,
+        )
+    ]
+    # the largest |entry| of each constraint, element by element: (E, 9)
+    starts = list(accumulate((r.shape[1] for r in residuals[:-1]), initial=0))
+    table = np.maximum.reduceat(np.abs(np.concatenate(residuals, axis=1)), starts, axis=1)
+    bad = table > tol
+    if not bad.any():
+        return A, None
+    i, k = np.argwhere(bad)[0]
+    return A, (i, StabilizerConstraintError(*_CONSTRAINTS[k], float(table[i, k])))
+
+
+def _elements(blocks: GroupBlocks, A: np.ndarray, d: int) -> list["GroupElement"]:
+    """One GroupElement per matrix of the stack A, with its blocks."""
+    scalars = zip(*(np.asarray(f).tolist() for f in (blocks.a, blocks.b, blocks.dd, blocks.e)))
+    return [
+        GroupElement(A[i], GroupBlocks(blocks.L[i], blocks.B[i], blocks.C[i], *s), d)
+        for i, s in enumerate(scalars)
+    ]
 
 
 def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> GroupElement:
@@ -503,45 +655,16 @@ def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> G
     Raises StabilizerConstraintError naming the first violated constraint,
     in the order: vertical eigenvector of L, of L-adjoint, the L-adjoint
     normalization, the column relation, the two pairing normalizations, and
-    the null-length relation.
+    the null-length relation; then Abar A = 1 and [A, Z0] = 0 on the
+    assembled matrix.
     """
-    n = d + 2
-    g = flat_gram_matrix(d)
-    xi = xi_vector(d)
-    theta = g @ xi
-    L, B, C = blocks.L, blocks.B, blocks.C
-    a, b, dd, e = blocks.a, blocks.b, blocks.dd, blocks.e
-    Lstar = g @ L.T @ g
-    constraints = [
-        ("L xi = e xi", np.abs(L @ xi - e * xi).max()),
-        ("Lbar xi = b xi", np.abs(Lstar @ xi - b * xi).max()),
-        (
-            "Lbar L = 1 + a (xi Bbar + B xibar)",
-            np.abs(
-                Lstar @ L - np.eye(n) - a * (np.outer(xi, g @ B) + np.outer(B, theta))
-            ).max(),
-        ),
-        (
-            "Lbar C = a d xi - e B",
-            np.abs(Lstar @ C - a * dd * xi + e * B).max(),
-        ),
-        ("a xibar C + b e = 1", abs(a * (theta @ C) + b * e - 1.0)),
-        ("xibar (B + C) = 0", abs(theta @ (B + C))),
-        ("Cbar C + 2 d e = 0", abs(C @ g @ C + 2.0 * dd * e)),
-    ]
-    for idx, (desc, resid) in enumerate(constraints, start=1):
-        if float(resid) > tol:
-            raise StabilizerConstraintError(idx, desc, float(resid))
-    A = _group_matrix(blocks, d)
-    G = ambient_gram(d)
-    ortho = float(np.abs(g_adjoint(A, G) @ A - np.eye(n + 2)).max())
-    if ortho > tol:
-        raise StabilizerConstraintError(0, "Abar A = 1", ortho)
-    Z0 = build_Z0(d).matrix
-    comm = float(np.abs(A @ Z0 - Z0 @ A).max())
-    if comm > tol:
-        raise StabilizerConstraintError(0, "A Z0 = Z0 A", comm)
-    return GroupElement(A, blocks, d)
+    stacked = GroupBlocks(*(np.asarray(f)[None] for f in (
+        blocks.L, blocks.B, blocks.C, blocks.a, blocks.b, blocks.dd, blocks.e
+    )))
+    A, failed = _assembled(stacked, d, tol)
+    if failed:
+        raise failed[1]
+    return GroupElement(A[0], blocks, d)
 
 
 # Scaling and squaring after Al-Mohy & Higham, "A new scaling and squaring
@@ -703,27 +826,57 @@ def exp_algebra(Z: np.ndarray) -> np.ndarray:
     return _pade_exp(Z, Z2)
 
 
+def random_group_elements(
+    d: int, rng: np.random.Generator, count: int, scale: float = 0.4, tol: float = 1e-10
+) -> list[GroupElement]:
+    """``count`` consecutive ``random_group_element`` draws as one stack.
+
+    The algebra coefficients are one (count, k) draw, bitwise the draws one
+    element at a time would take from ``rng``; each element keeps its own
+    Padé exponential; the block constraints, Abar A = 1 and [A, Z0] = 0 are
+    checked once over the stack, after every exponential is taken.  The
+    elements, and the StabilizerConstraintError or block-pattern error
+    raised for the first failing one, are those of the per-element draws.
+    """
+    stack = commutant_stack(d)
+    coeffs = rng.uniform(-scale, scale, size=(count, len(stack)))
+    # each element summed basis element by basis element, as sum(c * b) would
+    raw = np.array([exp_algebra((c[:, None, None] * stack).sum(axis=0)) for c in coeffs])
+    blocks = extract_blocks(raw, d)
+    A, failed = _assembled(blocks, d, tol)
+    rebuild = np.abs(A - raw).max(axis=(-2, -1))
+    drift = np.flatnonzero(rebuild > 1e-12 * np.maximum(1.0, np.abs(raw).max(axis=(-2, -1))))
+    if failed and not (drift.size and drift[0] < failed[0]):
+        raise failed[1]
+    if drift.size:
+        raise ContractViolationError(
+            f"exponential left the block pattern (residual {rebuild[drift[0]]:.3e})"
+        )
+    return _elements(blocks, A, d)
+
+
 def random_group_element(
     d: int, rng: np.random.Generator, scale: float = 0.4, tol: float = 1e-10
 ) -> GroupElement:
     """Exponential of a random algebra element, reassembled from its blocks
     (which re-validates every constraint)."""
-    elem = random_algebra_element(d, rng, scale=scale)
-    A = exp_algebra(elem.matrix)
-    blocks = extract_blocks(A, d)
-    ge = assemble_group_element(blocks, d, tol=tol)
-    rebuild = float(np.abs(ge.matrix - A).max())
-    if rebuild > 1e-12 * max(1.0, float(np.abs(A).max())):
-        raise ContractViolationError(
-            f"exponential left the block pattern (residual {rebuild:.3e})"
-        )
-    return ge
+    return random_group_elements(d, rng, 1, scale=scale, tol=tol)[0]
+
+
+def group_inverses(elements: list[GroupElement]) -> list[GroupElement]:
+    """The inverse Abar = G A^T G of each element, validated as one stack;
+    raises for the first inverse that fails, as ``group_inverse`` would."""
+    d = elements[0].dim
+    A = np.array([ge.matrix for ge in elements])
+    blocks = extract_blocks(g_adjoint(A, ambient_gram(d)), d)
+    A, failed = _assembled(blocks, d, 1e-10)
+    if failed:
+        raise failed[1]
+    return _elements(blocks, A, d)
 
 
 def group_inverse(ge: GroupElement) -> GroupElement:
-    G = ambient_gram(ge.dim)
-    Ainv = g_adjoint(ge.matrix, G)
-    return assemble_group_element(extract_blocks(Ainv, ge.dim), ge.dim)
+    return group_inverses([ge])[0]
 
 
 def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
@@ -735,23 +888,29 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     of N points, whose images come back in the same form.  Raises
     ChartEscapeError when the denominator falls below ``guard`` at any
     sample.
+
+    The n numerators are one stack (``_affine_rows``): (a/2) g(x,x) is formed
+    once, and row a adds its L[a, b] x[b] in column order b, skipping zero
+    entries.  Jets are divided through one shared reciprocal of e - a t,
+    applied by the product rule as jet division applies it.  Each image is
+    therefore rounded exactly as (C[a] - (a/2) g(x,x) xi[a] + L[a, 0] x[0] +
+    ...) / (e - a t) evaluated on its own.
     """
     d = ge.dim
     blocks = ge.blocks
-    xi = xi_vector(d)
     t = x[d]
     den = blocks.e - blocks.a * t
     v = jet_value(den)
     if (np.any(np.abs(v) <= guard) if isinstance(v, np.ndarray) else abs(v) <= guard):
         raise ChartEscapeError("projective denominator vanished")
     xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
-    out = []
-    for a_idx in range(d + 2):
-        val = blocks.C[a_idx] - 0.5 * blocks.a * xx * xi[a_idx]
-        for b_idx in range(d + 2):
-            if blocks.L[a_idx, b_idx] != 0.0:
-                val = val + blocks.L[a_idx, b_idx] * x[b_idx]
-        out.append(val / den)
+    rows = _affine_rows(x, d, blocks.C, blocks.L, 0.5 * blocks.a * xx)
+    if isinstance(den, Jet2):
+        # jet division multiplies by the reciprocal: one for every row
+        rows = rows * _over_rows(den._reciprocal(), rows)
+    else:
+        rows = rows / _over_rows(den, rows)
+    out = _unstack_rows(rows)
     if r is None:
         return out
     return out, r / den

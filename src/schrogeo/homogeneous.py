@@ -286,7 +286,13 @@ def bulk_metric(cfg: SchrodingerManifoldConfig) -> MetricField:
 
     def gram(p):
         rh2 = p[d + 2] * p[d + 2]
-        a = level / rh2
+        # jet division multiplies by the reciprocal: one for both quotients
+        inv = rh2._reciprocal() if isinstance(rh2, Jet2) else None
+
+        def over_rh2(u):
+            return u / rh2 if inv is None else u * inv
+
+        a = over_rh2(level)
         rows = [[0.0] * n for _ in range(n)]
         for i in range(d):
             rows[i][i] = a
@@ -294,7 +300,7 @@ def bulk_metric(cfg: SchrodingerManifoldConfig) -> MetricField:
         rows[d + 1][d] = a
         rows[d + 2][d + 2] = a
         if clock_term:
-            rows[d][d] = clock2 * a / rh2
+            rows[d][d] = over_rh2(clock2 * a)
         return rows
 
     return MetricField(bulk_chart(d), gram, (d + 2, 1))

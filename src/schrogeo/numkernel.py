@@ -165,11 +165,8 @@ class Jet2:
         if (np.any(v == 0) if isinstance(v, np.ndarray) else v == 0):
             raise JetSingularityError("jet singularity: reciprocal of zero value")
         og = _outer(self.grad, self.grad)
-        return Jet2(
-            1.0 / v,
-            -self.grad / _pow(v, 2),
-            -self.hess / _pow(v, 2) + 2.0 * og / _pow(v, 3),
-        )
+        v2 = _pow(v, 2)
+        return Jet2(1.0 / v, -self.grad / v2, -self.hess / v2 + 2.0 * og / _pow(v, 3))
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -30,10 +30,11 @@ from .ambient import (
     component_witnesses,
     cone_point,
     flat_metric,
-    group_inverse,
+    group_inverses,
     projective_action,
     random_algebra_element,
     random_group_element,
+    random_group_elements,
     require_sch,
     sch_dimension,
     sch_residuals,
@@ -416,16 +417,14 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
             rng = np.random.default_rng(seed)
             G = ambient_gram(d)
             Z0 = build_Z0(d).matrix
-            eye = np.eye(d + 4)
-            found = []
-            for _ in range(count):
-                ge = random_group_element(d, rng)
-                A = ge.matrix
-                found += [
-                    np.abs(A.T @ G @ A - G),
-                    np.abs(A @ Z0 - Z0 @ A),
-                    np.abs(group_inverse(ge).matrix @ A - eye),
-                ]
+            elements = random_group_elements(d, rng, count)
+            A = np.array([ge.matrix for ge in elements])
+            Ainv = np.array([gi.matrix for gi in group_inverses(elements)])
+            found = [
+                np.abs(A.swapaxes(-1, -2) @ G @ A - G),
+                np.abs(A @ Z0 - Z0 @ A),
+                np.abs(Ainv @ A - np.eye(d + 4)),
+            ]
             return judged(max_entry(0.0, *found), 1e-10, extra={"elements": count})
 
         @check(
@@ -471,8 +470,7 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
             pts = sampler.points(4)
             found = []
             used = 0
-            for _ in range(max(3, count // 3)):
-                ge = random_group_element(d, rng)
+            for ge in random_group_elements(d, rng, max(3, count // 3)):
                 den = ge.blocks.e - ge.blocks.a * pts[:, d]
                 # |den| >= 0.2 keeps every kept sample clear of the chart guard
                 keep = np.abs(den) >= 0.2
@@ -498,9 +496,8 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
             rounds = max(3, count // 3)
             found = []
             used = 0
-            for _ in range(rounds):
-                ge = random_group_element(d, rng)
-                gi = group_inverse(ge)
+            elements = random_group_elements(d, rng, rounds)
+            for ge, gi in zip(elements, group_inverses(elements)):
                 x = pts[_on_chart(ge, pts[:, d])]
                 if not len(x):
                     continue

@@ -687,6 +687,12 @@ def test_group_chart_checks_match_per_point_loops(monkeypatch, d, seed):
     ]
     sample = sometimes_escaping(ts)
     monkeypatch.setattr(suites, "random_group_element", sample)
+    # the stacked draws of the inverse check come from the same sampler
+    monkeypatch.setattr(
+        suites,
+        "random_group_elements",
+        lambda d, rng, count: [sample(d, rng) for _ in range(count)],
+    )
     records = {c.name: c for c in run_suite(cfg).checks}
     escapes = 0
     for check, reference, rounds in (

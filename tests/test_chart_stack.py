@@ -1,0 +1,368 @@
+"""The stacked chart action and the stacked group draws.
+
+``realize_field`` and ``projective_action`` build their d + 2 rows as one
+array pass, and ``random_group_elements`` / ``group_inverses`` draw and
+validate group elements as one stack.  Each must give, bit for bit, what the
+one-row-at-a-time and one-element-at-a-time computations give, and must
+raise what those raise.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from schrogeo import ambient
+from schrogeo import numkernel as nk
+from schrogeo.ambient import (
+    CHART_GUARD,
+    ChartEscapeError,
+    GroupElement,
+    StabilizerConstraintError,
+    commutant_stack,
+    exp_algebra,
+    flat_gram_matrix,
+    group_inverse,
+    group_inverses,
+    projective_action,
+    random_algebra_element,
+    random_group_element,
+    random_group_elements,
+    realize_field,
+    xi_vector,
+)
+from schrogeo.numkernel import ContractViolationError, Jet2
+from schrogeo.suites import SuiteConfig, run_suite
+
+DIMS = range(1, 9)
+
+
+# ---------------------------------------------------------------------------
+# scalar references: one row at a time, one linear term at a time
+
+
+def reference_field(blocks, d, x):
+    xi = xi_vector(d)
+    lam, gam, alpha, chi = blocks.Lam, blocks.Gam, blocks.alpha, blocks.chi
+    t = x[d]
+    xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
+    out = []
+    for a in range(d + 2):
+        val = gam[a] + (alpha * t + chi) * x[a] - 0.5 * alpha * xx * xi[a]
+        for b in range(d + 2):
+            if lam[a, b] != 0.0:
+                val = val + lam[a, b] * x[b]
+        out.append(val)
+    return out
+
+
+def reference_projective(ge, x, r=None, guard=CHART_GUARD):
+    d, blocks = ge.dim, ge.blocks
+    xi = xi_vector(d)
+    den = blocks.e - blocks.a * x[d]
+    v = nk.jet_value(den)
+    if (np.any(np.abs(v) <= guard) if isinstance(v, np.ndarray) else abs(v) <= guard):
+        raise ChartEscapeError("projective denominator vanished")
+    xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
+    out = []
+    for a in range(d + 2):
+        val = blocks.C[a] - 0.5 * blocks.a * xx * xi[a]
+        for b in range(d + 2):
+            if blocks.L[a, b] != 0.0:
+                val = val + blocks.L[a, b] * x[b]
+        out.append(val / den)
+    return out if r is None else (out, r / den)
+
+
+def bits(values) -> list:
+    """Every value, gradient and Hessian entry as bytes (signed zeros too)."""
+    out = []
+    for v in values:
+        parts = (v.value, v.grad, v.hess) if isinstance(v, Jet2) else (v,)
+        out.append([np.asarray(p, dtype=float).tobytes() for p in parts])
+    return out
+
+
+def inputs(d, seed):
+    """Floats, (N,) arrays, one seeded point and a seeded batch, with a
+    signed zero among the coordinates."""
+    pts = np.random.default_rng(seed).uniform(-0.9, 0.9, size=(5, d + 2))
+    pts[0, 0], pts[1, -1] = 0.0, -0.0
+    return {
+        "floats": pts[1].tolist(),
+        "arrays": list(pts.T),
+        "point_jets": nk.seed_point(pts[2]),
+        "batch_jets": nk.seed_point(pts),
+    }
+
+
+def sparse(M, rng, keep_column=None):
+    """M with a whole row, a whole column and a few scattered entries set to
+    zero (one of them -0.0), so every column pattern occurs: empty,
+    partly filled, full.  ``keep_column`` stays as it is."""
+    M = M.copy()
+    n = len(M)
+    cols = [b for b in range(n) if b != keep_column]
+    M[rng.integers(n), cols] = 0.0
+    M[:, cols[rng.integers(len(cols))]] = 0.0
+    for _ in range(n):
+        M[rng.integers(n), cols[rng.integers(len(cols))]] = 0.0
+    M[rng.integers(n), cols[0]] = -0.0
+    return M
+
+
+def with_blocks(ge, **changes):
+    return GroupElement(ge.matrix, replace(ge.blocks, **changes), ge.dim)
+
+
+# ---------------------------------------------------------------------------
+# the chart action, bit for bit
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_realized_components_match_the_row_loop(d):
+    rng = np.random.default_rng(d)
+    dense = random_algebra_element(d, rng).blocks
+    # the vertical column Lam xi = -chi xi is what realize_field checks
+    thinned = replace(dense, Lam=sparse(dense.Lam, rng, keep_column=d + 1))
+    for blocks in (dense, thinned):
+        field, _ = realize_field(blocks, d)
+        for kind, x in inputs(d, 10 + d).items():
+            got = field.components(x)
+            assert type(got[0]) is type(reference_field(blocks, d, x)[0]), kind
+            assert bits(got) == bits(reference_field(blocks, d, x)), kind
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_projective_images_match_the_row_loop(d):
+    rng = np.random.default_rng(100 + d)
+    ge = random_group_element(d, rng)
+    for g in (ge, with_blocks(ge, L=sparse(ge.blocks.L, rng))):
+        for kind, x in inputs(d, 20 + d).items():
+            r = 1.0 + 0.3 * rng.uniform(size=np.shape(nk.jet_value(x[0])))
+            if kind in ("floats", "point_jets"):
+                r = float(r)
+            got, got_r = projective_action(g, x, r)
+            want, want_r = reference_projective(g, x, r)
+            assert bits(got) == bits(want), kind
+            assert bits([got_r]) == bits([want_r]), kind
+            assert bits(projective_action(g, x)) == bits(want), kind
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_projective_guard_raises_like_the_row_loop(d):
+    rng = np.random.default_rng(d)
+    ge = random_group_element(d, rng)
+    ge = with_blocks(ge, a=0.5, e=0.25)  # the denominator vanishes at t = 0.5
+    pts = rng.uniform(-0.9, 0.9, size=(3, d + 2))
+    pts[1, d] = 0.5
+    for x in (pts[1].tolist(), list(pts.T), nk.seed_point(pts), nk.seed_point(pts[1])):
+        for action in (projective_action, reference_projective):
+            with pytest.raises(ChartEscapeError, match="denominator vanished"):
+                action(ge, x)
+    clear = pts[[0, 2]]
+    assert bits(projective_action(ge, list(clear.T))) == bits(
+        reference_projective(ge, list(clear.T))
+    )
+
+
+# ---------------------------------------------------------------------------
+# work counts: one reciprocal per call, Jet2 constructions linear in d + 2
+
+
+def counting(monkeypatch):
+    counts = {"init": 0, "reciprocal": 0}
+    init, reciprocal = Jet2.__init__, Jet2._reciprocal
+
+    def counted_init(self, *args):
+        counts["init"] += 1
+        init(self, *args)
+
+    def counted_reciprocal(self):
+        counts["reciprocal"] += 1
+        return reciprocal(self)
+
+    monkeypatch.setattr(Jet2, "__init__", counted_init)
+    monkeypatch.setattr(Jet2, "_reciprocal", counted_reciprocal)
+    return counts
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_one_reciprocal_per_jet_batch_projective_call(monkeypatch, d):
+    ge = random_group_element(d, np.random.default_rng(d))
+    jets = nk.seed_point(np.random.default_rng(1).uniform(-0.5, 0.5, size=(4, d + 2)))
+    counts = counting(monkeypatch)
+    projective_action(ge, jets)
+    assert counts["reciprocal"] == 1
+
+
+def test_realized_field_builds_jets_linearly_in_the_dimension(monkeypatch):
+    made = []
+    for d in DIMS:
+        field, _ = realize_field(random_algebra_element(d, np.random.default_rng(d)).blocks, d)
+        jets = nk.seed_point(np.random.default_rng(1).uniform(-0.5, 0.5, size=(4, d + 2)))
+        counts = counting(monkeypatch)
+        field.components(jets)
+        made.append(counts["init"])
+        monkeypatch.undo()
+    steps = set(np.diff(made).tolist())
+    assert len(steps) == 1 and steps.pop() <= 4, made
+
+
+# ---------------------------------------------------------------------------
+# group elements as a stack
+
+
+def reassembled(A, d):
+    """The element matrix rebuilt from the blocks of A, entry for entry."""
+    n = d + 2
+    g, xi = flat_gram_matrix(d), xi_vector(d)
+    a = float(A[d + 1, n])
+    out = np.zeros_like(A)
+    out[:n, :n] = A[:n, :n]
+    out[:n, n] = a * xi
+    out[:n, n + 1] = A[:n, n + 1]
+    out[n, :n] = g @ (g @ A[n, :n])
+    out[n, n], out[n, n + 1] = A[n, n], A[n, n + 1]
+    out[n + 1, :n] = -a * (g @ xi)
+    out[n + 1, n + 1] = A[n + 1, n + 1]
+    return out
+
+
+@pytest.mark.parametrize("d, seed", [(1, 0), (2, 5), (4, 1), (6, 7), (8, 42)])
+def test_stacked_draws_match_one_element_at_a_time(d, seed):
+    stack = commutant_stack(d)
+    rng, ref, one = (np.random.default_rng(seed) for _ in range(3))
+    elements = random_group_elements(d, rng, 7)
+    for ge in elements:
+        coeffs = ref.uniform(-0.4, 0.4, size=len(stack))
+        m = sum(c * b for c, b in zip(coeffs, stack))
+        want = reassembled(exp_algebra(m), d)
+        assert ge.matrix.tobytes() == want.tobytes()
+        single = random_group_element(d, one)
+        assert single.matrix.tobytes() == want.tobytes()
+        for f in ("L", "B", "C", "a", "b", "dd", "e"):
+            assert np.asarray(getattr(ge.blocks, f)).tobytes() == np.asarray(
+                getattr(single.blocks, f)
+            ).tobytes()
+        assert type(ge.blocks.a) is float
+    # the three streams stand at the same place afterwards
+    assert rng.random() == ref.random() == one.random()
+    for gi, ge in zip(group_inverses(elements), elements):
+        assert gi.matrix.tobytes() == group_inverse(ge).matrix.tobytes()
+        adjoint = ambient.g_adjoint(ge.matrix, ambient.ambient_gram(d))
+        assert gi.matrix.tobytes() == reassembled(adjoint, d).tobytes()
+
+
+def breaking(monkeypatch, broken: dict):
+    """exp_algebra with call k's result changed by ``broken[k]``."""
+    calls = {"n": 0}
+
+    def exp(Z):
+        A = exp_algebra(Z)
+        k = calls["n"]
+        calls["n"] += 1
+        if k in broken:
+            A = A.copy()
+            broken[k](A)
+        return A
+
+    monkeypatch.setattr(ambient, "exp_algebra", exp)
+    return calls
+
+
+def _raised(fn):
+    with pytest.raises((StabilizerConstraintError, ContractViolationError)) as info:
+        fn()
+    return info.value
+
+
+def nudge(i, j, by=1e-3):
+    def apply(A):
+        A[i, j] += by
+
+    return apply
+
+
+D = 3
+N = D + 2
+DEFECTS = {
+    "L entry": {2: nudge(0, 1)},
+    "e entry": {4: nudge(N + 1, N + 1)},
+    "C entry": {1: nudge(0, N + 1)},
+    "dd entry": {3: nudge(N, N + 1)},
+    "dropped row": {5: nudge(N + 1, 0)},
+    "drift before a broken element": {1: nudge(N + 1, 0), 3: nudge(0, 1)},
+    "broken before a drift": {1: nudge(0, 1), 3: nudge(N + 1, 0)},
+    "both in one element": {2: lambda A: (nudge(0, 1)(A), nudge(N + 1, 0)(A))},
+    "two broken elements": {1: nudge(N + 1, N + 1), 4: nudge(0, 1)},
+    "two constraints of one element": {2: lambda A: (nudge(0, 1)(A), nudge(N + 1, N + 1)(A))},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_stack_raises_what_the_first_failing_element_raises(monkeypatch, defect):
+    breaking(monkeypatch, DEFECTS[defect])
+    stacked = _raised(lambda: random_group_elements(D, np.random.default_rng(3), 6))
+    breaking(monkeypatch, DEFECTS[defect])
+    rng = np.random.default_rng(3)
+    single = _raised(lambda: [random_group_element(D, rng) for _ in range(6)])
+    assert type(stacked) is type(single)
+    assert str(stacked) == str(single)
+    if isinstance(single, StabilizerConstraintError):
+        assert (stacked.index, stacked.description) == (single.index, single.description)
+
+
+def test_inverse_stack_raises_for_the_first_failing_inverse():
+    elements = random_group_elements(D, np.random.default_rng(4), 5)
+    bad = elements[3].matrix.copy()
+    bad[0, 1] += 1e-3
+    elements[3] = GroupElement(bad, elements[3].blocks, D)
+    stacked = _raised(lambda: group_inverses(elements))
+    single = _raised(lambda: [group_inverse(ge) for ge in elements])
+    assert isinstance(stacked, StabilizerConstraintError)
+    assert str(stacked) == str(single)
+
+
+# ---------------------------------------------------------------------------
+# mutation: a defect in the stacked chart action flips the records on it
+
+
+def _drop_quadratic(monkeypatch):
+    rows = ambient._affine_rows
+
+    def defect(x, d, const, M, quad, rate=None):
+        return rows(x, d, const, M, quad * 0.0, rate)
+
+    monkeypatch.setattr(ambient, "_affine_rows", defect)
+
+
+def _nudge_linear(monkeypatch):
+    add = ambient._add_linear
+
+    def defect(rows, M, X):
+        M = np.array(M, dtype=float)
+        M[-1, 0] += 1e-6
+        return add(rows, M, X)
+
+    monkeypatch.setattr(ambient, "_add_linear", defect)
+
+
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("inject", [_drop_quadratic, _nudge_linear])
+@pytest.mark.parametrize(
+    "suite, record",
+    [
+        ("lie-algebra", "realization"),
+        ("group", "projective"),
+        ("group", "pullback"),
+        ("group", "inverse"),
+    ],
+)
+def test_chart_action_defect_fails_the_record(monkeypatch, suite, record, inject, d):
+    name = f"{suite.replace('-', '')}_d{d}_{record}"
+    clean = {c.name: c for c in run_suite(SuiteConfig(suite, dims=(d,))).checks}
+    assert clean[name].status == "PASS"
+    inject(monkeypatch)
+    broken = {c.name: c for c in run_suite(SuiteConfig(suite, dims=(d,))).checks}
+    assert broken[name].status == "FAIL", broken[name]
