@@ -382,7 +382,7 @@ def require_sch(residuals: dict) -> None:
         ("vertical", 1e-10, "Lam xi + chi xi != 0"),
     ):
         value = float(np.max(residuals[key]))
-        if value > tol:
+        if not value <= tol:
             raise ContractViolationError(f"{what} (residual {value:.3e})")
 
 
@@ -415,12 +415,17 @@ def random_algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4)
 # realization as conformal vector fields on the flat chart
 
 
+def _parts(u: Jet2) -> tuple:
+    """A jet's arrays: (value, grad), and its Hessian at order 2."""
+    return (u.value, u.grad) if u.hess is None else (u.value, u.grad, u.hess)
+
+
 def _stack_rows(x):
     """The coordinates x[0..n-1] as one value with a trailing row axis: a
     Jet2 whose batch gains that axis, or an array of shape batch + (n,)."""
     if isinstance(x[0], Jet2):
-        parts = zip(*((c.value, c.grad, c.hess) for c in x))
-        return Jet2(*(np.stack(part, axis=-1) for part in parts))
+        parts = zip(*map(_parts, x), strict=True)
+        return Jet2(*(np.stack(part, axis=-1) for part in parts), _symmetric=True)
     return np.array(x).T
 
 
@@ -429,34 +434,41 @@ def _over_rows(u, rows):
     row axis of the stack ``rows``."""
     if isinstance(u, Jet2):
         n = rows.value.shape[-1]
-        parts = map(np.asarray, (u.value, u.grad, u.hess))
-        return Jet2(*(np.broadcast_to(a[..., None], a.shape + (n,)) for a in parts))
+        parts = map(np.asarray, _parts(u))
+        return Jet2(
+            *(np.broadcast_to(a[..., None], a.shape + (n,)) for a in parts),
+            _symmetric=True,
+        )
     return np.asarray(u)[..., None]
 
 
 def _unstack_rows(rows) -> list:
     """The rows of a stack as a list of jets, numbers or (N,) arrays."""
     if isinstance(rows, Jet2):
-        parts = (np.moveaxis(a, -1, 0) for a in (rows.value, rows.grad, rows.hess))
-        return [Jet2(v, g, h) for v, g, h in zip(*parts)]
+        parts = (np.moveaxis(a, -1, 0) for a in _parts(rows))
+        return [Jet2(*row, _symmetric=True) for row in zip(*parts)]
     return list(rows.T)
 
 
 def _packed(u: Jet2) -> np.ndarray:
-    """A jet's value, gradient and Hessian entries along one leading axis."""
-    hess = u.hess.reshape((u.dim**2,) + u.hess.shape[2:])
-    return np.concatenate([u.value[None], u.grad, hess])
+    """A jet's value, gradient and (at order 2) Hessian entries along one
+    leading axis."""
+    parts = [u.value[None], u.grad]
+    if u.hess is not None:
+        parts.append(u.hess.reshape((u.dim**2,) + u.hess.shape[2:]))
+    return np.concatenate(parts)
 
 
 def _add_linear(rows, M: np.ndarray, X):
     """rows[a] + M[a, b] X[b], summed column b by column b over the nonzero
     M[a, b] only: each row adds its terms in b order and skips its zeros, as
     a per-row loop would.  Jets go through as one packed array, since every
-    step is elementwise."""
+    step is elementwise (so a symmetric Hessian stays exactly symmetric)."""
     if isinstance(rows, Jet2):
         dim = rows.dim
         out = _add_linear(_packed(rows), M, _packed(X))
-        return Jet2(out[0], out[1 : dim + 1], out[dim + 1 :].reshape((dim, dim) + out.shape[1:]))
+        hess = None if rows.hess is None else out[dim + 1 :].reshape((dim, dim) + out.shape[1:])
+        return Jet2(out[0], out[1 : dim + 1], hess, _symmetric=True)
     nonzero = M != 0.0
     for b, hits in enumerate(nonzero.sum(axis=0).tolist()):
         if hits:
@@ -498,7 +510,7 @@ def realize_field(blocks: SchBlocks, d: int):
     """
     xi = xi_vector(d)
     vert = float(np.abs(blocks.Lam @ xi + blocks.chi * xi).max())
-    if vert > 1e-10:
+    if not vert <= 1e-10:
         raise ContractViolationError(f"Lam xi + chi xi != 0 (residual {vert:.3e})")
     lam, gam = blocks.Lam, blocks.Gam
     alpha, chi = blocks.alpha, blocks.chi
@@ -633,7 +645,8 @@ def _assembled(blocks: GroupBlocks, d: int, tol: float):
     # the largest |entry| of each constraint, element by element: (E, 9)
     starts = list(accumulate((r.shape[1] for r in residuals[:-1]), initial=0))
     table = np.maximum.reduceat(np.abs(np.concatenate(residuals, axis=1)), starts, axis=1)
-    bad = table > tol
+    # ~(r <= tol), not r > tol: a NaN residual must fail
+    bad = ~(table <= tol)
     if not bad.any():
         return A, None
     i, k = np.argwhere(bad)[0]
@@ -845,7 +858,8 @@ def random_group_elements(
     blocks = extract_blocks(raw, d)
     A, failed = _assembled(blocks, d, tol)
     rebuild = np.abs(A - raw).max(axis=(-2, -1))
-    drift = np.flatnonzero(rebuild > 1e-12 * np.maximum(1.0, np.abs(raw).max(axis=(-2, -1))))
+    scale = np.maximum(1.0, np.abs(raw).max(axis=(-2, -1)))
+    drift = np.flatnonzero(~(rebuild <= 1e-12 * scale))
     if failed and not (drift.size and drift[0] < failed[0]):
         raise failed[1]
     if drift.size:

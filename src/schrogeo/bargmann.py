@@ -201,7 +201,7 @@ def conformal_equivalence_check(
     time axis.  Returns (equivalent, max residual)."""
     n = structure.metric.chart.dim
     pts = nk.SeededSampler(seed, [(-1.2, 1.2)] * n).points(samples)
-    oj = omega(nk.seed_point(pts))
+    oj = omega(nk.seed_point(pts, order=1))
     grad = oj.grad.T if isinstance(oj, Jet2) else np.zeros(pts.shape)
     tv = component_values(metric_clock(structure).components, pts)
     wedge = grad[:, :, None] * tv[:, None, :] - tv[:, :, None] * grad[:, None, :]
@@ -219,7 +219,7 @@ def density_lie_derivative(
     """L_X^w f = X(f) + w Div(X) f: a complex scalar at a point of shape (n,),
     an (N,) array on a batch (N, n)."""
     pts = np.asarray(p, dtype=float)
-    fj = psi.coefficient(nk.seed_point(pts))
+    fj = psi.coefficient(nk.seed_point(pts, order=1))
     lie = _lie_term(field, psi.weight, fj, divergence(metric, field, pts), pts)
     return complex(lie) if pts.ndim == 1 else lie
 
@@ -455,7 +455,7 @@ def flow_map_rk4(
         DZ = _field_jacobian_rows(blocks, d, x)
         dim = M.dim
         DZm = JetMatrix.from_entries(DZ, dim) if _any_jet(DZ) else JetMatrix.constant(
-            np.array([[jet_value(e) for e in row] for row in DZ]), dim
+            np.array([[jet_value(e) for e in row] for row in DZ]), dim, M.order
         )
         return fx, DZm @ M
 
@@ -475,8 +475,8 @@ def flow_map_rk4(
         return xn, Mn
 
     def mapper(x):
-        dim = x[0].dim if isinstance(x[0], Jet2) else n
-        M = JetMatrix.constant(np.eye(n), dim)
+        jet = isinstance(x[0], Jet2)
+        M = JetMatrix.constant(np.eye(n), x[0].dim if jet else n, x[0].order if jet else 2)
         cur = list(x)
         for _ in range(steps):
             cur, M = advance(cur, M)
@@ -553,7 +553,7 @@ def symmetry_transport_check(
     chart).  Also spot-checks that phi is a conformal map fixing xi."""
     n = structure.d + 2
     pts = nk.SeededSampler(seed, [(-box, box)] * n).points(samples)
-    vals, jac, _ = jet_components(phi.forward, pts)
+    vals, jac = jet_components(phi.forward, pts)
     q, J = vals.real, jac.real
     g_here = gram_values(structure.metric, pts)
     pulled = J.swapaxes(-1, -2) @ gram_values(structure.metric, q) @ J

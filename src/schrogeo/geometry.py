@@ -129,50 +129,49 @@ def gram_values(metric: MetricField, p: Sequence[float]) -> np.ndarray:
     return out
 
 
-def gram_jets(
-    metric: MetricField, p: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram matrix and its first/second coordinate derivatives at ``p``.
+def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
+    """Gram matrix and its coordinate derivatives at ``p``, to ``order``.
 
     Returns (g0, dg, d2g) with dg[a, i, j] = d_a g_ij and
     d2g[a, b, i, j] = d_a d_b g_ij: shapes (n, n), (n, n, n), (n, n, n, n)
     at one point; a batch of N points (``p`` of shape (N, n)) prepends a
     sample axis, so g0 is (N, n, n) and dg[s, a, i, j] = d_a g_ij at sample s.
+    ``order`` 1 seeds first-order jets and returns (g0, dg) only, bitwise
+    the same arrays, with no d2g formed.
     """
     pts = np.asarray(p, dtype=float)
     n = pts.shape[-1]
     batch = pts.shape[:-1]
-    rows = metric.gram(seed_point(pts))
+    rows = metric.gram(seed_point(pts, order))
     g0 = np.zeros(batch + (n, n))
     dg = np.zeros(batch + (n, n, n))
-    d2g = np.zeros(batch + (n, n, n, n))
+    d2g = np.zeros(batch + (n, n, n, n)) if order == 2 else None
     for i in range(n):
         for j in range(n):
             e = rows[i][j]
             if isinstance(e, Jet2):
                 g0[..., i, j] = e.value
                 dg[..., :, i, j] = _samples_first(e.grad, batch)
-                d2g[..., :, :, i, j] = _samples_first(e.hess, batch)
+                if d2g is not None:
+                    d2g[..., :, :, i, j] = _samples_first(e.hess, batch)
             else:
                 g0[..., i, j] = e
-    return g0, dg, d2g
+    return (g0, dg) if d2g is None else (g0, dg, d2g)
 
 
 def jet_components(
     fn: Callable[[Sequence], Sequence], p: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate a component callable on seeds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate a component callable on first-order seeds.
 
-    Returns (vals, jac, hess) with jac[i, a] = d_a comp_i and
-    hess[i, a, b] = d_a d_b comp_i: shapes (m,), (m, n), (m, n, n) at one
-    point; a batch of N points (``p`` of shape (N, n)) prepends a sample
-    axis, giving (N, m), (N, m, n), (N, m, n, n).  Complex components are
-    allowed.
+    Returns (vals, jac) with jac[i, a] = d_a comp_i: shapes (m,), (m, n) at
+    one point; a batch of N points (``p`` of shape (N, n)) prepends a sample
+    axis, giving (N, m), (N, m, n).  Complex components are allowed.
     """
     pts = np.asarray(p, dtype=float)
     n = pts.shape[-1]
     batch = pts.shape[:-1]
-    comps = fn(seed_point(pts))
+    comps = fn(seed_point(pts, order=1))
     m = len(comps)
     some_complex = any(
         isinstance(c, Jet2) and np.iscomplexobj(np.asarray(c.value)) or
@@ -182,15 +181,13 @@ def jet_components(
     dtype = complex if some_complex else float
     vals = np.zeros(batch + (m,), dtype=dtype)
     jac = np.zeros(batch + (m, n), dtype=dtype)
-    hess = np.zeros(batch + (m, n, n), dtype=dtype)
     for i, c in enumerate(comps):
         if isinstance(c, Jet2):
             vals[..., i] = c.value
             jac[..., i, :] = _samples_first(c.grad, batch)
-            hess[..., i, :, :] = _samples_first(c.hess, batch)
         else:
             vals[..., i] = c
-    return vals, jac, hess
+    return vals, jac
 
 
 def component_values(
@@ -266,7 +263,7 @@ def christoffel_from_derivatives(
 
 
 def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
-    g0, dg, _ = gram_jets(metric, p)
+    g0, dg = gram_jets(metric, p, order=1)
     return christoffel_from_derivatives(g0, dg)
 
 
@@ -324,7 +321,7 @@ def covariant_derivative(metric: MetricField, w, p: Sequence[float]) -> np.ndarr
     VectorField returns (nabla v)[a, b] = d_a v^b + Gamma^b_ac v^c.
     """
     gamma = christoffel(metric, p)
-    vals, jac, _ = jet_components(w.components, p)
+    vals, jac = jet_components(w.components, p)
     if isinstance(w, OneForm):
         return jac.swapaxes(-1, -2) - np.einsum("...cab,...c->...ab", gamma, vals)
     if isinstance(w, VectorField):
@@ -336,8 +333,8 @@ def lie_derivative_metric(
     metric: MetricField, field: VectorField, p: Sequence[float]
 ) -> np.ndarray:
     """(L_Z g)_ab = Z^c d_c g_ab + g_cb d_a Z^c + g_ac d_b Z^c."""
-    g0, dg, _ = gram_jets(metric, p)
-    zv, zj, _ = jet_components(field.components, p)
+    g0, dg = gram_jets(metric, p, order=1)
+    zv, zj = jet_components(field.components, p)
     zv, zj = zv.real, zj.real
     return (
         np.einsum("...c,...cab->...ab", zv, dg)
@@ -349,8 +346,8 @@ def lie_derivative_metric(
 def lie_bracket(v: VectorField, w: VectorField, p: Sequence[float]) -> np.ndarray:
     """[V, W]^a = V^c d_c W^a - W^c d_c V^a: (n,) at one point, (N, n) on
     a batch."""
-    vv, vj, _ = jet_components(v.components, p)
-    wv, wj, _ = jet_components(w.components, p)
+    vv, vj = jet_components(v.components, p)
+    wv, wj = jet_components(w.components, p)
     return np.einsum("...c,...ac->...a", vv, wj) - np.einsum("...c,...ac->...a", wv, vj)
 
 
@@ -360,12 +357,12 @@ def divergence(metric: MetricField, field: VectorField, p: Sequence[float]):
     This is the divergence of the metric volume density |det g|^{1/2}: a
     float at one point of shape (n,), an (N,) array on a batch (N, n).
     """
-    g0, dg, _ = gram_jets(metric, p)
+    g0, dg = gram_jets(metric, p, order=1)
     return _divergence(_invert_gram(g0), dg, field, p)
 
 
 def _divergence(ginv: np.ndarray, dg: np.ndarray, field: VectorField, p):
-    xv, xj, _ = jet_components(field.components, p)
+    xv, xj = jet_components(field.components, p)
     div = np.trace(xj.real, axis1=-2, axis2=-1) + 0.5 * np.einsum(
         "...a,...ij,...aij->...", xv.real, ginv, dg
     )
@@ -380,7 +377,7 @@ def exterior_wedge(
     (d w)_ab = d_a w_b - d_b w_a; the 3-form is returned without 1/k!
     weights: (w ^ dw)_abc = w_a (dw)_bc + w_b (dw)_ca + w_c (dw)_ab.
     """
-    vals, jac, _ = jet_components(omega.components, p)
+    vals, jac = jet_components(omega.components, p)
     w, jac = vals.real, jac.real
     dw = jac.swapaxes(-1, -2) - jac
     wedge = (
@@ -410,7 +407,7 @@ def scalar_laplacian(metric: MetricField, f, p: Sequence[float]):
     One value at a point of shape (n,); an (N,) array on a batch (N, n).
     """
     pts = np.asarray(p, dtype=float)
-    g0, dg, _ = gram_jets(metric, pts)
+    g0, dg = gram_jets(metric, pts, order=1)
     return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
 
 

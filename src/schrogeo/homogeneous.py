@@ -21,8 +21,8 @@ metric, the clock, the embedding and every identity built on them are
 elementwise in (lam, mu), so a grid of C couplings stacked over the same
 points (``coupling_config``) costs one jet pass, not C, and each sample is
 bitwise what its own scalar-config call gives.  ``coupling_passes`` caps how
-many couplings one pass holds, by memory; ``coupling_error`` names the
-coupling of a singular sample.
+many couplings one pass holds, by the memory of the highest derivative order
+the pass carries; ``coupling_error`` names the coupling of a singular sample.
 """
 
 from __future__ import annotations
@@ -189,25 +189,36 @@ class SchrodingerManifoldConfig:
         return math.sqrt(-2.0 * self.lam)
 
 
-# Peak memory, not time, bounds how many couplings share one jet pass.
-# gram_jets holds N n^4 second derivatives per pass (n = d + 3), and the
-# Ricci contraction holds a second array of that size.  Stacking whole grids
-# unbounded raised the peak RSS of two benchmark batteries from 39.6 to
-# 63.3 MB on bulk_wide (d = 8, 16 couplings x 5 points: a 9.4 MB d2g) and
-# from 38.3 to 50.0 MB on bulk_dense.  At 2^16 entries (0.5 MB) per pass the
-# rise is at most 1.7 MB (none on bulk_wide), and the default run still
-# takes one pass per check for d <= 2.
+# Peak memory, not time, bounds how many couplings share one jet pass, and
+# a pass's largest array is set by the highest derivative order it holds
+# (n = d + 3, N points in the pass):
+#   order 0 (Gram values only): N n^2 entries;
+#   order 1 (first-order jets: dg, Jacobians, Christoffel symbols): N n^3;
+#   order 2 (second-order jets: d2g, and the Ricci contraction holds a
+#   second array of that size): N n^4.
+# Stacking whole grids unbounded at order 2 raised the peak RSS of two
+# benchmark batteries from 39.6 to 63.3 MB on bulk_wide (d = 8, 16
+# couplings x 5 points: a 9.4 MB d2g) and from 38.3 to 50.0 MB on
+# bulk_dense.  At 2^16 entries (0.5 MB) of the largest array per pass the
+# rise is at most 1.7 MB.  Budgeting the first-order checks by N n^3
+# instead of N n^4 (on bulk_wide one pass at d = 6 and two at d = 8, where
+# order 2 takes 16) moved the median peak RSS by at most 0.06 MB on every
+# benchmark workload (bulk_wide 40.79 -> 40.82 MB; 2-core x86-64 host,
+# 18 s runs).
 COUPLING_PASS_ENTRIES = 2**16
 
 
-def coupling_passes(d: int, count: int, samples: int) -> list[slice]:
+def coupling_passes(d: int, count: int, samples: int, order: int) -> list[slice]:
     """Consecutive slices of ``count`` couplings, one jet pass each.
 
     A pass holds whole couplings of ``samples`` points and at most
-    ``COUPLING_PASS_ENTRIES`` second-derivative entries (samples * n^4); a
+    ``COUPLING_PASS_ENTRIES`` entries of its largest derivative array,
+    samples * n^(2 + order) for a pass of derivative ``order`` 0, 1 or 2; a
     coupling over that budget runs alone.
     """
-    per_pass = max(1, COUPLING_PASS_ENTRIES // (samples * (d + 3) ** 4))
+    if order not in (0, 1, 2):
+        raise ContractViolationError(f"derivative order must be 0, 1 or 2, got {order}")
+    per_pass = max(1, COUPLING_PASS_ENTRIES // (samples * (d + 3) ** (2 + order)))
     return [slice(i, min(i + per_pass, count)) for i in range(0, count, per_pass)]
 
 
@@ -442,7 +453,7 @@ def induced_metric(
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
-    vals, jac, _ = _embedding_jets(cfg, p)
+    vals, jac = _embedding_jets(cfg, p)
     Q, J = vals.real, jac.real
     G = ambient_gram(d)
     dq = _mv(J, delta)
@@ -461,7 +472,7 @@ def theta_hat(cfg: SchrodingerManifoldConfig, p: Sequence[float], delta) -> dict
     """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs chart row."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
-    vals, jac, _ = _embedding_jets(cfg, p)
+    vals, jac = _embedding_jets(cfg, p)
     Q, J = vals.real, jac.real
     QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d).matrix)
     ambient = _vv(-QGZ, _mv(J, delta))
@@ -475,7 +486,7 @@ def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: Sequence[float]) -> di
     """The vertical field: ambient Z0 Q against the push-forward of d/dsh,
     its norm, nullity, and Killing residual."""
     d = cfg.d
-    vals, jac, _ = _embedding_jets(cfg, p)
+    vals, jac = _embedding_jets(cfg, p)
     Q, J = vals.real, jac.real
     ZQ = _mv(build_Z0(d).matrix, Q)
     metric = bulk_metric(cfg)
@@ -622,7 +633,7 @@ def isometry_check(
     used = escapes = 0
     while used < samples and escapes < 50:
         pts = sampler.points(samples - used)
-        vals, jac, _ = jet_components(moved, pts)
+        vals, jac = jet_components(moved, pts)
         escaped = np.isnan(vals[:, d + 2].real)
         # the walk stops at the 50th escape; a round never overshoots samples
         drawn = escapes + np.cumsum(escaped) - escaped < 50

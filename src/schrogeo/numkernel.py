@@ -1,5 +1,6 @@
-"""Deterministic numeric substrate: second-order jets, dense small-matrix
-linear algebra, and seeded sampling with rejection of singular loci.
+"""Deterministic numeric substrate: first- and second-order jets, dense
+small-matrix linear algebra, and seeded sampling with rejection of singular
+loci.
 
 Matrices are plain ``numpy`` arrays (row-major).  Everything handled here is
 at most (d+4) x (d+4) with d <= 8, so no dedicated matrix wrapper is needed.
@@ -10,6 +11,15 @@ hold all N points at once, so one pass of a closed-form expression yields
 the second-order Taylor data at every point (Taylor-mode propagation over a
 batch).  ``JetMatrix`` batches the entries of a jet-valued matrix so that
 matrix products need a handful of einsums instead of entrywise jet products.
+
+A jet has an order.  A second-order jet carries the Hessian; a first-order
+jet (``hess`` is None, seeded by ``seed_point(coords, order=1)``) carries the
+value and the gradient only, and every operation skips the Hessian work.  No
+value or gradient ever reads a Hessian, so the two orders give bitwise equal
+values and gradients; a consumer that reads first derivatives only seeds at
+order 1 (Taylor-mode propagation truncated at the order read: Griewank &
+Walther, *Evaluating Derivatives*, 2008, ch. 13).  Jets of different orders
+do not mix.
 """
 
 from __future__ import annotations
@@ -48,13 +58,22 @@ class ContractViolationError(ValueError):
 
 
 class Jet2:
-    """Second-order Taylor data (value, gradient, Hessian) in n chart variables.
+    """Taylor data (value, gradient, Hessian) in n chart variables.
 
     Arithmetic follows the exact product and chain rules, so evaluating a
     closed-form expression on seeded jets returns its derivatives to second
     order with no truncation error beyond floating point.  Values may be real
-    or complex; the Hessian is symmetrized on construction (plain transpose,
-    not conjugate) and stays symmetric under every operation.
+    or complex.  ``Jet2(value, grad, hess)`` symmetrizes the Hessian (plain
+    transpose, not conjugate).  The operations build their results through
+    the private ``_symmetric=True`` path, which keeps the Hessian as given:
+    sums, scalings, the reciprocal and the chain rule map exactly symmetric
+    Hessians to exactly symmetric ones (g_a g_b = g_b g_a bitwise).  The jet
+    product alone symmetrizes, since its sum (u h' + u' h + g g'^T) + g' g^T
+    rounds differently above and below the diagonal.
+
+    ``hess`` is None on a first-order jet (``order`` 1): it holds the value
+    and the gradient only, each bitwise what the second-order jet holds.  An
+    operation on two jets of different orders raises ContractViolationError.
 
     Shapes: at one point ``value`` is a scalar, ``grad`` is (n,) and ``hess``
     is (n, n).  A batch of N points adds a trailing sample axis: ``value`` is
@@ -70,31 +89,39 @@ class Jet2:
     # a per-sample array reaches the reflected operator
     __array_ufunc__ = None
 
-    def __init__(self, value, grad, hess):
+    def __init__(self, value, grad, hess=None, _symmetric=False):
         self.value = value
         self.grad = np.asarray(grad)
-        h = np.asarray(hess)
-        self.hess = 0.5 * (h + h.swapaxes(0, 1))
+        if hess is not None and not _symmetric:
+            h = np.asarray(hess)
+            hess = 0.5 * (h + h.swapaxes(0, 1))
+        self.hess = hess
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def variable(cls, value, index: int, dim: int) -> "Jet2":
+    def variable(cls, value, index: int, dim: int, order: int = 2) -> "Jet2":
         """Seed jet for the ``index``-th of ``dim`` chart coordinates;
         ``value`` may be an (N,) array of sample values."""
         batch = np.shape(value)
         g = np.zeros((dim,) + batch)
         g[index] = 1.0
-        return cls(value, g, np.zeros((dim, dim) + batch))
+        return cls(value, g, _zero_hessian(dim, batch, order), _symmetric=True)
 
     @classmethod
-    def constant(cls, value, dim: int) -> "Jet2":
+    def constant(cls, value, dim: int, order: int = 2) -> "Jet2":
         batch = np.shape(value)
-        return cls(value, np.zeros((dim,) + batch), np.zeros((dim, dim) + batch))
+        hess = _zero_hessian(dim, batch, order)
+        return cls(value, np.zeros((dim,) + batch), hess, _symmetric=True)
 
     @property
     def dim(self) -> int:
         return self.grad.shape[0]
+
+    @property
+    def order(self) -> int:
+        """1 for a first-order jet, 2 for one that carries its Hessian."""
+        return 1 if self.hess is None else 2
 
     def __repr__(self) -> str:
         return f"Jet2({self.value!r}, grad={self.grad!r})"
@@ -106,6 +133,10 @@ class Jet2:
             if other.grad.shape != self.grad.shape:
                 raise ContractViolationError(
                     f"jet shapes differ: {self.grad.shape} vs {other.grad.shape}"
+                )
+            if (other.hess is None) != (self.hess is None):
+                raise ContractViolationError(
+                    f"jet orders differ: {self.order} vs {other.order}"
                 )
             return other
         if isinstance(other, numbers.Number):
@@ -126,21 +157,24 @@ class Jet2:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet2(self.value + other, self.grad, self.hess)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+            return Jet2(self.value + other, self.grad, self.hess, _symmetric=True)
+        hess = None if self.hess is None else self.hess + o.hess
+        return Jet2(self.value + o.value, self.grad + o.grad, hess, _symmetric=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        hess = None if self.hess is None else -self.hess
+        return Jet2(-self.value, -self.grad, hess, _symmetric=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet2(self.value - other, self.grad, self.hess)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+            return Jet2(self.value - other, self.grad, self.hess, _symmetric=True)
+        hess = None if self.hess is None else self.hess - o.hess
+        return Jet2(self.value - o.value, self.grad - o.grad, hess, _symmetric=True)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -150,11 +184,16 @@ class Jet2:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            return Jet2(self.value * other, self.grad * other, self.hess * other)
+            hess = None if self.hess is None else self.hess * other
+            return Jet2(self.value * other, self.grad * other, hess, _symmetric=True)
+        value = self.value * o.value
+        grad = self.value * o.grad + o.value * self.grad
+        if self.hess is None:
+            return Jet2(value, grad)
         og = _outer(self.grad, o.grad)
         return Jet2(
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
+            value,
+            grad,
             self.value * o.hess + o.value * self.hess + og + og.swapaxes(0, 1),
         )
 
@@ -164,9 +203,12 @@ class Jet2:
         v = self.value
         if (np.any(v == 0) if isinstance(v, np.ndarray) else v == 0):
             raise JetSingularityError("jet singularity: reciprocal of zero value")
-        og = _outer(self.grad, self.grad)
         v2 = _pow(v, 2)
-        return Jet2(1.0 / v, -self.grad / v2, -self.hess / v2 + 2.0 * og / _pow(v, 3))
+        if self.hess is None:
+            return Jet2(1.0 / v, -self.grad / v2)
+        og = _outer(self.grad, self.grad)
+        hess = -self.hess / v2 + 2.0 * og / _pow(v, 3)
+        return Jet2(1.0 / v, -self.grad / v2, hess, _symmetric=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -189,24 +231,23 @@ class Jet2:
             if k == 0:
                 v = self.value
                 one = np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
-                return Jet2.constant(one, self.dim)
+                return Jet2.constant(one, self.dim, self.order)
             if k == 1:
-                return Jet2(self.value, self.grad, self.hess)
+                return Jet2(self.value, self.grad, self.hess, _symmetric=True)
             if k < 0:
                 return self._reciprocal() ** (-k)
             v = self.value
-            return _chain(
-                self, _pow(v, k), k * _pow(v, k - 1), k * (k - 1) * _pow(v, k - 2)
-            )
+            # the second derivative is a per-sample power loop: skip it at order 1
+            f2 = None if self.hess is None else k * (k - 1) * _pow(v, k - 2)
+            return _chain(self, _pow(v, k), k * _pow(v, k - 1), f2)
         if isinstance(k, numbers.Real):
             v = self.value
             if not _positive_real(v):
                 raise ContractViolationError(
                     "non-integer powers need a positive real jet value"
                 )
-            return _chain(
-                self, _pow(v, k), k * _pow(v, k - 1.0), k * (k - 1.0) * _pow(v, k - 2.0)
-            )
+            f2 = None if self.hess is None else k * (k - 1.0) * _pow(v, k - 2.0)
+            return _chain(self, _pow(v, k), k * _pow(v, k - 1.0), f2)
         return NotImplemented
 
 
@@ -224,6 +265,13 @@ def _outer(g, h):
     return g[:, None] * h[None, :]
 
 
+def _zero_hessian(dim: int, batch: tuple, order: int):
+    """The Hessian of a seed or a constant: zeros at order 2, None at 1."""
+    if order not in (1, 2):
+        raise ContractViolationError(f"jet order must be 1 or 2, got {order}")
+    return np.zeros((dim, dim) + batch) if order == 2 else None
+
+
 def _positive_real(v) -> bool:
     if isinstance(v, np.ndarray):
         return np.isrealobj(v) and bool(np.all(v > 0))
@@ -231,9 +279,12 @@ def _positive_real(v) -> bool:
 
 
 def _chain(u: Jet2, f0, f1, f2) -> Jet2:
-    """Second-order chain rule for a scalar function applied to a jet."""
+    """Chain rule for a scalar function applied to a jet, to the jet's order
+    (``f2`` is not read at order 1)."""
+    if u.hess is None:
+        return Jet2(f0, f1 * u.grad)
     og = _outer(u.grad, u.grad)
-    return Jet2(f0, f1 * u.grad, f1 * u.hess + f2 * og)
+    return Jet2(f0, f1 * u.grad, f1 * u.hess + f2 * og, _symmetric=True)
 
 
 def exp(x):
@@ -276,16 +327,17 @@ def cos(x):
     return np.cos(x)
 
 
-def seed_point(coords: Sequence[float]) -> list[Jet2]:
+def seed_point(coords: Sequence[float], order: int = 2) -> list[Jet2]:
     """Seed one jet per coordinate of a chart point.
 
     ``coords`` is one point of shape (n,) or a batch of shape (N, n); a batch
-    gives jets with a trailing sample axis (see ``Jet2``).
+    gives jets with a trailing sample axis (see ``Jet2``).  ``order`` 1 seeds
+    first-order jets, for callers that read no second derivative.
     """
     pts = np.asarray(coords, dtype=float)
     n = pts.shape[-1]
     values = pts.tolist() if pts.ndim == 1 else np.ascontiguousarray(pts.T)
-    return [Jet2.variable(c, i, n) for i, c in enumerate(values)]
+    return [Jet2.variable(c, i, n, order) for i, c in enumerate(values)]
 
 
 def as_jet(x, dim: int) -> Jet2:
@@ -320,9 +372,10 @@ def jet_det(rows) -> "Jet2 | float":
 
 class JetMatrix:
     """Matrix with jet entries, stored batched: values (r,c), grad (r,c,n),
-    hess (r,c,n,n).  Matrix products use the exact jet product rule via a
-    handful of einsums instead of r*c*k individual jet multiplications;
-    this is what makes jet-valued variational flows affordable.
+    hess (r,c,n,n), or hess None for first-order entries.  Matrix products
+    use the exact jet product rule via a handful of einsums instead of r*c*k
+    individual jet multiplications; this is what makes jet-valued
+    variational flows affordable.
     """
 
     __slots__ = ("values", "grad", "hess")
@@ -330,31 +383,39 @@ class JetMatrix:
     # keep ndarray @ JetMatrix from being swallowed by numpy's matmul
     __array_ufunc__ = None
 
-    def __init__(self, values, grad, hess):
+    def __init__(self, values, grad, hess=None):
         self.values = np.asarray(values)
         self.grad = np.asarray(grad)
-        h = np.asarray(hess)
-        self.hess = 0.5 * (h + h.transpose(0, 1, 3, 2))
+        if hess is not None:
+            h = np.asarray(hess)
+            hess = 0.5 * (h + h.transpose(0, 1, 3, 2))
+        self.hess = hess
 
     @classmethod
-    def constant(cls, m, dim: int) -> "JetMatrix":
+    def constant(cls, m, dim: int, order: int = 2) -> "JetMatrix":
         m = np.asarray(m, dtype=float)
         r, c = m.shape
-        return cls(m, np.zeros((r, c, dim)), np.zeros((r, c, dim, dim)))
+        hess = _zero_hessian(dim, (), order)
+        return cls(m, np.zeros((r, c, dim)), None if hess is None else np.zeros((r, c) + hess.shape))
 
     @classmethod
     def from_entries(cls, rows, dim: int) -> "JetMatrix":
+        """The entries' order is that of their jets, which must agree."""
+        orders = {e.order for row in rows for e in row if isinstance(e, Jet2)}
+        if len(orders) > 1:
+            raise ContractViolationError("jet entries of different orders")
         r, c = len(rows), len(rows[0])
         values = np.zeros((r, c))
         grad = np.zeros((r, c, dim))
-        hess = np.zeros((r, c, dim, dim))
+        hess = None if orders == {1} else np.zeros((r, c, dim, dim))
         for i in range(r):
             for j in range(c):
                 e = rows[i][j]
                 if isinstance(e, Jet2):
                     values[i, j] = e.value
                     grad[i, j] = e.grad
-                    hess[i, j] = e.hess
+                    if hess is not None:
+                        hess[i, j] = e.hess
                 else:
                     values[i, j] = e
         return cls(values, grad, hess)
@@ -363,20 +424,33 @@ class JetMatrix:
     def dim(self) -> int:
         return self.grad.shape[2]
 
+    @property
+    def order(self) -> int:
+        return 1 if self.hess is None else 2
+
     def entry(self, i: int, j: int) -> Jet2:
-        return Jet2(self.values[i, j], self.grad[i, j], self.hess[i, j])
+        hess = None if self.hess is None else self.hess[i, j]
+        return Jet2(self.values[i, j], self.grad[i, j], hess, _symmetric=True)
 
     def to_entries(self) -> list[list[Jet2]]:
         r, c = self.values.shape
         return [[self.entry(i, j) for j in range(c)] for i in range(r)]
 
+    def _same_order(self, other: "JetMatrix") -> bool:
+        """Whether both carry Hessians; raises when the orders differ."""
+        if (self.hess is None) != (other.hess is None):
+            raise ContractViolationError(
+                f"jet matrix orders differ: {self.order} vs {other.order}"
+            )
+        return self.hess is not None
+
     def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        return JetMatrix(
-            self.values + other.values, self.grad + other.grad, self.hess + other.hess
-        )
+        hess = self.hess + other.hess if self._same_order(other) else None
+        return JetMatrix(self.values + other.values, self.grad + other.grad, hess)
 
     def scale(self, a: float) -> "JetMatrix":
-        return JetMatrix(a * self.values, a * self.grad, a * self.hess)
+        hess = None if self.hess is None else a * self.hess
+        return JetMatrix(a * self.values, a * self.grad, hess)
 
     def __matmul__(self, other):
         if isinstance(other, JetMatrix):
@@ -384,6 +458,8 @@ class JetMatrix:
             g = np.einsum("ikn,kj->ijn", self.grad, other.values) + np.einsum(
                 "ik,kjn->ijn", self.values, other.grad
             )
+            if not self._same_order(other):
+                return JetMatrix(v, g)
             cross = np.einsum("ika,kjb->ijab", self.grad, other.grad)
             h = (
                 np.einsum("ikab,kj->ijab", self.hess, other.values)
@@ -393,18 +469,16 @@ class JetMatrix:
             )
             return JetMatrix(v, g, h)
         other = np.asarray(other)
+        hess = None if self.hess is None else np.einsum("ikab,kj->ijab", self.hess, other)
         return JetMatrix(
-            self.values @ other,
-            np.einsum("ikn,kj->ijn", self.grad, other),
-            np.einsum("ikab,kj->ijab", self.hess, other),
+            self.values @ other, np.einsum("ikn,kj->ijn", self.grad, other), hess
         )
 
     def __rmatmul__(self, other):
         other = np.asarray(other)
+        hess = None if self.hess is None else np.einsum("ik,kjab->ijab", other, self.hess)
         return JetMatrix(
-            other @ self.values,
-            np.einsum("ik,kjn->ijn", other, self.grad),
-            np.einsum("ik,kjab->ijab", other, self.hess),
+            other @ self.values, np.einsum("ik,kjn->ijn", other, self.grad), hess
         )
 
 

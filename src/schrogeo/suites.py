@@ -476,7 +476,7 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
                 keep = np.abs(den) >= 0.2
                 if not keep.any():
                     continue
-                _, jac, _ = jet_components(
+                _, jac = jet_components(
                     lambda x, ge=ge: projective_action(ge, x), pts[keep]
                 )
                 used += int(keep.sum())
@@ -523,14 +523,15 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
 # homogeneous
 
 
-def _over_grid(d: int, couplings: list, pts: np.ndarray, fn) -> list:
-    """``fn(config, points, part)`` on each budgeted pass over ``couplings``
-    (see ``hg.coupling_passes``) at the shared points ``pts``: ``points``
+def _over_grid(d: int, couplings: list, pts: np.ndarray, order: int, fn) -> list:
+    """``fn(config, points, part)`` on each pass over ``couplings``, budgeted
+    for a check that reads derivatives up to ``order`` (see
+    ``hg.coupling_passes``), at the shared points ``pts``: ``points``
     repeats ``pts`` once per coupling of the pass, ``config`` stacks the
     couplings over them, and ``part`` is the slice of ``couplings`` the pass
     holds.  Returns the passes' results in coupling order."""
     out = []
-    for part in hg.coupling_passes(d, len(couplings), len(pts)):
+    for part in hg.coupling_passes(d, len(couplings), len(pts), order):
         held = len(couplings[part])
         mc = hg.coupling_config(d, couplings[part], len(pts))
         try:
@@ -567,7 +568,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
                 w = v[part].reshape(-1, 2, d + 3)
                 return hg.induced_metric(mc, x, w[:, 0], w[:, 1])["difference"]
 
-            return judged(max_entry(*_over_grid(d, grid, pts, diff)), 1e-10)
+            return judged(max_entry(*_over_grid(d, grid, pts, 1, diff)), 1e-10)
 
         @check(f"{base}_clock", "ambient clock equals the chart clock")
         def clock(seed):
@@ -578,7 +579,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             def diff(mc, x, part):
                 return hg.theta_hat(mc, x, v[part].reshape(-1, d + 3))["difference"]
 
-            return judged(max_entry(*_over_grid(d, first_mu, pts, diff)), 1e-10)
+            return judged(max_entry(*_over_grid(d, first_mu, pts, 1, diff)), 1e-10)
 
         @check(f"{base}_signature", "every grid metric is Lorentzian")
         def signature(seed):
@@ -586,6 +587,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
                 d,
                 grid,
                 grid_points(seed),
+                0,
                 lambda mc, x, _: hg.negative_eigenvalue_count(mc, x),
             )
             return judged(float(sum(int((c != 1).sum()) for c in counts)), 0.5)
@@ -599,7 +601,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
                 res = hg.xi_hat_consistency(mc, x)
                 return max_entry(res["pushforward"], res["nullity"], res["killing"])
 
-            worst = max_entry(*_over_grid(d, grid, grid_points(seed), parts))
+            worst = max_entry(*_over_grid(d, grid, grid_points(seed), 1, parts))
             return judged(worst, 1e-10)
 
         @check(
@@ -612,7 +614,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
                 vanish = np.abs(computed).reshape(len(undeformed[part]), -1).max(axis=1)
                 return np.abs(computed - predicted), vanish
 
-            runs = _over_grid(d, undeformed, grid_points(seed), residuals)
+            runs = _over_grid(d, undeformed, grid_points(seed), 2, residuals)
             identity = max_entry(*(r for r, _ in runs))
             vanish = np.concatenate([v for _, v in runs]).tolist()
             ok = all(
@@ -633,7 +635,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
             def residual(mc, x, _):
                 return np.abs(hg.nullfluid_residual(mc, x)[0])
 
-            worst = max_entry(*_over_grid(d, grid, grid_points(seed), residual))
+            worst = max_entry(*_over_grid(d, grid, grid_points(seed), 2, residual))
             return judged(worst, cfg.tol)
 
         @check(
@@ -703,6 +705,7 @@ def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
                 d,
                 first_mu,
                 grid_points(seed),
+                1,
                 lambda mc, x, _: hg.integrability_residual(mc, x),
             )
             return judged(max_entry(*residuals), 1e-12)
@@ -759,7 +762,7 @@ def _suite_axioms(cfg: SuiteConfig) -> list[CheckResult]:
     grid = [(lam, mu) for lam in cfg.lams for mu in cfg.mus]
     for d in cfg.dims:
         names = [f"axioms_d{d}_lam{lam:g}_mu{mu:g}" for lam, mu in grid]
-        for part in hg.coupling_passes(d, len(grid), samples):
+        for part in hg.coupling_passes(d, len(grid), samples, 2):
             try:
                 reports = hg.schrodinger_axiom_audit(
                     hg.coupling_config(d, grid[part], samples),

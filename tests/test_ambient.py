@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from schrogeo import ambient
 from schrogeo.ambient import (
     SchBlocks,
     _pade_order,
@@ -235,6 +236,39 @@ class TestGroup:
         with pytest.raises(StabilizerConstraintError) as exc:
             assemble_group_element(bad, d)
         assert exc.value.index == 3
+
+    # every guard fails a NaN residual: nan > tol is False, so each reads
+    # ~(residual <= tol)
+
+    def test_nan_entry_fails_the_block_constraints(self):
+        d = 2
+        A = random_group_element(d, np.random.default_rng(8)).matrix.copy()
+        A[0, 0] = np.nan
+        with pytest.raises(StabilizerConstraintError):
+            assemble_group_element(extract_blocks(A, d), d)
+
+    def test_nan_outside_the_block_pattern_is_drift(self, monkeypatch):
+        d = 2
+        n = d + 2
+
+        def polluted(Z):
+            A = exp_algebra(Z)
+            A[n + 1, n] = np.nan  # an entry extract_blocks never reads
+            return A
+
+        monkeypatch.setattr(ambient, "exp_algebra", polluted)
+        with pytest.raises(ContractViolationError, match="block pattern"):
+            ambient.random_group_elements(d, np.random.default_rng(2), 3)
+
+    def test_nan_vertical_residual_is_refused(self):
+        d = 2
+        blocks = random_algebra_element(d, np.random.default_rng(4)).blocks
+        with pytest.raises(ContractViolationError, match="Lam xi"):
+            realize_field(SchBlocks(blocks.Lam, blocks.Gam, blocks.alpha, np.nan), d)
+        Z = sch_matrix(blocks, d)
+        Z[0, 0] = np.nan
+        with pytest.raises(ContractViolationError):
+            decompose_sch(Z, d)
 
     def test_exponential_of_translation_terminates(self):
         d = 2

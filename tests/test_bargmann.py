@@ -183,7 +183,7 @@ class TestExpansionMaps:
         ge = random_group_element(d, rng, scale=0.3)
         phi = group_map(ge)
         for p in ([0.2, -0.3, 0.4, 0.1], [-0.1, 0.5, 0.0, 0.3]):
-            _, jac_inv, _ = jet_components(phi.inverse, p)
+            _, jac_inv = jet_components(phi.inverse, p)
             oracle = abs(np.linalg.det(jac_inv.real))
             claimed = float(nk.jet_value(phi.jacobian_factor(list(p))))
             assert claimed == pytest.approx(oracle, rel=1e-9)

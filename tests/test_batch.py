@@ -210,10 +210,12 @@ class TestBatchedGeometry:
         cfg = SchrodingerManifoldConfig(2, -0.7, 1.5)
         pts = bulk_points(2, 5)
         fn = lambda q: embed_components(cfg, q)  # noqa: E731
-        vals, jac, hess = jet_components(fn, pts)
-        assert (vals.shape, jac.shape, hess.shape) == ((5, 6), (5, 6, 5), (5, 6, 5, 5))
+        batch = jet_components(fn, pts)
+        assert [a.shape for a in batch] == [(5, 6), (5, 6, 5)]
         for k, p in enumerate(pts):
-            for a, b in zip((vals, jac, hess), jet_components(fn, p)):
+            single = jet_components(fn, p)
+            assert len(single) == 2
+            for a, b in zip(batch, single):
                 assert np.array_equal(a[k], b)
 
     def test_gram_values_on_a_batch(self):
@@ -331,7 +333,7 @@ def sequential_isometry(cfg, A, samples, seed, tol=1e-8):
         )
         zy_r = max(zy_r, float(np.abs(Z0 @ (A @ ep.Y)).max()))
         try:
-            vals, jac, _ = jet_components(moved, p)
+            vals, jac = jet_components(moved, p)
         except ChartEscapeError:
             escapes += 1
             continue
@@ -535,7 +537,7 @@ def sequential_transport(phi, psi, structure, params, samples, seed, weight=None
     moved = bg.transported_density(phi, psi, weight=weight)
     r1 = r2 = conf = 0.0
     for p in sampler.points(samples):
-        vals, jac, _ = jet_components(phi.forward, p)
+        vals, jac = jet_components(phi.forward, p)
         q = vals.real
         g_here = gram_values(structure.metric, p)
         pulled = jac.real.T @ gram_values(structure.metric, q) @ jac.real
@@ -572,8 +574,8 @@ def sequential_bracket_fields(e1, e2, d, p):
     that point alone."""
     v1, _ = realize_field(e1.blocks, d)
     v2, _ = realize_field(e2.blocks, d)
-    vv, vj, _ = jet_components(v1.components, p)
-    wv, wj, _ = jet_components(v2.components, p)
+    vv, vj = jet_components(v1.components, p)
+    wv, wj = jet_components(v2.components, p)
     fb = np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
     vm, _ = realize_field(decompose_sch(m, d, validate=False), d)

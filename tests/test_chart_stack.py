@@ -174,9 +174,9 @@ def counting(monkeypatch):
     counts = {"init": 0, "reciprocal": 0}
     init, reciprocal = Jet2.__init__, Jet2._reciprocal
 
-    def counted_init(self, *args):
+    def counted_init(self, *args, **kwargs):
         counts["init"] += 1
-        init(self, *args)
+        init(self, *args, **kwargs)
 
     def counted_reciprocal(self):
         counts["reciprocal"] += 1

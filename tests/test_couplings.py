@@ -3,6 +3,7 @@ batch must give, sample by sample, what each coupling's own float config
 gives, and the suites that stack the (lam, mu) grid into budgeted jet passes
 must file the same records as one pass per coupling."""
 
+import itertools
 import json
 import math
 
@@ -142,11 +143,13 @@ class TestCouplingBatchedBitwise:
         clock = jet_components(hg.theta_hat_form(mc).components, x)
         embed = jet_components(lambda q: hg.embed_components(mc, q), x)
         embed_values = component_values(lambda q: hg.embed_components(mc, q), x)
+        assert len(clock) == len(embed) == 2
         for c, (lam, mu) in enumerate(GRID):
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
             rows = slice(c * N, (c + 1) * N)
             for g, w in zip(jets, gram_jets(hg.bulk_metric(one), pts)):
                 assert same_values(g[rows], w)
+            # clock and embedding: vals and jac, bit for bit
             for got, want in (
                 (clock, jet_components(hg.theta_hat_form(one).components, pts)),
                 (embed, jet_components(lambda q: hg.embed_components(one, q), pts)),
@@ -245,9 +248,10 @@ def test_config_rejects_mismatched_or_positive_couplings():
 @pytest.mark.parametrize("samples", [5, 20, 80])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_passes_hold_whole_couplings_within_the_budget(d, samples):
-    per_coupling = samples * (d + 3) ** 4
-    for count in (1, 3, 16, 40):
-        parts = hg.coupling_passes(d, count, samples)
+    for order, count in itertools.product((0, 1, 2), (1, 3, 16, 40)):
+        # the largest derivative array of a pass: N n^(2 + order) entries
+        per_coupling = samples * (d + 3) ** (2 + order)
+        parts = hg.coupling_passes(d, count, samples, order)
         held = [list(range(count)[p]) for p in parts]
         # every coupling in exactly one pass, in order
         assert [i for h in held for i in h] == list(range(count))
@@ -266,7 +270,7 @@ def test_passes_hold_whole_couplings_within_the_budget(d, samples):
      (6, 5, 1), (8, 5, 1)],
 )
 def test_pass_sizes_of_the_benchmarked_grids(d, samples, per_pass):
-    parts = hg.coupling_passes(d, 16, samples)
+    parts = hg.coupling_passes(d, 16, samples, 2)
     assert len(range(16)[parts[0]]) == per_pass
 
 
