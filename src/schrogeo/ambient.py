@@ -136,6 +136,13 @@ def flat_chart(d: int) -> Chart:
     return Chart(names)
 
 
+def _chart_square(x):
+    """g(x, x) of the d + 2 flat chart coordinates ``x`` (jets, numbers or
+    (N,) arrays): the spatial squares in order, then 2 t s."""
+    d = len(x) - 2
+    return sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
+
+
 def flat_metric(d: int) -> MetricField:
     g = flat_gram_matrix(d)
     rows = [[float(g[i, j]) for j in range(d + 2)] for i in range(d + 2)]
@@ -517,8 +524,8 @@ def realize_field(blocks: SchBlocks, d: int):
 
     def comps(x):
         t = x[d]
-        xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
-        rows = _affine_rows(x, d, gam, lam, 0.5 * alpha * xx, rate=alpha * t + chi)
+        quad = 0.5 * alpha * _chart_square(x)
+        rows = _affine_rows(x, d, gam, lam, quad, rate=alpha * t + chi)
         return _unstack_rows(rows)
 
     def fiber_rate(x):
@@ -917,8 +924,7 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     v = jet_value(den)
     if (np.any(np.abs(v) <= guard) if isinstance(v, np.ndarray) else abs(v) <= guard):
         raise ChartEscapeError("projective denominator vanished")
-    xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
-    rows = _affine_rows(x, d, blocks.C, blocks.L, 0.5 * blocks.a * xx)
+    rows = _affine_rows(x, d, blocks.C, blocks.L, 0.5 * blocks.a * _chart_square(x))
     if isinstance(den, Jet2):
         # jet division multiplies by the reciprocal: one for every row
         rows = rows * _over_rows(den._reciprocal(), rows)
@@ -932,10 +938,8 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
 
 def cone_point(x, r):
     """Null-cone representative (x/r, -g(x,x)/(2r), 1/r) of a chart point."""
-    d = len(x) - 2
-    xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
     inv = 1.0 / r
-    return [xi * inv for xi in x] + [-0.5 * xx * inv, inv]
+    return [xi * inv for xi in x] + [-0.5 * _chart_square(x) * inv, inv]
 
 
 # ---------------------------------------------------------------------------

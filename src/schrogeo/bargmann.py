@@ -26,11 +26,17 @@ import numpy as np
 from . import numkernel as nk
 from .ambient import (
     GroupElement,
+    SchBlocks,
+    assemble_group_element,
+    exp_algebra,
+    extract_blocks,
     flat_chart,
     flat_gram_matrix,
     flat_metric,
+    group_inverse,
     projective_action,
     realize_field,
+    sch_matrix,
     xi_vector,
 )
 from .geometry import (
@@ -45,7 +51,7 @@ from .geometry import (
     jet_components,
     yamabe_and_divergence,
 )
-from .numkernel import ContractViolationError, Jet2, JetMatrix, jet_det, jet_value
+from .numkernel import ContractViolationError, Jet2, JetMatrix, jet_det, jet_value, sparse_dot
 from .report import CheckResult, judged
 
 __all__ = [
@@ -129,19 +135,10 @@ def flat_bargmann(d: int) -> BargmannStructure:
 def metric_clock(structure: BargmannStructure) -> OneForm:
     """theta = g(xi, .) computed from the metric, jet-evaluable."""
     metric, xi = structure.metric, structure.xi
-    n = metric.chart.dim
 
     def comps(p):
-        rows = metric.gram(p)
         xiv = xi.components(p)
-        out = []
-        for a in range(n):
-            val = None
-            for b in range(n):
-                term = rows[a][b] * xiv[b]
-                val = term if val is None else val + term
-            out.append(val)
-        return out
+        return [sparse_dot(row, xiv) for row in metric.gram(p)]
 
     return OneForm(metric.chart, comps)
 
@@ -318,17 +315,11 @@ def _linear_map(name: str, d: int, W: np.ndarray, shift=None) -> ChartMap:
     jac = abs(float(np.linalg.det(Winv)))
 
     def forward(x):
-        return [
-            sum(W[a, b] * x[b] for b in range(n) if W[a, b] != 0.0) + shift[a]
-            for a in range(n)
-        ]
+        return [sparse_dot(W[a], x) + shift[a] for a in range(n)]
 
     def inverse(x):
         y = [x[a] - shift[a] for a in range(n)]
-        return [
-            sum(Winv[a, b] * y[b] for b in range(n) if Winv[a, b] != 0.0)
-            for a in range(n)
-        ]
+        return [sparse_dot(Winv[a], y) for a in range(n)]
 
     def jacobian_factor(x):
         return jac
@@ -365,8 +356,6 @@ def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
     inverse element; that closed form is what makes the transported
     coefficient jet-evaluable to second order.
     """
-    from .ambient import group_inverse
-
     d = ge.dim
     gi = group_inverse(ge)
     a_i, e_i = gi.blocks.a, gi.blocks.e
@@ -386,8 +375,6 @@ def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
 
 def expansion_map_projective(d: int, alpha: float) -> ChartMap:
     """Projective form of the finite expansion exp(alpha E)."""
-    from .ambient import assemble_group_element, commutant_basis, exp_algebra, extract_blocks
-
     Z = _expansion_generator(d, alpha)
     A = exp_algebra(Z)
     ge = assemble_group_element(extract_blocks(A, d), d)
@@ -395,8 +382,6 @@ def expansion_map_projective(d: int, alpha: float) -> ChartMap:
 
 
 def _expansion_generator(d: int, alpha: float) -> np.ndarray:
-    from .ambient import SchBlocks, sch_matrix
-
     n = d + 2
     blocks = SchBlocks(
         Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=alpha, chi=0.0
@@ -415,15 +400,14 @@ def _field_jacobian_rows(blocks, d: int, x) -> list[list]:
     lam, alpha, chi = blocks.Lam, blocks.alpha, blocks.chi
     xi = xi_vector(d)
     g = flat_gram_matrix(d)
+    gx = [sparse_dot(g[b], x) for b in range(n)]
     t = x[d]
     rows = []
     for a in range(n):
         row = []
         for b in range(n):
             # d/dx_b of [Lam x + Gam - (alpha/2) g(x,x) xi + (alpha t + chi) x]_a
-            val = lam[a, b] - alpha * xi[a] * sum(
-                g[b, c] * x[c] for c in range(n) if g[b, c] != 0.0
-            )
+            val = lam[a, b] - alpha * xi[a] * gx[b]
             if a == b:
                 val = val + alpha * t + chi
             if b == d:
@@ -495,8 +479,6 @@ def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
     The neutral path for the one non-affine generator: forward and inverse
     flows by RK4, Jacobian determinant from the variational flow.
     """
-    from .ambient import SchBlocks
-
     n = d + 2
     blocks = SchBlocks(Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=alpha, chi=0.0)
     fwd = flow_map_rk4(blocks, d, 1.0, step=step)

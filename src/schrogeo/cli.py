@@ -58,7 +58,9 @@ def _build_parser() -> _Parser:
         action="append",
         type=int,
         metavar="N",
-        help="spatial dimension, repeatable (default 1 2 3)",
+        help="spatial dimension, repeatable (default "
+        + " ".join(map(str, SuiteConfig.dims))
+        + ")",
     )
     parser.add_argument(
         "--lambda",
@@ -149,13 +151,13 @@ def _as_tuple(value, cast) -> tuple:
     return (cast(value),)
 
 
-def _grid(flag_values, data: dict, key: str, cast, default: tuple) -> tuple:
-    # precedence: flags, then config file, then the built-in default
+def _grid(flag_values, data: dict, key: str, cast):
+    # precedence: flags, then config file; None leaves SuiteConfig's default
     if flag_values:
         return tuple(flag_values)
     if key in data:
         return _as_tuple(data[key], cast)
-    return default
+    return None
 
 
 def _build_config(args) -> SuiteConfig:
@@ -165,10 +167,6 @@ def _build_config(args) -> SuiteConfig:
     if suite is None:
         raise _UsageError("a suite name is required (argument or config file)")
 
-    dims = _grid(args.dim, data, "dim", int, (1, 2, 3))
-    lams = _grid(args.lam, data, "lambda", float, (-2.0, -1.0, -0.5, -0.3))
-    mus = _grid(args.mu, data, "mu", float, (-1.0, 0.0, 1.0, 2.0))
-
     seed = args.seed
     if seed is None and ENV_SEED in os.environ:
         raw = os.environ[ENV_SEED]
@@ -177,19 +175,20 @@ def _build_config(args) -> SuiteConfig:
         except ValueError as exc:
             raise ConfigError(f"${ENV_SEED} must be an integer, got {raw!r}") from exc
     if seed is None:
-        seed = data.get("seed", 42)
+        seed = data.get("seed")
 
-    return SuiteConfig(
-        suite=suite,
-        dims=dims,
-        lams=lams,
-        mus=mus,
-        samples=args.samples if args.samples is not None else data.get("samples", 20),
-        seed=seed,
-        tol=args.tol if args.tol is not None else data.get("tol", 1e-8),
-        fmt=args.format or data.get("format", "text"),
-        out=args.out or data.get("out"),
-    )
+    # what no flag, environment or file sets keeps the SuiteConfig default
+    fields = {
+        "dims": _grid(args.dim, data, "dim", int),
+        "lams": _grid(args.lam, data, "lambda", float),
+        "mus": _grid(args.mu, data, "mu", float),
+        "samples": args.samples if args.samples is not None else data.get("samples"),
+        "seed": seed,
+        "tol": args.tol if args.tol is not None else data.get("tol"),
+        "fmt": args.format or data.get("format"),
+        "out": args.out or data.get("out"),
+    }
+    return SuiteConfig(suite, **{k: v for k, v in fields.items() if v is not None})
 
 
 def main(argv=None) -> int:

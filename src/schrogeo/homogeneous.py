@@ -43,8 +43,8 @@ from .ambient import (
     assemble_group_element,
     build_Z0,
     commutant_basis,
+    flat_chart,
     flat_gram_matrix,
-    sch_dimension,
     xi_vector,
 )
 from .geometry import (
@@ -61,7 +61,7 @@ from .geometry import (
     lie_derivative_metric,
     ricci_scalar,
 )
-from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace
+from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace, sparse_dot
 from .report import CheckResult, judged
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "EmbeddedPoint",
     "SchrodingerManifoldConfig",
     "audit_points",
-    "boundary_chart",
     "boundary_embed_components",
     "boundary_f0",
     "boundary_isotropy_element",
@@ -272,7 +271,10 @@ def bulk_chart(d: int) -> Chart:
 
 
 def _flat_square(d: int, x) -> object:
-    # g(x, x) on the d+2 flat block: spatial squares plus twice t*s
+    # g(x, x) on the d+2 flat block: twice t*s, then the spatial squares.
+    # ambient._chart_square adds the same terms in the other order; the bulk
+    # and boundary residuals are pinned to this order's rounding, so the two
+    # stay separate.
     out = x[d] * x[d + 1] * 2.0
     for i in range(d):
         out = out + x[i] * x[i]
@@ -618,16 +620,7 @@ def isometry_check(
 
     def moved(q):
         comps = embed_components(cfg, q)
-        mixed = []
-        for a_idx in range(d + 4):
-            val = None
-            for b_idx in range(d + 4):
-                coeff = A[a_idx, b_idx]
-                if coeff != 0.0:
-                    term = coeff * comps[b_idx]
-                    val = term if val is None else val + term
-            mixed.append(0.0 if val is None else val)
-        return chart_from_ambient(cfg, mixed)
+        return chart_from_ambient(cfg, [sparse_dot(row, comps) for row in A])
 
     metric_r = quadric_r = zy_r = 0.0
     used = escapes = 0
@@ -773,11 +766,6 @@ def isotropy_check(
 # the boundary: projectivized null cone
 
 
-def boundary_chart(d: int) -> Chart:
-    names = tuple(f"x{i + 1}" for i in range(d)) + ("t", "s")
-    return Chart(names)
-
-
 def boundary_embed_components(d: int, p: Sequence) -> list:
     """Normalized ray representative (x; t; s; -g(x,x)/2; 1), jet-friendly."""
     xx = _flat_square(d, p)
@@ -789,15 +777,7 @@ def _section_jacobian(d: int, p: Sequence) -> list[list]:
     g = flat_gram_matrix(d)
     n = d + 2
     rows = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
-    grad = []
-    for a in range(n):
-        val = None
-        for b in range(n):
-            if g[a, b] != 0.0:
-                term = g[a, b] * p[b]
-                val = term if val is None else val + term
-        grad.append(-val)
-    rows.append(grad)
+    rows.append([-sparse_dot(g[a], p) for a in range(n)])
     rows.append([0.0] * n)
     return rows
 
@@ -807,18 +787,15 @@ def boundary_f0(d: int, X) -> object:
     directions that build Z0."""
     sn = build_Z0(d)
     G = ambient_gram(d)
-    gp = G @ sn.P
-    gq = G @ sn.Q
-    xp = None
-    xq = None
-    for a in range(d + 4):
-        if gp[a] != 0.0:
-            term = gp[a] * X[a]
-            xp = term if xp is None else xp + term
-        if gq[a] != 0.0:
-            term = gq[a] * X[a]
-            xq = term if xq is None else xq + term
+    xp = sparse_dot(G @ sn.P, X)
+    xq = sparse_dot(G @ sn.Q, X)
     return xp * xp + xq * xq
+
+
+def _over_f0(val, f0):
+    """val / F0 for one quotient entry; an entry with no surviving term stays
+    the constant 0.0 and forms no jet."""
+    return 0.0 if isinstance(val, float) and val == 0.0 else val / f0
 
 
 def boundary_metric(d: int) -> MetricField:
@@ -826,31 +803,25 @@ def boundary_metric(d: int) -> MetricField:
     Jacobian; no chart shortcut, the flat form emerges numerically."""
     G = ambient_gram(d)
     n = d + 2
-    pairs = [(a, b) for a in range(d + 4) for b in range(d + 4) if G[a, b] != 0.0]
+    # The last entry of the representative is the constant 1, so its row of
+    # the section Jacobian vanishes and the pairs through it add nothing;
+    # left in, the pair (d+2, d+3) would form a coefficient jet
+    # G[d+2, d+3] J[d+2][a] per row only to meet that zero row.
+    pairs = [(A, B) for A in range(d + 3) for B in range(d + 3) if G[A, B] != 0.0]
+    weights = [float(G[A, B]) for A, B in pairs]
 
     def gram(p):
         X = boundary_embed_components(d, p)
         J = _section_jacobian(d, p)
         f0 = boundary_f0(d, X)
+        cols = [[J[B][b] for _, B in pairs] for b in range(n)]
         rows = []
         for a in range(n):
-            row = []
-            for b in range(n):
-                val = None
-                for A, B in pairs:
-                    ja = J[A][a]
-                    jb = J[B][b]
-                    if isinstance(ja, float) and ja == 0.0:
-                        continue
-                    if isinstance(jb, float) and jb == 0.0:
-                        continue
-                    term = G[A, B] * ja * jb
-                    val = term if val is None else val + term
-                row.append(0.0 if val is None else val / f0)
-            rows.append(row)
+            coeffs = [g * J[A][a] for g, (A, _) in zip(weights, pairs)]
+            rows.append([_over_f0(sparse_dot(coeffs, col), f0) for col in cols])
         return rows
 
-    return MetricField(boundary_chart(d), gram, (d + 1, 1))
+    return MetricField(flat_chart(d), gram, (d + 1, 1))
 
 
 def theta_f0_form(d: int) -> OneForm:
@@ -859,37 +830,27 @@ def theta_f0_form(d: int) -> OneForm:
     Z0 = build_Z0(d).matrix
     M = G @ Z0
     n = d + 2
-    nz = [(a, b) for a in range(d + 4) for b in range(d + 4) if M[a, b] != 0.0]
+    # u_B = (X^T G Z0)_B vanishes on the zero columns of G Z0 (all but two)
+    live = np.flatnonzero(M.any(axis=0)).tolist()
+    cols = [M[:, B] for B in live]
 
     def comps(p):
         X = boundary_embed_components(d, p)
         J = _section_jacobian(d, p)
         f0 = boundary_f0(d, X)
-        # u_B = (X^T G Z0)_B, then contract with the Jacobian column
-        u = [None] * (d + 4)
-        for a, b in nz:
-            term = M[a, b] * X[a]
-            u[b] = term if u[b] is None else u[b] + term
-        out = []
-        for c in range(n):
-            val = None
-            for b in range(d + 4):
-                ub = u[b]
-                jb = J[b][c]
-                if ub is None or (isinstance(jb, float) and jb == 0.0):
-                    continue
-                term = ub * jb
-                val = term if val is None else val + term
-            out.append(0.0 if val is None else -val / f0)
-        return out
+        # u_B, then contract with the Jacobian column
+        u = [sparse_dot(col, X) for col in cols]
+        return [
+            _over_f0(-sparse_dot(u, [J[B][c] for B in live]), f0) for c in range(n)
+        ]
 
-    return OneForm(boundary_chart(d), comps)
+    return OneForm(flat_chart(d), comps)
 
 
 def boundary_xi(d: int) -> VectorField:
     e = [0.0] * (d + 2)
     e[d + 1] = 1.0
-    return VectorField(boundary_chart(d), lambda p: list(e))
+    return VectorField(flat_chart(d), lambda p: list(e))
 
 
 def boundary_structure(

@@ -35,7 +35,6 @@ __all__ = [
     "Jet2",
     "JetMatrix",
     "SeededSampler",
-    "as_jet",
     "cos",
     "exp",
     "jet_det",
@@ -45,6 +44,7 @@ __all__ = [
     "rank_nullspace",
     "seed_point",
     "sin",
+    "sparse_dot",
     "sqrt",
 ]
 
@@ -340,17 +340,31 @@ def seed_point(coords: Sequence[float], order: int = 2) -> list[Jet2]:
     return [Jet2.variable(c, i, n, order) for i, c in enumerate(values)]
 
 
-def as_jet(x, dim: int) -> Jet2:
-    """Coerce a scalar to a constant jet; pass jets through unchanged."""
-    if isinstance(x, Jet2):
-        if x.dim != dim:
-            raise ContractViolationError(f"jet dimension {x.dim}, expected {dim}")
-        return x
-    return Jet2.constant(x, dim)
-
-
 def jet_value(x):
     return x.value if isinstance(x, Jet2) else x
+
+
+def sparse_dot(coeffs, terms):
+    """Sum of ``coeffs[b] * terms[b]`` over b, added in b order.
+
+    Either side may hold jets, numbers or arrays, and ``coeffs`` may be a
+    numpy row.  A term whose coefficient or factor is the constant float 0.0
+    is skipped, so a sparse row costs only its nonzero products; jets and
+    arrays are never skipped.  The first surviving product is not added to
+    zero, so it keeps its own bits and no extra jet is formed.  With no
+    surviving term the sum is the constant 0.0.
+    """
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+        # Python floats take the same IEEE products, and reach Jet2's
+        # reflected operators without a detour through numpy's dispatch
+        coeffs = coeffs.tolist()
+    total = None
+    for c, x in zip(coeffs, terms):
+        if (isinstance(c, float) and c == 0.0) or (isinstance(x, float) and x == 0.0):
+            continue
+        term = c * x
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
 def jet_det(rows) -> "Jet2 | float":
@@ -400,7 +414,9 @@ class JetMatrix:
 
     @classmethod
     def from_entries(cls, rows, dim: int) -> "JetMatrix":
-        """The entries' order is that of their jets, which must agree."""
+        """The entries' order is that of their jets, which must agree.  The
+        entries are single-point jets or numbers: a JetMatrix has no sample
+        axis."""
         orders = {e.order for row in rows for e in row if isinstance(e, Jet2)}
         if len(orders) > 1:
             raise ContractViolationError("jet entries of different orders")
@@ -411,13 +427,22 @@ class JetMatrix:
         for i in range(r):
             for j in range(c):
                 e = rows[i][j]
-                if isinstance(e, Jet2):
-                    values[i, j] = e.value
-                    grad[i, j] = e.grad
-                    if hess is not None:
-                        hess[i, j] = e.hess
-                else:
-                    values[i, j] = e
+                try:
+                    if isinstance(e, Jet2):
+                        values[i, j] = e.value
+                        grad[i, j] = e.grad
+                        if hess is not None:
+                            hess[i, j] = e.hess
+                    else:
+                        values[i, j] = e
+                except ValueError as exc:
+                    batch = np.shape(jet_value(e))
+                    if not batch:
+                        raise
+                    raise ContractViolationError(
+                        f"entry ({i}, {j}) is a batch of shape {batch}; "
+                        "a JetMatrix holds one point"
+                    ) from exc
         return cls(values, grad, hess)
 
     @property
@@ -552,7 +577,3 @@ class SeededSampler:
 
     def points(self, count: int) -> np.ndarray:
         return np.array([self.sample() for _ in range(count)])
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """One scalar draw from the same stream (for auxiliary parameters)."""
-        return float(lo + (hi - lo) * self._rng.random())

@@ -8,7 +8,9 @@ import textwrap
 
 import pytest
 
+from schrogeo import cli
 from schrogeo.cli import main
+from schrogeo.suites import SuiteConfig, run_suite
 
 FAST = ["--dim", "1", "--samples", "4"]
 
@@ -107,6 +109,24 @@ class TestPrecedence:
         doc = json.loads(out.read_text())
         assert doc["config"]["dims"] == [1]
         assert doc["config"]["seed"] == 5
+
+
+    def test_flag_free_run_takes_every_default_from_suite_config(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        reports = []
+
+        def recording_run(cfg):
+            reports.append((cfg, run_suite(cfg)))
+            return reports[-1][1]
+
+        monkeypatch.setattr(cli, "run_suite", recording_run)
+        assert main(["bargmann"]) == 0
+        ((cfg, report),) = reports
+        assert cfg == SuiteConfig("bargmann")
+        assert report.config == SuiteConfig("bargmann").payload()
+        assert "summary:" in capsys.readouterr().out
 
 
 class TestNegativeValues:

@@ -9,7 +9,11 @@ matrices.  ``tests/data/{homogeneous,axioms}_wide_seed{0,42}.json`` hold the
 ``tests/data/{homogeneous,axioms}_dense_seed{0,42}.json`` the same suites at
 ``--dim 1 --dim 2 --dim 3 --samples 80``: the (λ, μ) grid is split into
 coupling passes there, so these bytes pin that the grouping of couplings into
-passes moves no residual.  A change that is meant to leave every verdict and residual alone
+passes moves no residual.
+``tests/data/{boundary,bargmann,schrodingereq}_wide_seed{0,42}.json`` hold
+those three suites at ``--dim 4 --dim 6 --dim 8``: the boundary quotient, the
+chart maps and the Schrödinger residuals on wider charts than the defaults
+reach.  A change that is meant to leave every verdict and residual alone
 must keep these bytes; a change that moves a residual on purpose regenerates
 the files (``scripts/report_diff.py`` lists what moved) and names the moved
 fields in CHANGES.md.
@@ -48,4 +52,12 @@ BULK = {"wide": {"dims": (6, 8)}, "dense": {"dims": (1, 2, 3), "samples": 80}}
 def test_bulk_report_is_byte_identical_to_the_golden_file(suite, shape, seed):
     golden = (DATA / f"{suite}_{shape}_seed{seed}.json").read_text()
     cfg = SuiteConfig(suite, seed=seed, fmt="json", **BULK[shape])
+    assert emit_report(run_suite(cfg), "json") == golden
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("suite", ["boundary", "bargmann", "schrodinger-eq"])
+def test_wide_flat_report_is_byte_identical_to_the_golden_file(suite, seed):
+    golden = (DATA / f"{suite.replace('-', '')}_wide_seed{seed}.json").read_text()
+    cfg = SuiteConfig(suite, dims=(4, 6, 8), seed=seed, fmt="json")
     assert emit_report(run_suite(cfg), "json") == golden

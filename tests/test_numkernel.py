@@ -16,6 +16,7 @@ from schrogeo.numkernel import (
     jet_value,
     rank_nullspace,
     seed_point,
+    sparse_dot,
 )
 
 
@@ -191,6 +192,11 @@ class TestJetMatrix:
         assert J.entry(0, 0).value == 2.5
         assert np.abs(J.entry(0, 0).grad).max() == 0.0
 
+    def test_from_entries_rejects_a_batched_jet(self):
+        p = seed_point(np.array([[0.5, 0.1], [0.2, 0.3], [0.4, -0.2]]))
+        with pytest.raises(ContractViolationError, match=r"batch of shape \(3,\)"):
+            JetMatrix.from_entries([[p[0], 1.0], [0.0, p[1]]], 2)
+
     def test_rmatmul_by_plain_matrix(self):
         p = seed_point([0.5])
         A = JetMatrix.from_entries([[p[0], 1.0], [0.0, p[0] * p[0]]], 1)
@@ -245,3 +251,84 @@ class TestSeededSampler:
     def test_any_seed_stays_inside(self, seed):
         p = SeededSampler(seed, [(-0.5, 0.5)]).sample()
         assert -0.5 <= p[0] <= 0.5
+
+
+def reference_dot(coeffs, terms):
+    """The accumulation ``sparse_dot`` replaced, written out: every product
+    in order, the first one not added to zero."""
+    total = None
+    for c, x in zip(coeffs, terms):
+        term = c * x
+        total = term if total is None else total + term
+    return total
+
+
+def jet_bits(x):
+    if isinstance(x, Jet2):
+        hess = None if x.hess is None else np.asarray(x.hess).tobytes()
+        return (np.asarray(x.value).tobytes(), x.grad.tobytes(), hess)
+    return np.asarray(x).tobytes()
+
+
+class TestSparseDot:
+    """``sparse_dot`` against the written-out loop, bit for bit."""
+
+    @staticmethod
+    def jets(order, batch, count=4, n=3):
+        rng = np.random.default_rng(order * 10 + len(batch))
+        p = seed_point(rng.uniform(-1, 1, size=batch + (n,)), order)
+        # non-linear entries, so value, gradient and Hessian all carry bits
+        return [p[i % n] * p[(i + 1) % n] + 0.3 * i for i in range(count)]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["point", "batch"])
+    def test_jets_match_the_reference_loop(self, order, batch):
+        terms = self.jets(order, batch)
+        coeffs = np.array([0.7, -1.3, 2.9, 1e-3])
+        assert jet_bits(sparse_dot(coeffs, terms)) == jet_bits(
+            reference_dot(coeffs, terms)
+        )
+        # jets on the coefficient side as well
+        assert jet_bits(sparse_dot(terms, terms[::-1])) == jet_bits(
+            reference_dot(terms, terms[::-1])
+        )
+
+    def test_floats_and_arrays_match_the_reference_loop(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=6)
+        floats = rng.normal(size=6).tolist()
+        arrays = list(rng.normal(size=(6, 7)))
+        assert sparse_dot(coeffs, floats) == reference_dot(coeffs, floats)
+        assert sparse_dot(coeffs, arrays).tobytes() == reference_dot(coeffs, arrays).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_constant_zeros_are_skipped(self, order):
+        terms = self.jets(order, (4,))
+        coeffs = np.array([0.0, 1.5, 0.0, -0.5])
+        live = reference_dot([1.5, -0.5], [terms[1], terms[3]])
+        assert jet_bits(sparse_dot(coeffs, terms)) == jet_bits(live)
+        # a zero factor drops its term just as a zero coefficient does
+        factors = [terms[0], 0.0, terms[2], 0.0]
+        got = sparse_dot([2.0, 3.0, -1.0, 4.0], factors)
+        assert jet_bits(got) == jet_bits(reference_dot([2.0, -1.0], [terms[0], terms[2]]))
+
+    def test_the_first_term_is_not_added_to_zero(self):
+        # 0 + (-0.0) is +0.0, so a sum started at zero loses this sign
+        got = sparse_dot([1.0, 0.0], [np.array([-0.0, 2.0]), np.ones(2)])
+        assert np.signbit(got[0]) and got[1] == 2.0
+        jet = Jet2(-0.0, np.array([1.0, -0.0]), np.zeros((2, 2)))
+        got = sparse_dot([1.0], [jet])
+        assert np.signbit(got.value) and np.signbit(got.grad[1])
+
+    def test_jets_and_arrays_are_never_skipped(self):
+        zero_jet = Jet2.constant(0.0, 2)
+        got = sparse_dot([1.0, 0.5], [zero_jet, zero_jet])
+        assert isinstance(got, Jet2)
+        zeros = np.zeros(3)
+        got = sparse_dot([2.0], [zeros])
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+
+    def test_empty_sum_is_the_constant_zero(self):
+        assert sparse_dot([], []) == 0.0
+        assert isinstance(sparse_dot([], []), float)
+        assert sparse_dot(np.zeros(3), self.jets(2, ())[:3]) == 0.0
