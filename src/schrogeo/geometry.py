@@ -246,7 +246,7 @@ def _invert_gram(g0: np.ndarray) -> np.ndarray:
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
     """Gamma_{a,ij} = (d_i g_aj + d_j g_ai - d_a g_ij) / 2 over the last three
-    axes, so d2g in place of dg gives d_b Gamma_{a,ij}."""
+    axes."""
     out = np.einsum("...iaj->...aij", dg) + np.einsum("...jai->...aij", dg)
     out -= dg
     out *= 0.5
@@ -273,32 +273,48 @@ def ricci_from_derivatives(
     """Ricci tensor and scalar from metric derivatives (any source).
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
-    - Gamma^k_il Gamma^l_kj.  Only the two traces of d Gamma are formed, as
-    n^3 arrays; the n^4 array d Gamma and its n^5 contraction are not.
+    - Gamma^k_il Gamma^l_kj.  With Gamma_{a,ij} the symbols of the first
+    kind and d_b g^ka = -(g^-1 d_b g g^-1)^ka, the two traces of d Gamma are
+
+        d_k Gamma^k_ij = (d_k g^ka) Gamma_{a,ij} + (A_ij + A_ji - B_ij) / 2,
+        d_i Gamma^k_kj = (d_i g^ka) Gamma_{a,kj} + D_ij / 2,
+
+    A_ij = g^ka d_i d_k g_aj, B_ij = g^ka d_k d_a g_ij, D_ij = g^ka d_i d_j g_ak.
+    Each of A, B and D is one matrix product over a reshape of d2g, so no
+    array the size of d2g is formed beside it (a non-contiguous d2g is
+    copied once).  Two symmetries of the inputs are assumed: g^-1 is
+    symmetric, which cancels the other two terms of g^ka d_i Gamma_{a,kj},
+    and d2g is symmetric in its two derivative axes, which A reads as
+    d_i d_k for d_k d_i.  Jet Hessians are exactly symmetric, so the second
+    holds bitwise for d2g from ``gram_jets``.
     The scalar is a float at one point and an (N,) array on a stack.
     """
     if ginv is None:
         ginv = _invert_gram(g0)
+    n = g0.shape[-1]
+    lead = g0.shape[:-2]
+    nn = n * n
     first = _first_kind(dg)
-    dfirst = _first_kind(d2g)
-    gamma = np.einsum("...ka,...aij->...kij", ginv, first)
-    # d_b g^ka = -g^km d_b g_ml g^la
-    dginv = -np.einsum(
-        "...bkl,...la->...bka", np.einsum("...km,...bml->...bkl", ginv, dg), ginv
-    )
-    # d_k Gamma^k_ij and d_i Gamma^k_kj: both parts of d Gamma are added
-    # before the sum over k, so the rounding is that of the full d Gamma
-    div = np.einsum("...kka,...aij->...kij", dginv, first) + np.einsum(
-        "...ka,...kaij->...kij", ginv, dfirst
-    )
-    grad = np.einsum("...ika,...akj->...ikj", dginv, first) + np.einsum(
-        "...ka,...iakj->...ikj", ginv, dfirst
-    )
+    flat = first.reshape(*lead, n, nn)
+    gamma = (ginv @ flat).reshape(first.shape)
+    g = ginv[..., None, :, :]
+    dginv = -(g @ dg @ g)
+    hess = np.ascontiguousarray(d2g)
+    gvec = ginv.reshape(*lead, 1, nn)
+    a = (gvec[..., None, :, :] @ hess.reshape(*lead, n, nn, n)).reshape(*lead, n, n)
+    b = (gvec @ hess.reshape(*lead, nn, nn)).reshape(*lead, n, n)
+    dd = (hess.reshape(*lead, nn, nn) @ gvec.swapaxes(-1, -2)).reshape(*lead, n, n)
+    div = (np.einsum("...kka->...a", dginv)[..., None, :] @ flat).reshape(*lead, n, n)
+    div += 0.5 * (a + a.swapaxes(-1, -2) - b)
+    grad = dginv.reshape(*lead, n, nn) @ first.swapaxes(-3, -2).reshape(*lead, nn, n)
+    grad += 0.5 * dd
+    trace = np.einsum("...kkl->...l", gamma)[..., None, :] @ gamma.reshape(*lead, n, nn)
+    swapped = gamma.swapaxes(-3, -2)
     ric = (
-        div.sum(axis=-3)
-        - grad.sum(axis=-2)
-        + np.einsum("...kkl,...lij->...ij", gamma, gamma)
-        - np.einsum("...kil,...lkj->...ij", gamma, gamma)
+        div
+        - grad
+        + trace.reshape(*lead, n, n)
+        - swapped.reshape(*lead, n, nn) @ swapped.reshape(*lead, nn, n)
     )
     ric = 0.5 * (ric + ric.swapaxes(-1, -2))
     scalar = np.einsum("...ij,...ij->...", ginv, ric)

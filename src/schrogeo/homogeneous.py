@@ -193,8 +193,8 @@ class SchrodingerManifoldConfig:
 # (n = d + 3, N points in the pass):
 #   order 0 (Gram values only): N n^2 entries;
 #   order 1 (first-order jets: dg, Jacobians, Christoffel symbols): N n^3;
-#   order 2 (second-order jets: d2g, and the Ricci contraction holds a
-#   second array of that size): N n^4.
+#   order 2 (second-order jets: d2g, which the Ricci contraction reads in
+#   place): N n^4.
 # Stacking whole grids unbounded at order 2 raised the peak RSS of two
 # benchmark batteries from 39.6 to 63.3 MB on bulk_wide (d = 8, 16
 # couplings x 5 points: a 9.4 MB d2g) and from 38.3 to 50.0 MB on
@@ -203,8 +203,13 @@ class SchrodingerManifoldConfig:
 # instead of N n^4 (on bulk_wide one pass at d = 6 and two at d = 8, where
 # order 2 takes 16) moved the median peak RSS by at most 0.06 MB on every
 # benchmark workload (bulk_wide 40.79 -> 40.82 MB; 2-core x86-64 host,
-# 18 s runs).
-COUPLING_PASS_ENTRIES = 2**16
+# 18 s runs).  Those passes also held d_b Gamma_{a,ij}, a second array the
+# size of d2g, inside the Ricci contraction; without it 2^17 entries fit the
+# same pass memory and take 3 couplings per pass at d = 6, 5 points.  The
+# new contraction and the doubled budget together moved the median peak RSS
+# by +0.7 MB (1.8%) on bulk_dense and by at most +0.3 MB on the other
+# workloads (same host and run length, 10 runs each).
+COUPLING_PASS_ENTRIES = 2**17
 
 
 def coupling_passes(d: int, count: int, samples: int, order: int) -> list[slice]:
@@ -281,6 +286,22 @@ def _flat_square(d: int, x) -> object:
     return out
 
 
+def _divider(den):
+    """val -> val / den for the entries of one evaluation.  A jet ``den``
+    forms its reciprocal once and every entry multiplies by it, the product
+    a jet division forms, so the bits are those of dividing each entry;
+    floats and arrays keep the division.  A constant 0.0 entry stays 0.0
+    and forms no jet."""
+    inv = den._reciprocal() if isinstance(den, Jet2) else None
+
+    def over(val):
+        if isinstance(val, float) and val == 0.0:
+            return 0.0
+        return val / den if inv is None else val * inv
+
+    return over
+
+
 def bulk_metric(cfg: SchrodingerManifoldConfig) -> MetricField:
     """The two-parameter Lorentz metric in the (xh, th, sh, rh) chart:
 
@@ -298,13 +319,7 @@ def bulk_metric(cfg: SchrodingerManifoldConfig) -> MetricField:
     clock_term = isinstance(cfg.mu, np.ndarray) or cfg.mu != 0.0
 
     def gram(p):
-        rh2 = p[d + 2] * p[d + 2]
-        # jet division multiplies by the reciprocal: one for both quotients
-        inv = rh2._reciprocal() if isinstance(rh2, Jet2) else None
-
-        def over_rh2(u):
-            return u / rh2 if inv is None else u * inv
-
+        over_rh2 = _divider(p[d + 2] * p[d + 2])
         a = over_rh2(level)
         rows = [[0.0] * n for _ in range(n)]
         for i in range(d):
@@ -792,12 +807,6 @@ def boundary_f0(d: int, X) -> object:
     return xp * xp + xq * xq
 
 
-def _over_f0(val, f0):
-    """val / F0 for one quotient entry; an entry with no surviving term stays
-    the constant 0.0 and forms no jet."""
-    return 0.0 if isinstance(val, float) and val == 0.0 else val / f0
-
-
 def boundary_metric(d: int) -> MetricField:
     """Quotient metric G(dX, dX) / F0 contracted through the section
     Jacobian; no chart shortcut, the flat form emerges numerically."""
@@ -813,12 +822,12 @@ def boundary_metric(d: int) -> MetricField:
     def gram(p):
         X = boundary_embed_components(d, p)
         J = _section_jacobian(d, p)
-        f0 = boundary_f0(d, X)
+        over_f0 = _divider(boundary_f0(d, X))
         cols = [[J[B][b] for _, B in pairs] for b in range(n)]
         rows = []
         for a in range(n):
             coeffs = [g * J[A][a] for g, (A, _) in zip(weights, pairs)]
-            rows.append([_over_f0(sparse_dot(coeffs, col), f0) for col in cols])
+            rows.append([over_f0(sparse_dot(coeffs, col)) for col in cols])
         return rows
 
     return MetricField(flat_chart(d), gram, (d + 1, 1))
@@ -837,12 +846,10 @@ def theta_f0_form(d: int) -> OneForm:
     def comps(p):
         X = boundary_embed_components(d, p)
         J = _section_jacobian(d, p)
-        f0 = boundary_f0(d, X)
+        over_f0 = _divider(boundary_f0(d, X))
         # u_B, then contract with the Jacobian column
         u = [sparse_dot(col, X) for col in cols]
-        return [
-            _over_f0(-sparse_dot(u, [J[B][c] for B in live]), f0) for c in range(n)
-        ]
+        return [over_f0(-sparse_dot(u, [J[B][c] for B in live])) for c in range(n)]
 
     return OneForm(flat_chart(d), comps)
 

@@ -576,4 +576,10 @@ class SeededSampler:
         raise RuntimeError("sampler exceeded max_tries; excluded region too large")
 
     def points(self, count: int) -> np.ndarray:
-        return np.array([self.sample() for _ in range(count)])
+        """``count`` consecutive samples, (count, dim).  With no ``exclude``
+        the block is one draw of the generator, bitwise the stream that
+        ``count`` calls of ``sample`` read."""
+        if self.exclude is not None:
+            return np.array([self.sample() for _ in range(count)])
+        lo, hi = self.boxes[:, 0], self.boxes[:, 1]
+        return lo + (hi - lo) * self._rng.random((count, self.dim))

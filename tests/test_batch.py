@@ -68,6 +68,18 @@ def bulk_points(d, count, seed=0):
     return SeededSampler(seed, bulk_boxes(d)).points(count)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _shifted(a, shift):
+    """A copy of ``a`` that starts ``shift`` doubles into a fresh buffer."""
+    out = np.empty(a.size + shift)[shift:].reshape(a.shape)
+    out[...] = a
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Jet2 with a trailing sample axis
 
@@ -203,8 +215,27 @@ class TestBatchedGeometry:
                 assert np.abs(a[k] - b).max() <= 1e-13
             r, s = ricci_from_derivatives(*single)
             assert isinstance(s, float)
-            assert np.abs(ric[k] - r).max() <= 1e-13
-            assert abs(scalar[k] - s) <= 1e-13
+            assert same_bits(ric[k], r) and same_bits(scalar[k], s)
+
+    @pytest.mark.parametrize("metric, n", METRICS)
+    def test_ricci_ignores_the_layout_of_its_inputs(self, metric, n):
+        # a strided sample axis, column-major arrays and buffers shifted off
+        # their allocation's alignment give the bits of a contiguous stack
+        rng = np.random.default_rng(n + 1)
+        pts = rng.uniform(-1.2, 1.2, size=(4, n))
+        if metric.chart.names[-1] == "rh":
+            pts[:, -1] = rng.uniform(0.7, 2.2, size=4)
+        batch = gram_jets(metric, pts)
+        ric, scalar = ricci_from_derivatives(*batch)
+        strided = [np.repeat(a, 2, axis=0)[::2] for a in batch]
+        fortran = [np.asfortranarray(a) for a in batch]
+        for args in (strided, fortran):
+            r, s = ricci_from_derivatives(*args)
+            assert same_bits(r, ric) and same_bits(s, scalar)
+        for shift in (1, 2, 3):
+            for k in range(len(pts)):
+                r, s = ricci_from_derivatives(*(_shifted(a[k], shift) for a in batch))
+                assert same_bits(r, ric[k]) and same_bits(s, scalar[k])
 
     def test_jet_components_match_per_point(self):
         cfg = SchrodingerManifoldConfig(2, -0.7, 1.5)

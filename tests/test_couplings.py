@@ -266,8 +266,8 @@ def test_passes_hold_whole_couplings_within_the_budget(d, samples):
 
 @pytest.mark.parametrize(
     "d, samples, per_pass",
-    [(1, 5, 16), (2, 5, 16), (3, 5, 10), (1, 20, 12), (2, 20, 5), (3, 20, 2),
-     (6, 5, 1), (8, 5, 1)],
+    [(1, 5, 16), (2, 5, 16), (3, 5, 16), (1, 20, 16), (2, 20, 10), (3, 20, 5),
+     (6, 5, 3), (8, 5, 1)],
 )
 def test_pass_sizes_of_the_benchmarked_grids(d, samples, per_pass):
     parts = hg.coupling_passes(d, 16, samples, 2)

@@ -2,9 +2,14 @@
 unit sphere, and conformally flat metrics where every Christoffel symbol
 follows from one scalar gradient."""
 
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
+from oracles import einsum_ricci, generic_metric_derivatives
 
+from schrogeo import geometry
 from schrogeo import numkernel as nk
 from schrogeo.geometry import (
     Chart,
@@ -20,6 +25,7 @@ from schrogeo.geometry import (
     gram_jets,
     lie_bracket,
     lie_derivative_metric,
+    ricci_from_derivatives,
     ricci_scalar,
     scalar_laplacian,
     yamabe_residual,
@@ -186,6 +192,64 @@ class TestCurvedBulk:
         assert np.abs(g0 - g0f).max() < 1e-14
         assert np.abs(dg - dgf).max() < 1e-8
         assert np.abs(d2g - d2gf).max() < 1e-5
+
+
+class TestRicciKernel:
+    @pytest.mark.parametrize("samples", [1, 5, 20])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_einsum_oracle_on_generic_metrics(self, d, samples):
+        rng = np.random.default_rng(100 * d + samples)
+        args = generic_metric_derivatives(rng, d + 3, (samples,))
+        ric, scalar = ricci_from_derivatives(*args)
+        ref, ref_scalar = einsum_ricci(*args)
+        tol = 8 * np.finfo(float).eps * np.abs(ref).max(axis=(-1, -2))
+        assert np.all(np.abs(ric - ref).max(axis=(-1, -2)) <= tol)
+        ginv = np.linalg.inv(args[0])
+        assert np.all(np.abs(scalar - ref_scalar) <= tol * np.abs(ginv).sum(axis=(-1, -2)))
+
+    def test_fd_derivatives_give_the_einstein_ricci(self):
+        # central differences of Gram values: no jet on this path
+        cfg = SchrodingerManifoldConfig(2, -0.5)
+        g0, dg, d2g = fd_gram_derivatives(bulk_metric(cfg), [0.4, -0.1, 0.2, 0.5, 1.1])
+        ric, scal = geometry.ricci_from_derivatives(g0, dg, d2g)
+        assert np.abs(ric + 4.0 * g0).max() < 1e-4
+        assert scal == pytest.approx(-20.0, abs=1e-3)
+
+
+# each Ricci oracle test that a dropped term of the kernel must fail
+SPHERE = (TestSphere, "test_ricci_equals_metric")
+EINSTEIN = (TestCurvedBulk, "test_einstein_metric_at_critical_lam")
+PROPORTIONAL = (TestCurvedBulk, "test_proportionality_off_critical")
+FD = (TestRicciKernel, "test_fd_derivatives_give_the_einstein_ricci")
+
+
+def _mutated_ricci(old, new):
+    """``ricci_from_derivatives`` recompiled with one source edit."""
+    src = textwrap.dedent(inspect.getsource(geometry.ricci_from_derivatives))
+    assert src.count(old) == 1
+    scope = dict(vars(geometry))
+    exec(compile(src.replace(old, new), geometry.__file__, "exec"), scope)
+    return scope["ricci_from_derivatives"]
+
+
+@pytest.mark.parametrize(
+    "old, new, oracles",
+    [
+        pytest.param(
+            "grad += 0.5 * dd", "grad += 0.0 * dd",
+            [SPHERE, EINSTEIN, PROPORTIONAL, FD], id="drop-D",
+        ),
+        pytest.param(
+            "a + a.swapaxes(-1, -2) - b", "a - b",
+            [EINSTEIN, PROPORTIONAL, FD], id="drop-A-transpose",
+        ),
+    ],
+)
+def test_a_dropped_ricci_term_fails_the_oracles(monkeypatch, old, new, oracles):
+    monkeypatch.setattr(geometry, "ricci_from_derivatives", _mutated_ricci(old, new))
+    for cls, name in oracles:
+        with pytest.raises(AssertionError):
+            getattr(cls(), name)()
 
 
 class TestLieAndConformal:

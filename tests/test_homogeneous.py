@@ -46,7 +46,13 @@ from schrogeo.homogeneous import (
     theta_hat,
     xi_hat_consistency,
 )
-from schrogeo.numkernel import ContractViolationError, SeededSampler, jet_value, seed_point
+from schrogeo.numkernel import (
+    ContractViolationError,
+    Jet2,
+    SeededSampler,
+    jet_value,
+    seed_point,
+)
 
 
 def sample_bulk(d, count, seed=0):
@@ -307,6 +313,28 @@ class TestBoundary:
         for d in (1, 2):
             report = boundary_structure(d, samples=8, seed=2)
             assert not [(c.name, c.status) for c in report if c.status != "PASS"]
+
+    @pytest.mark.parametrize(
+        "entries",
+        [lambda d: boundary_metric(d).gram, lambda d: theta_f0_form(d).components],
+        ids=["boundary_metric", "theta_f0_form"],
+    )
+    @pytest.mark.parametrize("pts", [[0.3, 0.8, -0.4, 0.1], [[0.3, 0.8, -0.4, 0.1]] * 3])
+    def test_one_f0_reciprocal_per_jet_call(self, monkeypatch, entries, pts):
+        # every quotient entry divides by F0 through one shared reciprocal
+        calls = []
+        reciprocal = Jet2._reciprocal
+
+        def counted(jet):
+            calls.append(jet)
+            return reciprocal(jet)
+
+        monkeypatch.setattr(Jet2, "_reciprocal", counted)
+        fn = entries(2)
+        for order in (1, 2):
+            calls.clear()
+            fn(seed_point(np.asarray(pts), order))
+            assert len(calls) == 1
 
 
 def audit_record(cfg, name):

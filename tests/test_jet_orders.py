@@ -264,11 +264,11 @@ def test_density_lie_derivative_through_a_variational_flow():
 # passes for the 16-coupling default grid, d = 1..8
 PASS_TABLE = {
     0: {5: [1, 1, 1, 1, 1, 1, 1, 1], 20: [1, 1, 1, 1, 1, 1, 1, 1],
-        80: [1, 1, 1, 1, 2, 2, 2, 3]},
-    1: {5: [1, 1, 1, 1, 1, 1, 2, 2], 20: [1, 1, 2, 2, 3, 4, 6, 8],
-        80: [2, 3, 6, 8, 16, 16, 16, 16]},
-    2: {5: [1, 1, 2, 4, 6, 16, 16, 16], 20: [2, 4, 8, 16, 16, 16, 16, 16],
-        80: [6, 16, 16, 16, 16, 16, 16, 16]},
+        80: [1, 1, 1, 1, 1, 1, 1, 2]},
+    1: {5: [1, 1, 1, 1, 1, 1, 1, 1], 20: [1, 1, 1, 1, 2, 2, 3, 4],
+        80: [1, 2, 3, 4, 6, 8, 16, 16]},
+    2: {5: [1, 1, 1, 2, 3, 6, 8, 16], 20: [1, 2, 4, 8, 16, 16, 16, 16],
+        80: [3, 8, 16, 16, 16, 16, 16, 16]},
 }
 
 

@@ -246,6 +246,20 @@ class TestSeededSampler:
         with pytest.raises(ContractViolationError):
             SeededSampler(0, [(1.0, 1.0)])
 
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    @pytest.mark.parametrize("dim", [1, 4, 11])
+    def test_a_block_is_consecutive_samples(self, seed, dim):
+        boxes = [(-1.0 - k, 0.5 * k + 0.25) for k in range(dim)]
+        block = SeededSampler(seed, boxes)
+        one = SeededSampler(seed, boxes)
+        # a second block continues the stream where the first one stopped
+        for count in (7, 5):
+            pts = block.points(count)
+            assert pts.shape == (count, dim)
+            expected = np.array([one.sample() for _ in range(count)])
+            assert pts.tobytes() == expected.tobytes()
+        assert block.sample().tobytes() == one.sample().tobytes()
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_any_seed_stays_inside(self, seed):
