@@ -29,13 +29,12 @@ from .homogeneous import (
     boundary_structure,
     bulk_metric,
     einstein_residual,
-    embed,
     isometry_check,
     isotropy_check,
     nullfluid_residual,
     schrodinger_axiom_audit,
 )
-from .numkernel import Jet2, JetMatrix, SeededSampler
+from .numkernel import Jet2, SeededSampler
 from .report import CheckResult
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "GroupBlocks",
     "GroupElement",
     "Jet2",
-    "JetMatrix",
     "SchBlocks",
     "SchrodingerManifoldConfig",
     "SchrodingerParams",
@@ -58,7 +56,6 @@ __all__ = [
     "bulk_metric",
     "commutant_basis",
     "einstein_residual",
-    "embed",
     "flat_bargmann",
     "isometry_check",
     "isotropy_check",

@@ -35,7 +35,6 @@ from .ambient import (
     flat_metric,
     group_inverse,
     projective_action,
-    realize_field,
     sch_matrix,
     xi_vector,
 )
@@ -51,7 +50,7 @@ from .geometry import (
     jet_components,
     yamabe_and_divergence,
 )
-from .numkernel import ContractViolationError, Jet2, JetMatrix, jet_det, jet_value, sparse_dot
+from .numkernel import ContractViolationError, Jet2, sparse_dot
 from .report import CheckResult, judged
 
 __all__ = [
@@ -67,9 +66,7 @@ __all__ = [
     "density_weight",
     "dilation_map",
     "expansion_map_projective",
-    "expansion_map_rk4",
     "flat_bargmann",
-    "flow_map_rk4",
     "group_map",
     "metric_clock",
     "plane_wave",
@@ -170,7 +167,7 @@ def bargmann_axioms_check(
     vanishing divergence, each maximized over seeded samples."""
     metric, xi = structure.metric, structure.xi
     n = metric.chart.dim
-    sampler = nk.SeededSampler(seed, [(-box, box)] * n, exclude=metric.chart.singular)
+    sampler = nk.SeededSampler(seed, [(-box, box)] * n)
     pts = sampler.points(samples)
     xv = component_values(xi.components, pts)
     null = np.einsum("...a,...ab,...b->...", xv, gram_values(metric, pts), xv)
@@ -390,117 +387,6 @@ def _expansion_generator(d: int, alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# RK4 flow of a quadratic generator, with the variational (tangent) flow
-
-
-def _field_jacobian_rows(blocks, d: int, x) -> list[list]:
-    """Entries of D(delta x) at x: the Jacobian of the quadratic generator
-    field, as jet-evaluable expressions."""
-    n = d + 2
-    lam, alpha, chi = blocks.Lam, blocks.alpha, blocks.chi
-    xi = xi_vector(d)
-    g = flat_gram_matrix(d)
-    gx = [sparse_dot(g[b], x) for b in range(n)]
-    t = x[d]
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            # d/dx_b of [Lam x + Gam - (alpha/2) g(x,x) xi + (alpha t + chi) x]_a
-            val = lam[a, b] - alpha * xi[a] * gx[b]
-            if a == b:
-                val = val + alpha * t + chi
-            if b == d:
-                val = val + alpha * x[a]
-            row.append(val)
-        rows.append(row)
-    return rows
-
-
-def flow_map_rk4(
-    blocks, d: int, time: float, step: float = 1e-3
-) -> Callable[[Sequence], tuple[list, JetMatrix]]:
-    """Time-``time`` flow of the realized generator field, integrated by RK4.
-
-    The returned callable accepts a (possibly jet-valued) chart point and
-    returns the flowed point together with the flow Jacobian as a JetMatrix,
-    obtained by integrating the variational equation dM/dtau = DZ(x) M
-    alongside the point.  RK4 is plain arithmetic, so jets pass through and
-    the Jacobian entries stay jet-evaluable (that is what density transport
-    needs: second derivatives of the Jacobian determinant).
-    """
-    field, _ = realize_field(blocks, d)
-    n = d + 2
-    steps = max(1, round(abs(time) / step))
-    h = time / steps
-
-    def rhs(x, M):
-        fx = field.components(x)
-        DZ = _field_jacobian_rows(blocks, d, x)
-        dim = M.dim
-        DZm = JetMatrix.from_entries(DZ, dim) if _any_jet(DZ) else JetMatrix.constant(
-            np.array([[jet_value(e) for e in row] for row in DZ]), dim, M.order
-        )
-        return fx, DZm @ M
-
-    def advance(x, M):
-        k1, K1 = rhs(x, M)
-        x2 = [x[a] + 0.5 * h * k1[a] for a in range(n)]
-        k2, K2 = rhs(x2, M + K1.scale(0.5 * h))
-        x3 = [x[a] + 0.5 * h * k2[a] for a in range(n)]
-        k3, K3 = rhs(x3, M + K2.scale(0.5 * h))
-        x4 = [x[a] + h * k3[a] for a in range(n)]
-        k4, K4 = rhs(x4, M + K3.scale(h))
-        xn = [
-            x[a] + (h / 6.0) * (k1[a] + 2.0 * k2[a] + 2.0 * k3[a] + k4[a])
-            for a in range(n)
-        ]
-        Mn = M + (K1 + (K2 + K3).scale(2.0) + K4).scale(h / 6.0)
-        return xn, Mn
-
-    def mapper(x):
-        jet = isinstance(x[0], Jet2)
-        M = JetMatrix.constant(np.eye(n), x[0].dim if jet else n, x[0].order if jet else 2)
-        cur = list(x)
-        for _ in range(steps):
-            cur, M = advance(cur, M)
-        return cur, M
-
-    return mapper
-
-
-def _any_jet(rows) -> bool:
-    return any(isinstance(e, Jet2) for row in rows for e in row)
-
-
-def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
-    """Finite expansion integrated numerically from its generator field.
-
-    The neutral path for the one non-affine generator: forward and inverse
-    flows by RK4, Jacobian determinant from the variational flow.
-    """
-    n = d + 2
-    blocks = SchBlocks(Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=alpha, chi=0.0)
-    fwd = flow_map_rk4(blocks, d, 1.0, step=step)
-    back_blocks = SchBlocks(Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=-alpha, chi=0.0)
-    back = flow_map_rk4(back_blocks, d, 1.0, step=step)
-
-    def forward(x):
-        return fwd(x)[0]
-
-    def inverse(x):
-        return back(x)[0]
-
-    def jacobian_factor(x):
-        _, M = back(x)
-        det = jet_det(M.to_entries())
-        det2 = det * det
-        return det2 ** 0.5 if isinstance(det2, Jet2) else abs(jet_value(det))
-
-    return ChartMap("expansion_rk4", d, forward, inverse, jacobian_factor)
-
-
-# ---------------------------------------------------------------------------
 # density transport
 
 
@@ -513,9 +399,7 @@ def transported_density(
     def coeff(x):
         pre = phi.inverse(x)
         fj = psi.coefficient(pre)
-        jac = phi.jacobian_factor(x)
-        factor = jac ** w if isinstance(jac, Jet2) else jac**w
-        return fj * factor
+        return fj * phi.jacobian_factor(x) ** w
 
     return DensityFunction(coefficient=coeff, weight=psi.weight, d=psi.d)
 

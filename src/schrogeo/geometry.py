@@ -3,9 +3,9 @@
 A metric is a callable Gram matrix over a named chart, evaluable on floats or
 on seeded jets.  Because the jet arithmetic is exact to second order, the
 Christoffel symbols and the Riemann/Ricci contractions built from jet-derived
-metric derivatives carry no finite-difference truncation error; a central
-finite-difference path (`fd_gram_derivatives`) is kept alongside as the
-independent baseline.
+metric derivatives carry no finite-difference truncation error.  The
+independent baseline, a Richardson-extrapolated central-difference path,
+lives with the tests (``tests/oracles.py``).
 
 Curvature conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + ...,
 Ric_{bd} = R^a_{bad}.  With these signs the unit sphere has Ric = (n-1) g and
@@ -33,7 +33,6 @@ __all__ = [
     "covariant_derivative",
     "divergence",
     "exterior_wedge",
-    "fd_gram_derivatives",
     "gram_jets",
     "gram_values",
     "jet_components",
@@ -64,10 +63,9 @@ class DegenerateMetricError(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
-    """Named coordinates plus an optional predicate marking singular points."""
+    """Named coordinates."""
 
     names: tuple[str, ...]
-    singular: Callable[[np.ndarray], bool] | None = None
 
     @property
     def dim(self) -> int:
@@ -457,57 +455,3 @@ def _yamabe(g0, dg, d2g, ginv, fj: Jet2, batch: tuple):
     _, scalar = ricci_from_derivatives(g0, dg, d2g, ginv=ginv)
     lap = _laplacian(g0, dg, ginv, fj, batch)
     return lap - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value
-
-
-# ---------------------------------------------------------------------------
-# finite-difference baseline
-
-
-def _richardson(coarse, fine):
-    return (4.0 * fine - coarse) / 3.0
-
-
-def fd_gram_derivatives(
-    metric: MetricField, p: Sequence[float], step: float = 1e-5
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central-difference metric derivatives, Richardson-extrapolated once.
-
-    Independent of the jet path; used as the oracle for the autodiff
-    connection and curvature.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.size
-    g0 = gram_values(metric, p)
-
-    def g_at(q):
-        return gram_values(metric, q)
-
-    def shift(a, h):
-        q = p.copy()
-        q[a] += h
-        return q
-
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
-    for a in range(n):
-        d1 = {}
-        for h in (step, 0.5 * step):
-            d1[h] = (g_at(shift(a, h)) - g_at(shift(a, -h))) / (2.0 * h)
-        dg[a] = _richardson(d1[step], d1[0.5 * step])
-        d2 = {}
-        for h in (step, 0.5 * step):
-            d2[h] = (g_at(shift(a, h)) - 2.0 * g0 + g_at(shift(a, -h))) / h**2
-        d2g[a, a] = _richardson(d2[step], d2[0.5 * step])
-    for a in range(n):
-        for b in range(a + 1, n):
-            mixed = {}
-            for h in (step, 0.5 * step):
-                qpp = p.copy(); qpp[[a, b]] += h
-                qpm = p.copy(); qpm[a] += h; qpm[b] -= h
-                qmp = p.copy(); qmp[a] -= h; qmp[b] += h
-                qmm = p.copy(); qmm[[a, b]] -= h
-                mixed[h] = (g_at(qpp) - g_at(qpm) - g_at(qmp) + g_at(qmm)) / (
-                    4.0 * h**2
-                )
-            d2g[a, b] = d2g[b, a] = _richardson(mixed[step], mixed[0.5 * step])
-    return g0, dg, d2g

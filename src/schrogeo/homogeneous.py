@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ from .report import CheckResult, judged
 __all__ = [
     "COUPLING_PASS_ENTRIES",
     "BoundaryPointError",
-    "EmbeddedPoint",
     "SchrodingerManifoldConfig",
     "audit_points",
     "boundary_embed_components",
@@ -85,7 +84,6 @@ __all__ = [
     "coupling_error",
     "coupling_passes",
     "einstein_residual",
-    "embed",
     "embed_components",
     "induced_metric",
     "integrability_residual",
@@ -155,8 +153,8 @@ class SchrodingerManifoldConfig:
     N points whose sample k has the metric of (lam[k], mu[k]).  The
     batched checks (metric, clock, embedding, dual path, vertical field,
     curvature identities, signature, integrability and the axiom audit)
-    accept either; ``embed``, ``isometry_check`` and ``isotropy_check`` take
-    floats.  A config with arrays is neither hashable nor comparable.
+    accept either; ``isometry_check`` and ``isotropy_check`` take floats.
+    A config with arrays is neither hashable nor comparable.
     """
 
     d: int
@@ -272,7 +270,7 @@ def bulk_boxes(d: int) -> list[tuple[float, float]]:
 
 def bulk_chart(d: int) -> Chart:
     names = tuple(f"xh{i + 1}" for i in range(d)) + ("th", "sh", "rh")
-    return Chart(names, singular=lambda p: abs(p[d + 2]) < 1e-3)
+    return Chart(names)
 
 
 def _flat_square(d: int, x) -> object:
@@ -376,56 +374,6 @@ def embed_components(cfg: SchrodingerManifoldConfig, p: Sequence) -> list:
     comps.append(scale * (-0.5) * (xx + rh * rh))
     comps.append(scale)
     return comps
-
-
-@dataclass(frozen=True)
-class EmbeddedPoint:
-    """Ambient image of a bulk chart point with its (X, Y) decomposition
-    Q = X + lam * Y in the q = 0 gauge, and the constraint residuals."""
-
-    chart_point: tuple
-    Q: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    q: float
-    residuals: dict = field(default_factory=dict)
-
-
-def embed(
-    cfg: SchrodingerManifoldConfig, p: Sequence[float], validate: bool = True
-) -> EmbeddedPoint:
-    d, lam = cfg.d, cfg.lam
-    p = [float(v) for v in p]
-    rh = p[d + 2]
-    if abs(rh) < 1e-8:
-        raise BoundaryPointError("rh = 0 is a boundary point")
-    Q = np.array([float(v) for v in embed_components(cfg, p)])
-    r = rh / cfg.scale
-    xx = float(_flat_square(d, p))
-    X = np.zeros(d + 4)
-    X[: d + 2] = np.asarray(p[: d + 2]) / r
-    X[d + 2] = -0.5 * xx / r
-    X[d + 3] = 1.0 / r
-    Y = np.zeros(d + 4)
-    Y[d + 2] = r
-    G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
-    res = {
-        "quadric": abs(float(Q @ G @ Q) - 2.0 * lam) / abs(2.0 * lam),
-        "decomposition": float(np.abs(Q - (X + lam * Y)).max()),
-        "XX": abs(float(X @ G @ X)),
-        "YY": abs(float(Y @ G @ Y)),
-        "XY": abs(float(X @ G @ Y) - 1.0),
-        "Z0Y": float(np.abs(Z0 @ Y).max()),
-        "Z0Q_norm": float(np.abs(Z0 @ Q).max()),
-    }
-    if validate:
-        worst = max(v for k, v in res.items() if k != "Z0Q_norm")
-        if worst > 1e-12:
-            raise ContractViolationError(f"embedding constraints violated: {res}")
-        if res["Z0Q_norm"] <= 1e-6:
-            raise ContractViolationError("Z0 Q vanished at an interior point")
-    return EmbeddedPoint(tuple(p), Q, X, Y, 0.0, res)
 
 
 def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q, guard: float = 1e-8) -> list:
@@ -677,12 +625,6 @@ def isometry_check(
 
 # ---------------------------------------------------------------------------
 # isotropy
-
-
-def origin_point(cfg: SchrodingerManifoldConfig) -> list[float]:
-    """Chart coordinates of the base point (0, ..., 0, rh = sqrt(-2 lam)),
-    whose ambient image is (0, ..., 0, lam, 1)."""
-    return [0.0] * (cfg.d + 2) + [cfg.scale]
 
 
 def bulk_isotropy_element(

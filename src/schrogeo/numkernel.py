@@ -5,12 +5,10 @@ loci.
 Matrices are plain ``numpy`` arrays (row-major).  Everything handled here is
 at most (d+4) x (d+4) with d <= 8, so no dedicated matrix wrapper is needed.
 
-Two kinds of batching exist.  A ``Jet2`` may carry a trailing sample axis:
-seeding a batch of N points gives jets whose value, gradient and Hessian
-hold all N points at once, so one pass of a closed-form expression yields
-the second-order Taylor data at every point (Taylor-mode propagation over a
-batch).  ``JetMatrix`` batches the entries of a jet-valued matrix so that
-matrix products need a handful of einsums instead of entrywise jet products.
+A ``Jet2`` may carry a trailing sample axis: seeding a batch of N points
+gives jets whose value, gradient and Hessian hold all N points at once, so
+one pass of a closed-form expression yields the second-order Taylor data at
+every point (Taylor-mode propagation over a batch).
 
 A jet has an order.  A second-order jet carries the Hessian; a first-order
 jet (``hess`` is None, seeded by ``seed_point(coords, order=1)``) carries the
@@ -33,11 +31,9 @@ __all__ = [
     "ContractViolationError",
     "JetSingularityError",
     "Jet2",
-    "JetMatrix",
     "SeededSampler",
     "cos",
     "exp",
-    "jet_det",
     "jet_value",
     "log",
     "max_entry",
@@ -365,146 +361,6 @@ def sparse_dot(coeffs, terms):
         term = c * x
         total = term if total is None else total + term
     return 0.0 if total is None else total
-
-
-def jet_det(rows) -> "Jet2 | float":
-    """Determinant of a small matrix of jets/scalars by cofactor expansion."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(m):
-        minor = [[rows[i][k] for k in range(m) if k != j] for i in range(1, m)]
-        term = rows[0][j] * jet_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-class JetMatrix:
-    """Matrix with jet entries, stored batched: values (r,c), grad (r,c,n),
-    hess (r,c,n,n), or hess None for first-order entries.  Matrix products
-    use the exact jet product rule via a handful of einsums instead of r*c*k
-    individual jet multiplications; this is what makes jet-valued
-    variational flows affordable.
-    """
-
-    __slots__ = ("values", "grad", "hess")
-
-    # keep ndarray @ JetMatrix from being swallowed by numpy's matmul
-    __array_ufunc__ = None
-
-    def __init__(self, values, grad, hess=None):
-        self.values = np.asarray(values)
-        self.grad = np.asarray(grad)
-        if hess is not None:
-            h = np.asarray(hess)
-            hess = 0.5 * (h + h.transpose(0, 1, 3, 2))
-        self.hess = hess
-
-    @classmethod
-    def constant(cls, m, dim: int, order: int = 2) -> "JetMatrix":
-        m = np.asarray(m, dtype=float)
-        r, c = m.shape
-        hess = _zero_hessian(dim, (), order)
-        return cls(m, np.zeros((r, c, dim)), None if hess is None else np.zeros((r, c) + hess.shape))
-
-    @classmethod
-    def from_entries(cls, rows, dim: int) -> "JetMatrix":
-        """The entries' order is that of their jets, which must agree.  The
-        entries are single-point jets or numbers: a JetMatrix has no sample
-        axis."""
-        orders = {e.order for row in rows for e in row if isinstance(e, Jet2)}
-        if len(orders) > 1:
-            raise ContractViolationError("jet entries of different orders")
-        r, c = len(rows), len(rows[0])
-        values = np.zeros((r, c))
-        grad = np.zeros((r, c, dim))
-        hess = None if orders == {1} else np.zeros((r, c, dim, dim))
-        for i in range(r):
-            for j in range(c):
-                e = rows[i][j]
-                try:
-                    if isinstance(e, Jet2):
-                        values[i, j] = e.value
-                        grad[i, j] = e.grad
-                        if hess is not None:
-                            hess[i, j] = e.hess
-                    else:
-                        values[i, j] = e
-                except ValueError as exc:
-                    batch = np.shape(jet_value(e))
-                    if not batch:
-                        raise
-                    raise ContractViolationError(
-                        f"entry ({i}, {j}) is a batch of shape {batch}; "
-                        "a JetMatrix holds one point"
-                    ) from exc
-        return cls(values, grad, hess)
-
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[2]
-
-    @property
-    def order(self) -> int:
-        return 1 if self.hess is None else 2
-
-    def entry(self, i: int, j: int) -> Jet2:
-        hess = None if self.hess is None else self.hess[i, j]
-        return Jet2(self.values[i, j], self.grad[i, j], hess, _symmetric=True)
-
-    def to_entries(self) -> list[list[Jet2]]:
-        r, c = self.values.shape
-        return [[self.entry(i, j) for j in range(c)] for i in range(r)]
-
-    def _same_order(self, other: "JetMatrix") -> bool:
-        """Whether both carry Hessians; raises when the orders differ."""
-        if (self.hess is None) != (other.hess is None):
-            raise ContractViolationError(
-                f"jet matrix orders differ: {self.order} vs {other.order}"
-            )
-        return self.hess is not None
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        hess = self.hess + other.hess if self._same_order(other) else None
-        return JetMatrix(self.values + other.values, self.grad + other.grad, hess)
-
-    def scale(self, a: float) -> "JetMatrix":
-        hess = None if self.hess is None else a * self.hess
-        return JetMatrix(a * self.values, a * self.grad, hess)
-
-    def __matmul__(self, other):
-        if isinstance(other, JetMatrix):
-            v = self.values @ other.values
-            g = np.einsum("ikn,kj->ijn", self.grad, other.values) + np.einsum(
-                "ik,kjn->ijn", self.values, other.grad
-            )
-            if not self._same_order(other):
-                return JetMatrix(v, g)
-            cross = np.einsum("ika,kjb->ijab", self.grad, other.grad)
-            h = (
-                np.einsum("ikab,kj->ijab", self.hess, other.values)
-                + np.einsum("ik,kjab->ijab", self.values, other.hess)
-                + cross
-                + cross.transpose(0, 1, 3, 2)
-            )
-            return JetMatrix(v, g, h)
-        other = np.asarray(other)
-        hess = None if self.hess is None else np.einsum("ikab,kj->ijab", self.hess, other)
-        return JetMatrix(
-            self.values @ other, np.einsum("ikn,kj->ijn", self.grad, other), hess
-        )
-
-    def __rmatmul__(self, other):
-        other = np.asarray(other)
-        hess = None if self.hess is None else np.einsum("ik,kjab->ijab", other, self.hess)
-        return JetMatrix(
-            other @ self.values, np.einsum("ik,kjn->ijn", other, self.grad), hess
-        )
 
 
 def max_entry(*values) -> float:

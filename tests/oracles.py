@@ -1,9 +1,22 @@
-"""Reference implementations that the package no longer runs, kept as
-independent oracles for the tests."""
+"""Reference implementations that the package does not run, kept as
+independent oracles for the tests: the einsum Ricci kernel, central-difference
+metric derivatives, the quadric embedding with its (X, Y) decomposition, and
+the finite expansion integrated by RK4 from its generator field."""
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from schrogeo.geometry import _first_kind, _invert_gram
+from schrogeo import numkernel as nk
+from schrogeo.ambient import SchBlocks, ambient_gram, build_Z0, realize_field
+from schrogeo.bargmann import ChartMap
+from schrogeo.geometry import _first_kind, _invert_gram, gram_values
+from schrogeo.homogeneous import (
+    BoundaryPointError,
+    SchrodingerManifoldConfig,
+    _flat_square,
+    embed_components,
+)
 
 
 def einsum_ricci(g0, dg, d2g, ginv=None):
@@ -53,3 +66,173 @@ def generic_metric_derivatives(rng, n, lead=()):
     d2g = 0.5 * (d2g + d2g.swapaxes(-1, -2))
     d2g = 0.5 * (d2g + d2g.swapaxes(-3, -4))
     return g0, dg, d2g
+
+
+# ---------------------------------------------------------------------------
+# central differences of the Gram values
+
+
+def _richardson(coarse, fine):
+    return (4.0 * fine - coarse) / 3.0
+
+
+def fd_gram_derivatives(metric, p, step: float = 1e-5):
+    """Central-difference metric derivatives, Richardson-extrapolated once.
+
+    Independent of the jet path; the oracle for the autodiff connection and
+    curvature.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.size
+    g0 = gram_values(metric, p)
+
+    def g_at(q):
+        return gram_values(metric, q)
+
+    def shift(a, h):
+        q = p.copy()
+        q[a] += h
+        return q
+
+    dg = np.zeros((n, n, n))
+    d2g = np.zeros((n, n, n, n))
+    for a in range(n):
+        d1 = {}
+        for h in (step, 0.5 * step):
+            d1[h] = (g_at(shift(a, h)) - g_at(shift(a, -h))) / (2.0 * h)
+        dg[a] = _richardson(d1[step], d1[0.5 * step])
+        d2 = {}
+        for h in (step, 0.5 * step):
+            d2[h] = (g_at(shift(a, h)) - 2.0 * g0 + g_at(shift(a, -h))) / h**2
+        d2g[a, a] = _richardson(d2[step], d2[0.5 * step])
+    for a in range(n):
+        for b in range(a + 1, n):
+            mixed = {}
+            for h in (step, 0.5 * step):
+                qpp = p.copy(); qpp[[a, b]] += h
+                qpm = p.copy(); qpm[a] += h; qpm[b] -= h
+                qmp = p.copy(); qmp[a] -= h; qmp[b] += h
+                qmm = p.copy(); qmm[[a, b]] -= h
+                mixed[h] = (g_at(qpp) - g_at(qpm) - g_at(qmp) + g_at(qmm)) / (
+                    4.0 * h**2
+                )
+            d2g[a, b] = d2g[b, a] = _richardson(mixed[step], mixed[0.5 * step])
+    return g0, dg, d2g
+
+
+# ---------------------------------------------------------------------------
+# the quadric embedding of one bulk chart point
+
+
+@dataclass(frozen=True)
+class EmbeddedPoint:
+    """Ambient image of a bulk chart point with its (X, Y) decomposition
+    Q = X + lam * Y in the q = 0 gauge, and the constraint residuals."""
+
+    chart_point: tuple
+    Q: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    q: float
+    residuals: dict = field(default_factory=dict)
+
+
+def embed(cfg: SchrodingerManifoldConfig, p, validate: bool = True) -> EmbeddedPoint:
+    d, lam = cfg.d, cfg.lam
+    p = [float(v) for v in p]
+    rh = p[d + 2]
+    if abs(rh) < 1e-8:
+        raise BoundaryPointError("rh = 0 is a boundary point")
+    Q = np.array([float(v) for v in embed_components(cfg, p)])
+    r = rh / cfg.scale
+    xx = float(_flat_square(d, p))
+    X = np.zeros(d + 4)
+    X[: d + 2] = np.asarray(p[: d + 2]) / r
+    X[d + 2] = -0.5 * xx / r
+    X[d + 3] = 1.0 / r
+    Y = np.zeros(d + 4)
+    Y[d + 2] = r
+    G = ambient_gram(d)
+    Z0 = build_Z0(d).matrix
+    res = {
+        "quadric": abs(float(Q @ G @ Q) - 2.0 * lam) / abs(2.0 * lam),
+        "decomposition": float(np.abs(Q - (X + lam * Y)).max()),
+        "XX": abs(float(X @ G @ X)),
+        "YY": abs(float(Y @ G @ Y)),
+        "XY": abs(float(X @ G @ Y) - 1.0),
+        "Z0Y": float(np.abs(Z0 @ Y).max()),
+        "Z0Q_norm": float(np.abs(Z0 @ Q).max()),
+    }
+    if validate:
+        worst = max(v for k, v in res.items() if k != "Z0Q_norm")
+        if worst > 1e-12:
+            raise nk.ContractViolationError(f"embedding constraints violated: {res}")
+        if res["Z0Q_norm"] <= 1e-6:
+            raise nk.ContractViolationError("Z0 Q vanished at an interior point")
+    return EmbeddedPoint(tuple(p), Q, X, Y, 0.0, res)
+
+
+def origin_point(cfg: SchrodingerManifoldConfig) -> list[float]:
+    """Chart coordinates of the base point (0, ..., 0, rh = sqrt(-2 lam)),
+    whose ambient image is (0, ..., 0, lam, 1)."""
+    return [0.0] * (cfg.d + 2) + [cfg.scale]
+
+
+# ---------------------------------------------------------------------------
+# the finite expansion by RK4, its Jacobian by Liouville's formula
+
+
+def flow_rk4(blocks: SchBlocks, d: int, step: float = 1e-3):
+    """Time-1 flow of ``realize_field(blocks, d)`` by RK4.
+
+    The callable maps a chart point (floats, jets or per-sample arrays) to
+    the flowed point and ``ell``, the log of the flow's Jacobian determinant.
+    By Liouville's formula ``ell`` integrates the divergence of the field,
+    tr Lam + (d+2)(alpha t + chi): in the trace of the field's Jacobian the
+    -alpha (g x) xi term cancels alpha x_d, since (g x)_{d+1} = t.  So ``ell``
+    rides along as one more state variable and no matrix is carried.
+    """
+    vec, fiber_rate = realize_field(blocks, d)
+    n = d + 2
+    trace = float(np.trace(blocks.Lam))
+    steps = max(1, round(1.0 / step))
+    h = 1.0 / steps
+
+    def rhs(y):
+        x = y[:n]
+        return list(vec.components(x)) + [trace + n * fiber_rate(x)]
+
+    def mapper(x):
+        y = list(x) + [0.0]
+        for _ in range(steps):
+            k1 = rhs(y)
+            k2 = rhs([a + 0.5 * h * k for a, k in zip(y, k1)])
+            k3 = rhs([a + 0.5 * h * k for a, k in zip(y, k2)])
+            k4 = rhs([a + h * k for a, k in zip(y, k3)])
+            y = [
+                a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+            ]
+        return y[:n], y[n]
+
+    return mapper
+
+
+def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
+    """The finite expansion exp(alpha E) integrated from its generator field:
+    forward and inverse by RK4, |det D(inverse)| = exp(ell) of the backward
+    flow."""
+    n = d + 2
+
+    def blocks(a):
+        return SchBlocks(Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=a, chi=0.0)
+
+    fwd = flow_rk4(blocks(alpha), d, step=step)
+    back = flow_rk4(blocks(-alpha), d, step=step)
+    return ChartMap(
+        "expansion_rk4",
+        d,
+        lambda x: fwd(x)[0],
+        lambda x: back(x)[0],
+        lambda x: nk.exp(back(x)[1]),
+    )

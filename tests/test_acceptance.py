@@ -6,11 +6,9 @@ tuned to make a test pass."""
 import time
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 
-from schrogeo import numkernel as nk
 from schrogeo.ambient import (
     _commutant_cached,
     ambient_gram,

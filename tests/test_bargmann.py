@@ -4,6 +4,7 @@ residuals actually detect."""
 
 import numpy as np
 import pytest
+from oracles import expansion_map_rk4
 
 from schrogeo import numkernel as nk
 from schrogeo.bargmann import (
@@ -12,11 +13,11 @@ from schrogeo.bargmann import (
     SchrodingerParams,
     bargmann_axioms_check,
     boost_map,
+    complex_magnitude,
     conformal_equivalence_check,
     density_weight,
     dilation_map,
     expansion_map_projective,
-    expansion_map_rk4,
     flat_bargmann,
     group_map,
     plane_wave,
@@ -170,10 +171,31 @@ class TestExpansionMaps:
         d, alpha = 1, 0.25
         proj = expansion_map_projective(d, alpha)
         rk4 = expansion_map_rk4(d, alpha)
-        for p in ([0.3, -0.2, 0.4], [-0.5, 0.35, 0.1]):
-            a = np.array([float(nk.jet_value(v)) for v in proj.forward(list(p))])
-            b = np.array([float(nk.jet_value(v)) for v in rk4.forward(list(p))])
-            assert np.abs(a - b).max() < 1e-12
+        pts = np.array([[0.3, -0.2, 0.4], [-0.5, 0.35, 0.1]])
+        a = np.array(proj.forward(list(pts.T)))
+        b = np.array(rk4.forward(list(pts.T)))
+        assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_liouville_jacobian_matches_the_closed_form(self, d):
+        # exp of the integrated divergence along the RK4 backward flow
+        # against |e' - a' t|^{-(d+2)} of the projective inverse
+        alpha = 0.25
+        pts = np.random.default_rng(20 + d).uniform(-0.5, 0.5, size=(6, d + 2))
+        proj = expansion_map_projective(d, alpha).jacobian_factor(list(pts.T))
+        rk4 = expansion_map_rk4(d, alpha).jacobian_factor(list(pts.T))
+        assert np.abs(rk4 / proj - 1.0).max() <= 1e-12
+
+    def test_plane_wave_transported_by_rk4_solves_the_pair(self):
+        # the transported coefficient's second derivatives come from jets
+        # flowed through RK4, the Jacobian factor from exp of a jet
+        params = SchrodingerParams()
+        phi = expansion_map_rk4(1, 0.25, step=1e-2)
+        moved = transported_density(phi, plane_wave(1, [0.4], params))
+        pts = np.random.default_rng(23).uniform(-0.5, 0.5, size=(5, 3))
+        r1, r2 = schrodinger_residual(flat_bargmann(1), moved, params, pts)
+        assert complex_magnitude(r1).max() <= 1e-10
+        assert complex_magnitude(r2).max() <= 1e-10
 
     def test_group_jacobian_closed_form(self):
         # jacobian_factor(p) claims |det D(inverse)| at p; differentiate the

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import embed
 
 from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
@@ -48,7 +49,6 @@ from schrogeo.homogeneous import (
     bulk_metric,
     chart_from_ambient,
     einstein_residual,
-    embed,
     embed_components,
     induced_metric,
     integrability_residual,

@@ -7,7 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from oracles import einsum_ricci, generic_metric_derivatives
+from oracles import einsum_ricci, fd_gram_derivatives, generic_metric_derivatives
 
 from schrogeo import geometry
 from schrogeo import numkernel as nk
@@ -21,7 +21,6 @@ from schrogeo.geometry import (
     covariant_derivative,
     divergence,
     exterior_wedge,
-    fd_gram_derivatives,
     gram_jets,
     lie_bracket,
     lie_derivative_metric,

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import embed, origin_point
 
 from schrogeo import homogeneous as hg
-from schrogeo.ambient import ambient_gram, build_Z0, random_group_element
+from schrogeo.ambient import ambient_gram, random_group_element
 from schrogeo.geometry import (
     OneForm,
     covariant_derivative,
@@ -30,7 +31,6 @@ from schrogeo.homogeneous import (
     bulk_metric,
     chart_from_ambient,
     einstein_residual,
-    embed,
     embed_components,
     induced_metric,
     integrability_residual,
@@ -40,7 +40,6 @@ from schrogeo.homogeneous import (
     negative_eigenvalue_count,
     null_plane_boost,
     nullfluid_residual,
-    origin_point,
     schrodinger_axiom_audit,
     theta_f0_form,
     theta_hat,

@@ -10,6 +10,7 @@ its order.
 
 import numpy as np
 import pytest
+from oracles import expansion_map_rk4
 
 from schrogeo import homogeneous as hg
 from schrogeo import numkernel as nk
@@ -21,13 +22,12 @@ from schrogeo.ambient import (
 )
 from schrogeo.bargmann import (
     density_lie_derivative,
-    expansion_map_rk4,
     flat_bargmann,
     plane_wave,
     transported_density,
 )
 from schrogeo.geometry import gram_jets
-from schrogeo.numkernel import ContractViolationError, Jet2, JetMatrix
+from schrogeo.numkernel import ContractViolationError, Jet2
 
 
 def same_bits(a, b) -> bool:
@@ -128,30 +128,6 @@ def test_mixing_orders_raises(name):
         BINARY[name](first_order(u), v)
 
 
-def test_jet_matrix_orders():
-    rng = np.random.default_rng(8)
-    rows = [[random_jet(rng, 2) for _ in range(2)] for _ in range(2)]
-    full = JetMatrix.from_entries(rows, 2)
-    first = JetMatrix.from_entries([[first_order(e) for e in r] for r in rows], 2)
-    assert first.order == 1 and full.order == 2
-    m = np.array([[0.3, -1.1], [2.0, 0.5]])
-    for a, b in (
-        (full @ full, first @ first),
-        (full + full.scale(0.5), first + first.scale(0.5)),
-        (full @ m, first @ m),
-        (m @ full, m @ first),
-    ):
-        assert b.hess is None
-        assert same_bits(a.values, b.values) and same_bits(a.grad, b.grad)
-    assert first.entry(0, 1).order == 1
-    with pytest.raises(ContractViolationError):
-        full @ first
-    with pytest.raises(ContractViolationError):
-        first + full
-    with pytest.raises(ContractViolationError):
-        JetMatrix.from_entries([[rows[0][0], first_order(rows[0][1])]], 2)
-
-
 # ---------------------------------------------------------------------------
 # the Hessian of every operation is exactly symmetric, and bitwise the
 # symmetrized Hessian of the product and chain rules
@@ -245,17 +221,23 @@ def test_chart_action_first_order_matches_value_and_gradient():
 
 
 def test_density_lie_derivative_through_a_variational_flow():
-    # the transported coefficient integrates the flow Jacobian as a JetMatrix
-    # of the seeds' order (one point: the flow's JetMatrix is unbatched)
+    # the transported coefficient flows the order-1 seeds of the Lie
+    # derivative through RK4, the log-Jacobian riding along as one more
+    # state variable; value and gradient are those of the order-2 jets bit
+    # for bit, at one point and on a batch
     structure = flat_bargmann(1)
     phi = expansion_map_rk4(1, 0.2, step=0.05)
     psi = transported_density(phi, plane_wave(1, [0.4]))
-    p = [0.1, -0.2, 0.3]
-    lie = density_lie_derivative(structure.metric, structure.xi, psi, p)
-    # xi(f) + w Div(xi) f from the second-order jet of f: Div xi = 0 here
-    fj = psi.coefficient(nk.seed_point(p))
-    xi = np.array(structure.xi.components(p), dtype=float)
-    assert lie == complex(xi @ fj.grad)
+    pts = np.array([[0.1, -0.2, 0.3], [-0.3, 0.25, 0.1]])
+    xi = np.array(structure.xi.components(pts[0]), dtype=float)
+    for p in (pts, pts[0]):
+        lie = density_lie_derivative(structure.metric, structure.xi, psi, p)
+        full = psi.coefficient(nk.seed_point(p))
+        first = psi.coefficient(nk.seed_point(p, order=1))
+        assert first.hess is None
+        assert same_bits(first.value, full.value) and same_bits(first.grad, full.grad)
+        # xi(f) + w Div(xi) f from the second-order jet of f: Div xi = 0 here
+        np.testing.assert_array_equal(lie, xi @ full.grad)
 
 
 # ---------------------------------------------------------------------------

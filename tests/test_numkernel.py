@@ -10,10 +10,7 @@ from schrogeo import numkernel as nk
 from schrogeo.numkernel import (
     ContractViolationError,
     Jet2,
-    JetMatrix,
     SeededSampler,
-    jet_det,
-    jet_value,
     rank_nullspace,
     seed_point,
     sparse_dot,
@@ -134,76 +131,6 @@ class TestJet2:
         assert z.hess[0, 0] == pytest.approx(
             c * d + 2 * b * a + a * b, rel=1e-12, abs=1e-12
         )
-
-
-class TestJetDet:
-    def test_matches_numpy_on_floats(self):
-        rng = np.random.default_rng(0)
-        m = rng.normal(size=(4, 4))
-        assert jet_det([list(r) for r in m]) == pytest.approx(
-            np.linalg.det(m), rel=1e-12
-        )
-
-    def test_gradient_of_det(self):
-        # d/da det([[a, 1], [1, a]]) = 2a
-        a = Jet2.variable(1.7, 0, 1)
-        d = jet_det([[a, 1.0], [1.0, a]])
-        assert d.value == pytest.approx(1.7**2 - 1.0)
-        assert d.grad[0] == pytest.approx(2 * 1.7)
-        assert d.hess[0, 0] == pytest.approx(2.0)
-
-
-class TestJetMatrix:
-    def test_matmul_product_rule(self):
-        rng = np.random.default_rng(1)
-        n, dim = 3, 2
-
-        def entries(p, shift):
-            # polynomial matrix in the seeded coordinates
-            return [
-                [
-                    (p[0] + shift) * (p[1] + i - j) + 0.5 * p[0] * p[0] * i
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-
-        p = seed_point([0.3, -0.6])
-        A = JetMatrix.from_entries(entries(p, 1.0), dim)
-        B = JetMatrix.from_entries(entries(p, -2.0), dim)
-        C = A @ B
-        # oracle: multiply the Jet2 entries one by one
-        rows_a = A.to_entries()
-        rows_b = B.to_entries()
-        for i in range(n):
-            for j in range(n):
-                manual = sum(
-                    (rows_a[i][k] * rows_b[k][j] for k in range(n)),
-                    Jet2.constant(0.0, dim),
-                )
-                got = C.entry(i, j)
-                assert abs(got.value - manual.value) < 1e-13
-                assert np.abs(got.grad - manual.grad).max() < 1e-13
-                assert np.abs(got.hess - manual.hess).max() < 1e-12
-
-    def test_constant_and_scale(self):
-        m = np.eye(2)
-        J = JetMatrix.constant(m, 3).scale(2.5)
-        assert J.entry(0, 0).value == 2.5
-        assert np.abs(J.entry(0, 0).grad).max() == 0.0
-
-    def test_from_entries_rejects_a_batched_jet(self):
-        p = seed_point(np.array([[0.5, 0.1], [0.2, 0.3], [0.4, -0.2]]))
-        with pytest.raises(ContractViolationError, match=r"batch of shape \(3,\)"):
-            JetMatrix.from_entries([[p[0], 1.0], [0.0, p[1]]], 2)
-
-    def test_rmatmul_by_plain_matrix(self):
-        p = seed_point([0.5])
-        A = JetMatrix.from_entries([[p[0], 1.0], [0.0, p[0] * p[0]]], 1)
-        M = np.array([[2.0, 0.0], [0.0, 3.0]])
-        left = M @ A
-        assert left.entry(0, 0).value == pytest.approx(1.0)
-        assert left.entry(1, 1).grad[0] == pytest.approx(3.0)
 
 
 class TestLinearAlgebra:

@@ -1,5 +1,6 @@
-"""Static checks on the package source, read through ``ast``: every name in a
-module's ``__all__`` is defined there, and no imported name goes unused."""
+"""Static checks on the package source and on the test oracles, read through
+``ast``: every name in a module's ``__all__`` is defined there, and no
+imported name goes unused."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import schrogeo
 
 SOURCES = sorted(Path(schrogeo.__file__).resolve().parent.glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -77,14 +79,14 @@ def _used_names(tree: ast.Module) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
 def test_every_dunder_all_entry_is_defined(path):
     tree = _tree(path)
     missing = sorted(set(_dunder_all(tree)) - _module_level_names(tree))
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
 def test_no_imported_name_goes_unused(path):
     tree = _tree(path)
     used = _used_names(tree) | set(_dunder_all(tree))

@@ -8,6 +8,7 @@ import pytest
 
 from schrogeo import bargmann, homogeneous, suites
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
+from schrogeo.geometry import OneForm
 from schrogeo.report import judged
 from schrogeo.suites import (
     BULK_SUITES,
@@ -169,6 +170,35 @@ class TestClosureMutation:
         assert closure.status == "FAIL"
         assert closure.residual > 1e-10
         assert closure.extra == {"evaluations": 36}
+
+
+class TestIntegrabilityMutation:
+    """A clock that is not integrable flips the Frobenius record to FAIL."""
+
+    def test_bent_clock_fails_integrability(self, monkeypatch):
+        clock = homogeneous.theta_hat_form
+        eps = 1e-3
+
+        def bent(cfg):
+            # theta + eps xh1 d(sh): theta ^ d theta gains eps a(rh) dt ^ dxh1 ^ dsh
+            form = clock(cfg)
+
+            def comps(p):
+                out = list(form.components(p))
+                out[cfg.d + 1] = out[cfg.d + 1] + eps * p[0]
+                return out
+
+            return OneForm(form.chart, comps)
+
+        dims = (1, 2)
+        names = [f"homogeneous_d{d}_integrability" for d in dims]
+        before = {c.name: c for c in run_suite(small("homogeneous", dims=dims)).checks}
+        monkeypatch.setattr(homogeneous, "theta_hat_form", bent)
+        after = {c.name: c for c in run_suite(small("homogeneous", dims=dims)).checks}
+        for name in names:
+            assert before[name].status == "PASS"
+            assert after[name].status == "FAIL"
+            assert after[name].residual > 1e-6
 
 
 class TestStatusRule:
