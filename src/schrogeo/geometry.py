@@ -14,6 +14,7 @@ the unit-radius hyperbolic/anti-de Sitter spaces have Ric = -(n-1) g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -115,15 +116,46 @@ def _samples_first(a: np.ndarray, batch: tuple) -> np.ndarray:
     return a.transpose(-1, *range(a.ndim - 1)) if batch else a
 
 
+def _entry_positions(rows) -> list[tuple[object, int | np.ndarray]]:
+    """Each distinct entry object of a Gram callable's rows with the flat
+    positions i * n + j that hold it, in order of first appearance: an int
+    for one position, an index array for several.  Constant +0.0 floats
+    are left out; the arrays they would fill start from zeros."""
+    groups: dict[int, list] = {}
+    k = 0
+    for row in rows:
+        for e in row:
+            at = groups.get(id(e))
+            if at is None:
+                groups[id(e)] = [e, k]
+            else:
+                at.append(k)
+            k += 1
+    return [
+        (g[0], g[1] if len(g) == 2 else np.array(g[1:]))
+        for g in groups.values()
+        if type(g[0]) is not float or g[0] != 0 or math.copysign(1.0, g[0]) < 0
+    ]
+
+
+def _put(flat: np.ndarray, k, value) -> None:
+    """flat[..., k] = value, at one flat position or at each of an index
+    array's; ``flat`` views an array's last two (n, n) axes as one."""
+    flat[..., k] = value if isinstance(k, int) else np.asarray(value)[..., None]
+
+
 def gram_values(metric: MetricField, p: Sequence[float]) -> np.ndarray:
-    """Gram matrix (n, n) at a point, or (N, n, n) on a batch of points."""
+    """Gram matrix (n, n) at a point, or (N, n, n) on a batch of points.
+
+    The matrix starts from zeros and each distinct entry object the metric
+    returns is written once, to every position that holds it."""
     pts = np.asarray(p, dtype=float)
     rows = metric.gram(_coordinates(pts))
     n = len(rows)
-    out = np.empty(pts.shape[:-1] + (n, n))
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[..., i, j] = e
+    out = np.zeros(pts.shape[:-1] + (n, n))
+    flat = out.reshape(out.shape[:-2] + (n * n,))
+    for e, k in _entry_positions(rows):
+        _put(flat, k, e)
     return out
 
 
@@ -135,7 +167,8 @@ def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
     at one point; a batch of N points (``p`` of shape (N, n)) prepends a
     sample axis, so g0 is (N, n, n) and dg[s, a, i, j] = d_a g_ij at sample s.
     ``order`` 1 seeds first-order jets and returns (g0, dg) only, bitwise
-    the same arrays, with no d2g formed.
+    the same arrays, with no d2g formed.  As in ``gram_values``, the arrays
+    start from zeros and each distinct entry object is written once.
     """
     pts = np.asarray(p, dtype=float)
     n = pts.shape[-1]
@@ -143,18 +176,17 @@ def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
     rows = metric.gram(seed_point(pts, order))
     g0 = np.zeros(batch + (n, n))
     dg = np.zeros(batch + (n, n, n))
-    d2g = np.zeros(batch + (n, n, n, n)) if order == 2 else None
-    for i in range(n):
-        for j in range(n):
-            e = rows[i][j]
-            if isinstance(e, Jet2):
-                g0[..., i, j] = e.value
-                dg[..., :, i, j] = _samples_first(e.grad, batch)
-                if d2g is not None:
-                    d2g[..., :, :, i, j] = _samples_first(e.hess, batch)
-            else:
-                g0[..., i, j] = e
-    return (g0, dg) if d2g is None else (g0, dg, d2g)
+    out = (g0, dg, np.zeros(batch + (n, n, n, n))) if order == 2 else (g0, dg)
+    flat = [a.reshape(a.shape[:-2] + (n * n,)) for a in out]
+    for e, k in _entry_positions(rows):
+        if isinstance(e, Jet2):
+            _put(flat[0], k, e.value)
+            _put(flat[1], k, _samples_first(e.grad, batch))
+            if order == 2:
+                _put(flat[2], k, _samples_first(e.hess, batch))
+        else:
+            _put(flat[0], k, e)
+    return out
 
 
 def jet_components(

@@ -207,6 +207,10 @@ class SchrodingerManifoldConfig:
 # new contraction and the doubled budget together moved the median peak RSS
 # by +0.7 MB (1.8%) on bulk_dense and by at most +0.3 MB on the other
 # workloads (same host and run length, 10 runs each).
+# The axiom audit is budgeted by the same rule, part by part: it stacks a
+# d's couplings under the order-1 budget and runs its one order-2 read, the
+# Einstein residual of the undeformed metric, in order-2 sub-passes, so its
+# largest d2g is the one a whole-audit order-2 pass held.
 COUPLING_PASS_ENTRIES = 2**17
 
 
@@ -945,8 +949,11 @@ def schrodinger_axiom_audit(
     ``seed`` may instead be a sequence of C seeds, one per coupling, with
     ``cfg`` holding C couplings of ``samples`` points each, stacked as
     ``coupling_config`` stacks them.  Each coupling then draws its own
-    seeded points, all C are audited in one jet pass, and the result is one
-    list of records per coupling, each equal to that coupling's own call.
+    seeded points and the result is one list of records per coupling, each
+    equal to that coupling's own call.  The audit reads first derivatives
+    on all C couplings at once, so a caller budgets its passes at order 1;
+    the Einstein axiom alone reads second derivatives, and runs in
+    sub-passes that ``coupling_passes`` budgets at order 2.
     """
     batched = not isinstance(seed, numbers.Integral)
     seeds = list(seed) if batched else [seed]
@@ -958,6 +965,31 @@ def schrodinger_axiom_audit(
     except DegenerateMetricError as exc:
         raise coupling_error(exc, cfg, samples) from exc
     return reports if batched else reports[0]
+
+
+def _stacked_einstein(
+    cfg: SchrodingerManifoldConfig, pts: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``einstein_residual`` of ``count`` couplings stacked over equal
+    segments of ``pts``, in passes budgeted at order 2 (the audit's only
+    second-order read).  A singular sample keeps its index in the whole
+    stack."""
+    step = len(pts) // count
+    out = []
+    for part in coupling_passes(cfg.d, count, step, 2):
+        rows = slice(part.start * step, part.stop * step)
+        lam = cfg.lam[rows] if isinstance(cfg.lam, np.ndarray) else cfg.lam
+        sub = SchrodingerManifoldConfig(cfg.d, lam)
+        try:
+            out.append(einstein_residual(sub, pts[rows]))
+        except DegenerateMetricError as exc:
+            k = rows.start + exc.sample
+            raise DegenerateMetricError(
+                f"Gram matrix is singular at sample {k} ({exc.detail})",
+                sample=k,
+                detail=exc.detail,
+            ) from exc
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def _audit(
@@ -1015,7 +1047,7 @@ def _audit(
     # a few ulps of the largest entry compared: the entries reach ~1e6 at
     # large couplings, where a fixed 1e-12 is below one rounding
     sizes = [worst(a).tolist() for a in (g0, mu_clock2, g_plus)]
-    computed, predicted = einstein_residual(plus_cfg, pts)
+    computed, predicted = _stacked_einstein(plus_cfg, pts, count)
     einstein_self = worst(computed - predicted).tolist()
     einstein_zero = worst(computed).tolist()
     rh = 1e-3

@@ -1,7 +1,8 @@
 """Reference implementations that the package does not run, kept as
 independent oracles for the tests: the einsum Ricci kernel, central-difference
-metric derivatives, the quadric embedding with its (X, Y) decomposition, and
-the finite expansion integrated by RK4 from its generator field."""
+metric derivatives, Gram assembly entry by entry, the quadric embedding with
+its (X, Y) decomposition, and the finite expansion integrated by RK4 from its
+generator field."""
 
 from dataclasses import dataclass, field
 
@@ -10,7 +11,13 @@ import numpy as np
 from schrogeo import numkernel as nk
 from schrogeo.ambient import SchBlocks, ambient_gram, build_Z0, realize_field
 from schrogeo.bargmann import ChartMap
-from schrogeo.geometry import _first_kind, _invert_gram, gram_values
+from schrogeo.geometry import (
+    _coordinates,
+    _first_kind,
+    _invert_gram,
+    _samples_first,
+    gram_values,
+)
 from schrogeo.homogeneous import (
     BoundaryPointError,
     SchrodingerManifoldConfig,
@@ -66,6 +73,44 @@ def generic_metric_derivatives(rng, n, lead=()):
     d2g = 0.5 * (d2g + d2g.swapaxes(-1, -2))
     d2g = 0.5 * (d2g + d2g.swapaxes(-3, -4))
     return g0, dg, d2g
+
+
+# ---------------------------------------------------------------------------
+# Gram assembly entry by entry
+
+
+def gram_values_loop(metric, p):
+    """``geometry.gram_values`` as one numpy write per position."""
+    pts = np.asarray(p, dtype=float)
+    rows = metric.gram(_coordinates(pts))
+    n = len(rows)
+    out = np.empty(pts.shape[:-1] + (n, n))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
+
+
+def gram_jets_loop(metric, p, order: int = 2):
+    """``geometry.gram_jets`` as one numpy write per position and array."""
+    pts = np.asarray(p, dtype=float)
+    n = pts.shape[-1]
+    batch = pts.shape[:-1]
+    rows = metric.gram(nk.seed_point(pts, order))
+    g0 = np.zeros(batch + (n, n))
+    dg = np.zeros(batch + (n, n, n))
+    d2g = np.zeros(batch + (n, n, n, n)) if order == 2 else None
+    for i in range(n):
+        for j in range(n):
+            e = rows[i][j]
+            if isinstance(e, nk.Jet2):
+                g0[..., i, j] = e.value
+                dg[..., :, i, j] = _samples_first(e.grad, batch)
+                if d2g is not None:
+                    d2g[..., :, :, i, j] = _samples_first(e.hess, batch)
+            else:
+                g0[..., i, j] = e
+    return (g0, dg) if d2g is None else (g0, dg, d2g)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +266,22 @@ def flow_rk4(blocks: SchBlocks, d: int, step: float = 1e-3):
 def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
     """The finite expansion exp(alpha E) integrated from its generator field:
     forward and inverse by RK4, |det D(inverse)| = exp(ell) of the backward
-    flow."""
+    flow.  The inverse and the Jacobian factor of one input object share one
+    backward flow: ``transported_density`` asks for both at the same ``x``."""
     n = d + 2
 
     def blocks(a):
         return SchBlocks(Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=a, chi=0.0)
 
     fwd = flow_rk4(blocks(alpha), d, step=step)
-    back = flow_rk4(blocks(-alpha), d, step=step)
+    flow_back = flow_rk4(blocks(-alpha), d, step=step)
+    last = []  # [x, flow_back(x)] of the latest input
+
+    def back(x):
+        if not last or last[0] is not x:
+            last[:] = [x, flow_back(x)]
+        return last[1]
+
     return ChartMap(
         "expansion_rk4",
         d,

@@ -3,6 +3,7 @@ densities.  Wrong-dispersion and wrong-weight controls pin down what the
 residuals actually detect."""
 
 import numpy as np
+import oracles
 import pytest
 from oracles import expansion_map_rk4
 
@@ -196,6 +197,33 @@ class TestExpansionMaps:
         r1, r2 = schrodinger_residual(flat_bargmann(1), moved, params, pts)
         assert complex_magnitude(r1).max() <= 1e-10
         assert complex_magnitude(r2).max() <= 1e-10
+
+    def test_rk4_inverse_and_factor_share_one_backward_flow(self, monkeypatch):
+        flows = []
+        flow_rk4 = oracles.flow_rk4
+
+        def counted(blocks, d, step):
+            mapper = flow_rk4(blocks, d, step)
+
+            def run(x):
+                flows.append(blocks.alpha)
+                return mapper(x)
+
+            return run
+
+        monkeypatch.setattr(oracles, "flow_rk4", counted)
+        x = nk.seed_point(np.random.default_rng(5).uniform(-0.5, 0.5, size=(3, 3)))
+        phi = expansion_map_rk4(1, 0.25, step=1e-2)
+        pre, factor = phi.inverse(x), phi.jacobian_factor(x)
+        assert flows == [-0.25]
+        # a new input object flows again, and the results are those of
+        # separate flows, bit for bit
+        fresh = expansion_map_rk4(1, 0.25, step=1e-2)
+        want = fresh.inverse(list(x)), fresh.jacobian_factor(list(x))
+        assert flows == [-0.25] * 3
+        for got, ref in zip(list(pre) + [factor], list(want[0]) + [want[1]]):
+            for part in ("value", "grad", "hess"):
+                assert getattr(got, part).tobytes() == getattr(ref, part).tobytes()
 
     def test_group_jacobian_closed_form(self):
         # jacobian_factor(p) claims |det D(inverse)| at p; differentiate the

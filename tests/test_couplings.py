@@ -216,8 +216,10 @@ class TestCouplingBatchedBitwise:
         with pytest.raises(ContractViolationError):
             hg.einstein_residual(mc, x)
 
-    def test_axiom_audit(self, stacked):
-        d = stacked[0]
+    # at N = 5 the audit's order-2 Einstein sub-passes hold all 16
+    # couplings at d = 1 and 3, three at d = 6 and one at d = 8
+    @pytest.mark.parametrize("d", [1, 3, 6, 8], ids=lambda d: f"d{d}")
+    def test_axiom_audit(self, d):
         seeds = [100 + c for c in range(len(GRID))]
         reports = hg.schrodinger_axiom_audit(
             hg.coupling_config(d, GRID, N), samples=N, seed=seeds
@@ -274,6 +276,38 @@ def test_pass_sizes_of_the_benchmarked_grids(d, samples, per_pass):
     assert len(range(16)[parts[0]]) == per_pass
 
 
+@pytest.mark.parametrize(
+    "dims, samples", [((3, 6, 8), 20), ((1, 2, 3), 80)], ids=["default", "dense"]
+)
+def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
+    monkeypatch, dims, samples
+):
+    audited, d2g_shapes = [], []
+    audit, jets = hg.schrodinger_axiom_audit, geometry.gram_jets
+
+    def counted_audit(cfg, *args, **kwargs):
+        audited.append(cfg.d)
+        return audit(cfg, *args, **kwargs)
+
+    def recorded_jets(metric, p, order=2):
+        out = jets(metric, p, order)
+        if order == 2:
+            d2g_shapes.append(out[2].shape)
+        return out
+
+    monkeypatch.setattr(hg, "schrodinger_axiom_audit", counted_audit)
+    monkeypatch.setattr(geometry, "gram_jets", recorded_jets)
+    checks = run_suite(SuiteConfig("axioms", dims=dims, samples=samples)).checks
+    assert {c.status for c in checks} == {"PASS"}
+    assert audited == list(dims)
+    per = max(4, samples // 4)
+    assert len(d2g_shapes) == sum(
+        len(hg.coupling_passes(d, len(GRID), per, 2)) for d in dims
+    )
+    for shape in d2g_shapes:
+        assert math.prod(shape) <= hg.COUPLING_PASS_ENTRIES or shape[0] == per
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_one_stacked_normal_draw_is_consecutive_draws(d):
     couplings = len(GRID)
@@ -304,19 +338,19 @@ def _singular_at(monkeypatch, coordinate):
     monkeypatch.setattr(hg, "bulk_metric", broken)
 
 
-def test_a_singular_coupling_errors_alone(monkeypatch):
-    cfg = SuiteConfig("axioms", dims=(1,), seed=5)
+def _a_singular_coupling_errors_alone(monkeypatch, d):
+    cfg = SuiteConfig("axioms", dims=(d,), seed=5)
     before = {c.name: c.to_dict() for c in run_suite(cfg).checks}
-    target = "axioms_d1_lam-1_mu2"
+    target = f"axioms_d{d}_lam-1_mu2"
     samples = max(4, cfg.samples // 4)
-    pts, _ = hg.audit_points(1, samples, check_seed(cfg, target))
+    pts, _ = hg.audit_points(d, samples, check_seed(cfg, target))
     _singular_at(monkeypatch, pts[2, 0])
 
     # the pass names the coupling and the index within it, not the stack's
-    names = [f"axioms_d1_lam{lam:g}_mu{mu:g}" for lam, mu in GRID]
+    names = [f"axioms_d{d}_lam{lam:g}_mu{mu:g}" for lam, mu in GRID]
     with pytest.raises(DegenerateMetricError) as info:
         hg.schrodinger_axiom_audit(
-            hg.coupling_config(1, GRID, samples),
+            hg.coupling_config(d, GRID, samples),
             samples=samples,
             seed=[check_seed(cfg, n) for n in names],
         )
@@ -334,6 +368,19 @@ def test_a_singular_coupling_errors_alone(monkeypatch):
     for n, rec in after.items():
         if n != target:
             assert rec == before[n], n
+
+
+def test_a_singular_coupling_errors_alone(monkeypatch):
+    _a_singular_coupling_errors_alone(monkeypatch, 1)
+
+
+def test_a_singular_coupling_in_an_einstein_sub_pass_errors_alone(monkeypatch):
+    # d = 8: the grid is audited in one pass whose Einstein part runs one
+    # coupling per sub-pass, so the singular sample sits in sub-pass 7
+    samples = max(4, SuiteConfig("axioms").samples // 4)
+    assert len(hg.coupling_passes(8, len(GRID), samples, 1)) == 1
+    assert len(hg.coupling_passes(8, len(GRID), samples, 2)) == len(GRID)
+    _a_singular_coupling_errors_alone(monkeypatch, 8)
 
 
 def test_a_singular_grid_sample_is_named_in_the_homogeneous_error(monkeypatch):

@@ -7,7 +7,13 @@ import textwrap
 
 import numpy as np
 import pytest
-from oracles import einsum_ricci, fd_gram_derivatives, generic_metric_derivatives
+from oracles import (
+    einsum_ricci,
+    fd_gram_derivatives,
+    generic_metric_derivatives,
+    gram_jets_loop,
+    gram_values_loop,
+)
 
 from schrogeo import geometry
 from schrogeo import numkernel as nk
@@ -22,6 +28,7 @@ from schrogeo.geometry import (
     divergence,
     exterior_wedge,
     gram_jets,
+    gram_values,
     lie_bracket,
     lie_derivative_metric,
     ricci_from_derivatives,
@@ -30,7 +37,7 @@ from schrogeo.geometry import (
     yamabe_residual,
 )
 from schrogeo.bargmann import flat_bargmann
-from schrogeo.homogeneous import SchrodingerManifoldConfig, bulk_metric
+from schrogeo.homogeneous import SchrodingerManifoldConfig, boundary_metric, bulk_metric
 from schrogeo.numkernel import SeededSampler
 
 
@@ -318,3 +325,91 @@ class TestExterior:
         w = OneForm(chart, lambda p: [2.0 * p[0] * p[1], p[0] * p[0]])
         dw, _ = exterior_wedge(w, [1.1, -0.7])
         assert np.abs(dw).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Gram assembly from the distinct entry objects, against one write per entry
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def shared_entries_metric():
+    """Shared jet and float objects, a -0.0 constant, int entries and one
+    position filled by a distinct object equal to a shared one."""
+    chart = Chart(("x", "y", "z", "w"))
+    half = 2.5
+
+    def gram(p):
+        xy = p[0] * p[1]
+        rows = [[0.0] * 4 for _ in range(4)]
+        rows[0][0] = rows[2][2] = xy
+        rows[0][1] = rows[1][0] = half
+        rows[1][1] = 1 + p[2] * p[2]
+        rows[2][3] = rows[3][2] = -0.0
+        rows[3][3] = 3
+        rows[0][3] = 0
+        rows[1][2] = p[3] * 1.0
+        rows[2][1] = p[3] * 1.0
+        return rows
+
+    return MetricField(chart, gram, (3, 1))
+
+
+def per_sample_bulk(d, samples):
+    # mu = 0 on some samples: their dt^2 entry is a computed, signed zero
+    mu = np.array([0.0, 1.5, -0.0, 0.0, -1.0, 2.0][:samples])
+    return bulk_metric(SchrodingerManifoldConfig(d, np.full(samples, -0.8), mu))
+
+
+def gram_assembly_cases():
+    for d in (1, 3):
+        for mu in (1.3, 0.0):
+            metric = bulk_metric(SchrodingerManifoldConfig(d, -0.7, mu))
+            yield f"bulk_mu{mu:g}_d{d}", metric, d + 3, [(0.6, 1.8)]
+        yield f"boundary_d{d}", boundary_metric(d), d + 2, []
+        yield f"bargmann_d{d}", flat_bargmann(d).metric, d + 2, []
+    yield "shared", shared_entries_metric(), 4, []
+
+
+@pytest.mark.parametrize(
+    "metric, n, last_box",
+    [case[1:] for case in gram_assembly_cases()],
+    ids=[case[0] for case in gram_assembly_cases()],
+)
+class TestSparseGramAssembly:
+    @staticmethod
+    def points(n, last_box, samples):
+        boxes = [(-0.9, 0.9)] * (n - len(last_box)) + last_box
+        return SeededSampler(17, boxes).points(samples)
+
+    @pytest.mark.parametrize("samples", [1, 5], ids=["point", "batch"])
+    def test_values_and_jets_match_the_entry_loop(self, metric, n, last_box, samples):
+        pts = self.points(n, last_box, samples)
+        for p in (pts[0], pts) if samples == 1 else (pts,):
+            assert same_bits(gram_values(metric, p), gram_values_loop(metric, p))
+            for order in (1, 2):
+                got = gram_jets(metric, p, order=order)
+                want = gram_jets_loop(metric, p, order=order)
+                assert len(got) == len(want) == order + 1
+                for a, b in zip(got, want):
+                    assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_per_sample_couplings_assemble_as_the_entry_loop(d):
+    metric = per_sample_bulk(d, 5)
+    pts = SeededSampler(19, [(-0.9, 0.9)] * (d + 2) + [(0.6, 1.8)]).points(5)
+    values = gram_values(metric, pts)
+    # the computed dt^2 zeros keep their sign, which +0.0 arrays would lose:
+    # mu = 0 times a negative lam gives -0.0, mu = -0.0 gives +0.0
+    assert np.signbit(values[[0, 3], d, d]).all()
+    assert values[2, d, d] == 0.0 and not np.signbit(values[2, d, d])
+    assert same_bits(values, gram_values_loop(metric, pts))
+    for order in (1, 2):
+        want = gram_jets_loop(metric, pts, order)
+        for a, b in zip(gram_jets(metric, pts, order), want):
+            assert same_bits(a, b)
+
