@@ -51,6 +51,8 @@ __all__ = [
     "flat_gram_matrix",
     "flat_metric",
     "g_adjoint",
+    "group_coefficients",
+    "group_elements",
     "make_special",
     "projective_action",
     "random_algebra_element",
@@ -144,8 +146,11 @@ def _chart_square(x):
 
 
 def flat_metric(d: int) -> MetricField:
-    g = flat_gram_matrix(d)
-    rows = [[float(g[i, j]) for j in range(d + 2)] for i in range(d + 2)]
+    """The flat Bargmann metric as a constant Gram callable.  Equal entries
+    are one shared float, so a Gram assembly writes each distinct value once
+    (``geometry.gram_values``)."""
+    shared: dict[float, float] = {}
+    rows = [[shared.setdefault(v, v) for v in row] for row in flat_gram_matrix(d).tolist()]
 
     def gram(p):
         return rows
@@ -469,18 +474,23 @@ def _packed(u: Jet2) -> np.ndarray:
 def _add_linear(rows, M: np.ndarray, X):
     """rows[a] + M[a, b] X[b], summed column b by column b over the nonzero
     M[a, b] only: each row adds its terms in b order and skips its zeros, as
-    a per-row loop would.  Jets go through as one packed array, since every
-    step is elementwise (so a symmetric Hessian stays exactly symmetric)."""
+    a per-row loop would.  ``M`` is one (n, n) matrix, or a per-sample
+    (N, n, n) stack whose sample s acts on the batch's sample s; the zeros
+    are then skipped sample by sample.  Jets go through as one packed array,
+    since every step is elementwise (so a symmetric Hessian stays exactly
+    symmetric)."""
     if isinstance(rows, Jet2):
         dim = rows.dim
         out = _add_linear(_packed(rows), M, _packed(X))
         hess = None if rows.hess is None else out[dim + 1 :].reshape((dim, dim) + out.shape[1:])
         return Jet2(out[0], out[1 : dim + 1], hess, _symmetric=True)
     nonzero = M != 0.0
-    for b, hits in enumerate(nonzero.sum(axis=0).tolist()):
+    n = M.shape[-1]
+    # column b's nonzero entries over every row and sample
+    for b, hits in enumerate(nonzero.reshape(-1, n).sum(axis=0).tolist()):
         if hits:
-            step = rows + X[..., b : b + 1] * M[:, b]
-            rows = step if hits == len(M) else np.where(nonzero[:, b], step, rows)
+            step = rows + X[..., b : b + 1] * M[..., b]
+            rows = step if hits == M.size // n else np.where(nonzero[..., b], step, rows)
     return rows
 
 
@@ -572,9 +582,22 @@ class GroupBlocks:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """One element, or a stack of them: the matrix and every block field
+    then carry a leading element axis (a per-sample stack, when element s
+    goes with sample s of a batch of points)."""
+
     matrix: np.ndarray
     blocks: GroupBlocks
     dim: int
+
+    def take(self, index) -> "GroupElement":
+        """The elements of a stack at ``index`` (an index or boolean array),
+        as a stack."""
+        return GroupElement(
+            self.matrix[index],
+            GroupBlocks(*(f[index] for f in vars(self.blocks).values())),
+            self.dim,
+        )
 
 
 def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
@@ -660,12 +683,13 @@ def _assembled(blocks: GroupBlocks, d: int, tol: float):
     return A, (i, StabilizerConstraintError(*_CONSTRAINTS[k], float(table[i, k])))
 
 
-def _elements(blocks: GroupBlocks, A: np.ndarray, d: int) -> list["GroupElement"]:
-    """One GroupElement per matrix of the stack A, with its blocks."""
-    scalars = zip(*(np.asarray(f).tolist() for f in (blocks.a, blocks.b, blocks.dd, blocks.e)))
+def _elements(stack: GroupElement) -> list[GroupElement]:
+    """One GroupElement per element of a stack, its scalar blocks floats."""
+    b = stack.blocks
+    scalars = zip(*(f.tolist() for f in (b.a, b.b, b.dd, b.e)))
     return [
-        GroupElement(A[i], GroupBlocks(blocks.L[i], blocks.B[i], blocks.C[i], *s), d)
-        for i, s in enumerate(scalars)
+        GroupElement(A, GroupBlocks(L, B, C, *s), stack.dim)
+        for A, L, B, C, s in zip(stack.matrix, b.L, b.B, b.C, scalars)
     ]
 
 
@@ -737,16 +761,17 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _pade_powers(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """I, Z^2, Z^4, Z^6, Z^8 and Z as one (6, n, n) stack: the 1-norms are
-    one call, and the Padé sums one matrix product."""
-    n = Z.shape[0]
-    P = np.zeros((6, n, n))
-    P[0].flat[:: n + 1] = 1.0
-    P[1] = Z2
-    np.matmul(Z2, Z2, out=P[2])
-    np.matmul(P[2], Z2, out=P[3])
-    np.matmul(P[3], Z2, out=P[4])
-    P[5] = Z
+    """I, Z^2, Z^4, Z^6, Z^8 and Z as one (6, n, n) stack, or (E, 6, n, n)
+    for a stack of E matrices: the 1-norms are one call, and the Padé sums
+    one matrix product."""
+    n = Z.shape[-1]
+    P = np.zeros(Z.shape[:-2] + (6, n, n))
+    P[..., 0, :, :] = np.eye(n)
+    P[..., 1, :, :] = Z2
+    np.matmul(Z2, Z2, out=P[..., 2, :, :])
+    np.matmul(P[..., 2, :, :], Z2, out=P[..., 3, :, :])
+    np.matmul(P[..., 3, :, :], Z2, out=P[..., 4, :, :])
+    P[..., 5, :, :] = Z
     return P
 
 
@@ -793,47 +818,50 @@ def _pade_order(P: np.ndarray) -> tuple[int, int]:
     return 13, s + ell(13, s)
 
 
-def _pade_exp(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """e^Z by Padé scaling and squaring, with exact 1-norms (n is tiny).
+def _pade_exp(P: np.ndarray, m: int, s: int) -> np.ndarray:
+    """e^Z for each Z of an (E, 6, n, n) stack of ``_pade_powers``, all at
+    Padé order m and scaling s (``_pade_order``), with exact 1-norms (n is
+    tiny).
 
-    r_m is evaluated as I + 2 (V - U)^-1 U with one solve, then squared s
-    times; m and s come from ``_pade_order``.
+    r_m is evaluated as I + 2 (V - U)^-1 U with one stacked solve, then
+    squared s times.  Every step is a matrix product, solve or elementwise
+    operation per matrix, so each result is bitwise the one-matrix result.
     """
-    n = Z.shape[0]
-    P = _pade_powers(Z, Z2)
-    m, s = _pade_order(P)
+    E, n = P.shape[0], P.shape[-1]
+    Z = P[:, 5]
 
     def solve(U: np.ndarray, V: np.ndarray) -> np.ndarray:
         X = np.linalg.solve(V - U, U)
         X *= 2.0
-        X += P[0]
+        X += P[:, 0]
         return X
 
     if m < 13:
-        odd, even = _PADE_ROWS[m] @ P[: m // 2 + 1].reshape(m // 2 + 1, n * n)
-        return solve(Z @ odd.reshape(n, n), even.reshape(n, n))
+        k = m // 2 + 1
+        sums = (_PADE_ROWS[m] @ P[:, :k].reshape(E, k, n * n)).reshape(E, 2, n, n)
+        return solve(Z @ sums[:, 0], sums[:, 1])
 
     rows = np.ldexp(_PADE13_ROWS, -s * _PADE13_SHIFTS)
-    hi_u, lo_u, hi_v, lo_v = (rows @ P[:4].reshape(4, n * n)).reshape(4, n, n)
-    X = solve(Z @ (P[3] @ hi_u + lo_u), P[3] @ hi_v + lo_v)
+    sums = (rows @ P[:, :4].reshape(E, 4, n * n)).reshape(E, 4, n, n)
+    hi_u, lo_u, hi_v, lo_v = (sums[:, i] for i in range(4))
+    X = solve(Z @ (P[:, 3] @ hi_u + lo_u), P[:, 3] @ hi_v + lo_v)
     for _ in range(s):
         X = X @ X
     return X
 
 
-def exp_algebra(Z: np.ndarray) -> np.ndarray:
-    """Matrix exponential: exact terminating series for nilpotent input,
-    Padé scaling and squaring otherwise.
+def _terminating_series(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray | None:
+    """sum Z^k / k! up to the first vanishing power, or None when no power
+    up to Z^n vanishes.
 
     A nilpotent Z has tr Z^2 = 0, and the rounding error of the computed
     trace is below 2n u ||Z||_F^2 (u the unit roundoff); a trace far above
     that proves Z is not nilpotent, so only otherwise are the powers of Z
-    probed for the series.
+    probed.
     """
     n = Z.shape[0]
-    Z2 = Z @ Z
     if abs(float(Z2.trace())) > 128.0 * n * _UNIT_ROUNDOFF * float(np.vdot(Z, Z)):
-        return _pade_exp(Z, Z2)
+        return None
     terms = [np.eye(n)]
     power = Z
     fact = 1.0
@@ -843,25 +871,68 @@ def exp_algebra(Z: np.ndarray) -> np.ndarray:
             return sum(terms)
         terms.append(power / fact)
         power = Z2 if k == 1 else power @ Z
-    return _pade_exp(Z, Z2)
+    return None
 
 
-def random_group_elements(
-    d: int, rng: np.random.Generator, count: int, scale: float = 0.4, tol: float = 1e-10
-) -> list[GroupElement]:
-    """``count`` consecutive ``random_group_element`` draws as one stack.
+def exp_algebra(Z: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one (n, n) matrix or of each matrix of an
+    (E, n, n) stack: exact terminating series for nilpotent input, Padé
+    scaling and squaring otherwise.
 
-    The algebra coefficients are one (count, k) draw, bitwise the draws one
-    element at a time would take from ``rng``; each element keeps its own
-    Padé exponential; the block constraints, Abar A = 1 and [A, Z0] = 0 are
-    checked once over the stack, after every exponential is taken.  The
-    elements, and the StabilizerConstraintError or block-pattern error
-    raised for the first failing one, are those of the per-element draws.
+    Each matrix is probed for nilpotency (``_terminating_series``) and
+    given its Padé order m and scaling s (``_pade_order``) on its own; the
+    matrices that share (m, s) then take one stacked evaluation
+    (``_pade_exp``).  So every result is bitwise the one-matrix result.
     """
-    stack = commutant_stack(d)
-    coeffs = rng.uniform(-scale, scale, size=(count, len(stack)))
-    # each element summed basis element by basis element, as sum(c * b) would
-    raw = np.array([exp_algebra((c[:, None, None] * stack).sum(axis=0)) for c in coeffs])
+    Z = np.asarray(Z, dtype=float)
+    stack = Z.reshape((-1,) + Z.shape[-2:])
+    Z2 = stack @ stack
+    out = np.empty_like(stack)
+    pade = []
+    for i, (z, z2) in enumerate(zip(stack, Z2)):
+        series = _terminating_series(z, z2)
+        if series is None:
+            pade.append(i)
+        else:
+            out[i] = series
+    if pade:
+        P = _pade_powers(stack[pade], Z2[pade])
+        groups: dict[tuple[int, int], list[int]] = {}
+        for j, powers in enumerate(P):
+            groups.setdefault(_pade_order(powers), []).append(j)
+        for (m, s), held in groups.items():
+            out[[pade[j] for j in held]] = _pade_exp(P[held], m, s)
+    return out.reshape(Z.shape)
+
+
+def group_coefficients(
+    d: int, rng: np.random.Generator, count: int, scale: float = 0.4
+) -> np.ndarray:
+    """Algebra coefficients for ``count`` random group elements: one
+    (count, k) uniform draw on [-scale, scale], k = dim sch(d), bitwise the
+    rows that ``count`` one-row draws would take from ``rng``."""
+    return rng.uniform(-scale, scale, size=(count, len(commutant_stack(d))))
+
+
+def group_elements(d: int, coeffs: np.ndarray, tol: float = 1e-10) -> GroupElement:
+    """The exponentials of the algebra elements with the (count, k)
+    coefficient rows ``coeffs`` (in the ``commutant_stack`` basis), as one
+    stack, reassembled from their blocks.
+
+    The exponential is one ``exp_algebra`` call on the stack; the block
+    constraints, Abar A = 1 and [A, Z0] = 0 are checked once over it.  The
+    elements, and the StabilizerConstraintError or block-pattern error
+    raised for the first failing one, are those of the elements drawn one
+    at a time.
+    """
+    basis = commutant_stack(d)
+    # each element summed basis element by basis element, as sum(c * b)
+    # would, holding one (count, n, n) term at a time
+    Z = coeffs[:, 0, None, None] * basis[0]
+    term = np.empty_like(Z)
+    for c, b in zip(coeffs.T[1:, :, None, None], basis[1:]):
+        Z += np.multiply(c, b, out=term)
+    raw = exp_algebra(Z)
     blocks = extract_blocks(raw, d)
     A, failed = _assembled(blocks, d, tol)
     rebuild = np.abs(A - raw).max(axis=(-2, -1))
@@ -873,7 +944,16 @@ def random_group_elements(
         raise ContractViolationError(
             f"exponential left the block pattern (residual {rebuild[drift[0]]:.3e})"
         )
-    return _elements(blocks, A, d)
+    return GroupElement(A, blocks, d)
+
+
+def random_group_elements(
+    d: int, rng: np.random.Generator, count: int, scale: float = 0.4, tol: float = 1e-10
+) -> list[GroupElement]:
+    """``count`` random group elements, drawn (``group_coefficients``),
+    exponentiated and validated (``group_elements``) as one stack, and
+    returned one by one."""
+    return _elements(group_elements(d, group_coefficients(d, rng, count, scale), tol))
 
 
 def random_group_element(
@@ -884,20 +964,27 @@ def random_group_element(
     return random_group_elements(d, rng, 1, scale=scale, tol=tol)[0]
 
 
-def group_inverses(elements: list[GroupElement]) -> list[GroupElement]:
-    """The inverse Abar = G A^T G of each element, validated as one stack;
-    raises for the first inverse that fails, as ``group_inverse`` would."""
-    d = elements[0].dim
-    A = np.array([ge.matrix for ge in elements])
+def _inverses(A: np.ndarray, d: int) -> GroupElement:
+    """The inverses Abar = G A^T G of an (E, d+4, d+4) stack, validated as
+    one stack; raises for the first failing inverse."""
     blocks = extract_blocks(g_adjoint(A, ambient_gram(d)), d)
     A, failed = _assembled(blocks, d, 1e-10)
     if failed:
         raise failed[1]
-    return _elements(blocks, A, d)
+    return GroupElement(A, blocks, d)
 
 
 def group_inverse(ge: GroupElement) -> GroupElement:
+    """The inverse of one element, or of each element of a stack."""
+    if ge.matrix.ndim > 2:
+        return _inverses(ge.matrix, ge.dim)
     return group_inverses([ge])[0]
+
+
+def group_inverses(elements: list[GroupElement]) -> list[GroupElement]:
+    """The inverse of each element, validated as one stack; raises for the
+    first inverse that fails, as ``group_inverse`` would."""
+    return _elements(_inverses(np.array([ge.matrix for ge in elements]), elements[0].dim))
 
 
 def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
@@ -906,16 +993,18 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t); inputs
     may be floats or jets.  ``x`` holds n = d + 2 coordinates: scalars for
     one point, or (N,) arrays (jets with a trailing sample axis) for a batch
-    of N points, whose images come back in the same form.  Raises
-    ChartEscapeError when the denominator falls below ``guard`` at any
-    sample.
+    of N points, whose images come back in the same form.  ``ge`` is one
+    element, or a per-sample stack of N elements (``GroupElement.take``)
+    whose element s acts on sample s of the batch: one pass over N
+    (element, point) pairs.  Raises ChartEscapeError when the denominator
+    falls below ``guard`` at any sample.
 
     The n numerators are one stack (``_affine_rows``): (a/2) g(x,x) is formed
     once, and row a adds its L[a, b] x[b] in column order b, skipping zero
     entries.  Jets are divided through one shared reciprocal of e - a t,
     applied by the product rule as jet division applies it.  Each image is
     therefore rounded exactly as (C[a] - (a/2) g(x,x) xi[a] + L[a, 0] x[0] +
-    ...) / (e - a t) evaluated on its own.
+    ...) / (e - a t) evaluated on its own, for one point and one element.
     """
     d = ge.dim
     blocks = ge.blocks

@@ -30,11 +30,12 @@ from .ambient import (
     component_witnesses,
     cone_point,
     flat_metric,
-    group_inverses,
+    group_coefficients,
+    group_elements,
+    group_inverse,
     projective_action,
     random_algebra_element,
     random_group_element,
-    random_group_elements,
     require_sch,
     sch_dimension,
     sch_residuals,
@@ -161,9 +162,17 @@ def _check(
 
 
 def _on_chart(ge, t: np.ndarray) -> np.ndarray:
-    """Samples whose projective denominator e - a t clears the guard of
-    ``projective_action``."""
+    """Samples whose projective denominator e - a t, under the per-sample
+    element stack ``ge``, clears the guard of ``projective_action``."""
     return np.abs(ge.blocks.e - ge.blocks.a * t) > CHART_GUARD
+
+
+def _pairs(stack, pts: np.ndarray) -> tuple:
+    """Every (element, point) pair of an element stack and the points,
+    element by element and in point order: a per-sample element stack and
+    the points it acts on."""
+    count = len(stack.matrix)
+    return stack.take(np.repeat(np.arange(count), len(pts))), np.tile(pts, (count, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +412,15 @@ def _suite_lie_algebra(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
+    """Group records per d.  Each check draws its elements as one stack
+    (``group_elements``), exponentiated and validated once, and acts on all
+    its (element, point) pairs that stay on the chart in one
+    ``projective_action`` pass per direction."""
     checks: list[CheckResult] = []
     for d in cfg.dims:
         base = f"group_d{d}"
         count = max(5, cfg.samples // 2)
+        rounds = max(3, count // 3)
         check = partial(_check, checks, cfg, conf={"d": d}, samples=count)
 
         @check(
@@ -417,9 +431,9 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
             rng = np.random.default_rng(seed)
             G = ambient_gram(d)
             Z0 = build_Z0(d).matrix
-            elements = random_group_elements(d, rng, count)
-            A = np.array([ge.matrix for ge in elements])
-            Ainv = np.array([gi.matrix for gi in group_inverses(elements)])
+            stack = group_elements(d, group_coefficients(d, rng, count))
+            A = stack.matrix
+            Ainv = group_inverse(stack).matrix
             found = [
                 np.abs(A.swapaxes(-1, -2) @ G @ A - G),
                 np.abs(A @ Z0 - Z0 @ A),
@@ -435,25 +449,24 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
             rng = np.random.default_rng(seed)
             sampler = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2))
             pts = sampler.points(4)
-            found = []
-            used = 0
-            for _ in range(count):
-                ge = random_group_element(d, rng)
-                r = 1.0 + 0.3 * rng.uniform(size=len(pts))
-                keep = _on_chart(ge, pts[:, d])
-                if not keep.any():
-                    continue
-                x, r = list(pts[keep].T), r[keep]
-                img, r2 = projective_action(ge, x, r)
-                lifted = np.array(cone_point(img, r2)).T
-                # one matrix-vector product per sample, rounded as for one point
-                moved = (ge.matrix @ np.array(cone_point(x, r)).T[..., None])[..., 0]
-                found.append(np.abs(lifted - moved))
-                used += len(r)
-            if used == 0:
+            # round by round: an element's coefficients, then its radii
+            draws = [
+                (group_coefficients(d, rng, 1)[0], 1.0 + 0.3 * rng.uniform(size=len(pts)))
+                for _ in range(count)
+            ]
+            coeffs, radii = (np.array(a) for a in zip(*draws))
+            ge, x = _pairs(group_elements(d, coeffs), pts)
+            keep = _on_chart(ge, x[:, d])
+            if not keep.any():
                 raise ChartEscapeError("all projective samples escaped")
+            ge, x, r = ge.take(keep), list(x[keep].T), radii.ravel()[keep]
+            img, r2 = projective_action(ge, x, r)
+            lifted = np.array(cone_point(img, r2)).T
+            # one matrix-vector product per sample, rounded as for one point
+            moved = (ge.matrix @ np.array(cone_point(x, r)).T[..., None])[..., 0]
+            used = len(r)
             return judged(
-                max_entry(0.0, *found),
+                max_entry(0.0, np.abs(lifted - moved)),
                 1e-10,
                 extra={"evaluations": used, "escapes": count * len(pts) - used},
             )
@@ -468,50 +481,42 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
             g0 = gram_values(metric, [0.0] * (d + 2))
             sampler = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2))
             pts = sampler.points(4)
-            found = []
-            used = 0
-            for ge in random_group_elements(d, rng, max(3, count // 3)):
-                den = ge.blocks.e - ge.blocks.a * pts[:, d]
-                # |den| >= 0.2 keeps every kept sample clear of the chart guard
-                keep = np.abs(den) >= 0.2
-                if not keep.any():
-                    continue
-                _, jac = jet_components(
-                    lambda x, ge=ge: projective_action(ge, x), pts[keep]
-                )
-                used += int(keep.sum())
-                J = jac.real
-                pulled = J.swapaxes(-1, -2) @ g0 @ J
-                den2 = (den[keep] * den[keep])[:, None, None]
-                found.append(np.abs(pulled - g0 / den2))
-            if used == 0:
+            ge, x = _pairs(group_elements(d, group_coefficients(d, rng, rounds)), pts)
+            den = ge.blocks.e - ge.blocks.a * x[:, d]
+            # |den| >= 0.2 keeps every kept sample clear of the chart guard
+            keep = np.abs(den) >= 0.2
+            if not keep.any():
                 raise ChartEscapeError("all pullback samples escaped")
-            return judged(max_entry(0.0, *found), 1e-9, extra={"evaluations": used})
+            ge, den = ge.take(keep), den[keep]
+            _, jac = jet_components(lambda y: projective_action(ge, y), x[keep])
+            J = jac.real
+            pulled = J.swapaxes(-1, -2) @ g0 @ J
+            den2 = (den * den)[:, None, None]
+            return judged(
+                max_entry(0.0, np.abs(pulled - g0 / den2)),
+                1e-9,
+                extra={"evaluations": len(den)},
+            )
 
         @check(f"{base}_inverse", "inverse element inverts the chart action")
         def inverse(seed):
             rng = np.random.default_rng(seed)
             sampler = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2))
             pts = sampler.points(4)
-            rounds = max(3, count // 3)
-            found = []
-            used = 0
-            elements = random_group_elements(d, rng, rounds)
-            for ge, gi in zip(elements, group_inverses(elements)):
-                x = pts[_on_chart(ge, pts[:, d])]
-                if not len(x):
-                    continue
+            stack = group_elements(d, group_coefficients(d, rng, rounds))
+            ge, x = _pairs(stack, pts)
+            gi, _ = _pairs(group_inverse(stack), pts)
+            keep = _on_chart(ge, x[:, d])
+            if keep.any():
+                ge, gi, x = ge.take(keep), gi.take(keep), x[keep]
                 img = np.array(projective_action(ge, list(x.T)))
                 keep = _on_chart(gi, img[d])
-                if not keep.any():
-                    continue
-                back = np.array(projective_action(gi, list(img[:, keep])))
-                found.append(np.abs(back.T - x[keep]))
-                used += int(keep.sum())
-            if used == 0:
+            if not keep.any():
                 raise ChartEscapeError("all inverse samples escaped")
+            back = np.array(projective_action(gi.take(keep), list(img[:, keep])))
+            used = int(keep.sum())
             return judged(
-                max_entry(0.0, *found),
+                max_entry(0.0, np.abs(back.T - x[keep])),
                 1e-9,
                 extra={"evaluations": used, "escapes": rounds * len(pts) - used},
             )

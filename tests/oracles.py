@@ -1,15 +1,22 @@
 """Reference implementations that the package does not run, kept as
 independent oracles for the tests: the einsum Ricci kernel, central-difference
 metric derivatives, Gram assembly entry by entry, the quadric embedding with
-its (X, Y) decomposition, and the finite expansion integrated by RK4 from its
-generator field."""
+its (X, Y) decomposition, the finite expansion integrated by RK4 from its
+generator field, and group-element stacks built element by element."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from schrogeo import numkernel as nk
-from schrogeo.ambient import SchBlocks, ambient_gram, build_Z0, realize_field
+from schrogeo.ambient import (
+    GroupBlocks,
+    GroupElement,
+    SchBlocks,
+    ambient_gram,
+    build_Z0,
+    realize_field,
+)
 from schrogeo.bargmann import ChartMap
 from schrogeo.geometry import (
     _coordinates,
@@ -288,4 +295,15 @@ def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
         lambda x: fwd(x)[0],
         lambda x: back(x)[0],
         lambda x: nk.exp(back(x)[1]),
+    )
+
+
+def stack_elements(elements: list[GroupElement]) -> GroupElement:
+    """One GroupElement stack of single elements, each block field stacked
+    entry by entry, bit for bit (signed zeros too)."""
+    fields = zip(*(vars(ge.blocks).values() for ge in elements))
+    return GroupElement(
+        np.array([ge.matrix for ge in elements]),
+        GroupBlocks(*map(np.array, fields)),
+        elements[0].dim,
     )

@@ -253,7 +253,7 @@ class TestGroup:
 
         def polluted(Z):
             A = exp_algebra(Z)
-            A[n + 1, n] = np.nan  # an entry extract_blocks never reads
+            A[..., n + 1, n] = np.nan  # an entry extract_blocks never reads
             return A
 
         monkeypatch.setattr(ambient, "exp_algebra", polluted)

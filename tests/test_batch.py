@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import embed
+from oracles import embed, stack_elements
 
+from schrogeo import ambient
 from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
 from schrogeo import suites
@@ -24,6 +25,8 @@ from schrogeo.ambient import (
     decompose_sch,
     exp_algebra,
     extract_blocks,
+    group_coefficients,
+    group_elements,
     group_inverse,
     projective_action,
     random_algebra_element,
@@ -694,19 +697,26 @@ def sequential_inverse(cfg, d, sample_group):
 
 
 def sometimes_escaping(ts):
-    """random_group_element, except that about half the draws become a pure
+    """group_elements, except that about half the elements become a pure
     expansion with denominator 1 - t/t_k, which leaves the chart where
-    t = t_k for one of ``ts``.  The choice depends only on the draw."""
+    t = t_k for one of ``ts``.  The choice depends only on the element.
+    Returns that stand-in and a one-element draw from an rng through it."""
 
-    def sample(d, rng):
-        ge = random_group_element(d, rng)
+    def element(d, coeffs):
+        (ge,) = ambient._elements(group_elements(d, coeffs[None]))
         k = zlib.crc32(ge.matrix.tobytes()) % (2 * len(ts))
         if k >= len(ts):
             return ge
         A = exp_algebra(bg._expansion_generator(d, 1.0 / ts[k]))
         return assemble_group_element(extract_blocks(A, d), d)
 
-    return sample
+    def elements(d, coeffs):
+        return stack_elements([element(d, c) for c in coeffs])
+
+    def sample(d, rng):
+        return element(d, group_coefficients(d, rng, 1)[0])
+
+    return elements, sample
 
 
 @pytest.mark.parametrize("d, seed", [(1, 5), (2, 0), (4, 3)])
@@ -718,14 +728,8 @@ def test_group_chart_checks_match_per_point_loops(monkeypatch, d, seed):
         for t in SeededSampler(check_seed(cfg, f"group_d{d}_{check}"), [(-1.0, 1.0)] * (d + 2))
         .points(4)[:, d]
     ]
-    sample = sometimes_escaping(ts)
-    monkeypatch.setattr(suites, "random_group_element", sample)
-    # the stacked draws of the inverse check come from the same sampler
-    monkeypatch.setattr(
-        suites,
-        "random_group_elements",
-        lambda d, rng, count: [sample(d, rng) for _ in range(count)],
-    )
+    elements, sample = sometimes_escaping(ts)
+    monkeypatch.setattr(suites, "group_elements", elements)
     records = {c.name: c for c in run_suite(cfg).checks}
     escapes = 0
     for check, reference, rounds in (

@@ -1,8 +1,10 @@
 """The stacked chart action and the stacked group draws.
 
 ``realize_field`` and ``projective_action`` build their d + 2 rows as one
-array pass, and ``random_group_elements`` / ``group_inverses`` draw and
-validate group elements as one stack.  Each must give, bit for bit, what the
+array pass, ``projective_action`` also takes a per-sample element stack,
+``exp_algebra`` exponentiates a matrix stack, and ``group_elements`` /
+``random_group_elements`` / ``group_inverses`` exponentiate and validate
+group elements as one stack.  Each must give, bit for bit, what the
 one-row-at-a-time and one-element-at-a-time computations give, and must
 raise what those raise.
 """
@@ -12,16 +14,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import stack_elements
+
 from schrogeo import ambient
 from schrogeo import numkernel as nk
+from schrogeo import suites
 from schrogeo.ambient import (
     CHART_GUARD,
     ChartEscapeError,
     GroupElement,
+    SchBlocks,
     StabilizerConstraintError,
+    _pade_order,
+    _pade_powers,
     commutant_stack,
     exp_algebra,
     flat_gram_matrix,
+    group_coefficients,
+    group_elements,
     group_inverse,
     group_inverses,
     projective_action,
@@ -29,10 +39,12 @@ from schrogeo.ambient import (
     random_group_element,
     random_group_elements,
     realize_field,
+    sch_matrix,
     xi_vector,
 )
+from schrogeo.bargmann import _expansion_generator
 from schrogeo.numkernel import ContractViolationError, Jet2
-from schrogeo.suites import SuiteConfig, run_suite
+from schrogeo.suites import SuiteConfig, check_seed, run_suite
 
 DIMS = range(1, 9)
 
@@ -255,16 +267,17 @@ def test_stacked_draws_match_one_element_at_a_time(d, seed):
 
 
 def breaking(monkeypatch, broken: dict):
-    """exp_algebra with call k's result changed by ``broken[k]``."""
+    """exp_algebra with the k-th matrix it exponentiates changed by
+    ``broken[k]``, counted over every call, one matrix or a stack."""
     calls = {"n": 0}
 
     def exp(Z):
-        A = exp_algebra(Z)
-        k = calls["n"]
-        calls["n"] += 1
-        if k in broken:
-            A = A.copy()
-            broken[k](A)
+        A = exp_algebra(Z).copy()
+        for M in A.reshape((-1,) + A.shape[-2:]):
+            k = calls["n"]
+            calls["n"] += 1
+            if k in broken:
+                broken[k](M)
         return A
 
     monkeypatch.setattr(ambient, "exp_algebra", exp)
@@ -305,12 +318,16 @@ def test_stack_raises_what_the_first_failing_element_raises(monkeypatch, defect)
     breaking(monkeypatch, DEFECTS[defect])
     stacked = _raised(lambda: random_group_elements(D, np.random.default_rng(3), 6))
     breaking(monkeypatch, DEFECTS[defect])
+    coeffs = group_coefficients(D, np.random.default_rng(3), 6)
+    direct = _raised(lambda: group_elements(D, coeffs))
+    breaking(monkeypatch, DEFECTS[defect])
     rng = np.random.default_rng(3)
     single = _raised(lambda: [random_group_element(D, rng) for _ in range(6)])
-    assert type(stacked) is type(single)
-    assert str(stacked) == str(single)
-    if isinstance(single, StabilizerConstraintError):
-        assert (stacked.index, stacked.description) == (single.index, single.description)
+    for raised in (stacked, direct):
+        assert type(raised) is type(single)
+        assert str(raised) == str(single)
+        if isinstance(single, StabilizerConstraintError):
+            assert (raised.index, raised.description) == (single.index, single.description)
 
 
 def test_inverse_stack_raises_for_the_first_failing_inverse():
@@ -322,6 +339,122 @@ def test_inverse_stack_raises_for_the_first_failing_inverse():
     single = _raised(lambda: [group_inverse(ge) for ge in elements])
     assert isinstance(stacked, StabilizerConstraintError)
     assert str(stacked) == str(single)
+
+
+# ---------------------------------------------------------------------------
+# the stacked exponential and the per-sample chart action
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_stacked_exponential_matches_one_matrix_at_a_time(d):
+    """One stack mixing every branch of exp_algebra, interleaved: scales 0.1
+    and 0.4 (Padé orders 3 to 9, no squaring), 3.0 and 12.0 (order 13, with
+    squarings at 12.0), and nilpotent translations and expansions (the
+    terminating series)."""
+    rng = np.random.default_rng(700 + d)
+    basis = commutant_stack(d)
+    Zs = [
+        (c[:, None, None] * basis).sum(axis=0)
+        for scale in (0.1, 0.4, 3.0, 12.0)
+        for c in rng.uniform(-scale, scale, size=(3, len(basis)))
+    ]
+    translation = SchBlocks(np.zeros((d + 2, d + 2)), rng.uniform(-1, 1, d + 2), 0.0, 0.0)
+    Zs += [sch_matrix(translation, d), _expansion_generator(d, 0.3), _expansion_generator(d, -1.7)]
+    Zs = np.array(Zs)[rng.permutation(len(Zs))]
+    orders = {_pade_order(_pade_powers(Z, Z @ Z)) for Z in Zs}
+    assert len(orders) >= 3 and any(s > 0 for _, s in orders), orders
+    got = exp_algebra(Zs)
+    assert got.shape == Zs.shape
+    for Z, A in zip(Zs, got):
+        one = exp_algebra(Z)
+        assert one.shape == Z.shape
+        assert A.tobytes() == one.tobytes()
+
+
+def sample_of(values, s):
+    """Sample s of a batch image: floats of (N,) arrays, or jets."""
+    if isinstance(values[0], Jet2):
+        return [
+            Jet2(v.value[s], v.grad[:, s], None if v.hess is None else v.hess[:, :, s])
+            for v in values
+        ]
+    return [v[s] for v in values]
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_per_sample_action_matches_one_element_at_a_time(d):
+    rng = np.random.default_rng(200 + d)
+    elements = random_group_elements(d, rng, 4)
+    # L zero patterns that differ element by element, and a row of -0.0
+    for i in (1, 2):
+        elements[i] = with_blocks(elements[i], L=sparse(elements[i].blocks.L, rng))
+    L = elements[3].blocks.L.copy()
+    L[rng.integers(d + 2)] = -0.0
+    elements[3] = with_blocks(elements[3], L=L)
+    pts = rng.uniform(-0.9, 0.9, size=(3, d + 2))
+    pts[0, 0], pts[1, -1] = -0.0, 0.0
+    el, pt = np.divmod(np.arange(len(elements) * len(pts)), len(pts))
+    ge, x = stack_elements(elements).take(el), pts[pt]
+    r = 1.0 + 0.3 * rng.uniform(size=len(x))
+    for kind, batch, point in (
+        ("floats", list(x.T), lambda p: p.tolist()),
+        ("order 1", nk.seed_point(x, order=1), lambda p: nk.seed_point(p, order=1)),
+        ("order 2", nk.seed_point(x), nk.seed_point),
+    ):
+        got, got_r = projective_action(ge, batch, r)
+        bare = projective_action(ge, batch)
+        for s in range(len(x)):
+            want, want_r = projective_action(elements[el[s]], point(x[s]), float(r[s]))
+            assert bits(sample_of(got, s)) == bits(want), (kind, s)
+            assert bits(sample_of(bare, s)) == bits(want), (kind, s)
+            assert bits(sample_of([got_r], s)) == bits([want_r]), (kind, s)
+
+
+def test_per_sample_guard_raises_for_any_sample():
+    d = 3
+    elements = random_group_elements(d, np.random.default_rng(9), 3)
+    elements[2] = with_blocks(elements[2], a=0.5, e=0.25)  # vanishes at t = 0.5
+    pts = np.random.default_rng(10).uniform(-0.9, 0.9, size=(3, d + 2))
+    pts[2, d] = 0.5
+    ge = stack_elements(elements)
+    for x in (list(pts.T), nk.seed_point(pts, order=1)):
+        with pytest.raises(ChartEscapeError, match="denominator vanished"):
+            projective_action(ge, x)
+    # the same point under another element stays on the chart: no raise
+    projective_action(stack_elements(elements[:2] + elements[:1]), list(pts.T))
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_projective_draws_coefficients_then_radii_round_by_round(monkeypatch, d):
+    """The projective check's rng stream is the per-element one: each round
+    draws one element (its coefficients), then one radius per point."""
+    cfg = SuiteConfig("group", dims=(d,), samples=40, seed=11)
+    rng = np.random.default_rng(check_seed(cfg, f"group_d{d}_projective"))
+    want, radii = [], []
+    for _ in range(20):
+        want.append(random_group_element(d, rng).matrix)
+        radii.append(1.0 + 0.3 * rng.uniform(size=4))
+    seen = []
+
+    def elements(dim, coeffs):
+        stack = group_elements(dim, coeffs)
+        seen.append(("elements", stack))
+        return stack
+
+    def action(ge, x, r=None):
+        seen.append(("r", r))
+        return projective_action(ge, x, r)
+
+    monkeypatch.setattr(suites, "group_elements", elements)
+    monkeypatch.setattr(suites, "projective_action", action)
+    rec = {c.name: c for c in run_suite(cfg).checks}[f"group_d{d}_projective"]
+    assert rec.status == "PASS" and rec.extra["escapes"] == 0
+    # the one action call with radii is the projective check's, after its draw
+    at = [i for i, (kind, v) in enumerate(seen) if kind == "r" and v is not None]
+    assert len(at) == 1
+    stack = [v for kind, v in seen[: at[0]] if kind == "elements"][-1]
+    assert stack.matrix.tobytes() == np.array(want).tobytes()
+    assert seen[at[0]][1].tobytes() == np.concatenate(radii).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +481,35 @@ def _nudge_linear(monkeypatch):
     monkeypatch.setattr(ambient, "_add_linear", defect)
 
 
-@pytest.mark.parametrize("d", [2, 6])
-@pytest.mark.parametrize("inject", [_drop_quadratic, _nudge_linear])
-@pytest.mark.parametrize(
-    "suite, record",
-    [
+def _nudge_last_sample(monkeypatch):
+    """A defect confined to the last sample of a per-sample element stack:
+    its C moves, every other sample's is left alone.  A check that read
+    only the first elements of its stack would miss it."""
+    rows = ambient._affine_rows
+
+    def defect(x, d, const, M, quad, rate=None):
+        if np.ndim(const) == 2:
+            const = np.array(const)
+            const[-1] += 1e-6
+        return rows(x, d, const, M, quad, rate)
+
+    monkeypatch.setattr(ambient, "_affine_rows", defect)
+
+
+CHART_DEFECTS = [
+    (suite, record, inject)
+    for inject in (_drop_quadratic, _nudge_linear)
+    for suite, record in (
         ("lie-algebra", "realization"),
         ("group", "projective"),
         ("group", "pullback"),
         ("group", "inverse"),
-    ],
-)
+    )
+] + [("group", record, _nudge_last_sample) for record in ("projective", "pullback", "inverse")]
+
+
+@pytest.mark.parametrize("d", [2, 6])
+@pytest.mark.parametrize("suite, record, inject", CHART_DEFECTS)
 def test_chart_action_defect_fails_the_record(monkeypatch, suite, record, inject, d):
     name = f"{suite.replace('-', '')}_d{d}_{record}"
     clean = {c.name: c for c in run_suite(SuiteConfig(suite, dims=(d,))).checks}

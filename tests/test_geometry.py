@@ -36,6 +36,7 @@ from schrogeo.geometry import (
     scalar_laplacian,
     yamabe_residual,
 )
+from schrogeo.ambient import flat_gram_matrix, flat_metric
 from schrogeo.bargmann import flat_bargmann
 from schrogeo.homogeneous import SchrodingerManifoldConfig, boundary_metric, bulk_metric
 from schrogeo.numkernel import SeededSampler
@@ -413,3 +414,21 @@ def test_per_sample_couplings_assemble_as_the_entry_loop(d):
         for a, b in zip(gram_jets(metric, pts, order), want):
             assert same_bits(a, b)
 
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_flat_metric_writes_its_ones_as_one_shared_entry(d):
+    """Equal constants of the flat metric are one object: its Gram is one
+    entry group (the 1.0s), with the +0.0s left to the zeros it starts
+    from, and still bitwise the entry-by-entry assembly."""
+    metric = flat_metric(d)
+    n = d + 2
+    pts = SeededSampler(23, [(-0.9, 0.9)] * n).points(3)
+    (one, at), = geometry._entry_positions(metric.gram(list(pts[0])))
+    assert one == 1.0
+    assert np.array_equal(np.sort(at), np.flatnonzero(flat_gram_matrix(d)))
+    for p in (pts[0], pts):
+        assert same_bits(gram_values(metric, p), gram_values_loop(metric, p))
+        for order in (1, 2):
+            for a, b in zip(gram_jets(metric, p, order), gram_jets_loop(metric, p, order)):
+                assert same_bits(a, b)
