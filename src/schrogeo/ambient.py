@@ -46,7 +46,6 @@ __all__ = [
     "exp_algebra",
     "extract_blocks",
     "group_inverse",
-    "group_inverses",
     "flat_chart",
     "flat_gram_matrix",
     "flat_metric",
@@ -57,7 +56,6 @@ __all__ = [
     "projective_action",
     "random_algebra_element",
     "random_group_element",
-    "random_group_elements",
     "realize_field",
     "require_sch",
     "sch_dimension",
@@ -683,16 +681,6 @@ def _assembled(blocks: GroupBlocks, d: int, tol: float):
     return A, (i, StabilizerConstraintError(*_CONSTRAINTS[k], float(table[i, k])))
 
 
-def _elements(stack: GroupElement) -> list[GroupElement]:
-    """One GroupElement per element of a stack, its scalar blocks floats."""
-    b = stack.blocks
-    scalars = zip(*(f.tolist() for f in (b.a, b.b, b.dd, b.e)))
-    return [
-        GroupElement(A, GroupBlocks(L, B, C, *s), stack.dim)
-        for A, L, B, C, s in zip(stack.matrix, b.L, b.B, b.C, scalars)
-    ]
-
-
 def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> GroupElement:
     """Build the group element and verify every block constraint.
 
@@ -947,44 +935,30 @@ def group_elements(d: int, coeffs: np.ndarray, tol: float = 1e-10) -> GroupEleme
     return GroupElement(A, blocks, d)
 
 
-def random_group_elements(
-    d: int, rng: np.random.Generator, count: int, scale: float = 0.4, tol: float = 1e-10
-) -> list[GroupElement]:
-    """``count`` random group elements, drawn (``group_coefficients``),
-    exponentiated and validated (``group_elements``) as one stack, and
-    returned one by one."""
-    return _elements(group_elements(d, group_coefficients(d, rng, count, scale), tol))
-
-
 def random_group_element(
     d: int, rng: np.random.Generator, scale: float = 0.4, tol: float = 1e-10
 ) -> GroupElement:
     """Exponential of a random algebra element, reassembled from its blocks
-    (which re-validates every constraint)."""
-    return random_group_elements(d, rng, 1, scale=scale, tol=tol)[0]
+    (which re-validates every constraint): the one-element stack of
+    ``group_elements``, its scalar blocks floats."""
+    stack = group_elements(d, group_coefficients(d, rng, 1, scale), tol)
+    b = stack.blocks
+    scalars = (float(f[0]) for f in (b.a, b.b, b.dd, b.e))
+    blocks = GroupBlocks(b.L[0], b.B[0], b.C[0], *scalars)
+    return GroupElement(stack.matrix[0], blocks, d)
 
 
-def _inverses(A: np.ndarray, d: int) -> GroupElement:
-    """The inverses Abar = G A^T G of an (E, d+4, d+4) stack, validated as
-    one stack; raises for the first failing inverse."""
-    blocks = extract_blocks(g_adjoint(A, ambient_gram(d)), d)
+def group_inverse(ge: GroupElement) -> GroupElement:
+    """The inverse Abar = G A^T G of one element, or of each element of a
+    stack, validated as one stack: raises for the first failing inverse."""
+    d = ge.dim
+    blocks = extract_blocks(g_adjoint(ge.matrix, ambient_gram(d)), d)
+    if ge.matrix.ndim == 2:
+        return assemble_group_element(blocks, d)
     A, failed = _assembled(blocks, d, 1e-10)
     if failed:
         raise failed[1]
     return GroupElement(A, blocks, d)
-
-
-def group_inverse(ge: GroupElement) -> GroupElement:
-    """The inverse of one element, or of each element of a stack."""
-    if ge.matrix.ndim > 2:
-        return _inverses(ge.matrix, ge.dim)
-    return group_inverses([ge])[0]
-
-
-def group_inverses(elements: list[GroupElement]) -> list[GroupElement]:
-    """The inverse of each element, validated as one stack; raises for the
-    first inverse that fails, as ``group_inverse`` would."""
-    return _elements(_inverses(np.array([ge.matrix for ge in elements]), elements[0].dim))
 
 
 def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):

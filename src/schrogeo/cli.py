@@ -88,10 +88,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# argparse takes a token such as "-1e-4" for an option, so a negative value
-# given after one of these flags is bound to it as "--flag=-1e-4" first.
-_NUMERIC_FLAGS = frozenset({"--dim", "--lambda", "--mu"})
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+# argparse takes a token such as "-1e-4" or "-inf" for an option, so a
+# negative value given after one of these flags is bound to it as
+# "--flag=-1e-4" first; validation then judges it.
+_NUMERIC_FLAGS = frozenset({"--dim", "--lambda", "--mu", "--tol"})
+_NEGATIVE_NUMBER = re.compile(
+    r"-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)", re.IGNORECASE
+)
 
 
 def _bind_negative_values(argv: list[str]) -> list[str]:

@@ -53,13 +53,21 @@ class DegenerateMetricError(ValueError):
     ``sample`` is the index of the first singular sample of a stack (None at
     one point) and ``detail`` the singular values that condemned it, so a
     caller that stacked several batches can name the batch and the index
-    within it.
+    within it.  ``coupling`` is the (lam, mu) of that sample once a caller
+    has named it, and then ``sample`` counts within that coupling's points.
     """
 
-    def __init__(self, message: str, sample: int | None = None, detail: str = ""):
+    def __init__(
+        self,
+        message: str,
+        sample: int | None = None,
+        detail: str = "",
+        coupling: tuple[float, float] | None = None,
+    ):
         super().__init__(message)
         self.sample = sample
         self.detail = detail
+        self.coupling = coupling
 
 
 @dataclass(frozen=True)

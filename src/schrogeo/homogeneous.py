@@ -20,9 +20,10 @@ The couplings may vary along the batch as well: a config whose ``lam`` and
 metric, the clock, the embedding and every identity built on them are
 elementwise in (lam, mu), so a grid of C couplings stacked over the same
 points (``coupling_config``) costs one jet pass, not C, and each sample is
-bitwise what its own scalar-config call gives.  ``coupling_passes`` caps how
-many couplings one pass holds, by the memory of the highest derivative order
-the pass carries; ``coupling_error`` names the coupling of a singular sample.
+bitwise what its own scalar-config call gives.  ``over_couplings`` is the one
+driver of such passes: it caps how many couplings one pass holds
+(``coupling_passes``, by the memory of the highest derivative order the pass
+carries) and names the coupling of a singular sample.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ __all__ = [
     "bulk_metric",
     "chart_from_ambient",
     "coupling_config",
-    "coupling_error",
     "coupling_passes",
     "einstein_residual",
     "embed_components",
@@ -93,6 +93,7 @@ __all__ = [
     "negative_eigenvalue_count",
     "null_plane_boost",
     "nullfluid_residual",
+    "over_couplings",
     "schrodinger_axiom_audit",
     "theta_hat",
     "theta_hat_form",
@@ -152,8 +153,8 @@ class SchrodingerManifoldConfig:
     ``lam`` and ``mu`` are floats, or per-sample (N,) arrays for a batch of
     N points whose sample k has the metric of (lam[k], mu[k]).  The
     batched checks (metric, clock, embedding, dual path, vertical field,
-    curvature identities, signature, integrability and the axiom audit)
-    accept either; ``isometry_check`` and ``isotropy_check`` take floats.
+    curvature identities, signature and integrability) accept either;
+    ``isometry_check``, ``isotropy_check`` and the axiom audit take floats.
     A config with arrays is neither hashable nor comparable.
     """
 
@@ -244,26 +245,42 @@ def coupling_config(
     return SchrodingerManifoldConfig(d, lam, mu)
 
 
-def coupling_error(
-    exc: DegenerateMetricError, cfg: SchrodingerManifoldConfig, samples: int
-) -> DegenerateMetricError:
-    """``exc``, raised by a pass over couplings stacked as ``coupling_config``
-    stacks them (a float config is one coupling), reworded to name the
-    (lam, mu) of the singular sample and its index within that coupling's
-    ``samples`` points."""
-    k = exc.sample
-    if k is None and (np.ndim(cfg.lam) or np.ndim(cfg.mu)):
-        return exc
-    lam, mu = (float(x[k]) if np.ndim(x) else float(x) for x in (cfg.lam, cfg.mu))
-    where = f"(lam, mu) = ({lam:g}, {mu:g})"
-    if k is not None:
-        k %= samples
-        where += f", sample {k}"
-    return DegenerateMetricError(
-        f"Gram matrix is singular at {where} ({exc.detail})",
-        sample=k,
-        detail=exc.detail,
-    )
+def over_couplings(
+    d: int, couplings: Sequence[tuple[float, float]], pts: np.ndarray, order: int, fn
+) -> list:
+    """What ``fn(config, rows, part)`` returns on each jet pass over
+    ``couplings``, in coupling order.  ``pts`` stacks S points per coupling,
+    in coupling order; a pass holds ``couplings[part]`` (``coupling_passes``
+    budgets it at derivative ``order``), their ``rows`` of ``pts`` and their
+    ``coupling_config``.  A DegenerateMetricError from ``fn`` is reworded,
+    once, to name the singular sample's (lam, mu) and its index among that
+    coupling's S points; a nested driver's named error passes through.
+    """
+    S = len(pts) // len(couplings)
+    if S * len(couplings) != len(pts):
+        raise ContractViolationError(
+            f"{len(pts)} points do not split evenly over {len(couplings)} couplings"
+        )
+    out = []
+    for part in coupling_passes(d, len(couplings), S, order):
+        held = couplings[part]
+        rows = pts[part.start * S : part.stop * S]
+        try:
+            out.append(fn(coupling_config(d, held, S), rows, part))
+        except DegenerateMetricError as exc:
+            if exc.coupling is not None or (exc.sample is None and len(held) > 1):
+                raise
+            c, k = (0, None) if exc.sample is None else divmod(exc.sample, S)
+            lam, mu = held[c]
+            where = f"(lam, mu) = ({lam:g}, {mu:g})"
+            where += "" if k is None else f", sample {k}"
+            raise DegenerateMetricError(
+                f"Gram matrix is singular at {where} ({exc.detail})",
+                sample=k,
+                detail=exc.detail,
+                coupling=(lam, mu),
+            ) from exc
+    return out
 
 
 def bulk_boxes(d: int) -> list[tuple[float, float]]:
@@ -929,7 +946,7 @@ def audit_points(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def schrodinger_axiom_audit(
-    cfg: SchrodingerManifoldConfig,
+    cfg: SchrodingerManifoldConfig | Sequence[SchrodingerManifoldConfig],
     samples: int = 10,
     seed: int | Sequence[int] = 0,
     tol: float = 1e-8,
@@ -946,74 +963,52 @@ def schrodinger_axiom_audit(
     Statuses record whether each axiom holds for this (lam, mu); residuals
     and ratios are carried in ``extra`` for the audit trail.
 
-    ``seed`` may instead be a sequence of C seeds, one per coupling, with
-    ``cfg`` holding C couplings of ``samples`` points each, stacked as
-    ``coupling_config`` stacks them.  Each coupling then draws its own
-    seeded points and the result is one list of records per coupling, each
-    equal to that coupling's own call.  The audit reads first derivatives
-    on all C couplings at once, so a caller budgets its passes at order 1;
-    the Einstein axiom alone reads second derivatives, and runs in
-    sub-passes that ``coupling_passes`` budgets at order 2.
+    ``cfg`` may instead be a sequence of C configs of one d, with ``seed`` a
+    sequence of C seeds.  Each coupling then draws its own seeded points and
+    the result is one list of records per coupling, each equal to that
+    coupling's own call.  The couplings share jet passes (``over_couplings``)
+    budgeted at order 1, as the audit reads first derivatives; the Einstein
+    axiom alone reads second derivatives, in order-2 sub-passes of its own.
     """
-    batched = not isinstance(seed, numbers.Integral)
-    seeds = list(seed) if batched else [seed]
-    drawn = [audit_points(cfg.d, samples, s) for s in seeds]
+    batched = not isinstance(cfg, SchrodingerManifoldConfig)
+    cfgs, seeds = (list(cfg), list(seed)) if batched else ([cfg], [seed])
+    d = cfgs[0].d
+    if len(seeds) != len(cfgs) or any(c.d != d for c in cfgs):
+        raise ContractViolationError("the audit takes one seed per config of one d")
+    couplings = [(float(c.lam), float(c.mu)) for c in cfgs]
+    drawn = [audit_points(d, samples, s) for s in seeds]
     pts = np.concatenate([p for p, _ in drawn])
     transverse = np.concatenate([t for _, t in drawn])
-    try:
-        reports = _audit(cfg, pts, transverse, len(seeds), tol)
-    except DegenerateMetricError as exc:
-        raise coupling_error(exc, cfg, samples) from exc
+
+    def audit(config, rows, part):
+        far = transverse[part.start * samples : part.stop * samples]
+        return _audit(config, rows, far, couplings[part], tol)
+
+    reports = [r for run in over_couplings(d, couplings, pts, 1, audit) for r in run]
     return reports if batched else reports[0]
-
-
-def _stacked_einstein(
-    cfg: SchrodingerManifoldConfig, pts: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``einstein_residual`` of ``count`` couplings stacked over equal
-    segments of ``pts``, in passes budgeted at order 2 (the audit's only
-    second-order read).  A singular sample keeps its index in the whole
-    stack."""
-    step = len(pts) // count
-    out = []
-    for part in coupling_passes(cfg.d, count, step, 2):
-        rows = slice(part.start * step, part.stop * step)
-        lam = cfg.lam[rows] if isinstance(cfg.lam, np.ndarray) else cfg.lam
-        sub = SchrodingerManifoldConfig(cfg.d, lam)
-        try:
-            out.append(einstein_residual(sub, pts[rows]))
-        except DegenerateMetricError as exc:
-            k = rows.start + exc.sample
-            raise DegenerateMetricError(
-                f"Gram matrix is singular at sample {k} ({exc.detail})",
-                sample=k,
-                detail=exc.detail,
-            ) from exc
-    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def _audit(
     cfg: SchrodingerManifoldConfig,
     pts: np.ndarray,
     transverse: np.ndarray,
-    count: int,
+    couplings: Sequence[tuple[float, float]],
     tol: float,
 ) -> list[list[CheckResult]]:
-    """The audit of ``count`` couplings stacked over equal segments of
+    """The audit of ``couplings`` stacked in ``cfg`` over equal segments of
     ``pts`` and ``transverse``; every maximum is taken per segment."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
     metric = bulk_metric(cfg)
-    plus_cfg = SchrodingerManifoldConfig(d, lam, 0.0)
-    plus = bulk_metric(plus_cfg)
+    plus = bulk_metric(SchrodingerManifoldConfig(d, lam, 0.0))
     flat = flat_gram_matrix(d)
     n = d + 3
 
     def worst(x) -> np.ndarray:
         # max |x| per coupling; np.max keeps a NaN that Python's max drops
-        return np.abs(x).reshape(count, -1).max(axis=1)
+        return np.abs(x).reshape(len(couplings), -1).max(axis=1)
 
-    step = len(pts) // count
-    lams, mus = (np.broadcast_to(x, (len(pts),))[::step].tolist() for x in (lam, mu))
+    def einstein(config, rows, _):
+        return einstein_residual(SchrodingerManifoldConfig(d, config.lam), rows)
 
     # axiom 1: vertical field is null and Killing, and the normalized
     # embedding converges to the boundary representative at rate rh^2
@@ -1047,7 +1042,10 @@ def _audit(
     # a few ulps of the largest entry compared: the entries reach ~1e6 at
     # large couplings, where a fixed 1e-12 is below one rounding
     sizes = [worst(a).tolist() for a in (g0, mu_clock2, g_plus)]
-    computed, predicted = _stacked_einstein(plus_cfg, pts, count)
+    # the one second-order read, passed the audit's couplings so that a
+    # singular sample is named by its own (lam, mu), not by (lam, 0)
+    runs = over_couplings(d, couplings, pts, 2, einstein)
+    computed, predicted = (np.concatenate(a) for a in zip(*runs))
     einstein_self = worst(computed - predicted).tolist()
     einstein_zero = worst(computed).tolist()
     rh = 1e-3
@@ -1062,7 +1060,7 @@ def _audit(
     grad_r = worst(val - (-1.0 / (2.0 * lam))).tolist()
 
     reports = []
-    for c, (lam_c, mu_c) in enumerate(zip(lams, mus)):
+    for c, (lam_c, mu_c) in enumerate(couplings):
         gaps_c = {rh: v[c] for rh, v in gaps.items()}
         ratio1 = _two_scale_ratio(gaps_c)
         decay_c = {rh: v[c] for rh, v in decay.items()}

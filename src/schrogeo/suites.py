@@ -10,6 +10,7 @@ the payload.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass, replace
@@ -40,7 +41,7 @@ from .ambient import (
     sch_dimension,
     sch_residuals,
 )
-from .geometry import DegenerateMetricError, gram_values, jet_components
+from .geometry import gram_values, jet_components
 from .numkernel import SeededSampler, max_entry
 from .report import CheckResult, judged, status_of
 
@@ -93,6 +94,10 @@ class SuiteConfig:
             raise ConfigError("dims must be a nonempty list of integers >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if not all(map(math.isfinite, (*self.lams, *self.mus))):
+            raise ConfigError(f"lambda and mu must be finite: {self.lams} {self.mus}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if self.suite in BULK_SUITES and any(lam >= 0 for lam in self.lams):
             raise ConfigError(
                 f"bulk suite {self.suite!r} needs every lambda < 0, got {self.lams}"
@@ -529,21 +534,8 @@ def _suite_group(cfg: SuiteConfig) -> list[CheckResult]:
 
 
 def _over_grid(d: int, couplings: list, pts: np.ndarray, order: int, fn) -> list:
-    """``fn(config, points, part)`` on each pass over ``couplings``, budgeted
-    for a check that reads derivatives up to ``order`` (see
-    ``hg.coupling_passes``), at the shared points ``pts``: ``points``
-    repeats ``pts`` once per coupling of the pass, ``config`` stacks the
-    couplings over them, and ``part`` is the slice of ``couplings`` the pass
-    holds.  Returns the passes' results in coupling order."""
-    out = []
-    for part in hg.coupling_passes(d, len(couplings), len(pts), order):
-        held = len(couplings[part])
-        mc = hg.coupling_config(d, couplings[part], len(pts))
-        try:
-            out.append(fn(mc, np.tile(pts, (held, 1)) if held > 1 else pts, part))
-        except DegenerateMetricError as exc:
-            raise hg.coupling_error(exc, mc, len(pts)) from exc
-    return out
+    """``hg.over_couplings`` with every coupling at the shared points ``pts``."""
+    return hg.over_couplings(d, couplings, np.tile(pts, (len(couplings), 1)), order, fn)
 
 
 def _suite_homogeneous(cfg: SuiteConfig) -> list[CheckResult]:
@@ -759,48 +751,43 @@ def _axiom_expectations(lam: float, mu: float) -> dict[str, bool]:
 
 
 def _suite_axioms(cfg: SuiteConfig) -> list[CheckResult]:
-    """One record per (d, lambda, mu), each on its own seeded points.  The
-    couplings of a d share audit passes budgeted at order 1 (the audit runs
-    its one second-order read, the Einstein residual, in order-2 sub-passes
-    of its own), so a d's whole grid is one audit call on the default and
-    benchmarked grids.  When a pass raises, each of its couplings reruns
-    alone, so only a failing coupling files ERROR."""
+    """One record per (d, lambda, mu), each on its own seeded points.  A d's
+    couplings are one audit call, which budgets its own jet passes.  When
+    that call raises, each coupling reruns alone, so only a failing coupling
+    files ERROR."""
     checks: list[CheckResult] = []
     samples = max(4, cfg.samples // 4)
     grid = [(lam, mu) for lam in cfg.lams for mu in cfg.mus]
     for d in cfg.dims:
         names = [f"axioms_d{d}_lam{lam:g}_mu{mu:g}" for lam, mu in grid]
-        for part in hg.coupling_passes(d, len(grid), samples, 1):
-            try:
-                reports = hg.schrodinger_axiom_audit(
-                    hg.coupling_config(d, grid[part], samples),
+        try:
+            reports = hg.schrodinger_axiom_audit(
+                [hg.SchrodingerManifoldConfig(d, lam, mu) for lam, mu in grid],
+                samples=samples,
+                seed=[check_seed(cfg, name) for name in names],
+                tol=cfg.tol,
+            )
+        except Exception:
+            reports = [None] * len(grid)
+        for (lam, mu), name, rep in zip(grid, names, reports):
+
+            @_check(
+                checks,
+                cfg,
+                name,
+                "audit outcome matches the theory for this (lambda, mu)",
+                {"d": d, "lam": lam, "mu": mu},
+                samples,
+            )
+            def audit(seed):
+                # no report: the grid's call raised, and this coupling reruns alone
+                own = rep or hg.schrodinger_axiom_audit(
+                    hg.SchrodingerManifoldConfig(d, lam, mu),
                     samples=samples,
-                    seed=[check_seed(cfg, name) for name in names[part]],
+                    seed=seed,
                     tol=cfg.tol,
                 )
-            except Exception:
-                reports = [None] * len(grid[part])
-            for (lam, mu), name, rep in zip(grid[part], names[part], reports):
-
-                @_check(
-                    checks,
-                    cfg,
-                    name,
-                    "audit outcome matches the theory for this (lambda, mu)",
-                    {"d": d, "lam": lam, "mu": mu},
-                    samples,
-                )
-                def audit(seed):
-                    if rep is not None:
-                        return _audit_record(d, lam, mu, rep, cfg.tol)
-                    # the pass raised: this coupling reruns alone
-                    alone = hg.schrodinger_axiom_audit(
-                        hg.SchrodingerManifoldConfig(d, lam, mu),
-                        samples=samples,
-                        seed=seed,
-                        tol=cfg.tol,
-                    )
-                    return _audit_record(d, lam, mu, alone, cfg.tol)
+                return _audit_record(d, lam, mu, own, cfg.tol)
 
     return checks
 

@@ -258,7 +258,9 @@ class TestGroup:
 
         monkeypatch.setattr(ambient, "exp_algebra", polluted)
         with pytest.raises(ContractViolationError, match="block pattern"):
-            ambient.random_group_elements(d, np.random.default_rng(2), 3)
+            ambient.group_elements(
+                d, ambient.group_coefficients(d, np.random.default_rng(2), 3)
+            )
 
     def test_nan_vertical_residual_is_refused(self):
         d = 2

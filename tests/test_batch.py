@@ -703,7 +703,7 @@ def sometimes_escaping(ts):
     Returns that stand-in and a one-element draw from an rng through it."""
 
     def element(d, coeffs):
-        (ge,) = ambient._elements(group_elements(d, coeffs[None]))
+        ge = group_elements(d, coeffs[None]).take(0)
         k = zlib.crc32(ge.matrix.tobytes()) % (2 * len(ts))
         if k >= len(ts):
             return ge

@@ -73,6 +73,40 @@ class TestExitCodes:
         assert main(["--config", str(bad), *FAST]) == 2
 
 
+NON_FINITE = [
+    *(("lambda", v) for v in ("nan", "inf", "-inf", "-Infinity")),
+    *(("mu", v) for v in ("nan", "inf", "-inf")),
+    *(("tol", v) for v in ("nan", "inf", "-inf", "0", "-1e-4")),
+]
+
+
+def _never_run(cfg):
+    raise AssertionError(f"an invalid configuration ran: {cfg}")
+
+
+@pytest.mark.parametrize("suite", ["homogeneous", "axioms", "boundary"])
+@pytest.mark.parametrize("key, value", NON_FINITE)
+class TestNonFiniteConfig:
+    """A non-finite coupling or tolerance, or one that is not > 0, is an
+    invalid configuration (exit 2) before any check runs, by flag or by
+    config file (Python's json reads NaN and Infinity)."""
+
+    def test_flag(self, suite, key, value, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", _never_run)
+        assert main([suite, f"--{key}", value, *FAST]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_config_file(self, suite, key, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", _never_run)
+        cfg = tmp_path / "cfg.json"
+        number = float(value)
+        cfg.write_text(
+            json.dumps({"suite": suite, key: number if key == "tol" else [number]})
+        )
+        assert main(["--config", str(cfg), *FAST]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+
 class TestPrecedence:
     def test_suite_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -61,6 +61,10 @@ def no_negative_zero(x) -> bool:
     return not np.any((x == 0) & np.signbit(x))
 
 
+def configs(d, couplings=GRID):
+    return [hg.SchrodingerManifoldConfig(d, lam, mu) for lam, mu in couplings]
+
+
 def segments(x, count=len(GRID)):
     """Split a stacked per-sample result into its couplings."""
     return np.split(np.asarray(x), count)
@@ -221,9 +225,7 @@ class TestCouplingBatchedBitwise:
     @pytest.mark.parametrize("d", [1, 3, 6, 8], ids=lambda d: f"d{d}")
     def test_axiom_audit(self, d):
         seeds = [100 + c for c in range(len(GRID))]
-        reports = hg.schrodinger_axiom_audit(
-            hg.coupling_config(d, GRID, N), samples=N, seed=seeds
-        )
+        reports = hg.schrodinger_axiom_audit(configs(d), samples=N, seed=seeds)
         assert len(reports) == len(GRID)
         for (lam, mu), seed, rep in zip(GRID, seeds, reports):
             alone = hg.schrodinger_axiom_audit(
@@ -266,14 +268,44 @@ def test_passes_hold_whole_couplings_within_the_budget(d, samples):
         )
 
 
-@pytest.mark.parametrize(
-    "d, samples, per_pass",
-    [(1, 5, 16), (2, 5, 16), (3, 5, 16), (1, 20, 16), (2, 20, 10), (3, 20, 5),
-     (6, 5, 3), (8, 5, 1)],
-)
+BENCHMARKED_PASSES = [
+    (1, 5, 16), (2, 5, 16), (3, 5, 16), (1, 20, 16), (2, 20, 10), (3, 20, 5),
+    (6, 5, 3), (8, 5, 1),
+]
+
+
+@pytest.mark.parametrize("d, samples, per_pass", BENCHMARKED_PASSES)
 def test_pass_sizes_of_the_benchmarked_grids(d, samples, per_pass):
     parts = hg.coupling_passes(d, 16, samples, 2)
     assert len(range(16)[parts[0]]) == per_pass
+
+
+@pytest.mark.parametrize(
+    "d, samples, per_pass", [p for p in BENCHMARKED_PASSES if p[2] < len(GRID)]
+)
+def test_the_driver_splits_the_grid_into_its_budgeted_passes(d, samples, per_pass):
+    # distinct points for every coupling, so a misplaced row shows
+    pts = SeededSampler(13, hg.bulk_boxes(d)).points(len(GRID) * samples)
+    seen = []
+
+    def residual(mc, rows, part):
+        seen.append(part)
+        assert same_bits(rows, pts[part.start * samples : part.stop * samples])
+        want = np.repeat(GRID[part], samples, axis=0)
+        for got, column in ((mc.lam, 0), (mc.mu, 1)):
+            assert (np.broadcast_to(got, len(rows)) == want[:, column]).all()
+        return hg.nullfluid_residual(mc, rows)[0]
+
+    got = np.concatenate(hg.over_couplings(d, GRID, pts, 2, residual))
+    assert seen == hg.coupling_passes(d, len(GRID), samples, 2)
+    assert len(seen) == -(-len(GRID) // per_pass) > 1
+    for c, (lam, mu) in enumerate(GRID):
+        rows = slice(c * samples, (c + 1) * samples)
+        one = hg.nullfluid_residual(hg.SchrodingerManifoldConfig(d, lam, mu), pts[rows])
+        assert same_values(got[rows], one[0])
+        assert same_bits(np.abs(got[rows]), np.abs(one[0]))
+    with pytest.raises(ContractViolationError, match="split evenly"):
+        hg.over_couplings(d, GRID, pts[:-1], 2, residual)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +318,7 @@ def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
     audit, jets = hg.schrodinger_axiom_audit, geometry.gram_jets
 
     def counted_audit(cfg, *args, **kwargs):
-        audited.append(cfg.d)
+        audited.append(cfg[0].d)
         return audit(cfg, *args, **kwargs)
 
     def recorded_jets(metric, p, order=2):
@@ -350,7 +382,7 @@ def _a_singular_coupling_errors_alone(monkeypatch, d):
     names = [f"axioms_d{d}_lam{lam:g}_mu{mu:g}" for lam, mu in GRID]
     with pytest.raises(DegenerateMetricError) as info:
         hg.schrodinger_axiom_audit(
-            hg.coupling_config(d, GRID, samples),
+            configs(d),
             samples=samples,
             seed=[check_seed(cfg, n) for n in names],
         )

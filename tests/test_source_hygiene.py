@@ -1,6 +1,7 @@
-"""Static checks on the package source and on the test oracles, read through
-``ast``: every name in a module's ``__all__`` is defined there, and no
-imported name goes unused."""
+"""Static checks on the package source, the test oracles and the scripts,
+read through ``ast``: every name in a module's ``__all__`` is defined there,
+no imported name goes unused, and the coupling-pass layout stays in
+``homogeneous.over_couplings``."""
 
 import ast
 from pathlib import Path
@@ -9,8 +10,11 @@ import pytest
 
 import schrogeo
 
-SOURCES = sorted(Path(schrogeo.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(schrogeo.__file__).resolve().parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+LINTED = [*SOURCES, ORACLES, *SCRIPTS]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -79,14 +83,14 @@ def _used_names(tree: ast.Module) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_every_dunder_all_entry_is_defined(path):
     tree = _tree(path)
     missing = sorted(set(_dunder_all(tree)) - _module_level_names(tree))
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
 
 
-@pytest.mark.parametrize("path", [*SOURCES, ORACLES], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_imported_name_goes_unused(path):
     tree = _tree(path)
     used = _used_names(tree) | set(_dunder_all(tree))
@@ -105,3 +109,54 @@ def test_the_checks_see_an_unused_import_and_an_undefined_export():
     used = _used_names(tree) | set(_dunder_all(tree))
     assert [name for name, _ in _imports(tree) if name not in used] == ["b"]
     assert set(_dunder_all(tree)) - _module_level_names(tree) == {"g"}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name the tree mentions: loaded or bound, as an attribute, or
+    imported."""
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.name.split(".")[-1])
+    return found
+
+
+def _callers(tree: ast.Module, callee: str) -> list[str]:
+    """The top-level function (or "<module>") around each call of ``callee``."""
+    out = []
+    for node in tree.body:
+        where = getattr(node, "name", "<module>")
+        out.extend(
+            where
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id == callee
+        )
+    return out
+
+
+def test_the_suites_leave_coupling_passes_to_the_driver():
+    named = _names(_tree(PACKAGE / "suites.py"))
+    assert not named & {"coupling_passes", "coupling_config", "DegenerateMetricError"}
+
+
+def test_only_over_couplings_budgets_passes():
+    callers = _callers(_tree(PACKAGE / "homogeneous.py"), "coupling_passes")
+    assert callers == ["over_couplings"]
+
+
+def test_the_layout_rules_see_a_stray_pass_loop():
+    tree = ast.parse(
+        "from .geometry import DegenerateMetricError\n"
+        "def over_couplings(): return coupling_passes(1, 2, 3, 0)\n"
+        "def audit():\n"
+        "    for part in coupling_passes(1, 2, 3, 1): pass\n"
+        "x = hg.coupling_config\n"
+    )
+    assert _callers(tree, "coupling_passes") == ["over_couplings", "audit"]
+    assert {"DegenerateMetricError", "coupling_config"} <= _names(tree)
