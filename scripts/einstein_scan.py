@@ -16,6 +16,7 @@ import numpy as np
 from schrogeo.homogeneous import (
     SchrodingerManifoldConfig,
     bulk_boxes,
+    einstein_factor,
     einstein_residual,
 )
 from schrogeo.numkernel import SeededSampler
@@ -30,7 +31,7 @@ def scan(d: int, lams: np.ndarray, samples: int, seed: int) -> None:
         computed, predicted = einstein_residual(cfg, pts)
         worst = float(np.abs(computed).max())
         gap = float(np.abs(computed - predicted).max())
-        c = (d + 2) * (1 + 2 * lam) / (2 * lam)
+        c = einstein_factor(d, float(lam))
         print(f"{lam:9.3f}  {worst:13.3e}  {c:12.4f}  {gap:13.3e}")
     print()
 

@@ -114,17 +114,19 @@ def _bind_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the type of a key's value, or of each element where it may be a list
 _FILE_KEYS = {
     "suite": str,
-    "dim": (int, list),
-    "lambda": (float, int, list),
-    "mu": (float, int, list),
+    "dim": int,
+    "lambda": (float, int),
+    "mu": (float, int),
     "samples": int,
     "seed": int,
     "tol": (float, int),
     "format": str,
     "out": str,
 }
+_LIST_KEYS = {"dim", "lambda", "mu"}
 
 
 def _load_file(path: str) -> dict:
@@ -141,7 +143,8 @@ def _load_file(path: str) -> dict:
         allowed = _FILE_KEYS.get(key)
         if allowed is None:
             raise _IOFailure(f"malformed config file {path}: unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, allowed):
+        items = value if key in _LIST_KEYS and isinstance(value, list) else [value]
+        if any(isinstance(v, bool) or not isinstance(v, allowed) for v in items):
             raise _IOFailure(
                 f"malformed config file {path}: key {key!r} has the wrong type"
             )

@@ -61,7 +61,14 @@ from schrogeo.homogeneous import (
     theta_f0_form,
 )
 from schrogeo.numkernel import SeededSampler, jet_value
-from schrogeo.suites import SuiteConfig, emit_report, run_suite
+from schrogeo.suites import (
+    AUDIT,
+    BOUNDARY_STRUCTURE,
+    SuiteConfig,
+    emit_report,
+    run_suite,
+    verdicts,
+)
 
 LAM_GRID = (-0.5, -1.0, -0.3)
 MU_GRID = (-1.0, 0.0, 1.0, 2.0)
@@ -308,8 +315,7 @@ def test_criterion_10_boundary_structure():
             xv = np.array([float(jet_value(c)) for c in xi.components(list(p))])
             gate.check(abs(float(xv @ g0 @ xv)) < 1e-8, f"vertical not null d={d}")
             gate.check(float(np.abs(xv).max()) > 1e-8, f"vertical vanishes d={d}")
-        report = boundary_structure(d, samples=10, seed=3)
-        by_name = {c.name: c for c in report}
+        by_name = verdicts(BOUNDARY_STRUCTURE, boundary_structure(d, samples=10, seed=3))
         gate.check(by_name["cone_kernel"].status == "PASS", f"cone kernel d={d}")
     gate.finish()
 
@@ -320,11 +326,10 @@ def test_criterion_11_coupling_audit():
         for lam in LAM_GRID:
             for mu in MU_GRID:
                 cfg = SchrodingerManifoldConfig(d, lam, mu)
-                report = schrodinger_axiom_audit(cfg, samples=5, seed=21)
-                by_name = {c.name: c for c in report}
+                by_name = verdicts(AUDIT, schrodinger_axiom_audit(cfg, samples=5, seed=21))
                 should_pass = lam == -0.5 and mu == 1.0
                 gate.check(
-                    all(c.status == "PASS" for c in report) == should_pass,
+                    all(c.status == "PASS" for c in by_name.values()) == should_pass,
                     f"audit verdict wrong at ({d},{lam},{mu})",
                 )
                 ein = by_name["axiom3_einstein"]

@@ -31,13 +31,19 @@ from schrogeo.bargmann import (
 from schrogeo.ambient import random_group_element
 from schrogeo.geometry import VectorField, jet_components
 from schrogeo.numkernel import ContractViolationError, SeededSampler
+from schrogeo.suites import BARGMANN_AXIOMS, verdicts
+
+
+def axioms(structure, samples, seed):
+    """The axiom verdicts, judged by the table's rows."""
+    return verdicts(BARGMANN_AXIOMS, bargmann_axioms_check(structure, samples, seed))
 
 
 class TestAxioms:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_flat_structure_passes(self, d):
-        report = bargmann_axioms_check(flat_bargmann(d), samples=10, seed=1)
-        for c in report:
+        report = axioms(flat_bargmann(d), samples=10, seed=1)
+        for c in report.values():
             assert c.status == "PASS"
             assert c.residual < 1e-12
 
@@ -47,8 +53,7 @@ class TestAxioms:
             bg.metric.chart, lambda p: [0.0 * p[0], 0.0 * p[0], 1.0 + p[0]]
         )
         bad = BargmannStructure(metric=bg.metric, xi=bad_xi, theta=bg.theta, d=1)
-        report = bargmann_axioms_check(bad, samples=6, seed=2)
-        by_name = {c.name: c for c in report}
+        by_name = axioms(bad, samples=6, seed=2)
         assert by_name["xi_null"].status == "PASS"
         assert by_name["xi_parallel"].status == "FAIL"
 
@@ -58,14 +63,11 @@ class TestAxioms:
         bg = flat_bargmann(1)
         along_time = rescaled_metric(bg, lambda p: nk.exp(2.0 * p[1]))
         still_ok = BargmannStructure(metric=along_time, xi=bg.xi, theta=bg.theta, d=1)
-        assert all(
-            c.status == "PASS" for c in bargmann_axioms_check(still_ok, samples=6, seed=3)
-        )
+        assert all(c.status == "PASS" for c in axioms(still_ok, samples=6, seed=3).values())
 
         across = rescaled_metric(bg, lambda p: nk.exp(2.0 * p[0]))
         bad = BargmannStructure(metric=across, xi=bg.xi, theta=bg.theta, d=1)
-        report = bargmann_axioms_check(bad, samples=6, seed=3)
-        by_name = {c.name: c for c in report}
+        by_name = axioms(bad, samples=6, seed=3)
         assert by_name["xi_parallel"].status == "FAIL"
         assert by_name["clock_closed"].status == "FAIL"
         assert by_name["xi_null"].status == "PASS"

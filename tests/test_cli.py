@@ -53,6 +53,21 @@ class TestExitCodes:
         bad.write_text(json.dumps({"suite": "boundary", "samples": True}))
         assert main(["--config", str(bad), *FAST]) == 4
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"suite": "boundary", "dim": [1.7]},
+            {"suite": "boundary", "dim": [True]},
+            {"suite": "homogeneous", "lambda": ["x"]},
+        ],
+        ids=["float_dim", "bool_dim", "string_lambda"],
+    )
+    def test_wrong_config_list_element_is_io_error(self, data, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(json.dumps(data))
+        assert main(["--config", str(bad), *FAST]) == 4
+        assert "malformed config file" in capsys.readouterr().err
+
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
         assert main(["boundary", *FAST, "--out", str(target)]) == 4

@@ -231,9 +231,7 @@ class TestCouplingBatchedBitwise:
             alone = hg.schrodinger_axiom_audit(
                 hg.SchrodingerManifoldConfig(d, lam, mu), samples=N, seed=seed
             )
-            assert json.dumps([r.to_dict() for r in rep]) == json.dumps(
-                [r.to_dict() for r in alone]
-            )
+            assert json.dumps(rep) == json.dumps(alone)
 
 
 def test_config_rejects_mismatched_or_positive_couplings():

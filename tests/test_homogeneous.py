@@ -52,6 +52,7 @@ from schrogeo.numkernel import (
     jet_value,
     seed_point,
 )
+from schrogeo.suites import AUDIT, BOUNDARY_STRUCTURE, verdicts
 
 
 def sample_bulk(d, count, seed=0):
@@ -310,8 +311,8 @@ class TestBoundary:
 
     def test_structure_report_passes(self):
         for d in (1, 2):
-            report = boundary_structure(d, samples=8, seed=2)
-            assert not [(c.name, c.status) for c in report if c.status != "PASS"]
+            report = verdicts(BOUNDARY_STRUCTURE, boundary_structure(d, samples=8, seed=2))
+            assert not [(c.name, c.status) for c in report.values() if c.status != "PASS"]
 
     @pytest.mark.parametrize(
         "entries",
@@ -336,22 +337,18 @@ class TestBoundary:
             assert len(calls) == 1
 
 
-def audit_record(cfg, name):
-    return {c.name: c for c in schrodinger_axiom_audit(cfg, samples=5, seed=1)}[name]
+def audit(cfg):
+    """The audit's verdicts, judged by the table's audit rows."""
+    return verdicts(AUDIT, schrodinger_axiom_audit(cfg, samples=5, seed=1))
 
 
 class TestAudit:
     def test_full_pass_needs_both_couplings(self):
-        report = schrodinger_axiom_audit(
-            SchrodingerManifoldConfig(2, -0.5, 1.0), samples=5, seed=1
-        )
-        assert all(c.status == "PASS" for c in report)
+        report = audit(SchrodingerManifoldConfig(2, -0.5, 1.0))
+        assert all(c.status == "PASS" for c in report.values())
 
     def test_wrong_lambda_fails_einstein_axiom(self):
-        report = schrodinger_axiom_audit(
-            SchrodingerManifoldConfig(2, -1.0, 1.0), samples=5, seed=1
-        )
-        by_name = {c.name: c for c in report}
+        by_name = audit(SchrodingerManifoldConfig(2, -1.0, 1.0))
         bad = by_name["axiom3_einstein"]
         assert bad.status == "FAIL"
         assert bad.extra["predicted_factor"] == pytest.approx(2.0)
@@ -360,10 +357,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("mu", [0.0, 2.0])
     def test_wrong_mu_fails_normalization(self, mu):
-        report = schrodinger_axiom_audit(
-            SchrodingerManifoldConfig(2, -0.5, mu), samples=5, seed=1
-        )
-        by_name = {c.name: c for c in report}
+        by_name = audit(SchrodingerManifoldConfig(2, -0.5, mu))
         bad = by_name["axiom2_inverse_metric"]
         assert bad.status == "FAIL"
         assert bad.extra["normalized"] is False
@@ -377,7 +371,7 @@ class TestAudit:
         # the identity g + mu clock^2 = g_plus, and nothing else in the audit
         cfg = SchrodingerManifoldConfig(d, lam, mu)
         name = "axiom3_deformation_identity"
-        assert audit_record(cfg, name).status == "PASS"
+        assert audit(cfg)[name].status == "PASS"
         original = hg.theta_hat_form
         root = math.sqrt(1.0 + 1e-9)
 
@@ -386,6 +380,6 @@ class TestAudit:
             return OneForm(form.chart, lambda p: [root * v for v in form.components(p)])
 
         monkeypatch.setattr(hg, "theta_hat_form", scaled)
-        flipped = audit_record(cfg, name)
+        flipped = audit(cfg)[name]
         assert flipped.status == "FAIL"
         assert flipped.residual > 1e3 * flipped.tolerance

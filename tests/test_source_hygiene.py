@@ -160,3 +160,49 @@ def test_the_layout_rules_see_a_stray_pass_loop():
     )
     assert _callers(tree, "coupling_passes") == ["over_couplings", "audit"]
     assert {"DegenerateMetricError", "coupling_config"} <= _names(tree)
+
+
+# only ``suites`` builds and judges records; ``report`` defines them and the
+# package ``__init__`` re-exports ``CheckResult``
+RECORD_NAMES = {"judged", "CheckResult", "status_of"}
+RECORD_BUILDERS = {"suites.py", "report.py", "__init__.py"}
+
+
+def _record_imports(tree: ast.Module) -> list[str]:
+    """What a module imports of the record layer: the ``report`` module, or
+    a name that builds or judges a record."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[-1] == "report":
+            found.append("report")
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            found += [
+                a.name for a in n.names if a.name.split(".")[-1] in RECORD_NAMES | {"report"}
+            ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in RECORD_BUILDERS], ids=lambda p: p.name
+)
+def test_only_suites_builds_records(path):
+    assert not _record_imports(_tree(path)), path.name
+
+
+def test_the_record_rule_sees_a_stray_import():
+    tree = ast.parse(
+        "from .report import judged\n"
+        "from . import report\n"
+        "from .suites import CheckResult\n"
+        "import schrogeo.report\n"
+        "from .numkernel import max_entry\n"
+        "def f():\n"
+        "    from .report import status_of\n"
+    )
+    assert _record_imports(tree) == [
+        "report",
+        "report",
+        "CheckResult",
+        "schrogeo.report",
+        "report",
+    ]

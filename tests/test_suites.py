@@ -2,6 +2,8 @@
 expectation-aware coupling scan."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
 from schrogeo.geometry import OneForm
 from schrogeo.report import judged
 from schrogeo.suites import (
+    AUDIT,
     BULK_SUITES,
     SUITES,
+    TABLES,
     ConfigError,
     SuiteConfig,
     check_seed,
@@ -220,8 +224,41 @@ class TestStatusRule:
             assert c.residual > c.tolerance, c.name
 
 
+class TestTable:
+    """The table names every record family of the report once."""
+
+    @staticmethod
+    def family(name: str) -> str:
+        return re.sub(r"_d\d+_", "_d*_", re.sub(r"_lam[^_]+_mu[^_]+$", "_lam*_mu*", name))
+
+    def test_families_are_those_of_the_golden_report(self):
+        data = Path(__file__).resolve().parent / "data" / "all_seed42.json"
+        golden = {self.family(c["name"]) for c in json.loads(data.read_text())["checks"]}
+        rows = [
+            (f"{suite.prefix}_d*_" + re.sub(r"\{[^}]*\}", "*", row.suffix), row.claim)
+            for suite in TABLES.values()
+            for measure in suite.table
+            for row in measure.rows
+        ]
+        names = [name for name, _ in rows]
+        assert len(golden) == 42
+        assert len(names) == len(set(names))
+        assert set(names) == golden
+        assert all(claim for _, claim in rows)
+
+    def test_audit_rows_are_the_audit_entries(self):
+        names = [row.suffix for row in AUDIT]
+        numbers = homogeneous.schrodinger_axiom_audit(
+            homogeneous.SchrodingerManifoldConfig(1, -0.5, 1.0), samples=4, seed=0
+        )
+        assert len(names) == len(set(names)) == 6
+        assert names == list(numbers)
+        assert all(row.claim for row in AUDIT)
+
+
 # (module, function made to raise, ERROR record, its claim, seed name,
-# samples, records under other names that the failing body would have filed)
+# samples, config, records under other names that the failing body would
+# have filed)
 ERROR_CASES = [
     (
         suites,
@@ -230,6 +267,7 @@ ERROR_CASES = [
         "sampled elements preserve the pairing and the vertical generator",
         "group_d1_constraints",
         5,
+        {"d": 1},
         0,
     ),
     (
@@ -239,6 +277,7 @@ ERROR_CASES = [
         "flat structure axioms",
         "bargmann_d1",
         4,
+        {"d": 1},
         4,
     ),
     (
@@ -248,19 +287,50 @@ ERROR_CASES = [
         "boundary structure",
         "boundary_d1",
         4,
+        {"d": 1},
         9,
+    ),
+    (
+        suites,
+        "component_witnesses",
+        "liealgebra_d1_witnesses",
+        "reflections preserve the vertical generator, time reversal does not",
+        "liealgebra_d1_witnesses",
+        None,
+        {"d": 1},
+        0,
+    ),
+    (
+        bargmann,
+        "dilation_map",
+        "schrodinger_d1_transport_dilation",
+        "weighted transport maps solutions to solutions",
+        "schrodinger_d1_transport_dilation",
+        4,
+        {"d": 1},
+        0,
+    ),
+    (
+        homogeneous,
+        "isotropy_check",
+        "homogeneous_d1_isotropy",
+        "stabilizer dimensions give a (d+3)-dim bulk and (d+2)-dim boundary",
+        "homogeneous_d1_isotropy",
+        4,
+        {"d": 1, "lams": [-0.5], "mus": [1.0]},
+        0,
     ),
 ]
 
 
 class TestErrorPath:
     @pytest.mark.parametrize(
-        "module, attr, name, claim, seed_name, samples, replaced",
+        "module, attr, name, claim, seed_name, samples, config, replaced",
         ERROR_CASES,
         ids=[case[2] for case in ERROR_CASES],
     )
     def test_raising_body_files_one_error_and_the_run_goes_on(
-        self, monkeypatch, module, attr, name, claim, seed_name, samples, replaced
+        self, monkeypatch, module, attr, name, claim, seed_name, samples, config, replaced
     ):
         cfg = small("all")
         before = {c.name: c.to_dict() for c in run_suite(cfg).checks}
@@ -271,17 +341,19 @@ class TestErrorPath:
         monkeypatch.setattr(module, attr, boom)
         after = {c.name: c.to_dict() for c in run_suite(cfg).checks}
         errors = [rec for rec in after.values() if rec["status"] == "ERROR"]
-        assert errors == [
-            {
-                "name": name,
-                "status": "ERROR",
-                "claim": claim,
-                "config": {"d": 1},
-                "samples": samples,
-                "seed": check_seed(cfg, seed_name),
-                "error": "RuntimeError: injected",
-            }
-        ]
+        expected = {
+            "name": name,
+            "status": "ERROR",
+            "claim": claim,
+            "config": config,
+            "samples": samples,
+            "seed": check_seed(cfg, seed_name),
+            "error": "RuntimeError: injected",
+        }
+        if samples is None:
+            # a record without samples omits the key
+            del expected["samples"]
+        assert errors == [expected]
         lost = set(before) - set(after)
         assert len(lost) == replaced
         assert all(n.startswith(seed_name) for n in lost)
