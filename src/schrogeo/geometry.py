@@ -41,7 +41,6 @@ __all__ = [
     "lie_derivative_metric",
     "ricci_from_derivatives",
     "ricci_scalar",
-    "scalar_laplacian",
     "yamabe_and_divergence",
     "yamabe_residual",
 ]
@@ -170,13 +169,17 @@ def gram_values(metric: MetricField, p: Sequence[float]) -> np.ndarray:
 def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
     """Gram matrix and its coordinate derivatives at ``p``, to ``order``.
 
-    Returns (g0, dg, d2g) with dg[a, i, j] = d_a g_ij and
-    d2g[a, b, i, j] = d_a d_b g_ij: shapes (n, n), (n, n, n), (n, n, n, n)
-    at one point; a batch of N points (``p`` of shape (N, n)) prepends a
-    sample axis, so g0 is (N, n, n) and dg[s, a, i, j] = d_a g_ij at sample s.
-    ``order`` 1 seeds first-order jets and returns (g0, dg) only, bitwise
-    the same arrays, with no d2g formed.  As in ``gram_values``, the arrays
-    start from zeros and each distinct entry object is written once.
+    Returns (g0, dg, hess, pattern) with dg[a, i, j] = d_a g_ij and the
+    second derivatives factored by distinct entry object: hess[e, a, b] =
+    d_a d_b of the e-th non-constant entry and pattern[e, i, j] = 1 where
+    that entry sits, so d_a d_b g_ij = sum_e hess[e, a, b] pattern[e, i, j].
+    Shapes (n, n), (n, n, n), (E, n, n), (E, n, n) at one point; a batch
+    of N points (``p`` of shape (N, n)) prepends a sample axis to all but
+    ``pattern``, so dg[s, a, i, j] = d_a g_ij at sample s.  A metric with
+    constant entries only has E = 0.  ``order`` 1 seeds first-order jets
+    and returns (g0, dg) only, bitwise the same arrays.  As in
+    ``gram_values``, the arrays start from zeros and each distinct entry
+    object is written once.
     """
     pts = np.asarray(p, dtype=float)
     n = pts.shape[-1]
@@ -184,17 +187,23 @@ def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
     rows = metric.gram(seed_point(pts, order))
     g0 = np.zeros(batch + (n, n))
     dg = np.zeros(batch + (n, n, n))
-    out = (g0, dg, np.zeros(batch + (n, n, n, n))) if order == 2 else (g0, dg)
-    flat = [a.reshape(a.shape[:-2] + (n * n,)) for a in out]
+    flat = [a.reshape(a.shape[:-2] + (n * n,)) for a in (g0, dg)]
+    jets = []
     for e, k in _entry_positions(rows):
         if isinstance(e, Jet2):
             _put(flat[0], k, e.value)
             _put(flat[1], k, _samples_first(e.grad, batch))
-            if order == 2:
-                _put(flat[2], k, _samples_first(e.hess, batch))
+            jets.append((e, k))
         else:
             _put(flat[0], k, e)
-    return out
+    if order == 1:
+        return g0, dg
+    hess = np.empty(batch + (len(jets), n, n))
+    pattern = np.zeros((len(jets), n * n))
+    for i, (e, k) in enumerate(jets):
+        hess[..., i, :, :] = _samples_first(e.hess, batch)
+        pattern[i, k] = 1.0
+    return g0, dg, hess, pattern.reshape(-1, n, n)
 
 
 def jet_components(
@@ -305,10 +314,23 @@ def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
     return christoffel_from_derivatives(g0, dg)
 
 
+def _inner(products: np.ndarray) -> np.ndarray:
+    """The sum of each (n, n) block of entrywise products, pairwise in
+    row-major order whatever the layout of the factors."""
+    *lead, n, m = products.shape
+    return np.ascontiguousarray(products).reshape(*lead, n * m).sum(axis=-1)
+
+
 def ricci_from_derivatives(
-    g0: np.ndarray, dg: np.ndarray, d2g: np.ndarray, ginv: np.ndarray | None = None
+    g0: np.ndarray,
+    dg: np.ndarray,
+    hess: np.ndarray,
+    pattern: np.ndarray,
+    ginv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Ricci tensor and scalar from metric derivatives (any source).
+    """Ricci tensor and scalar from metric derivatives (any source), the
+    second derivatives in the factored form of ``gram_jets``:
+    d_a d_b g_ij = sum_e hess[..., e, a, b] pattern[e, i, j].
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
     - Gamma^k_il Gamma^l_kj.  With Gamma_{a,ij} the symbols of the first
@@ -318,13 +340,13 @@ def ricci_from_derivatives(
         d_i Gamma^k_kj = (d_i g^ka) Gamma_{a,kj} + D_ij / 2,
 
     A_ij = g^ka d_i d_k g_aj, B_ij = g^ka d_k d_a g_ij, D_ij = g^ka d_i d_j g_ak.
-    Each of A, B and D is one matrix product over a reshape of d2g, so no
-    array the size of d2g is formed beside it (a non-contiguous d2g is
-    copied once).  Two symmetries of the inputs are assumed: g^-1 is
-    symmetric, which cancels the other two terms of g^ka d_i Gamma_{a,kj},
-    and d2g is symmetric in its two derivative axes, which A reads as
-    d_i d_k for d_k d_i.  Jet Hessians are exactly symmetric, so the second
-    holds bitwise for d2g from ``gram_jets``.
+    Entry by entry these are A = sum_e hess_e g^-1 pattern_e,
+    B = sum_e <g^-1, hess_e> pattern_e and D = sum_e <g^-1, pattern_e> hess_e,
+    O(E n^3) work per sample; no array of n^4 entries is formed.  Two
+    symmetries of the inputs are assumed: g^-1 is symmetric, which cancels
+    the other two terms of g^ka d_i Gamma_{a,kj}, and each hess_e is
+    symmetric, which A reads as d_i d_k for d_k d_i.  Jet Hessians are
+    exactly symmetric, so the second holds bitwise for ``gram_jets``.
     The scalar is a float at one point and an (N,) array on a stack.
     """
     if ginv is None:
@@ -332,36 +354,43 @@ def ricci_from_derivatives(
     n = g0.shape[-1]
     lead = g0.shape[:-2]
     nn = n * n
+    g = ginv[..., None, :, :]
+    # A, B and D.  Each position is held by one entry, so a sum below gains
+    # only exact zeros from an entry whose Hessian vanishes: the bulk
+    # metric's per-sample clock term at mu = 0 gives the bits of a float
+    # mu = 0, which leaves the entry out (up to the sign of zeros).
+    hess = np.ascontiguousarray(hess)
+    cells = pattern.reshape(-1, nn)
+    entries = hess.reshape(*lead, len(cells), nn)
+    rows = (hess @ g).swapaxes(-3, -2).reshape(*lead, n, len(cells) * n)
+    a = rows @ pattern.reshape(-1, n)
+    b = (_inner(hess * g)[..., None, :] @ cells).reshape(*lead, n, n)
+    dd = (_inner(pattern * g)[..., None, :] @ entries).reshape(*lead, n, n)
+    # Beside dg, at most three arrays of n^3 entries per sample are alive
+    # at once: the first-kind symbols, d g^-1 and a transposed copy, then
+    # the symbols, Gamma and a transposed copy.
     first = _first_kind(dg)
     flat = first.reshape(*lead, n, nn)
-    gamma = (ginv @ flat).reshape(first.shape)
-    g = ginv[..., None, :, :]
-    dginv = -(g @ dg @ g)
-    hess = np.ascontiguousarray(d2g)
-    gvec = ginv.reshape(*lead, 1, nn)
-    a = (gvec[..., None, :, :] @ hess.reshape(*lead, n, nn, n)).reshape(*lead, n, n)
-    b = (gvec @ hess.reshape(*lead, nn, nn)).reshape(*lead, n, n)
-    dd = (hess.reshape(*lead, nn, nn) @ gvec.swapaxes(-1, -2)).reshape(*lead, n, n)
+    dginv = g @ dg @ g
+    np.negative(dginv, out=dginv)
     div = (np.einsum("...kka->...a", dginv)[..., None, :] @ flat).reshape(*lead, n, n)
     div += 0.5 * (a + a.swapaxes(-1, -2) - b)
     grad = dginv.reshape(*lead, n, nn) @ first.swapaxes(-3, -2).reshape(*lead, nn, n)
     grad += 0.5 * dd
+    del dginv
+    gamma = (ginv @ flat).reshape(first.shape)
+    del first, flat
     trace = np.einsum("...kkl->...l", gamma)[..., None, :] @ gamma.reshape(*lead, n, nn)
-    swapped = gamma.swapaxes(-3, -2)
-    ric = (
-        div
-        - grad
-        + trace.reshape(*lead, n, n)
-        - swapped.reshape(*lead, n, nn) @ swapped.reshape(*lead, nn, n)
-    )
+    ric = div - grad + trace.reshape(*lead, n, n)
+    # Gamma^k_il Gamma^l_kj, summed over (l, k) as a reshape of Gamma
+    ric -= np.moveaxis(gamma, -3, -1).reshape(*lead, n, nn) @ gamma.reshape(*lead, nn, n)
     ric = 0.5 * (ric + ric.swapaxes(-1, -2))
     scalar = np.einsum("...ij,...ij->...", ginv, ric)
     return ric, (float(scalar) if scalar.ndim == 0 else scalar)
 
 
 def ricci_scalar(metric: MetricField, p: Sequence[float]) -> tuple[np.ndarray, float]:
-    g0, dg, d2g = gram_jets(metric, p)
-    return ricci_from_derivatives(g0, dg, d2g)
+    return ricci_from_derivatives(*gram_jets(metric, p))
 
 
 # ---------------------------------------------------------------------------
@@ -455,26 +484,17 @@ def _laplacian(
     )
 
 
-def scalar_laplacian(metric: MetricField, f, p: Sequence[float]):
-    """Laplace-Beltrami of a scalar: g^{ab} (d_a d_b f - Gamma^c_ab d_c f).
-
-    One value at a point of shape (n,); an (N,) array on a batch (N, n).
-    """
-    pts = np.asarray(p, dtype=float)
-    g0, dg = gram_jets(metric, pts, order=1)
-    return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
-
-
 def yamabe_residual(metric: MetricField, f, p: Sequence[float]):
     """(Delta_g - (n-2)/(4(n-1)) R) f; complex scalars welcome.
 
-    The operator acts on a complex coefficient componentwise (it has real
-    coefficients): one complex number at a point of shape (n,), an (N,)
-    array on a batch (N, n).
+    Delta_g f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f), and the operator
+    acts on a complex coefficient componentwise (it has real coefficients):
+    one complex number at a point of shape (n,), an (N,) array on a batch
+    (N, n).
     """
     pts = np.asarray(p, dtype=float)
-    g0, dg, d2g = gram_jets(metric, pts)
-    return _yamabe(g0, dg, d2g, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
+    jets = gram_jets(metric, pts)
+    return _yamabe(jets, _invert_gram(jets[0]), _scalar_jet(f, pts), pts.shape[:-1])
 
 
 def yamabe_and_divergence(metric: MetricField, f, field: VectorField, p):
@@ -483,15 +503,18 @@ def yamabe_and_divergence(metric: MetricField, f, field: VectorField, p):
     one evaluation of f: the metric pieces of the covariant Schrödinger
     pair, each bitwise equal to its separate call."""
     pts = np.asarray(p, dtype=float)
-    g0, dg, d2g = gram_jets(metric, pts)
-    ginv = _invert_gram(g0)
+    jets = gram_jets(metric, pts)
+    ginv = _invert_gram(jets[0])
     fj = _scalar_jet(f, pts)
-    yamabe = _yamabe(g0, dg, d2g, ginv, fj, pts.shape[:-1])
-    return yamabe, _divergence(ginv, dg, field, pts), fj
+    yamabe = _yamabe(jets, ginv, fj, pts.shape[:-1])
+    return yamabe, _divergence(ginv, jets[1], field, pts), fj
 
 
-def _yamabe(g0, dg, d2g, ginv, fj: Jet2, batch: tuple):
+def _yamabe(jets: tuple, ginv, fj: Jet2, batch: tuple):
+    """The Yamabe operator on the jet of f from the metric's order-2
+    ``gram_jets`` and its inverse Gram."""
+    g0, dg = jets[:2]
     n = g0.shape[-1]
-    _, scalar = ricci_from_derivatives(g0, dg, d2g, ginv=ginv)
+    _, scalar = ricci_from_derivatives(*jets, ginv=ginv)
     lap = _laplacian(g0, dg, ginv, fj, batch)
     return lap - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value

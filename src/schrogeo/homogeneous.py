@@ -188,30 +188,28 @@ class SchrodingerManifoldConfig:
 
 
 # Peak memory, not time, bounds how many couplings share one jet pass, and
-# a pass's largest array is set by the highest derivative order it holds
-# (n = d + 3, N points in the pass):
+# a pass's largest working set is set by the highest derivative order it
+# holds (n = d + 3, N points in the pass):
 #   order 0 (Gram values only): N n^2 entries;
 #   order 1 (first-order jets: dg, Jacobians, Christoffel symbols): N n^3;
-#   order 2 (second-order jets: d2g, which the Ricci contraction reads in
-#   place): N n^4.
-# Stacking whole grids unbounded at order 2 raised the peak RSS of two
-# benchmark batteries from 39.6 to 63.3 MB on bulk_wide (d = 8, 16
-# couplings x 5 points: a 9.4 MB d2g) and from 38.3 to 50.0 MB on
-# bulk_dense.  At 2^16 entries (0.5 MB) of the largest array per pass the
-# rise is at most 1.7 MB.  Budgeting the first-order checks by N n^3
-# instead of N n^4 (on bulk_wide one pass at d = 6 and two at d = 8, where
-# order 2 takes 16) moved the median peak RSS by at most 0.06 MB on every
-# benchmark workload (bulk_wide 40.79 -> 40.82 MB; 2-core x86-64 host,
-# 18 s runs).  Those passes also held d_b Gamma_{a,ij}, a second array the
-# size of d2g, inside the Ricci contraction; without it 2^17 entries fit the
-# same pass memory and take 3 couplings per pass at d = 6, 5 points.  The
-# new contraction and the doubled budget together moved the median peak RSS
-# by +0.7 MB (1.8%) on bulk_dense and by at most +0.3 MB on the other
-# workloads (same host and run length, 10 runs each).
+#   order 2 (second-order jets, read by the Ricci contraction): 4 N n^3.
+# Order 2 holds the second derivatives factored by distinct entry
+# (``gram_jets``): E Hessians of n^2 entries per sample, E <= 2 for the bulk
+# metric, so its largest arrays are the Ricci contraction's own N n^3
+# temporaries: dg and at most three more alive at once, which the factor 4
+# counts.  Folding order 2 into the order-1 budget (all 16 couplings of a d
+# in one pass on bulk_wide) read a peak RSS of 44.2-44.5 MB against
+# 41.1-41.2 MB at 4 N n^3, and a slower battery (three runs each).  At
+# 4 N n^3 a bulk_wide battery runs 4 + 1 + 4 order-2 passes at d = 8 (null
+# fluid, Einstein, the audit's Einstein) and 2 + 1 + 2 at d = 6, where a
+# dense N n^4 d2g had taken 16 + 4 + 16 and 6 + 2 + 6; the median peak RSS
+# moved from 41.18 to 41.13 MB on bulk_wide and fell by about 1 MB on
+# bulk_dense and default_all (2-core x86-64 host, 18 s runs, 10 pairs).
+# At 2^17 entries per pass the first-order checks take one pass at d = 6
+# and d = 8, 5 points.
 # The axiom audit is budgeted by the same rule, part by part: it stacks a
 # d's couplings under the order-1 budget and runs its one order-2 read, the
-# Einstein residual of the undeformed metric, in order-2 sub-passes, so its
-# largest d2g is the one a whole-audit order-2 pass held.
+# Einstein residual of the undeformed metric, in order-2 sub-passes.
 COUPLING_PASS_ENTRIES = 2**17
 
 
@@ -219,13 +217,15 @@ def coupling_passes(d: int, count: int, samples: int, order: int) -> list[slice]
     """Consecutive slices of ``count`` couplings, one jet pass each.
 
     A pass holds whole couplings of ``samples`` points and at most
-    ``COUPLING_PASS_ENTRIES`` entries of its largest derivative array,
-    samples * n^(2 + order) for a pass of derivative ``order`` 0, 1 or 2; a
-    coupling over that budget runs alone.
+    ``COUPLING_PASS_ENTRIES`` entries of its working set, samples * n^2,
+    samples * n^3 and 4 * samples * n^3 for a pass of derivative ``order``
+    0, 1 and 2; a coupling over that budget runs alone.
     """
     if order not in (0, 1, 2):
         raise ContractViolationError(f"derivative order must be 0, 1 or 2, got {order}")
-    per_pass = max(1, COUPLING_PASS_ENTRIES // (samples * (d + 3) ** (2 + order)))
+    n = d + 3
+    per_sample = (n**2, n**3, 4 * n**3)[order]
+    per_pass = max(1, COUPLING_PASS_ENTRIES // (samples * per_sample))
     return [slice(i, min(i + per_pass, count)) for i in range(0, count, per_pass)]
 
 
@@ -589,7 +589,6 @@ def isometry_check(
     element,
     samples: int = 10,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> dict:
     """Pull the chart metric back through the ambient action of ``element``
     (a group element or a raw ambient matrix) and compare.
@@ -646,7 +645,6 @@ def isometry_check(
         "zy_residual": zy_r,
         "samples": used,
         "escapes": escapes,
-        "isometry": metric_r < tol,
     }
 
 
@@ -834,8 +832,8 @@ def boundary_structure(d: int, samples: int = 20, seed: int = 0) -> dict[str, di
     samples: homogeneity of the normalizer, closed clock, parallel null
     vertical field, one-dimensional cone-form kernel along the ray, and
     conformal flatness with a factor depending on time only.  By property,
-    its residual with the samples, the seed and the smallest normalizer;
-    the cone kernel also gives the kernel dimensions it met."""
+    its residual and the smallest normalizer; the cone kernel also gives
+    the kernel dimensions it met."""
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = boundary_metric(d)
@@ -900,7 +898,6 @@ def boundary_structure(d: int, samples: int = 20, seed: int = 0) -> dict[str, di
     factors_by_t = [sum(row) / len(row) for row in facs.tolist()]
     spread_across = nk.max_entry(factors_by_t) - float(np.min(factors_by_t))
 
-    meta = {"samples": samples, "seed": seed, "min_f0": min_f0}
     found = {
         "scale_invariance": scale_r,
         "clock_closed": closed_r,
@@ -912,7 +909,7 @@ def boundary_structure(d: int, samples: int = 20, seed: int = 0) -> dict[str, di
         "cone_kernel": angle_r,
         "factor_varies_with_t": spread_across,
     }
-    out = {name: {"residual": r, **meta} for name, r in found.items()}
+    out = {name: {"residual": r, "min_f0": min_f0} for name, r in found.items()}
     out["cone_kernel"]["kernel_dims"] = sorted(kernel_dims)
     return out
 

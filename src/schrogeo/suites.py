@@ -253,10 +253,9 @@ def _bargmann_axioms(c, seed):
 
 def _conformal(c, seed, along_time: bool):
     axis = c.d if along_time else 0
-    _, worst = bg.conformal_equivalence_check(
+    return bg.conformal_equivalence_check(
         lambda x: nk.exp(x[axis]), c.structure, samples=c.samples, seed=seed
     )
-    return worst
 
 
 BARGMANN = Suite(
@@ -657,7 +656,7 @@ def _isometry(c, seed):
     for lam, mu in ((-0.5, 1.0), (-1.0, 2.0)):
         mc = hg.SchrodingerManifoldConfig(c.d, lam, mu)
         ge = random_group_element(c.d, rng)
-        res = hg.isometry_check(mc, ge, samples=c.samples, seed=seed, tol=c.cfg.tol)
+        res = hg.isometry_check(mc, ge, samples=c.samples, seed=seed)
         found += [res["metric_residual"], res["quadric_residual"]]
     return max_entry(0.0, *found)
 

@@ -1,8 +1,10 @@
 """Reference implementations that the package does not run, kept as
 independent oracles for the tests: the einsum Ricci kernel, central-difference
-metric derivatives, Gram assembly entry by entry, the quadric embedding with
-its (X, Y) decomposition, the finite expansion integrated by RK4 from its
-generator field, and group-element stacks built element by element."""
+metric derivatives, dense second derivatives to and from the factored form of
+``gram_jets``, Gram assembly entry by entry, the scalar Laplacian, conformal
+rescaling and the weighted Lie derivative of a density, the quadric embedding
+with its (X, Y) decomposition, the finite expansion integrated by RK4 from
+its generator field, and group-element stacks built element by element."""
 
 from dataclasses import dataclass, field
 
@@ -17,12 +19,17 @@ from schrogeo.ambient import (
     build_Z0,
     realize_field,
 )
-from schrogeo.bargmann import ChartMap
+from schrogeo.bargmann import ChartMap, _lie_term
 from schrogeo.geometry import (
+    MetricField,
     _coordinates,
     _first_kind,
     _invert_gram,
+    _laplacian,
     _samples_first,
+    _scalar_jet,
+    divergence,
+    gram_jets,
     gram_values,
 )
 from schrogeo.homogeneous import (
@@ -83,6 +90,30 @@ def generic_metric_derivatives(rng, n, lead=()):
 
 
 # ---------------------------------------------------------------------------
+# dense second derivatives and the factored form of ``gram_jets``
+
+
+def factored(d2g):
+    """A dense d2g[..., a, b, i, j] as the (hess, pattern) pair that
+    ``ricci_from_derivatives`` reads: one entry per position (i, j), so
+    hess[..., i * n + j, a, b] = d2g[..., a, b, i, j] and pattern is the
+    identity."""
+    n = d2g.shape[-1]
+    hess = np.moveaxis(d2g.reshape(d2g.shape[:-2] + (n * n,)), -1, -3)
+    return hess, np.eye(n * n).reshape(n * n, n, n)
+
+
+def dense_d2g(hess, pattern):
+    """The dense d2g[..., a, b, i, j] of a factored pair, each position
+    written once from the one entry that holds it (zeros elsewhere)."""
+    n = pattern.shape[-1]
+    d2g = np.zeros(hess.shape[:-3] + (n, n, n, n))
+    for e, i, j in zip(*np.nonzero(pattern)):
+        d2g[..., :, :, i, j] = hess[..., e, :, :]
+    return d2g
+
+
+# ---------------------------------------------------------------------------
 # Gram assembly entry by entry
 
 
@@ -118,6 +149,40 @@ def gram_jets_loop(metric, p, order: int = 2):
             else:
                 g0[..., i, j] = e
     return (g0, dg) if d2g is None else (g0, dg, d2g)
+
+
+# ---------------------------------------------------------------------------
+# operators the reports do not run
+
+
+def scalar_laplacian(metric, f, p):
+    """Laplace-Beltrami of a scalar, g^{ab} (d_a d_b f - Gamma^c_ab d_c f),
+    from the package's own Laplacian term: one value at a point of shape
+    (n,), an (N,) array on a batch (N, n)."""
+    pts = np.asarray(p, dtype=float)
+    g0, dg = gram_jets(metric, pts, order=1)
+    return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
+
+
+def rescaled_metric(structure, omega2):
+    """The structure's metric conformally rescaled by a jet-evaluable
+    factor Omega^2(p)."""
+    base = structure.metric
+
+    def gram(p):
+        f = omega2(p)
+        return [[f * e for e in row] for row in base.gram(p)]
+
+    return MetricField(base.chart, gram, base.signature)
+
+
+def density_lie_derivative(metric, field, psi, p):
+    """L_X^w f = X(f) + w Div(X) f: a complex scalar at a point of shape
+    (n,), an (N,) array on a batch (N, n)."""
+    pts = np.asarray(p, dtype=float)
+    fj = psi.coefficient(nk.seed_point(pts, order=1))
+    lie = _lie_term(field, psi.weight, fj, divergence(metric, field, pts), pts)
+    return complex(lie) if pts.ndim == 1 else lie
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_criterion_04_nullfluid_identity():
     from schrogeo.homogeneous import theta_hat_form
 
     ric, _ = ricci_scalar(bulk_metric(cfg), p)
-    g0, _, _ = gram_jets(bulk_metric(cfg), p)
+    g0 = gram_jets(bulk_metric(cfg), p)[0]
     th = np.array(
         [float(jet_value(c)) for c in theta_hat_form(cfg).components(list(p))]
     )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import embed, stack_elements
+from oracles import density_lie_derivative, embed, scalar_laplacian, stack_elements
 
 from schrogeo import ambient
 from schrogeo import bargmann as bg
@@ -41,7 +41,6 @@ from schrogeo.geometry import (
     gram_values,
     jet_components,
     ricci_from_derivatives,
-    scalar_laplacian,
     yamabe_residual,
 )
 from schrogeo.homogeneous import (
@@ -209,13 +208,17 @@ class TestBatchedGeometry:
         if metric.chart.names[-1] == "rh":
             pts[:, -1] = rng.uniform(0.7, 2.2, size=6)
         batch = gram_jets(metric, pts)
-        assert [a.shape for a in batch] == [(6,) + (n,) * k for k in (2, 3, 4)]
+        entries = len(batch[3])
+        assert [a.shape for a in batch] == [
+            (6, n, n), (6, n, n, n), (6, entries, n, n), (entries, n, n)
+        ]
         ric, scalar = ricci_from_derivatives(*batch)
         assert ric.shape == (6, n, n) and scalar.shape == (6,)
         for k, p in enumerate(pts):
             single = gram_jets(metric, p)
-            for a, b in zip(batch, single):
+            for a, b in zip(batch[:3], single):
                 assert np.abs(a[k] - b).max() <= 1e-13
+            assert same_bits(batch[3], single[3])
             r, s = ricci_from_derivatives(*single)
             assert isinstance(s, float)
             assert same_bits(ric[k], r) and same_bits(scalar[k], s)
@@ -230,14 +233,18 @@ class TestBatchedGeometry:
             pts[:, -1] = rng.uniform(0.7, 2.2, size=4)
         batch = gram_jets(metric, pts)
         ric, scalar = ricci_from_derivatives(*batch)
-        strided = [np.repeat(a, 2, axis=0)[::2] for a in batch]
+        # the pattern has no sample axis: it keeps its entries, in any layout
+        *stack, pattern = batch
+        strided = [np.repeat(a, 2, axis=0)[::2] for a in stack]
+        strided.append(np.repeat(pattern, 2, axis=0)[::2])
         fortran = [np.asfortranarray(a) for a in batch]
         for args in (strided, fortran):
             r, s = ricci_from_derivatives(*args)
             assert same_bits(r, ric) and same_bits(s, scalar)
         for shift in (1, 2, 3):
             for k in range(len(pts)):
-                r, s = ricci_from_derivatives(*(_shifted(a[k], shift) for a in batch))
+                args = [_shifted(a[k], shift) for a in stack] + [_shifted(pattern, shift)]
+                r, s = ricci_from_derivatives(*args)
                 assert same_bits(r, ric[k]) and same_bits(s, scalar[k])
 
     def test_jet_components_match_per_point(self):
@@ -417,7 +424,7 @@ class TestBatchedIsometry:
         reference = sequential_isometry(cfg, A, samples, seed)
         assert batched["samples"] == reference["samples"] == samples
         assert batched["escapes"] == reference["escapes"]
-        assert batched["isometry"] == reference["isometry"]
+        assert (batched["metric_residual"] < 1e-8) == reference["isometry"]
         for key in ("metric_residual", "quadric_residual", "zy_residual"):
             assert abs(batched[key] - reference[key]) <= 1e-13
 
@@ -511,8 +518,8 @@ class TestBatchedWaveOperators:
         field, _ = realize_field(random_algebra_element(d, np.random.default_rng(7)).blocks, d)
         pts = _flat_points(d, seed=2)
         for vf in (structure.xi, field):
-            batch = bg.density_lie_derivative(structure.metric, vf, psi, pts)
-            single = [bg.density_lie_derivative(structure.metric, vf, psi, p) for p in pts]
+            batch = density_lie_derivative(structure.metric, vf, psi, pts)
+            single = [density_lie_derivative(structure.metric, vf, psi, p) for p in pts]
             assert all(isinstance(v, complex) for v in single)
             _assert_bitwise(batch, single)
         r1, r2 = bg.schrodinger_residual(structure, psi, PARAMS, pts)

@@ -6,9 +6,11 @@ must file the same records as one pass per coupling."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import dense_d2g, density_lie_derivative
 
 from schrogeo import geometry
 from schrogeo import homogeneous as hg
@@ -16,7 +18,6 @@ from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.bargmann import (
     SchrodingerParams,
-    density_lie_derivative,
     flat_bargmann,
     plane_wave,
     schrodinger_residual,
@@ -142,7 +143,8 @@ class TestCouplingBatchedBitwise:
 
     def test_metric_clock_and_embedding(self, stacked):
         d, pts, mc, x = stacked
-        jets = gram_jets(hg.bulk_metric(mc), x)
+        g0, dg, hess, pattern = gram_jets(hg.bulk_metric(mc), x)
+        jets = (g0, dg, dense_d2g(hess, pattern))
         values = gram_values(hg.bulk_metric(mc), x)
         clock = jet_components(hg.theta_hat_form(mc).components, x)
         embed = jet_components(lambda q: hg.embed_components(mc, q), x)
@@ -151,7 +153,9 @@ class TestCouplingBatchedBitwise:
         for c, (lam, mu) in enumerate(GRID):
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
             rows = slice(c * N, (c + 1) * N)
-            for g, w in zip(jets, gram_jets(hg.bulk_metric(one), pts)):
+            # a float mu = 0 has no clock entry: compare the dense d2g
+            w0, w1, *factors = gram_jets(hg.bulk_metric(one), pts)
+            for g, w in zip(jets, (w0, w1, dense_d2g(*factors))):
                 assert same_values(g[rows], w)
             # clock and embedding: vals and jac, bit for bit
             for got, want in (
@@ -250,9 +254,11 @@ def test_config_rejects_mismatched_or_positive_couplings():
 @pytest.mark.parametrize("samples", [5, 20, 80])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_passes_hold_whole_couplings_within_the_budget(d, samples):
+    n = d + 3
     for order, count in itertools.product((0, 1, 2), (1, 3, 16, 40)):
-        # the largest derivative array of a pass: N n^(2 + order) entries
-        per_coupling = samples * (d + 3) ** (2 + order)
+        # the working set of a pass: N n^2 Gram entries, N n^3 first
+        # derivatives, 4 N n^3 for the Ricci contraction of order 2
+        per_coupling = samples * (n**2, n**3, 4 * n**3)[order]
         parts = hg.coupling_passes(d, count, samples, order)
         held = [list(range(count)[p]) for p in parts]
         # every coupling in exactly one pass, in order
@@ -267,8 +273,8 @@ def test_passes_hold_whole_couplings_within_the_budget(d, samples):
 
 
 BENCHMARKED_PASSES = [
-    (1, 5, 16), (2, 5, 16), (3, 5, 16), (1, 20, 16), (2, 20, 10), (3, 20, 5),
-    (6, 5, 3), (8, 5, 1),
+    (1, 5, 16), (2, 5, 16), (3, 5, 16), (1, 20, 16), (2, 20, 13), (3, 20, 7),
+    (6, 5, 8), (8, 5, 4),
 ]
 
 
@@ -312,7 +318,7 @@ def test_the_driver_splits_the_grid_into_its_budgeted_passes(d, samples, per_pas
 def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
     monkeypatch, dims, samples
 ):
-    audited, d2g_shapes = [], []
+    audited, passes = [], []
     audit, jets = hg.schrodinger_axiom_audit, geometry.gram_jets
 
     def counted_audit(cfg, *args, **kwargs):
@@ -322,7 +328,10 @@ def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
     def recorded_jets(metric, p, order=2):
         out = jets(metric, p, order)
         if order == 2:
-            d2g_shapes.append(out[2].shape)
+            g0, _, hess, pattern = out
+            # the bulk metric's non-constant entries: a and the clock term
+            assert hess.shape == g0.shape[:1] + pattern.shape and len(pattern) <= 2
+            passes.append(g0.shape[:2])
         return out
 
     monkeypatch.setattr(hg, "schrodinger_axiom_audit", counted_audit)
@@ -331,11 +340,11 @@ def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
     assert {c.status for c in checks} == {"PASS"}
     assert audited == list(dims)
     per = max(4, samples // 4)
-    assert len(d2g_shapes) == sum(
+    assert len(passes) == sum(
         len(hg.coupling_passes(d, len(GRID), per, 2)) for d in dims
     )
-    for shape in d2g_shapes:
-        assert math.prod(shape) <= hg.COUPLING_PASS_ENTRIES or shape[0] == per
+    for count, n in passes:
+        assert 4 * count * n**3 <= hg.COUPLING_PASS_ENTRIES or count == per
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -353,7 +362,9 @@ def test_one_stacked_normal_draw_is_consecutive_draws(d):
 
 def _singular_at(monkeypatch, coordinate):
     """Make the bulk Gram vanish at the samples whose first coordinate is
-    ``coordinate``; every other sample is multiplied by 1.0, exactly."""
+    ``coordinate``; every other sample is multiplied by 1.0, exactly.  Each
+    distinct entry is scaled once, so entries shared between positions stay
+    shared and the factored second derivatives keep their grouping."""
     original = hg.bulk_metric
 
     def broken(cfg):
@@ -361,7 +372,9 @@ def _singular_at(monkeypatch, coordinate):
 
         def gram(p):
             keep = np.where(nk.jet_value(p[0]) == coordinate, 0.0, 1.0)
-            return [[e * keep for e in row] for row in metric.gram(p)]
+            rows = metric.gram(p)
+            scaled = {id(e): e * keep for row in rows for e in row}
+            return [[scaled[id(e)] for e in row] for row in rows]
 
         return MetricField(metric.chart, gram, metric.signature)
 
@@ -405,11 +418,12 @@ def test_a_singular_coupling_errors_alone(monkeypatch):
 
 
 def test_a_singular_coupling_in_an_einstein_sub_pass_errors_alone(monkeypatch):
-    # d = 8: the grid is audited in one pass whose Einstein part runs one
-    # coupling per sub-pass, so the singular sample sits in sub-pass 7
+    # d = 8: the grid is audited in one pass whose Einstein part runs four
+    # couplings per sub-pass, so the singular sample sits in the second
+    # sub-pass beside three regular couplings
     samples = max(4, SuiteConfig("axioms").samples // 4)
     assert len(hg.coupling_passes(8, len(GRID), samples, 1)) == 1
-    assert len(hg.coupling_passes(8, len(GRID), samples, 2)) == len(GRID)
+    assert len(hg.coupling_passes(8, len(GRID), samples, 2)) == len(GRID) // 4
     _a_singular_coupling_errors_alone(monkeypatch, 8)
 
 
@@ -516,3 +530,25 @@ def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
     assert calls == {"coefficient": 1, "gram_jets": 1, "inverse": 1}
     assert same_bits(r1, want1)
     assert same_bits(r2, want2)
+
+
+def test_an_order2_pass_stays_within_its_budget():
+    # d = 8, 16 couplings x 5 points: four passes of four couplings, each
+    # holding the factored second derivatives and the Ricci working set;
+    # the dense d2g of one such pass alone would take 20 n^4 doubles
+    d, samples = 8, 5
+    pts = SeededSampler(13, hg.bulk_boxes(d)).points(len(GRID) * samples)
+
+    def residual(mc, rows, _):
+        return float(np.abs(hg.nullfluid_residual(mc, rows)[0]).max())
+
+    hg.over_couplings(d, GRID, pts, 2, residual)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        hg.over_couplings(d, GRID, pts, 2, residual)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(hg.coupling_passes(d, len(GRID), samples, 2)) == 4
+    assert peak <= 1.25 * 8 * hg.COUPLING_PASS_ENTRIES
+    assert peak < 8 * 4 * samples * (d + 3) ** 4

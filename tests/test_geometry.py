@@ -8,11 +8,14 @@ import textwrap
 import numpy as np
 import pytest
 from oracles import (
+    dense_d2g,
     einsum_ricci,
+    factored,
     fd_gram_derivatives,
     generic_metric_derivatives,
     gram_jets_loop,
     gram_values_loop,
+    scalar_laplacian,
 )
 
 from schrogeo import geometry
@@ -33,7 +36,6 @@ from schrogeo.geometry import (
     lie_derivative_metric,
     ricci_from_derivatives,
     ricci_scalar,
-    scalar_laplacian,
     yamabe_residual,
 )
 from schrogeo.ambient import flat_gram_matrix, flat_metric
@@ -105,7 +107,7 @@ class TestSphere:
         m = sphere_metric()
         p = [1.0, 0.3]
         ric, scal = ricci_scalar(m, p)
-        g0, _, _ = gram_jets(m, p)
+        g0 = gram_jets(m, p)[0]
         assert np.abs(ric - g0).max() < 1e-12
         assert scal == pytest.approx(2.0, abs=1e-12)
 
@@ -121,7 +123,7 @@ class TestSphere:
     def test_metricity(self):
         # nabla_c g_ab = d_c g_ab - Gamma^e_ca g_eb - Gamma^e_cb g_ae
         m = sphere_metric()
-        g0, dg, _ = gram_jets(m, [0.9, 2.0])
+        g0, dg = gram_jets(m, [0.9, 2.0], order=1)
         gamma = christoffel_from_derivatives(g0, dg)
         nabla = (
             dg
@@ -169,7 +171,7 @@ class TestCurvedBulk:
         metric = bulk_metric(cfg)
         for p in SeededSampler(9, [(-1, 1)] * 5 + [(0.8, 2.0)]).points(3):
             ric, scal = ricci_scalar(metric, p)
-            g0, _, _ = gram_jets(metric, p)
+            g0 = gram_jets(metric, p)[0]
             assert np.abs(ric + 5.0 * g0).max() < 1e-10
             assert scal == pytest.approx(-30.0, abs=1e-9)
 
@@ -178,7 +180,7 @@ class TestCurvedBulk:
         metric = bulk_metric(cfg)
         p = [0.2, -0.5, 0.1, 0.9, 0.6, 1.4]
         ric, _ = ricci_scalar(metric, p)
-        g0, _, _ = gram_jets(metric, p)
+        g0 = gram_jets(metric, p)[0]
         assert np.abs(ric + 2.5 * g0).max() < 1e-10
 
     def test_yamabe_on_constants(self):
@@ -194,31 +196,50 @@ class TestCurvedBulk:
         cfg = SchrodingerManifoldConfig(2, -0.7)
         metric = bulk_metric(cfg)
         p = [0.4, -0.1, 0.2, 0.5, 1.1]
-        g0, dg, d2g = gram_jets(metric, p)
+        g0, dg, hess, pattern = gram_jets(metric, p)
+        d2g = dense_d2g(hess, pattern)
         g0f, dgf, d2gf = fd_gram_derivatives(metric, p)
         assert np.abs(g0 - g0f).max() < 1e-14
         assert np.abs(dg - dgf).max() < 1e-8
         assert np.abs(d2g - d2gf).max() < 1e-5
 
 
+def assert_matches_the_einsum_oracle(ric, scalar, g0, dg, d2g):
+    """Within 8 eps of the largest oracle entry, sample by sample."""
+    ref, ref_scalar = einsum_ricci(g0, dg, d2g)
+    tol = 8 * np.finfo(float).eps * np.abs(ref).max(axis=(-1, -2))
+    assert np.all(np.abs(ric - ref).max(axis=(-1, -2)) <= tol)
+    ginv = np.linalg.inv(g0)
+    assert np.all(np.abs(scalar - ref_scalar) <= tol * np.abs(ginv).sum(axis=(-1, -2)))
+
+
 class TestRicciKernel:
     @pytest.mark.parametrize("samples", [1, 5, 20])
     @pytest.mark.parametrize("d", range(1, 9))
     def test_matches_the_einsum_oracle_on_generic_metrics(self, d, samples):
+        # a dense d2g enters as one entry per position
         rng = np.random.default_rng(100 * d + samples)
-        args = generic_metric_derivatives(rng, d + 3, (samples,))
-        ric, scalar = ricci_from_derivatives(*args)
-        ref, ref_scalar = einsum_ricci(*args)
-        tol = 8 * np.finfo(float).eps * np.abs(ref).max(axis=(-1, -2))
-        assert np.all(np.abs(ric - ref).max(axis=(-1, -2)) <= tol)
-        ginv = np.linalg.inv(args[0])
-        assert np.all(np.abs(scalar - ref_scalar) <= tol * np.abs(ginv).sum(axis=(-1, -2)))
+        g0, dg, d2g = generic_metric_derivatives(rng, d + 3, (samples,))
+        ric, scalar = ricci_from_derivatives(g0, dg, *factored(d2g))
+        assert_matches_the_einsum_oracle(ric, scalar, g0, dg, d2g)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_einsum_oracle_on_per_sample_bulk_metrics(self, d):
+        # per-sample couplings: a = -2 lam / rh^2 and the clock term are
+        # the only non-constant entries, so no n^4 array reaches the kernel
+        metric = per_sample_bulk(d, 6)
+        pts = SeededSampler(31 + d, [(-1.2, 1.2)] * (d + 2) + [(0.7, 2.2)]).points(6)
+        g0, dg, hess, pattern = gram_jets(metric, pts)
+        n = d + 3
+        assert hess.shape == (6, 2, n, n) and pattern.shape == (2, n, n)
+        ric, scalar = ricci_from_derivatives(g0, dg, hess, pattern)
+        assert_matches_the_einsum_oracle(ric, scalar, g0, dg, dense_d2g(hess, pattern))
 
     def test_fd_derivatives_give_the_einstein_ricci(self):
         # central differences of Gram values: no jet on this path
         cfg = SchrodingerManifoldConfig(2, -0.5)
         g0, dg, d2g = fd_gram_derivatives(bulk_metric(cfg), [0.4, -0.1, 0.2, 0.5, 1.1])
-        ric, scal = geometry.ricci_from_derivatives(g0, dg, d2g)
+        ric, scal = geometry.ricci_from_derivatives(g0, dg, *factored(d2g))
         assert np.abs(ric + 4.0 * g0).max() < 1e-4
         assert scal == pytest.approx(-20.0, abs=1e-3)
 
@@ -280,7 +301,7 @@ class TestLieAndConformal:
 
         v = VectorField(bg.metric.chart, comps)
         p = [0.5, -0.3, t0, 0.2]
-        g0, _, _ = gram_jets(bg.metric, p)
+        g0 = gram_jets(bg.metric, p)[0]
         lie = lie_derivative_metric(bg.metric, v, p)
         # L_v g = phi g with phi = tr(g^{-1} L_v g) / n
         phi = float(np.einsum("ij,ij->", np.linalg.inv(g0), lie)) / len(p)
@@ -335,6 +356,18 @@ class TestExterior:
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def dense_jets(metric, p, order):
+    """``gram_jets`` with its order-2 factors expanded to a dense d2g, after
+    checking that every position is held by at most one entry."""
+    jets = gram_jets(metric, p, order)
+    if order == 1:
+        return jets
+    g0, dg, hess, pattern = jets
+    assert hess.shape == g0.shape[:-2] + pattern.shape
+    assert set(np.unique(pattern)) <= {0.0, 1.0} and pattern.sum(axis=0).max() <= 1
+    return g0, dg, dense_d2g(hess, pattern)
 
 
 def shared_entries_metric():
@@ -392,7 +425,7 @@ class TestSparseGramAssembly:
         for p in (pts[0], pts) if samples == 1 else (pts,):
             assert same_bits(gram_values(metric, p), gram_values_loop(metric, p))
             for order in (1, 2):
-                got = gram_jets(metric, p, order=order)
+                got = dense_jets(metric, p, order)
                 want = gram_jets_loop(metric, p, order=order)
                 assert len(got) == len(want) == order + 1
                 for a, b in zip(got, want):
@@ -411,7 +444,7 @@ def test_per_sample_couplings_assemble_as_the_entry_loop(d):
     assert same_bits(values, gram_values_loop(metric, pts))
     for order in (1, 2):
         want = gram_jets_loop(metric, pts, order)
-        for a, b in zip(gram_jets(metric, pts, order), want):
+        for a, b in zip(dense_jets(metric, pts, order), want):
             assert same_bits(a, b)
 
 
@@ -430,5 +463,5 @@ def test_flat_metric_writes_its_ones_as_one_shared_entry(d):
     for p in (pts[0], pts):
         assert same_bits(gram_values(metric, p), gram_values_loop(metric, p))
         for order in (1, 2):
-            for a, b in zip(gram_jets(metric, p, order), gram_jets_loop(metric, p, order)):
+            for a, b in zip(dense_jets(metric, p, order), gram_jets_loop(metric, p, order)):
                 assert same_bits(a, b)

@@ -176,7 +176,7 @@ class TestEinsteinFamily:
         cfg = SchrodingerManifoldConfig(3, -1.0)
         p = [0.1, -0.2, 0.3, 0.4, 0.5, 2.0]
         computed, predicted = einstein_residual(cfg, p)
-        g0, _, _ = gram_jets(bulk_metric(cfg), p)
+        g0 = gram_jets(bulk_metric(cfg), p)[0]
         # predicted factor (d+2)(1+2 lam)/(2 lam) = 2.5 at lam = -1, d = 3
         assert np.abs(predicted - 2.5 * g0).max() < 1e-13
         assert np.abs(computed - predicted).max() < 1e-10
@@ -215,7 +215,6 @@ class TestIsometries:
         cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
         ge = random_group_element(2, rng, scale=0.3)
         res = isometry_check(cfg, ge, samples=4, seed=3)
-        assert res["isometry"]
         assert res["metric_residual"] < 1e-8
 
     def test_group_action_preserves_generic_couplings(self):
@@ -223,16 +222,15 @@ class TestIsometries:
         cfg = SchrodingerManifoldConfig(1, -1.0, 2.0)
         ge = random_group_element(1, rng, scale=0.3)
         res = isometry_check(cfg, ge, samples=4, seed=4)
-        assert res["isometry"]
+        assert res["metric_residual"] < 1e-8
 
     def test_null_plane_boost_detects_deformation(self):
         # outside the stabilizer: preserves the quadric but not the mu-term
         boost = null_plane_boost(2, 1.5)
         on = isometry_check(SchrodingerManifoldConfig(2, -0.5, 1.0), boost, samples=4, seed=5)
         off = isometry_check(SchrodingerManifoldConfig(2, -0.5, 0.0), boost, samples=4, seed=5)
-        assert not on["isometry"]
         assert on["metric_residual"] > 1e-3
-        assert off["isometry"]
+        assert off["metric_residual"] < 1e-8
 
     def test_explicit_stabilizer_fixes_origin_image(self):
         cfg = SchrodingerManifoldConfig(2, -0.5)

@@ -1,7 +1,8 @@
 """Static checks on the package source, the test oracles and the scripts,
 read through ``ast``: every name in a module's ``__all__`` is defined there,
-no imported name goes unused, and the coupling-pass layout stays in
-``homogeneous.over_couplings``."""
+no imported name goes unused, the coupling-pass layout stays in
+``homogeneous.over_couplings``, and no dense second-derivative array is
+built in the package."""
 
 import ast
 from pathlib import Path
@@ -160,6 +161,32 @@ def test_the_layout_rules_see_a_stray_pass_loop():
     )
     assert _callers(tree, "coupling_passes") == ["over_couplings", "audit"]
     assert {"DegenerateMetricError", "coupling_config"} <= _names(tree)
+
+
+def _dense_second_derivatives(tree: ast.Module) -> set[str]:
+    """Signs of a dense d2g: a shape tuple naming one axis length four
+    times, such as (n, n, n, n), or a name ``d2g``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple):
+            axes = [e.id for e in node.elts if isinstance(e, ast.Name)]
+            if any(axes.count(a) >= 4 for a in axes):
+                found.add("shape")
+        elif isinstance(node, ast.Name) and node.id == "d2g":
+            found.add("d2g")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dense_second_derivatives_in_the_package(path):
+    # second derivatives travel as gram_jets' (hess, pattern) factors
+    assert not _dense_second_derivatives(_tree(path)), path.name
+
+
+def test_the_dense_rule_sees_a_dense_array():
+    tree = ast.parse("d2g = np.zeros(batch + (n, n, n, n))\nx = (n, n, m)\n")
+    assert _dense_second_derivatives(tree) == {"d2g", "shape"}
+    assert not _dense_second_derivatives(ast.parse("x = (n, n, n)\n"))
 
 
 # only ``suites`` builds and judges records; ``report`` defines them and the
