@@ -10,10 +10,11 @@ Psi = f |Vol|^w with w = d / (2d+4): with that weight the pair
 is preserved by the conformal transformations fixing xi, which is what the
 transport checks in this module exercise.
 
-Every check evaluates its seeded samples as one batch: the points are
-seeded as jets with a trailing sample axis, so one jet pass gives the
-residuals at all of them.  The residual functions take one point of shape
-(n,) or a batch of shape (N, n), and return scalars or (N,) arrays.
+Every check measures the points it is given, of shape (N, n), as one batch:
+the points are seeded as jets with a trailing sample axis, so one jet pass
+gives the residuals at all of them, each bitwise its value at that point
+alone.  The residual functions take one point of shape (n,) or a batch of
+shape (N, n), and return scalars or (N,) arrays.
 """
 
 from __future__ import annotations
@@ -141,19 +142,11 @@ def metric_clock(structure: BargmannStructure) -> OneForm:
 # structure checks
 
 
-def bargmann_axioms_check(
-    structure: BargmannStructure,
-    samples: int = 20,
-    seed: int = 0,
-    box: float = 1.2,
-) -> dict[str, dict]:
+def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict[str, float]:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
-    vanishing divergence, each maximized over seeded samples: by axiom, its
-    residual and the rejected draws."""
+    vanishing divergence, each maximized over the points ``pts``: by axiom,
+    its residual."""
     metric, xi = structure.metric, structure.xi
-    n = metric.chart.dim
-    sampler = nk.SeededSampler(seed, [(-box, box)] * n)
-    pts = sampler.points(samples)
     xv = component_values(xi.components, pts)
     null = np.einsum("...a,...ab,...b->...", xv, gram_values(metric, pts), xv)
     dw, _ = exterior_wedge(metric_clock(structure), pts)
@@ -163,22 +156,12 @@ def bargmann_axioms_check(
         "clock_closed": dw,
         "xi_divergence_free": divergence(metric, xi, pts),
     }
-    return {
-        name: {"residual": float(np.abs(v).max()), "rejected": sampler.rejections}
-        for name, v in found.items()
-    }
+    return {name: float(np.abs(v).max()) for name, v in found.items()}
 
 
-def conformal_equivalence_check(
-    omega,
-    structure: BargmannStructure,
-    samples: int = 20,
-    seed: int = 0,
-) -> float:
-    """The largest entry of d Omega ^ theta over seeded samples: zero when
-    the conformal factor descends to the time axis."""
-    n = structure.metric.chart.dim
-    pts = nk.SeededSampler(seed, [(-1.2, 1.2)] * n).points(samples)
+def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.ndarray) -> float:
+    """The largest entry of d Omega ^ theta over the points ``pts``: zero
+    when the conformal factor descends to the time axis."""
     oj = omega(nk.seed_point(pts, order=1))
     grad = oj.grad.T if isinstance(oj, Jet2) else np.zeros(pts.shape)
     tv = component_values(metric_clock(structure).components, pts)
@@ -381,16 +364,12 @@ def symmetry_transport_check(
     psi: DensityFunction,
     structure: BargmannStructure,
     params: SchrodingerParams,
-    samples: int = 10,
-    seed: int = 0,
+    pts: np.ndarray,
     weight: float | None = None,
-    box: float = 1.0,
 ) -> dict:
     """Max residuals of the covariant pair for the transported density,
-    evaluated at images of seeded samples (so the inverse map stays in its
-    chart).  Also spot-checks that phi is a conformal map fixing xi."""
-    n = structure.d + 2
-    pts = nk.SeededSampler(seed, [(-box, box)] * n).points(samples)
+    evaluated at the images of the points ``pts`` (so the inverse map stays
+    in its chart).  Also spot-checks that phi is a conformal map fixing xi."""
     vals, jac = jet_components(phi.forward, pts)
     q, J = vals.real, jac.real
     g_here = gram_values(structure.metric, pts)

@@ -68,7 +68,6 @@ __all__ = [
     "COUPLING_PASS_ENTRIES",
     "BoundaryPointError",
     "SchrodingerManifoldConfig",
-    "audit_points",
     "boundary_embed_components",
     "boundary_f0",
     "boundary_isotropy_element",
@@ -585,27 +584,23 @@ def null_plane_boost(d: int, c: float) -> np.ndarray:
 
 
 def isometry_check(
-    cfg: SchrodingerManifoldConfig,
-    element,
-    samples: int = 10,
-    seed: int = 0,
+    cfg: SchrodingerManifoldConfig, element, sampler: nk.SeededSampler, samples: int
 ) -> dict:
     """Pull the chart metric back through the ambient action of ``element``
     (a group element or a raw ambient matrix) and compare.
 
     Returns max residuals over the samples that stayed on the chart sheet:
     metric preservation, quadric preservation, and the Y-constraint drift.
-    Points are drawn in sequence until ``samples`` of them stay on the sheet
-    or 50 have escaped; the quadric and Y residuals cover every drawn point.
-    Each round draws as many points as are still missing and evaluates them
-    as one batch.
+    Points are drawn from ``sampler`` in sequence until ``samples`` of them
+    stay on the sheet or 50 have escaped; the quadric and Y residuals cover
+    every drawn point.  Each round draws as many points as are still
+    missing and evaluates them as one batch.
     """
     d = cfg.d
     A = element.matrix if isinstance(element, GroupElement) else np.asarray(element)
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = bulk_metric(cfg)
-    sampler = nk.SeededSampler(seed, bulk_boxes(d))
 
     def moved(q):
         comps = embed_components(cfg, q)
@@ -699,10 +694,11 @@ def boundary_isotropy_element(
 
 
 def isotropy_check(
-    cfg: SchrodingerManifoldConfig, samples: int = 5, seed: int = 0
+    cfg: SchrodingerManifoldConfig, rng: np.random.Generator, samples: int
 ) -> dict:
     """Dimension counts of the linearized stabilizers of the bulk base point
-    and of the boundary base ray, plus sampled finite stabilizer elements."""
+    and of the boundary base ray, plus ``samples`` finite stabilizer
+    elements of each drawn from ``rng``."""
     d = cfg.d
     basis = commutant_basis(d)
     n_alg = len(basis)
@@ -717,7 +713,6 @@ def isotropy_check(
     boundary_map = np.column_stack([(b.matrix @ X0)[keep] for b in basis])
     rank_boundary, _ = rank_nullspace(boundary_map)
 
-    rng = np.random.default_rng(seed)
     bulk_res = boundary_res = 0.0
     for k in range(samples):
         Rm, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -827,19 +822,19 @@ def boundary_xi(d: int) -> VectorField:
     return VectorField(flat_chart(d), lambda p: list(e))
 
 
-def boundary_structure(d: int, samples: int = 20, seed: int = 0) -> dict[str, dict]:
-    """The conformal Bargmann structure of the boundary, measured on seeded
-    samples: homogeneity of the normalizer, closed clock, parallel null
-    vertical field, one-dimensional cone-form kernel along the ray, and
-    conformal flatness with a factor depending on time only.  By property,
-    its residual and the smallest normalizer; the cone kernel also gives
-    the kernel dimensions it met."""
+def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dict[str, dict]:
+    """The conformal Bargmann structure of the boundary, measured at the
+    chart points ``pts``, (N, d+2), with the tangents, scales and time-only
+    factor points drawn from ``rng``: homogeneity of the normalizer, closed
+    clock, parallel null vertical field, one-dimensional cone-form kernel
+    along the ray, and conformal flatness with a factor depending on time
+    only.  By property, its residual and the smallest normalizer; the cone
+    kernel also gives the kernel dimensions it met."""
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = boundary_metric(d)
     flat = flat_gram_matrix(d)
-    sampler = nk.SeededSampler(seed, [(-1.2, 1.2)] * (d + 2))
-    pts = sampler.points(samples)
+    samples = len(pts)
 
     # the jet and float work on every sample at once
     X = component_values(lambda q: boundary_embed_components(d, q), pts)
@@ -862,7 +857,6 @@ def boundary_structure(d: int, samples: int = 20, seed: int = 0) -> dict[str, di
     # the draws of ``rng`` stay in their per-point order
     scale_r = angle_r = 0.0
     kernel_dims = set()
-    rng = np.random.default_rng(seed + 1)
     for k in range(samples):
         # degree-2 homogeneity: the quotient value is blind to the scale of
         # the representative
@@ -923,19 +917,9 @@ def _two_scale_ratio(values: dict[float, float]) -> float:
     return values[hi] / values[lo] if values[lo] else math.inf
 
 
-def audit_points(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The audit's seeded bulk points, and the transverse points it moves
-    toward the boundary."""
-    pts = nk.SeededSampler(seed, bulk_boxes(d)).points(samples)
-    transverse = nk.SeededSampler(seed + 1, [(-1.2, 1.2)] * (d + 2)).points(samples)
-    return pts, transverse
-
-
 def schrodinger_axiom_audit(
-    cfg: SchrodingerManifoldConfig | Sequence[SchrodingerManifoldConfig],
-    samples: int = 10,
-    seed: int | Sequence[int] = 0,
-) -> dict[str, dict] | list[dict[str, dict]]:
+    cfgs: Sequence[SchrodingerManifoldConfig], pts: np.ndarray, transverse: np.ndarray
+) -> list[dict[str, dict]]:
     """Audit the three defining conditions of the asymptotic structure.
 
     1. The vertical Killing field extends to the boundary vertical field.
@@ -945,32 +929,29 @@ def schrodinger_axiom_audit(
        is Einstein exactly at lam = -1/2 and induces the flat structure at
        the boundary.
 
-    The result maps each entry to its residual, ratios and flags; whether
-    an entry holds for this (lam, mu) is judged from them.
-
-    ``cfg`` may instead be a sequence of C configs of one d, with ``seed`` a
-    sequence of C seeds.  Each coupling then draws its own seeded points and
-    the result is one such map per coupling, each equal to that coupling's
-    own call.  The couplings share jet passes (``over_couplings``)
-    budgeted at order 1, as the audit reads first derivatives; the Einstein
-    axiom alone reads second derivatives, in order-2 sub-passes of its own.
+    ``cfgs`` are C configs of one d.  ``pts`` stacks S bulk points per
+    config and ``transverse`` S transverse points (d+2 coordinates) per
+    config, which the audit moves toward the boundary, both in config order.
+    The result is one map per config, from each entry to its residual,
+    ratios and flags, and equal to that config's call alone; whether an
+    entry holds for its (lam, mu) is judged from them.  The configs share
+    jet passes (``over_couplings``) budgeted at order 1, as the audit reads
+    first derivatives; the Einstein axiom alone reads second derivatives,
+    in order-2 sub-passes of its own.
     """
-    batched = not isinstance(cfg, SchrodingerManifoldConfig)
-    cfgs, seeds = (list(cfg), list(seed)) if batched else ([cfg], [seed])
     d = cfgs[0].d
-    if len(seeds) != len(cfgs) or any(c.d != d for c in cfgs):
-        raise ContractViolationError("the audit takes one seed per config of one d")
+    if any(c.d != d for c in cfgs) or len(transverse) != len(pts):
+        raise ContractViolationError(
+            "the audit takes configs of one d and one transverse point per bulk point"
+        )
     couplings = [(float(c.lam), float(c.mu)) for c in cfgs]
-    drawn = [audit_points(d, samples, s) for s in seeds]
-    pts = np.concatenate([p for p, _ in drawn])
-    transverse = np.concatenate([t for _, t in drawn])
+    S = len(pts) // len(cfgs)
 
     def audit(config, rows, part):
-        far = transverse[part.start * samples : part.stop * samples]
+        far = transverse[part.start * S : part.stop * S]
         return _audit(config, rows, far, couplings[part])
 
-    reports = [r for run in over_couplings(d, couplings, pts, 1, audit) for r in run]
-    return reports if batched else reports[0]
+    return [r for run in over_couplings(d, couplings, pts, 1, audit) for r in run]
 
 
 def _audit(

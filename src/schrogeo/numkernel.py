@@ -396,9 +396,10 @@ def rank_nullspace(m, tol: float = 1e-10) -> tuple[int, np.ndarray]:
 class SeededSampler:
     """Uniform sampler over per-coordinate boxes, reproducible by seed.
 
-    ``exclude`` is a predicate marking points to reject (singular loci such
-    as small chart denominators); rejected draws are counted so reports can
-    surface them.  Equal seeds give bitwise-equal sample streams.
+    Equal seeds give bitwise-equal sample streams.  ``exclude`` is a
+    predicate marking points to reject, and ``rejections`` counts them; no
+    report uses either; they stay for ``perfbench/tracer.py``, which wraps
+    ``sample`` and reads the counter.
     """
 
     def __init__(

@@ -2,11 +2,13 @@
 
 Each suite is one table (``TABLES``) of measurements and the rows they file.
 A row is one record family: its name suffix, tolerance, claim and kind.  A
-measurement returns numbers, from the geometry, algebra and homogeneous-space
-modules, which return numbers too; only this module judges them into records.
-Reports are a pure function of (config, seed): per-check seeds are derived
-from the base seed and the check name, assembly is sorted by name, and
-wall-clock time never enters the payload.
+measurement draws its points and generators from its seed and returns
+numbers, from the geometry, algebra and homogeneous-space modules, which
+measure what they are given and return numbers too; only this module draws
+seeded randomness and judges numbers into records.  Reports are a pure
+function of (config, seed): per-check seeds are derived from the base seed
+and the check name, assembly is sorted by name, and wall-clock time never
+enters the payload.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ class SuiteConfig:
             )
         if not self.lams or not self.mus:
             raise ConfigError("lambda and mu grids must be nonempty")
+        # record names and extra keys print each grid value as {:g}
+        for key, values in (("dim", self.dims), ("lambda", self.lams), ("mu", self.mus)):
+            forms = [f"{v:g}" for v in values]
+            clash = [v for v, form in zip(values, forms) if forms.count(form) > 1]
+            if clash:
+                raise ConfigError(f"{key} values {clash} print alike in record names")
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"format must be json or text, got {self.fmt!r}")
 
@@ -154,10 +162,11 @@ class Row(NamedTuple):
 class Measure:
     """A measurement and the rows it files.
 
-    ``fn(ctx, seed)`` returns the numbers of its one row, or a dict of them
-    keyed by row suffix.  A raising measurement files one ERROR record with
-    the suffix and claim of ``group``, by default those of its one row.
-    ``samples`` overrides the records' samples.
+    ``fn(ctx, seed)`` draws its points from ``seed`` and returns the numbers
+    of its one row, or a dict of them keyed by row suffix.  A raising
+    measurement files one ERROR record with the suffix and claim of
+    ``group``, by default those of its one row.  ``samples`` overrides the
+    records' samples.
     """
 
     def __init__(self, fn, *rows: Row, group: tuple | None = None, samples=None):
@@ -236,6 +245,11 @@ def _run(suite: Suite, cfg: SuiteConfig) -> list[CheckResult]:
     return checks
 
 
+def _box_points(seed: int, half: float, n: int, count: int) -> np.ndarray:
+    """``count`` seeded points of the box [-half, half]^n, (count, n)."""
+    return SeededSampler(seed, [(-half, half)] * n).points(count)
+
+
 # ---------------------------------------------------------------------------
 # bargmann
 
@@ -248,14 +262,13 @@ BARGMANN_AXIOMS = (
 
 
 def _bargmann_axioms(c, seed):
-    return bg.bargmann_axioms_check(c.structure, samples=c.samples, seed=seed)
+    return bg.bargmann_axioms_check(c.structure, _box_points(seed, 1.2, c.d + 2, c.samples))
 
 
 def _conformal(c, seed, along_time: bool):
     axis = c.d if along_time else 0
-    return bg.conformal_equivalence_check(
-        lambda x: nk.exp(x[axis]), c.structure, samples=c.samples, seed=seed
-    )
+    pts = _box_points(seed, 1.2, c.d + 2, c.samples)
+    return bg.conformal_equivalence_check(lambda x: nk.exp(x[axis]), c.structure, pts)
 
 
 BARGMANN = Suite(
@@ -279,19 +292,19 @@ BARGMANN = Suite(
 def _plane_wave(c, seed):
     d = c.d
     rng = np.random.default_rng(seed)
-    sampler = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2))
     per = max(2, c.samples // 4)
+    # one stream of three consecutive blocks, one per wave
+    pts = _box_points(seed, 1.0, d + 2, 3 * per).reshape(3, per, d + 2)
     found = []
-    for _ in range(3):
+    for x in pts:
         psi = bg.plane_wave(d, rng.normal(size=d), c.params)
-        r1, r2 = bg.schrodinger_residual(c.structure, psi, c.params, sampler.points(per))
+        r1, r2 = bg.schrodinger_residual(c.structure, psi, c.params, x)
         found += [bg.complex_magnitude(r1), bg.complex_magnitude(r2)]
     return {"residual": max_entry(0.0, *found), "waves": 3, "evaluations": 3 * per}
 
 
 def _dispersion(c, seed):
     d, params = c.d, c.params
-    sampler = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2))
     k = [0.9] * d
 
     def coeff(x):
@@ -302,7 +315,7 @@ def _dispersion(c, seed):
 
     psi = bg.DensityFunction(coefficient=coeff, weight=bg.density_weight(d), d=d)
     per = max(2, c.samples // 4)
-    r1, _ = bg.schrodinger_residual(c.structure, psi, params, sampler.points(per))
+    r1, _ = bg.schrodinger_residual(c.structure, psi, params, _box_points(seed, 1.0, d + 2, per))
     return {"residual": float(bg.complex_magnitude(r1).min()), "evaluations": per}
 
 
@@ -319,9 +332,8 @@ def _transport(c, seed, name: str, weight=None):
     rng = np.random.default_rng(seed)
     psi = bg.plane_wave(c.d, 0.8 * rng.normal(size=c.d), c.params)
     per = max(3, c.samples // 4)
-    res = bg.symmetry_transport_check(
-        transform, psi, c.structure, c.params, samples=per, seed=seed, weight=weight, box=0.8
-    )
+    pts = _box_points(seed, 0.8, c.d + 2, per)
+    res = bg.symmetry_transport_check(transform, psi, c.structure, c.params, pts, weight)
     out = {"residual": max_entry(res["r1"], res["r2"]), "evaluations": per}
     if weight is None:
         out["conformal_residual"] = res["conformal_residual"]
@@ -388,7 +400,7 @@ def _closure(c, seed):
 
 def _realization(c, seed):
     rng = np.random.default_rng(seed)
-    pts = SeededSampler(seed, [(-1.0, 1.0)] * (c.d + 2)).points(3)
+    pts = _box_points(seed, 1.0, c.d + 2, 3)
     found = []
     for _ in range(3):
         e1 = random_algebra_element(c.d, rng)
@@ -477,7 +489,7 @@ def _constraints(c, seed):
 def _projective(c, seed):
     d, count = c.d, c.samples
     rng = np.random.default_rng(seed)
-    pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
+    pts = _box_points(seed, 1.0, d + 2, 4)
     # round by round: an element's coefficients, then its radii
     draws = [
         (group_coefficients(d, rng, 1)[0], 1.0 + 0.3 * rng.uniform(size=len(pts)))
@@ -505,7 +517,7 @@ def _pullback(c, seed):
     d = c.d
     rng = np.random.default_rng(seed)
     g0 = gram_values(flat_metric(d), [0.0] * (d + 2))
-    pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
+    pts = _box_points(seed, 1.0, d + 2, 4)
     ge, x = _pairs(group_elements(d, group_coefficients(d, rng, c.rounds)), pts)
     den = ge.blocks.e - ge.blocks.a * x[:, d]
     # |den| >= 0.2 keeps every kept sample clear of the chart guard
@@ -523,7 +535,7 @@ def _pullback(c, seed):
 def _inverse(c, seed):
     d = c.d
     rng = np.random.default_rng(seed)
-    pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
+    pts = _box_points(seed, 1.0, d + 2, 4)
     stack = group_elements(d, group_coefficients(d, rng, c.rounds))
     ge, x = _pairs(stack, pts)
     gi, _ = _pairs(group_inverse(stack), pts)
@@ -656,19 +668,22 @@ def _isometry(c, seed):
     for lam, mu in ((-0.5, 1.0), (-1.0, 2.0)):
         mc = hg.SchrodingerManifoldConfig(c.d, lam, mu)
         ge = random_group_element(c.d, rng)
-        res = hg.isometry_check(mc, ge, samples=c.samples, seed=seed)
+        # each coupling walks the same seeded stream
+        res = hg.isometry_check(mc, ge, SeededSampler(seed, hg.bulk_boxes(c.d)), c.samples)
         found += [res["metric_residual"], res["quadric_residual"]]
     return max_entry(0.0, *found)
 
 
 def _isometry_control(c, seed):
     mc = hg.SchrodingerManifoldConfig(c.d, -0.5, 1.0)
-    res = hg.isometry_check(mc, hg.null_plane_boost(c.d, 1.7), samples=c.samples, seed=seed)
+    sampler = SeededSampler(seed, hg.bulk_boxes(c.d))
+    res = hg.isometry_check(mc, hg.null_plane_boost(c.d, 1.7), sampler, c.samples)
     return res["metric_residual"]
 
 
 def _isotropy(c, seed):
-    res = hg.isotropy_check(hg.SchrodingerManifoldConfig(c.d, -0.5, 1.0), samples=4, seed=seed)
+    mc = hg.SchrodingerManifoldConfig(c.d, -0.5, 1.0)
+    res = hg.isotropy_check(mc, np.random.default_rng(seed), 4)
     return {
         "residual": max(res["bulk_fix_residual"], res["boundary_fix_residual"]),
         "holds": (
@@ -735,7 +750,8 @@ BOUNDARY_STRUCTURE = (
 
 
 def _boundary(c, seed):
-    return hg.boundary_structure(c.d, samples=c.samples, seed=seed)
+    pts = _box_points(seed, 1.2, c.d + 2, c.samples)
+    return hg.boundary_structure(c.d, pts, np.random.default_rng(seed + 1))
 
 
 BOUNDARY = Suite(
@@ -778,13 +794,22 @@ AUDIT = (
 )
 
 
+def _audit_points(d: int, samples: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The axiom audit's inputs for one coupling per seed, stacked in seed
+    order: its bulk points, and the transverse points it moves toward the
+    boundary, drawn from the seed + 1 stream."""
+    pts = [SeededSampler(s, hg.bulk_boxes(d)).points(samples) for s in seeds]
+    transverse = [_box_points(s + 1, 1.2, d + 2, samples) for s in seeds]
+    return np.concatenate(pts), np.concatenate(transverse)
+
+
 def _coupling(c, seed):
     """The verdict on one coupling's audit: its expected entries pass, and
     every status is the one the theory predicts."""
     # no numbers: the d's stacked call raised, and this coupling reruns alone
     numbers = c.numbers or hg.schrodinger_axiom_audit(
-        hg.SchrodingerManifoldConfig(c.d, c.lam, c.mu), samples=c.samples, seed=seed
-    )
+        [hg.SchrodingerManifoldConfig(c.d, c.lam, c.mu)], *_audit_points(c.d, c.samples, [seed])
+    )[0]
     found = verdicts(AUDIT, numbers, c.cfg.tol)
     expected = {row.suffix: row.expect(c.lam, c.mu) for row in AUDIT}
     statuses = {name: v.status for name, v in found.items()}
@@ -818,8 +843,7 @@ def _run_axioms(suite: Suite, cfg: SuiteConfig) -> list[CheckResult]:
         try:
             audits = hg.schrodinger_axiom_audit(
                 [hg.SchrodingerManifoldConfig(d, lam, mu) for lam, mu in grid],
-                samples=shared.samples,
-                seed=seeds,
+                *_audit_points(d, shared.samples, seeds),
             )
         except Exception:
             audits = [None] * len(grid)

@@ -65,6 +65,8 @@ from schrogeo.suites import (
     AUDIT,
     BOUNDARY_STRUCTURE,
     SuiteConfig,
+    _audit_points,
+    _box_points,
     emit_report,
     run_suite,
     verdicts,
@@ -201,12 +203,14 @@ def test_criterion_06_isometries_and_boost_control():
     cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
     for i in range(20):
         ge = random_group_element(2, rng, scale=0.3)
-        res = isometry_check(cfg, ge, samples=2, seed=60 + i)
+        res = isometry_check(cfg, ge, SeededSampler(60 + i, bulk_boxes(2)), 2)
         gate.check(res["metric_residual"] < 1e-8, f"element {i} moved the metric")
     boost = null_plane_boost(2, 1.5)
-    on = isometry_check(cfg, boost, samples=4, seed=90)
+    on = isometry_check(cfg, boost, SeededSampler(90, bulk_boxes(2)), 4)
     gate.check(on["metric_residual"] > 1e-3, "boost control should fail at mu=1")
-    off = isometry_check(SchrodingerManifoldConfig(2, -0.5, 0.0), boost, samples=4, seed=90)
+    off = isometry_check(
+        SchrodingerManifoldConfig(2, -0.5, 0.0), boost, SeededSampler(90, bulk_boxes(2)), 4
+    )
     gate.check(off["metric_residual"] < 1e-8, "boost is an isometry at mu=0")
     gate.finish()
 
@@ -230,12 +234,12 @@ def test_criterion_07_wave_pair_and_transport():
         "expansion": expansion_map_projective(d, 0.2),
     }
     for name, phi in maps.items():
-        res = symmetry_transport_check(phi, psi, bg, params, samples=6, seed=77, box=0.8)
+        res = symmetry_transport_check(phi, psi, bg, params, _box_points(77, 0.8, d + 2, 6))
         gate.check(
             res["r1"] < 1e-7 and res["r2"] < 1e-7, f"{name} transport broke the pair"
         )
     bad = symmetry_transport_check(
-        maps["expansion"], psi, bg, params, samples=6, seed=77, weight=0.0, box=0.8
+        maps["expansion"], psi, bg, params, _box_points(77, 0.8, d + 2, 6), weight=0.0
     )
     gate.check(bad["r1"] > 1e-3, "weightless transport should fail")
     gate.finish()
@@ -315,7 +319,8 @@ def test_criterion_10_boundary_structure():
             xv = np.array([float(jet_value(c)) for c in xi.components(list(p))])
             gate.check(abs(float(xv @ g0 @ xv)) < 1e-8, f"vertical not null d={d}")
             gate.check(float(np.abs(xv).max()) > 1e-8, f"vertical vanishes d={d}")
-        by_name = verdicts(BOUNDARY_STRUCTURE, boundary_structure(d, samples=10, seed=3))
+        measured = boundary_structure(d, _box_points(3, 1.2, d + 2, 10), np.random.default_rng(4))
+        by_name = verdicts(BOUNDARY_STRUCTURE, measured)
         gate.check(by_name["cone_kernel"].status == "PASS", f"cone kernel d={d}")
     gate.finish()
 
@@ -326,7 +331,8 @@ def test_criterion_11_coupling_audit():
         for lam in LAM_GRID:
             for mu in MU_GRID:
                 cfg = SchrodingerManifoldConfig(d, lam, mu)
-                by_name = verdicts(AUDIT, schrodinger_axiom_audit(cfg, samples=5, seed=21))
+                (numbers,) = schrodinger_axiom_audit([cfg], *_audit_points(d, 5, [21]))
+                by_name = verdicts(AUDIT, numbers)
                 should_pass = lam == -0.5 and mu == 1.0
                 gate.check(
                     all(c.status == "PASS" for c in by_name.values()) == should_pass,
@@ -351,7 +357,7 @@ def test_criterion_12_isotropy_dimensions():
     gate = Gate(12, "stabilizer dimensions give the right orbit dimensions")
     for d, bulk, boundary in ((1, 2, 3), (2, 4, 5), (3, 7, 8), (4, 11, 12)):
         cfg = SchrodingerManifoldConfig(d, -0.5)
-        res = isotropy_check(cfg, samples=3, seed=5)
+        res = isotropy_check(cfg, np.random.default_rng(5), 3)
         gate.check(res["bulk_isotropy_dim"] == bulk, f"bulk stabilizer d={d}")
         gate.check(res["boundary_isotropy_dim"] == boundary, f"boundary stabilizer d={d}")
         gate.check(res["bulk_space_dim"] == d + 3, f"bulk orbit d={d}")

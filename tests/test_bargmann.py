@@ -30,12 +30,14 @@ from schrogeo.bargmann import (
 from schrogeo.ambient import random_group_element
 from schrogeo.geometry import VectorField, jet_components
 from schrogeo.numkernel import ContractViolationError, SeededSampler
-from schrogeo.suites import BARGMANN_AXIOMS, verdicts
+from schrogeo.suites import BARGMANN_AXIOMS, _box_points, verdicts
 
 
 def axioms(structure, samples, seed):
-    """The axiom verdicts, judged by the table's rows."""
-    return verdicts(BARGMANN_AXIOMS, bargmann_axioms_check(structure, samples, seed))
+    """The axiom verdicts at seeded points of the box [-1.2, 1.2]^n, judged
+    by the table's rows."""
+    pts = _box_points(seed, 1.2, structure.metric.chart.dim, samples)
+    return verdicts(BARGMANN_AXIOMS, bargmann_axioms_check(structure, pts))
 
 
 class TestAxioms:
@@ -73,9 +75,10 @@ class TestAxioms:
 
     def test_conformal_factor_descends_along_time(self):
         bg = flat_bargmann(2)
-        resid = conformal_equivalence_check(lambda p: nk.exp(p[2]), bg)
+        pts = _box_points(0, 1.2, 4, 20)
+        resid = conformal_equivalence_check(lambda p: nk.exp(p[2]), bg, pts)
         assert resid < 1e-12
-        resid2 = conformal_equivalence_check(lambda p: nk.exp(p[0]), bg)
+        resid2 = conformal_equivalence_check(lambda p: nk.exp(p[0]), bg, pts)
         assert resid2 > 1e-3
 
 
@@ -120,9 +123,8 @@ class TestTransport:
     def run(self, phi, d=2, weight=None, box=0.8):
         bg = flat_bargmann(d)
         psi = plane_wave(d, [0.5] + [0.2] * (d - 1), self.params)
-        return symmetry_transport_check(
-            phi, psi, bg, self.params, samples=6, seed=4, weight=weight, box=box
-        )
+        pts = _box_points(4, box, d + 2, 6)
+        return symmetry_transport_check(phi, psi, bg, self.params, pts, weight)
 
     def test_translation(self):
         res = self.run(translation_map(2, [0.3, -0.1, 0.2, 0.4]))
@@ -163,7 +165,7 @@ class TestTransport:
         for _ in range(3):
             ge = random_group_element(d, rng, scale=0.25)
             res = symmetry_transport_check(
-                group_map(ge), psi, bg, self.params, samples=4, seed=5, box=0.5
+                group_map(ge), psi, bg, self.params, _box_points(5, 0.5, d + 2, 4)
             )
             assert res["r1"] < 1e-6 and res["r2"] < 1e-6
 

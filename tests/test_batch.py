@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import density_lie_derivative, embed, scalar_laplacian, stack_elements
+from oracles import (
+    density_lie_derivative,
+    embed,
+    rescaled_metric,
+    scalar_laplacian,
+    stack_elements,
+)
 
-from schrogeo import ambient
 from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
 from schrogeo import suites
@@ -420,7 +425,7 @@ class TestBatchedIsometry:
     def test_matches_sequential_walk(self, d, lam, mu, make, samples, seed):
         cfg = SchrodingerManifoldConfig(d, lam, mu)
         A = make(d)
-        batched = isometry_check(cfg, A, samples=samples, seed=seed)
+        batched = isometry_check(cfg, A, SeededSampler(seed, bulk_boxes(d)), samples)
         reference = sequential_isometry(cfg, A, samples, seed)
         assert batched["samples"] == reference["samples"] == samples
         assert batched["escapes"] == reference["escapes"]
@@ -430,7 +435,7 @@ class TestBatchedIsometry:
 
     def test_escape_forcing_matrix_does_escape(self):
         cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
-        res = isometry_check(cfg, _escaping_matrix(2, 1.5), samples=12, seed=3)
+        res = isometry_check(cfg, _escaping_matrix(2, 1.5), SeededSampler(3, bulk_boxes(2)), 12)
         assert res["escapes"] > 0
 
     @pytest.mark.parametrize(
@@ -446,7 +451,7 @@ class TestBatchedIsometry:
             except ChartEscapeError as exc:
                 return str(exc)
 
-        batched = outcome(lambda: isometry_check(cfg, A, samples=samples, seed=4))
+        batched = outcome(lambda: isometry_check(cfg, A, SeededSampler(4, bulk_boxes(1)), samples))
         reference = outcome(lambda: sequential_isometry(cfg, A, samples, 4))
         if isinstance(reference, str):
             assert batched == reference
@@ -597,13 +602,47 @@ def test_symmetry_transport_matches_per_point_loop(d, weight):
     psi = _densities(d)["plane_wave"]
     maps = dict(_maps(d), group=bg.group_map(random_group_element(d, np.random.default_rng(3), scale=0.25)))
     for name, phi in maps.items():
-        batched = bg.symmetry_transport_check(
-            phi, psi, structure, PARAMS, samples=5, seed=11, weight=weight, box=0.5
-        )
+        pts = _flat_points(d, count=5, seed=11, box=0.5)
+        batched = bg.symmetry_transport_check(phi, psi, structure, PARAMS, pts, weight)
         reference = sequential_transport(
             phi, psi, structure, PARAMS, 5, 11, weight=weight, box=0.5
         )
         assert batched == reference, name
+
+
+def _one_point_checks(d):
+    """Checks of the points they are handed, on operands where they read a
+    nonzero residual: the structure rescaled across space, the factor along
+    space, and the expansion without the density weight."""
+    structure = bg.flat_bargmann(d)
+    across = bg.BargmannStructure(
+        rescaled_metric(structure, lambda p: nk.exp(2.0 * p[0])), structure.xi, structure.theta, d
+    )
+    phi, psi = _maps(d)["expansion"], _densities(d)["plane_wave"]
+    return {
+        "bargmann_axioms": lambda pts: bg.bargmann_axioms_check(across, pts),
+        "conformal_equivalence": lambda pts: {
+            "residual": bg.conformal_equivalence_check(lambda x: nk.exp(x[0]), structure, pts)
+        },
+        "symmetry_transport": lambda pts: bg.symmetry_transport_check(
+            phi, psi, structure, PARAMS, pts, weight=0.0
+        ),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "check", ["bargmann_axioms", "conformal_equivalence", "symmetry_transport"]
+)
+def test_a_check_is_the_max_of_its_one_point_calls(d, check):
+    # a record's residual replays at the one point that sets it
+    measure = _one_point_checks(d)[check]
+    pts = _flat_points(d, seed=12, box=0.5)
+    batched = measure(pts)
+    single = [measure(pts[k : k + 1]) for k in range(len(pts))]
+    assert max(batched.values()) > 1e-3
+    for key, value in batched.items():
+        assert value == max(s[key] for s in single), key
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,36 @@ class TestNonFiniteConfig:
         assert "invalid configuration" in capsys.readouterr().err
 
 
+# repeated dims, and couplings that print alike as {:g} in record names
+COLLIDING = [
+    ("dim", [1, 1]),
+    ("dim", [2, 3, 2]),
+    ("lambda", [-0.5, -0.5000001]),
+    ("mu", [1.0, 1.0000000001]),
+]
+
+
+@pytest.mark.parametrize("key, values", COLLIDING)
+class TestCollidingGrid:
+    """Grid values that would file two records under one name are an
+    invalid configuration (exit 2), named in the message, by flag or by
+    config file."""
+
+    def test_flag(self, key, values, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", _never_run)
+        flags = [f"--{key}={v}" for v in values]
+        assert main(["axioms", *flags, "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{key} values" in err
+
+    def test_config_file(self, key, values, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", _never_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "axioms", key: values}))
+        assert main(["--config", str(cfg), "--samples", "4"]) == 2
+        assert f"{key} values" in capsys.readouterr().err
+
+
 class TestPrecedence:
     def test_suite_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

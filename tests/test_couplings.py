@@ -32,7 +32,7 @@ from schrogeo.geometry import (
     yamabe_residual,
 )
 from schrogeo.numkernel import ContractViolationError, Jet2, SeededSampler
-from schrogeo.suites import SuiteConfig, check_seed, run_suite
+from schrogeo.suites import SuiteConfig, _audit_points, check_seed, run_suite
 
 GRID = [(lam, mu) for lam in (-2.0, -1.0, -0.5, -0.3) for mu in (-1.0, 0.0, 1.0, 2.0)]
 N = 5
@@ -229,11 +229,11 @@ class TestCouplingBatchedBitwise:
     @pytest.mark.parametrize("d", [1, 3, 6, 8], ids=lambda d: f"d{d}")
     def test_axiom_audit(self, d):
         seeds = [100 + c for c in range(len(GRID))]
-        reports = hg.schrodinger_axiom_audit(configs(d), samples=N, seed=seeds)
+        reports = hg.schrodinger_axiom_audit(configs(d), *_audit_points(d, N, seeds))
         assert len(reports) == len(GRID)
         for (lam, mu), seed, rep in zip(GRID, seeds, reports):
-            alone = hg.schrodinger_axiom_audit(
-                hg.SchrodingerManifoldConfig(d, lam, mu), samples=N, seed=seed
+            (alone,) = hg.schrodinger_axiom_audit(
+                [hg.SchrodingerManifoldConfig(d, lam, mu)], *_audit_points(d, N, [seed])
             )
             assert json.dumps(rep) == json.dumps(alone)
 
@@ -386,16 +386,14 @@ def _a_singular_coupling_errors_alone(monkeypatch, d):
     before = {c.name: c.to_dict() for c in run_suite(cfg).checks}
     target = f"axioms_d{d}_lam-1_mu2"
     samples = max(4, cfg.samples // 4)
-    pts, _ = hg.audit_points(d, samples, check_seed(cfg, target))
+    pts, _ = _audit_points(d, samples, [check_seed(cfg, target)])
     _singular_at(monkeypatch, pts[2, 0])
 
     # the pass names the coupling and the index within it, not the stack's
     names = [f"axioms_d{d}_lam{lam:g}_mu{mu:g}" for lam, mu in GRID]
     with pytest.raises(DegenerateMetricError) as info:
         hg.schrodinger_axiom_audit(
-            configs(d),
-            samples=samples,
-            seed=[check_seed(cfg, n) for n in names],
+            configs(d), *_audit_points(d, samples, [check_seed(cfg, n) for n in names])
         )
     assert info.value.sample == 2
     assert "(lam, mu) = (-1, 2), sample 2 (" in str(info.value)

@@ -72,7 +72,7 @@ def test_isotropy_ranks_are_exact(commutants, d):
     bulk = exact_rank([M * Q0 for M in commutants[d]])
     # the ray direction X0 itself is dropped, as isotropy_check drops it
     boundary = exact_rank([(M * X0)[: d + 3, :] for M in commutants[d]])
-    res = hg.isotropy_check(hg.SchrodingerManifoldConfig(d, -0.5), samples=0)
+    res = hg.isotropy_check(hg.SchrodingerManifoldConfig(d, -0.5), np.random.default_rng(0), 0)
     assert (bulk, boundary) == (d + 3, d + 2)
     assert res["bulk_space_dim"] == bulk
     assert res["boundary_space_dim"] == boundary

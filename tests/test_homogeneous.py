@@ -52,7 +52,7 @@ from schrogeo.numkernel import (
     jet_value,
     seed_point,
 )
-from schrogeo.suites import AUDIT, BOUNDARY_STRUCTURE, verdicts
+from schrogeo.suites import AUDIT, BOUNDARY_STRUCTURE, _audit_points, _box_points, verdicts
 
 
 def sample_bulk(d, count, seed=0):
@@ -214,21 +214,25 @@ class TestIsometries:
         rng = np.random.default_rng(23)
         cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
         ge = random_group_element(2, rng, scale=0.3)
-        res = isometry_check(cfg, ge, samples=4, seed=3)
+        res = isometry_check(cfg, ge, SeededSampler(3, bulk_boxes(2)), 4)
         assert res["metric_residual"] < 1e-8
 
     def test_group_action_preserves_generic_couplings(self):
         rng = np.random.default_rng(24)
         cfg = SchrodingerManifoldConfig(1, -1.0, 2.0)
         ge = random_group_element(1, rng, scale=0.3)
-        res = isometry_check(cfg, ge, samples=4, seed=4)
+        res = isometry_check(cfg, ge, SeededSampler(4, bulk_boxes(1)), 4)
         assert res["metric_residual"] < 1e-8
 
     def test_null_plane_boost_detects_deformation(self):
         # outside the stabilizer: preserves the quadric but not the mu-term
         boost = null_plane_boost(2, 1.5)
-        on = isometry_check(SchrodingerManifoldConfig(2, -0.5, 1.0), boost, samples=4, seed=5)
-        off = isometry_check(SchrodingerManifoldConfig(2, -0.5, 0.0), boost, samples=4, seed=5)
+        on = isometry_check(
+            SchrodingerManifoldConfig(2, -0.5, 1.0), boost, SeededSampler(5, bulk_boxes(2)), 4
+        )
+        off = isometry_check(
+            SchrodingerManifoldConfig(2, -0.5, 0.0), boost, SeededSampler(5, bulk_boxes(2)), 4
+        )
         assert on["metric_residual"] > 1e-3
         assert off["metric_residual"] < 1e-8
 
@@ -245,7 +249,7 @@ class TestIsotropy:
     )
     def test_dimension_count(self, d, bulk, boundary):
         cfg = SchrodingerManifoldConfig(d, -0.5)
-        res = isotropy_check(cfg, samples=3, seed=1)
+        res = isotropy_check(cfg, np.random.default_rng(1), 3)
         assert res["bulk_isotropy_dim"] == bulk
         assert res["boundary_isotropy_dim"] == boundary
         assert res["bulk_space_dim"] == d + 3
@@ -309,7 +313,10 @@ class TestBoundary:
 
     def test_structure_report_passes(self):
         for d in (1, 2):
-            report = verdicts(BOUNDARY_STRUCTURE, boundary_structure(d, samples=8, seed=2))
+            measured = boundary_structure(
+                d, _box_points(2, 1.2, d + 2, 8), np.random.default_rng(3)
+            )
+            report = verdicts(BOUNDARY_STRUCTURE, measured)
             assert not [(c.name, c.status) for c in report.values() if c.status != "PASS"]
 
     @pytest.mark.parametrize(
@@ -337,7 +344,8 @@ class TestBoundary:
 
 def audit(cfg):
     """The audit's verdicts, judged by the table's audit rows."""
-    return verdicts(AUDIT, schrodinger_axiom_audit(cfg, samples=5, seed=1))
+    (numbers,) = schrodinger_axiom_audit([cfg], *_audit_points(cfg.d, 5, [1]))
+    return verdicts(AUDIT, numbers)
 
 
 class TestAudit:

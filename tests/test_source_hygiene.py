@@ -1,8 +1,9 @@
-"""Static checks on the package source, the test oracles and the scripts,
-read through ``ast``: every name in a module's ``__all__`` is defined there,
-no imported name goes unused, the coupling-pass layout stays in
-``homogeneous.over_couplings``, and no dense second-derivative array is
-built in the package."""
+"""Static checks on the package source, the tests and the scripts, read
+through ``ast``: every name in a module's ``__all__`` is defined there, no
+imported name goes unused, the coupling-pass layout stays in
+``homogeneous.over_couplings``, no dense second-derivative array is built in
+the package, only ``suites`` builds records, and only ``suites`` draws
+seeded randomness."""
 
 import ast
 from pathlib import Path
@@ -13,9 +14,9 @@ import schrogeo
 
 PACKAGE = Path(schrogeo.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
-LINTED = [*SOURCES, ORACLES, *SCRIPTS]
+LINTED = [*SOURCES, *TESTS, *SCRIPTS]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -232,4 +233,59 @@ def test_the_record_rule_sees_a_stray_import():
         "CheckResult",
         "schrogeo.report",
         "report",
+    ]
+
+
+# only ``suites`` draws points and generators; the other modules measure what
+# they are handed, and ``numkernel`` defines the sampler
+DRAWS = {"SeededSampler", "default_rng"}
+
+
+def _draws(tree: ast.Module, exempt: str | None = None) -> list[tuple[str, int]]:
+    """Each call that creates seeded randomness, ``SeededSampler(...)`` or
+    ``default_rng(...)`` by name or attribute, with its line; calls inside
+    the class named ``exempt`` are left out."""
+    skip = {
+        id(n)
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and c.name == exempt
+        for n in ast.walk(c)
+    }
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and id(n) not in skip:
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if name in DRAWS:
+                found.append((name, n.lineno))
+    return sorted(found, key=lambda call: call[1])
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "suites.py"], ids=lambda p: p.name
+)
+def test_only_suites_draws_seeded_randomness(path):
+    exempt = "SeededSampler" if path.name == "numkernel.py" else None
+    assert not _draws(_tree(path), exempt), path.name
+
+
+def test_the_draw_rule_sees_a_stray_call():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "class SeededSampler:\n"
+        "    def __init__(self, seed):\n"
+        "        self._rng = np.random.default_rng(seed)\n"
+        "def check(seed):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    return nk.SeededSampler(seed, []).points(3), SeededSampler(1, [])\n"
+    )
+    assert _draws(tree) == [
+        ("default_rng", 4),
+        ("default_rng", 6),
+        ("SeededSampler", 7),
+        ("SeededSampler", 7),
+    ]
+    assert _draws(tree, "SeededSampler") == [
+        ("default_rng", 6),
+        ("SeededSampler", 7),
+        ("SeededSampler", 7),
     ]

@@ -19,6 +19,7 @@ from schrogeo.suites import (
     TABLES,
     ConfigError,
     SuiteConfig,
+    _audit_points,
     check_seed,
     emit_report,
     run_suite,
@@ -60,6 +61,10 @@ class TestRunner:
         report = run_suite(small("homogeneous"))
         names = [c.name for c in report.checks]
         assert names == sorted(names)
+
+    def test_record_names_are_unique_in_all(self):
+        names = [c.name for c in run_suite(SuiteConfig("all")).checks]
+        assert len(names) == len(set(names)) == 171
 
     def test_summary_counts(self):
         report = run_suite(small("bargmann"))
@@ -248,8 +253,8 @@ class TestTable:
 
     def test_audit_rows_are_the_audit_entries(self):
         names = [row.suffix for row in AUDIT]
-        numbers = homogeneous.schrodinger_axiom_audit(
-            homogeneous.SchrodingerManifoldConfig(1, -0.5, 1.0), samples=4, seed=0
+        (numbers,) = homogeneous.schrodinger_axiom_audit(
+            [homogeneous.SchrodingerManifoldConfig(1, -0.5, 1.0)], *_audit_points(1, 4, [0])
         )
         assert len(names) == len(set(names)) == 6
         assert names == list(numbers)
