@@ -53,6 +53,7 @@ __all__ = [
     "group_coefficients",
     "group_elements",
     "make_special",
+    "mark_escapes",
     "projective_action",
     "random_algebra_element",
     "random_group_element",
@@ -84,11 +85,31 @@ class StabilizerConstraintError(ValueError):
 
 
 class ChartEscapeError(ValueError):
-    """Projective denominator vanished: the image left the chart."""
+    """One point left its chart: a chart map's denominator fell to its guard.
+    A batch raises none; its escaped samples come back NaN
+    (``mark_escapes``)."""
 
 
 # |e - a t| at or below which the projective image leaves the chart
 CHART_GUARD = 1e-8
+
+
+def mark_escapes(den, off, message: str):
+    """The denominator ``den`` of a chart map, with ``off`` its escape test.
+
+    On a batch (``off`` a per-sample array) the value of ``den`` is NaN at
+    each escaped sample, so that sample's quotients, jets included, come
+    back NaN and every other sample is untouched.  One point that escapes
+    raises ChartEscapeError(message).
+    """
+    if not isinstance(off, np.ndarray):
+        if off:
+            raise ChartEscapeError(message)
+        return den
+    if not off.any():
+        return den
+    nan_v = np.where(off, np.nan, jet_value(den))
+    return Jet2(nan_v, den.grad, den.hess) if isinstance(den, Jet2) else nan_v
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +358,9 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
     M = np.asarray(M, dtype=float)
     Z0 = build_Z0(d).matrix
     G = ambient_gram(d)
-    g = flat_gram_matrix(d)
     xi = xi_vector(d)
-    alpha = M[..., d + 1, n]
     chi = M[..., n, n]
-    # sch_matrix of the decomposed blocks, entry for entry
-    back = np.zeros_like(M)
-    back[..., :n, :n] = M[..., :n, :n]
-    back[..., :n, n] = alpha[..., None] * xi
-    back[..., :n, n + 1] = M[..., :n, n + 1]
-    back[..., n, :n] = -(M[..., :n, n + 1] @ g)
-    back[..., n, n] = chi
-    back[..., n + 1, :n] = -alpha[..., None] * (g @ xi)
-    back[..., n + 1, n + 1] = -chi
+    back = sch_matrix(SchBlocks(M[..., :n, :n], M[..., :n, n + 1], M[..., d + 1, n], chi), d)
 
     def worst(a):
         return np.abs(a).max(axis=(-2, -1))
@@ -397,19 +408,22 @@ def require_sch(residuals: dict) -> None:
 
 
 def sch_matrix(blocks: SchBlocks, d: int) -> np.ndarray:
-    """Assemble the (d+4) matrix from block data."""
+    """Assemble the (d+4) matrix from block data, or a stack of them from
+    blocks with leading axes: Lam (..., n, n), Gam (..., n), alpha and chi
+    (...)."""
     n = d + 2
     g = flat_gram_matrix(d)
     xi = xi_vector(d)
-    theta = g @ xi
-    Z = np.zeros((n + 2, n + 2))
-    Z[:n, :n] = blocks.Lam
-    Z[:n, n] = blocks.alpha * xi
-    Z[:n, n + 1] = blocks.Gam
-    Z[n, :n] = -(g @ blocks.Gam)
-    Z[n, n] = blocks.chi
-    Z[n + 1, :n] = -blocks.alpha * theta
-    Z[n + 1, n + 1] = -blocks.chi
+    alpha = np.asarray(blocks.alpha, dtype=float)[..., None]
+    Z = np.zeros(np.shape(blocks.Lam)[:-2] + (n + 2, n + 2))
+    Z[..., :n, :n] = blocks.Lam
+    Z[..., :n, n] = alpha * xi
+    Z[..., :n, n + 1] = blocks.Gam
+    # g is symmetric: Gam g is g Gam, row by row
+    Z[..., n, :n] = -(blocks.Gam @ g)
+    Z[..., n, n] = blocks.chi
+    Z[..., n + 1, :n] = -alpha * (g @ xi)
+    Z[..., n + 1, n + 1] = -blocks.chi
     return Z
 
 
@@ -782,6 +796,8 @@ def _pade_order(P: np.ndarray) -> tuple[int, int]:
     def ell(m: int, s: int = 0) -> int:
         # ell(2^-s Z, m) = max(ell(Z, m) - s, 0): scaling by 2^-s is exact
         nonlocal col, k
+        if norm1 == 0.0:
+            return 0
         log_cu = math.log2(_PADE[m][1] * _UNIT_ROUNDOFF)
         # ||Z||_1^(2m+1) bounds ||(|Z|^(2m+1))||_1: where the bound already
         # gives 0, so does the exact norm, and no product is needed
@@ -838,58 +854,26 @@ def _pade_exp(P: np.ndarray, m: int, s: int) -> np.ndarray:
     return X
 
 
-def _terminating_series(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray | None:
-    """sum Z^k / k! up to the first vanishing power, or None when no power
-    up to Z^n vanishes.
-
-    A nilpotent Z has tr Z^2 = 0, and the rounding error of the computed
-    trace is below 2n u ||Z||_F^2 (u the unit roundoff); a trace far above
-    that proves Z is not nilpotent, so only otherwise are the powers of Z
-    probed.
-    """
-    n = Z.shape[0]
-    if abs(float(Z2.trace())) > 128.0 * n * _UNIT_ROUNDOFF * float(np.vdot(Z, Z)):
-        return None
-    terms = [np.eye(n)]
-    power = Z
-    fact = 1.0
-    for k in range(1, n + 1):
-        fact *= k
-        if float(np.abs(power).max()) <= 1e-300:
-            return sum(terms)
-        terms.append(power / fact)
-        power = Z2 if k == 1 else power @ Z
-    return None
-
-
 def exp_algebra(Z: np.ndarray) -> np.ndarray:
     """Matrix exponential of one (n, n) matrix or of each matrix of an
-    (E, n, n) stack: exact terminating series for nilpotent input, Padé
-    scaling and squaring otherwise.
+    (E, n, n) stack, by Padé scaling and squaring (Al-Mohy & Higham 2009)
+    for every input, nilpotent and zero ones included: Z = 0 takes order 3
+    with no scaling and gives I exactly.
 
-    Each matrix is probed for nilpotency (``_terminating_series``) and
-    given its Padé order m and scaling s (``_pade_order``) on its own; the
-    matrices that share (m, s) then take one stacked evaluation
-    (``_pade_exp``).  So every result is bitwise the one-matrix result.
+    Each matrix is given its Padé order m and scaling s (``_pade_order``)
+    on its own; the matrices that share (m, s) then take one stacked
+    evaluation (``_pade_exp``).  So every result is bitwise the one-matrix
+    result.
     """
     Z = np.asarray(Z, dtype=float)
     stack = Z.reshape((-1,) + Z.shape[-2:])
-    Z2 = stack @ stack
+    P = _pade_powers(stack, stack @ stack)
     out = np.empty_like(stack)
-    pade = []
-    for i, (z, z2) in enumerate(zip(stack, Z2)):
-        series = _terminating_series(z, z2)
-        if series is None:
-            pade.append(i)
-        else:
-            out[i] = series
-    if pade:
-        P = _pade_powers(stack[pade], Z2[pade])
-        groups: dict[tuple[int, int], list[int]] = {}
-        for j, powers in enumerate(P):
-            groups.setdefault(_pade_order(powers), []).append(j)
-        for (m, s), held in groups.items():
-            out[[pade[j] for j in held]] = _pade_exp(P[held], m, s)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, powers in enumerate(P):
+        groups.setdefault(_pade_order(powers), []).append(j)
+    for (m, s), held in groups.items():
+        out[held] = _pade_exp(P[held], m, s)
     return out.reshape(Z.shape)
 
 
@@ -970,8 +954,10 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     of N points, whose images come back in the same form.  ``ge`` is one
     element, or a per-sample stack of N elements (``GroupElement.take``)
     whose element s acts on sample s of the batch: one pass over N
-    (element, point) pairs.  Raises ChartEscapeError when the denominator
-    falls below ``guard`` at any sample.
+    (element, point) pairs.  Where |e - a t| falls to ``guard`` the image
+    leaves the chart: one point raises ChartEscapeError, and on a batch
+    that sample's image and r' come back NaN (``mark_escapes``) while every
+    other sample is what it would be alone.
 
     The n numerators are one stack (``_affine_rows``): (a/2) g(x,x) is formed
     once, and row a adds its L[a, b] x[b] in column order b, skipping zero
@@ -984,9 +970,7 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     blocks = ge.blocks
     t = x[d]
     den = blocks.e - blocks.a * t
-    v = jet_value(den)
-    if (np.any(np.abs(v) <= guard) if isinstance(v, np.ndarray) else abs(v) <= guard):
-        raise ChartEscapeError("projective denominator vanished")
+    den = mark_escapes(den, np.abs(jet_value(den)) <= guard, "projective denominator vanished")
     rows = _affine_rows(x, d, blocks.C, blocks.L, 0.5 * blocks.a * _chart_square(x))
     if isinstance(den, Jet2):
         # jet division multiplies by the reciprocal: one for every row

@@ -46,6 +46,7 @@ from .ambient import (
     commutant_basis,
     flat_chart,
     flat_gram_matrix,
+    mark_escapes,
     xi_vector,
 )
 from .geometry import (
@@ -400,19 +401,12 @@ def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q, guard: float = 1e-8) -
     """Invert the embedding on the rh > 0 sheet; jet-friendly.
 
     One point off the sheet raises ChartEscapeError.  On a batch (components
-    with a sample axis) the escape test is a per-sample mask instead: the
-    samples that left the sheet come back as NaN and the rest are exact.
+    with a sample axis) the samples that left the sheet come back NaN and
+    the rest are exact, as in ``projective_action`` (``mark_escapes``).
     """
     d = cfg.d
     last = Q[d + 3]
-    v = jet_value(last).real
-    if isinstance(v, np.ndarray):
-        off = v <= guard
-        if off.any():
-            nan_v = np.where(off, np.nan, jet_value(last))
-            last = Jet2(nan_v, last.grad, last.hess) if isinstance(last, Jet2) else nan_v
-    elif v <= guard:
-        raise ChartEscapeError("point left the rh > 0 sheet")
+    last = mark_escapes(last, jet_value(last).real <= guard, "point left the rh > 0 sheet")
     out = [Q[i] / last for i in range(d + 2)]
     out.append(cfg.scale / last)
     return out

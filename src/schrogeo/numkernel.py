@@ -269,8 +269,11 @@ def _zero_hessian(dim: int, batch: tuple, order: int):
 
 
 def _positive_real(v) -> bool:
+    """No sample of ``v`` is complex, zero or negative.  A NaN sample of a
+    batch passes, and the operation carries it through as NaN: it marks a
+    sample that left its chart (``ambient.mark_escapes``)."""
     if isinstance(v, np.ndarray):
-        return np.isrealobj(v) and bool(np.all(v > 0))
+        return np.isrealobj(v) and not np.any(v <= 0)
     return isinstance(v, numbers.Real) and v > 0
 
 

@@ -28,7 +28,6 @@ from . import bargmann as bg
 from . import homogeneous as hg
 from . import numkernel as nk
 from .ambient import (
-    CHART_GUARD,
     ChartEscapeError,
     ambient_gram,
     bracket_fields,
@@ -166,7 +165,8 @@ class Measure:
     of its one row, or a dict of them keyed by row suffix.  A raising
     measurement files one ERROR record with the suffix and claim of
     ``group``, by default those of its one row.  ``samples`` overrides the
-    records' samples.
+    context's samples: the count the measurement reads as ``ctx.samples``
+    and its records file.
     """
 
     def __init__(self, fn, *rows: Row, group: tuple | None = None, samples=None):
@@ -221,7 +221,9 @@ def _file(ctx, base: str, m: Measure, seed: int) -> list[CheckResult]:
     """Run one measurement and file its rows as ``{base}_{suffix}``.  Any
     exception becomes the one ERROR record of its group: a failing check
     never aborts the run."""
-    filed = {"config": ctx.conf, "seed": seed, "samples": m.samples or ctx.samples}
+    if m.samples:
+        ctx = SimpleNamespace(**{**vars(ctx), "samples": m.samples})
+    filed = {"config": ctx.conf, "seed": seed, "samples": ctx.samples}
     try:
         measured = m.fn(ctx, seed)
         if len(m.rows) == 1:
@@ -447,14 +449,8 @@ LIE_ALGEBRA = Suite(
 #
 # Each check draws its elements as one stack (``group_elements``),
 # exponentiated and validated once, and acts on all its (element, point)
-# pairs that stay on the chart in one ``projective_action`` pass per
-# direction.
-
-
-def _on_chart(ge, t: np.ndarray) -> np.ndarray:
-    """Samples whose projective denominator e - a t, under the per-sample
-    element stack ``ge``, clears the guard of ``projective_action``."""
-    return np.abs(ge.blocks.e - ge.blocks.a * t) > CHART_GUARD
+# pairs in one ``projective_action`` pass per direction; the pairs that left
+# the chart come back NaN and are dropped.
 
 
 def _pairs(stack, pts: np.ndarray) -> tuple:
@@ -497,14 +493,14 @@ def _projective(c, seed):
     ]
     coeffs, radii = (np.array(a) for a in zip(*draws))
     ge, x = _pairs(group_elements(d, coeffs), pts)
-    keep = _on_chart(ge, x[:, d])
+    img, r2 = projective_action(ge, list(x.T), radii.ravel())
+    keep = np.isfinite(r2)
     if not keep.any():
         raise ChartEscapeError("all projective samples escaped")
-    ge, x, r = ge.take(keep), list(x[keep].T), radii.ravel()[keep]
-    img, r2 = projective_action(ge, x, r)
-    lifted = np.array(cone_point(img, r2)).T
+    lifted = np.array(cone_point(img, r2)).T[keep]
+    x, r = list(x[keep].T), radii.ravel()[keep]
     # one matrix-vector product per sample, rounded as for one point
-    moved = (ge.matrix @ np.array(cone_point(x, r)).T[..., None])[..., 0]
+    moved = (ge.matrix[keep] @ np.array(cone_point(x, r)).T[..., None])[..., 0]
     used = len(r)
     return {
         "residual": max_entry(0.0, np.abs(lifted - moved)),
@@ -520,7 +516,8 @@ def _pullback(c, seed):
     pts = _box_points(seed, 1.0, d + 2, 4)
     ge, x = _pairs(group_elements(d, group_coefficients(d, rng, c.rounds)), pts)
     den = ge.blocks.e - ge.blocks.a * x[:, d]
-    # |den| >= 0.2 keeps every kept sample clear of the chart guard
+    # the samples this record has always measured: |den| >= 0.2, far
+    # inside the chart
     keep = np.abs(den) >= 0.2
     if not keep.any():
         raise ChartEscapeError("all pullback samples escaped")
@@ -539,17 +536,14 @@ def _inverse(c, seed):
     stack = group_elements(d, group_coefficients(d, rng, c.rounds))
     ge, x = _pairs(stack, pts)
     gi, _ = _pairs(group_inverse(stack), pts)
-    keep = _on_chart(ge, x[:, d])
-    if keep.any():
-        ge, gi, x = ge.take(keep), gi.take(keep), x[keep]
-        img = np.array(projective_action(ge, list(x.T)))
-        keep = _on_chart(gi, img[d])
+    img = projective_action(ge, list(x.T))
+    back = np.array(projective_action(gi, img)).T
+    keep = np.isfinite(back).all(axis=1)
     if not keep.any():
         raise ChartEscapeError("all inverse samples escaped")
-    back = np.array(projective_action(gi.take(keep), list(img[:, keep])))
     used = int(keep.sum())
     return {
-        "residual": max_entry(0.0, np.abs(back.T - x[keep])),
+        "residual": max_entry(0.0, np.abs(back[keep] - x[keep])),
         "evaluations": used,
         "escapes": c.rounds * len(pts) - used,
     }
@@ -683,7 +677,7 @@ def _isometry_control(c, seed):
 
 def _isotropy(c, seed):
     mc = hg.SchrodingerManifoldConfig(c.d, -0.5, 1.0)
-    res = hg.isotropy_check(mc, np.random.default_rng(seed), 4)
+    res = hg.isotropy_check(mc, np.random.default_rng(seed), c.samples)
     return {
         "residual": max(res["bulk_fix_residual"], res["boundary_fix_residual"]),
         "holds": (

@@ -311,22 +311,6 @@ def algebra_sweep(d, scale, count):
     return [scale * random_algebra_element(d, rng).matrix for _ in range(count)]
 
 
-def terminating_series(Z):
-    """sum Z^k / k! up to the first vanishing power, summed term by term as
-    the nilpotent branch of exp_algebra does."""
-    n = Z.shape[0]
-    power = np.eye(n)
-    terms = [power]
-    fact = 1.0
-    for k in range(1, n + 1):
-        power = power @ Z
-        fact *= k
-        if float(np.abs(power).max()) <= 1e-300:
-            return sum(terms)
-        terms.append(power / fact)
-    raise AssertionError("input is not nilpotent")
-
-
 def orthogonality_defect(A, d):
     return float(np.abs(g_adjoint(A, ambient_gram(d)) @ A - np.eye(d + 4)).max())
 
@@ -363,14 +347,32 @@ class TestExponential:
         assert np.mean(ours) <= 1.25 * np.mean(reference)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_nilpotent_inputs_keep_terminating_series(self, d):
+    def test_nilpotent_inputs_match_their_polynomial(self, d):
+        # translations and expansions have Z^3 = 0, so e^Z is the
+        # polynomial I + Z + Z^2/2, which the Padé path must reproduce
         rng = np.random.default_rng(50 + d)
         gam = rng.uniform(-1, 1, d + 2)
         translation = sch_matrix(
             SchBlocks(Lam=np.zeros((d + 2, d + 2)), Gam=gam, alpha=0.0, chi=0.0), d
         )
         for Z in (translation, _expansion_generator(d, 0.3), _expansion_generator(d, -1.7)):
-            assert exp_algebra(Z).tobytes() == terminating_series(Z).tobytes()
+            Z2 = Z @ Z
+            assert np.abs(Z2 @ Z).max() == 0.0
+            exact = np.eye(d + 4) + Z + Z2 / 2
+            assert np.abs(exp_algebra(Z) - exact).max() <= 4 * EPS * np.abs(exact).max()
+
+    @pytest.mark.parametrize("d", [1, 4, 8])
+    def test_zero_is_the_identity(self, d):
+        n = d + 4
+        eye = np.eye(n).tobytes()
+        zero = np.zeros((n, n))
+        assert exp_algebra(zero).tobytes() == eye
+        # inside a stack of generic elements, unscaled and squared
+        stack = np.array([*algebra_sweep(d, 1.0, 2), zero, *algebra_sweep(d, 16.0, 2)])
+        got = exp_algebra(stack)
+        assert got[2].tobytes() == eye
+        for Z, A in zip(stack, got):
+            assert A.tobytes() == exp_algebra(Z).tobytes()
 
     # Padé order m and squarings s as Al-Mohy & Higham's algorithm chooses
     # them with exact 1-norms; scipy.sparse.linalg._matfuncs._expm's decision
@@ -397,8 +399,8 @@ class TestExponential:
         assert _pade_order(_pade_powers(Z, Z @ Z)) == (m, s)
 
     def test_nilpotent_probe_when_trace_vanishes(self):
-        # tr Z^2 = 0 without Z nilpotent: the probe finds no vanishing power
-        # and falls through to the Padé branch
+        # tr Z^2 = 0 without Z nilpotent: a trace test alone cannot tell it
+        # from a nilpotent input
         Z = np.zeros((5, 5))
         Z[0, 1] = Z[1, 0] = 0.5
         Z[2, 3] = -0.5

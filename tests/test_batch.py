@@ -2,6 +2,7 @@
 give, sample by sample, what N single-point evaluations give."""
 
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ class TestBatchedJet:
         for op in (nk.log, nk.sqrt, lambda a: a**0.5):
             with pytest.raises(nk.ContractViolationError):
                 op(x)
+
+    def test_positivity_guards_carry_a_nan_sample(self):
+        # a NaN sample marks a chart escape: it stays NaN, the others exact
+        x = nk.seed_point([[1.0], [np.nan], [4.0]])[0]
+        for op in (nk.log, nk.sqrt, lambda a: a**0.5):
+            y = op(x)
+            assert np.isnan([y.value[1], *y.grad[:, 1], *y.hess[..., 1].ravel()]).all()
+            one = op(nk.seed_point([4.0])[0])
+            assert (y.value[2], *y.grad[:, 2], *y.hess[..., 2].ravel()) == (
+                one.value, *one.grad, *one.hess.ravel()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -563,17 +575,35 @@ class TestBatchedProjectiveAction:
                 assert np.array_equal(b.hess[..., k], one.hess)
 
     @pytest.mark.parametrize("bad", [0, 2, 4])
-    def test_one_escaping_sample_raises(self, bad):
+    def test_one_escaping_sample_is_nan(self, bad):
         d = 2
         ge = _escaping_element(d)
         pts = _flat_points(d, count=5)
         pts[bad, d] = ge.blocks.e / ge.blocks.a  # denominator e - a t ~ 0
         assert abs(ge.blocks.e - ge.blocks.a * pts[bad, d]) <= 1e-8
-        for x in (nk.seed_point(pts), list(pts.T)):
+        r = np.linspace(1.0, 1.4, 5)
+        keep = np.arange(5) != bad
+
+        def at(values, index):
+            """Every value, gradient and Hessian entry of the samples at
+            ``index``."""
+            parts = [(v.value, v.grad, v.hess) if isinstance(v, Jet2) else (v,) for v in values]
+            return [np.asarray(p)[..., index] for part in parts for p in part if p is not None]
+
+        for lift in (lambda x: list(x.T), partial(nk.seed_point, order=1), nk.seed_point):
+            got, got_r = projective_action(ge, lift(pts), r)
+            bare = projective_action(ge, lift(pts))
+            # the batch without the escaped sample: what every other sample is
+            want, want_r = projective_action(ge, lift(pts[keep]), r[keep])
+            for values in (got, bare, [got_r]):
+                assert all(np.isnan(p).all() for p in at(values, bad))
+            for values, clean in ((got, want), (bare, want), ([got_r], [want_r])):
+                mine = [p.tobytes() for p in at(values, keep)]
+                assert mine == [p.tobytes() for p in at(clean, slice(None))]
+        # one point off the chart still raises
+        for x in (list(pts[bad]), nk.seed_point(pts[bad])):
             with pytest.raises(ChartEscapeError):
                 projective_action(ge, x)
-        keep = np.arange(5) != bad
-        projective_action(ge, nk.seed_point(pts[keep]))
 
 
 def sequential_transport(phi, psi, structure, params, samples, seed, weight=None, box=1.0):
@@ -608,6 +638,20 @@ def test_symmetry_transport_matches_per_point_loop(d, weight):
             phi, psi, structure, PARAMS, 5, 11, weight=weight, box=0.5
         )
         assert batched == reference, name
+
+
+def test_transport_through_an_escaped_sample_reads_nan():
+    """A group map that leaves its chart at one sample: the residuals read
+    NaN, which files FAIL, instead of raising."""
+    d = 2
+    ge = _escaping_element(d)
+    phi, psi = bg.group_map(ge), _densities(d)["plane_wave"]
+    pts = _flat_points(d, count=5, seed=11, box=0.5)
+    clean = bg.symmetry_transport_check(phi, psi, bg.flat_bargmann(d), PARAMS, pts)
+    assert all(np.isfinite(v) for v in clean.values())
+    pts[2, d] = ge.blocks.e / ge.blocks.a  # denominator e - a t ~ 0
+    escaped = bg.symmetry_transport_check(phi, psi, bg.flat_bargmann(d), PARAMS, pts)
+    assert all(np.isnan(v) for v in escaped.values()), escaped
 
 
 def _one_point_checks(d):

@@ -5,7 +5,8 @@ array pass, ``projective_action`` also takes a per-sample element stack,
 ``exp_algebra`` exponentiates a matrix stack, and ``group_elements`` and
 ``group_inverse`` exponentiate (invert) and validate group elements as one
 stack.  Each must give, bit for bit, what the one-row-at-a-time and
-one-element-at-a-time computations give, and must raise what those raise.
+one-element-at-a-time computations give, and must raise what those raise;
+a batch sample that leaves the chart comes back NaN instead.
 """
 
 from dataclasses import replace
@@ -92,6 +93,11 @@ def bits(values) -> list:
     return out
 
 
+def nan_everywhere(values) -> bool:
+    """Every value, gradient and Hessian entry is NaN."""
+    return all(np.isnan(np.frombuffer(b)).all() for one in bits(values) for b in one)
+
+
 def inputs(d, seed):
     """Floats, (N,) arrays, one seeded point and a seeded batch, with a
     signed zero among the coordinates."""
@@ -158,21 +164,41 @@ def test_projective_images_match_the_row_loop(d):
             assert bits(projective_action(g, x)) == bits(want), kind
 
 
+def assert_marked(ge, elements, pts, r, bad):
+    """The batch action of the per-sample stack ``ge`` on ``pts``: sample
+    ``bad`` comes back NaN in floats and in order-1 and order-2 jets, with
+    and without r; every other sample s is bitwise the row loop's image of
+    point s under ``elements[s]``."""
+    for kind, batch, point in (
+        ("floats", list(pts.T), lambda p: p.tolist()),
+        ("order 1", nk.seed_point(pts, order=1), lambda p: nk.seed_point(p, order=1)),
+        ("order 2", nk.seed_point(pts), nk.seed_point),
+    ):
+        got, got_r = projective_action(ge, batch, r)
+        bare = projective_action(ge, batch)
+        for values in (got, bare, [got_r]):
+            assert nan_everywhere(sample_of(values, bad)), kind
+        for s in range(len(pts)):
+            if s == bad:
+                continue
+            want, want_r = reference_projective(elements[s], point(pts[s]), float(r[s]))
+            assert bits(sample_of(got, s)) == bits(want), (kind, s)
+            assert bits(sample_of(bare, s)) == bits(want), (kind, s)
+            assert bits(sample_of([got_r], s)) == bits([want_r]), (kind, s)
+
+
 @pytest.mark.parametrize("d", [1, 4, 8])
-def test_projective_guard_raises_like_the_row_loop(d):
+def test_projective_guard_marks_like_the_row_loop(d):
     rng = np.random.default_rng(d)
     ge = random_group_element(d, rng)
     ge = with_blocks(ge, a=0.5, e=0.25)  # the denominator vanishes at t = 0.5
     pts = rng.uniform(-0.9, 0.9, size=(3, d + 2))
     pts[1, d] = 0.5
-    for x in (pts[1].tolist(), list(pts.T), nk.seed_point(pts), nk.seed_point(pts[1])):
+    for x in (pts[1].tolist(), nk.seed_point(pts[1])):
         for action in (projective_action, reference_projective):
             with pytest.raises(ChartEscapeError, match="denominator vanished"):
                 action(ge, x)
-    clear = pts[[0, 2]]
-    assert bits(projective_action(ge, list(clear.T))) == bits(
-        reference_projective(ge, list(clear.T))
-    )
+    assert_marked(ge, [ge] * len(pts), pts, 1.0 + 0.3 * rng.uniform(size=len(pts)), bad=1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +372,10 @@ def test_inverse_stack_raises_for_the_first_failing_inverse():
 
 @pytest.mark.parametrize("d", DIMS)
 def test_stacked_exponential_matches_one_matrix_at_a_time(d):
-    """One stack mixing every branch of exp_algebra, interleaved: scales 0.1
-    and 0.4 (Padé orders 3 to 9, no squaring), 3.0 and 12.0 (order 13, with
-    squarings at 12.0), and nilpotent translations and expansions (the
-    terminating series)."""
+    """One stack mixing every Padé order and scaling of exp_algebra,
+    interleaved: scales 0.1 and 0.4 (Padé orders 3 to 9, no squaring), 3.0
+    and 12.0 (order 13, with squarings at 12.0), and nilpotent translations
+    and expansions."""
     rng = np.random.default_rng(700 + d)
     basis = commutant_stack(d)
     Zs = [
@@ -409,19 +435,19 @@ def test_per_sample_action_matches_one_element_at_a_time(d):
             assert bits(sample_of([got_r], s)) == bits([want_r]), (kind, s)
 
 
-def test_per_sample_guard_raises_for_any_sample():
+def test_per_sample_guard_marks_any_sample():
     d = 3
     rng = np.random.default_rng(9)
     elements = [random_group_element(d, rng) for _ in range(3)]
     elements[2] = with_blocks(elements[2], a=0.5, e=0.25)  # vanishes at t = 0.5
     pts = np.random.default_rng(10).uniform(-0.9, 0.9, size=(3, d + 2))
     pts[2, d] = 0.5
-    ge = stack_elements(elements)
-    for x in (list(pts.T), nk.seed_point(pts, order=1)):
-        with pytest.raises(ChartEscapeError, match="denominator vanished"):
-            projective_action(ge, x)
-    # the same point under another element stays on the chart: no raise
-    projective_action(stack_elements(elements[:2] + elements[:1]), list(pts.T))
+    assert_marked(stack_elements(elements), elements, pts, np.array([1.1, 1.2, 1.3]), bad=2)
+    with pytest.raises(ChartEscapeError, match="denominator vanished"):
+        projective_action(elements[2], pts[2].tolist())
+    # the same point under another element stays on the chart
+    clear = projective_action(stack_elements(elements[:2] + elements[:1]), list(pts.T))
+    assert np.isfinite(clear).all()
 
 
 @pytest.mark.parametrize("d", [1, 4, 8])
@@ -517,3 +543,27 @@ def test_chart_action_defect_fails_the_record(monkeypatch, suite, record, inject
     inject(monkeypatch)
     broken = {c.name: c for c in run_suite(SuiteConfig(suite, dims=(d,))).checks}
     assert broken[name].status == "FAIL", broken[name]
+
+
+# mutation: an exponential that leaves the group flips the constraint records.
+# A perturbed Padé coefficient cannot: r(Z) = p(Z) / p(-Z) maps the algebra of
+# a quadratic group into the group for any polynomial p, so the records see
+# no defect in the coefficients.  The scipy and mpmath comparisons in
+# tests/test_ambient.py::TestExponential are the accuracy oracle.
+
+
+def test_exponential_off_the_group_fails_the_constraints(monkeypatch):
+    cfg = SuiteConfig("group")
+    names = [f"group_d{d}_constraints" for d in cfg.dims]
+    clean = {c.name: c for c in run_suite(cfg).checks}
+    assert all(clean[name].status == "PASS" for name in names)
+    pade = ambient._pade_exp
+
+    def defect(P, m, s):
+        return pade(P, m, s) + 1e-8 * P[:, 1]  # e^Z + 1e-8 Z^2
+
+    monkeypatch.setattr(ambient, "_pade_exp", defect)
+    broken = {c.name: c for c in run_suite(cfg).checks}
+    for name in names:
+        assert broken[name].status == "ERROR", broken[name]
+        assert "stabilizer constraint" in broken[name].error, broken[name]

@@ -2,8 +2,8 @@
 through ``ast``: every name in a module's ``__all__`` is defined there, no
 imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
-the package, only ``suites`` builds records, and only ``suites`` draws
-seeded randomness."""
+the package, only ``suites`` builds records, only ``suites`` draws seeded
+randomness, and only ``ambient`` names the chart guard."""
 
 import ast
 from pathlib import Path
@@ -289,3 +289,26 @@ def test_the_draw_rule_sees_a_stray_call():
         ("SeededSampler", 7),
         ("SeededSampler", 7),
     ]
+
+
+# the chart guard of ``projective_action`` lives in ``ambient``: a caller that
+# filters its samples against the guard re-derives what the action's NaN
+# marking already says
+GUARD = "CHART_GUARD"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "ambient.py"], ids=lambda p: p.name
+)
+def test_only_ambient_names_the_chart_guard(path):
+    assert GUARD not in _names(_tree(path)), path.name
+
+
+def test_the_guard_rule_sees_a_stray_import():
+    for source in (
+        "from .ambient import CHART_GUARD\n",
+        "from . import ambient\nkeep = abs(den) > ambient.CHART_GUARD\n",
+        "def f(guard=CHART_GUARD): pass\n",
+    ):
+        assert GUARD in _names(ast.parse(source)), source
+    assert GUARD not in _names(ast.parse("guard = 1e-8\n"))

@@ -260,6 +260,21 @@ class TestTable:
         assert names == list(numbers)
         assert all(row.claim for row in AUDIT)
 
+    @pytest.mark.parametrize("samples", [20, 80])
+    def test_isotropy_draws_the_count_its_record_files(self, monkeypatch, samples):
+        seen = []
+        check = homogeneous.isotropy_check
+
+        def spy(cfg, rng, count):
+            seen.append(count)
+            return check(cfg, rng, count)
+
+        monkeypatch.setattr(homogeneous, "isotropy_check", spy)
+        cfg = SuiteConfig("homogeneous", dims=(1,), samples=samples)
+        (rec,) = (c for c in run_suite(cfg).checks if c.name == "homogeneous_d1_isotropy")
+        assert rec.status == "PASS"
+        assert seen == [rec.samples]
+
 
 # (module, function made to raise, ERROR record, its claim, seed name,
 # samples, config, records under other names that the failing body would
