@@ -298,7 +298,8 @@ def sch_dimension(d: int) -> int:
 class SchBlocks:
     """Block data of an algebra element: boost/rotation block Lam acting on
     R^{d+2} (annihilating the vertical direction up to -chi), translation
-    Gam, expansion rate alpha, dilation rate chi."""
+    Gam, expansion rate alpha, dilation rate chi.  Blocks of a stack carry a
+    leading element axis, alpha and chi as arrays."""
 
     Lam: np.ndarray
     Gam: np.ndarray
@@ -308,6 +309,10 @@ class SchBlocks:
 
 @dataclass(frozen=True)
 class AlgebraElement:
+    """One element, or a stack of them: the matrix and every block field
+    then carry a leading element axis (a per-sample stack, when element s
+    goes with sample s of a batch of points)."""
+
     matrix: np.ndarray
     blocks: SchBlocks
 
@@ -377,20 +382,21 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
 def decompose_sch(Z: np.ndarray, d: int, validate: bool = True) -> SchBlocks:
     """Split a commutant element into (Lam, Gam, alpha, chi) block data.
 
-    The redundant rows of Z are permutations/negations of these blocks, so
-    reassembly via ``sch_matrix`` reproduces Z exactly.  ``validate`` checks
-    Z against Z0, the block form and the vertical condition, in that order
-    (``require_sch``).
+    ``Z`` is one (d+4, d+4) matrix, or an (E, d+4, d+4) stack whose blocks
+    then carry the leading element axis: alpha and chi come back as (E,)
+    arrays instead of floats.  The arrays are fresh copies.  The redundant
+    rows of Z are permutations/negations of these blocks, so reassembly via
+    ``sch_matrix`` reproduces Z exactly.  ``validate`` checks Z against Z0,
+    the block form and the vertical condition, in that order, each at its
+    worst matrix (``require_sch``).
     """
     n = d + 2
     Z = np.asarray(Z, dtype=float)
     if validate:
         require_sch(sch_residuals(Z, d))
-    lam = Z[:n, :n].copy()
-    alpha = float(Z[d + 1, n])
-    gam = Z[:n, n + 1].copy()
-    chi = float(Z[n, n])
-    return SchBlocks(lam, gam, alpha, chi)
+    scalars = (Z[..., d + 1, n], Z[..., n, n])
+    alpha, chi = (s.copy() if Z.ndim > 2 else float(s) for s in scalars)
+    return SchBlocks(Z[..., :n, :n].copy(), Z[..., :n, n + 1].copy(), alpha, chi)
 
 
 def require_sch(residuals: dict) -> None:
@@ -530,15 +536,22 @@ def realize_field(blocks: SchBlocks, d: int):
     delta x = Lam x + Gam - (alpha/2) g(x,x) xi + alpha t x + chi x, and the
     fiber coordinate scales with rate alpha t + chi.
 
+    ``blocks`` is one element's, or a per-sample stack of N elements'
+    (``decompose_sch`` of an (N, d+4, d+4) stack) whose element s is
+    realized at sample s of a batch of N points: one pass over N (element,
+    point) pairs.  The vertical condition Lam xi + chi xi = 0 is checked
+    once over the whole stack and raises for its worst element.
+
     The components are built as one stack of d + 2 rows (``_affine_rows``):
     alpha t + chi and (alpha/2) g(x,x) are formed once, and row a adds its
-    Lam[a, b] x[b] in column order b, skipping zero entries.  Each component
-    is therefore rounded exactly as Gam[a] + (alpha t + chi) x[a] -
-    (alpha/2) g(x,x) xi[a] + Lam[a, 0] x[0] + ... evaluated on its own, and
-    comes back as a jet, number or (N,) array like its inputs.
+    Lam[a, b] x[b] in column order b, skipping zero entries (sample by
+    sample on a stack).  Each component is therefore rounded exactly as
+    Gam[a] + (alpha t + chi) x[a] - (alpha/2) g(x,x) xi[a] + Lam[a, 0] x[0]
+    + ... evaluated on its own, for one point and one element, and comes
+    back as a jet, number or (N,) array like its inputs.
     """
     xi = xi_vector(d)
-    vert = float(np.abs(blocks.Lam @ xi + blocks.chi * xi).max())
+    vert = float(np.abs(blocks.Lam @ xi + np.multiply.outer(blocks.chi, xi)).max())
     if not vert <= 1e-10:
         raise ContractViolationError(f"Lam xi + chi xi != 0 (residual {vert:.3e})")
     lam, gam = blocks.Lam, blocks.Gam
@@ -563,7 +576,10 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
     bracket matches realize(-[Z1, Z2]); both signed residuals are returned
     so callers can record the verified sign.  ``p`` is one point (n,) or a
     batch (N, n), evaluated in one jet pass; the residuals are the worst
-    over the batch.
+    over the batch.  On a batch, ``e1`` and ``e2`` may be per-sample stacks
+    of N elements each (matrices (N, d+4, d+4), blocks from
+    ``decompose_sch``): sample s then brackets pair s at point s, bitwise as
+    that pair alone at that point.
     """
     v1, _ = realize_field(e1.blocks, d)
     v2, _ = realize_field(e2.blocks, d)
@@ -777,25 +793,37 @@ def _pade_powers(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     return P
 
 
-def _pade_order(P: np.ndarray) -> tuple[int, int]:
-    """The Padé order m and the scaling s for Z = P[5] (``_pade_powers``).
+def _pade_orders(P: np.ndarray) -> list[tuple[int, int]]:
+    """The Padé order m and the scaling s of each Z = P[j, 5] of an
+    (E, 6, n, n) stack of ``_pade_powers``.
 
     m and s come from d_k = ||Z^k||_1^(1/k) of the even powers, raised by
     ell(Z, m) where the backward-error bound of 2^-s Z needs it; s is 0
-    below order 13.
+    below order 13.  The norms are taken over the whole stack, one call per
+    power, and the column sums 1^T |Z|^k behind ell are carried for every
+    matrix at once, as far as the highest order any matrix asks for.  Only
+    the threshold and ell tests run matrix by matrix, on Python floats
+    (float ``**`` rounds as libm, numpy's vectorized power does not).
     """
-    abs_p = np.abs(P[2:])
-    col_sums = abs_p.sum(axis=1)
-    n4, n6, n8, norm1 = col_sums.max(axis=1).tolist()
-    abs_z = abs_p[3]
-    # 1-norm of |Z|^k as the largest column sum 1^T |Z|^k, one vector-matrix
-    # product per power, carried on from order to order
-    col = col_sums[3]
-    k = 1
+    abs_p = np.abs(P[:, 2:])
+    col_sums = abs_p.sum(axis=-2)
+    norms = col_sums.max(axis=-1).tolist()
+    abs_z = abs_p[:, 3]
+    # 1-norm of |Z|^k as the largest column sum 1^T |Z|^k: cols[k - 1] for
+    # every matrix, one stacked vector-matrix product per power
+    cols = [col_sums[:, 3]]
+    tops: dict[int, list[float]] = {}
 
-    def ell(m: int, s: int = 0) -> int:
+    def top(k: int) -> list[float]:
+        if k not in tops:
+            while len(cols) < k:
+                cols.append(np.matmul(cols[-1][:, None], abs_z)[:, 0])
+            tops[k] = cols[k - 1].max(axis=-1).tolist()
+        return tops[k]
+
+    def ell(j: int, m: int, s: int = 0) -> int:
         # ell(2^-s Z, m) = max(ell(Z, m) - s, 0): scaling by 2^-s is exact
-        nonlocal col, k
+        norm1 = norms[j][3]
         if norm1 == 0.0:
             return 0
         log_cu = math.log2(_PADE[m][1] * _UNIT_ROUNDOFF)
@@ -803,28 +831,34 @@ def _pade_order(P: np.ndarray) -> tuple[int, int]:
         # gives 0, so does the exact norm, and no product is needed
         if 2 * m * (math.log2(norm1) - s) < log_cu - 1e-9:
             return 0
-        while k < 2 * m + 1:
-            col = col.dot(abs_z)
-            k += 1
-        top = float(col.max())
-        if top == 0.0:
+        t = top(2 * m + 1)[j]
+        if t == 0.0:
             return 0
-        return max(math.ceil((math.log2(top / norm1) - log_cu) / (2 * m)) - s, 0)
+        return max(math.ceil((math.log2(t / norm1) - log_cu) / (2 * m)) - s, 0)
 
-    d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
-    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
-        if eta < _PADE[m][0] and ell(m) == 0:
-            return m, 0
-
-    d10 = float(np.abs(P[2] @ P[3]).sum(axis=0).max()) ** 0.1
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
-    return 13, s + ell(13, s)
+    orders: list = [None] * len(norms)
+    high = []
+    for j, (n4, n6, n8, _) in enumerate(norms):
+        d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
+        for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+            if eta < _PADE[m][0] and ell(j, m) == 0:
+                orders[j] = (m, 0)
+                break
+        else:
+            high.append(j)
+    if high:
+        n10s = np.abs(P[high, 2] @ P[high, 3]).sum(axis=-2).max(axis=-1).tolist()
+        for j, n10 in zip(high, n10s):
+            d6, d8 = norms[j][1] ** (1 / 6), norms[j][2] ** 0.125
+            eta = min(max(d6, d8), max(d8, n10**0.1))
+            s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
+            orders[j] = (13, s + ell(j, 13, s))
+    return orders
 
 
 def _pade_exp(P: np.ndarray, m: int, s: int) -> np.ndarray:
     """e^Z for each Z of an (E, 6, n, n) stack of ``_pade_powers``, all at
-    Padé order m and scaling s (``_pade_order``), with exact 1-norms (n is
+    Padé order m and scaling s (``_pade_orders``), with exact 1-norms (n is
     tiny).
 
     r_m is evaluated as I + 2 (V - U)^-1 U with one stacked solve, then
@@ -860,18 +894,19 @@ def exp_algebra(Z: np.ndarray) -> np.ndarray:
     for every input, nilpotent and zero ones included: Z = 0 takes order 3
     with no scaling and gives I exactly.
 
-    Each matrix is given its Padé order m and scaling s (``_pade_order``)
-    on its own; the matrices that share (m, s) then take one stacked
-    evaluation (``_pade_exp``).  So every result is bitwise the one-matrix
-    result.
+    One matrix is a stack of one.  The Padé order m and scaling s of every
+    matrix are chosen over the whole stack in one pass (``_pade_orders``),
+    each from that matrix's own norms; the matrices that share (m, s) then
+    take one stacked evaluation (``_pade_exp``).  So every result is
+    bitwise the one-matrix result.
     """
     Z = np.asarray(Z, dtype=float)
     stack = Z.reshape((-1,) + Z.shape[-2:])
     P = _pade_powers(stack, stack @ stack)
     out = np.empty_like(stack)
     groups: dict[tuple[int, int], list[int]] = {}
-    for j, powers in enumerate(P):
-        groups.setdefault(_pade_order(powers), []).append(j)
+    for j, order in enumerate(_pade_orders(P)):
+        groups.setdefault(order, []).append(j)
     for (m, s), held in groups.items():
         out[held] = _pade_exp(P[held], m, s)
     return out.reshape(Z.shape)

@@ -298,7 +298,7 @@ def log(x):
         v = x.value
         if not _positive_real(v):
             raise ContractViolationError("log needs a positive real jet value")
-        return _chain(x, np.log(v), 1.0 / v, -1.0 / v**2)
+        return _chain(x, np.log(v), 1.0 / v, -1.0 / _pow(v, 2))
     return np.log(x)
 
 

@@ -28,6 +28,7 @@ from . import bargmann as bg
 from . import homogeneous as hg
 from . import numkernel as nk
 from .ambient import (
+    AlgebraElement,
     ChartEscapeError,
     ambient_gram,
     bracket_fields,
@@ -35,6 +36,7 @@ from .ambient import (
     commutant_stack,
     component_witnesses,
     cone_point,
+    decompose_sch,
     flat_metric,
     group_coefficients,
     group_elements,
@@ -383,12 +385,15 @@ def _commutant_dim(c, seed):
 
 
 def _closure(c, seed):
-    # row i holds every bracket [B_i, B_j], j > i, as one stack
+    # every bracket [B_i, B_j], i < j, in row order, k brackets to a stack:
+    # one stack per d would hold k^2/2 brackets' temporaries at once
     stack = commutant_stack(c.d)
+    k = len(stack)
+    left, right = np.triu_indices(k, 1)
     found = {key: [0.0] for key in ("commutator", "skew", "block", "vertical")}
-    for i in range(len(stack) - 1):
-        rest = stack[i + 1 :]
-        res = sch_residuals(stack[i] @ rest - rest @ stack[i], c.d)
+    for at in range(0, len(left), k):
+        a, b = stack[left[at : at + k]], stack[right[at : at + k]]
+        res = sch_residuals(a @ b - b @ a, c.d)
         for key in found:
             found[key].append(res[key])
     worst = {key: max_entry(*v) for key, v in found.items()}
@@ -396,19 +401,23 @@ def _closure(c, seed):
     if residual < 1e-10:
         # a bracket inside the algebra must also decompose
         require_sch(worst)
-    k = len(stack)
-    return {"residual": residual, "evaluations": k * (k - 1) // 2}
+    return {"residual": residual, "evaluations": len(left)}
 
 
 def _realization(c, seed):
+    d = c.d
     rng = np.random.default_rng(seed)
-    pts = _box_points(seed, 1.0, c.d + 2, 3)
-    found = []
-    for _ in range(3):
-        e1 = random_algebra_element(c.d, rng)
-        e2 = random_algebra_element(c.d, rng)
-        found.append(bracket_fields(e1, e2, c.d, pts)["minus"])
-    return {"residual": max_entry(0.0, *found), "sign": -1, "evaluations": 3 * len(pts)}
+    pts = _box_points(seed, 1.0, d + 2, 3)
+    # round by round: the two elements of a pair; then every (pair, point)
+    # sample, pair by pair and in point order, in one bracket pass
+    drawn = np.array([random_algebra_element(d, rng).matrix for _ in range(6)])
+    per_sample = np.repeat(drawn.reshape(3, 2, d + 4, d + 4), len(pts), axis=0)
+    e1, e2 = (
+        AlgebraElement(m, decompose_sch(m, d, validate=False))
+        for m in (per_sample[:, 0], per_sample[:, 1])
+    )
+    found = bracket_fields(e1, e2, d, np.tile(pts, (3, 1)))["minus"]
+    return {"residual": max_entry(0.0, found), "sign": -1, "evaluations": len(per_sample)}
 
 
 def _witnesses(c, seed):

@@ -4,20 +4,31 @@ metric derivatives, dense second derivatives to and from the factored form of
 ``gram_jets``, Gram assembly entry by entry, the scalar Laplacian, conformal
 rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
-its generator field, and group-element stacks built element by element."""
+its generator field, group-element stacks built element by element, the
+Padé order of one matrix at a time, and the lie-algebra closure and
+realization records measured one basis row and one element pair at a
+time."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from schrogeo import numkernel as nk
 from schrogeo.ambient import (
+    _PADE,
+    _UNIT_ROUNDOFF,
     GroupBlocks,
     GroupElement,
     SchBlocks,
     ambient_gram,
+    bracket_fields,
     build_Z0,
+    commutant_stack,
+    random_algebra_element,
     realize_field,
+    require_sch,
+    sch_residuals,
 )
 from schrogeo.bargmann import ChartMap, _lie_term
 from schrogeo.geometry import (
@@ -38,6 +49,7 @@ from schrogeo.homogeneous import (
     _flat_square,
     embed_components,
 )
+from schrogeo.suites import _box_points
 
 
 def einsum_ricci(g0, dg, d2g, ginv=None):
@@ -372,3 +384,75 @@ def stack_elements(elements: list[GroupElement]) -> GroupElement:
         GroupBlocks(*map(np.array, fields)),
         elements[0].dim,
     )
+
+
+# ---------------------------------------------------------------------------
+# the algebra layer one matrix, one basis row and one element pair at a time
+
+
+def pade_order_one(P: np.ndarray) -> tuple[int, int]:
+    """The Padé order m and scaling s of the one matrix Z = P[5] of a
+    (6, n, n) ``_pade_powers`` stack: its norms and its column sums
+    1^T |Z|^k taken alone, the products carried only as far as its own
+    orders ask (Al-Mohy & Higham 2009, as ``_pade_orders``)."""
+    abs_p = np.abs(P[2:])
+    col_sums = abs_p.sum(axis=1)
+    n4, n6, n8, norm1 = col_sums.max(axis=1).tolist()
+    abs_z = abs_p[3]
+    col = col_sums[3]
+    k = 1
+
+    def ell(m: int, s: int = 0) -> int:
+        nonlocal col, k
+        if norm1 == 0.0:
+            return 0
+        log_cu = math.log2(_PADE[m][1] * _UNIT_ROUNDOFF)
+        if 2 * m * (math.log2(norm1) - s) < log_cu - 1e-9:
+            return 0
+        while k < 2 * m + 1:
+            col = col.dot(abs_z)
+            k += 1
+        top = float(col.max())
+        if top == 0.0:
+            return 0
+        return max(math.ceil((math.log2(top / norm1) - log_cu) / (2 * m)) - s, 0)
+
+    d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
+    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+        if eta < _PADE[m][0] and ell(m) == 0:
+            return m, 0
+    d10 = float(np.abs(P[2] @ P[3]).sum(axis=0).max()) ** 0.1
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
+    return 13, s + ell(13, s)
+
+
+def closure_rows(c, seed) -> dict:
+    """The lie-algebra closure record, one ``sch_residuals`` call per basis
+    row i holding every bracket [B_i, B_j], j > i."""
+    stack = commutant_stack(c.d)
+    found = {key: [0.0] for key in ("commutator", "skew", "block", "vertical")}
+    for i in range(len(stack) - 1):
+        rest = stack[i + 1 :]
+        res = sch_residuals(stack[i] @ rest - rest @ stack[i], c.d)
+        for key in found:
+            found[key].append(res[key])
+    worst = {key: nk.max_entry(*v) for key, v in found.items()}
+    residual = nk.max_entry(worst["commutator"], worst["skew"])
+    if residual < 1e-10:
+        require_sch(worst)
+    k = len(stack)
+    return {"residual": residual, "evaluations": k * (k - 1) // 2}
+
+
+def realization_rounds(c, seed) -> dict:
+    """The lie-algebra realization record, one ``bracket_fields`` pass per
+    round: a pair of elements drawn, then brackets at the three points."""
+    rng = np.random.default_rng(seed)
+    pts = _box_points(seed, 1.0, c.d + 2, 3)
+    found = []
+    for _ in range(3):
+        e1 = random_algebra_element(c.d, rng)
+        e2 = random_algebra_element(c.d, rng)
+        found.append(bracket_fields(e1, e2, c.d, pts)["minus"])
+    return {"residual": nk.max_entry(0.0, *found), "sign": -1, "evaluations": 3 * len(pts)}

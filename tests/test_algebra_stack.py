@@ -1,0 +1,246 @@
+"""The algebra layer as stacks.
+
+The realization check brackets all its (element pair, point) samples in one
+``bracket_fields`` pass over per-sample element stacks, ``exp_algebra``
+chooses the Padé order and scaling of every matrix of a stack in one pass,
+and the closure check brackets the basis k pairs to a ``sch_residuals``
+call.  Each must give, bit for bit, what the one-pair, one-matrix and
+one-row-at-a-time computations give (``tests/oracles.py``).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import oracles
+from oracles import closure_rows, pade_order_one, realization_rounds
+
+from schrogeo import ambient
+from schrogeo import numkernel as nk
+from schrogeo import suites
+from schrogeo.ambient import (
+    AlgebraElement,
+    SchBlocks,
+    _pade_orders,
+    _pade_powers,
+    bracket_fields,
+    commutant_stack,
+    decompose_sch,
+    exp_algebra,
+    random_algebra_element,
+    realize_field,
+    sch_dimension,
+    sch_matrix,
+)
+from schrogeo.bargmann import _expansion_generator
+from schrogeo.geometry import component_values, jet_components
+from schrogeo.numkernel import ContractViolationError, Jet2
+from schrogeo.suites import LIE_ALGEBRA, SuiteConfig, check_seed
+
+DIMS = range(1, 9)
+SEEDS = (0, 7, 42)
+
+
+def element_stack(elements: list[AlgebraElement], d: int) -> AlgebraElement:
+    """A per-sample stack of single elements: their matrices stacked, the
+    blocks split from the stack."""
+    matrices = np.array([e.matrix for e in elements])
+    return AlgebraElement(matrices, decompose_sch(matrices, d, validate=False))
+
+
+def measured(fn, record: str, d: int, seed: int) -> dict:
+    """A lie-algebra measurement at d, seeded as its record is."""
+    cfg = SuiteConfig("lie-algebra", dims=(d,), seed=seed)
+    return fn(LIE_ALGEBRA.context(cfg, d), check_seed(cfg, f"liealgebra_d{d}_{record}"))
+
+
+# ---------------------------------------------------------------------------
+# the records against the one-pair and one-row loops (equal repr, equal bits)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d", DIMS)
+def test_realization_matches_the_round_loop(d, seed):
+    got = measured(suites._realization, "realization", d, seed)
+    assert repr(got) == repr(measured(realization_rounds, "realization", d, seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("d", DIMS)
+def test_closure_matches_the_row_loop(monkeypatch, d, seed):
+    """The clean basis, and the basis with one seeded row nudged off the
+    algebra, so the worst bracket is one pair's and far from zero."""
+    clean = measured(suites._closure, "closure", d, seed)
+    assert repr(clean) == repr(measured(closure_rows, "closure", d, seed))
+    rng = np.random.default_rng(seed)
+    stack = commutant_stack(d).copy()
+    stack[rng.integers(len(stack))] += 1e-7 * rng.normal(size=stack.shape[1:])
+    for module in (suites, oracles):
+        monkeypatch.setattr(module, "commutant_stack", lambda d, tol=1e-10: stack)
+    got = measured(suites._closure, "closure", d, seed)
+    assert repr(got) == repr(measured(closure_rows, "closure", d, seed))
+    assert got["residual"] > 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_closure_brackets_k_pairs_to_a_call(monkeypatch, d):
+    calls = []
+    residuals = suites.sch_residuals
+
+    def counted(M, dim):
+        calls.append(len(M))
+        return residuals(M, dim)
+
+    monkeypatch.setattr(suites, "sch_residuals", counted)
+    suites._closure(LIE_ALGEBRA.context(SuiteConfig("lie-algebra"), d), 0)
+    k = sch_dimension(d)
+    assert sum(calls) == k * (k - 1) // 2
+    assert calls[:-1] == [k] * (len(calls) - 1) and 0 < calls[-1] <= k
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_realization_is_one_bracket_pass(monkeypatch, d):
+    seen = []
+    brackets = suites.bracket_fields
+
+    def counted(e1, e2, dim, p):
+        seen.append((e1.matrix.shape, e2.matrix.shape, np.shape(p)))
+        return brackets(e1, e2, dim, p)
+
+    monkeypatch.setattr(suites, "bracket_fields", counted)
+    suites._realization(LIE_ALGEBRA.context(SuiteConfig("lie-algebra"), d), 0)
+    n = d + 4
+    assert seen == [((9, n, n), (9, n, n), (9, d + 2))]
+
+
+# ---------------------------------------------------------------------------
+# Padé orders over the stack against one matrix at a time
+
+
+def pade_inputs(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Zero, nilpotent expansions, a translation and basis sums at scales
+    1e-4 to 30 (every order, with and without squarings), shuffled."""
+    basis = commutant_stack(d)
+    sums = [
+        (c[:, None, None] * basis).sum(axis=0)
+        for scale in np.geomspace(1e-4, 30.0, 24)
+        for c in rng.uniform(-scale, scale, size=(2, len(basis)))
+    ]
+    translation = SchBlocks(np.zeros((d + 2, d + 2)), rng.uniform(-1, 1, d + 2), 0.0, 0.0)
+    special = [
+        np.zeros((d + 4, d + 4)),
+        sch_matrix(translation, d),
+        _expansion_generator(d, 0.3),
+        _expansion_generator(d, -1.7),
+        _expansion_generator(d, 60.0),
+    ]
+    Zs = np.array(sums + special)
+    return Zs[rng.permutation(len(Zs))]
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_stacked_pade_orders_match_one_matrix_orders(d):
+    Zs = pade_inputs(d, np.random.default_rng(900 + d))
+    P = _pade_powers(Zs, Zs @ Zs)
+    got = _pade_orders(P)
+    assert got == [pade_order_one(_pade_powers(Z, Z @ Z)) for Z in Zs]
+    assert got == [_pade_orders(P[j : j + 1])[0] for j in range(len(Zs))]
+    assert {m for m, _ in got} == {3, 5, 7, 9, 13}
+    assert any(s > 0 for _, s in got)
+
+
+def test_exp_algebra_chooses_orders_once_per_stack(monkeypatch):
+    calls = []
+    orders = ambient._pade_orders
+
+    def counted(P):
+        calls.append(len(P))
+        return orders(P)
+
+    monkeypatch.setattr(ambient, "_pade_orders", counted)
+    Zs = pade_inputs(4, np.random.default_rng(5))
+    exp_algebra(Zs)
+    exp_algebra(Zs[0])
+    assert calls == [len(Zs), 1]
+
+
+# ---------------------------------------------------------------------------
+# the library contract: a per-sample stack of N pairs is N one-pair
+# evaluations
+
+
+def pairs(d: int, count: int, rng: np.random.Generator) -> list:
+    """``count`` element pairs; in some, Lam loses entries (its vertical
+    column kept), so zero patterns differ from sample to sample."""
+    out = []
+    for i in range(count):
+        pair = [random_algebra_element(d, rng) for _ in range(2)]
+        if i % 2:
+            e = pair[0]
+            lam = e.blocks.Lam.copy()
+            lam[rng.integers(d + 2), [b for b in range(d + 2) if b != d + 1]] = 0.0
+            lam[rng.integers(d + 2), 0] = -0.0
+            m = sch_matrix(replace(e.blocks, Lam=lam), d)
+            pair[0] = AlgebraElement(m, decompose_sch(m, d, validate=False))
+        out.append(pair)
+    return out
+
+
+def per_point(jet: Jet2, s: int) -> list:
+    return [jet.value[s], jet.grad[:, s], None if jet.hess is None else jet.hess[:, :, s]]
+
+
+def as_bits(values) -> list:
+    return [None if v is None else np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_per_sample_stack_is_one_pair_at_a_time(d):
+    rng = np.random.default_rng(300 + d)
+    count = 5
+    drawn = pairs(d, count, rng)
+    pts = rng.uniform(-0.9, 0.9, size=(count, d + 2))
+    pts[0, 0], pts[1, -1] = -0.0, 0.0
+    e1, e2 = (element_stack([p[i] for p in drawn], d) for i in (0, 1))
+    for f in ("Lam", "Gam", "alpha", "chi"):
+        for s, (one, _) in enumerate(drawn):
+            assert np.asarray(getattr(e1.blocks, f)[s]).tobytes() == np.asarray(
+                getattr(one.blocks, f)
+            ).tobytes()
+    assert e1.blocks.alpha.shape == e1.blocks.chi.shape == (count,)
+
+    field, rate = realize_field(e1.blocks, d)
+    singles = [realize_field(one.blocks, d) for one, _ in drawn]
+    values = component_values(field.components, pts)
+    vals, jac = jet_components(field.components, pts)
+    second = field.components(nk.seed_point(pts))
+    rates = rate(list(pts.T))
+    for s, (one_field, one_rate) in enumerate(singles):
+        assert values[s].tobytes() == component_values(one_field.components, pts[s]).tobytes()
+        one_vals, one_jac = jet_components(one_field.components, pts[s])
+        assert vals[s].tobytes() == one_vals.tobytes()
+        assert jac[s].tobytes() == one_jac.tobytes()
+        one_second = one_field.components(nk.seed_point(pts[s]))
+        for got, want in zip(second, one_second):
+            assert as_bits(per_point(got, s)) == as_bits([want.value, want.grad, want.hess])
+        assert as_bits([rates[s]]) == as_bits([one_rate(pts[s].tolist())])
+
+    stacked = bracket_fields(e1, e2, d, pts)
+    one_pair = [bracket_fields(a, b, d, p) for (a, b), p in zip(drawn, pts)]
+    for key in ("minus", "plus"):
+        assert stacked[key] == max(r[key] for r in one_pair)
+
+
+def test_a_stack_is_checked_at_its_worst_element():
+    d = 3
+    rng = np.random.default_rng(4)
+    stack = element_stack([random_algebra_element(d, rng) for _ in range(4)], d)
+    bad = stack.matrix.copy()
+    bad[-1, 0, d + 1] += 1e-3  # moves the vertical direction
+    with pytest.raises(ContractViolationError):
+        decompose_sch(bad, d)
+    blocks = decompose_sch(bad, d, validate=False)
+    with pytest.raises(ContractViolationError, match="Lam xi"):
+        realize_field(blocks, d)
+    realize_field(decompose_sch(stack.matrix, d), d)

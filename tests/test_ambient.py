@@ -10,7 +10,7 @@ import scipy.linalg
 from schrogeo import ambient
 from schrogeo.ambient import (
     SchBlocks,
-    _pade_order,
+    _pade_orders,
     _pade_powers,
     StabilizerConstraintError,
     ambient_gram,
@@ -396,7 +396,8 @@ class TestExponential:
             "tri": lambda: np.array([[0.013, 1e3], [0.0, -0.013]]),
             "diag": lambda: np.diag([1.0, -1.0]),
         }[kind]()
-        assert _pade_order(_pade_powers(Z, Z @ Z)) == (m, s)
+        # one matrix's powers as a stack of one
+        assert _pade_orders(_pade_powers(Z[None], (Z @ Z)[None])) == [(m, s)]
 
     def test_nilpotent_probe_when_trace_vanishes(self):
         # tr Z^2 = 0 without Z nilpotent: a trace test alone cannot tell it

@@ -165,6 +165,14 @@ class TestBatchedJet:
         for op in WITH_SCALAR.values():
             _same(op(u, c), [op(a, c) for a in us])
 
+    def test_log_matches_per_point_where_a_square_rounds_apart(self):
+        # the Hessian's 1 / v^2: numpy squares an array exactly, while a
+        # scalar power goes through libm pow, and at this v the two differ
+        v = 0.44575008292656293
+        assert (np.array([v]) ** 2)[0] != v**2
+        u = Jet2(np.array([v, 1.7]), np.array([[0.6, -1.1]]), np.array([[[0.3, 2.0]]]))
+        _same(nk.log(u), [nk.log(_column(u, k)) for k in range(2)])
+
     def test_shapes(self):
         xs = nk.seed_point(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         f = xs[0] * xs[1]
