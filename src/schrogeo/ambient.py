@@ -575,11 +575,11 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
     The realization is an anti-homomorphism (left action), so the field
     bracket matches realize(-[Z1, Z2]); both signed residuals are returned
     so callers can record the verified sign.  ``p`` is one point (n,) or a
-    batch (N, n), evaluated in one jet pass; the residuals are the worst
-    over the batch.  On a batch, ``e1`` and ``e2`` may be per-sample stacks
-    of N elements each (matrices (N, d+4, d+4), blocks from
-    ``decompose_sch``): sample s then brackets pair s at point s, bitwise as
-    that pair alone at that point.
+    batch (N, n), evaluated in one jet pass; each residual is a float at
+    one point and (N,) on a batch.  On a batch, ``e1`` and ``e2`` may be
+    per-sample stacks of N elements each (matrices (N, d+4, d+4), blocks
+    from ``decompose_sch``): sample s then brackets pair s at point s,
+    bitwise as that pair alone at that point.
     """
     v1, _ = realize_field(e1.blocks, d)
     v2, _ = realize_field(e2.blocks, d)
@@ -587,10 +587,8 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
     vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
     mv = component_values(vm.components, p)
-    return {
-        "minus": float(np.abs(fb + mv).max()),
-        "plus": float(np.abs(fb - mv).max()),
-    }
+    found = {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
+    return {key: float(v) if np.ndim(v) == 0 else v for key, v in found.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .geometry import (
     jet_components,
     yamabe_and_divergence,
 )
-from .numkernel import ContractViolationError, Jet2, sparse_dot
+from .numkernel import ContractViolationError, Jet2, sample_max, sparse_dot
 
 __all__ = [
     "BargmannStructure",
@@ -142,10 +142,10 @@ def metric_clock(structure: BargmannStructure) -> OneForm:
 # structure checks
 
 
-def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict[str, float]:
+def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
-    vanishing divergence, each maximized over the points ``pts``: by axiom,
-    its residual."""
+    vanishing divergence at the points ``pts``: by axiom, its residual at
+    each point, (N,)."""
     metric, xi = structure.metric, structure.xi
     xv = component_values(xi.components, pts)
     null = np.einsum("...a,...ab,...b->...", xv, gram_values(metric, pts), xv)
@@ -156,17 +156,17 @@ def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict
         "clock_closed": dw,
         "xi_divergence_free": divergence(metric, xi, pts),
     }
-    return {name: float(np.abs(v).max()) for name, v in found.items()}
+    return {name: sample_max(v) for name, v in found.items()}
 
 
-def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.ndarray) -> float:
-    """The largest entry of d Omega ^ theta over the points ``pts``: zero
-    when the conformal factor descends to the time axis."""
+def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.ndarray):
+    """The largest entry of d Omega ^ theta at each of the points ``pts``,
+    (N,): zero when the conformal factor descends to the time axis."""
     oj = omega(nk.seed_point(pts, order=1))
     grad = oj.grad.T if isinstance(oj, Jet2) else np.zeros(pts.shape)
     tv = component_values(metric_clock(structure).components, pts)
     wedge = grad[:, :, None] * tv[:, None, :] - tv[:, :, None] * grad[:, None, :]
-    return float(np.abs(wedge).max())
+    return sample_max(wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +367,19 @@ def symmetry_transport_check(
     pts: np.ndarray,
     weight: float | None = None,
 ) -> dict:
-    """Max residuals of the covariant pair for the transported density,
-    evaluated at the images of the points ``pts`` (so the inverse map stays
-    in its chart).  Also spot-checks that phi is a conformal map fixing xi."""
+    """Residuals of the covariant pair for the transported density at the
+    images of the points ``pts`` (so the inverse map stays in its chart),
+    and how far phi is from a conformal map there: per point, (N,) each."""
     vals, jac = jet_components(phi.forward, pts)
     q, J = vals.real, jac.real
     g_here = gram_values(structure.metric, pts)
     pulled = J.swapaxes(-1, -2) @ gram_values(structure.metric, q) @ J
     # conformality: pulled metric proportional to the metric
     scale = (pulled * g_here).sum(axis=(-2, -1)) / (g_here * g_here).sum(axis=(-2, -1))
-    conf = np.abs(pulled - scale[:, None, None] * g_here).max()
     moved = transported_density(phi, psi, weight=weight)
     r1, r2 = schrodinger_residual(structure, moved, params, q)
     return {
-        "r1": float(complex_magnitude(r1).max()),
-        "r2": float(complex_magnitude(r2).max()),
-        "conformal_residual": float(conf),
+        "r1": complex_magnitude(r1),
+        "r2": complex_magnitude(r2),
+        "conformal_residual": sample_max(pulled - scale[:, None, None] * g_here),
     }

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import numkernel as nk
 from .ambient import (
-    ChartEscapeError,
     GroupBlocks,
     GroupElement,
     ambient_gram,
@@ -577,63 +576,33 @@ def null_plane_boost(d: int, c: float) -> np.ndarray:
     return A
 
 
-def isometry_check(
-    cfg: SchrodingerManifoldConfig, element, sampler: nk.SeededSampler, samples: int
-) -> dict:
+def isometry_check(cfg: SchrodingerManifoldConfig, element, pts: np.ndarray) -> dict:
     """Pull the chart metric back through the ambient action of ``element``
-    (a group element or a raw ambient matrix) and compare.
+    (a group element or a raw ambient matrix) at the chart points ``pts``
+    and compare.
 
-    Returns max residuals over the samples that stayed on the chart sheet:
-    metric preservation, quadric preservation, and the Y-constraint drift.
-    Points are drawn from ``sampler`` in sequence until ``samples`` of them
-    stay on the sheet or 50 have escaped; the quadric and Y residuals cover
-    every drawn point.  Each round draws as many points as are still
-    missing and evaluates them as one batch.
+    Per point, (N,) each: the metric residual, the relative quadric
+    residual, and whether the image left the rh > 0 sheet.  An escaped
+    point's metric residual is NaN and the rest are exact
+    (``chart_from_ambient``).
     """
     d = cfg.d
     A = element.matrix if isinstance(element, GroupElement) else np.asarray(element)
-    G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
     metric = bulk_metric(cfg)
 
     def moved(q):
         comps = embed_components(cfg, q)
         return chart_from_ambient(cfg, [sparse_dot(row, comps) for row in A])
 
-    metric_r = quadric_r = zy_r = 0.0
-    used = escapes = 0
-    while used < samples and escapes < 50:
-        pts = sampler.points(samples - used)
-        vals, jac = jet_components(moved, pts)
-        escaped = np.isnan(vals[:, d + 2].real)
-        # the walk stops at the 50th escape; a round never overshoots samples
-        drawn = escapes + np.cumsum(escaped) - escaped < 50
-        on = drawn & ~escaped
-        used += int(on.sum())
-        escapes += int((drawn & escaped).sum())
-        Q2 = _mv(A, component_values(lambda q: embed_components(cfg, q), pts[drawn]))
-        quad = np.abs(_vv(_vm(Q2, G), Q2) - 2.0 * cfg.lam).max()
-        quadric_r = nk.max_entry(quadric_r, float(quad) / abs(2.0 * cfg.lam))
-        # Y of the X + lam Y split: rh / scale in the rh slot
-        Y = np.zeros(Q2.shape)
-        Y[:, d + 2] = pts[drawn, d + 2] / cfg.scale
-        zy_r = nk.max_entry(zy_r, np.abs(_mv(Z0, _mv(A, Y))))
-        if on.any():
-            J = jac[on].real
-            pulled = J.swapaxes(-1, -2) @ gram_values(metric, vals[on].real) @ J
-            metric_r = nk.max_entry(
-                metric_r, np.abs(pulled - gram_values(metric, pts[on]))
-            )
-    if used < samples:
-        raise ChartEscapeError(
-            f"only {used}/{samples} samples stayed on the chart sheet"
-        )
+    vals, jac = jet_components(moved, pts)
+    J = jac.real
+    pulled = J.swapaxes(-1, -2) @ gram_values(metric, vals.real) @ J
+    Q2 = _mv(A, component_values(lambda q: embed_components(cfg, q), pts))
+    quad = np.abs(_vv(_vm(Q2, ambient_gram(d)), Q2) - 2.0 * cfg.lam)
     return {
-        "metric_residual": metric_r,
-        "quadric_residual": quadric_r,
-        "zy_residual": zy_r,
-        "samples": used,
-        "escapes": escapes,
+        "metric_residual": np.abs(pulled - gram_values(metric, pts)).max(axis=(-2, -1)),
+        "quadric_residual": quad / abs(2.0 * cfg.lam),
+        "escaped": np.isnan(vals[..., d + 2].real),
     }
 
 
@@ -691,8 +660,9 @@ def isotropy_check(
     cfg: SchrodingerManifoldConfig, rng: np.random.Generator, samples: int
 ) -> dict:
     """Dimension counts of the linearized stabilizers of the bulk base point
-    and of the boundary base ray, plus ``samples`` finite stabilizer
-    elements of each drawn from ``rng``."""
+    and of the boundary base ray, plus how far ``samples`` finite
+    stabilizer elements of each, drawn from ``rng``, move what they fix:
+    per element, (samples,) each."""
     d = cfg.d
     basis = commutant_basis(d)
     n_alg = len(basis)
@@ -707,19 +677,19 @@ def isotropy_check(
     boundary_map = np.column_stack([(b.matrix @ X0)[keep] for b in basis])
     rank_boundary, _ = rank_nullspace(boundary_map)
 
-    bulk_res = boundary_res = 0.0
+    bulk_res, boundary_res = [], []
     for k in range(samples):
         Rm, _ = np.linalg.qr(rng.normal(size=(d, d)))
         u = 0.7 * rng.normal(size=d)
         a = 0.8 * rng.normal()
         ge = bulk_isotropy_element(cfg, Rm, u, a)
-        bulk_res = nk.max_entry(bulk_res, np.abs(ge.matrix @ Q0 - Q0))
+        bulk_res.append(np.abs(ge.matrix @ Q0 - Q0).max())
         v = 0.7 * rng.normal(size=d)
         e = float(np.exp(0.5 * rng.normal()))
         if k % 2:
             e = -e
         ge2 = boundary_isotropy_element(d, Rm, v, a, e)
-        boundary_res = nk.max_entry(boundary_res, np.abs(ge2.matrix @ X0 - e * X0))
+        boundary_res.append(np.abs(ge2.matrix @ X0 - e * X0).max())
     return {
         "algebra_dim": n_alg,
         "bulk_isotropy_dim": n_alg - rank_bulk,
@@ -728,8 +698,8 @@ def isotropy_check(
         "boundary_isotropy_dim": n_alg - rank_boundary,
         "boundary_isotropy_expected": (d * d + d + 4) // 2,
         "boundary_space_dim": rank_boundary,
-        "bulk_fix_residual": bulk_res,
-        "boundary_fix_residual": boundary_res,
+        "bulk_fix_residual": np.array(bulk_res),
+        "boundary_fix_residual": np.array(boundary_res),
     }
 
 
@@ -822,8 +792,9 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     factor points drawn from ``rng``: homogeneity of the normalizer, closed
     clock, parallel null vertical field, one-dimensional cone-form kernel
     along the ray, and conformal flatness with a factor depending on time
-    only.  By property, its residual and the smallest normalizer; the cone
-    kernel also gives the kernel dimensions it met."""
+    only.  By property, its residual and the smallest normalizer: per
+    point, (N,), but for the two spreads of the factor, one number each; the
+    cone kernel also gives the kernel dimensions it met."""
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = boundary_metric(d)
@@ -839,17 +810,12 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     alpha = 3.7
     f0_scaled = boundary_f0(d, (alpha * X).T)
     dw, _ = exterior_wedge(theta_f0_form(d), pts)
-    closed_r = float(np.abs(dw).max())
-    par_r = float(np.abs(covariant_derivative(metric, boundary_xi(d), pts)).max())
     g0 = gram_values(metric, pts)
-    null_r = float(np.abs(g0[:, d + 1, d + 1]).max())
-    xi_amb_r = float(np.abs(X @ Z0.T - J[:, :, d + 1]).max())
     factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
-    conf_r = float(np.abs(g0 - factor[:, None, None] * flat).max())
     min_f0 = float(f0.min())
 
     # the draws of ``rng`` stay in their per-point order
-    scale_r = angle_r = 0.0
+    scale_r, angle_r = np.zeros(samples), np.zeros(samples)
     kernel_dims = set()
     for k in range(samples):
         # degree-2 homogeneity: the quotient value is blind to the scale of
@@ -858,7 +824,7 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
         v2 = J[k] @ rng.normal(size=d + 2)
         base = float(v1 @ G @ v2) / f0[k]
         scaled = float((alpha * v1) @ G @ (alpha * v2)) / f0_scaled[k]
-        scale_r = nk.max_entry(scale_r, abs(base - scaled))
+        scale_r[k] = abs(base - scaled)
 
         # cone-form kernel at an off-section representative
         alpha2 = float(rng.uniform(0.4, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
@@ -870,10 +836,7 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
         if null_k.shape[0]:
             vec = null_k[0] @ tangent
             xhat = Xa / np.linalg.norm(Xa)
-            angle_r = nk.max_entry(
-                angle_r,
-                float(np.linalg.norm(vec - (vec @ xhat) * xhat) / np.linalg.norm(vec)),
-            )
+            angle_r[k] = np.linalg.norm(vec - (vec @ xhat) * xhat) / np.linalg.norm(vec)
 
     # the conformal factor varies with t but not with x or s: five random
     # points at each of four times
@@ -882,20 +845,18 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     qs[:, d] = np.repeat(t_vals, 5)
     g_t = gram_values(metric, qs)
     facs = ((g_t * flat).sum(axis=(-2, -1)) / (flat * flat).sum()).reshape(-1, 5)
-    spread_within = nk.max_entry(facs.max(axis=1) - facs.min(axis=1))
     factors_by_t = [sum(row) / len(row) for row in facs.tolist()]
-    spread_across = nk.max_entry(factors_by_t) - float(np.min(factors_by_t))
 
     found = {
         "scale_invariance": scale_r,
-        "clock_closed": closed_r,
-        "xi_parallel": par_r,
-        "xi_null": null_r,
-        "xi_matches_ambient": xi_amb_r,
-        "conformal_to_flat": conf_r,
-        "factor_time_only": spread_within,
+        "clock_closed": nk.sample_max(dw),
+        "xi_parallel": nk.sample_max(covariant_derivative(metric, boundary_xi(d), pts)),
+        "xi_null": nk.sample_max(g0[:, d + 1, d + 1]),
+        "xi_matches_ambient": nk.sample_max(X @ Z0.T - J[:, :, d + 1]),
+        "conformal_to_flat": nk.sample_max(g0 - factor[:, None, None] * flat),
+        "factor_time_only": float(np.max(facs.max(axis=1) - facs.min(axis=1))),
         "cone_kernel": angle_r,
-        "factor_varies_with_t": spread_across,
+        "factor_varies_with_t": float(np.max(factors_by_t)) - float(np.min(factors_by_t)),
     }
     out = {name: {"residual": r, "min_f0": min_f0} for name, r in found.items()}
     out["cone_kernel"]["kernel_dims"] = sorted(kernel_dims)

@@ -38,6 +38,7 @@ __all__ = [
     "log",
     "max_entry",
     "rank_nullspace",
+    "sample_max",
     "seed_point",
     "sin",
     "sparse_dot",
@@ -371,6 +372,13 @@ def max_entry(*values) -> float:
     any entry is NaN: Python's ``max(0.0, nan)`` is 0.0, and a residual
     accumulated that way would read a NaN as a pass."""
     return float(np.max([np.max(v) for v in values]))
+
+
+def sample_max(a) -> np.ndarray:
+    """The largest |entry| of each sample of ``a``, whose first axis runs
+    over the samples, (N,): NaN where one of the sample's entries is NaN."""
+    a = np.abs(a)
+    return a.reshape(len(a), -1).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

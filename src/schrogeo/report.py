@@ -27,10 +27,11 @@ def _jsonable(value):
 class CheckResult:
     """Outcome of one named check.
 
-    ``residual`` is the maximized defect the check measured and ``tolerance``
-    the threshold it was held to.  ``claim`` states in words what property was
-    tested.  ``extra`` carries auxiliary numbers worth auditing (dimensions,
-    per-sample data, flags); it must stay JSON-serializable.
+    ``residual`` is the defect the check measured, folded over its samples,
+    and ``tolerance`` the threshold it was held to.  ``claim`` states in
+    words what property was tested.  ``extra`` carries auxiliary numbers
+    worth auditing (dimensions, per-sample data, flags); it must stay
+    JSON-serializable.
     """
 
     name: str
@@ -87,8 +88,10 @@ def judged(
     A bound passes iff ``residual < tolerance`` (a ``None`` tolerance sets
     no bound) and ``holds``, the check's own extra condition.  A control
     passes iff ``residual > tolerance``; it records that as
-    ``extra["must_exceed"] = tolerance``.  The suite runner files the record
-    under its own name, seed and config.
+    ``extra["must_exceed"] = tolerance``.  Over samples, the runner folds a
+    bound's residual to its largest sample and a control's to its smallest,
+    so each kind must hold at every sample; it files the record under its
+    own name, seed, config and sample count.
     """
     extra = dict(extra or {})
     if control:

@@ -77,9 +77,9 @@ class TestAxioms:
         bg = flat_bargmann(2)
         pts = _box_points(0, 1.2, 4, 20)
         resid = conformal_equivalence_check(lambda p: nk.exp(p[2]), bg, pts)
-        assert resid < 1e-12
+        assert (resid < 1e-12).all()
         resid2 = conformal_equivalence_check(lambda p: nk.exp(p[0]), bg, pts)
-        assert resid2 > 1e-3
+        assert (resid2 > 1e-3).all()
 
 
 class TestWavePair:
@@ -128,34 +128,34 @@ class TestTransport:
 
     def test_translation(self):
         res = self.run(translation_map(2, [0.3, -0.1, 0.2, 0.4]))
-        assert res["r1"] < 1e-7 and res["r2"] < 1e-7
-        assert res["conformal_residual"] < 1e-12
+        assert (np.maximum(res["r1"], res["r2"]) < 1e-7).all()
+        assert (res["conformal_residual"] < 1e-12).all()
 
     def test_boost(self):
         res = self.run(boost_map(2, [0.25, -0.4]))
-        assert res["r1"] < 1e-7 and res["r2"] < 1e-7
+        assert (np.maximum(res["r1"], res["r2"]) < 1e-7).all()
 
     def test_dilation(self):
         res = self.run(dilation_map(2, 0.3))
-        assert res["r1"] < 1e-7 and res["r2"] < 1e-7
+        assert (np.maximum(res["r1"], res["r2"]) < 1e-7).all()
 
     def test_expansion(self):
         res = self.run(expansion_map_projective(2, 0.2))
-        assert res["r1"] < 1e-7 and res["r2"] < 1e-7
-        assert res["conformal_residual"] < 1e-9
+        assert (np.maximum(res["r1"], res["r2"]) < 1e-7).all()
+        assert (res["conformal_residual"] < 1e-9).all()
 
     def test_expansion_needs_the_weight(self):
         # transporting as a plain function (weight 0) leaves a residual the
         # wave operator sees
         res = self.run(expansion_map_projective(2, 0.2), weight=0.0)
-        assert res["r1"] > 1e-3
+        assert (res["r1"] > 1e-3).all()
 
     def test_dilation_is_weight_blind(self):
         # constant-Jacobian maps multiply the coefficient by a constant, so
         # no weight choice can make them fail: both members of the pair are
         # linear.  This is why the weight control above uses the expansion.
         res = self.run(dilation_map(2, 0.3), weight=0.0)
-        assert res["r1"] < 1e-7 and res["r2"] < 1e-7
+        assert (np.maximum(res["r1"], res["r2"]) < 1e-7).all()
 
     def test_plane_wave_closed_under_group(self):
         rng = np.random.default_rng(9)
@@ -167,7 +167,7 @@ class TestTransport:
             res = symmetry_transport_check(
                 group_map(ge), psi, bg, self.params, _box_points(5, 0.5, d + 2, 4)
             )
-            assert res["r1"] < 1e-6 and res["r2"] < 1e-6
+            assert (np.maximum(res["r1"], res["r2"]) < 1e-6).all()
 
 
 class TestExpansionMaps:

@@ -480,7 +480,10 @@ def test_nan_bracket_fails_the_realization(monkeypatch):
     original = suites.bracket_fields
 
     def nan_bracket(*args, **kwargs):
-        return {**original(*args, **kwargs), "minus": math.nan}
+        res = original(*args, **kwargs)
+        res["minus"] = res["minus"].copy()
+        res["minus"][-1] = np.nan
+        return res
 
     monkeypatch.setattr(suites, "bracket_fields", nan_bracket)
     rec = {
@@ -488,6 +491,7 @@ def test_nan_bracket_fails_the_realization(monkeypatch):
     }["liealgebra_d1_realization"]
     assert rec.status == "FAIL"
     assert math.isnan(rec.residual)
+    assert rec.samples == 9
 
 
 # ---------------------------------------------------------------------------

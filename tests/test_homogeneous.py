@@ -214,27 +214,24 @@ class TestIsometries:
         rng = np.random.default_rng(23)
         cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
         ge = random_group_element(2, rng, scale=0.3)
-        res = isometry_check(cfg, ge, SeededSampler(3, bulk_boxes(2)), 4)
-        assert res["metric_residual"] < 1e-8
+        res = isometry_check(cfg, ge, SeededSampler(3, bulk_boxes(2)).points(4))
+        assert (res["metric_residual"] < 1e-8).all()
 
     def test_group_action_preserves_generic_couplings(self):
         rng = np.random.default_rng(24)
         cfg = SchrodingerManifoldConfig(1, -1.0, 2.0)
         ge = random_group_element(1, rng, scale=0.3)
-        res = isometry_check(cfg, ge, SeededSampler(4, bulk_boxes(1)), 4)
-        assert res["metric_residual"] < 1e-8
+        res = isometry_check(cfg, ge, SeededSampler(4, bulk_boxes(1)).points(4))
+        assert (res["metric_residual"] < 1e-8).all()
 
     def test_null_plane_boost_detects_deformation(self):
         # outside the stabilizer: preserves the quadric but not the mu-term
         boost = null_plane_boost(2, 1.5)
-        on = isometry_check(
-            SchrodingerManifoldConfig(2, -0.5, 1.0), boost, SeededSampler(5, bulk_boxes(2)), 4
-        )
-        off = isometry_check(
-            SchrodingerManifoldConfig(2, -0.5, 0.0), boost, SeededSampler(5, bulk_boxes(2)), 4
-        )
-        assert on["metric_residual"] > 1e-3
-        assert off["metric_residual"] < 1e-8
+        pts = SeededSampler(5, bulk_boxes(2)).points(4)
+        on = isometry_check(SchrodingerManifoldConfig(2, -0.5, 1.0), boost, pts)
+        off = isometry_check(SchrodingerManifoldConfig(2, -0.5, 0.0), boost, pts)
+        assert (on["metric_residual"] > 1e-3).all()
+        assert (off["metric_residual"] < 1e-8).all()
 
     def test_explicit_stabilizer_fixes_origin_image(self):
         cfg = SchrodingerManifoldConfig(2, -0.5)
@@ -254,8 +251,9 @@ class TestIsotropy:
         assert res["boundary_isotropy_dim"] == boundary
         assert res["bulk_space_dim"] == d + 3
         assert res["boundary_space_dim"] == d + 2
-        assert res["bulk_fix_residual"] < 1e-10
-        assert res["boundary_fix_residual"] < 1e-10
+        assert res["bulk_fix_residual"].shape == res["boundary_fix_residual"].shape == (3,)
+        assert (res["bulk_fix_residual"] < 1e-10).all()
+        assert (res["boundary_fix_residual"] < 1e-10).all()
 
     def test_boundary_element_scales_the_ray(self):
         d = 2

@@ -3,7 +3,8 @@ through ``ast``: every name in a module's ``__all__`` is defined there, no
 imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
-randomness, and only ``ambient`` names the chart guard."""
+randomness, only ``suites`` folds samples, and only ``ambient`` names the
+chart guard."""
 
 import ast
 from pathlib import Path
@@ -312,3 +313,27 @@ def test_the_guard_rule_sees_a_stray_import():
     ):
         assert GUARD in _names(ast.parse(source)), source
     assert GUARD not in _names(ast.parse("guard = 1e-8\n"))
+
+
+# only ``suites`` folds a measurement's samples into a record; the other
+# modules return one residual per sample, and ``numkernel`` defines the fold
+FOLD = "max_entry"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name not in {"suites.py", "numkernel.py"}],
+    ids=lambda p: p.name,
+)
+def test_only_suites_folds_samples(path):
+    assert FOLD not in _names(_tree(path)), path.name
+
+
+def test_the_fold_rule_sees_a_stray_call():
+    for source in (
+        "from .numkernel import max_entry\n",
+        "from . import numkernel as nk\nworst = nk.max_entry(worst, np.abs(r))\n",
+        "def check(fold=max_entry): pass\n",
+    ):
+        assert FOLD in _names(ast.parse(source)), source
+    assert FOLD not in _names(ast.parse("worst = float(np.max(np.abs(r)))\n"))

@@ -178,7 +178,89 @@ class TestClosureMutation:
         closure = {c.name: c for c in checks}["liealgebra_d2_closure"]
         assert closure.status == "FAIL"
         assert closure.residual > 1e-10
-        assert closure.extra == {"evaluations": 36}
+        assert (closure.samples, closure.extra) == (36, {})
+
+
+def _edit_measurement(monkeypatch, suite: str, suffix: str, edit) -> None:
+    """Pass the numbers of the measurement that files row ``suffix`` of
+    ``suite`` through ``edit`` before the runner folds them."""
+    (m,) = [m for m in TABLES[suite].table if any(r.suffix == suffix for r in m.rows)]
+    fn = m.fn
+    monkeypatch.setattr(m, "fn", lambda ctx, seed: edit(dict(fn(ctx, seed))))
+
+
+def _with(numbers: dict, key: str, at, value) -> dict:
+    """``numbers`` with ``numbers[key][at] = value`` in a copy of the array."""
+    array = numbers[key].copy()
+    array[at] = value
+    return {**numbers, key: array}
+
+
+class TestOneFold:
+    """The runner folds every per-sample residual by one rule: a bound
+    holds at every sample it kept (NaN fails it), a control is exceeded at
+    every sample, and the escaped samples are counted, not judged."""
+
+    def record(self, monkeypatch, suffix: str, edit):
+        _edit_measurement(monkeypatch, "homogeneous", suffix, edit)
+        checks = run_suite(small("homogeneous")).checks
+        return checks, {c.name: c for c in checks}[f"homogeneous_d1_{suffix}"]
+
+    def test_nan_at_a_kept_sample_fails_its_bound(self, monkeypatch):
+        _, rec = self.record(
+            monkeypatch, "isometry", lambda m: _with(m, "residual", 1, np.nan)
+        )
+        assert rec.status == "FAIL"
+        assert np.isnan(rec.residual)
+        assert (rec.samples, rec.extra["escapes"]) == (4, 0)
+
+    def test_nan_at_an_escaped_sample_is_counted_not_judged(self, monkeypatch):
+        def edit(m):
+            return _with(_with(m, "residual", 1, np.nan), "escaped", 1, True)
+
+        _, rec = self.record(monkeypatch, "isometry", edit)
+        assert rec.status == "PASS"
+        assert 0.0 <= rec.residual < rec.tolerance
+        assert (rec.samples, rec.extra["escapes"]) == (4, 1)
+
+    def test_a_row_with_every_sample_escaped_files_one_error(self, monkeypatch):
+        def edit(m):
+            return _with(m, "escaped", slice(None), True)
+
+        checks, rec = self.record(monkeypatch, "isometry", edit)
+        assert [c.name for c in checks if c.status == "ERROR"] == [rec.name]
+        assert rec.error.startswith("ChartEscapeError")
+        assert rec.samples == 2
+
+    def test_one_control_sample_under_its_bound_fails(self, monkeypatch):
+        name = "homogeneous_d1_isometry_control"
+        before = {c.name: c for c in run_suite(small("homogeneous")).checks}[name]
+        assert before.status == "PASS" and before.samples == 2
+        _, rec = self.record(
+            monkeypatch, "isometry_control", lambda m: _with(m, "residual", 0, 1e-4)
+        )
+        assert rec.status == "FAIL"
+        assert rec.residual == 1e-4 < rec.tolerance == rec.extra["must_exceed"]
+
+    def test_default_records_file_the_samples_they_fold(self):
+        checks = {c.name: c for c in run_suite(SuiteConfig("all")).checks}
+        folded = {
+            "group_d{d}_pullback": 12,
+            "group_d{d}_inverse": 12,
+            "group_d{d}_projective": 40,
+            "homogeneous_d{d}_isometry": 10,
+            "homogeneous_d{d}_dualpath": 80,
+            # structural: the count drawn
+            "homogeneous_d{d}_signature": 5,
+            "boundary_d{d}_factor_varies_with_t": 20,
+        }
+        for d in (1, 2, 3):
+            for name, samples in folded.items():
+                assert checks[name.format(d=d)].samples == samples, name.format(d=d)
+            assert checks[f"group_d{d}_pullback"].extra == {"escapes": 0}
+        assert checks["liealgebra_d2_closure"].samples == 36
+        assert checks["liealgebra_d2_witnesses"].samples is None
+        assert not [n for n, c in checks.items() if "evaluations" in c.extra]
 
 
 class TestIntegrabilityMutation:
