@@ -382,7 +382,7 @@ class TestBatchedIsometry:
     """One batch over the points it is handed: a point whose image has
     Q_{d+3} at or below the guard reads a NaN metric residual and is marked
     escaped, and every other point gives what its one-point call gives, bit
-    for bit."""
+    for bit, on a sequential walk over the points."""
 
     @pytest.mark.parametrize(
         "d, lam, mu, make, samples, seed",
@@ -394,7 +394,7 @@ class TestBatchedIsometry:
             (1, -2.0, 0.0, lambda d: _escaping_matrix(d, 1.0), 20, 8),
         ],
     )
-    def test_marks_escapes_and_matches_one_point_calls(self, d, lam, mu, make, samples, seed):
+    def test_matches_sequential_walk(self, d, lam, mu, make, samples, seed):
         cfg = SchrodingerManifoldConfig(d, lam, mu)
         A = make(d)
         pts = bulk_points(d, samples, seed)
