@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .geometry import Chart, MetricField, VectorField, component_values, lie_bracket
-from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace
+from .numkernel import ContractViolationError, Jet2, jet_value
 
 __all__ = [
     "CHART_GUARD",
@@ -39,6 +39,7 @@ __all__ = [
     "bracket_fields",
     "build_Z0",
     "commutant_basis",
+    "commutant_dim",
     "commutant_stack",
     "component_witnesses",
     "cone_point",
@@ -269,24 +270,22 @@ def build_Z0(d: int) -> SpecialNullVector:
 # the algebra: commutant of Z0 inside o(d+2,2)
 
 
-def skew_basis(d: int) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the G-skew matrices o(d+2,2).
+def skew_basis(d: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of the G-skew matrices o(d+2,2), as one
+    (m, d+4, d+4) stack, m = (d+4)(d+3)/2, in row order of the pairs i < j.
 
     G is a symmetric involution, so M = G N with N antisymmetric runs over
     the Lie algebra, and Frobenius orthonormality of the N_ij/sqrt2 basis is
     preserved by multiplication with G.
     """
     n = d + 4
-    G = ambient_gram(d)
-    out = []
+    i, j = np.triu_indices(n, 1)
+    e = np.arange(len(i))
     r = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            N = np.zeros((n, n))
-            N[i, j] = r
-            N[j, i] = -r
-            out.append(G @ N)
-    return out
+    N = np.zeros((len(i), n, n))
+    N[e, i, j] = r
+    N[e, j, i] = -r
+    return ambient_gram(d) @ N
 
 
 def sch_dimension(d: int) -> int:
@@ -318,19 +317,40 @@ class AlgebraElement:
 
 
 @lru_cache(maxsize=None)
-def _commutant_cached(d: int, tol: float) -> np.ndarray:
+def _commutant_svd(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The skew basis B, and the singular values and right singular vectors
+    of the commutator map B -> [B, Z0] on it: one SVD per d, which every
+    tolerance reads."""
     Z0 = build_Z0(d).matrix
-    basis = skew_basis(d)
-    cols = np.column_stack([(b @ Z0 - Z0 @ b).ravel() for b in basis])
-    _, null = rank_nullspace(cols, tol=tol)
-    stack = np.array([sum(c * b for c, b in zip(coeff, basis)) for coeff in null])
-    stack.flags.writeable = False
-    return stack
+    B = skew_basis(d)
+    cols = (B @ Z0 - Z0 @ B).reshape(len(B), -1).T
+    _, s, vh = np.linalg.svd(cols)
+    return B, s, vh
+
+
+def commutant_dim(d: int, tol: float = 1e-10) -> int:
+    """dim {Z in o(d+2,2) : [Z, Z0] = 0} at relative SVD cut ``tol``, read
+    from the one SVD per d without forming the basis: the nullity
+    m - #{s > tol * s0} of the commutator map, as ``rank_nullspace`` cuts."""
+    B, s, _ = _commutant_svd(d)
+    return len(B) - int(np.sum(s > tol * s[0]))
+
+
+@lru_cache(maxsize=None)
+def _commutant_cached(d: int, tol: float) -> np.ndarray:
+    B, _, vh = _commutant_svd(d)
+    null = vh[len(B) - commutant_dim(d, tol) :]
+    # an entry of the skew stack is nonzero in one element only, so each sum
+    # has one nonzero term, exact in any order; + 0.0 turns -0.0 into +0.0
+    stack = (null @ B.reshape(len(B), -1)).reshape(-1, d + 4, d + 4) + 0.0
+    return _read_only(stack)
 
 
 def commutant_stack(d: int, tol: float = 1e-10) -> np.ndarray:
     """The basis of ``commutant_basis`` as one (k, d+4, d+4) matrix stack.
 
+    The commutator map on ``skew_basis`` has one SVD per d, which every
+    tolerance shares; the stack is its null rows times the skew stack.
     Built once per (d, tol) on first use and shared, so the array is
     read-only.
     """
@@ -341,8 +361,9 @@ def commutant_basis(d: int, tol: float = 1e-10) -> list[AlgebraElement]:
     """Frobenius-orthonormal basis of {Z in o(d+2,2) : [Z, Z0] = 0}.
 
     The nullspace coefficients come from an SVD over an orthonormal ambient
-    basis, so the returned matrices are orthonormal too.  Each call returns
-    fresh writable copies.
+    basis, so the returned matrices are orthonormal too.  That SVD is taken
+    once per d and shared by every tolerance (``commutant_stack``).  Each
+    call returns fresh writable copies.
     """
     return [
         AlgebraElement(m.copy(), decompose_sch(m, d, validate=False))

@@ -42,7 +42,7 @@ from .ambient import (
     ambient_gram,
     assemble_group_element,
     build_Z0,
-    commutant_basis,
+    commutant_stack,
     flat_chart,
     flat_gram_matrix,
     mark_escapes,
@@ -664,18 +664,16 @@ def isotropy_check(
     stabilizer elements of each, drawn from ``rng``, move what they fix:
     per element, (samples,) each."""
     d = cfg.d
-    basis = commutant_basis(d)
-    n_alg = len(basis)
+    stack = commutant_stack(d)
+    n_alg = len(stack)
     Q0 = np.zeros(d + 4)
     Q0[d + 2] = cfg.lam
     Q0[d + 3] = 1.0
-    bulk_map = np.column_stack([b.matrix @ Q0 for b in basis])
-    rank_bulk, _ = rank_nullspace(bulk_map)
+    rank_bulk, _ = rank_nullspace((stack @ Q0).T)
     X0 = np.zeros(d + 4)
     X0[d + 3] = 1.0
     keep = [i for i in range(d + 4) if i != d + 3]
-    boundary_map = np.column_stack([(b.matrix @ X0)[keep] for b in basis])
-    rank_boundary, _ = rank_nullspace(boundary_map)
+    rank_boundary, _ = rank_nullspace((stack @ X0)[:, keep].T)
 
     bulk_res, boundary_res = [], []
     for k in range(samples):
@@ -691,7 +689,6 @@ def isotropy_check(
         ge2 = boundary_isotropy_element(d, Rm, v, a, e)
         boundary_res.append(np.abs(ge2.matrix @ X0 - e * X0).max())
     return {
-        "algebra_dim": n_alg,
         "bulk_isotropy_dim": n_alg - rank_bulk,
         "bulk_isotropy_expected": d * (d + 1) // 2 + 1,
         "bulk_space_dim": rank_bulk,

@@ -33,6 +33,7 @@ from .ambient import (
     ambient_gram,
     bracket_fields,
     build_Z0,
+    commutant_dim,
     commutant_stack,
     component_witnesses,
     cone_point,
@@ -398,8 +399,8 @@ SCHRODINGER = Suite(
 def _commutant_dim(c, seed):
     expected = sch_dimension(c.d)
     got = len(commutant_stack(c.d))
-    lo = len(commutant_stack(c.d, tol=1e-11))
-    hi = len(commutant_stack(c.d, tol=1e-9))
+    lo = commutant_dim(c.d, tol=1e-11)
+    hi = commutant_dim(c.d, tol=1e-9)
     stable = lo == got == hi
     return {
         "residual": float(abs(got - expected)),

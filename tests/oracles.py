@@ -5,9 +5,10 @@ metric derivatives, dense second derivatives to and from the factored form of
 rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
 its generator field, group-element stacks built element by element, the
-Padé order of one matrix at a time, and the per-sample residuals of the
-lie-algebra closure and realization records, measured one basis row and one
-element pair at a time."""
+Padé order of one matrix at a time, the commutant basis of Z0 built element
+by element from its own SVD per tolerance, and the per-sample residuals of
+the lie-algebra closure and realization records, measured one basis row and
+one element pair at a time."""
 
 import math
 from dataclasses import dataclass, field
@@ -425,6 +426,26 @@ def pade_order_one(P: np.ndarray) -> tuple[int, int]:
     eta = min(max(d6, d8), max(d8, d10))
     s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
     return 13, s + ell(13, s)
+
+
+def commutant_loop(d: int, tol: float) -> np.ndarray:
+    """The commutant of Z0 in o(d+2,2) element by element: the skew basis
+    G N_ij one pair i < j at a time, the commutator columns one element at a
+    time, an SVD for this tolerance, and each basis element summed as
+    sum(c * b) over the skew basis."""
+    n = d + 4
+    G, Z0 = ambient_gram(d), build_Z0(d).matrix
+    r = 1.0 / np.sqrt(2.0)
+    basis = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            N = np.zeros((n, n))
+            N[i, j] = r
+            N[j, i] = -r
+            basis.append(G @ N)
+    cols = np.column_stack([(b @ Z0 - Z0 @ b).ravel() for b in basis])
+    _, null = nk.rank_nullspace(cols, tol=tol)
+    return np.array([sum(c * b for c, b in zip(coeff, basis)) for coeff in null])
 
 
 def closure_rows(c, seed) -> np.ndarray:

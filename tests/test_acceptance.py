@@ -11,6 +11,7 @@ from conftest import record_criterion
 
 from schrogeo.ambient import (
     _commutant_cached,
+    _commutant_svd,
     ambient_gram,
     build_Z0,
     commutant_basis,
@@ -94,6 +95,7 @@ class Gate:
 def test_criterion_01_commutant_dimensions():
     gate = Gate(1, "commutant dimensions 6/9/13/18, tolerance-stable, under 1s")
     _commutant_cached.cache_clear()
+    _commutant_svd.cache_clear()
     start = time.perf_counter()
     for d, expected in ((1, 6), (2, 9), (3, 13), (4, 18)):
         basis = commutant_basis(d)

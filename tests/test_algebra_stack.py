@@ -1,11 +1,13 @@
 """The algebra layer as stacks.
 
-The realization check brackets all its (element pair, point) samples in one
-``bracket_fields`` pass over per-sample element stacks, ``exp_algebra``
-chooses the Padé order and scaling of every matrix of a stack in one pass,
-and the closure check brackets the basis k pairs to a ``sch_residuals``
-call.  Each must give, bit for bit, what the one-pair, one-matrix and
-one-row-at-a-time computations give (``tests/oracles.py``).
+The commutant basis of Z0 is one product of the null rows of one SVD per d
+with the skew-basis stack, the realization check brackets all its (element
+pair, point) samples in one ``bracket_fields`` pass over per-sample element
+stacks, ``exp_algebra`` chooses the Padé order and scaling of every matrix
+of a stack in one pass, and the closure check brackets the basis k pairs to
+a ``sch_residuals`` call.  Each must give, bit for bit, what the
+element-by-element, one-pair, one-matrix and one-row-at-a-time computations
+give (``tests/oracles.py``).
 """
 
 from dataclasses import replace
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import closure_rows, pade_order_one, realization_rounds
+from oracles import closure_rows, commutant_loop, pade_order_one, realization_rounds
 
 from schrogeo import ambient
 from schrogeo import numkernel as nk
@@ -22,9 +24,12 @@ from schrogeo import suites
 from schrogeo.ambient import (
     AlgebraElement,
     SchBlocks,
+    _commutant_cached,
+    _commutant_svd,
     _pade_orders,
     _pade_powers,
     bracket_fields,
+    commutant_dim,
     commutant_stack,
     decompose_sch,
     exp_algebra,
@@ -59,6 +64,45 @@ def measured(fn, record: str, d: int, seed: int) -> dict:
 def bits(numbers: dict) -> dict:
     """Each number's bytes, so that equal means equal bit for bit."""
     return {k: np.asarray(v).tobytes() for k, v in numbers.items()}
+
+
+# ---------------------------------------------------------------------------
+# the commutant basis from one SVD per d against the element loop (equal bits)
+
+TOLS = (1e-11, 1e-10, 1e-9)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("d", DIMS)
+def test_commutant_stack_matches_the_element_loop(d, tol):
+    stack = commutant_stack(d, tol)
+    assert stack.tobytes() == commutant_loop(d, tol).tobytes()
+    assert not stack.flags.writeable
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("d", DIMS)
+def test_commutant_dim_is_the_stack_length(d, tol):
+    assert commutant_dim(d, tol) == len(commutant_stack(d, tol)) == sch_dimension(d)
+
+
+@pytest.mark.parametrize("d", [1, 4, 8])
+def test_every_tolerance_shares_one_svd(monkeypatch, d):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kw):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _commutant_cached.cache_clear()
+    _commutant_svd.cache_clear()
+    for tol in TOLS:
+        commutant_stack(d, tol)
+        commutant_dim(d, tol)
+    n = d + 4
+    assert calls == [(n * n, n * (n - 1) // 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 the defaults (d = 1..3).  ``tests/data/{liealgebra,group}_wide_seed{0,42}.json``
 hold the ``lie-algebra`` and ``group`` reports at ``--dim 4 --dim 6 --dim 8
 --samples 40``, where the chart action and the group draws run on wider
-matrices.  ``tests/data/{homogeneous,axioms}_wide_seed{0,42}.json`` hold the
+matrices, and ``tests/data/{liealgebra,group}_odd_seed{0,42}.json`` the same
+suites at ``--dim 5 --dim 7 --samples 40``, the odd dims no other file
+reaches.  ``tests/data/{homogeneous,axioms}_wide_seed{0,42}.json`` hold the
 ``homogeneous`` and ``axioms`` reports at ``--dim 6 --dim 8``, and
 ``tests/data/{homogeneous,axioms}_dense_seed{0,42}.json`` the same suites at
 ``--dim 1 --dim 2 --dim 3 --samples 80``: the (λ, μ) grid is split into
@@ -40,6 +42,14 @@ def test_all_report_is_byte_identical_to_the_golden_file(seed):
 def test_wide_algebra_report_is_byte_identical_to_the_golden_file(suite, seed):
     golden = (DATA / f"{suite.replace('-', '')}_wide_seed{seed}.json").read_text()
     cfg = SuiteConfig(suite, dims=(4, 6, 8), samples=40, seed=seed, fmt="json")
+    assert emit_report(run_suite(cfg), "json") == golden
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("suite", ["lie-algebra", "group"])
+def test_odd_algebra_report_is_byte_identical_to_the_golden_file(suite, seed):
+    golden = (DATA / f"{suite.replace('-', '')}_odd_seed{seed}.json").read_text()
+    cfg = SuiteConfig(suite, dims=(5, 7), samples=40, seed=seed, fmt="json")
     assert emit_report(run_suite(cfg), "json") == golden
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrogeo import bargmann, homogeneous, suites
+from schrogeo import ambient, bargmann, homogeneous, suites
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
 from schrogeo.geometry import OneForm
 from schrogeo.report import judged
@@ -179,6 +179,29 @@ class TestClosureMutation:
         assert closure.status == "FAIL"
         assert closure.residual > 1e-10
         assert (closure.samples, closure.extra) == (36, {})
+
+
+class TestCommutantDimMutation:
+    """An o(d+2,2) basis with one skew element missing leaves a commutant
+    one short, so the commutant dimension record FAILs by exactly 1."""
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_short_skew_basis_fails_commutant_dim(self, monkeypatch, drop):
+        skew_basis = ambient.skew_basis
+        monkeypatch.setattr(
+            ambient, "skew_basis", lambda d: np.delete(skew_basis(d), drop, axis=0)
+        )
+        ambient._commutant_cached.cache_clear()
+        ambient._commutant_svd.cache_clear()
+        try:
+            checks = run_suite(small("lie-algebra", dims=(1, 2, 3))).checks
+        finally:
+            ambient._commutant_cached.cache_clear()
+            ambient._commutant_svd.cache_clear()
+        found = {c.name: c for c in checks}
+        for d in (1, 2, 3):
+            record = found[f"liealgebra_d{d}_commutant_dim"]
+            assert (record.status, record.residual) == ("FAIL", 1.0)
 
 
 def _edit_measurement(monkeypatch, suite: str, suffix: str, edit) -> None:
