@@ -13,7 +13,7 @@ null pair.  Bars denote the G-adjoint: Abar = G A^T G, vbar = (G v)^T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -32,6 +32,7 @@ __all__ = [
     "SchBlocks",
     "SpecialNullVector",
     "StabilizerConstraintError",
+    "algebra_elements",
     "ambient_gram",
     "ambient_gram_split",
     "assemble_group_element",
@@ -306,11 +307,24 @@ class SchBlocks:
     chi: float
 
 
+class _Stack:
+    """An element stack: the matrix and every block field carry a leading
+    element axis."""
+
+    def take(self, index):
+        """The elements at ``index``: a stack at an index or boolean array,
+        one element (its axis dropped) at an integer."""
+        blocks = self.blocks
+        fields = (f[index] for f in vars(blocks).values())
+        return replace(self, matrix=self.matrix[index], blocks=type(blocks)(*fields))
+
+
 @dataclass(frozen=True)
-class AlgebraElement:
-    """One element, or a stack of them: the matrix and every block field
-    then carry a leading element axis (a per-sample stack, when element s
-    goes with sample s of a batch of points)."""
+class AlgebraElement(_Stack):
+    """A stack of algebra elements: the matrix and every block field carry
+    a leading element axis (a per-sample stack, when element s goes with
+    sample s of a batch of points).  One element is a stack of one, and
+    ``take(0)`` drops its axis for the maps that act on one element."""
 
     matrix: np.ndarray
     blocks: SchBlocks
@@ -365,10 +379,9 @@ def commutant_basis(d: int, tol: float = 1e-10) -> list[AlgebraElement]:
     once per d and shared by every tolerance (``commutant_stack``).  Each
     call returns fresh writable copies.
     """
-    return [
-        AlgebraElement(m.copy(), decompose_sch(m, d, validate=False))
-        for m in commutant_stack(d, tol)
-    ]
+    stack = commutant_stack(d, tol).copy()
+    elements = AlgebraElement(stack, decompose_sch(stack, d, validate=False))
+    return [elements.take(i) for i in range(len(stack))]
 
 
 def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
@@ -401,12 +414,11 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
 
 
 def decompose_sch(Z: np.ndarray, d: int, validate: bool = True) -> SchBlocks:
-    """Split a commutant element into (Lam, Gam, alpha, chi) block data.
-
-    ``Z`` is one (d+4, d+4) matrix, or an (E, d+4, d+4) stack whose blocks
-    then carry the leading element axis: alpha and chi come back as (E,)
-    arrays instead of floats.  The arrays are fresh copies.  The redundant
-    rows of Z are permutations/negations of these blocks, so reassembly via
+    """Split an (E, d+4, d+4) stack of commutant elements into (Lam, Gam,
+    alpha, chi) block data, each with the leading element axis: alpha and
+    chi are (E,).  The split is entrywise, so it keeps any leading axes.
+    The arrays are fresh copies.  The redundant rows of Z are
+    permutations/negations of these blocks, so reassembly via
     ``sch_matrix`` reproduces Z exactly.  ``validate`` checks Z against Z0,
     the block form and the vertical condition, in that order, each at its
     worst matrix (``require_sch``).
@@ -415,9 +427,8 @@ def decompose_sch(Z: np.ndarray, d: int, validate: bool = True) -> SchBlocks:
     Z = np.asarray(Z, dtype=float)
     if validate:
         require_sch(sch_residuals(Z, d))
-    scalars = (Z[..., d + 1, n], Z[..., n, n])
-    alpha, chi = (s.copy() if Z.ndim > 2 else float(s) for s in scalars)
-    return SchBlocks(Z[..., :n, :n].copy(), Z[..., :n, n + 1].copy(), alpha, chi)
+    parts = (Z[..., :n, :n], Z[..., :n, n + 1], Z[..., d + 1, n], Z[..., n, n])
+    return SchBlocks(*(part.copy() for part in parts))
 
 
 def require_sch(residuals: dict) -> None:
@@ -454,12 +465,30 @@ def sch_matrix(blocks: SchBlocks, d: int) -> np.ndarray:
     return Z
 
 
+def _algebra_matrices(d: int, coeffs: np.ndarray) -> np.ndarray:
+    """The (count, d+4, d+4) matrices of the (count, k) coefficient rows
+    ``coeffs`` in the ``commutant_stack`` basis: each summed basis element
+    by basis element, as sum(c * b) would, holding one (count, n, n) term at
+    a time."""
+    basis = commutant_stack(d)
+    Z = coeffs[:, 0, None, None] * basis[0]
+    term = np.empty_like(Z)
+    for c, b in zip(coeffs.T[1:, :, None, None], basis[1:]):
+        Z += np.multiply(c, b, out=term)
+    return Z
+
+
+def algebra_elements(d: int, coeffs: np.ndarray) -> AlgebraElement:
+    """The algebra elements with the (count, k) coefficient rows ``coeffs``
+    (``group_coefficients``), as one stack."""
+    Z = _algebra_matrices(d, coeffs)
+    return AlgebraElement(Z, decompose_sch(Z, d, validate=False))
+
+
 def random_algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> AlgebraElement:
-    stack = commutant_stack(d)
-    coeffs = rng.uniform(-scale, scale, size=len(stack))
-    # summed basis element by basis element, as sum(c * b) would
-    m = (coeffs[:, None, None] * stack).sum(axis=0)
-    return AlgebraElement(m, decompose_sch(m, d, validate=False))
+    """One random algebra element: the stack of one of ``algebra_elements``
+    on one ``group_coefficients`` row, its axis dropped."""
+    return algebra_elements(d, group_coefficients(d, rng, 1, scale)).take(0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +657,20 @@ class GroupBlocks:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """One element, or a stack of them: the matrix and every block field
-    then carry a leading element axis (a per-sample stack, when element s
-    goes with sample s of a batch of points)."""
+class GroupElement(_Stack):
+    """A stack of group elements: the matrix and every block field carry a
+    leading element axis (a per-sample stack, when element s goes with
+    sample s of a batch of points).  One element is a stack of one, and
+    ``take(0)`` drops its axis for the maps that act on one element."""
 
     matrix: np.ndarray
     blocks: GroupBlocks
     dim: int
 
-    def take(self, index) -> "GroupElement":
-        """The elements of a stack at ``index`` (an index or boolean array),
-        as a stack."""
-        return GroupElement(
-            self.matrix[index],
-            GroupBlocks(*(f[index] for f in vars(self.blocks).values())),
-            self.dim,
-        )
-
 
 def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
-    """The (d+4) matrix of one element's blocks, or the (E, d+4, d+4) stack
-    of blocks whose fields carry a leading element axis."""
+    """The (E, d+4, d+4) matrices of a block stack, whose fields carry a
+    leading element axis."""
     n = d + 2
     g, xi, theta, _, _ = _frame(d)
     A = np.zeros(np.shape(blocks.a) + (n + 2, n + 2))
@@ -665,8 +686,8 @@ def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
 
 
 def extract_blocks(A: np.ndarray, d: int) -> GroupBlocks:
-    """Blocks of one (d+4) matrix, or of an (E, d+4, d+4) stack: every field
-    then gains the leading element axis.  The arrays are fresh copies."""
+    """Blocks of an (E, d+4, d+4) stack, every field with the leading
+    element axis.  The arrays are fresh copies."""
     n = d + 2
     A = np.asarray(A)
     scalars = (A[..., d + 1, n], A[..., n, n], A[..., n, n + 1], A[..., n + 1, n + 1])
@@ -674,7 +695,7 @@ def extract_blocks(A: np.ndarray, d: int) -> GroupBlocks:
         A[..., :n, :n].copy(),
         A[..., n, :n] @ flat_gram_matrix(d),
         A[..., :n, n + 1].copy(),
-        *(s.copy() if A.ndim > 2 else float(s) for s in scalars),
+        *(s.copy() for s in scalars),
     )
 
 
@@ -706,7 +727,8 @@ def _assembled(blocks: GroupBlocks, d: int, tol: float):
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     residuals = [
-        r.reshape(len(A), -1)
+        # the shape in full, so that an empty stack reshapes too
+        r.reshape(len(A), math.prod(r.shape[1:]))
         for r in (
             L @ xi - e * xi,
             Lstar @ xi - b * xi,
@@ -731,21 +753,19 @@ def _assembled(blocks: GroupBlocks, d: int, tol: float):
 
 
 def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> GroupElement:
-    """Build the group element and verify every block constraint.
+    """Build the group elements of a block stack (fields with a leading
+    element axis) and verify every block constraint, once over the stack.
 
-    Raises StabilizerConstraintError naming the first violated constraint,
-    in the order: vertical eigenvector of L, of L-adjoint, the L-adjoint
-    normalization, the column relation, the two pairing normalizations, and
-    the null-length relation; then Abar A = 1 and [A, Z0] = 0 on the
-    assembled matrix.
+    Raises StabilizerConstraintError for the first failing element, naming
+    its first violated constraint, in the order: vertical eigenvector of L,
+    of L-adjoint, the L-adjoint normalization, the column relation, the two
+    pairing normalizations, and the null-length relation; then Abar A = 1
+    and [A, Z0] = 0 on the assembled matrix.
     """
-    stacked = GroupBlocks(*(np.asarray(f)[None] for f in (
-        blocks.L, blocks.B, blocks.C, blocks.a, blocks.b, blocks.dd, blocks.e
-    )))
-    A, failed = _assembled(stacked, d, tol)
+    A, failed = _assembled(blocks, d, tol)
     if failed:
         raise failed[1]
-    return GroupElement(A[0], blocks, d)
+    return GroupElement(A, blocks, d)
 
 
 # Scaling and squaring after Al-Mohy & Higham, "A new scaling and squaring
@@ -934,9 +954,10 @@ def exp_algebra(Z: np.ndarray) -> np.ndarray:
 def group_coefficients(
     d: int, rng: np.random.Generator, count: int, scale: float = 0.4
 ) -> np.ndarray:
-    """Algebra coefficients for ``count`` random group elements: one
-    (count, k) uniform draw on [-scale, scale], k = dim sch(d), bitwise the
-    rows that ``count`` one-row draws would take from ``rng``."""
+    """Coefficients for ``count`` random algebra or group elements
+    (``algebra_elements``, ``group_elements``): one (count, k) uniform draw
+    on [-scale, scale], k = dim sch(d), bitwise the rows that ``count``
+    one-row draws would take from ``rng``."""
     return rng.uniform(-scale, scale, size=(count, len(commutant_stack(d))))
 
 
@@ -951,14 +972,7 @@ def group_elements(d: int, coeffs: np.ndarray, tol: float = 1e-10) -> GroupEleme
     raised for the first failing one, are those of the elements drawn one
     at a time.
     """
-    basis = commutant_stack(d)
-    # each element summed basis element by basis element, as sum(c * b)
-    # would, holding one (count, n, n) term at a time
-    Z = coeffs[:, 0, None, None] * basis[0]
-    term = np.empty_like(Z)
-    for c, b in zip(coeffs.T[1:, :, None, None], basis[1:]):
-        Z += np.multiply(c, b, out=term)
-    raw = exp_algebra(Z)
+    raw = exp_algebra(_algebra_matrices(d, coeffs))
     blocks = extract_blocks(raw, d)
     A, failed = _assembled(blocks, d, tol)
     rebuild = np.abs(A - raw).max(axis=(-2, -1))
@@ -977,26 +991,16 @@ def random_group_element(
     d: int, rng: np.random.Generator, scale: float = 0.4, tol: float = 1e-10
 ) -> GroupElement:
     """Exponential of a random algebra element, reassembled from its blocks
-    (which re-validates every constraint): the one-element stack of
-    ``group_elements``, its scalar blocks floats."""
-    stack = group_elements(d, group_coefficients(d, rng, 1, scale), tol)
-    b = stack.blocks
-    scalars = (float(f[0]) for f in (b.a, b.b, b.dd, b.e))
-    blocks = GroupBlocks(b.L[0], b.B[0], b.C[0], *scalars)
-    return GroupElement(stack.matrix[0], blocks, d)
+    (which re-validates every constraint): the stack of one of
+    ``group_elements``, its axis dropped."""
+    return group_elements(d, group_coefficients(d, rng, 1, scale), tol).take(0)
 
 
 def group_inverse(ge: GroupElement) -> GroupElement:
-    """The inverse Abar = G A^T G of one element, or of each element of a
-    stack, validated as one stack: raises for the first failing inverse."""
+    """The inverses Abar = G A^T G of a stack, validated as one stack:
+    raises for the first failing inverse."""
     d = ge.dim
-    blocks = extract_blocks(g_adjoint(ge.matrix, ambient_gram(d)), d)
-    if ge.matrix.ndim == 2:
-        return assemble_group_element(blocks, d)
-    A, failed = _assembled(blocks, d, 1e-10)
-    if failed:
-        raise failed[1]
-    return GroupElement(A, blocks, d)
+    return assemble_group_element(extract_blocks(g_adjoint(ge.matrix, ambient_gram(d)), d), d)
 
 
 def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):

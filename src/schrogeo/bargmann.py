@@ -301,7 +301,8 @@ def boost_map(d: int, b: Sequence[float]) -> ChartMap:
 
 
 def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
-    """Projective action of a stabilizer element as a chart map.
+    """Projective action of one stabilizer element (``take(0)`` of a stack)
+    as a chart map.
 
     The action is conformal with factor Omega(x) = 1 / (e - a t), so
     |det D(inverse)|(p) = |e' - a' t|^{-(d+2)} with (a', e') read off the
@@ -309,7 +310,8 @@ def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
     coefficient jet-evaluable to second order.
     """
     d = ge.dim
-    gi = group_inverse(ge)
+    # inverted as a stack of one: take(None) gives every field the element axis
+    gi = group_inverse(ge.take(None)).take(0)
     a_i, e_i = gi.blocks.a, gi.blocks.e
 
     def forward(x):
@@ -327,10 +329,8 @@ def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
 
 def expansion_map_projective(d: int, alpha: float) -> ChartMap:
     """Projective form of the finite expansion exp(alpha E)."""
-    Z = _expansion_generator(d, alpha)
-    A = exp_algebra(Z)
-    ge = assemble_group_element(extract_blocks(A, d), d)
-    return group_map(ge, name="expansion")
+    A = exp_algebra(_expansion_generator(d, alpha)[None])
+    return group_map(assemble_group_element(extract_blocks(A, d), d).take(0), name="expansion")
 
 
 def _expansion_generator(d: int, alpha: float) -> np.ndarray:

@@ -611,48 +611,46 @@ def isometry_check(cfg: SchrodingerManifoldConfig, element, pts: np.ndarray) -> 
 
 
 def bulk_isotropy_element(
-    cfg: SchrodingerManifoldConfig, R: np.ndarray, u: np.ndarray, a: float
+    cfg: SchrodingerManifoldConfig, R: np.ndarray, u: np.ndarray, a: np.ndarray
 ) -> GroupElement:
-    """Stabilizer element of the bulk base point, parametrized by a rotation,
-    a boost vector, and an expansion strength."""
+    """Stabilizer elements of the bulk base point, one per row of the
+    rotations R (E, d, d), boost vectors u (E, d) and expansion strengths
+    a (E,), as one validated stack."""
     d, lam = cfg.d, cfg.lam
-    R = np.asarray(R, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = d + 2
-    L = np.zeros((n, n))
-    L[:d, :d] = R
-    L[:d, d] = u
-    L[d, d] = 1.0
-    L[d + 1, :d] = -(R.T @ u)
-    L[d + 1, d] = -0.5 * float(u @ u) + lam * a * a
-    L[d + 1, d + 1] = 1.0
-    xi = xi_vector(d)
-    blocks = GroupBlocks(
-        L=L, B=lam * a * xi, C=-lam * a * xi, a=a, b=1.0, dd=0.0, e=1.0
-    )
+    R, u, a = (np.asarray(x, dtype=float) for x in (R, u, a))
+    E, n = len(a), d + 2
+    L = np.zeros((E, n, n))
+    L[:, :d, :d] = R
+    L[:, :d, d] = u
+    L[:, d, d] = 1.0
+    # stacked matrix products, each bitwise the one-element product
+    L[:, d + 1, :d] = -(u[:, None] @ R)[:, 0]
+    L[:, d + 1, d] = -0.5 * (u[:, None] @ u[..., None])[:, 0, 0] + lam * a * a
+    L[:, d + 1, d + 1] = 1.0
+    B = np.multiply.outer(lam * a, xi_vector(d))
+    blocks = GroupBlocks(L=L, B=B, C=-B, a=a, b=np.ones(E), dd=np.zeros(E), e=np.ones(E))
     return assemble_group_element(blocks, d)
 
 
 def boundary_isotropy_element(
-    d: int, R: np.ndarray, v: np.ndarray, a: float, e: float
+    d: int, R: np.ndarray, v: np.ndarray, a: np.ndarray, e: np.ndarray
 ) -> GroupElement:
-    """Stabilizer element of the boundary base ray, parametrized by a
-    rotation, a velocity, an expansion strength, and a dilation factor."""
-    R = np.asarray(R, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if e == 0.0:
+    """Stabilizer elements of the boundary base ray, one per row of the
+    rotations R (E, d, d), velocities v (E, d), expansion strengths a (E,)
+    and dilation factors e (E,), as one validated stack."""
+    R, v, a, e = (np.asarray(x, dtype=float) for x in (R, v, a, e))
+    if (e == 0.0).any():
         raise ValueError("dilation factor must be nonzero")
-    n = d + 2
-    L = np.zeros((n, n))
-    L[:d, :d] = R
-    L[:d, d] = -(R @ v) / e
-    L[d, d] = 1.0 / e
-    L[d + 1, :d] = v
-    L[d + 1, d] = -0.5 * float(v @ v) / e
-    L[d + 1, d + 1] = e
-    blocks = GroupBlocks(
-        L=L, B=np.zeros(n), C=np.zeros(n), a=a, b=1.0 / e, dd=0.0, e=e
-    )
+    E, n = len(a), d + 2
+    L = np.zeros((E, n, n))
+    L[:, :d, :d] = R
+    L[:, :d, d] = -(R @ v[..., None])[..., 0] / e[:, None]
+    L[:, d, d] = 1.0 / e
+    L[:, d + 1, :d] = v
+    L[:, d + 1, d] = -0.5 * (v[:, None] @ v[..., None])[:, 0, 0] / e
+    L[:, d + 1, d + 1] = e
+    zero = np.zeros((E, n))
+    blocks = GroupBlocks(L=L, B=zero, C=zero.copy(), a=a, b=1.0 / e, dd=np.zeros(E), e=e)
     return assemble_group_element(blocks, d)
 
 
@@ -675,19 +673,18 @@ def isotropy_check(
     keep = [i for i in range(d + 4) if i != d + 3]
     rank_boundary, _ = rank_nullspace((stack @ X0)[:, keep].T)
 
-    bulk_res, boundary_res = [], []
+    # the draws of ``rng`` stay in their per-element order
+    R = np.zeros((samples, d, d))
+    u, v = np.zeros((2, samples, d))
+    a, e = np.zeros((2, samples))
     for k in range(samples):
-        Rm, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        u = 0.7 * rng.normal(size=d)
-        a = 0.8 * rng.normal()
-        ge = bulk_isotropy_element(cfg, Rm, u, a)
-        bulk_res.append(np.abs(ge.matrix @ Q0 - Q0).max())
-        v = 0.7 * rng.normal(size=d)
-        e = float(np.exp(0.5 * rng.normal()))
-        if k % 2:
-            e = -e
-        ge2 = boundary_isotropy_element(d, Rm, v, a, e)
-        boundary_res.append(np.abs(ge2.matrix @ X0 - e * X0).max())
+        R[k], _ = np.linalg.qr(rng.normal(size=(d, d)))
+        u[k] = 0.7 * rng.normal(size=d)
+        a[k] = 0.8 * rng.normal()
+        v[k] = 0.7 * rng.normal(size=d)
+        e[k] = np.exp(0.5 * rng.normal()) * (-1.0 if k % 2 else 1.0)
+    bulk = bulk_isotropy_element(cfg, R, u, a).matrix
+    boundary = boundary_isotropy_element(d, R, v, a, e).matrix
     return {
         "bulk_isotropy_dim": n_alg - rank_bulk,
         "bulk_isotropy_expected": d * (d + 1) // 2 + 1,
@@ -695,8 +692,8 @@ def isotropy_check(
         "boundary_isotropy_dim": n_alg - rank_boundary,
         "boundary_isotropy_expected": (d * d + d + 4) // 2,
         "boundary_space_dim": rank_boundary,
-        "bulk_fix_residual": np.array(bulk_res),
-        "boundary_fix_residual": np.array(boundary_res),
+        "bulk_fix_residual": np.abs(bulk @ Q0 - Q0).max(axis=-1),
+        "boundary_fix_residual": np.abs(boundary @ X0 - e[:, None] * X0).max(axis=-1),
     }
 
 

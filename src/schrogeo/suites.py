@@ -28,8 +28,8 @@ from . import bargmann as bg
 from . import homogeneous as hg
 from . import numkernel as nk
 from .ambient import (
-    AlgebraElement,
     ChartEscapeError,
+    algebra_elements,
     ambient_gram,
     bracket_fields,
     build_Z0,
@@ -37,19 +37,17 @@ from .ambient import (
     commutant_stack,
     component_witnesses,
     cone_point,
-    decompose_sch,
-    flat_metric,
+    flat_gram_matrix,
     group_coefficients,
     group_elements,
     group_inverse,
     projective_action,
-    random_algebra_element,
     random_group_element,
     require_sch,
     sch_dimension,
     sch_residuals,
 )
-from .geometry import gram_values, jet_components
+from .geometry import jet_components
 from .numkernel import SeededSampler, max_entry, sample_max
 from .report import CheckResult, judged, status_of
 
@@ -433,14 +431,12 @@ def _realization(c, seed):
     d = c.d
     rng = np.random.default_rng(seed)
     pts = _box_points(seed, 1.0, d + 2, 3)
-    # round by round: the two elements of a pair; then every (pair, point)
-    # sample, pair by pair and in point order, in one bracket pass
-    drawn = np.array([random_algebra_element(d, rng).matrix for _ in range(6)])
-    per_sample = np.repeat(drawn.reshape(3, 2, d + 4, d + 4), len(pts), axis=0)
-    e1, e2 = (
-        AlgebraElement(m, decompose_sch(m, d, validate=False))
-        for m in (per_sample[:, 0], per_sample[:, 1])
-    )
+    # three pairs in one draw, round by round: elements 2i and 2i + 1 are
+    # pair i; then every (pair, point) sample, pair by pair and in point
+    # order, in one bracket pass
+    drawn = algebra_elements(d, group_coefficients(d, rng, 6))
+    first = np.repeat(np.arange(0, 6, 2), len(pts))
+    e1, e2 = drawn.take(first), drawn.take(first + 1)
     found = bracket_fields(e1, e2, d, np.tile(pts, (3, 1)))["minus"]
     return {"residual": found, "sign": -1}
 
@@ -534,7 +530,7 @@ def _projective(c, seed):
 def _pullback(c, seed):
     d = c.d
     rng = np.random.default_rng(seed)
-    g0 = gram_values(flat_metric(d), [0.0] * (d + 2))
+    g0 = flat_gram_matrix(d)
     pts = _box_points(seed, 1.0, d + 2, 4)
     ge, x = _pairs(group_elements(d, group_coefficients(d, rng, c.rounds)), pts)
     den = ge.blocks.e - ge.blocks.a * x[:, d]

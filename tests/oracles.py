@@ -6,9 +6,10 @@ rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
 its generator field, group-element stacks built element by element, the
 Padé order of one matrix at a time, the commutant basis of Z0 built element
-by element from its own SVD per tolerance, and the per-sample residuals of
-the lie-algebra closure and realization records, measured one basis row and
-one element pair at a time."""
+by element from its own SVD per tolerance, the per-sample residuals of the
+lie-algebra closure and realization records, measured one basis row and one
+element pair at a time, and the isotropy stabilizer elements built one at a
+time."""
 
 import math
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from schrogeo.ambient import (
     GroupElement,
     SchBlocks,
     ambient_gram,
+    assemble_group_element,
     bracket_fields,
     build_Z0,
     commutant_stack,
@@ -30,6 +32,7 @@ from schrogeo.ambient import (
     realize_field,
     require_sch,
     sch_residuals,
+    xi_vector,
 )
 from schrogeo.bargmann import ChartMap, _lie_term
 from schrogeo.geometry import (
@@ -476,3 +479,59 @@ def realization_rounds(c, seed) -> dict:
         e2 = random_algebra_element(c.d, rng)
         found.append(bracket_fields(e1, e2, c.d, pts)["minus"])
     return {"residual": np.concatenate(found), "sign": -1}
+
+
+# ---------------------------------------------------------------------------
+# the isotropy stabilizer elements one at a time
+
+
+def _one_element(blocks: GroupBlocks, d: int) -> np.ndarray:
+    """The matrix of one element's blocks, assembled and validated as a
+    stack of one."""
+    stack = GroupBlocks(*(np.asarray(f)[None] for f in vars(blocks).values()))
+    return assemble_group_element(stack, d).matrix[0]
+
+
+def isotropy_loop(cfg: SchrodingerManifoldConfig, rng, samples: int) -> dict:
+    """The stabilizer elements of ``isotropy_check`` and how far they move
+    what they fix, each element drawn, built, validated and applied on its
+    own: the bulk and boundary matrices, (samples, d+4, d+4), and residuals,
+    (samples,)."""
+    d, lam = cfg.d, cfg.lam
+    n = d + 2
+    xi = xi_vector(d)
+    Q0 = np.zeros(d + 4)
+    Q0[d + 2] = lam
+    Q0[d + 3] = 1.0
+    X0 = np.zeros(d + 4)
+    X0[d + 3] = 1.0
+    found = {"bulk": [], "boundary": [], "bulk_fix_residual": [], "boundary_fix_residual": []}
+    for k in range(samples):
+        R, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        u = 0.7 * rng.normal(size=d)
+        a = 0.8 * rng.normal()
+        L = np.zeros((n, n))
+        L[:d, :d] = R
+        L[:d, d] = u
+        L[d, d] = 1.0
+        L[d + 1, :d] = -(R.T @ u)
+        L[d + 1, d] = -0.5 * float(u @ u) + lam * a * a
+        L[d + 1, d + 1] = 1.0
+        A = _one_element(GroupBlocks(L, lam * a * xi, -lam * a * xi, a, 1.0, 0.0, 1.0), d)
+        found["bulk"].append(A)
+        found["bulk_fix_residual"].append(np.abs(A @ Q0 - Q0).max())
+        v = 0.7 * rng.normal(size=d)
+        e = float(np.exp(0.5 * rng.normal()))
+        if k % 2:
+            e = -e
+        L = np.zeros((n, n))
+        L[:d, :d] = R
+        L[:d, d] = -(R @ v) / e
+        L[d, d] = 1.0 / e
+        L[d + 1, :d] = v
+        L[d + 1, d] = -0.5 * float(v @ v) / e
+        L[d + 1, d + 1] = e
+        A = _one_element(GroupBlocks(L, np.zeros(n), np.zeros(n), a, 1.0 / e, 0.0, e), d)
+        found["boundary"].append(A)
+        found["boundary_fix_residual"].append(np.abs(A @ X0 - e * X0).max())
+    return {key: np.array(v) for key, v in found.items()}

@@ -275,8 +275,11 @@ def test_criterion_08_group_constraints_and_infinitesimal_action():
     # derivative of the finite action reproduces the algebra realization
     eps = 1e-5
     for e in commutant_basis(d)[:6]:
-        A_p = assemble_group_element(extract_blocks(exp_algebra(eps * e.matrix), d), d)
-        A_m = assemble_group_element(extract_blocks(exp_algebra(-eps * e.matrix), d), d)
+        # each exponential assembled as a stack of one
+        A_p, A_m = (
+            assemble_group_element(extract_blocks(exp_algebra(h * e.matrix[None]), d), d).take(0)
+            for h in (eps, -eps)
+        )
         field, _ = realize_field(e.blocks, d)
         x = np.array([0.3, -0.2, 0.4, 0.1])
         fwd = np.array(projective_action(A_p, x))

@@ -191,8 +191,9 @@ class TestRealization:
 class TestGroup:
     def test_identity_blocks(self):
         d = 2
-        blocks = extract_blocks(np.eye(d + 4), d)
+        blocks = extract_blocks(np.eye(d + 4)[None], d)
         ge = assemble_group_element(blocks, d)
+        assert ge.matrix.shape == (1, d + 4, d + 4)
         assert np.abs(ge.matrix - np.eye(d + 4)).max() == 0.0
 
     def test_random_elements_satisfy_defining_relations(self):
@@ -208,7 +209,7 @@ class TestGroup:
 
     def test_first_constraint_trips(self):
         d = 2
-        blocks = extract_blocks(np.eye(d + 4), d)
+        blocks = extract_blocks(np.eye(d + 4)[None], d)
         bad = blocks.__class__(
             L=blocks.L + 0.01,
             B=blocks.B,
@@ -227,9 +228,9 @@ class TestGroup:
         d = 2
         rng = np.random.default_rng(8)
         ge = random_group_element(d, rng)
-        blocks = extract_blocks(ge.matrix, d)
+        blocks = extract_blocks(ge.matrix[None], d)
         L = blocks.L.copy()
-        L[:d, :d] *= 1.01
+        L[:, :d, :d] *= 1.01
         bad = blocks.__class__(
             L=L, B=blocks.B, C=blocks.C, a=blocks.a, b=blocks.b, dd=blocks.dd, e=blocks.e
         )
@@ -245,7 +246,7 @@ class TestGroup:
         A = random_group_element(d, np.random.default_rng(8)).matrix.copy()
         A[0, 0] = np.nan
         with pytest.raises(StabilizerConstraintError):
-            assemble_group_element(extract_blocks(A, d), d)
+            assemble_group_element(extract_blocks(A[None], d), d)
 
     def test_nan_outside_the_block_pattern_is_drift(self, monkeypatch):
         d = 2
@@ -285,9 +286,9 @@ class TestGroup:
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(21)
         d = 1
-        ge = random_group_element(d, rng)
-        inv = group_inverse(ge)
-        assert np.abs(ge.matrix @ inv.matrix - np.eye(d + 4)).max() < 1e-12
+        stack = ambient.group_elements(d, ambient.group_coefficients(d, rng, 1))
+        inv = group_inverse(stack)
+        assert np.abs(stack.matrix @ inv.matrix - np.eye(d + 4)).max() < 1e-12
 
     def test_projective_action_lifts_to_cone(self):
         rng = np.random.default_rng(30)

@@ -728,7 +728,8 @@ def sequential_inverse(cfg, d, sample_group):
     worst, used = 0.0, 0
     for _ in range(max(3, max(5, cfg.samples // 2) // 3)):
         ge = sample_group(d, rng)
-        gi = group_inverse(ge)
+        # inverted as a stack of one: take(None) gives every field the element axis
+        gi = group_inverse(ge.take(None)).take(0)
         for p in pts:
             try:
                 img = projective_action(ge, list(p))
@@ -751,8 +752,8 @@ def sometimes_escaping(ts):
         k = zlib.crc32(ge.matrix.tobytes()) % (2 * len(ts))
         if k >= len(ts):
             return ge
-        A = exp_algebra(bg._expansion_generator(d, 1.0 / ts[k]))
-        return assemble_group_element(extract_blocks(A, d), d)
+        A = exp_algebra(bg._expansion_generator(d, 1.0 / ts[k])[None])
+        return assemble_group_element(extract_blocks(A, d), d).take(0)
 
     def elements(d, coeffs):
         return stack_elements([element(d, c) for c in coeffs])

@@ -282,13 +282,14 @@ def test_stacked_draws_match_one_element_at_a_time(d, seed):
             assert np.asarray(getattr(ge.blocks, f)).tobytes() == np.asarray(
                 getattr(single.blocks, f)
             ).tobytes()
-        assert type(single.blocks.a) is float
+        # one element: the stack of one with its axis dropped
+        assert single.matrix.shape == (d + 4, d + 4) and np.ndim(single.blocks.a) == 0
         singles.append(single)
     # the three streams stand at the same place afterwards
     assert rng.random() == ref.random() == one.random()
     inverses = group_inverse(elements)
-    for gi, ge in zip(inverses.matrix, singles):
-        assert gi.tobytes() == group_inverse(ge).matrix.tobytes()
+    for i, (gi, ge) in enumerate(zip(inverses.matrix, singles)):
+        assert gi.tobytes() == group_inverse(elements.take([i])).matrix[0].tobytes()
         adjoint = ambient.g_adjoint(ge.matrix, ambient.ambient_gram(d))
         assert gi.tobytes() == reassembled(adjoint, d).tobytes()
 
@@ -361,7 +362,7 @@ def test_inverse_stack_raises_for_the_first_failing_inverse():
     bad[3, 0, 1] += 1e-3
     elements = GroupElement(bad, elements.blocks, D)
     stacked = _raised(lambda: group_inverse(elements))
-    single = _raised(lambda: [group_inverse(elements.take(i)) for i in range(5)])
+    single = _raised(lambda: [group_inverse(elements.take([i])) for i in range(5)])
     assert isinstance(stacked, StabilizerConstraintError)
     assert str(stacked) == str(single)
 

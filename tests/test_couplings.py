@@ -464,7 +464,7 @@ def test_nan_stabilizer_fails_the_isotropy(monkeypatch):
     def nan_first(*args, **kwargs):
         ge = original(*args, **kwargs)
         if not made:
-            ge.matrix[0, 0] = np.nan
+            ge.matrix[0, 0, 0] = np.nan
         made.append(ge)
         return ge
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import embed, origin_point
+from oracles import embed, isotropy_loop, origin_point
 
 from schrogeo import homogeneous as hg
 from schrogeo.ambient import ambient_gram, random_group_element
@@ -235,7 +235,7 @@ class TestIsometries:
 
     def test_explicit_stabilizer_fixes_origin_image(self):
         cfg = SchrodingerManifoldConfig(2, -0.5)
-        el = bulk_isotropy_element(cfg, np.eye(2), np.zeros(2), 0.7)
+        el = bulk_isotropy_element(cfg, np.eye(2)[None], np.zeros((1, 2)), [0.7])
         Q0 = embed(cfg, origin_point(cfg)).Q
         assert np.abs(el.matrix @ Q0 - Q0).max() < 1e-12
 
@@ -255,12 +255,37 @@ class TestIsotropy:
         assert (res["bulk_fix_residual"] < 1e-10).all()
         assert (res["boundary_fix_residual"] < 1e-10).all()
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_elements_match_one_at_a_time(self, monkeypatch, d, seed):
+        # each kind assembled and validated as one stack, element by element
+        # bitwise the element built on its own, and the draws in their order
+        made = []
+        assemble = hg.assemble_group_element
+
+        def spy(blocks, dim):
+            ge = assemble(blocks, dim)
+            made.append(ge.matrix)
+            return ge
+
+        monkeypatch.setattr(hg, "assemble_group_element", spy)
+        cfg = SchrodingerManifoldConfig(d, -0.5, 1.0)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        res = isotropy_check(cfg, rng, 12)
+        want = isotropy_loop(cfg, ref, 12)
+        assert len(made) == 2
+        for key, got in zip(("bulk", "boundary"), made):
+            assert got.tobytes() == want[key].tobytes()
+            name = f"{key}_fix_residual"
+            assert res[name].tobytes() == want[name].tobytes()
+        assert rng.random() == ref.random()
+
     def test_boundary_element_scales_the_ray(self):
         d = 2
-        el = boundary_isotropy_element(d, np.eye(d), np.array([0.3, -0.1]), 0.2, 1.4)
+        el = boundary_isotropy_element(d, np.eye(d)[None], [[0.3, -0.1]], [0.2], [1.4])
         X0 = np.zeros(d + 4)
         X0[d + 3] = 1.0
-        image = el.matrix @ X0
+        (image,) = el.matrix @ X0
         assert np.abs(image - image[d + 3] * X0).max() < 1e-12
 
 

@@ -3,8 +3,8 @@ through ``ast``: every name in a module's ``__all__`` is defined there, no
 imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
-randomness, only ``suites`` folds samples, and only ``ambient`` names the
-chart guard."""
+randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
+and group elements, and only ``ambient`` names the chart guard."""
 
 import ast
 from pathlib import Path
@@ -242,10 +242,9 @@ def test_the_record_rule_sees_a_stray_import():
 DRAWS = {"SeededSampler", "default_rng"}
 
 
-def _draws(tree: ast.Module, exempt: str | None = None) -> list[tuple[str, int]]:
-    """Each call that creates seeded randomness, ``SeededSampler(...)`` or
-    ``default_rng(...)`` by name or attribute, with its line; calls inside
-    the class named ``exempt`` are left out."""
+def _calls(tree: ast.Module, names: set, exempt: str | None = None) -> list[tuple[str, int]]:
+    """Each call of a callee in ``names``, by name or attribute, with its
+    line; calls inside the class named ``exempt`` are left out."""
     skip = {
         id(n)
         for c in ast.walk(tree)
@@ -256,7 +255,7 @@ def _draws(tree: ast.Module, exempt: str | None = None) -> list[tuple[str, int]]
     for n in ast.walk(tree):
         if isinstance(n, ast.Call) and id(n) not in skip:
             name = getattr(n.func, "id", getattr(n.func, "attr", None))
-            if name in DRAWS:
+            if name in names:
                 found.append((name, n.lineno))
     return sorted(found, key=lambda call: call[1])
 
@@ -266,7 +265,7 @@ def _draws(tree: ast.Module, exempt: str | None = None) -> list[tuple[str, int]]
 )
 def test_only_suites_draws_seeded_randomness(path):
     exempt = "SeededSampler" if path.name == "numkernel.py" else None
-    assert not _draws(_tree(path), exempt), path.name
+    assert not _calls(_tree(path), DRAWS, exempt), path.name
 
 
 def test_the_draw_rule_sees_a_stray_call():
@@ -279,17 +278,41 @@ def test_the_draw_rule_sees_a_stray_call():
         "    rng = np.random.default_rng(seed)\n"
         "    return nk.SeededSampler(seed, []).points(3), SeededSampler(1, [])\n"
     )
-    assert _draws(tree) == [
+    assert _calls(tree, DRAWS) == [
         ("default_rng", 4),
         ("default_rng", 6),
         ("SeededSampler", 7),
         ("SeededSampler", 7),
     ]
-    assert _draws(tree, "SeededSampler") == [
+    assert _calls(tree, DRAWS, "SeededSampler") == [
         ("default_rng", 6),
         ("SeededSampler", 7),
         ("SeededSampler", 7),
     ]
+
+
+# only ``ambient`` builds algebra and group elements: every other module takes
+# the stacks its constructors return, and one element is a stack of one
+ELEMENTS = {"AlgebraElement", "GroupElement"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "ambient.py"], ids=lambda p: p.name
+)
+def test_only_ambient_builds_elements(path):
+    assert not _calls(_tree(path), ELEMENTS), path.name
+
+
+def test_the_element_rule_sees_a_stray_call():
+    tree = ast.parse(
+        "from .ambient import AlgebraElement, GroupElement\n"
+        "def pair(m, d):\n"
+        "    e = AlgebraElement(m, decompose_sch(m, d))\n"
+        "    return e, ambient.GroupElement(m, blocks, d)\n"
+        "def keep(ge):\n"
+        "    return isinstance(ge, GroupElement)\n"
+    )
+    assert _calls(tree, ELEMENTS) == [("AlgebraElement", 3), ("GroupElement", 4)]
 
 
 # the chart guard of ``projective_action`` lives in ``ambient``: a caller that

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import stack_elements
 from schrogeo import ambient, bargmann, homogeneous, suites
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
 from schrogeo.geometry import OneForm
@@ -313,6 +314,36 @@ class TestIntegrabilityMutation:
             assert before[name].status == "PASS"
             assert after[name].status == "FAIL"
             assert after[name].residual > 1e-6
+
+
+class TestIsotropyMutation:
+    """A stabilizer stack whose last bulk element is a valid group element
+    that moves the base point flips the isotropy record to FAIL, with that
+    sample's residual."""
+
+    def test_moving_last_element_fails_isotropy(self, monkeypatch):
+        make = homogeneous.bulk_isotropy_element
+        moved = {}
+
+        def defect(cfg, R, u, a):
+            stack = make(cfg, R, u, a)
+            coeffs = ambient.group_coefficients(cfg.d, np.random.default_rng(cfg.d), 1)
+            mover = ambient.group_elements(cfg.d, coeffs)
+            Q0 = np.zeros(cfg.d + 4)
+            Q0[cfg.d + 2], Q0[cfg.d + 3] = cfg.lam, 1.0
+            moved[cfg.d] = float(np.abs(mover.matrix[0] @ Q0 - Q0).max())
+            kept = [stack.take(i) for i in range(len(stack.matrix) - 1)]
+            return stack_elements([*kept, mover.take(0)])
+
+        dims = (1, 2)
+        names = {d: f"homogeneous_d{d}_isotropy" for d in dims}
+        before = {c.name: c for c in run_suite(small("homogeneous", dims=dims)).checks}
+        monkeypatch.setattr(homogeneous, "bulk_isotropy_element", defect)
+        after = {c.name: c for c in run_suite(small("homogeneous", dims=dims)).checks}
+        for d, name in names.items():
+            assert before[name].status == "PASS" and before[name].residual == 0.0
+            assert after[name].status == "FAIL"
+            assert after[name].residual == moved[d] > 1e-3
 
 
 class TestStatusRule:
