@@ -786,9 +786,10 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     factor points drawn from ``rng``: homogeneity of the normalizer, closed
     clock, parallel null vertical field, one-dimensional cone-form kernel
     along the ray, and conformal flatness with a factor depending on time
-    only.  By property, its residual and the smallest normalizer: per
-    point, (N,), but for the two spreads of the factor, one number each; the
-    cone kernel also gives the kernel dimensions it met."""
+    only.  By property, its residual: per point, (N,), but for the two
+    spreads of the factor, one number each; the scale invariance also gives
+    the smallest normalizer, and the cone kernel the kernel dimensions it
+    met."""
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     metric = boundary_metric(d)
@@ -806,7 +807,6 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     dw, _ = exterior_wedge(theta_f0_form(d), pts)
     g0 = gram_values(metric, pts)
     factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
-    min_f0 = float(f0.min())
 
     # the draws of ``rng`` stay in their per-point order
     scale_r, angle_r = np.zeros(samples), np.zeros(samples)
@@ -852,7 +852,9 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
         "cone_kernel": angle_r,
         "factor_varies_with_t": float(np.max(factors_by_t)) - float(np.min(factors_by_t)),
     }
-    out = {name: {"residual": r, "min_f0": min_f0} for name, r in found.items()}
+    out = {name: {"residual": r} for name, r in found.items()}
+    # the one row that divides by f0
+    out["scale_invariance"]["min_f0"] = float(f0.min())
     out["cone_kernel"]["kernel_dims"] = sorted(kernel_dims)
     return out
 

@@ -620,11 +620,11 @@ def _clock(c, seed):
 
 
 def _signature(c, seed):
-    def count(mc, x, _):
-        return hg.negative_eigenvalue_count(mc, x)
+    # one 0/1 flag per (coupling, point): 1 where the Gram is not Lorentzian
+    def flags(mc, x, _):
+        return (hg.negative_eigenvalue_count(mc, x) != 1).astype(float)
 
-    counts = _over_grid(c.d, c.grid, _grid_points(c, seed), 0, count)
-    return float(sum(int((n != 1).sum()) for n in counts))
+    return np.concatenate(_over_grid(c.d, c.grid, _grid_points(c, seed), 0, flags))
 
 
 def _vertical(c, seed):

@@ -274,8 +274,8 @@ class TestOneFold:
             "group_d{d}_projective": 40,
             "homogeneous_d{d}_isometry": 10,
             "homogeneous_d{d}_dualpath": 80,
+            "homogeneous_d{d}_signature": 80,
             # structural: the count drawn
-            "homogeneous_d{d}_signature": 5,
             "boundary_d{d}_factor_varies_with_t": 20,
         }
         for d in (1, 2, 3):
