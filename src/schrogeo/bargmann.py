@@ -20,6 +20,7 @@ shape (N, n), and return scalars or (N,) arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -227,12 +228,19 @@ def plane_wave(
 ) -> DensityFunction:
     """exp(i (k.x + omega t + (m/hbar) s)) with omega = -hbar |k|^2 / (2m),
     which annihilates both members of the covariant pair on the flat
-    structure."""
+    structure.
+
+    ``k`` is one wave vector (d,), or a per-sample stack (N, d) whose row s
+    is the wave at sample s of a batch of N points: one pass over N (wave,
+    point) pairs, each bitwise the pass of its wave alone.
+    """
     k = np.asarray(k, dtype=float)
-    if k.size != d:
+    if k.ndim not in (1, 2) or k.shape[-1] != d:
         raise ContractViolationError(f"wave vector must have {d} components")
-    omega = -params.hbar * float(k @ k) / (2.0 * params.mass)
+    # |k|^2 of each wave as the dot product of that wave alone
+    omega = -params.hbar * (k[..., None, :] @ k[..., None])[..., 0, 0] / (2.0 * params.mass)
     ms = params.mass / params.hbar
+    k = k.T  # k[i]: component i, of each wave on a stack
 
     def coeff(x):
         phase = omega * x[d] + ms * x[d + 1]
@@ -327,10 +335,18 @@ def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
     return ChartMap(name, d, forward, inverse, jacobian_factor)
 
 
+@lru_cache(maxsize=None)
 def expansion_map_projective(d: int, alpha: float) -> ChartMap:
-    """Projective form of the finite expansion exp(alpha E)."""
+    """Projective form of the finite expansion exp(alpha E).
+
+    Built once per (d, alpha) and shared, so its element's arrays are
+    read-only.
+    """
     A = exp_algebra(_expansion_generator(d, alpha)[None])
-    return group_map(assemble_group_element(extract_blocks(A, d), d).take(0), name="expansion")
+    ge = assemble_group_element(extract_blocks(A, d), d)
+    for a in (ge.matrix, *vars(ge.blocks).values()):
+        a.flags.writeable = False
+    return group_map(ge.take(0), name="expansion")
 
 
 def _expansion_generator(d: int, alpha: float) -> np.ndarray:

@@ -348,11 +348,16 @@ def ricci_from_derivatives(
     symmetric, which A reads as d_i d_k for d_k d_i.  Jet Hessians are
     exactly symmetric, so the second holds bitwise for ``gram_jets``.
     The scalar is a float at one point and an (N,) array on a stack.
+
+    A constant Gram (no entry with a Hessian, E = 0, and dg all zero) has
+    exact zeros for both, which are returned without the contraction.
     """
     if ginv is None:
         ginv = _invert_gram(g0)
     n = g0.shape[-1]
     lead = g0.shape[:-2]
+    if len(pattern) == 0 and not dg.any():
+        return np.zeros(lead + (n, n)), (np.zeros(lead) if lead else 0.0)
     nn = n * n
     g = ginv[..., None, :, :]
     # A, B and D.  Each position is held by one entry, so a sum below gains
@@ -445,10 +450,12 @@ def divergence(metric: MetricField, field: VectorField, p: Sequence[float]):
 
 
 def _divergence(ginv: np.ndarray, dg: np.ndarray, field: VectorField, p):
+    """Div X from the inverse Gram and dg; with dg all zero the density
+    term vanishes and is not formed."""
     xv, xj = jet_components(field.components, p)
-    div = np.trace(xj.real, axis1=-2, axis2=-1) + 0.5 * np.einsum(
-        "...a,...ij,...aij->...", xv.real, ginv, dg
-    )
+    div = np.trace(xj.real, axis1=-2, axis2=-1)
+    if dg.any():
+        div = div + 0.5 * np.einsum("...a,...ij,...aij->...", xv.real, ginv, dg)
     return float(div) if div.ndim == 0 else div
 
 
@@ -475,13 +482,14 @@ def _laplacian(
     g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray, fj: Jet2, batch: tuple
 ):
     """g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from the metric derivatives,
-    the inverse Gram and the jet of f."""
+    the inverse Gram and the jet of f; with dg all zero the symbols vanish
+    and the Christoffel term is not formed."""
+    lap = np.einsum("...ab,...ab->...", ginv, _samples_first(fj.hess, batch))
+    if not dg.any():
+        return lap
     gamma = christoffel_from_derivatives(g0, dg, ginv=ginv)
-    hess = _samples_first(fj.hess, batch)
     grad = _samples_first(fj.grad, batch)
-    return np.einsum("...ab,...ab->...", ginv, hess) - np.einsum(
-        "...ab,...cab,...c->...", ginv, gamma, grad
-    )
+    return lap - np.einsum("...ab,...cab,...c->...", ginv, gamma, grad)
 
 
 def yamabe_residual(metric: MetricField, f, p: Sequence[float]):

@@ -780,6 +780,25 @@ def boundary_xi(d: int) -> VectorField:
     return VectorField(flat_chart(d), lambda p: list(e))
 
 
+def _cone_forms(G: np.ndarray, Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """At each null-cone representative, a row of Xa (N, d+4): an
+    orthonormal basis (rows) of its G-orthogonal complement, the cone's
+    tangent space, (N, d+3, d+4), and the cone form, G restricted to that
+    space, (N, d+3, d+3).  A representative is nonzero and G invertible, so
+    the row Xa G has rank 1 at any relative cut and its complement is
+    spanned by vh[1:] of its SVD."""
+    _, _, vh = np.linalg.svd(Xa[:, None] @ G)
+    tangent = vh[:, 1:]
+    return tangent, tangent @ G @ tangent.swapaxes(-1, -2)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each (1, m) row of a stack, (N, 1, 1): the
+    square root of a row-times-column dot product, as ``np.linalg.norm``
+    takes it for one vector."""
+    return np.sqrt(v @ v.swapaxes(-1, -2))
+
+
 def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dict[str, dict]:
     """The conformal Bargmann structure of the boundary, measured at the
     chart points ``pts``, (N, d+2), with the tangents, scales and time-only
@@ -808,29 +827,39 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     g0 = gram_values(metric, pts)
     factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
 
-    # the draws of ``rng`` stay in their per-point order
-    scale_r, angle_r = np.zeros(samples), np.zeros(samples)
-    kernel_dims = set()
+    # the draws of ``rng`` stay in their per-point order: two tangents, then
+    # the scale of the off-section representative and its sign
+    draws = np.zeros((samples, 2, d + 2))
+    alpha2 = np.zeros(samples)
     for k in range(samples):
-        # degree-2 homogeneity: the quotient value is blind to the scale of
-        # the representative
-        v1 = J[k] @ rng.normal(size=d + 2)
-        v2 = J[k] @ rng.normal(size=d + 2)
-        base = float(v1 @ G @ v2) / f0[k]
-        scaled = float((alpha * v1) @ G @ (alpha * v2)) / f0_scaled[k]
-        scale_r[k] = abs(base - scaled)
+        draws[k] = rng.normal(size=d + 2), rng.normal(size=d + 2)
+        alpha2[k] = float(rng.uniform(0.4, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
 
-        # cone-form kernel at an off-section representative
-        alpha2 = float(rng.uniform(0.4, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        Xa = alpha2 * X[k]
-        _, tangent = rank_nullspace((Xa @ G).reshape(1, -1))
-        K = tangent @ G @ tangent.T
-        rank_k, null_k = rank_nullspace(K)
-        kernel_dims.add(tangent.shape[0] - rank_k)
-        if null_k.shape[0]:
-            vec = null_k[0] @ tangent
-            xhat = Xa / np.linalg.norm(Xa)
-            angle_r[k] = np.linalg.norm(vec - (vec @ xhat) * xhat) / np.linalg.norm(vec)
+    # Over the stacked points at once, as one matrix product per point: a
+    # (1, m) row times a matrix is the product of a vector, and a row times
+    # a column is a dot product, each rounded as at that point alone.
+    # Degree-2 homogeneity: the quotient value is blind to the scale of the
+    # representative.
+    v = (J[:, None] @ draws[..., None]).swapaxes(-1, -2)
+    v1, v2 = v[:, 0], v[:, 1]  # (samples, 1, d + 4) each
+    base = (v1 @ G @ v2.swapaxes(-1, -2))[:, 0, 0] / f0
+    scaled = ((alpha * v1) @ G @ (alpha * v2).swapaxes(-1, -2))[:, 0, 0] / f0_scaled
+    scale_r = np.abs(base - scaled)
+
+    # cone-form kernel at an off-section representative, at the relative
+    # cut of ``rank_nullspace``: a kernel vector's angle to the ray
+    Xa = alpha2[:, None] * X
+    tangent, K = _cone_forms(G, Xa)
+    _, s, vh = np.linalg.svd(K)
+    rank = (s > 1e-10 * s[:, :1]).sum(axis=1)
+    kernel = rank < d + 3
+    # the first null row of each point's vh; a point without a kernel reads
+    # its last row, and its angle is filed as 0
+    vec = vh[np.arange(samples), np.minimum(rank, d + 2)][:, None] @ tangent
+    xhat = Xa[:, None] / _norms(Xa[:, None])
+    off = vec - (vec @ xhat.swapaxes(-1, -2)) * xhat
+    angle_r = np.where(kernel, (_norms(off) / _norms(vec))[:, 0, 0], 0.0)
+    kernel_dims = sorted(set((d + 3 - rank).tolist()))
 
     # the conformal factor varies with t but not with x or s: five random
     # points at each of four times

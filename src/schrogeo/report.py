@@ -82,6 +82,7 @@ def judged(
     control: bool = False,
     holds: bool = True,
     extra: dict | None = None,
+    **filed,
 ) -> CheckResult:
     """A record whose status follows the one rule.
 
@@ -90,8 +91,8 @@ def judged(
     passes iff ``residual > tolerance``; it records that as
     ``extra["must_exceed"] = tolerance``.  Over samples, the runner folds a
     bound's residual to its largest sample and a control's to its smallest,
-    so each kind must hold at every sample; it files the record under its
-    own name, seed, config and sample count.
+    so each kind must hold at every sample; ``filed`` holds the record's
+    other fields, its seed, config and sample count.
     """
     extra = dict(extra or {})
     if control:
@@ -106,4 +107,5 @@ def judged(
         tolerance=tolerance,
         claim=claim,
         extra=extra,
+        **filed,
     )

@@ -17,7 +17,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -42,7 +42,6 @@ from .ambient import (
     group_elements,
     group_inverse,
     projective_action,
-    random_group_element,
     require_sch,
     sch_dimension,
     sch_residuals,
@@ -197,12 +196,18 @@ def _context(cfg: SuiteConfig, d: int, samples: int | None, **shared) -> SimpleN
 
 
 def verdicts(
-    rows: tuple[Row, ...], measured: dict, tol: float = SuiteConfig.tol
+    rows: tuple[Row, ...],
+    measured: dict,
+    tol: float = SuiteConfig.tol,
+    prefix: str = "",
+    samples: int | None = None,
+    **filed,
 ) -> dict[str, CheckResult]:
-    """Each row's record, keyed and named by its suffix, judged at the run's
-    ``tol``.  ``measured[suffix]`` is a residual, or a dict of numbers whose
-    "residual" is judged, whose optional "holds" flag must hold, and whose
-    other entries are filed as ``extra``.
+    """Each row's record, keyed by its suffix, named ``{prefix}{suffix}``
+    and judged at the run's ``tol``.  ``measured[suffix]`` is a residual,
+    or a dict of numbers whose "residual" is judged, whose optional "holds"
+    flag must hold, and whose other entries are filed as ``extra``.  Every
+    record files ``filed`` (its config and seed).
 
     A residual array holds one value per sample, and an optional "escaped"
     mask marks the samples that left their chart.  The record files the
@@ -210,33 +215,35 @@ def verdicts(
     mask removed as ``extra["escapes"]``; the rest fold by the row's kind:
     a bound by its largest sample (NaN if one is NaN), a control by its
     smallest.  A row whose every sample escaped raises ChartEscapeError.
+    A residual number files ``samples`` as given.
     """
     out = {}
     for row in rows:
         extra = measured[row.suffix]
         extra = dict(extra) if isinstance(extra, dict) else {"residual": extra}
         residual, flag = extra.pop("residual"), extra.pop("holds", True)
-        samples = None
+        count = samples
         if np.ndim(residual):
             residual = np.ravel(residual)
-            samples, escaped = len(residual), extra.pop("escaped", None)
+            count, escaped = len(residual), extra.pop("escaped", None)
             if escaped is not None:
                 residual = residual[~np.ravel(escaped)]
-                extra["escapes"] = samples - len(residual)
+                extra["escapes"] = count - len(residual)
                 if not len(residual):
-                    raise ChartEscapeError(f"all {samples} {row.suffix} samples escaped")
+                    raise ChartEscapeError(f"all {count} {row.suffix} samples escaped")
             residual = float(np.min(residual)) if row.control else max_entry(residual)
         bound = row.tol(tol, extra) if callable(row.tol) else row.tol
-        found = judged(
+        out[row.suffix] = judged(
             residual,
             tol if bound == TOL else bound,
-            name=row.suffix,
+            name=prefix + row.suffix,
             claim=row.claim,
             control=row.control,
             holds=flag and row.holds(extra),
             extra=extra,
+            samples=count,
+            **filed,
         )
-        out[row.suffix] = replace(found, samples=samples)
     return out
 
 
@@ -244,23 +251,25 @@ def _file(ctx, base: str, m: Measure, seed: int) -> list[CheckResult]:
     """Run one measurement and file its rows as ``{base}_{suffix}``, each
     with the samples it folded or else the context's.  Any exception
     becomes the one ERROR record of its group: a failing check never aborts
-    the run."""
+    the run.  An exception that names the coupling it failed at (a
+    DegenerateMetricError from ``hg.over_couplings``) files that coupling
+    and the sample's index among its points as ``extra``."""
     if m.samples:
         ctx = SimpleNamespace(**{**vars(ctx), "samples": m.samples})
-    filed = {"config": ctx.conf, "seed": seed, "samples": ctx.samples}
+    filed = {"config": ctx.conf, "seed": seed}
     try:
         measured = m.fn(ctx, seed)
         if len(m.rows) == 1:
             measured = {m.rows[0].suffix: measured}
-        found = verdicts(m.rows, measured, ctx.cfg.tol)
+        found = verdicts(m.rows, measured, ctx.cfg.tol, f"{base}_", ctx.samples, **filed)
     except Exception as exc:
         name, claim = m.group
+        coupling = getattr(exc, "coupling", None)
+        where = {} if coupling is None else {"coupling": list(coupling), "sample": exc.sample}
         error = f"{type(exc).__name__}: {exc}"
-        return [CheckResult(f"{base}_{name}", "ERROR", claim=claim, error=error, **filed)]
-    return [
-        replace(v, **{**filed, "name": f"{base}_{suffix}", "samples": v.samples or ctx.samples})
-        for suffix, v in found.items()
-    ]
+        filed.update(samples=ctx.samples, extra=where, error=error)
+        return [CheckResult(f"{base}_{name}", "ERROR", claim=claim, **filed)]
+    return list(found.values())
 
 
 def _run(suite: Suite, cfg: SuiteConfig) -> list[CheckResult]:
@@ -322,14 +331,15 @@ def _plane_wave(c, seed):
     d = c.d
     rng = np.random.default_rng(seed)
     per = max(2, c.samples // 4)
-    # one stream of three consecutive blocks, one per wave
-    pts = _box_points(seed, 1.0, d + 2, 3 * per).reshape(3, per, d + 2)
-    found = []
-    for x in pts:
-        psi = bg.plane_wave(d, rng.normal(size=d), c.params)
-        r1, r2 = bg.schrodinger_residual(c.structure, psi, c.params, x)
-        found.append(np.maximum(bg.complex_magnitude(r1), bg.complex_magnitude(r2)))
-    return {"residual": np.concatenate(found), "waves": 3}
+    # one stream of three consecutive blocks, one per wave, measured in one
+    # pass: wave i goes with the points of block i
+    pts = _box_points(seed, 1.0, d + 2, 3 * per)
+    psi = bg.plane_wave(d, np.repeat(rng.normal(size=(3, d)), per, axis=0), c.params)
+    r1, r2 = bg.schrodinger_residual(c.structure, psi, c.params, pts)
+    return {
+        "residual": np.maximum(bg.complex_magnitude(r1), bg.complex_magnitude(r2)),
+        "waves": 3,
+    }
 
 
 def _dispersion(c, seed):
@@ -666,12 +676,13 @@ def _recovery(c, seed):
 
 def _isometry(c, seed):
     rng = np.random.default_rng(seed)
-    # each coupling measures the same points
+    # each coupling measures the same points, coupling i with element i
     pts = _grid_points(c, seed)
-    found = []
-    for lam, mu in ((-0.5, 1.0), (-1.0, 2.0)):
-        mc = hg.SchrodingerManifoldConfig(c.d, lam, mu)
-        found.append(hg.isometry_check(mc, random_group_element(c.d, rng), pts))
+    stack = group_elements(c.d, group_coefficients(c.d, rng, 2))
+    found = [
+        hg.isometry_check(hg.SchrodingerManifoldConfig(c.d, lam, mu), stack.take(i), pts)
+        for i, (lam, mu) in enumerate(((-0.5, 1.0), (-1.0, 2.0)))
+    ]
     return {
         "residual": np.concatenate(
             [np.maximum(r["metric_residual"], r["quadric_residual"]) for r in found]

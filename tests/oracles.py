@@ -8,8 +8,11 @@ its generator field, group-element stacks built element by element, the
 Padé order of one matrix at a time, the commutant basis of Z0 built element
 by element from its own SVD per tolerance, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
-element pair at a time, and the isotropy stabilizer elements built one at a
-time."""
+element pair at a time, the isotropy stabilizer elements built one at a
+time, the schrodinger-eq plane-wave record measured one wave per pass, and
+the boundary structure with its scale and cone-kernel forms taken one point
+at a time, and the homogeneous isometry record with one group draw per
+coupling."""
 
 import math
 from dataclasses import dataclass, field
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from schrogeo import numkernel as nk
+from schrogeo import bargmann as bg
 from schrogeo.ambient import (
     _PADE,
     _UNIT_ROUNDOFF,
@@ -28,6 +32,8 @@ from schrogeo.ambient import (
     bracket_fields,
     build_Z0,
     commutant_stack,
+    flat_gram_matrix,
+    random_group_element,
     random_algebra_element,
     realize_field,
     require_sch,
@@ -43,7 +49,10 @@ from schrogeo.geometry import (
     _laplacian,
     _samples_first,
     _scalar_jet,
+    component_values,
+    covariant_derivative,
     divergence,
+    exterior_wedge,
     gram_jets,
     gram_values,
 )
@@ -51,9 +60,16 @@ from schrogeo.homogeneous import (
     BoundaryPointError,
     SchrodingerManifoldConfig,
     _flat_square,
+    _section_jacobian,
+    boundary_embed_components,
+    boundary_f0,
+    boundary_metric,
+    boundary_xi,
     embed_components,
+    isometry_check,
+    theta_f0_form,
 )
-from schrogeo.suites import _box_points
+from schrogeo.suites import _box_points, _grid_points
 
 
 def einsum_ricci(g0, dg, d2g, ginv=None):
@@ -535,3 +551,104 @@ def isotropy_loop(cfg: SchrodingerManifoldConfig, rng, samples: int) -> dict:
         found["boundary"].append(A)
         found["boundary_fix_residual"].append(np.abs(A @ X0 - e * X0).max())
     return {key: np.array(v) for key, v in found.items()}
+
+
+# ---------------------------------------------------------------------------
+# the plane-wave record one wave per pass, the boundary structure one point
+# at a time
+
+
+def plane_wave_loop(c, seed) -> dict:
+    """The schrodinger-eq plane-wave residual per sample, one
+    ``schrodinger_residual`` pass per wave: a wave vector drawn, then its
+    residuals at its block of the points."""
+    d = c.d
+    rng = np.random.default_rng(seed)
+    per = max(2, c.samples // 4)
+    pts = _box_points(seed, 1.0, d + 2, 3 * per).reshape(3, per, d + 2)
+    found = []
+    for x in pts:
+        psi = bg.plane_wave(d, rng.normal(size=d), c.params)
+        r1, r2 = bg.schrodinger_residual(c.structure, psi, c.params, x)
+        found.append(np.maximum(bg.complex_magnitude(r1), bg.complex_magnitude(r2)))
+    return {"residual": np.concatenate(found), "waves": 3}
+
+
+def boundary_loop(d: int, pts: np.ndarray, rng) -> dict:
+    """``homogeneous.boundary_structure`` with the scale-invariance forms and
+    the cone-form kernel taken point by point: two ``rank_nullspace`` calls
+    per point, each with its own draws of ``rng``."""
+    G = ambient_gram(d)
+    Z0 = build_Z0(d).matrix
+    metric = boundary_metric(d)
+    flat = flat_gram_matrix(d)
+    samples = len(pts)
+    X = component_values(lambda q: boundary_embed_components(d, q), pts)
+    J = component_values(
+        lambda q: [e for row in _section_jacobian(d, q) for e in row], pts
+    ).reshape(samples, d + 4, d + 2)
+    f0 = boundary_f0(d, X.T)
+    alpha = 3.7
+    f0_scaled = boundary_f0(d, (alpha * X).T)
+    dw, _ = exterior_wedge(theta_f0_form(d), pts)
+    g0 = gram_values(metric, pts)
+    factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
+
+    scale_r, angle_r = np.zeros(samples), np.zeros(samples)
+    kernel_dims = set()
+    for k in range(samples):
+        v1 = J[k] @ rng.normal(size=d + 2)
+        v2 = J[k] @ rng.normal(size=d + 2)
+        base = float(v1 @ G @ v2) / f0[k]
+        scaled = float((alpha * v1) @ G @ (alpha * v2)) / f0_scaled[k]
+        scale_r[k] = abs(base - scaled)
+        alpha2 = float(rng.uniform(0.4, 2.5)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        Xa = alpha2 * X[k]
+        _, tangent = nk.rank_nullspace((Xa @ G).reshape(1, -1))
+        K = tangent @ G @ tangent.T
+        rank_k, null_k = nk.rank_nullspace(K)
+        kernel_dims.add(tangent.shape[0] - rank_k)
+        if null_k.shape[0]:
+            vec = null_k[0] @ tangent
+            xhat = Xa / np.linalg.norm(Xa)
+            angle_r[k] = np.linalg.norm(vec - (vec @ xhat) * xhat) / np.linalg.norm(vec)
+
+    t_vals = (-0.9, -0.2, 0.5, 1.1)
+    qs = rng.uniform(-1.2, 1.2, size=(len(t_vals) * 5, d + 2))
+    qs[:, d] = np.repeat(t_vals, 5)
+    g_t = gram_values(metric, qs)
+    facs = ((g_t * flat).sum(axis=(-2, -1)) / (flat * flat).sum()).reshape(-1, 5)
+    factors_by_t = [sum(row) / len(row) for row in facs.tolist()]
+
+    found = {
+        "scale_invariance": scale_r,
+        "clock_closed": nk.sample_max(dw),
+        "xi_parallel": nk.sample_max(covariant_derivative(metric, boundary_xi(d), pts)),
+        "xi_null": nk.sample_max(g0[:, d + 1, d + 1]),
+        "xi_matches_ambient": nk.sample_max(X @ Z0.T - J[:, :, d + 1]),
+        "conformal_to_flat": nk.sample_max(g0 - factor[:, None, None] * flat),
+        "factor_time_only": float(np.max(facs.max(axis=1) - facs.min(axis=1))),
+        "cone_kernel": angle_r,
+        "factor_varies_with_t": float(np.max(factors_by_t)) - float(np.min(factors_by_t)),
+    }
+    out = {name: {"residual": r} for name, r in found.items()}
+    out["scale_invariance"]["min_f0"] = float(f0.min())
+    out["cone_kernel"]["kernel_dims"] = sorted(kernel_dims)
+    return out
+
+
+def isometry_loop(c, seed) -> dict:
+    """The homogeneous isometry residual per (coupling, point), one
+    ``random_group_element`` draw per coupling."""
+    rng = np.random.default_rng(seed)
+    pts = _grid_points(c, seed)
+    found = []
+    for lam, mu in ((-0.5, 1.0), (-1.0, 2.0)):
+        mc = SchrodingerManifoldConfig(c.d, lam, mu)
+        found.append(isometry_check(mc, random_group_element(c.d, rng), pts))
+    return {
+        "residual": np.concatenate(
+            [np.maximum(r["metric_residual"], r["quadric_residual"]) for r in found]
+        ),
+        "escaped": np.concatenate([r["escaped"] for r in found]),
+    }

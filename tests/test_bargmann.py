@@ -7,7 +7,9 @@ import oracles
 import pytest
 from oracles import expansion_map_rk4, rescaled_metric
 
+from schrogeo import bargmann
 from schrogeo import numkernel as nk
+from schrogeo import suites
 from schrogeo.bargmann import (
     BargmannStructure,
     DensityFunction,
@@ -30,7 +32,7 @@ from schrogeo.bargmann import (
 from schrogeo.ambient import random_group_element
 from schrogeo.geometry import VectorField, jet_components
 from schrogeo.numkernel import ContractViolationError, SeededSampler
-from schrogeo.suites import BARGMANN_AXIOMS, _box_points, verdicts
+from schrogeo.suites import BARGMANN_AXIOMS, SuiteConfig, _box_points, check_seed, verdicts
 
 
 def axioms(structure, samples, seed):
@@ -115,6 +117,58 @@ class TestWavePair:
         off = DensityFunction(coefficient=psi.coefficient, weight=0.3, d=2)
         with pytest.raises(ContractViolationError):
             schrodinger_residual(bg, off, SchrodingerParams(), [0.1, 0.2, 0.3, 0.4])
+
+
+class TestStackedWaves:
+    """The plane-wave record measures its three waves as one per-sample
+    wave stack in one pass, bitwise the pass per wave it replaces."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_pass_matches_the_per_wave_loop(self, monkeypatch, d, seed):
+        made, passes = [], []
+        default_rng, residual = np.random.default_rng, bargmann.schrodinger_residual
+
+        def rng_spy(s):
+            made.append(default_rng(s))
+            return made[-1]
+
+        def pass_spy(*args):
+            passes.append(len(args[-1]))
+            return residual(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_spy)
+        monkeypatch.setattr(bargmann, "schrodinger_residual", pass_spy)
+        cfg = SuiteConfig("schrodinger-eq", dims=(d,), seed=seed)
+        c = suites.SCHRODINGER.context(cfg, d)
+        check = check_seed(cfg, f"schrodinger_d{d}_plane_wave")
+        got = suites._plane_wave(c, check)
+        assert passes == [15]
+        drawn = len(made)
+        want = oracles.plane_wave_loop(c, check)
+        assert passes == [15, 5, 5, 5]
+        assert got["residual"].tobytes() == want["residual"].tobytes()
+        assert got["waves"] == want["waves"] == 3
+        # every generator ends where the per-wave loop leaves its twin
+        assert len(made) == 2 * drawn
+        for a, b in zip(made[:drawn], made[drawn:]):
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_a_stack_row_is_its_wave_alone(self):
+        d, params = 2, SchrodingerParams()
+        waves = np.array([[0.4, -0.3], [1.1, 0.2], [-0.7, 0.9]])
+        pts = _box_points(3, 1.0, d + 2, 3)
+        fj = plane_wave(d, waves, params).coefficient(nk.seed_point(pts))
+        for s, (k, p) in enumerate(zip(waves, pts)):
+            one = plane_wave(d, k, params).coefficient(nk.seed_point(p))
+            assert complex(fj.value[s]) == complex(one.value)
+            assert fj.grad[:, s].tobytes() == one.grad.tobytes()
+            assert fj.hess[..., s].tobytes() == one.hess.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 2)])
+    def test_rejects_a_wave_of_the_wrong_shape(self, shape):
+        with pytest.raises(ContractViolationError):
+            plane_wave(2, np.zeros(shape))
 
 
 class TestTransport:

@@ -247,6 +247,24 @@ class TestDegenerateMetricRegressions:
         assert "ERROR" not in out and "FAIL" not in out
 
 
+class TestErrorCapture:
+    """An ERROR record keeps the coupling and the sample it failed at: at
+    lambda = -1e6 the null-fluid Gram is singular at the relative cut of
+    ``_invert_gram`` (a known limit of the coupling range)."""
+
+    def test_singular_nullfluid_files_its_coupling_and_sample(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        out = tmp_path / "report.json"
+        argv = ["homogeneous", "--dim", "1", "--lambda=-1e6", "--mu", "1"]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == cli.EXIT_CHECKS
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        errors = [name for name, c in checks.items() if c["status"] == "ERROR"]
+        assert errors == ["homogeneous_d1_nullfluid"]
+        record = checks["homogeneous_d1_nullfluid"]
+        assert record["extra"] == {"coupling": [-1e6, 1.0], "sample": 0}
+        assert "(lam, mu) = (-1e+06, 1), sample 0" in record["error"]
+
+
 class TestLargeCouplingAudit:
     """The deformation identity compares Gram entries of size ~1e6 at
     (2, -50, -30); a fixed 1e-12 bound sat below one rounding there."""

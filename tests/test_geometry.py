@@ -244,6 +244,93 @@ class TestRicciKernel:
         assert scal == pytest.approx(-20.0, abs=1e-3)
 
 
+def constant_gram_metric(n: int, seed: int) -> MetricField:
+    """A metric whose Gram is one dense constant Lorentzian matrix."""
+    g0, _, _ = generic_metric_derivatives(np.random.default_rng(seed), n)
+    rows = g0.tolist()
+    return MetricField(Chart(tuple(f"x{i}" for i in range(n))), lambda p: rows, (n - 1, 1))
+
+
+CONSTANT_METRICS = [
+    *(pytest.param(flat_bargmann(d).metric, id=f"flat_bargmann_d{d}") for d in (1, 2, 3, 4)),
+    *(pytest.param(constant_gram_metric(n, n), id=f"dense_n{n}") for n in (3, 5, 7)),
+]
+
+
+def _forbidden(name):
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} called on a constant metric")
+
+    return boom
+
+
+class TestConstantMetricShortcut:
+    """A constant Gram (no entry with a Hessian and dg all zero) skips the
+    curvature contraction and the Christoffel and density terms, and gives
+    what the full formulas give, up to the sign of zeros."""
+
+    @pytest.mark.parametrize("metric", CONSTANT_METRICS)
+    def test_ricci_equals_the_einsum_kernel(self, monkeypatch, metric):
+        n = metric.chart.dim
+        pts = SeededSampler(5, [(-1.0, 1.0)] * n).points(6)
+        # the oracle holds its own reference to the symbols of the first kind
+        monkeypatch.setattr(geometry, "_first_kind", _forbidden("_first_kind"))
+        for p in (pts, pts[0]):
+            g0, dg, hess, pattern = gram_jets(metric, p)
+            assert len(pattern) == 0 and not dg.any()
+            ref, ref_scalar = einsum_ricci(g0, dg, dense_d2g(hess, pattern))
+            ric, scalar = ricci_from_derivatives(g0, dg, hess, pattern)
+            assert ric.shape == ref.shape and np.array_equal(ric, ref)
+            assert np.array_equal(scalar, ref_scalar)
+            assert type(scalar) is (float if p.ndim == 1 else np.ndarray)
+
+    @pytest.mark.parametrize("metric", CONSTANT_METRICS)
+    def test_laplacian_and_divergence_equal_the_full_terms(self, monkeypatch, metric):
+        n = metric.chart.dim
+        pts = SeededSampler(6, [(-1.0, 1.0)] * n).points(5)
+        field = VectorField(metric.chart, lambda x: [x[(i + 1) % n] * x[i] for i in range(n)])
+
+        def f(x):
+            return nk.sin(x[0]) * nk.exp(x[n - 1]) + x[n // 2] * x[n // 2]
+
+        g0, dg = gram_jets(metric, pts, order=1)
+        ginv = np.linalg.inv(g0)
+        fj = f(nk.seed_point(pts))
+        gamma = christoffel_from_derivatives(g0, dg, ginv=ginv)
+        hess, grad = np.moveaxis(fj.hess, -1, 0), fj.grad.T
+        lap = np.einsum("...ab,...ab->...", ginv, hess) - np.einsum(
+            "...ab,...cab,...c->...", ginv, gamma, grad
+        )
+        xv, xj = geometry.jet_components(field.components, pts)
+        div = np.trace(xj, axis1=-2, axis2=-1) + 0.5 * np.einsum(
+            "...a,...ij,...aij->...", xv, ginv, dg
+        )
+        monkeypatch.setattr(
+            geometry, "christoffel_from_derivatives", _forbidden("christoffel_from_derivatives")
+        )
+        assert np.array_equal(scalar_laplacian(metric, f, pts), lap)
+        assert np.array_equal(divergence(metric, field, pts), div)
+
+    def test_an_empty_pattern_with_a_gradient_takes_the_full_contraction(self, monkeypatch):
+        # no entry with a Hessian, but a nonzero first derivative: the
+        # symbols and their products are not zero
+        n, samples = 5, 4
+        g0, dg, _ = generic_metric_derivatives(np.random.default_rng(8), n, (samples,))
+        hess, pattern = np.zeros((samples, 0, n, n)), np.zeros((0, n, n))
+        calls = []
+        first_kind = geometry._first_kind
+
+        def spy(a):
+            calls.append(a.shape)
+            return first_kind(a)
+
+        monkeypatch.setattr(geometry, "_first_kind", spy)
+        ric, scalar = ricci_from_derivatives(g0, dg, hess, pattern)
+        assert calls == [dg.shape]
+        assert np.abs(ric).max() > 0.1
+        assert_matches_the_einsum_oracle(ric, scalar, g0, dg, np.zeros((samples,) + (n,) * 4))
+
+
 # each Ricci oracle test that a dropped term of the kernel must fail
 SPHERE = (TestSphere, "test_ricci_equals_metric")
 EINSTEIN = (TestCurvedBulk, "test_einstein_metric_at_critical_lam")

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import embed, isotropy_loop, origin_point
+from oracles import boundary_loop, embed, isotropy_loop, origin_point
 
 from schrogeo import homogeneous as hg
 from schrogeo.ambient import ambient_gram, random_group_element
@@ -333,6 +333,27 @@ class TestBoundary:
         xv = np.array([float(jet_value(c)) for c in xi.components(p)])
         assert abs(xv @ g0 @ xv) < 1e-14
         assert np.abs(covariant_derivative(m, xi, p)).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_forms_match_the_per_point_loop(self, monkeypatch, d, seed):
+        # the scale-invariance forms and the cone-form SVDs over the stacked
+        # points, bitwise the per-point loop, with the draws in their order
+        calls = []
+        monkeypatch.setattr(hg, "rank_nullspace", lambda *a, **k: calls.append(a))
+        pts = _box_points(seed, 1.2, d + 2, 20)
+        rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = boundary_structure(d, pts, rng)
+        want = boundary_loop(d, pts, ref)
+        assert not calls
+        assert list(got) == list(want)
+        for name, numbers in got.items():
+            assert list(numbers) == list(want[name])
+            for key, value in numbers.items():
+                a, b = np.asarray(value), np.asarray(want[name][key])
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (name, key)
+                assert a.tobytes() == b.tobytes(), (name, key)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_structure_report_passes(self):
         for d in (1, 2):

@@ -4,7 +4,8 @@ imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
 randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
-and group elements, and only ``ambient`` names the chart guard."""
+and group elements, only ``ambient`` names the chart guard, and ``suites`` builds each record
+once, with no ``dataclasses.replace`` copy."""
 
 import ast
 from pathlib import Path
@@ -360,3 +361,33 @@ def test_the_fold_rule_sees_a_stray_call():
     ):
         assert FOLD in _names(ast.parse(source)), source
     assert FOLD not in _names(ast.parse("worst = float(np.max(np.abs(r)))\n"))
+
+
+# ``suites`` builds each record once, with every field it files: a record
+# copied by ``dataclasses.replace`` is built twice
+def _dataclass_replace(tree: ast.AST) -> list[int]:
+    """The lines that import ``replace`` from ``dataclasses`` or read
+    ``dataclasses.replace``."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "dataclasses":
+            found += [n.lineno for a in n.names if a.name == "replace"]
+        elif isinstance(n, ast.Attribute) and n.attr == "replace":
+            if isinstance(n.value, ast.Name) and n.value.id == "dataclasses":
+                found.append(n.lineno)
+    return found
+
+
+def test_suites_builds_each_record_once():
+    assert not _dataclass_replace(_tree(PACKAGE / "suites.py"))
+
+
+def test_the_copy_rule_sees_a_stray_replace():
+    tree = ast.parse(
+        "from dataclasses import dataclass, replace\n"
+        "import dataclasses\n"
+        "def f(rec, row):\n"
+        "    a = dataclasses.replace(rec, seed=1)\n"
+        "    return row._replace(suffix='x'), 'ab'.replace('a', 'b')\n"
+    )
+    assert _dataclass_replace(tree) == [1, 4]

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import stack_elements
+from oracles import isometry_loop, stack_elements
 from schrogeo import ambient, bargmann, homogeneous, suites
+from schrogeo import numkernel as nk
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
 from schrogeo.geometry import OneForm
 from schrogeo.report import judged
@@ -344,6 +345,100 @@ class TestIsotropyMutation:
             assert before[name].status == "PASS" and before[name].residual == 0.0
             assert after[name].status == "FAIL"
             assert after[name].residual == moved[d] > 1e-3
+
+
+class TestPlaneWaveMutation:
+    """A last wave whose omega is off by a relative 1e-6 in the per-sample
+    wave stack flips the plane-wave record to FAIL, with its worst residual
+    on that wave's samples."""
+
+    def test_detuned_last_wave_fails_plane_wave(self, monkeypatch):
+        make = bargmann.plane_wave
+
+        def detuned(d, k, params=bargmann.SchrodingerParams()):
+            psi = make(d, k, params)
+            k = np.asarray(k)
+            omega = -params.hbar * (k * k).sum(axis=1) / (2.0 * params.mass)
+            # exp(i omega' t) with omega' = (1 + 1e-6) omega on the last wave
+            shift = np.where((k == k[-1]).all(axis=1), 1e-6 * omega, 0.0)
+
+            def coeff(x):
+                phase = shift * x[d]
+                return psi.coefficient(x) * (nk.cos(phase) + 1j * nk.sin(phase))
+
+            return bargmann.DensityFunction(coeff, psi.weight, d)
+
+        dims = (1, 2, 3)
+        before = {c.name: c for c in run_suite(small("schrodinger-eq", dims=dims)).checks}
+        seen = []
+        _edit_measurement(
+            monkeypatch, "schrodinger-eq", "plane_wave", lambda m: seen.append(m) or m
+        )
+        monkeypatch.setattr(bargmann, "plane_wave", detuned)
+        after = {c.name: c for c in run_suite(small("schrodinger-eq", dims=dims)).checks}
+        for d, measured in zip(dims, seen):
+            name = f"schrodinger_d{d}_plane_wave"
+            assert before[name].status == "PASS"
+            assert after[name].status == "FAIL"
+            residual = measured["residual"]
+            last = 2 * len(residual) // 3
+            assert residual[:last].max() < 1e-10 < residual[last:].min()
+            assert after[name].residual == residual.max()
+
+
+class TestConeKernelMutation:
+    """A cone form at the last stacked point whose kernel is tilted off the
+    ray flips the cone-kernel record to FAIL, with that point's angle."""
+
+    def test_tilted_last_kernel_fails_cone_kernel(self, monkeypatch):
+        forms, eps = homogeneous._cone_forms, 1e-3
+
+        def tilted(G, Xa):
+            tangent, K = forms(G, Xa)
+            # K -> A^T K A with A = 1 + eps w n^T keeps the rank and moves the
+            # kernel n to n - eps w, w orthogonal to n
+            _, _, vh = np.linalg.svd(K[-1])
+            n, w = vh[-1], vh[0]
+            K = K.copy()
+            A = np.eye(len(n)) + eps * np.outer(w, n)
+            K[-1] = A.T @ K[-1] @ A
+            return tangent, K
+
+        dims = (1, 2, 3)
+        before = {c.name: c for c in run_suite(small("boundary", dims=dims)).checks}
+        seen = []
+        _edit_measurement(monkeypatch, "boundary", "cone_kernel", lambda m: seen.append(m) or m)
+        monkeypatch.setattr(homogeneous, "_cone_forms", tilted)
+        after = {c.name: c for c in run_suite(small("boundary", dims=dims)).checks}
+        for d, measured in zip(dims, seen):
+            name = f"boundary_d{d}_cone_kernel"
+            assert before[name].status == "PASS"
+            assert after[name].status == "FAIL"
+            assert after[name].extra["kernel_dims"] == [1]
+            angles = measured["cone_kernel"]["residual"]
+            assert angles[:-1].max() < 1e-10
+            assert after[name].residual == angles[-1] == pytest.approx(eps, rel=1e-3)
+
+
+def test_isometry_draws_one_stack_per_d(monkeypatch):
+    # one (2, k) draw and one element stack per d, bitwise the draw per
+    # coupling it replaces
+    stacks = []
+    make = suites.group_elements
+
+    def spy(d, coeffs):
+        stacks.append(len(coeffs))
+        return make(d, coeffs)
+
+    monkeypatch.setattr(suites, "group_elements", spy)
+    cfg = SuiteConfig("homogeneous", dims=(1, 2, 3), seed=7)
+    for d in cfg.dims:
+        c = suites.HOMOGENEOUS.context(cfg, d)
+        seed = check_seed(cfg, f"homogeneous_d{d}_isometry")
+        got, want = suites._isometry(c, seed), isometry_loop(c, seed)
+        for key in ("residual", "escaped"):
+            assert got[key].tobytes() == want[key].tobytes()
+    assert stacks == [2, 2, 2]
 
 
 class TestStatusRule:
