@@ -8,6 +8,7 @@ config file, unwritable output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -42,7 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first call and kept: parse_args leaves the parser as it
+    # found it, so every call of ``main`` shares one
     parser = _Parser(
         prog="schrogeo",
         description="Run verification suites for Schrödinger geometry.",

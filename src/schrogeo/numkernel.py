@@ -22,6 +22,7 @@ do not mix.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from typing import Callable, Sequence
 
@@ -335,9 +336,18 @@ def seed_point(coords: Sequence[float], order: int = 2) -> list[Jet2]:
     first-order jets, for callers that read no second derivative.
     """
     pts = np.asarray(coords, dtype=float)
-    n = pts.shape[-1]
+    n, batch = pts.shape[-1], pts.shape[:-1]
     values = pts.tolist() if pts.ndim == 1 else np.ascontiguousarray(pts.T)
-    return [Jet2.variable(c, i, n, order) for i, c in enumerate(values)]
+    # the n seed gradients are the rows of one identity block, and the n
+    # seeds share one zero Hessian; both are read-only, so no jet writes
+    # into another's derivatives
+    grads = np.zeros((n, n) + batch)
+    grads.reshape(n * n, -1)[:: n + 1] = 1.0
+    grads.flags.writeable = False
+    hess = _zero_hessian(n, batch, order)
+    if hess is not None:
+        hess.flags.writeable = False
+    return [Jet2(c, g, hess, _symmetric=True) for c, g in zip(values, grads)]
 
 
 def jet_value(x):
@@ -404,6 +414,17 @@ def rank_nullspace(m, tol: float = 1e-10) -> tuple[int, np.ndarray]:
 # sampling
 
 
+@functools.lru_cache(maxsize=256)
+def _box_array(boxes: tuple) -> np.ndarray:
+    """The (n, 2) array of ``boxes``, checked and read-only, built once per
+    box tuple."""
+    out = np.atleast_2d(np.asarray(boxes, dtype=float))
+    if out.shape[1] != 2 or np.any(out[:, 1] <= out[:, 0]):
+        raise ContractViolationError("boxes must be (lo, hi) pairs with lo < hi")
+    out.flags.writeable = False
+    return out
+
+
 class SeededSampler:
     """Uniform sampler over per-coordinate boxes, reproducible by seed.
 
@@ -421,9 +442,10 @@ class SeededSampler:
         max_tries: int = 1000,
     ):
         self.seed = int(seed)
-        self.boxes = np.atleast_2d(np.asarray(boxes, dtype=float))
-        if self.boxes.shape[1] != 2 or np.any(self.boxes[:, 1] <= self.boxes[:, 0]):
-            raise ContractViolationError("boxes must be (lo, hi) pairs with lo < hi")
+        try:
+            self.boxes = _box_array(tuple(map(tuple, boxes)))
+        except TypeError as exc:
+            raise ContractViolationError("boxes must be (lo, hi) pairs") from exc
         self.exclude = exclude
         self.max_tries = max_tries
         self.rejections = 0

@@ -13,7 +13,6 @@ and wall-clock time never enters the payload.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import zlib
@@ -48,7 +47,7 @@ from .ambient import (
 )
 from .geometry import jet_components
 from .numkernel import SeededSampler, max_entry, sample_max
-from .report import CheckResult, judged, status_of
+from .report import CheckResult, dump_json, judged, status_of
 
 __all__ = [
     "AUDIT",
@@ -223,7 +222,7 @@ def verdicts(
         extra = dict(extra) if isinstance(extra, dict) else {"residual": extra}
         residual, flag = extra.pop("residual"), extra.pop("holds", True)
         count = samples
-        if np.ndim(residual):
+        if type(residual) is not float and np.ndim(residual):
             residual = np.ravel(residual)
             count, escaped = len(residual), extra.pop("escaped", None)
             if escaped is not None:
@@ -231,7 +230,8 @@ def verdicts(
                 extra["escapes"] = count - len(residual)
                 if not len(residual):
                     raise ChartEscapeError(f"all {count} {row.suffix} samples escaped")
-            residual = float(np.min(residual)) if row.control else max_entry(residual)
+            # one reduction, which keeps NaN: the float max_entry gives
+            residual = float(residual.min() if row.control else residual.max())
         bound = row.tol(tol, extra) if callable(row.tol) else row.tol
         out[row.suffix] = judged(
             residual,
@@ -935,10 +935,10 @@ def emit_report(report: RunReport, fmt: str) -> str:
         doc = {
             "version": "1",
             "config": report.config,
-            "checks": [c.to_dict() for c in report.checks],
+            "checks": report.checks,
             "summary": report.summary,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return dump_json(doc) + "\n"
     if fmt != "text":
         raise ConfigError(f"format must be json or text, got {fmt!r}")
     lines = []

@@ -2,6 +2,7 @@
 over file, and byte identity of repeated runs."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -294,6 +295,39 @@ class TestReproducibility:
         doc = json.loads(captured.out)
         assert "wall_time" not in json.dumps(doc)
         assert "s" in captured.err  # timing goes to stderr
+
+
+class TestOneProcess:
+    """Calls in one interpreter share the parser and the sampler's box
+    cache, and each writes the bytes a fresh process writes."""
+
+    CALLS = [
+        ["homogeneous", "--dim", "1", "--dim", "2", "--dim", "3", "--samples", "80"],
+        ["axioms", "--dim", "6", "--dim", "8"],
+        ["all"],
+        ["homogeneous", "--lambda", "-1", "--lambda=-0.4", "--mu", "0", "--mu", "3"],
+    ]
+
+    def test_each_call_writes_what_a_fresh_process_writes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        env = {k: v for k, v in os.environ.items() if k != "SCHROGEO_SEED"}
+        for k, call in enumerate(self.CALLS):
+            argv = [*call, "--seed", "3", "--format", "json", "--out"]
+            here, fresh = tmp_path / f"here{k}.json", tmp_path / f"fresh{k}.json"
+            assert main([*argv, str(here)]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "schrogeo.cli", *argv, str(fresh)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert here.read_bytes() == fresh.read_bytes(), call
+
+    def test_all_runs_at_two_seeds(self, tmp_path, capsys):
+        # no package code writes into a seed jet's shared, read-only arrays
+        for seed in ("0", "42"):
+            assert main(["all", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
 
 
 class TestInstalledEntryPoint:

@@ -193,6 +193,60 @@ class TestSeededSampler:
         p = SeededSampler(seed, [(-0.5, 0.5)]).sample()
         assert -0.5 <= p[0] <= 0.5
 
+    def test_boxes_are_checked_once_and_read_only(self):
+        a = SeededSampler(1, [(-1, 1), (0, 2)])
+        b = SeededSampler(2, [(-1.0, 1.0), (0.0, 2.0)])
+        assert a.boxes is b.boxes
+        assert not a.boxes.flags.writeable
+        assert a.boxes.tolist() == [[-1.0, 1.0], [0.0, 2.0]]
+        with pytest.raises(ValueError):
+            a.boxes[0, 0] = 5.0
+
+    @pytest.mark.parametrize("boxes", [[(1.0, 1.0)], [(2, 1)], [(0, 1, 2)], [], [0.5]])
+    def test_a_bad_box_raises_on_every_call(self, boxes):
+        for _ in range(2):
+            with pytest.raises(ContractViolationError):
+                SeededSampler(0, boxes)
+
+
+class TestSeedPoint:
+    """The seeds share one read-only identity block and one read-only zero
+    Hessian, and equal the seeds built one variable at a time."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("coords", [[0.3, -1.2, 2.0, 0.7], np.arange(15.0).reshape(5, 3)])
+    def test_equals_one_variable_at_a_time(self, coords, order):
+        pts = np.asarray(coords, dtype=float)
+        n = pts.shape[-1]
+        values = pts.tolist() if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+        want = [Jet2.variable(c, i, n, order) for i, c in enumerate(values)]
+        got = seed_point(coords, order)
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert type(a.value) is type(b.value)
+            assert np.asarray(a.value).tobytes() == np.asarray(b.value).tobytes()
+            assert a.grad.shape == b.grad.shape and a.grad.tobytes() == b.grad.tobytes()
+            if order == 1:
+                assert a.hess is None and b.hess is None
+            else:
+                assert a.hess.shape == b.hess.shape and a.hess.tobytes() == b.hess.tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("coords", [[0.3, -1.2, 2.0], np.ones((4, 3))])
+    def test_the_shared_arrays_are_read_only(self, coords, order):
+        jets = seed_point(coords, order)
+        for x in jets:
+            assert not x.grad.flags.writeable
+            with pytest.raises(ValueError):
+                x.grad[...] = 0.0
+            if order == 2:
+                assert x.hess is jets[0].hess and not x.hess.flags.writeable
+                with pytest.raises(ValueError):
+                    x.hess[...] = 1.0
+        # an operation builds new arrays, which stay writable
+        y = jets[0] * jets[1] + jets[2]
+        assert y.grad.flags.writeable
+
 
 def reference_dot(coeffs, terms):
     """The accumulation ``sparse_dot`` replaced, written out: every product

@@ -4,8 +4,9 @@ imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
 randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
-and group elements, only ``ambient`` names the chart guard, and ``suites`` builds each record
-once, with no ``dataclasses.replace`` copy."""
+and group elements, only ``ambient`` names the chart guard, ``suites`` builds each record
+once, with no ``dataclasses.replace`` copy, and ``report.dump_json`` is the
+one serializer of the report."""
 
 import ast
 from pathlib import Path
@@ -391,3 +392,36 @@ def test_the_copy_rule_sees_a_stray_replace():
         "    return row._replace(suffix='x'), 'ab'.replace('a', 'b')\n"
     )
     assert _dataclass_replace(tree) == [1, 4]
+
+
+# the report has one serializer, ``report.dump_json``: an indented
+# ``json.dumps`` or ``json.dump`` in the package runs the stdlib's
+# pure-Python encoder beside it
+def _indented_json_calls(tree: ast.AST) -> list[int]:
+    """The lines that call ``dumps`` or ``dump``, by name or as an attribute,
+    with an ``indent`` keyword."""
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if name in {"dumps", "dump"} and any(k.arg == "indent" for k in n.keywords):
+                found.append(n.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_report_writer_is_the_one_serializer(path):
+    assert not _indented_json_calls(_tree(path)), path.name
+
+
+def test_the_serializer_rule_sees_a_stray_dump():
+    tree = ast.parse(
+        "import json\n"
+        "from json import dumps\n"
+        "a = json.dumps(doc, indent=2, sort_keys=True)\n"
+        "json.dump(doc, fh, indent=None)\n"
+        "b = dumps(doc, indent=1)\n"
+        "c = json.dumps(doc, sort_keys=True)\n"
+        "d = dump_json(doc)\n"
+    )
+    assert _indented_json_calls(tree) == [3, 4, 5]
