@@ -87,9 +87,8 @@ class StabilizerConstraintError(ValueError):
 
 
 class ChartEscapeError(ValueError):
-    """One point left its chart: a chart map's denominator fell to its guard.
-    A batch raises none; its escaped samples come back NaN
-    (``mark_escapes``)."""
+    """Every sample of a measured row left its chart.  A chart map raises
+    none: its escaped samples come back NaN (``mark_escapes``)."""
 
 
 # |e - a t| at or below which the projective image leaves the chart
@@ -97,17 +96,13 @@ CHART_GUARD = 1e-8
 
 
 def mark_escapes(den, off, message: str):
-    """The denominator ``den`` of a chart map, with ``off`` its escape test.
+    """The denominator ``den`` of a chart map, with ``off`` its per-sample
+    escape test.
 
-    On a batch (``off`` a per-sample array) the value of ``den`` is NaN at
-    each escaped sample, so that sample's quotients, jets included, come
-    back NaN and every other sample is untouched.  One point that escapes
-    raises ChartEscapeError(message).
+    The value of ``den`` is NaN at each escaped sample, so that sample's
+    quotients, jets included, come back NaN and every other sample is
+    untouched.
     """
-    if not isinstance(off, np.ndarray):
-        if off:
-            raise ChartEscapeError(message)
-        return den
     if not off.any():
         return den
     nan_v = np.where(off, np.nan, jet_value(den))
@@ -597,8 +592,8 @@ def realize_field(blocks: SchBlocks, d: int):
     Lam[a, b] x[b] in column order b, skipping zero entries (sample by
     sample on a stack).  Each component is therefore rounded exactly as
     Gam[a] + (alpha t + chi) x[a] - (alpha/2) g(x,x) xi[a] + Lam[a, 0] x[0]
-    + ... evaluated on its own, for one point and one element, and comes
-    back as a jet, number or (N,) array like its inputs.
+    + ... evaluated on its own, for one sample and one element, and comes
+    back as a jet or (N,) array like its inputs.
     """
     xi = xi_vector(d)
     vert = float(np.abs(blocks.Lam @ xi + np.multiply.outer(blocks.chi, xi)).max())
@@ -624,12 +619,11 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
 
     The realization is an anti-homomorphism (left action), so the field
     bracket matches realize(-[Z1, Z2]); both signed residuals are returned
-    so callers can record the verified sign.  ``p`` is one point (n,) or a
-    batch (N, n), evaluated in one jet pass; each residual is a float at
-    one point and (N,) on a batch.  On a batch, ``e1`` and ``e2`` may be
-    per-sample stacks of N elements each (matrices (N, d+4, d+4), blocks
-    from ``decompose_sch``): sample s then brackets pair s at point s,
-    bitwise as that pair alone at that point.
+    so callers can record the verified sign.  ``p`` is a batch (N, n),
+    evaluated in one jet pass; each residual is (N,).  ``e1`` and ``e2``
+    may be per-sample stacks of N elements each (matrices (N, d+4, d+4),
+    blocks from ``decompose_sch``): sample s then brackets pair s at point
+    s, bitwise as that pair alone at that point.
     """
     v1, _ = realize_field(e1.blocks, d)
     v2, _ = realize_field(e2.blocks, d)
@@ -637,8 +631,7 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
     vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
     mv = component_values(vm.components, p)
-    found = {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
-    return {key: float(v) if np.ndim(v) == 0 else v for key, v in found.items()}
+    return {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
 
 
 # ---------------------------------------------------------------------------
@@ -1006,23 +999,22 @@ def group_inverse(ge: GroupElement) -> GroupElement:
 def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     """Linear-fractional action on the flat chart and the fiber coordinate.
 
-    x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t); inputs
-    may be floats or jets.  ``x`` holds n = d + 2 coordinates: scalars for
-    one point, or (N,) arrays (jets with a trailing sample axis) for a batch
-    of N points, whose images come back in the same form.  ``ge`` is one
-    element, or a per-sample stack of N elements (``GroupElement.take``)
-    whose element s acts on sample s of the batch: one pass over N
-    (element, point) pairs.  Where |e - a t| falls to ``guard`` the image
-    leaves the chart: one point raises ChartEscapeError, and on a batch
-    that sample's image and r' come back NaN (``mark_escapes``) while every
-    other sample is what it would be alone.
+    x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t).  ``x``
+    holds the n = d + 2 coordinates of a batch of N points, (N,) arrays or
+    jets with a trailing sample axis, whose images come back in the same
+    form.  ``ge`` is one element, or a per-sample stack of N elements
+    (``GroupElement.take``) whose element s acts on sample s of the batch:
+    one pass over N (element, point) pairs.  Where |e - a t| falls to
+    ``guard`` the image leaves the chart: that sample's image and r' come
+    back NaN (``mark_escapes``) while every other sample is what it would
+    be alone.
 
     The n numerators are one stack (``_affine_rows``): (a/2) g(x,x) is formed
     once, and row a adds its L[a, b] x[b] in column order b, skipping zero
     entries.  Jets are divided through one shared reciprocal of e - a t,
     applied by the product rule as jet division applies it.  Each image is
     therefore rounded exactly as (C[a] - (a/2) g(x,x) xi[a] + L[a, 0] x[0] +
-    ...) / (e - a t) evaluated on its own, for one point and one element.
+    ...) / (e - a t) evaluated on its own, for one sample and one element.
     """
     d = ge.dim
     blocks = ge.blocks

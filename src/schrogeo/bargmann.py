@@ -13,8 +13,8 @@ transport checks in this module exercise.
 Every check measures the points it is given, of shape (N, n), as one batch:
 the points are seeded as jets with a trailing sample axis, so one jet pass
 gives the residuals at all of them, each bitwise its value at that point
-alone.  The residual functions take one point of shape (n,) or a batch of
-shape (N, n), and return scalars or (N,) arrays.
+alone.  The residual functions take a batch of shape (N, n), one point
+being the batch of one p[None], and return (N,) arrays.
 """
 
 from __future__ import annotations
@@ -184,15 +184,15 @@ def schrodinger_residual(
     structure: BargmannStructure,
     psi: DensityFunction,
     params: SchrodingerParams,
-    p: Sequence[float],
+    p: np.ndarray,
 ) -> tuple:
     """Residuals of the covariant pair:
 
     r1 = (Delta_g - (n-2)/(4(n-1)) R) f,
     r2 = (hbar/i) (xi(f) + w Div(xi) f) - m f.
 
-    Two complex scalars at a point of shape (n,); two (N,) complex arrays on
-    a batch (N, n), sample by sample bitwise equal to the point values.
+    Two (N,) complex arrays on a batch (N, n), sample by sample bitwise
+    equal to the values of that point alone.
     Requires the density to carry the covariant weight d/(2d+4).  One jet
     pass of the metric, one inverse Gram and one evaluation of the
     coefficient serve both members.
@@ -202,15 +202,12 @@ def schrodinger_residual(
         raise ContractViolationError(
             f"density weight {psi.weight} != covariant weight {w}"
         )
-    pts = np.asarray(p, dtype=float)
+    pts = nk.point_batch(p)
     r1, div, fj = yamabe_and_divergence(
         structure.metric, psi.coefficient, structure.xi, pts
     )
     lie = _lie_term(structure.xi, psi.weight, fj, div, pts)
-    f = fj.value
-    if pts.ndim == 1:
-        r1, lie, f = complex(r1), complex(lie), complex(f)
-    return r1, (params.hbar / 1j) * lie - params.mass * f
+    return r1, (params.hbar / 1j) * lie - params.mass * fj.value
 
 
 def complex_magnitude(z) -> np.ndarray:

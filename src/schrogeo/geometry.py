@@ -1,9 +1,10 @@
 """Coordinate tensor calculus on jets.
 
-A metric is a callable Gram matrix over a named chart, evaluable on floats or
-on seeded jets.  Because the jet arithmetic is exact to second order, the
-Christoffel symbols and the Riemann/Ricci contractions built from jet-derived
-metric derivatives carry no finite-difference truncation error.  The
+A metric is a callable Gram matrix over a named chart, evaluable on the
+per-sample coordinate arrays of a batch of points or on seeded jets.
+Because the jet arithmetic is exact to second order, the Christoffel symbols
+and the Riemann/Ricci contractions built from jet-derived metric derivatives
+carry no finite-difference truncation error.  The
 independent baseline, a Richardson-extrapolated central-difference path,
 lives with the tests (``tests/oracles.py``).
 
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numkernel import ContractViolationError, Jet2, seed_point
+from .numkernel import ContractViolationError, Jet2, point_batch, seed_point
 
 __all__ = [
     "Chart",
@@ -49,17 +50,17 @@ __all__ = [
 class DegenerateMetricError(ValueError):
     """Gram matrix not invertible at the evaluation point.
 
-    ``sample`` is the index of the first singular sample of a stack (None at
-    one point) and ``detail`` the singular values that condemned it, so a
-    caller that stacked several batches can name the batch and the index
-    within it.  ``coupling`` is the (lam, mu) of that sample once a caller
-    has named it, and then ``sample`` counts within that coupling's points.
+    ``sample`` is the index of the first singular sample of a stack and
+    ``detail`` the singular values that condemned it, so a caller that
+    stacked several batches can name the batch and the index within it.
+    ``coupling`` is the (lam, mu) of that sample once a caller has named
+    it, and then ``sample`` counts within that coupling's points.
     """
 
     def __init__(
         self,
         message: str,
-        sample: int | None = None,
+        sample: int,
         detail: str = "",
         coupling: tuple[float, float] | None = None,
     ):
@@ -84,8 +85,9 @@ class Chart:
 class MetricField:
     """Pseudo-Riemannian metric: chart, Gram callable, expected signature.
 
-    ``gram`` maps a point (sequence of scalars or jets) to an n x n nested
-    sequence; entries may be plain numbers when constant.
+    ``gram`` maps the coordinates of a batch of points (n jets or (N,)
+    arrays) to an n x n nested sequence; entries may be plain numbers when
+    constant.
     """
 
     chart: Chart
@@ -108,19 +110,22 @@ class OneForm:
 # ---------------------------------------------------------------------------
 # evaluation helpers
 #
-# Every evaluator takes one point of shape (n,) or a batch of shape (N, n).
-# A batch is seeded as jets with a trailing sample axis (see ``Jet2``) and
-# comes back with a leading sample axis on every returned array.
+# Every evaluator takes a batch of points of shape (N, n); one point is the
+# batch of one p[None].  The batch is seeded as jets with a trailing sample
+# axis (see ``Jet2``) and comes back with a leading sample axis on every
+# returned array.
 
 
-def _coordinates(pts: np.ndarray) -> list:
-    """Chart coordinates for a callable: floats, or one (N,) array each."""
-    return pts.tolist() if pts.ndim == 1 else list(np.ascontiguousarray(pts.T))
+def _coordinates(p) -> tuple[np.ndarray, list]:
+    """The batch ``p`` (``point_batch``) and its chart coordinates for a
+    callable, one (N,) array each."""
+    pts = point_batch(p)
+    return pts, list(np.ascontiguousarray(pts.T))
 
 
-def _samples_first(a: np.ndarray, batch: tuple) -> np.ndarray:
-    """A jet array with its trailing sample axis (if any) moved to the front."""
-    return a.transpose(-1, *range(a.ndim - 1)) if batch else a
+def _samples_first(a: np.ndarray) -> np.ndarray:
+    """A jet array with its trailing sample axis moved to the front."""
+    return a.transpose(-1, *range(a.ndim - 1))
 
 
 def _entry_positions(rows) -> list[tuple[object, int | np.ndarray]]:
@@ -151,13 +156,13 @@ def _put(flat: np.ndarray, k, value) -> None:
     flat[..., k] = value if isinstance(k, int) else np.asarray(value)[..., None]
 
 
-def gram_values(metric: MetricField, p: Sequence[float]) -> np.ndarray:
-    """Gram matrix (n, n) at a point, or (N, n, n) on a batch of points.
+def gram_values(metric: MetricField, p: np.ndarray) -> np.ndarray:
+    """Gram matrices (N, n, n) on a batch of points (N, n).
 
-    The matrix starts from zeros and each distinct entry object the metric
+    The matrices start from zeros and each distinct entry object the metric
     returns is written once, to every position that holds it."""
-    pts = np.asarray(p, dtype=float)
-    rows = metric.gram(_coordinates(pts))
+    pts, x = _coordinates(p)
+    rows = metric.gram(x)
     n = len(rows)
     out = np.zeros(pts.shape[:-1] + (n, n))
     flat = out.reshape(out.shape[:-2] + (n * n,))
@@ -166,22 +171,22 @@ def gram_values(metric: MetricField, p: Sequence[float]) -> np.ndarray:
     return out
 
 
-def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
-    """Gram matrix and its coordinate derivatives at ``p``, to ``order``.
+def gram_jets(metric: MetricField, p: np.ndarray, order: int = 2) -> tuple:
+    """Gram matrices and their coordinate derivatives on the batch ``p``
+    (N, n), to ``order``.
 
-    Returns (g0, dg, hess, pattern) with dg[a, i, j] = d_a g_ij and the
-    second derivatives factored by distinct entry object: hess[e, a, b] =
-    d_a d_b of the e-th non-constant entry and pattern[e, i, j] = 1 where
-    that entry sits, so d_a d_b g_ij = sum_e hess[e, a, b] pattern[e, i, j].
-    Shapes (n, n), (n, n, n), (E, n, n), (E, n, n) at one point; a batch
-    of N points (``p`` of shape (N, n)) prepends a sample axis to all but
-    ``pattern``, so dg[s, a, i, j] = d_a g_ij at sample s.  A metric with
-    constant entries only has E = 0.  ``order`` 1 seeds first-order jets
+    Returns (g0, dg, hess, pattern) with dg[s, a, i, j] = d_a g_ij at sample
+    s and the second derivatives factored by distinct entry object:
+    hess[s, e, a, b] = d_a d_b of the e-th non-constant entry and
+    pattern[e, i, j] = 1 where that entry sits, so d_a d_b g_ij = sum_e
+    hess[s, e, a, b] pattern[e, i, j].  Shapes (N, n, n), (N, n, n, n),
+    (N, E, n, n) and (E, n, n).  A metric with constant entries only has
+    E = 0.  ``order`` 1 seeds first-order jets
     and returns (g0, dg) only, bitwise the same arrays.  As in
     ``gram_values``, the arrays start from zeros and each distinct entry
     object is written once.
     """
-    pts = np.asarray(p, dtype=float)
+    pts = point_batch(p)
     n = pts.shape[-1]
     batch = pts.shape[:-1]
     rows = metric.gram(seed_point(pts, order))
@@ -192,7 +197,7 @@ def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
     for e, k in _entry_positions(rows):
         if isinstance(e, Jet2):
             _put(flat[0], k, e.value)
-            _put(flat[1], k, _samples_first(e.grad, batch))
+            _put(flat[1], k, _samples_first(e.grad))
             jets.append((e, k))
         else:
             _put(flat[0], k, e)
@@ -201,21 +206,21 @@ def gram_jets(metric: MetricField, p: Sequence[float], order: int = 2) -> tuple:
     hess = np.empty(batch + (len(jets), n, n))
     pattern = np.zeros((len(jets), n * n))
     for i, (e, k) in enumerate(jets):
-        hess[..., i, :, :] = _samples_first(e.hess, batch)
+        hess[..., i, :, :] = _samples_first(e.hess)
         pattern[i, k] = 1.0
     return g0, dg, hess, pattern.reshape(-1, n, n)
 
 
 def jet_components(
-    fn: Callable[[Sequence], Sequence], p: Sequence[float]
+    fn: Callable[[Sequence], Sequence], p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a component callable on first-order seeds.
+    """Evaluate a component callable on first-order seeds of the batch
+    ``p`` (N, n).
 
-    Returns (vals, jac) with jac[i, a] = d_a comp_i: shapes (m,), (m, n) at
-    one point; a batch of N points (``p`` of shape (N, n)) prepends a sample
-    axis, giving (N, m), (N, m, n).  Complex components are allowed.
+    Returns (vals, jac) with jac[s, i, a] = d_a comp_i at sample s, shapes
+    (N, m) and (N, m, n).  Complex components are allowed.
     """
-    pts = np.asarray(p, dtype=float)
+    pts = point_batch(p)
     n = pts.shape[-1]
     batch = pts.shape[:-1]
     comps = fn(seed_point(pts, order=1))
@@ -231,19 +236,19 @@ def jet_components(
     for i, c in enumerate(comps):
         if isinstance(c, Jet2):
             vals[..., i] = c.value
-            jac[..., i, :] = _samples_first(c.grad, batch)
+            jac[..., i, :] = _samples_first(c.grad)
         else:
             vals[..., i] = c
     return vals, jac
 
 
 def component_values(
-    fn: Callable[[Sequence], Sequence], p: Sequence[float]
+    fn: Callable[[Sequence], Sequence], p: np.ndarray
 ) -> np.ndarray:
-    """Components of a callable evaluated on plain floats: (m,) at one
-    point, (N, m) on a batch."""
-    pts = np.asarray(p, dtype=float)
-    comps = fn(_coordinates(pts))
+    """Components of a callable evaluated without jets on the batch ``p``
+    (N, n): (N, m)."""
+    pts, x = _coordinates(p)
+    comps = fn(x)
     out = np.empty(pts.shape[:-1] + (len(comps),))
     for i, c in enumerate(comps):
         out[..., i] = c
@@ -252,16 +257,15 @@ def component_values(
 
 def _scalar_jet(f: Callable[[Sequence], Jet2], pts: np.ndarray) -> Jet2:
     """f on seeded jets; a constant result becomes a constant jet, with one
-    value per sample on a batch."""
+    value per sample."""
     out = f(seed_point(pts))
     if not isinstance(out, Jet2):
-        batch = pts.shape[:-1]
-        out = Jet2.constant(np.full(batch, out) if batch else out, pts.shape[-1])
+        out = Jet2.constant(np.full(pts.shape[:-1], out), pts.shape[-1])
     return out
 
 
 def _invert_gram(g0: np.ndarray) -> np.ndarray:
-    """Inverse of one Gram matrix (n, n) or of a stack (N, n, n).
+    """Inverse of a stack of Gram matrices (N, n, n).
 
     A sample counts as singular when its smallest singular value is below
     1e-12 of its largest: a relative test, blind to the overall scale of
@@ -275,11 +279,8 @@ def _invert_gram(g0: np.ndarray) -> np.ndarray:
         k = int(np.flatnonzero(singular)[0])
         smin, smax = s.reshape(-1, s.shape[-1])[k, [0, -1]]
         detail = f"sigma_min = {smin:.3e}, sigma_max = {smax:.3e}"
-        stacked = g0.ndim > 2
         raise DegenerateMetricError(
-            f"Gram matrix is singular{f' at sample {k}' if stacked else ''} ({detail})",
-            sample=k if stacked else None,
-            detail=detail,
+            f"Gram matrix is singular at sample {k} ({detail})", sample=k, detail=detail
         )
     return np.linalg.inv(g0)
 
@@ -287,8 +288,8 @@ def _invert_gram(g0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # connection and curvature
 #
-# These act on one point or on a stack with a leading sample axis.  A
-# caller that already holds the inverse Gram passes it as ``ginv``.
+# These act on a stack with a leading sample axis.  A caller that already
+# holds the inverse Gram passes it as ``ginv``.
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -309,7 +310,7 @@ def christoffel_from_derivatives(
     return np.einsum("...ka,...aij->...kij", ginv, _first_kind(dg))
 
 
-def christoffel(metric: MetricField, p: Sequence[float]) -> np.ndarray:
+def christoffel(metric: MetricField, p: np.ndarray) -> np.ndarray:
     g0, dg = gram_jets(metric, p, order=1)
     return christoffel_from_derivatives(g0, dg)
 
@@ -327,7 +328,7 @@ def ricci_from_derivatives(
     hess: np.ndarray,
     pattern: np.ndarray,
     ginv: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Ricci tensor and scalar from metric derivatives (any source), the
     second derivatives in the factored form of ``gram_jets``:
     d_a d_b g_ij = sum_e hess[..., e, a, b] pattern[e, i, j].
@@ -347,7 +348,7 @@ def ricci_from_derivatives(
     the other two terms of g^ka d_i Gamma_{a,kj}, and each hess_e is
     symmetric, which A reads as d_i d_k for d_k d_i.  Jet Hessians are
     exactly symmetric, so the second holds bitwise for ``gram_jets``.
-    The scalar is a float at one point and an (N,) array on a stack.
+    The scalar is an (N,) array over a stack of N samples.
 
     A constant Gram (no entry with a Hessian, E = 0, and dg all zero) has
     exact zeros for both, which are returned without the contraction.
@@ -357,7 +358,7 @@ def ricci_from_derivatives(
     n = g0.shape[-1]
     lead = g0.shape[:-2]
     if len(pattern) == 0 and not dg.any():
-        return np.zeros(lead + (n, n)), (np.zeros(lead) if lead else 0.0)
+        return np.zeros(lead + (n, n)), np.zeros(lead)
     nn = n * n
     g = ginv[..., None, :, :]
     # A, B and D.  Each position is held by one entry, so a sum below gains
@@ -390,11 +391,10 @@ def ricci_from_derivatives(
     # Gamma^k_il Gamma^l_kj, summed over (l, k) as a reshape of Gamma
     ric -= np.moveaxis(gamma, -3, -1).reshape(*lead, n, nn) @ gamma.reshape(*lead, nn, n)
     ric = 0.5 * (ric + ric.swapaxes(-1, -2))
-    scalar = np.einsum("...ij,...ij->...", ginv, ric)
-    return ric, (float(scalar) if scalar.ndim == 0 else scalar)
+    return ric, np.einsum("...ij,...ij->...", ginv, ric)
 
 
-def ricci_scalar(metric: MetricField, p: Sequence[float]) -> tuple[np.ndarray, float]:
+def ricci_scalar(metric: MetricField, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ricci_from_derivatives(*gram_jets(metric, p))
 
 
@@ -402,8 +402,8 @@ def ricci_scalar(metric: MetricField, p: Sequence[float]) -> tuple[np.ndarray, f
 # derivative operators
 
 
-def covariant_derivative(metric: MetricField, w, p: Sequence[float]) -> np.ndarray:
-    """nabla w at ``p``: rows indexed by the derivative direction.
+def covariant_derivative(metric: MetricField, w, p: np.ndarray) -> np.ndarray:
+    """nabla w on the batch ``p``: rows indexed by the derivative direction.
 
     For a OneForm returns (nabla w)[a, b] = d_a w_b - Gamma^c_ab w_c; for a
     VectorField returns (nabla v)[a, b] = d_a v^b + Gamma^b_ac v^c.
@@ -418,7 +418,7 @@ def covariant_derivative(metric: MetricField, w, p: Sequence[float]) -> np.ndarr
 
 
 def lie_derivative_metric(
-    metric: MetricField, field: VectorField, p: Sequence[float]
+    metric: MetricField, field: VectorField, p: np.ndarray
 ) -> np.ndarray:
     """(L_Z g)_ab = Z^c d_c g_ab + g_cb d_a Z^c + g_ac d_b Z^c."""
     g0, dg = gram_jets(metric, p, order=1)
@@ -431,19 +431,18 @@ def lie_derivative_metric(
     )
 
 
-def lie_bracket(v: VectorField, w: VectorField, p: Sequence[float]) -> np.ndarray:
-    """[V, W]^a = V^c d_c W^a - W^c d_c V^a: (n,) at one point, (N, n) on
-    a batch."""
+def lie_bracket(v: VectorField, w: VectorField, p: np.ndarray) -> np.ndarray:
+    """[V, W]^a = V^c d_c W^a - W^c d_c V^a on the batch ``p``: (N, n)."""
     vv, vj = jet_components(v.components, p)
     wv, wj = jet_components(w.components, p)
     return np.einsum("...c,...ac->...a", vv, wj) - np.einsum("...c,...ac->...a", wv, vj)
 
 
-def divergence(metric: MetricField, field: VectorField, p: Sequence[float]):
+def divergence(metric: MetricField, field: VectorField, p: np.ndarray) -> np.ndarray:
     """Div X = d_a X^a + X^a d_a log sqrt|det g|, via tr(g^{-1} d_a g)/2.
 
-    This is the divergence of the metric volume density |det g|^{1/2}: a
-    float at one point of shape (n,), an (N,) array on a batch (N, n).
+    This is the divergence of the metric volume density |det g|^{1/2}, (N,)
+    on a batch (N, n).
     """
     g0, dg = gram_jets(metric, p, order=1)
     return _divergence(_invert_gram(g0), dg, field, p)
@@ -456,11 +455,11 @@ def _divergence(ginv: np.ndarray, dg: np.ndarray, field: VectorField, p):
     div = np.trace(xj.real, axis1=-2, axis2=-1)
     if dg.any():
         div = div + 0.5 * np.einsum("...a,...ij,...aij->...", xv.real, ginv, dg)
-    return float(div) if div.ndim == 0 else div
+    return div
 
 
 def exterior_wedge(
-    omega: OneForm, p: Sequence[float]
+    omega: OneForm, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d omega, omega ^ d omega) in components.
 
@@ -478,31 +477,28 @@ def exterior_wedge(
     return dw, wedge
 
 
-def _laplacian(
-    g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray, fj: Jet2, batch: tuple
-):
+def _laplacian(g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray, fj: Jet2):
     """g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from the metric derivatives,
     the inverse Gram and the jet of f; with dg all zero the symbols vanish
     and the Christoffel term is not formed."""
-    lap = np.einsum("...ab,...ab->...", ginv, _samples_first(fj.hess, batch))
+    lap = np.einsum("...ab,...ab->...", ginv, _samples_first(fj.hess))
     if not dg.any():
         return lap
     gamma = christoffel_from_derivatives(g0, dg, ginv=ginv)
-    grad = _samples_first(fj.grad, batch)
+    grad = _samples_first(fj.grad)
     return lap - np.einsum("...ab,...cab,...c->...", ginv, gamma, grad)
 
 
-def yamabe_residual(metric: MetricField, f, p: Sequence[float]):
+def yamabe_residual(metric: MetricField, f, p: np.ndarray) -> np.ndarray:
     """(Delta_g - (n-2)/(4(n-1)) R) f; complex scalars welcome.
 
     Delta_g f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f), and the operator
     acts on a complex coefficient componentwise (it has real coefficients):
-    one complex number at a point of shape (n,), an (N,) array on a batch
-    (N, n).
+    an (N,) array on a batch (N, n).
     """
-    pts = np.asarray(p, dtype=float)
+    pts = point_batch(p)
     jets = gram_jets(metric, pts)
-    return _yamabe(jets, _invert_gram(jets[0]), _scalar_jet(f, pts), pts.shape[:-1])
+    return _yamabe(jets, _invert_gram(jets[0]), _scalar_jet(f, pts))
 
 
 def yamabe_and_divergence(metric: MetricField, f, field: VectorField, p):
@@ -510,19 +506,19 @@ def yamabe_and_divergence(metric: MetricField, f, field: VectorField, p):
     and the jet of f, from one jet pass of the metric, one inverse Gram and
     one evaluation of f: the metric pieces of the covariant Schrödinger
     pair, each bitwise equal to its separate call."""
-    pts = np.asarray(p, dtype=float)
+    pts = point_batch(p)
     jets = gram_jets(metric, pts)
     ginv = _invert_gram(jets[0])
     fj = _scalar_jet(f, pts)
-    yamabe = _yamabe(jets, ginv, fj, pts.shape[:-1])
+    yamabe = _yamabe(jets, ginv, fj)
     return yamabe, _divergence(ginv, jets[1], field, pts), fj
 
 
-def _yamabe(jets: tuple, ginv, fj: Jet2, batch: tuple):
+def _yamabe(jets: tuple, ginv, fj: Jet2):
     """The Yamabe operator on the jet of f from the metric's order-2
     ``gram_jets`` and its inverse Gram."""
     g0, dg = jets[:2]
     n = g0.shape[-1]
     _, scalar = ricci_from_derivatives(*jets, ginv=ginv)
-    lap = _laplacian(g0, dg, ginv, fj, batch)
+    lap = _laplacian(g0, dg, ginv, fj)
     return lap - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value

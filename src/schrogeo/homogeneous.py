@@ -11,9 +11,9 @@ and isotropy conditions, and the boundary-structure axioms.
 Chart conventions: bulk points are (xh_1 .. xh_d, th, sh, rh) with rh > 0 the
 defining function of the boundary; boundary points are (x_1 .. x_d, t, s).
 
-The bulk checks take one chart point of shape (n,) or a batch of shape
-(N, n) and evaluate the whole batch in one jet pass; per-point results are
-floats at one point and (N,) arrays on a batch.
+The bulk checks take a batch of chart points of shape (N, n), one point
+being the batch of one p[None], and evaluate the whole batch in one jet
+pass; per-point results are (N,) arrays.
 
 The couplings may vary along the batch as well: a config whose ``lam`` and
 ``mu`` are (N,) arrays gives sample k the metric of (lam[k], mu[k]).  The
@@ -105,17 +105,8 @@ class BoundaryPointError(ValueError):
     """Bulk operation evaluated at rh = 0; use the boundary functions."""
 
 
-def _per_sample(x):
-    """A float at one point, an (N,) array on a batch."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _per_sample_dict(**values) -> dict:
-    return {k: _per_sample(v) for k, v in values.items()}
-
-
 # Products per sample through np.matmul, which makes the same BLAS call for
-# every item of a batch as for a single point, so both round alike.
+# every item of a batch as for a batch of one, so both round alike.
 
 
 def _mv(M, v):
@@ -267,14 +258,13 @@ def over_couplings(
         try:
             out.append(fn(coupling_config(d, held, S), rows, part))
         except DegenerateMetricError as exc:
-            if exc.coupling is not None or (exc.sample is None and len(held) > 1):
+            if exc.coupling is not None:
                 raise
-            c, k = (0, None) if exc.sample is None else divmod(exc.sample, S)
+            c, k = divmod(exc.sample, S)
             lam, mu = held[c]
-            where = f"(lam, mu) = ({lam:g}, {mu:g})"
-            where += "" if k is None else f", sample {k}"
             raise DegenerateMetricError(
-                f"Gram matrix is singular at {where} ({exc.detail})",
+                f"Gram matrix is singular at (lam, mu) = ({lam:g}, {mu:g}), "
+                f"sample {k} ({exc.detail})",
                 sample=k,
                 detail=exc.detail,
                 coupling=(lam, mu),
@@ -384,9 +374,7 @@ def embed_components(cfg: SchrodingerManifoldConfig, p: Sequence) -> list:
     """
     d = cfg.d
     rh = p[d + 2]
-    if not isinstance(rh, Jet2) and (
-        np.any(np.abs(rh) < 1e-8) if isinstance(rh, np.ndarray) else abs(rh) < 1e-8
-    ):
+    if not isinstance(rh, Jet2) and np.any(np.abs(rh) < 1e-8):
         raise BoundaryPointError("rh = 0 is a boundary point")
     scale = cfg.scale / rh
     xx = _flat_square(d, p)
@@ -399,9 +387,9 @@ def embed_components(cfg: SchrodingerManifoldConfig, p: Sequence) -> list:
 def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q, guard: float = 1e-8) -> list:
     """Invert the embedding on the rh > 0 sheet; jet-friendly.
 
-    One point off the sheet raises ChartEscapeError.  On a batch (components
-    with a sample axis) the samples that left the sheet come back NaN and
-    the rest are exact, as in ``projective_action`` (``mark_escapes``).
+    The components carry a sample axis: the samples that left the sheet
+    come back NaN and the rest are exact, as in ``projective_action``
+    (``mark_escapes``).
     """
     d = cfg.d
     last = Q[d + 3]
@@ -421,13 +409,13 @@ def _embedding_jets(cfg, p):
 
 def induced_metric(
     cfg: SchrodingerManifoldConfig,
-    p: Sequence[float],
-    delta: Sequence[float],
-    delta2: Sequence[float],
+    p: np.ndarray,
+    delta: np.ndarray,
+    delta2: np.ndarray,
 ) -> dict:
     """Metric on a pair of chart tangents, via the ambient pullback (path A)
-    and the chart Gram (path B).  On a batch, ``delta`` and ``delta2`` carry
-    one tangent per sample, shape (N, n)."""
+    and the chart Gram (path B).  ``delta`` and ``delta2`` carry one tangent
+    per sample, shape (N, n)."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
@@ -441,12 +429,10 @@ def induced_metric(
         th_row, delta2
     )
     chart = _vv(_vm(delta, gram_values(bulk_metric(cfg), p)), delta2)
-    return _per_sample_dict(
-        ambient=ambient, chart=chart, difference=np.abs(ambient - chart)
-    )
+    return {"ambient": ambient, "chart": chart, "difference": np.abs(ambient - chart)}
 
 
-def theta_hat(cfg: SchrodingerManifoldConfig, p: Sequence[float], delta) -> dict:
+def theta_hat(cfg: SchrodingerManifoldConfig, p: np.ndarray, delta) -> dict:
     """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs chart row."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
@@ -455,12 +441,10 @@ def theta_hat(cfg: SchrodingerManifoldConfig, p: Sequence[float], delta) -> dict
     QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d).matrix)
     ambient = _vv(-QGZ, _mv(J, delta))
     chart = _vv(component_values(theta_hat_form(cfg).components, p), delta)
-    return _per_sample_dict(
-        ambient=ambient, chart=chart, difference=np.abs(ambient - chart)
-    )
+    return {"ambient": ambient, "chart": chart, "difference": np.abs(ambient - chart)}
 
 
-def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: Sequence[float]) -> dict:
+def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> dict:
     """The vertical field: ambient Z0 Q against the push-forward of d/dsh,
     its norm, nullity, and Killing residual."""
     d = cfg.d
@@ -470,12 +454,12 @@ def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: Sequence[float]) -> di
     metric = bulk_metric(cfg)
     g0 = gram_values(metric, p)
     killing = np.abs(lie_derivative_metric(metric, xi_hat_field(cfg), p))
-    return _per_sample_dict(
-        pushforward=np.abs(ZQ - J[..., d + 1]).max(axis=-1),
-        norm=np.abs(ZQ).max(axis=-1),
-        nullity=np.abs(g0[..., d + 1, d + 1]),
-        killing=killing.max(axis=(-2, -1)),
-    )
+    return {
+        "pushforward": np.abs(ZQ - J[..., d + 1]).max(axis=-1),
+        "norm": np.abs(ZQ).max(axis=-1),
+        "nullity": np.abs(g0[..., d + 1, d + 1]),
+        "killing": killing.max(axis=(-2, -1)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +473,7 @@ def einstein_factor(d: int, lam):
 
 
 def einstein_residual(
-    cfg: SchrodingerManifoldConfig, p: Sequence[float]
+    cfg: SchrodingerManifoldConfig, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Ric + (d+2) g, predicted multiple of g) for the undeformed metric.
 
@@ -510,7 +494,7 @@ def einstein_residual(
 
 
 def nullfluid_residual(
-    cfg: SchrodingerManifoldConfig, p: Sequence[float]
+    cfg: SchrodingerManifoldConfig, p: np.ndarray
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Residual of Ric(g) - ((d+2)/(2 lam)) g + mu (d+4)/(2 lam) clock^2,
     plus the cosmological constant (d+1)(d+2)/(4 lam) of the equivalent
@@ -530,11 +514,11 @@ def nullfluid_residual(
     return residual, lam_cos
 
 
-def metric_recovery_residual(d: int, p: Sequence[float]) -> float:
+def metric_recovery_residual(d: int, p: np.ndarray) -> np.ndarray:
     """Entrywise gap between the (lam, mu) = (-1/2, 1) chart Gram and the
     reference form (1/r^2)[dx^2 + 2 dt ds + dr^2 - dt^2/r^2]."""
     cfg = SchrodingerManifoldConfig(d, -0.5, 1.0)
-    pts = np.asarray(p, dtype=float)
+    pts = nk.point_batch(p)
     g0 = gram_values(bulk_metric(cfg), pts)
     r = pts[..., d + 2]
     inv2 = 1.0 / (r * r)
@@ -544,20 +528,19 @@ def metric_recovery_residual(d: int, p: Sequence[float]) -> float:
     ref[..., d, d + 1] = ref[..., d + 1, d] = inv2
     ref[..., d + 2, d + 2] = inv2
     ref[..., d, d] = -inv2 * inv2
-    return _per_sample(np.abs(g0 - ref).max(axis=(-2, -1)))
+    return np.abs(g0 - ref).max(axis=(-2, -1))
 
 
-def negative_eigenvalue_count(cfg: SchrodingerManifoldConfig, p: Sequence[float]) -> int:
-    """Negative eigenvalues of the Gram matrix: an int, or (N,) counts."""
+def negative_eigenvalue_count(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues of the Gram matrix at each point, (N,) counts."""
     g0 = gram_values(bulk_metric(cfg), p)
-    counts = (np.linalg.eigvalsh(g0) < 0.0).sum(axis=-1)
-    return int(counts) if counts.ndim == 0 else counts
+    return (np.linalg.eigvalsh(g0) < 0.0).sum(axis=-1)
 
 
-def integrability_residual(cfg: SchrodingerManifoldConfig, p: Sequence[float]) -> float:
-    """max |clock ^ d(clock)| at p (per sample on a batch)."""
+def integrability_residual(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> np.ndarray:
+    """max |clock ^ d(clock)| at each point, (N,)."""
     _, wedge = exterior_wedge(theta_hat_form(cfg), p)
-    return _per_sample(np.abs(wedge).max(axis=(-3, -2, -1)))
+    return np.abs(wedge).max(axis=(-3, -2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +867,7 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     out = {name: {"residual": r} for name, r in found.items()}
     # the one row that divides by f0
     out["scale_invariance"]["min_f0"] = float(f0.min())
-    out["cone_kernel"]["kernel_dims"] = sorted(kernel_dims)
+    out["cone_kernel"]["kernel_dims"] = kernel_dims
     return out
 
 

@@ -5,10 +5,11 @@ loci.
 Matrices are plain ``numpy`` arrays (row-major).  Everything handled here is
 at most (d+4) x (d+4) with d <= 8, so no dedicated matrix wrapper is needed.
 
-A ``Jet2`` may carry a trailing sample axis: seeding a batch of N points
+A ``Jet2`` carries a trailing sample axis: seeding a batch of N points
 gives jets whose value, gradient and Hessian hold all N points at once, so
 one pass of a closed-form expression yields the second-order Taylor data at
-every point (Taylor-mode propagation over a batch).
+every point (Taylor-mode propagation over a batch).  Points come only as a
+batch (N, n); one point is the batch of one ``p[None]``.
 
 A jet has an order.  A second-order jet carries the Hessian; a first-order
 jet (``hess`` is None, seeded by ``seed_point(coords, order=1)``) carries the
@@ -38,6 +39,7 @@ __all__ = [
     "jet_value",
     "log",
     "max_entry",
+    "point_batch",
     "rank_nullspace",
     "sample_max",
     "seed_point",
@@ -73,12 +75,10 @@ class Jet2:
     and the gradient only, each bitwise what the second-order jet holds.  An
     operation on two jets of different orders raises ContractViolationError.
 
-    Shapes: at one point ``value`` is a scalar, ``grad`` is (n,) and ``hess``
-    is (n, n).  A batch of N points adds a trailing sample axis: ``value`` is
-    (N,), ``grad`` is (n, N) and ``hess`` is (n, n, N).  Scalars broadcast
-    against either form; a batched jet and an unbatched one do not mix.  On
-    a batch, an (N,) array acts as a per-sample scalar: ``a * u`` scales
-    sample k of ``u`` by ``a[k]``, with the rounding of a scalar product.
+    Shapes: over a batch of N points ``value`` is (N,), ``grad`` is (n, N)
+    and ``hess`` is (n, n, N).  Scalars broadcast against a jet, and an (N,)
+    array acts as a per-sample scalar: ``a * u`` scales sample k of ``u`` by
+    ``a[k]``, with the rounding of a scalar product.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -100,7 +100,7 @@ class Jet2:
     @classmethod
     def variable(cls, value, index: int, dim: int, order: int = 2) -> "Jet2":
         """Seed jet for the ``index``-th of ``dim`` chart coordinates;
-        ``value`` may be an (N,) array of sample values."""
+        ``value`` is the (N,) array of sample values."""
         batch = np.shape(value)
         g = np.zeros((dim,) + batch)
         g[index] = 1.0
@@ -199,7 +199,7 @@ class Jet2:
 
     def _reciprocal(self) -> "Jet2":
         v = self.value
-        if (np.any(v == 0) if isinstance(v, np.ndarray) else v == 0):
+        if np.any(v == 0):
             raise JetSingularityError("jet singularity: reciprocal of zero value")
         v2 = _pow(v, 2)
         if self.hess is None:
@@ -227,9 +227,7 @@ class Jet2:
         if isinstance(k, numbers.Integral):
             k = int(k)
             if k == 0:
-                v = self.value
-                one = np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
-                return Jet2.constant(one, self.dim, self.order)
+                return Jet2.constant(np.ones_like(self.value), self.dim, self.order)
             if k == 1:
                 return Jet2(self.value, self.grad, self.hess, _symmetric=True)
             if k < 0:
@@ -250,16 +248,14 @@ class Jet2:
 
 
 def _pow(v, k):
-    """v ** k with the rounding of a scalar power, sample by sample on an
-    array: numpy's vectorized power rounds differently, and a batch must
-    reproduce its points bit for bit."""
-    if isinstance(v, np.ndarray):
-        return np.array([x**k for x in v.tolist()], dtype=v.dtype)
-    return v**k
+    """v ** k with the rounding of a scalar power, sample by sample over the
+    (N,) array ``v``: numpy's vectorized power rounds differently, and each
+    sample must be bitwise its own scalar power."""
+    return np.array([x**k for x in v.tolist()], dtype=v.dtype)
 
 
 def _outer(g, h):
-    """g_a h_b per sample: (n, n) at one point, (n, n, N) on a batch."""
+    """g_a h_b per sample, (n, n, N)."""
     return g[:, None] * h[None, :]
 
 
@@ -271,12 +267,10 @@ def _zero_hessian(dim: int, batch: tuple, order: int):
 
 
 def _positive_real(v) -> bool:
-    """No sample of ``v`` is complex, zero or negative.  A NaN sample of a
-    batch passes, and the operation carries it through as NaN: it marks a
-    sample that left its chart (``ambient.mark_escapes``)."""
-    if isinstance(v, np.ndarray):
-        return np.isrealobj(v) and not np.any(v <= 0)
-    return isinstance(v, numbers.Real) and v > 0
+    """No sample of ``v`` is complex, zero or negative.  A NaN sample
+    passes, and the operation carries it through as NaN: it marks a sample
+    that left its chart (``ambient.mark_escapes``)."""
+    return np.isrealobj(v) and not np.any(v <= 0)
 
 
 def _chain(u: Jet2, f0, f1, f2) -> Jet2:
@@ -328,16 +322,27 @@ def cos(x):
     return np.cos(x)
 
 
-def seed_point(coords: Sequence[float], order: int = 2) -> list[Jet2]:
-    """Seed one jet per coordinate of a chart point.
-
-    ``coords`` is one point of shape (n,) or a batch of shape (N, n); a batch
-    gives jets with a trailing sample axis (see ``Jet2``).  ``order`` 1 seeds
-    first-order jets, for callers that read no second derivative.
-    """
+def point_batch(coords) -> np.ndarray:
+    """``coords`` as a float batch of points, (N, n); anything of another
+    shape raises ContractViolationError."""
     pts = np.asarray(coords, dtype=float)
+    if pts.ndim != 2:
+        raise ContractViolationError(
+            f"points must be a batch (N, n), got shape {pts.shape}; one point is p[None]"
+        )
+    return pts
+
+
+def seed_point(coords: Sequence[Sequence[float]], order: int = 2) -> list[Jet2]:
+    """Seed one jet per coordinate of a batch of chart points.
+
+    ``coords`` is a batch of shape (N, n) (``point_batch``); the jets carry
+    a trailing sample axis (see ``Jet2``).  ``order`` 1 seeds first-order
+    jets, for callers that read no second derivative.
+    """
+    pts = point_batch(coords)
     n, batch = pts.shape[-1], pts.shape[:-1]
-    values = pts.tolist() if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+    values = np.ascontiguousarray(pts.T)
     # the n seed gradients are the rows of one identity block, and the n
     # seeds share one zero Hessian; both are read-only, so no jet writes
     # into another's derivatives

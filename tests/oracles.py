@@ -99,8 +99,7 @@ def einsum_ricci(g0, dg, d2g, ginv=None):
         - np.einsum("...kil,...lkj->...ij", gamma, gamma)
     )
     ric = 0.5 * (ric + ric.swapaxes(-1, -2))
-    scalar = np.einsum("...ij,...ij->...", ginv, ric)
-    return ric, (float(scalar) if scalar.ndim == 0 else scalar)
+    return ric, np.einsum("...ij,...ij->...", ginv, ric)
 
 
 def generic_metric_derivatives(rng, n, lead=()):
@@ -151,8 +150,8 @@ def dense_d2g(hess, pattern):
 
 def gram_values_loop(metric, p):
     """``geometry.gram_values`` as one numpy write per position."""
-    pts = np.asarray(p, dtype=float)
-    rows = metric.gram(_coordinates(pts))
+    pts, x = _coordinates(p)
+    rows = metric.gram(x)
     n = len(rows)
     out = np.empty(pts.shape[:-1] + (n, n))
     for i, row in enumerate(rows):
@@ -175,9 +174,9 @@ def gram_jets_loop(metric, p, order: int = 2):
             e = rows[i][j]
             if isinstance(e, nk.Jet2):
                 g0[..., i, j] = e.value
-                dg[..., :, i, j] = _samples_first(e.grad, batch)
+                dg[..., :, i, j] = _samples_first(e.grad)
                 if d2g is not None:
-                    d2g[..., :, :, i, j] = _samples_first(e.hess, batch)
+                    d2g[..., :, :, i, j] = _samples_first(e.hess)
             else:
                 g0[..., i, j] = e
     return (g0, dg) if d2g is None else (g0, dg, d2g)
@@ -189,11 +188,10 @@ def gram_jets_loop(metric, p, order: int = 2):
 
 def scalar_laplacian(metric, f, p):
     """Laplace-Beltrami of a scalar, g^{ab} (d_a d_b f - Gamma^c_ab d_c f),
-    from the package's own Laplacian term: one value at a point of shape
-    (n,), an (N,) array on a batch (N, n)."""
-    pts = np.asarray(p, dtype=float)
+    from the package's own Laplacian term: an (N,) array on a batch (N, n)."""
+    pts = nk.point_batch(p)
     g0, dg = gram_jets(metric, pts, order=1)
-    return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts), pts.shape[:-1])
+    return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts))
 
 
 def rescaled_metric(structure, omega2):
@@ -209,12 +207,10 @@ def rescaled_metric(structure, omega2):
 
 
 def density_lie_derivative(metric, field, psi, p):
-    """L_X^w f = X(f) + w Div(X) f: a complex scalar at a point of shape
-    (n,), an (N,) array on a batch (N, n)."""
-    pts = np.asarray(p, dtype=float)
+    """L_X^w f = X(f) + w Div(X) f: an (N,) array on a batch (N, n)."""
+    pts = nk.point_batch(p)
     fj = psi.coefficient(nk.seed_point(pts, order=1))
-    lie = _lie_term(field, psi.weight, fj, divergence(metric, field, pts), pts)
-    return complex(lie) if pts.ndim == 1 else lie
+    return _lie_term(field, psi.weight, fj, divergence(metric, field, pts), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +222,15 @@ def _richardson(coarse, fine):
 
 
 def fd_gram_derivatives(metric, p, step: float = 1e-5):
-    """Central-difference metric derivatives, Richardson-extrapolated once.
+    """Central-difference metric derivatives on a batch of points (N, n),
+    Richardson-extrapolated once: g0 (N, n, n), dg (N, n, n, n) and d2g
+    (N, n, n, n, n), each shift applied to every point at once.
 
     Independent of the jet path; the oracle for the autodiff connection and
     curvature.
     """
-    p = np.asarray(p, dtype=float)
-    n = p.size
+    p = nk.point_batch(p)
+    n = p.shape[-1]
     g0 = gram_values(metric, p)
 
     def g_at(q):
@@ -240,37 +238,37 @@ def fd_gram_derivatives(metric, p, step: float = 1e-5):
 
     def shift(a, h):
         q = p.copy()
-        q[a] += h
+        q[:, a] += h
         return q
 
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
+    dg = np.zeros(g0.shape[:1] + (n, n, n))
+    d2g = np.zeros(g0.shape[:1] + (n, n, n, n))
     for a in range(n):
         d1 = {}
         for h in (step, 0.5 * step):
             d1[h] = (g_at(shift(a, h)) - g_at(shift(a, -h))) / (2.0 * h)
-        dg[a] = _richardson(d1[step], d1[0.5 * step])
+        dg[:, a] = _richardson(d1[step], d1[0.5 * step])
         d2 = {}
         for h in (step, 0.5 * step):
             d2[h] = (g_at(shift(a, h)) - 2.0 * g0 + g_at(shift(a, -h))) / h**2
-        d2g[a, a] = _richardson(d2[step], d2[0.5 * step])
+        d2g[:, a, a] = _richardson(d2[step], d2[0.5 * step])
     for a in range(n):
         for b in range(a + 1, n):
             mixed = {}
             for h in (step, 0.5 * step):
-                qpp = p.copy(); qpp[[a, b]] += h
-                qpm = p.copy(); qpm[a] += h; qpm[b] -= h
-                qmp = p.copy(); qmp[a] -= h; qmp[b] += h
-                qmm = p.copy(); qmm[[a, b]] -= h
+                qpp = p.copy(); qpp[:, [a, b]] += h
+                qpm = p.copy(); qpm[:, a] += h; qpm[:, b] -= h
+                qmp = p.copy(); qmp[:, a] -= h; qmp[:, b] += h
+                qmm = p.copy(); qmm[:, [a, b]] -= h
                 mixed[h] = (g_at(qpp) - g_at(qpm) - g_at(qmp) + g_at(qmm)) / (
                     4.0 * h**2
                 )
-            d2g[a, b] = d2g[b, a] = _richardson(mixed[step], mixed[0.5 * step])
+            d2g[:, a, b] = d2g[:, b, a] = _richardson(mixed[step], mixed[0.5 * step])
     return g0, dg, d2g
 
 
 # ---------------------------------------------------------------------------
-# the quadric embedding of one bulk chart point
+# the quadric embedding of a bulk chart point, as a batch of one
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def embed(cfg: SchrodingerManifoldConfig, p, validate: bool = True) -> EmbeddedP
     rh = p[d + 2]
     if abs(rh) < 1e-8:
         raise BoundaryPointError("rh = 0 is a boundary point")
-    Q = np.array([float(v) for v in embed_components(cfg, p)])
+    Q = component_values(lambda q: embed_components(cfg, q), np.array([p]))[0]
     r = rh / cfg.scale
     xx = float(_flat_square(d, p))
     X = np.zeros(d + 4)

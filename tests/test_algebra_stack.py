@@ -270,17 +270,18 @@ def test_per_sample_stack_is_one_pair_at_a_time(d):
     second = field.components(nk.seed_point(pts))
     rates = rate(list(pts.T))
     for s, (one_field, one_rate) in enumerate(singles):
-        assert values[s].tobytes() == component_values(one_field.components, pts[s]).tobytes()
-        one_vals, one_jac = jet_components(one_field.components, pts[s])
+        p = pts[s : s + 1]  # sample s as a batch of one
+        assert values[s].tobytes() == component_values(one_field.components, p).tobytes()
+        one_vals, one_jac = jet_components(one_field.components, p)
         assert vals[s].tobytes() == one_vals.tobytes()
         assert jac[s].tobytes() == one_jac.tobytes()
-        one_second = one_field.components(nk.seed_point(pts[s]))
+        one_second = one_field.components(nk.seed_point(p))
         for got, want in zip(second, one_second):
             assert as_bits(per_point(got, s)) == as_bits([want.value, want.grad, want.hess])
-        assert as_bits([rates[s]]) == as_bits([one_rate(pts[s].tolist())])
+        assert as_bits([rates[s]]) == as_bits([one_rate(list(p.T))])
 
     stacked = bracket_fields(e1, e2, d, pts)
-    one_pair = [bracket_fields(a, b, d, p) for (a, b), p in zip(drawn, pts)]
+    one_pair = [bracket_fields(a, b, d, pts[s : s + 1]) for s, (a, b) in enumerate(drawn)]
     for key in ("minus", "plus"):
         assert stacked[key].tobytes() == np.array([r[key] for r in one_pair]).tobytes()
 

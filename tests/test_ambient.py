@@ -182,10 +182,9 @@ class TestRealization:
         d = 2
         e1 = random_algebra_element(d, rng)
         e2 = random_algebra_element(d, rng)
-        for p in ([0.4, -0.2, 0.6, 0.1], [0.0, 0.3, -0.5, 0.9]):
-            res = bracket_fields(e1, e2, d, p)
-            assert res["minus"] < 1e-9
-            assert res["plus"] > 1e-3  # the sign is not an accident
+        res = bracket_fields(e1, e2, d, [[0.4, -0.2, 0.6, 0.1], [0.0, 0.3, -0.5, 0.9]])
+        assert (res["minus"] < 1e-9).all()
+        assert (res["plus"] > 1e-3).all()  # the sign is not an accident
 
 
 class TestGroup:
@@ -432,7 +431,7 @@ class TestVerticalCompatibility:
         bg = flat_bargmann(d)
         for e in commutant_basis(d):
             field, _ = realize_field(e.blocks, d)
-            br = lie_bracket(field, bg.xi, [0.3, -0.6, 0.8, 0.2])
+            br = lie_bracket(field, bg.xi, [[0.3, -0.6, 0.8, 0.2]])
             assert np.abs(br).max() < 1e-12
 
     def test_xi_vector_layout(self):

@@ -1,6 +1,7 @@
 """Sample-batched jets: a batch of N points evaluated in one jet pass must
-give, sample by sample, what N single-point evaluations give."""
+give, sample by sample, what N batches of one give."""
 
+import re
 import zlib
 from functools import partial
 
@@ -20,7 +21,6 @@ from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.ambient import (
-    ChartEscapeError,
     assemble_group_element,
     bracket_fields,
     commutant_basis,
@@ -40,11 +40,15 @@ from schrogeo.ambient import (
 from schrogeo.geometry import (
     DegenerateMetricError,
     _invert_gram,
+    christoffel,
+    component_values,
     divergence,
     gram_jets,
     gram_values,
     jet_components,
+    lie_bracket,
     ricci_from_derivatives,
+    ricci_scalar,
     yamabe_residual,
 )
 from schrogeo.homogeneous import (
@@ -66,7 +70,7 @@ from schrogeo.homogeneous import (
     theta_hat,
     xi_hat_consistency,
 )
-from schrogeo.numkernel import Jet2, SeededSampler, jet_value
+from schrogeo.numkernel import Jet2, SeededSampler
 from schrogeo.suites import SuiteConfig, check_seed, run_suite
 
 
@@ -91,14 +95,16 @@ def _shifted(a, shift):
 
 
 def _column(jet, k):
-    return Jet2(jet.value[k], jet.grad[..., k], jet.hess[..., k])
+    """Sample k of a jet, as a batch of one."""
+    at = slice(k, k + 1)
+    return Jet2(jet.value[at], jet.grad[..., at], jet.hess[..., at])
 
 
 def _same(batched, points):
     for k, pj in enumerate(points):
-        assert np.array_equal(batched.value[k], pj.value)
-        assert np.array_equal(batched.grad[..., k], pj.grad)
-        assert np.array_equal(batched.hess[..., k], pj.hess)
+        assert np.array_equal(batched.value[k], pj.value[0])
+        assert np.array_equal(batched.grad[..., k], pj.grad[..., 0])
+        assert np.array_equal(batched.hess[..., k], pj.hess[..., 0])
 
 
 @st.composite
@@ -179,15 +185,10 @@ class TestBatchedJet:
         assert f.hess.shape == (2, 2, 3)
         assert np.array_equal(f.grad[:, 1], [4.0, 3.0])
 
-    def test_single_point_stays_unbatched(self):
-        xs = nk.seed_point([1.0, 2.0])
-        assert isinstance(xs[0].value, float)
-        assert (xs[0] * xs[1]).grad.shape == (2,)
-
-    def test_batched_and_unbatched_jets_do_not_mix(self):
-        one = nk.seed_point([1.0, 2.0])[0]
+    def test_batches_of_different_sizes_do_not_mix(self):
+        one = nk.seed_point([[1.0, 2.0]])[0]
         many = nk.seed_point([[1.0, 2.0], [3.0, 4.0]])[0]
-        with pytest.raises(nk.ContractViolationError):
+        with pytest.raises(nk.ContractViolationError, match="jet shapes differ"):
             one + many
 
     def test_zero_in_any_sample_is_a_singularity(self):
@@ -207,9 +208,9 @@ class TestBatchedJet:
         for op in (nk.log, nk.sqrt, lambda a: a**0.5):
             y = op(x)
             assert np.isnan([y.value[1], *y.grad[:, 1], *y.hess[..., 1].ravel()]).all()
-            one = op(nk.seed_point([4.0])[0])
+            one = op(nk.seed_point([[4.0]])[0])
             assert (y.value[2], *y.grad[:, 2], *y.hess[..., 2].ravel()) == (
-                one.value, *one.grad, *one.hess.ravel()
+                one.value[0], *one.grad[:, 0], *one.hess[..., 0].ravel()
             )
 
 
@@ -237,14 +238,14 @@ class TestBatchedGeometry:
         ]
         ric, scalar = ricci_from_derivatives(*batch)
         assert ric.shape == (6, n, n) and scalar.shape == (6,)
-        for k, p in enumerate(pts):
-            single = gram_jets(metric, p)
+        for k in range(len(pts)):
+            single = gram_jets(metric, pts[k : k + 1])
             for a, b in zip(batch[:3], single):
-                assert np.abs(a[k] - b).max() <= 1e-13
+                assert np.abs(a[k] - b[0]).max() <= 1e-13
             assert same_bits(batch[3], single[3])
             r, s = ricci_from_derivatives(*single)
-            assert isinstance(s, float)
-            assert same_bits(ric[k], r) and same_bits(scalar[k], s)
+            assert r.shape == (1, n, n) and s.shape == (1,)
+            assert same_bits(ric[k], r[0]) and same_bits(scalar[k], s[0])
 
     @pytest.mark.parametrize("metric, n", METRICS)
     def test_ricci_ignores_the_layout_of_its_inputs(self, metric, n):
@@ -276,18 +277,18 @@ class TestBatchedGeometry:
         fn = lambda q: embed_components(cfg, q)  # noqa: E731
         batch = jet_components(fn, pts)
         assert [a.shape for a in batch] == [(5, 6), (5, 6, 5)]
-        for k, p in enumerate(pts):
-            single = jet_components(fn, p)
+        for k in range(len(pts)):
+            single = jet_components(fn, pts[k : k + 1])
             assert len(single) == 2
             for a, b in zip(batch, single):
-                assert np.array_equal(a[k], b)
+                assert np.array_equal(a[k], b[0])
 
     def test_gram_values_on_a_batch(self):
         metric = bulk_metric(SchrodingerManifoldConfig(3, -2.0, 2.0))
         pts = bulk_points(3, 4)
         batch = gram_values(metric, pts)
-        for k, p in enumerate(pts):
-            assert np.array_equal(batch[k], gram_values(metric, p))
+        for k in range(len(pts)):
+            assert np.array_equal(batch[k], gram_values(metric, pts[k : k + 1])[0])
 
 
 class TestInvertGram:
@@ -319,19 +320,22 @@ class TestBatchedHomogeneous:
     def test_dict_checks_match_per_point(self):
         pts = bulk_points(2, 5, seed=3)
         v1, v2 = np.random.default_rng(3).normal(size=(2, 5, 5))
+        # sample k alone is the batch of one [k : k + 1]
         cases = (
-            (xi_hat_consistency(self.cfg, pts), lambda k: xi_hat_consistency(self.cfg, pts[k])),
+            (xi_hat_consistency(self.cfg, pts),
+             lambda k: xi_hat_consistency(self.cfg, pts[k : k + 1])),
             (induced_metric(self.cfg, pts, v1, v2),
-             lambda k: induced_metric(self.cfg, pts[k], v1[k], v2[k])),
-            (theta_hat(self.cfg, pts, v1), lambda k: theta_hat(self.cfg, pts[k], v1[k])),
+             lambda k: induced_metric(self.cfg, pts[k : k + 1], v1[k : k + 1], v2[k : k + 1])),
+            (theta_hat(self.cfg, pts, v1),
+             lambda k: theta_hat(self.cfg, pts[k : k + 1], v1[k : k + 1])),
         )
         for batch, single in cases:
             for k in range(5):
-                one = single(k)
-                assert set(one) == set(batch)
-                for key, value in one.items():
-                    assert isinstance(value, float)
-                    assert batch[key][k] == value
+                found = single(k)
+                assert set(found) == set(batch)
+                for key, value in found.items():
+                    assert value.shape == (1,)
+                    assert batch[key][k] == value[0]
 
     def test_curvature_residuals_match_per_point(self):
         pts = bulk_points(2, 4, seed=4)
@@ -341,14 +345,15 @@ class TestBatchedHomogeneous:
         counts = negative_eigenvalue_count(self.cfg, pts)
         wedge = integrability_residual(self.cfg, pts)
         recovery = metric_recovery_residual(2, pts)
-        for k, p in enumerate(pts):
-            assert np.abs(res[k] - nullfluid_residual(self.cfg, p)[0]).max() <= 1e-13
+        for k in range(len(pts)):
+            p = pts[k : k + 1]
+            assert np.abs(res[k] - nullfluid_residual(self.cfg, p)[0][0]).max() <= 1e-13
             c, q = einstein_residual(plus, p)
-            assert np.abs(computed[k] - c).max() <= 1e-13
-            assert np.abs(predicted[k] - q).max() <= 1e-13
-            assert counts[k] == negative_eigenvalue_count(self.cfg, p) == 1
-            assert wedge[k] == integrability_residual(self.cfg, p)
-            assert recovery[k] == metric_recovery_residual(2, p)
+            assert np.abs(computed[k] - c[0]).max() <= 1e-13
+            assert np.abs(predicted[k] - q[0]).max() <= 1e-13
+            assert counts[k] == negative_eigenvalue_count(self.cfg, p)[0] == 1
+            assert wedge[k] == integrability_residual(self.cfg, p)[0]
+            assert recovery[k] == metric_recovery_residual(2, p)[0]
 
     def test_boundary_guard_checks_every_sample(self):
         cols = [np.array([0.1, 0.2])] * 3 + [np.array([1.0, 0.0])]
@@ -361,9 +366,10 @@ class TestBatchedHomogeneous:
              np.array([-0.4, -0.4]), np.array([1.5, -1.5])]
         out = chart_from_ambient(cfg, Q)
         assert np.isnan([c[1] for c in out]).all()
-        assert np.allclose([c[0] for c in out], chart_from_ambient(cfg, [q[0] for q in Q]))
-        with pytest.raises(ChartEscapeError):
-            chart_from_ambient(cfg, [q[1] for q in Q])
+        first = chart_from_ambient(cfg, [q[:1] for q in Q])
+        assert np.allclose([c[0] for c in out], [c[0] for c in first])
+        # a batch of one that left the sheet reads NaN as well
+        assert np.isnan(chart_from_ambient(cfg, [q[1:] for q in Q])).all()
 
 
 def _group_matrix(d, seed):
@@ -381,7 +387,7 @@ def _escaping_matrix(d, c):
 class TestBatchedIsometry:
     """One batch over the points it is handed: a point whose image has
     Q_{d+3} at or below the guard reads a NaN metric residual and is marked
-    escaped, and every other point gives what its one-point call gives, bit
+    escaped, and every other point gives what its batch of one gives, bit
     for bit, on a sequential walk over the points."""
 
     @pytest.mark.parametrize(
@@ -403,14 +409,14 @@ class TestBatchedIsometry:
         assert set(res) == {"metric_residual", "quadric_residual", "escaped"}
         assert same_bits(res["escaped"], off)
         assert np.isnan(res["metric_residual"][off]).all()
-        for k, p in enumerate(pts):
+        for k in range(len(pts)):
+            one = isometry_check(cfg, A, pts[k : k + 1])
+            assert one["escaped"][0] == off[k]
             if off[k]:
-                with pytest.raises(ChartEscapeError):
-                    isometry_check(cfg, A, p)
+                assert np.isnan(one["metric_residual"][0])
                 continue
-            one = isometry_check(cfg, A, p)
             for key in ("metric_residual", "quadric_residual"):
-                assert same_bits(res[key][k], one[key]), (k, key)
+                assert same_bits(res[key][k], one[key][0]), (k, key)
 
     def test_escape_forcing_matrix_does_escape(self):
         cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
@@ -447,9 +453,16 @@ def _flat_points(d, count=5, seed=0, box=0.8):
 
 
 def _assert_bitwise(batch, single):
+    """Sample k of ``batch`` is the one value of the batch of one single[k]."""
     assert np.shape(batch)[0] == len(single)
     for k, one in enumerate(single):
-        assert batch[k] == one, (k, batch[k], one)
+        assert np.shape(one) == (1,)
+        assert batch[k] == one[0], (k, batch[k], one)
+
+
+def _batches_of_one(pts):
+    """Each point of ``pts`` as its own batch, (1, n)."""
+    return [pts[k : k + 1] for k in range(len(pts))]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -461,8 +474,7 @@ class TestBatchedWaveOperators:
         for vf in (structure.xi, field):
             batch = divergence(structure.metric, vf, pts)
             assert batch.shape == (len(pts),)
-            single = [divergence(structure.metric, vf, p) for p in pts]
-            assert all(isinstance(v, float) for v in single)
+            single = [divergence(structure.metric, vf, p) for p in _batches_of_one(pts)]
             _assert_bitwise(batch, single)
 
     @pytest.mark.parametrize("density", ["plane_wave", "translation", "boost", "dilation", "expansion"])
@@ -472,7 +484,7 @@ class TestBatchedWaveOperators:
         pts = _flat_points(d, seed=1)
         for op in (scalar_laplacian, yamabe_residual):
             batch = op(structure.metric, f, pts)
-            _assert_bitwise(batch, [op(structure.metric, f, p) for p in pts])
+            _assert_bitwise(batch, [op(structure.metric, f, p) for p in _batches_of_one(pts)])
 
     @pytest.mark.parametrize("density", ["plane_wave", "translation", "boost", "dilation", "expansion"])
     def test_density_lie_derivative_and_residual(self, d, density):
@@ -482,15 +494,17 @@ class TestBatchedWaveOperators:
         pts = _flat_points(d, seed=2)
         for vf in (structure.xi, field):
             batch = density_lie_derivative(structure.metric, vf, psi, pts)
-            single = [density_lie_derivative(structure.metric, vf, psi, p) for p in pts]
-            assert all(isinstance(v, complex) for v in single)
+            single = [
+                density_lie_derivative(structure.metric, vf, psi, p) for p in _batches_of_one(pts)
+            ]
+            assert all(np.iscomplexobj(v) for v in single)
             _assert_bitwise(batch, single)
         r1, r2 = bg.schrodinger_residual(structure, psi, PARAMS, pts)
-        single = [bg.schrodinger_residual(structure, psi, PARAMS, p) for p in pts]
+        single = [bg.schrodinger_residual(structure, psi, PARAMS, p) for p in _batches_of_one(pts)]
         _assert_bitwise(r1, [a for a, _ in single])
         _assert_bitwise(r2, [b for _, b in single])
         # the magnitudes round as Python's abs(complex) does
-        _assert_bitwise(bg.complex_magnitude(r1), [abs(a) for a, _ in single])
+        _assert_bitwise(bg.complex_magnitude(r1), [[abs(complex(a[0]))] for a, _ in single])
 
 
 def test_constant_function_on_a_batch():
@@ -514,11 +528,11 @@ class TestBatchedProjectiveAction:
         ge = _escaping_element(d)
         pts = _flat_points(d, count=4)
         batch = projective_action(ge, nk.seed_point(pts))
-        for k, p in enumerate(pts):
-            for b, one in zip(batch, projective_action(ge, nk.seed_point(p))):
-                assert b.value[k] == one.value
-                assert np.array_equal(b.grad[:, k], one.grad)
-                assert np.array_equal(b.hess[..., k], one.hess)
+        for k in range(len(pts)):
+            for b, one in zip(batch, projective_action(ge, nk.seed_point(pts[k : k + 1]))):
+                assert b.value[k] == one.value[0]
+                assert np.array_equal(b.grad[:, k], one.grad[:, 0])
+                assert np.array_equal(b.hess[..., k], one.hess[..., 0])
 
     @pytest.mark.parametrize("bad", [0, 2, 4])
     def test_one_escaping_sample_is_nan(self, bad):
@@ -546,29 +560,29 @@ class TestBatchedProjectiveAction:
             for values, clean in ((got, want), (bare, want), ([got_r], [want_r])):
                 mine = [p.tobytes() for p in at(values, keep)]
                 assert mine == [p.tobytes() for p in at(clean, slice(None))]
-        # one point off the chart still raises
-        for x in (list(pts[bad]), nk.seed_point(pts[bad])):
-            with pytest.raises(ChartEscapeError):
-                projective_action(ge, x)
+        # a batch of one off the chart reads NaN as well
+        alone = pts[bad : bad + 1]
+        for lift in (lambda x: list(x.T), nk.seed_point):
+            assert all(np.isnan(p).all() for p in at(projective_action(ge, lift(alone)), 0))
 
 
 def sequential_transport(phi, psi, structure, params, samples, seed, weight=None, box=1.0):
-    """Reference: one point at a time, magnitudes by Python's abs; per
-    point, (N,) each."""
+    """Reference: one point at a time, each a batch of one, magnitudes by
+    Python's abs; per point, (N,) each."""
     n = structure.d + 2
     sampler = SeededSampler(seed, [(-box, box)] * n)
     moved = bg.transported_density(phi, psi, weight=weight)
     r1, r2, conf = [], [], []
-    for p in sampler.points(samples):
+    for p in _batches_of_one(sampler.points(samples)):
         vals, jac = jet_components(phi.forward, p)
-        q = vals.real
-        g_here = gram_values(structure.metric, p)
-        pulled = jac.real.T @ gram_values(structure.metric, q) @ jac.real
+        q, J = vals.real, jac.real[0]
+        g_here = gram_values(structure.metric, p)[0]
+        pulled = J.T @ gram_values(structure.metric, q)[0] @ J
         scale = float((pulled * g_here).sum() / (g_here * g_here).sum())
         conf.append(float(np.abs(pulled - scale * g_here).max()))
         a, b = bg.schrodinger_residual(structure, moved, params, q)
-        r1.append(abs(a))
-        r2.append(abs(b))
+        r1.append(abs(complex(a[0])))
+        r2.append(abs(complex(b[0])))
     return {"r1": np.array(r1), "r2": np.array(r2), "conformal_residual": np.array(conf)}
 
 
@@ -649,15 +663,15 @@ def test_a_check_is_the_max_of_its_one_point_calls(d, check):
 
 def sequential_bracket_fields(e1, e2, d, p):
     """Reference: one point, both fields and the matrix bracket realized at
-    that point alone."""
+    that point alone, as a batch of one."""
     v1, _ = realize_field(e1.blocks, d)
     v2, _ = realize_field(e2.blocks, d)
-    vv, vj = jet_components(v1.components, p)
-    wv, wj = jet_components(v2.components, p)
+    vv, vj = (a[0] for a in jet_components(v1.components, p[None]))
+    wv, wj = (a[0] for a in jet_components(v2.components, p[None]))
     fb = np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
     vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
-    mv = np.array([jet_value(c) for c in vm.components(list(p))], dtype=float)
+    mv = np.array([c[0] for c in vm.components(list(p[:, None]))], dtype=float)
     return {"minus": float(np.abs(fb + mv).max()), "plus": float(np.abs(fb - mv).max())}
 
 
@@ -672,7 +686,10 @@ class TestBatchedAlgebra:
             batch = bracket_fields(e1, e2, d, pts)
             for key in ("minus", "plus"):
                 assert same_bits(batch[key], np.array([r[key] for r in single]))
-            assert bracket_fields(e1, e2, d, pts[1]) == single[1]
+            one = bracket_fields(e1, e2, d, pts[1:2])
+            assert {key: v.tolist() for key, v in one.items()} == {
+                key: [v] for key, v in single[1].items()
+            }
 
     @pytest.mark.parametrize("d", [1, 4, 8])
     def test_random_elements_match_basis_sums(self, d):
@@ -700,7 +717,7 @@ class TestBatchedAlgebra:
 
 def sequential_projective(cfg, d, sample_group):
     """Reference: the projective check one point and one r draw at a time,
-    each escape raised and caught."""
+    each point a batch of one, each escape read off its NaN image."""
     seed = check_seed(cfg, f"group_d{d}_projective")
     rng = np.random.default_rng(seed)
     pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
@@ -709,19 +726,19 @@ def sequential_projective(cfg, d, sample_group):
         ge = sample_group(d, rng)
         for p in pts:
             r = 1.0 + 0.3 * float(rng.uniform())
-            try:
-                img, r2 = projective_action(ge, list(p), r)
-            except ChartEscapeError:
+            img, r2 = projective_action(ge, list(p[:, None]), r)
+            if not np.isfinite(r2[0]):
                 continue
             used += 1
-            lifted = np.array([float(v) for v in cone_point([float(v) for v in img], r2)])
+            lifted = np.array([float(v) for v in cone_point([v[0] for v in img], r2[0])])
             moved = ge.matrix @ np.array([float(v) for v in cone_point(list(p), r)])
             worst = max(worst, float(np.abs(lifted - moved).max()))
     return worst, used
 
 
 def sequential_inverse(cfg, d, sample_group):
-    """Reference: the inverse check one point at a time."""
+    """Reference: the inverse check one point at a time, each a batch of
+    one, each escape read off its NaN image."""
     seed = check_seed(cfg, f"group_d{d}_inverse")
     rng = np.random.default_rng(seed)
     pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
@@ -731,13 +748,11 @@ def sequential_inverse(cfg, d, sample_group):
         # inverted as a stack of one: take(None) gives every field the element axis
         gi = group_inverse(ge.take(None)).take(0)
         for p in pts:
-            try:
-                img = projective_action(ge, list(p))
-                back = projective_action(gi, [jet_value(v) for v in img])
-            except ChartEscapeError:
+            back = np.array(projective_action(gi, projective_action(ge, list(p[:, None]))))[:, 0]
+            if not np.isfinite(back).all():
                 continue
             used += 1
-            worst = max(worst, float(np.abs(np.array(back, dtype=float) - p).max()))
+            worst = max(worst, float(np.abs(back - p).max()))
     return worst, used
 
 
@@ -788,6 +803,55 @@ def test_group_chart_checks_match_per_point_loops(monkeypatch, d, seed):
         assert rec.extra["escapes"] == 4 * rounds - used
         escapes += rec.extra["escapes"]
     assert escapes > 0
+
+
+# ---------------------------------------------------------------------------
+# one contract: a batch (N, n) in, a leading sample axis out
+
+
+def _evaluators():
+    """Each public evaluator as a call on its points, with a batch of one
+    point of its chart."""
+    d = 2
+    flat_one, bulk_one = _flat_points(d, count=1), bulk_points(d, 1)
+    cfg = SchrodingerManifoldConfig(d, -0.5, 1.0)
+    flat = bg.flat_bargmann(d)
+    rng = np.random.default_rng(5)
+    e1, e2 = random_algebra_element(d, rng), random_algebra_element(d, rng)
+    field, _ = realize_field(e1.blocks, d)
+    psi = bg.plane_wave(d, [0.3, -0.2], PARAMS)
+    comps = field.components
+    return {
+        "gram_values": (flat_one, lambda p: gram_values(flat.metric, p)),
+        "gram_jets": (flat_one, lambda p: gram_jets(flat.metric, p)[:3]),
+        "jet_components": (flat_one, lambda p: jet_components(comps, p)),
+        "component_values": (flat_one, lambda p: component_values(comps, p)),
+        "christoffel": (bulk_one, lambda p: christoffel(bulk_metric(cfg), p)),
+        "ricci_scalar": (bulk_one, lambda p: ricci_scalar(bulk_metric(cfg), p)),
+        "divergence": (flat_one, lambda p: divergence(flat.metric, field, p)),
+        "yamabe_residual": (flat_one, lambda p: yamabe_residual(flat.metric, psi.coefficient, p)),
+        "lie_bracket": (flat_one, lambda p: lie_bracket(field, flat.xi, p)),
+        "induced_metric": (bulk_one, lambda p: induced_metric(cfg, p, p, p)),
+        "xi_hat_consistency": (bulk_one, lambda p: xi_hat_consistency(cfg, p)),
+        "isometry_check": (bulk_one, lambda p: isometry_check(cfg, null_plane_boost(d, 1.5), p)),
+        "schrodinger_residual": (flat_one, lambda p: bg.schrodinger_residual(flat, psi, PARAMS, p)),
+        "bracket_fields": (flat_one, lambda p: bracket_fields(e1, e2, d, p)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_evaluators()))
+def test_an_evaluator_takes_a_batch_only(name):
+    one, call = _evaluators()[name]
+    n = one.shape[1]
+    with pytest.raises(
+        nk.ContractViolationError,
+        match=re.escape(f"points must be a batch (N, n), got shape ({n},); one point is p[None]"),
+    ):
+        call(one[0])
+    out = call(one)
+    arrays = out.values() if isinstance(out, dict) else out if isinstance(out, tuple) else [out]
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and a.shape[0] == 1, name
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ array pass, ``projective_action`` also takes a per-sample element stack,
 ``group_inverse`` exponentiate (invert) and validate group elements as one
 stack.  Each must give, bit for bit, what the one-row-at-a-time and
 one-element-at-a-time computations give, and must raise what those raise;
-a batch sample that leaves the chart comes back NaN instead.
+a sample that leaves the chart comes back NaN instead, in a batch of one
+as in any other batch.
 """
 
 from dataclasses import replace
@@ -70,8 +71,7 @@ def reference_projective(ge, x, r=None, guard=CHART_GUARD):
     d, blocks = ge.dim, ge.blocks
     xi = xi_vector(d)
     den = blocks.e - blocks.a * x[d]
-    v = nk.jet_value(den)
-    if (np.any(np.abs(v) <= guard) if isinstance(v, np.ndarray) else abs(v) <= guard):
+    if np.any(np.abs(nk.jet_value(den)) <= guard):
         raise ChartEscapeError("projective denominator vanished")
     xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
     out = []
@@ -99,14 +99,14 @@ def nan_everywhere(values) -> bool:
 
 
 def inputs(d, seed):
-    """Floats, (N,) arrays, one seeded point and a seeded batch, with a
-    signed zero among the coordinates."""
+    """(1,) arrays of a batch of one, (N,) arrays, a seeded batch of one and
+    a seeded batch, with a signed zero among the coordinates."""
     pts = np.random.default_rng(seed).uniform(-0.9, 0.9, size=(5, d + 2))
     pts[0, 0], pts[1, -1] = 0.0, -0.0
     return {
-        "floats": pts[1].tolist(),
+        "point_arrays": list(pts[1:2].T),
         "arrays": list(pts.T),
-        "point_jets": nk.seed_point(pts[2]),
+        "point_jets": nk.seed_point(pts[2:3]),
         "batch_jets": nk.seed_point(pts),
     }
 
@@ -155,8 +155,6 @@ def test_projective_images_match_the_row_loop(d):
     for g in (ge, with_blocks(ge, L=sparse(ge.blocks.L, rng))):
         for kind, x in inputs(d, 20 + d).items():
             r = 1.0 + 0.3 * rng.uniform(size=np.shape(nk.jet_value(x[0])))
-            if kind in ("floats", "point_jets"):
-                r = float(r)
             got, got_r = projective_action(g, x, r)
             want, want_r = reference_projective(g, x, r)
             assert bits(got) == bits(want), kind
@@ -164,16 +162,22 @@ def test_projective_images_match_the_row_loop(d):
             assert bits(projective_action(g, x)) == bits(want), kind
 
 
+def lifts(pts):
+    """The batch ``pts`` as (N,) arrays and as order-1 and order-2 jets,
+    each with the map from a sample s to that sample as a batch of one."""
+    return (
+        ("arrays", list(pts.T), lambda s: list(pts[s : s + 1].T)),
+        ("order 1", nk.seed_point(pts, order=1), lambda s: nk.seed_point(pts[s : s + 1], 1)),
+        ("order 2", nk.seed_point(pts), lambda s: nk.seed_point(pts[s : s + 1])),
+    )
+
+
 def assert_marked(ge, elements, pts, r, bad):
     """The batch action of the per-sample stack ``ge`` on ``pts``: sample
     ``bad`` comes back NaN in floats and in order-1 and order-2 jets, with
     and without r; every other sample s is bitwise the row loop's image of
-    point s under ``elements[s]``."""
-    for kind, batch, point in (
-        ("floats", list(pts.T), lambda p: p.tolist()),
-        ("order 1", nk.seed_point(pts, order=1), lambda p: nk.seed_point(p, order=1)),
-        ("order 2", nk.seed_point(pts), nk.seed_point),
-    ):
+    point s under ``elements[s]``, as a batch of one."""
+    for kind, batch, point in lifts(pts):
         got, got_r = projective_action(ge, batch, r)
         bare = projective_action(ge, batch)
         for values in (got, bare, [got_r]):
@@ -181,7 +185,7 @@ def assert_marked(ge, elements, pts, r, bad):
         for s in range(len(pts)):
             if s == bad:
                 continue
-            want, want_r = reference_projective(elements[s], point(pts[s]), float(r[s]))
+            want, want_r = reference_projective(elements[s], point(s), r[s : s + 1])
             assert bits(sample_of(got, s)) == bits(want), (kind, s)
             assert bits(sample_of(bare, s)) == bits(want), (kind, s)
             assert bits(sample_of([got_r], s)) == bits([want_r]), (kind, s)
@@ -194,10 +198,10 @@ def test_projective_guard_marks_like_the_row_loop(d):
     ge = with_blocks(ge, a=0.5, e=0.25)  # the denominator vanishes at t = 0.5
     pts = rng.uniform(-0.9, 0.9, size=(3, d + 2))
     pts[1, d] = 0.5
-    for x in (pts[1].tolist(), nk.seed_point(pts[1])):
-        for action in (projective_action, reference_projective):
-            with pytest.raises(ChartEscapeError, match="denominator vanished"):
-                action(ge, x)
+    for x in (list(pts[1:2].T), nk.seed_point(pts[1:2])):
+        assert nan_everywhere(projective_action(ge, x))
+        with pytest.raises(ChartEscapeError, match="denominator vanished"):
+            reference_projective(ge, x)
     assert_marked(ge, [ge] * len(pts), pts, 1.0 + 0.3 * rng.uniform(size=len(pts)), bad=1)
 
 
@@ -398,13 +402,14 @@ def test_stacked_exponential_matches_one_matrix_at_a_time(d):
 
 
 def sample_of(values, s):
-    """Sample s of a batch image: floats of (N,) arrays, or jets."""
+    """Sample s of a batch image, (N,) arrays or jets, as a batch of one."""
+    at = slice(s, s + 1)
     if isinstance(values[0], Jet2):
         return [
-            Jet2(v.value[s], v.grad[:, s], None if v.hess is None else v.hess[:, :, s])
+            Jet2(v.value[at], v.grad[:, at], None if v.hess is None else v.hess[:, :, at])
             for v in values
         ]
-    return [v[s] for v in values]
+    return [v[at] for v in values]
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -422,15 +427,11 @@ def test_per_sample_action_matches_one_element_at_a_time(d):
     el, pt = np.divmod(np.arange(len(elements) * len(pts)), len(pts))
     ge, x = stack_elements(elements).take(el), pts[pt]
     r = 1.0 + 0.3 * rng.uniform(size=len(x))
-    for kind, batch, point in (
-        ("floats", list(x.T), lambda p: p.tolist()),
-        ("order 1", nk.seed_point(x, order=1), lambda p: nk.seed_point(p, order=1)),
-        ("order 2", nk.seed_point(x), nk.seed_point),
-    ):
+    for kind, batch, point in lifts(x):
         got, got_r = projective_action(ge, batch, r)
         bare = projective_action(ge, batch)
         for s in range(len(x)):
-            want, want_r = projective_action(elements[el[s]], point(x[s]), float(r[s]))
+            want, want_r = projective_action(elements[el[s]], point(s), r[s : s + 1])
             assert bits(sample_of(got, s)) == bits(want), (kind, s)
             assert bits(sample_of(bare, s)) == bits(want), (kind, s)
             assert bits(sample_of([got_r], s)) == bits([want_r]), (kind, s)
@@ -444,8 +445,7 @@ def test_per_sample_guard_marks_any_sample():
     pts = np.random.default_rng(10).uniform(-0.9, 0.9, size=(3, d + 2))
     pts[2, d] = 0.5
     assert_marked(stack_elements(elements), elements, pts, np.array([1.1, 1.2, 1.3]), bad=2)
-    with pytest.raises(ChartEscapeError, match="denominator vanished"):
-        projective_action(elements[2], pts[2].tolist())
+    assert np.isnan(projective_action(elements[2], list(pts[2:3].T))).all()
     # the same point under another element stays on the chart
     clear = projective_action(stack_elements(elements[:2] + elements[:1]), list(pts.T))
     assert np.isfinite(clear).all()

@@ -100,10 +100,11 @@ class TestPerSampleScalar:
         out = op(self.u, self.a)
         assert isinstance(out, Jet2)
         for k, c in enumerate(self.a.tolist()):
-            one = op(Jet2(self.u.value[k], self.u.grad[:, k], self.u.hess[..., k]), c)
-            assert same_bits(out.value[k], one.value)
-            assert same_bits(out.grad[:, k], one.grad)
-            assert same_bits(out.hess[..., k], one.hess)
+            at = slice(k, k + 1)  # sample k as a batch of one
+            one = op(Jet2(self.u.value[at], self.u.grad[:, at], self.u.hess[..., at]), c)
+            assert same_bits(out.value[at], one.value)
+            assert same_bits(out.grad[:, at], one.grad)
+            assert same_bits(out.hess[..., at], one.hess)
 
     def test_array_of_another_shape_is_refused(self):
         with pytest.raises(ContractViolationError):
@@ -434,6 +435,25 @@ def test_a_singular_grid_sample_is_named_in_the_homogeneous_error(monkeypatch):
     assert rec.status == "ERROR"
     # the first coupling of the grid meets the singular sample first
     assert "(lam, mu) = (-2, -1), sample 3 (" in rec.error
+
+
+@pytest.mark.parametrize("k", [0, 3, 4])
+def test_one_coupling_names_its_singular_sample(monkeypatch, k):
+    # a pass of one coupling: the sample index within the batch is the index
+    # within the coupling, and the message names both
+    d = 1
+    pts = SeededSampler(17, hg.bulk_boxes(d)).points(5)
+    _singular_at(monkeypatch, pts[k, 0])
+
+    def residual(mc, rows, part):
+        return hg.nullfluid_residual(mc, rows)[0]
+
+    with pytest.raises(DegenerateMetricError) as info:
+        hg.over_couplings(d, [(-1.0, 2.0)], pts, 2, residual)
+    assert info.value.sample == k and type(info.value.sample) is int
+    assert info.value.coupling == (-1.0, 2.0)
+    assert f"Gram matrix is singular at (lam, mu) = (-1, 2), sample {k} (" in str(info.value)
+    assert str(info.value).endswith(f"({info.value.detail})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Kernel tests: jet arithmetic against finite differences, linear algebra
 helpers against elementary oracles, sampler reproducibility."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,16 @@ def fd_grad_hess(f, x, h=1e-5):
     return grad, hess
 
 
+def seed_one(p, order=2):
+    """The jets of one point, seeded as a batch of one."""
+    return seed_point(np.asarray(p, dtype=float)[None], order)
+
+
+def first(j):
+    """Value, gradient and Hessian of sample 0 of a jet."""
+    return j.value[0], j.grad[..., 0], j.hess[..., 0]
+
+
 def scalar_fn_jets(p):
     x, y = p[0], p[1]
     return nk.sin(x) * nk.exp(y) + x * x * x * y + nk.sqrt(2.0 + x) / (1.0 + y * y)
@@ -63,11 +75,11 @@ def scalar_fn_floats(p):
 class TestJet2:
     def test_matches_finite_differences(self):
         p = [0.4, -0.7]
-        j = scalar_fn_jets(seed_point(p))
+        value, jgrad, jhess = first(scalar_fn_jets(seed_one(p)))
         grad, hess = fd_grad_hess(scalar_fn_floats, p)
-        assert j.value == pytest.approx(scalar_fn_floats(np.array(p)), abs=1e-14)
-        assert np.abs(j.grad - grad).max() < 1e-9
-        assert np.abs(j.hess - hess).max() < 1e-5
+        assert value == pytest.approx(scalar_fn_floats(np.array(p)), abs=1e-14)
+        assert np.abs(jgrad - grad).max() < 1e-9
+        assert np.abs(jhess - hess).max() < 1e-5
 
     def test_log_pow_chain(self):
         def f_jets(p):
@@ -77,32 +89,33 @@ class TestJet2:
             return np.log(3.0 + np.cos(p[0])) * p[1] ** 4
 
         p = [1.1, 0.6]
-        j = f_jets(seed_point(p))
+        _, jgrad, jhess = first(f_jets(seed_one(p)))
         grad, hess = fd_grad_hess(f_floats, p)
-        assert np.abs(j.grad - grad).max() < 1e-9
-        assert np.abs(j.hess - hess).max() < 1e-5
+        assert np.abs(jgrad - grad).max() < 1e-9
+        assert np.abs(jhess - hess).max() < 1e-5
 
     def test_division_and_rpow(self):
         p = [0.5, 0.25]
-        j = (1.0 / (seed_point(p)[0] + 2.0)) * seed_point(p)[1] ** 0.5
+        j = (1.0 / (seed_one(p)[0] + 2.0)) * seed_one(p)[1] ** 0.5
+        _, jgrad, jhess = first(j)
 
         def f(q):
             return (1.0 / (q[0] + 2.0)) * q[1] ** 0.5
 
         grad, hess = fd_grad_hess(f, p)
-        assert np.abs(j.grad - grad).max() < 1e-8
-        assert np.abs(j.hess - hess).max() < 1e-4
+        assert np.abs(jgrad - grad).max() < 1e-8
+        assert np.abs(jhess - hess).max() < 1e-4
 
     def test_hessian_symmetry(self):
-        j = scalar_fn_jets(seed_point([0.3, 0.9]))
-        assert np.abs(j.hess - j.hess.T).max() == 0.0
+        _, _, hess = first(scalar_fn_jets(seed_one([0.3, 0.9])))
+        assert np.abs(hess - hess.T).max() == 0.0
 
     def test_complex_combination(self):
         p = [0.2, -0.4]
-        x, y = seed_point(p)
+        x, y = seed_one(p)
         j = (nk.cos(x) + 1j * nk.sin(x)) * y
         expected = (np.cos(0.2) + 1j * np.sin(0.2)) * (-0.4)
-        assert abs(j.value - expected) < 1e-15
+        assert abs(j.value[0] - expected) < 1e-15
 
     def test_constant_and_variable(self):
         c = Jet2.constant(3.5, 4)
@@ -213,12 +226,17 @@ class TestSeedPoint:
     """The seeds share one read-only identity block and one read-only zero
     Hessian, and equal the seeds built one variable at a time."""
 
+    @pytest.mark.parametrize("coords", [[0.3, -1.2], 0.5, np.ones((2, 3, 2))])
+    def test_anything_but_a_batch_raises(self, coords):
+        with pytest.raises(ContractViolationError, match=re.escape(f"{np.shape(coords)};")):
+            seed_point(coords)
+
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("coords", [[0.3, -1.2, 2.0, 0.7], np.arange(15.0).reshape(5, 3)])
+    @pytest.mark.parametrize("coords", [[[0.3, -1.2, 2.0, 0.7]], np.arange(15.0).reshape(5, 3)])
     def test_equals_one_variable_at_a_time(self, coords, order):
         pts = np.asarray(coords, dtype=float)
         n = pts.shape[-1]
-        values = pts.tolist() if pts.ndim == 1 else np.ascontiguousarray(pts.T)
+        values = np.ascontiguousarray(pts.T)
         want = [Jet2.variable(c, i, n, order) for i, c in enumerate(values)]
         got = seed_point(coords, order)
         assert len(got) == len(want) == n
@@ -232,7 +250,7 @@ class TestSeedPoint:
                 assert a.hess.shape == b.hess.shape and a.hess.tobytes() == b.hess.tobytes()
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("coords", [[0.3, -1.2, 2.0], np.ones((4, 3))])
+    @pytest.mark.parametrize("coords", [[[0.3, -1.2, 2.0]], np.ones((4, 3))])
     def test_the_shared_arrays_are_read_only(self, coords, order):
         jets = seed_point(coords, order)
         for x in jets:
@@ -276,7 +294,7 @@ class TestSparseDot:
         return [p[i % n] * p[(i + 1) % n] + 0.3 * i for i in range(count)]
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("batch", [(), (5,)], ids=["point", "batch"])
+    @pytest.mark.parametrize("batch", [(1,), (5,)], ids=["point", "batch"])
     def test_jets_match_the_reference_loop(self, order, batch):
         terms = self.jets(order, batch)
         coeffs = np.array([0.7, -1.3, 2.9, 1e-3])
@@ -326,4 +344,4 @@ class TestSparseDot:
     def test_empty_sum_is_the_constant_zero(self):
         assert sparse_dot([], []) == 0.0
         assert isinstance(sparse_dot([], []), float)
-        assert sparse_dot(np.zeros(3), self.jets(2, ())[:3]) == 0.0
+        assert sparse_dot(np.zeros(3), self.jets(2, (1,))[:3]) == 0.0

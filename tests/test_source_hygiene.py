@@ -5,8 +5,9 @@ imported name goes unused, the coupling-pass layout stays in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
 randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
 and group elements, only ``ambient`` names the chart guard, ``suites`` builds each record
-once, with no ``dataclasses.replace`` copy, and ``report.dump_json`` is the
-one serializer of the report."""
+once, with no ``dataclasses.replace`` copy, ``report.dump_json`` is the
+one serializer of the report, and no branch picks a one-point path by the
+shape of its points."""
 
 import ast
 from pathlib import Path
@@ -425,3 +426,84 @@ def test_the_serializer_rule_sees_a_stray_dump():
         "d = dump_json(doc)\n"
     )
     assert _indented_json_calls(tree) == [3, 4, 5]
+
+
+# one point is a batch of one: the package takes its points as (N, n)
+# batches only, so no branch picks a one-point path by the shape of its
+# input.  Three tests on ``ndim`` are no point forks: a 0-d per-sample
+# scalar in ``Jet2._coerce``, a coefficient row in ``sparse_dot`` and a
+# float against an array residual in ``suites.verdicts``.  A test whose
+# branch only raises is a guard, not a fork.
+SHAPE_TESTS_ALLOWED = {"Jet2._coerce", "sparse_dot", "verdicts"}
+
+
+def _mentions_ndim(node: ast.AST) -> bool:
+    return any(
+        getattr(n, "attr", None) == "ndim" or getattr(n, "id", None) == "ndim"
+        for n in ast.walk(node)
+    )
+
+
+def _point_forks(tree: ast.AST) -> list[tuple[str, int]]:
+    """Each branch chosen by a test on ``ndim`` and each ``_per_sample``
+    helper (defined or named), with the qualified name of the function
+    around it and its line."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+                if child.name.startswith("_per_sample"):
+                    found.append((inner, child.lineno))
+            elif isinstance(child, ast.Name) and child.id.startswith("_per_sample"):
+                found.append((where or "<module>", child.lineno))
+            elif isinstance(child, (ast.If, ast.IfExp, ast.While)) and _mentions_ndim(child.test):
+                guard = (
+                    isinstance(child, ast.If)
+                    and not child.orelse
+                    and all(isinstance(s, ast.Raise) for s in child.body)
+                )
+                if not guard:
+                    found.append((where or "<module>", child.lineno))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_point_shape_forks_in_the_package(path):
+    forks = [f for f in _point_forks(_tree(path)) if f[0] not in SHAPE_TESTS_ALLOWED]
+    assert not forks, f"{path.name}: {forks}"
+
+
+def test_the_fork_rule_sees_a_stray_point_fork():
+    tree = ast.parse(
+        "def _per_sample(x):\n"
+        "    return float(x) if np.ndim(x) == 0 else x\n"
+        "def seed(pts):\n"
+        "    if pts.ndim != 2:\n"
+        "        raise ContractViolationError('points must be a batch')\n"
+        "    values = pts.tolist() if pts.ndim == 1 else pts.T\n"
+        "    if pts.ndim == 1:\n"
+        "        values = complex(values)\n"
+        "    return {k: _per_sample(v) for k, v in values}\n"
+        "class Jet2:\n"
+        "    def _coerce(self, other):\n"
+        "        if other.ndim == 0:\n"
+        "            return None\n"
+        "def count(g0):\n"
+        "    c = (g0 < 0).sum(axis=-1)\n"
+        "    return int(c) if c.ndim == 0 else c\n"
+    )
+    assert _point_forks(tree) == [
+        ("_per_sample", 1),
+        ("_per_sample", 2),
+        ("seed", 6),
+        ("seed", 7),
+        ("seed", 9),
+        ("Jet2._coerce", 12),
+        ("count", 16),
+    ]
