@@ -8,6 +8,7 @@ config file, unwritable output).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import os
@@ -90,6 +91,29 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     return parser
+
+
+# glibc's mallopt parameters (malloc.h) and the size the process keeps
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_KEPT = 32 * 1024 * 1024
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    # by default glibc returns the freed top of the heap to the kernel past
+    # 128 KiB, and the next jet pass faults its temporaries' pages in again;
+    # with both thresholds at 32 MiB the process keeps and reuses them.
+    # Setting either one ends glibc's dynamic mmap threshold, so both are
+    # set.  Where there is no mallopt (another libc or platform) this is a
+    # no-op.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_KEPT)
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_KEPT)
+    except (OSError, AttributeError, TypeError):
+        pass
 
 
 # argparse takes a token such as "-1e-4" or "-inf" for an option, so a
@@ -202,6 +226,7 @@ def _build_config(args) -> SuiteConfig:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

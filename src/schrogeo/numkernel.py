@@ -251,6 +251,11 @@ def _pow(v, k):
     """v ** k with the rounding of a scalar power, sample by sample over the
     (N,) array ``v``: numpy's vectorized power rounds differently, and each
     sample must be bitwise its own scalar power."""
+    if getattr(v, "ndim", None) != 1:
+        raise ContractViolationError(
+            "a jet value must be an (N,) array over a batch of N points, "
+            f"got shape {np.shape(v)}"
+        )
     return np.array([x**k for x in v.tolist()], dtype=v.dtype)
 
 
@@ -454,7 +459,14 @@ class SeededSampler:
         self.exclude = exclude
         self.max_tries = max_tries
         self.rejections = 0
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = self.generator(self.seed)
+
+    @staticmethod
+    def generator(seed: int) -> np.random.Generator:
+        """The seeded generator of every draw: the stream of
+        ``np.random.default_rng(seed)``, built without its argument
+        dispatch, which costs more than the construction itself."""
+        return np.random.Generator(np.random.PCG64(seed))
 
     @property
     def dim(self) -> int:

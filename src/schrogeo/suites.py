@@ -329,7 +329,7 @@ BARGMANN = Suite(
 
 def _plane_wave(c, seed):
     d = c.d
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     per = max(2, c.samples // 4)
     # one stream of three consecutive blocks, one per wave, measured in one
     # pass: wave i goes with the points of block i
@@ -368,7 +368,7 @@ _MAPS = {
 
 def _transport(c, seed, name: str, weight=None):
     transform = _MAPS[name](c.d)
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     psi = bg.plane_wave(c.d, 0.8 * rng.normal(size=c.d), c.params)
     per = max(3, c.samples // 4)
     pts = _box_points(seed, 0.8, c.d + 2, per)
@@ -439,7 +439,7 @@ def _closure(c, seed):
 
 def _realization(c, seed):
     d = c.d
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     pts = _box_points(seed, 1.0, d + 2, 3)
     # three pairs in one draw, round by round: elements 2i and 2i + 1 are
     # pair i; then every (pair, point) sample, pair by pair and in point
@@ -508,7 +508,7 @@ def _group_context(cfg: SuiteConfig, d: int) -> SimpleNamespace:
 
 def _constraints(c, seed):
     d, count = c.d, c.samples
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     stack = group_elements(d, group_coefficients(d, rng, count))
@@ -520,7 +520,7 @@ def _constraints(c, seed):
 
 def _projective(c, seed):
     d, count = c.d, c.samples
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     pts = _box_points(seed, 1.0, d + 2, 4)
     # round by round: an element's coefficients, then its radii
     draws = [
@@ -539,7 +539,7 @@ def _projective(c, seed):
 
 def _pullback(c, seed):
     d = c.d
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     g0 = flat_gram_matrix(d)
     pts = _box_points(seed, 1.0, d + 2, 4)
     ge, x = _pairs(group_elements(d, group_coefficients(d, rng, c.rounds)), pts)
@@ -557,7 +557,7 @@ def _pullback(c, seed):
 
 def _inverse(c, seed):
     d = c.d
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     pts = _box_points(seed, 1.0, d + 2, 4)
     stack = group_elements(d, group_coefficients(d, rng, c.rounds))
     ge, x = _pairs(stack, pts)
@@ -610,7 +610,7 @@ def _over_grid(d: int, couplings: list, pts: np.ndarray, order: int, fn) -> list
 def _dualpath(c, seed):
     pts = _grid_points(c, seed)
     # the same stream as a (v1, v2) draw per point and coupling in turn
-    v = np.random.default_rng(seed).normal(size=(len(c.grid), len(pts), 2, c.d + 3))
+    v = SeededSampler.generator(seed).normal(size=(len(c.grid), len(pts), 2, c.d + 3))
 
     def diff(mc, x, part):
         w = v[part].reshape(-1, 2, c.d + 3)
@@ -621,7 +621,7 @@ def _dualpath(c, seed):
 
 def _clock(c, seed):
     pts = _grid_points(c, seed)
-    v = np.random.default_rng(seed).normal(size=(len(c.first_mu), len(pts), c.d + 3))
+    v = SeededSampler.generator(seed).normal(size=(len(c.first_mu), len(pts), c.d + 3))
 
     def diff(mc, x, part):
         return hg.theta_hat(mc, x, v[part].reshape(-1, c.d + 3))["difference"]
@@ -675,7 +675,7 @@ def _recovery(c, seed):
 
 
 def _isometry(c, seed):
-    rng = np.random.default_rng(seed)
+    rng = SeededSampler.generator(seed)
     # each coupling measures the same points, coupling i with element i
     pts = _grid_points(c, seed)
     stack = group_elements(c.d, group_coefficients(c.d, rng, 2))
@@ -699,7 +699,7 @@ def _isometry_control(c, seed):
 
 def _isotropy(c, seed):
     mc = hg.SchrodingerManifoldConfig(c.d, -0.5, 1.0)
-    res = hg.isotropy_check(mc, np.random.default_rng(seed), c.samples)
+    res = hg.isotropy_check(mc, SeededSampler.generator(seed), c.samples)
     return {
         "residual": np.maximum(res["bulk_fix_residual"], res["boundary_fix_residual"]),
         "holds": (
@@ -767,7 +767,7 @@ BOUNDARY_STRUCTURE = (
 
 def _boundary(c, seed):
     pts = _box_points(seed, 1.2, c.d + 2, c.samples)
-    return hg.boundary_structure(c.d, pts, np.random.default_rng(seed + 1))
+    return hg.boundary_structure(c.d, pts, SeededSampler.generator(seed + 1))
 
 
 BOUNDARY = Suite(

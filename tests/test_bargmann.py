@@ -127,17 +127,17 @@ class TestStackedWaves:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_one_pass_matches_the_per_wave_loop(self, monkeypatch, d, seed):
         made, passes = [], []
-        default_rng, residual = np.random.default_rng, bargmann.schrodinger_residual
+        generator, residual = nk.SeededSampler.generator, bargmann.schrodinger_residual
 
         def rng_spy(s):
-            made.append(default_rng(s))
+            made.append(generator(s))
             return made[-1]
 
         def pass_spy(*args):
             passes.append(len(args[-1]))
             return residual(*args)
 
-        monkeypatch.setattr(np.random, "default_rng", rng_spy)
+        monkeypatch.setattr(nk.SeededSampler, "generator", staticmethod(rng_spy))
         monkeypatch.setattr(bargmann, "schrodinger_residual", pass_spy)
         cfg = SuiteConfig("schrodinger-eq", dims=(d,), seed=seed)
         c = suites.SCHRODINGER.context(cfg, d)

@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, precedence of flags over environment
 over file, and byte identity of repeated runs."""
 
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -328,6 +331,69 @@ class TestOneProcess:
         # no package code writes into a seed jet's shared, read-only arrays
         for seed in ("0", "42"):
             assert main(["all", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+class TestHeapPolicy:
+    """``main`` keeps freed heap memory mapped, so a warm call reuses the
+    pages of the call before it instead of faulting them in again."""
+
+    ARGV = ["axioms", "--dim", "3", "--samples", "80", "--format", "json", "--out"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        # a test that swaps ``ctypes.CDLL`` must not leave its outcome cached
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()
+
+    @pytest.mark.skipif(not GLIBC, reason="the policy is glibc's mallopt")
+    def test_a_warm_call_faults_few_pages(self, tmp_path):
+        import resource
+
+        argv = [*self.ARGV, str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+    @pytest.mark.parametrize("missing", ["no libc", "no mallopt", "no CDLL(None)"])
+    def test_without_mallopt_main_writes_the_same_bytes(self, missing, tmp_path, monkeypatch):
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        argv = ["boundary", *FAST, "--format", "json", "--out"]
+        assert main([*argv, str(tmp_path / "with.json")]) == 0
+
+        def cdll(name):
+            if missing == "no libc":
+                raise OSError("cannot load the C library")
+            if missing == "no CDLL(None)":
+                raise TypeError("a library name is required")
+            return object()
+
+        cli._keep_freed_heap.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main([*argv, str(tmp_path / "without.json")]) == 0
+        assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+
+    def test_two_calls_set_the_policy_once(self, tmp_path, monkeypatch):
+        opened, set_to = [], []
+
+        def mallopt(param, value):
+            set_to.append((param, value))
+            return 1
+
+        def cdll(name):
+            opened.append(name)
+            return types.SimpleNamespace(mallopt=mallopt)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        for k in range(2):
+            assert main(["boundary", *FAST, "--out", str(tmp_path / f"{k}.txt")]) == 0
+        assert opened == [None]
+        # M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, both at 32 MiB
+        assert set_to == [(-1, 32 << 20), (-3, 32 << 20)]
 
 
 class TestInstalledEntryPoint:

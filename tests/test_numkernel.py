@@ -128,6 +128,14 @@ class TestJet2:
         with pytest.raises(ContractViolationError):
             nk.log(Jet2.constant(-1.0, 2))
 
+    @pytest.mark.parametrize(
+        "expr", [lambda u: u**2, lambda u: 1 / u, nk.log], ids=["square", "reciprocal", "log"]
+    )
+    def test_a_scalar_valued_jet_breaks_the_batch_contract(self, expr):
+        u = Jet2(2.0, np.array([1.0]), np.zeros((1, 1)))
+        with pytest.raises(ContractViolationError, match=r"\(N,\) array .* got shape \(\)"):
+            expr(u)
+
     @given(
         st.floats(-2, 2),
         st.floats(-2, 2),
@@ -181,6 +189,12 @@ class TestSeededSampler:
         pts = s.points(20)
         assert pts.min() >= 0
         assert s.rejections > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**31 - 1])
+    def test_generator_is_the_default_rng_stream(self, seed):
+        a, b = SeededSampler.generator(seed), np.random.default_rng(seed)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.normal(size=7).tobytes() == b.normal(size=7).tobytes()
 
     def test_rejects_bad_boxes(self):
         with pytest.raises(ContractViolationError):

@@ -241,8 +241,8 @@ def test_the_record_rule_sees_a_stray_import():
 
 
 # only ``suites`` draws points and generators; the other modules measure what
-# they are handed, and ``numkernel`` defines the sampler
-DRAWS = {"SeededSampler", "default_rng"}
+# they are handed, and ``numkernel`` defines the sampler and its generator
+DRAWS = {"SeededSampler", "generator", "default_rng", "Generator", "PCG64"}
 
 
 def _calls(tree: ast.Module, names: set, exempt: str | None = None) -> list[tuple[str, int]]:
@@ -276,21 +276,33 @@ def test_the_draw_rule_sees_a_stray_call():
         "import numpy as np\n"
         "class SeededSampler:\n"
         "    def __init__(self, seed):\n"
-        "        self._rng = np.random.default_rng(seed)\n"
+        "        self._rng = self.generator(seed)\n"
+        "    @staticmethod\n"
+        "    def generator(seed):\n"
+        "        return np.random.Generator(np.random.PCG64(seed))\n"
         "def check(seed):\n"
-        "    rng = np.random.default_rng(seed)\n"
+        "    rng, old = nk.SeededSampler.generator(seed), np.random.default_rng(seed)\n"
+        "    bare = np.random.Generator(np.random.PCG64(seed))\n"
         "    return nk.SeededSampler(seed, []).points(3), SeededSampler(1, [])\n"
     )
     assert _calls(tree, DRAWS) == [
-        ("default_rng", 4),
-        ("default_rng", 6),
-        ("SeededSampler", 7),
-        ("SeededSampler", 7),
+        ("generator", 4),
+        ("Generator", 7),
+        ("PCG64", 7),
+        ("generator", 9),
+        ("default_rng", 9),
+        ("Generator", 10),
+        ("PCG64", 10),
+        ("SeededSampler", 11),
+        ("SeededSampler", 11),
     ]
     assert _calls(tree, DRAWS, "SeededSampler") == [
-        ("default_rng", 6),
-        ("SeededSampler", 7),
-        ("SeededSampler", 7),
+        ("generator", 9),
+        ("default_rng", 9),
+        ("Generator", 10),
+        ("PCG64", 10),
+        ("SeededSampler", 11),
+        ("SeededSampler", 11),
     ]
 
 
