@@ -227,7 +227,7 @@ class SpecialNullVector:
     matrix: np.ndarray
 
 
-def make_special(P, Q, G: np.ndarray, tol: float = 1e-12) -> SpecialNullVector:
+def make_special(P, Q, G: np.ndarray) -> SpecialNullVector:
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     for label, val in (
@@ -235,12 +235,12 @@ def make_special(P, Q, G: np.ndarray, tol: float = 1e-12) -> SpecialNullVector:
         ("G(Q,Q)", Q @ G @ Q),
         ("G(P,Q)", P @ G @ Q),
     ):
-        if abs(val) > tol * max(1.0, P @ P, Q @ Q):
+        if abs(val) > 1e-12 * max(1.0, P @ P, Q @ Q):
             raise ContractViolationError(
                 f"pair is not totally null: {label} = {val:.3e}"
             )
     Z = np.outer(P, G @ Q) - np.outer(Q, G @ P)
-    if np.abs(Z).max() <= tol:
+    if np.abs(Z).max() <= 1e-12:
         raise DegeneratePairError("degenerate pair: P and Q are parallel")
     return SpecialNullVector(P, Q, Z)
 
@@ -375,7 +375,7 @@ def commutant_basis(d: int, tol: float = 1e-10) -> list[AlgebraElement]:
     call returns fresh writable copies.
     """
     stack = commutant_stack(d, tol).copy()
-    elements = AlgebraElement(stack, decompose_sch(stack, d, validate=False))
+    elements = AlgebraElement(stack, decompose_sch(stack, d))
     return [elements.take(i) for i in range(len(stack))]
 
 
@@ -408,28 +408,26 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
     }
 
 
-def decompose_sch(Z: np.ndarray, d: int, validate: bool = True) -> SchBlocks:
+def decompose_sch(Z: np.ndarray, d: int) -> SchBlocks:
     """Split an (E, d+4, d+4) stack of commutant elements into (Lam, Gam,
     alpha, chi) block data, each with the leading element axis: alpha and
     chi are (E,).  The split is entrywise, so it keeps any leading axes.
     The arrays are fresh copies.  The redundant rows of Z are
     permutations/negations of these blocks, so reassembly via
-    ``sch_matrix`` reproduces Z exactly.  ``validate`` checks Z against Z0,
-    the block form and the vertical condition, in that order, each at its
-    worst matrix (``require_sch``).
+    ``sch_matrix`` reproduces Z exactly.  The split does not check Z: a
+    caller that must, checks it against Z0, the block form and the vertical
+    condition first (``require_sch(sch_residuals(Z, d))``).
     """
     n = d + 2
     Z = np.asarray(Z, dtype=float)
-    if validate:
-        require_sch(sch_residuals(Z, d))
     parts = (Z[..., :n, :n], Z[..., :n, n + 1], Z[..., d + 1, n], Z[..., n, n])
     return SchBlocks(*(part.copy() for part in parts))
 
 
 def require_sch(residuals: dict) -> None:
-    """Raise ContractViolationError at the first of decompose_sch's checks
-    that ``sch_residuals`` output fails (Z0, block form, vertical), each
-    taken at its worst matrix."""
+    """Raise ContractViolationError at the first check of a commutant
+    element that ``sch_residuals`` output fails (Z0, block form, vertical),
+    each taken at its worst matrix."""
     for key, tol, what in (
         ("commutator", 1e-10, "matrix does not commute with Z0"),
         ("block", 1e-12, "matrix is not in block form"),
@@ -477,7 +475,7 @@ def algebra_elements(d: int, coeffs: np.ndarray) -> AlgebraElement:
     """The algebra elements with the (count, k) coefficient rows ``coeffs``
     (``group_coefficients``), as one stack."""
     Z = _algebra_matrices(d, coeffs)
-    return AlgebraElement(Z, decompose_sch(Z, d, validate=False))
+    return AlgebraElement(Z, decompose_sch(Z, d))
 
 
 def random_algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> AlgebraElement:
@@ -629,7 +627,7 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
     v2, _ = realize_field(e2.blocks, d)
     fb = lie_bracket(v1, v2, p)
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
-    vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
+    vm, _ = realize_field(decompose_sch(m, d), d)
     mv = component_values(vm.components, p)
     return {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
 
@@ -707,7 +705,7 @@ _CONSTRAINTS = (
 )
 
 
-def _assembled(blocks: GroupBlocks, d: int, tol: float):
+def _assembled(blocks: GroupBlocks, d: int):
     """Matrices of a block stack (fields with a leading element axis) and
     the first failure: (A, None), or (A, (i, error)) for the first element i
     that violates a constraint, naming its first violated one."""
@@ -737,15 +735,15 @@ def _assembled(blocks: GroupBlocks, d: int, tol: float):
     # the largest |entry| of each constraint, element by element: (E, 9)
     starts = list(accumulate((r.shape[1] for r in residuals[:-1]), initial=0))
     table = np.maximum.reduceat(np.abs(np.concatenate(residuals, axis=1)), starts, axis=1)
-    # ~(r <= tol), not r > tol: a NaN residual must fail
-    bad = ~(table <= tol)
+    # ~(r <= 1e-10), not r > 1e-10: a NaN residual must fail
+    bad = ~(table <= 1e-10)
     if not bad.any():
         return A, None
     i, k = np.argwhere(bad)[0]
     return A, (i, StabilizerConstraintError(*_CONSTRAINTS[k], float(table[i, k])))
 
 
-def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> GroupElement:
+def assemble_group_element(blocks: GroupBlocks, d: int) -> GroupElement:
     """Build the group elements of a block stack (fields with a leading
     element axis) and verify every block constraint, once over the stack.
 
@@ -755,7 +753,7 @@ def assemble_group_element(blocks: GroupBlocks, d: int, tol: float = 1e-10) -> G
     pairing normalizations, and the null-length relation; then Abar A = 1
     and [A, Z0] = 0 on the assembled matrix.
     """
-    A, failed = _assembled(blocks, d, tol)
+    A, failed = _assembled(blocks, d)
     if failed:
         raise failed[1]
     return GroupElement(A, blocks, d)
@@ -954,7 +952,7 @@ def group_coefficients(
     return rng.uniform(-scale, scale, size=(count, len(commutant_stack(d))))
 
 
-def group_elements(d: int, coeffs: np.ndarray, tol: float = 1e-10) -> GroupElement:
+def group_elements(d: int, coeffs: np.ndarray) -> GroupElement:
     """The exponentials of the algebra elements with the (count, k)
     coefficient rows ``coeffs`` (in the ``commutant_stack`` basis), as one
     stack, reassembled from their blocks.
@@ -967,7 +965,7 @@ def group_elements(d: int, coeffs: np.ndarray, tol: float = 1e-10) -> GroupEleme
     """
     raw = exp_algebra(_algebra_matrices(d, coeffs))
     blocks = extract_blocks(raw, d)
-    A, failed = _assembled(blocks, d, tol)
+    A, failed = _assembled(blocks, d)
     rebuild = np.abs(A - raw).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(raw).max(axis=(-2, -1)))
     drift = np.flatnonzero(~(rebuild <= 1e-12 * scale))
@@ -980,13 +978,11 @@ def group_elements(d: int, coeffs: np.ndarray, tol: float = 1e-10) -> GroupEleme
     return GroupElement(A, blocks, d)
 
 
-def random_group_element(
-    d: int, rng: np.random.Generator, scale: float = 0.4, tol: float = 1e-10
-) -> GroupElement:
+def random_group_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> GroupElement:
     """Exponential of a random algebra element, reassembled from its blocks
     (which re-validates every constraint): the stack of one of
     ``group_elements``, its axis dropped."""
-    return group_elements(d, group_coefficients(d, rng, 1, scale), tol).take(0)
+    return group_elements(d, group_coefficients(d, rng, 1, scale)).take(0)
 
 
 def group_inverse(ge: GroupElement) -> GroupElement:
@@ -996,7 +992,7 @@ def group_inverse(ge: GroupElement) -> GroupElement:
     return assemble_group_element(extract_blocks(g_adjoint(ge.matrix, ambient_gram(d)), d), d)
 
 
-def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
+def projective_action(ge: GroupElement, x, r=None):
     """Linear-fractional action on the flat chart and the fiber coordinate.
 
     x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t).  ``x``
@@ -1005,9 +1001,9 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     form.  ``ge`` is one element, or a per-sample stack of N elements
     (``GroupElement.take``) whose element s acts on sample s of the batch:
     one pass over N (element, point) pairs.  Where |e - a t| falls to
-    ``guard`` the image leaves the chart: that sample's image and r' come
-    back NaN (``mark_escapes``) while every other sample is what it would
-    be alone.
+    ``CHART_GUARD`` the image leaves the chart: that sample's image and r'
+    come back NaN (``mark_escapes``) while every other sample is what it
+    would be alone.
 
     The n numerators are one stack (``_affine_rows``): (a/2) g(x,x) is formed
     once, and row a adds its L[a, b] x[b] in column order b, skipping zero
@@ -1020,7 +1016,8 @@ def projective_action(ge: GroupElement, x, r=None, guard: float = CHART_GUARD):
     blocks = ge.blocks
     t = x[d]
     den = blocks.e - blocks.a * t
-    den = mark_escapes(den, np.abs(jet_value(den)) <= guard, "projective denominator vanished")
+    escaped = np.abs(jet_value(den)) <= CHART_GUARD
+    den = mark_escapes(den, escaped, "projective denominator vanished")
     rows = _affine_rows(x, d, blocks.C, blocks.L, 0.5 * blocks.a * _chart_square(x))
     if isinstance(den, Jet2):
         # jet division multiplies by the reciprocal: one for every row

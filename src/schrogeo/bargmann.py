@@ -48,9 +48,10 @@ from .geometry import (
     covariant_derivative,
     divergence,
     exterior_wedge,
+    gram_jets,
     gram_values,
     jet_components,
-    yamabe_and_divergence,
+    yamabe_residual,
 )
 from .numkernel import ContractViolationError, Jet2, sample_max, sparse_dot
 
@@ -146,16 +147,18 @@ def metric_clock(structure: BargmannStructure) -> OneForm:
 def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
     vanishing divergence at the points ``pts``: by axiom, its residual at
-    each point, (N,)."""
-    metric, xi = structure.metric, structure.xi
+    each point, (N,).  One first-order pass of the metric serves the
+    three metric axioms."""
+    xi = structure.xi
+    jets = gram_jets(structure.metric, pts, order=1)
     xv = component_values(xi.components, pts)
-    null = np.einsum("...a,...ab,...b->...", xv, gram_values(metric, pts), xv)
+    null = np.einsum("...a,...ab,...b->...", xv, jets.g0, xv)
     dw, _ = exterior_wedge(metric_clock(structure), pts)
     found = {
         "xi_null": null,
-        "xi_parallel": covariant_derivative(metric, xi, pts),
+        "xi_parallel": covariant_derivative(jets, xi),
         "clock_closed": dw,
-        "xi_divergence_free": divergence(metric, xi, pts),
+        "xi_divergence_free": divergence(jets, xi),
     }
     return {name: sample_max(v) for name, v in found.items()}
 
@@ -194,19 +197,18 @@ def schrodinger_residual(
     Two (N,) complex arrays on a batch (N, n), sample by sample bitwise
     equal to the values of that point alone.
     Requires the density to carry the covariant weight d/(2d+4).  One jet
-    pass of the metric, one inverse Gram and one evaluation of the
-    coefficient serve both members.
+    pass of the metric, seeded once, one inverse Gram and one evaluation of
+    the coefficient serve both members.
     """
     w = density_weight(structure.d)
     if abs(psi.weight - w) > 1e-12:
         raise ContractViolationError(
             f"density weight {psi.weight} != covariant weight {w}"
         )
-    pts = nk.point_batch(p)
-    r1, div, fj = yamabe_and_divergence(
-        structure.metric, psi.coefficient, structure.xi, pts
-    )
-    lie = _lie_term(structure.xi, psi.weight, fj, div, pts)
+    jets = gram_jets(structure.metric, p)
+    fj = jets.scalar(psi.coefficient)
+    r1 = yamabe_residual(jets, fj)
+    lie = _lie_term(structure.xi, psi.weight, fj, divergence(jets, structure.xi), jets.pts)
     return r1, (params.hbar / 1j) * lie - params.mass * fj.value
 
 
@@ -221,7 +223,6 @@ def plane_wave(
     d: int,
     k: Sequence[float],
     params: SchrodingerParams = SchrodingerParams(),
-    amplitude: complex = 1.0,
 ) -> DensityFunction:
     """exp(i (k.x + omega t + (m/hbar) s)) with omega = -hbar |k|^2 / (2m),
     which annihilates both members of the covariant pair on the flat
@@ -243,7 +244,7 @@ def plane_wave(
         phase = omega * x[d] + ms * x[d + 1]
         for i in range(d):
             phase = phase + k[i] * x[i]
-        return amplitude * (nk.cos(phase) + 1j * nk.sin(phase))
+        return nk.cos(phase) + 1j * nk.sin(phase)
 
     return DensityFunction(coefficient=coeff, weight=density_weight(d), d=d)
 

@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .numkernel import ContractViolationError, Jet2, point_batch, seed_point
+from .numkernel import ContractViolationError, Jet2, jet_value, point_batch, seed_point
 
 __all__ = [
     "Chart",
     "DegenerateMetricError",
     "MetricField",
+    "MetricJets",
     "OneForm",
     "VectorField",
-    "christoffel",
     "christoffel_from_derivatives",
     "component_values",
     "covariant_derivative",
@@ -38,11 +39,10 @@ __all__ = [
     "gram_jets",
     "gram_values",
     "jet_components",
+    "laplacian",
     "lie_bracket",
     "lie_derivative_metric",
     "ricci_from_derivatives",
-    "ricci_scalar",
-    "yamabe_and_divergence",
     "yamabe_residual",
 ]
 
@@ -171,25 +171,67 @@ def gram_values(metric: MetricField, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_jets(metric: MetricField, p: np.ndarray, order: int = 2) -> tuple:
-    """Gram matrices and their coordinate derivatives on the batch ``p``
-    (N, n), to ``order``.
+@dataclass(frozen=True)
+class MetricJets:
+    """One jet pass of a metric over a batch of points, as ``gram_jets``
+    returns it; every operator that reads the metric takes one.
 
-    Returns (g0, dg, hess, pattern) with dg[s, a, i, j] = d_a g_ij at sample
-    s and the second derivatives factored by distinct entry object:
-    hess[s, e, a, b] = d_a d_b of the e-th non-constant entry and
-    pattern[e, i, j] = 1 where that entry sits, so d_a d_b g_ij = sum_e
-    hess[s, e, a, b] pattern[e, i, j].  Shapes (N, n, n), (N, n, n, n),
-    (N, E, n, n) and (E, n, n).  A metric with constant entries only has
-    E = 0.  ``order`` 1 seeds first-order jets
-    and returns (g0, dg) only, bitwise the same arrays.  As in
-    ``gram_values``, the arrays start from zeros and each distinct entry
-    object is written once.
+    ``pts`` is the batch (N, n) and ``seeds`` the jets it was seeded as:
+    the operators evaluate their fields and densities on those seeds, so a
+    pass is seeded once.  ``g0`` (N, n, n) and ``dg`` (N, n, n, n) are the
+    Gram matrices and their first derivatives, dg[s, a, i, j] = d_a g_ij at
+    sample s.  At order 2 the second derivatives come factored by distinct
+    entry object: hess[s, e, a, b] = d_a d_b of the e-th non-constant entry
+    and pattern[e, i, j] = 1 where that entry sits, so d_a d_b g_ij =
+    sum_e hess[s, e, a, b] pattern[e, i, j], shapes (N, E, n, n) and
+    (E, n, n); a metric with constant entries only has E = 0.  Both are
+    None at order 1.  ``ginv`` is the inverse Gram, formed by
+    ``_invert_gram`` on first read, so a pass that never reads it pays for
+    no inversion.
+    """
+
+    pts: np.ndarray
+    seeds: list
+    g0: np.ndarray
+    dg: np.ndarray
+    hess: np.ndarray | None = None
+    pattern: np.ndarray | None = None
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return _invert_gram(self.g0)
+
+    def components(self, fn: Callable[[Sequence], Sequence]) -> tuple[np.ndarray, np.ndarray]:
+        """``fn`` on the pass's seeds, as ``jet_components`` returns it."""
+        return _component_jets(fn(self.seeds), self.pts)
+
+    def scalar(self, f: Callable[[Sequence], Jet2]) -> Jet2:
+        """``f`` on the pass's seeds; a constant result becomes a constant
+        jet, with one value per sample."""
+        out = f(self.seeds)
+        if not isinstance(out, Jet2):
+            out = Jet2.constant(np.full(self.pts.shape[:-1], out), self.pts.shape[-1])
+        return out
+
+    def ricci(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ricci tensor and scalar of an order-2 pass
+        (``ricci_from_derivatives``)."""
+        return ricci_from_derivatives(self.ginv, self.dg, self.hess, self.pattern)
+
+
+def gram_jets(metric: MetricField, p: np.ndarray, order: int = 2) -> MetricJets:
+    """The metric's jet pass on the batch ``p`` (N, n), to ``order``.
+
+    ``order`` 1 seeds first-order jets and carries no second derivatives;
+    its g0 and dg are bitwise those of order 2.  As in ``gram_values``,
+    the arrays start from zeros and each distinct entry object is written
+    once.
     """
     pts = point_batch(p)
     n = pts.shape[-1]
     batch = pts.shape[:-1]
-    rows = metric.gram(seed_point(pts, order))
+    seeds = seed_point(pts, order)
+    rows = metric.gram(seeds)
     g0 = np.zeros(batch + (n, n))
     dg = np.zeros(batch + (n, n, n))
     flat = [a.reshape(a.shape[:-2] + (n * n,)) for a in (g0, dg)]
@@ -202,13 +244,30 @@ def gram_jets(metric: MetricField, p: np.ndarray, order: int = 2) -> tuple:
         else:
             _put(flat[0], k, e)
     if order == 1:
-        return g0, dg
+        return MetricJets(pts, seeds, g0, dg)
     hess = np.empty(batch + (len(jets), n, n))
     pattern = np.zeros((len(jets), n * n))
     for i, (e, k) in enumerate(jets):
         hess[..., i, :, :] = _samples_first(e.hess)
         pattern[i, k] = 1.0
-    return g0, dg, hess, pattern.reshape(-1, n, n)
+    return MetricJets(pts, seeds, g0, dg, hess, pattern.reshape(-1, n, n))
+
+
+def _component_jets(comps: Sequence, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, jac) of components evaluated on seeds of the batch ``pts``."""
+    n = pts.shape[-1]
+    batch = pts.shape[:-1]
+    m = len(comps)
+    dtype = complex if any(np.iscomplexobj(jet_value(c)) for c in comps) else float
+    vals = np.zeros(batch + (m,), dtype=dtype)
+    jac = np.zeros(batch + (m, n), dtype=dtype)
+    for i, c in enumerate(comps):
+        if isinstance(c, Jet2):
+            vals[..., i] = c.value
+            jac[..., i, :] = _samples_first(c.grad)
+        else:
+            vals[..., i] = c
+    return vals, jac
 
 
 def jet_components(
@@ -221,25 +280,7 @@ def jet_components(
     (N, m) and (N, m, n).  Complex components are allowed.
     """
     pts = point_batch(p)
-    n = pts.shape[-1]
-    batch = pts.shape[:-1]
-    comps = fn(seed_point(pts, order=1))
-    m = len(comps)
-    some_complex = any(
-        isinstance(c, Jet2) and np.iscomplexobj(np.asarray(c.value)) or
-        (not isinstance(c, Jet2) and isinstance(c, complex))
-        for c in comps
-    )
-    dtype = complex if some_complex else float
-    vals = np.zeros(batch + (m,), dtype=dtype)
-    jac = np.zeros(batch + (m, n), dtype=dtype)
-    for i, c in enumerate(comps):
-        if isinstance(c, Jet2):
-            vals[..., i] = c.value
-            jac[..., i, :] = _samples_first(c.grad)
-        else:
-            vals[..., i] = c
-    return vals, jac
+    return _component_jets(fn(seed_point(pts, order=1)), pts)
 
 
 def component_values(
@@ -252,15 +293,6 @@ def component_values(
     out = np.empty(pts.shape[:-1] + (len(comps),))
     for i, c in enumerate(comps):
         out[..., i] = c
-    return out
-
-
-def _scalar_jet(f: Callable[[Sequence], Jet2], pts: np.ndarray) -> Jet2:
-    """f on seeded jets; a constant result becomes a constant jet, with one
-    value per sample."""
-    out = f(seed_point(pts))
-    if not isinstance(out, Jet2):
-        out = Jet2.constant(np.full(pts.shape[:-1], out), pts.shape[-1])
     return out
 
 
@@ -288,8 +320,8 @@ def _invert_gram(g0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # connection and curvature
 #
-# These act on a stack with a leading sample axis.  A caller that already
-# holds the inverse Gram passes it as ``ginv``.
+# These act on a stack with a leading sample axis and take the inverse Gram
+# (a pass's ``ginv``) in place of the Gram.
 
 
 def _first_kind(dg: np.ndarray) -> np.ndarray:
@@ -301,18 +333,10 @@ def _first_kind(dg: np.ndarray) -> np.ndarray:
     return out
 
 
-def christoffel_from_derivatives(
-    g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray | None = None
-) -> np.ndarray:
-    """Levi-Civita symbols Gamma[k, i, j] from the metric and its gradient."""
-    if ginv is None:
-        ginv = _invert_gram(g0)
+def christoffel_from_derivatives(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Levi-Civita symbols Gamma[k, i, j] from the inverse Gram and the
+    metric's gradient."""
     return np.einsum("...ka,...aij->...kij", ginv, _first_kind(dg))
-
-
-def christoffel(metric: MetricField, p: np.ndarray) -> np.ndarray:
-    g0, dg = gram_jets(metric, p, order=1)
-    return christoffel_from_derivatives(g0, dg)
 
 
 def _inner(products: np.ndarray) -> np.ndarray:
@@ -323,15 +347,14 @@ def _inner(products: np.ndarray) -> np.ndarray:
 
 
 def ricci_from_derivatives(
-    g0: np.ndarray,
+    ginv: np.ndarray,
     dg: np.ndarray,
     hess: np.ndarray,
     pattern: np.ndarray,
-    ginv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ricci tensor and scalar from metric derivatives (any source), the
-    second derivatives in the factored form of ``gram_jets``:
-    d_a d_b g_ij = sum_e hess[..., e, a, b] pattern[e, i, j].
+    """Ricci tensor and scalar from the inverse Gram and the metric
+    derivatives (any source), the second derivatives in the factored form
+    of ``gram_jets``: d_a d_b g_ij = sum_e hess[..., e, a, b] pattern[e, i, j].
 
     Ric_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij
     - Gamma^k_il Gamma^l_kj.  With Gamma_{a,ij} the symbols of the first
@@ -353,10 +376,10 @@ def ricci_from_derivatives(
     A constant Gram (no entry with a Hessian, E = 0, and dg all zero) has
     exact zeros for both, which are returned without the contraction.
     """
-    if ginv is None:
-        ginv = _invert_gram(g0)
-    n = g0.shape[-1]
-    lead = g0.shape[:-2]
+    # the scalar's einsum rounds by the layout of ginv; a pass's is contiguous
+    ginv = np.ascontiguousarray(ginv)
+    n = ginv.shape[-1]
+    lead = ginv.shape[:-2]
     if len(pattern) == 0 and not dg.any():
         return np.zeros(lead + (n, n)), np.zeros(lead)
     nn = n * n
@@ -394,22 +417,21 @@ def ricci_from_derivatives(
     return ric, np.einsum("...ij,...ij->...", ginv, ric)
 
 
-def ricci_scalar(metric: MetricField, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return ricci_from_derivatives(*gram_jets(metric, p))
-
-
 # ---------------------------------------------------------------------------
 # derivative operators
+#
+# The operators that read the metric take its pass (``gram_jets``) and
+# evaluate their fields and densities on the pass's seeds.
 
 
-def covariant_derivative(metric: MetricField, w, p: np.ndarray) -> np.ndarray:
-    """nabla w on the batch ``p``: rows indexed by the derivative direction.
+def covariant_derivative(jets: MetricJets, w) -> np.ndarray:
+    """nabla w on the pass's batch: rows indexed by the derivative direction.
 
     For a OneForm returns (nabla w)[a, b] = d_a w_b - Gamma^c_ab w_c; for a
     VectorField returns (nabla v)[a, b] = d_a v^b + Gamma^b_ac v^c.
     """
-    gamma = christoffel(metric, p)
-    vals, jac = jet_components(w.components, p)
+    gamma = christoffel_from_derivatives(jets.ginv, jets.dg)
+    vals, jac = jets.components(w.components)
     if isinstance(w, OneForm):
         return jac.swapaxes(-1, -2) - np.einsum("...cab,...c->...ab", gamma, vals)
     if isinstance(w, VectorField):
@@ -417,15 +439,13 @@ def covariant_derivative(metric: MetricField, w, p: np.ndarray) -> np.ndarray:
     raise ContractViolationError("covariant_derivative expects a OneForm or VectorField")
 
 
-def lie_derivative_metric(
-    metric: MetricField, field: VectorField, p: np.ndarray
-) -> np.ndarray:
+def lie_derivative_metric(jets: MetricJets, field: VectorField) -> np.ndarray:
     """(L_Z g)_ab = Z^c d_c g_ab + g_cb d_a Z^c + g_ac d_b Z^c."""
-    g0, dg = gram_jets(metric, p, order=1)
-    zv, zj = jet_components(field.components, p)
+    g0 = jets.g0
+    zv, zj = jets.components(field.components)
     zv, zj = zv.real, zj.real
     return (
-        np.einsum("...c,...cab->...ab", zv, dg)
+        np.einsum("...c,...cab->...ab", zv, jets.dg)
         + np.einsum("...cb,...ca->...ab", g0, zj)
         + np.einsum("...ac,...cb->...ab", g0, zj)
     )
@@ -438,23 +458,18 @@ def lie_bracket(v: VectorField, w: VectorField, p: np.ndarray) -> np.ndarray:
     return np.einsum("...c,...ac->...a", vv, wj) - np.einsum("...c,...ac->...a", wv, vj)
 
 
-def divergence(metric: MetricField, field: VectorField, p: np.ndarray) -> np.ndarray:
+def divergence(jets: MetricJets, field: VectorField) -> np.ndarray:
     """Div X = d_a X^a + X^a d_a log sqrt|det g|, via tr(g^{-1} d_a g)/2.
 
     This is the divergence of the metric volume density |det g|^{1/2}, (N,)
-    on a batch (N, n).
+    on the pass's batch (N, n); with dg all zero the density term vanishes
+    and is not formed.
     """
-    g0, dg = gram_jets(metric, p, order=1)
-    return _divergence(_invert_gram(g0), dg, field, p)
-
-
-def _divergence(ginv: np.ndarray, dg: np.ndarray, field: VectorField, p):
-    """Div X from the inverse Gram and dg; with dg all zero the density
-    term vanishes and is not formed."""
-    xv, xj = jet_components(field.components, p)
+    ginv = jets.ginv
+    xv, xj = jets.components(field.components)
     div = np.trace(xj.real, axis1=-2, axis2=-1)
-    if dg.any():
-        div = div + 0.5 * np.einsum("...a,...ij,...aij->...", xv.real, ginv, dg)
+    if jets.dg.any():
+        div = div + 0.5 * np.einsum("...a,...ij,...aij->...", xv.real, ginv, jets.dg)
     return div
 
 
@@ -477,48 +492,27 @@ def exterior_wedge(
     return dw, wedge
 
 
-def _laplacian(g0: np.ndarray, dg: np.ndarray, ginv: np.ndarray, fj: Jet2):
-    """g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from the metric derivatives,
-    the inverse Gram and the jet of f; with dg all zero the symbols vanish
-    and the Christoffel term is not formed."""
+def laplacian(jets: MetricJets, fj: Jet2) -> np.ndarray:
+    """Delta_g f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f) from an order-2
+    pass and the jet of f on its seeds (``MetricJets.scalar``): (N,), complex
+    for a complex f.  With dg all zero the symbols vanish and the
+    Christoffel term is not formed."""
+    ginv = jets.ginv
     lap = np.einsum("...ab,...ab->...", ginv, _samples_first(fj.hess))
-    if not dg.any():
+    if not jets.dg.any():
         return lap
-    gamma = christoffel_from_derivatives(g0, dg, ginv=ginv)
+    gamma = christoffel_from_derivatives(ginv, jets.dg)
     grad = _samples_first(fj.grad)
     return lap - np.einsum("...ab,...cab,...c->...", ginv, gamma, grad)
 
 
-def yamabe_residual(metric: MetricField, f, p: np.ndarray) -> np.ndarray:
-    """(Delta_g - (n-2)/(4(n-1)) R) f; complex scalars welcome.
+def yamabe_residual(jets: MetricJets, fj: Jet2) -> np.ndarray:
+    """(Delta_g - (n-2)/(4(n-1)) R) f from an order-2 pass and the jet of f
+    on its seeds; complex scalars welcome.
 
-    Delta_g f = g^{ab} (d_a d_b f - Gamma^c_ab d_c f), and the operator
-    acts on a complex coefficient componentwise (it has real coefficients):
-    an (N,) array on a batch (N, n).
+    The operator acts on a complex coefficient componentwise (it has real
+    coefficients): an (N,) array on the pass's batch (N, n).
     """
-    pts = point_batch(p)
-    jets = gram_jets(metric, pts)
-    return _yamabe(jets, _invert_gram(jets[0]), _scalar_jet(f, pts))
-
-
-def yamabe_and_divergence(metric: MetricField, f, field: VectorField, p):
-    """``yamabe_residual(metric, f, p)``, ``divergence(metric, field, p)``
-    and the jet of f, from one jet pass of the metric, one inverse Gram and
-    one evaluation of f: the metric pieces of the covariant Schrödinger
-    pair, each bitwise equal to its separate call."""
-    pts = point_batch(p)
-    jets = gram_jets(metric, pts)
-    ginv = _invert_gram(jets[0])
-    fj = _scalar_jet(f, pts)
-    yamabe = _yamabe(jets, ginv, fj)
-    return yamabe, _divergence(ginv, jets[1], field, pts), fj
-
-
-def _yamabe(jets: tuple, ginv, fj: Jet2):
-    """The Yamabe operator on the jet of f from the metric's order-2
-    ``gram_jets`` and its inverse Gram."""
-    g0, dg = jets[:2]
-    n = g0.shape[-1]
-    _, scalar = ricci_from_derivatives(*jets, ginv=ginv)
-    lap = _laplacian(g0, dg, ginv, fj)
-    return lap - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value
+    n = jets.g0.shape[-1]
+    _, scalar = jets.ricci()
+    return laplacian(jets, fj) - ((n - 2.0) / (4.0 * (n - 1.0))) * scalar * fj.value

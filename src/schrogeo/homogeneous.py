@@ -57,10 +57,10 @@ from .geometry import (
     component_values,
     covariant_derivative,
     exterior_wedge,
+    gram_jets,
     gram_values,
     jet_components,
     lie_derivative_metric,
-    ricci_scalar,
 )
 from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace, sparse_dot
 
@@ -384,16 +384,16 @@ def embed_components(cfg: SchrodingerManifoldConfig, p: Sequence) -> list:
     return comps
 
 
-def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q, guard: float = 1e-8) -> list:
+def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q) -> list:
     """Invert the embedding on the rh > 0 sheet; jet-friendly.
 
-    The components carry a sample axis: the samples that left the sheet
-    come back NaN and the rest are exact, as in ``projective_action``
-    (``mark_escapes``).
+    The components carry a sample axis: the samples whose last ambient
+    component is at or below 1e-8 left the sheet and come back NaN, and
+    the rest are exact, as in ``projective_action`` (``mark_escapes``).
     """
     d = cfg.d
     last = Q[d + 3]
-    last = mark_escapes(last, jet_value(last).real <= guard, "point left the rh > 0 sheet")
+    last = mark_escapes(last, jet_value(last).real <= 1e-8, "point left the rh > 0 sheet")
     out = [Q[i] / last for i in range(d + 2)]
     out.append(cfg.scale / last)
     return out
@@ -453,7 +453,7 @@ def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> dict:
     ZQ = _mv(build_Z0(d).matrix, Q)
     metric = bulk_metric(cfg)
     g0 = gram_values(metric, p)
-    killing = np.abs(lie_derivative_metric(metric, xi_hat_field(cfg), p))
+    killing = np.abs(lie_derivative_metric(gram_jets(metric, p, order=1), xi_hat_field(cfg)))
     return {
         "pushforward": np.abs(ZQ - J[..., d + 1]).max(axis=-1),
         "norm": np.abs(ZQ).max(axis=-1),
@@ -486,7 +486,7 @@ def einstein_residual(
         raise ContractViolationError("einstein_residual expects mu = 0")
     d, lam = cfg.d, cfg.lam
     metric = bulk_metric(cfg)
-    ric, _ = ricci_scalar(metric, p)
+    ric, _ = gram_jets(metric, p).ricci()
     g0 = gram_values(metric, p)
     computed = ric + (d + 2.0) * g0
     predicted = _per_matrix(einstein_factor(d, lam)) * g0
@@ -501,7 +501,7 @@ def nullfluid_residual(
     Einstein-with-sources form (per sample on per-sample couplings)."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
     metric = bulk_metric(cfg)
-    ric, _ = ricci_scalar(metric, p)
+    ric, _ = gram_jets(metric, p).ricci()
     g0 = gram_values(metric, p)
     row = component_values(theta_hat_form(cfg).components, p)
     residual = (
@@ -856,7 +856,9 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     found = {
         "scale_invariance": scale_r,
         "clock_closed": nk.sample_max(dw),
-        "xi_parallel": nk.sample_max(covariant_derivative(metric, boundary_xi(d), pts)),
+        "xi_parallel": nk.sample_max(
+            covariant_derivative(gram_jets(metric, pts, order=1), boundary_xi(d))
+        ),
         "xi_null": nk.sample_max(g0[:, d + 1, d + 1]),
         "xi_matches_ambient": nk.sample_max(X @ Z0.T - J[:, :, d + 1]),
         "conformal_to_flat": nk.sample_max(g0 - factor[:, None, None] * flat),

@@ -43,18 +43,13 @@ from schrogeo.ambient import (
 from schrogeo.bargmann import ChartMap, _lie_term
 from schrogeo.geometry import (
     MetricField,
-    _coordinates,
-    _first_kind,
-    _invert_gram,
-    _laplacian,
-    _samples_first,
-    _scalar_jet,
     component_values,
     covariant_derivative,
     divergence,
     exterior_wedge,
     gram_jets,
     gram_values,
+    laplacian,
 )
 from schrogeo.homogeneous import (
     BoundaryPointError,
@@ -72,15 +67,27 @@ from schrogeo.homogeneous import (
 from schrogeo.suites import _box_points, _grid_points
 
 
-def einsum_ricci(g0, dg, d2g, ginv=None):
+def _samples_first(a):
+    """A jet array with its trailing sample axis moved to the front."""
+    return np.moveaxis(a, -1, 0)
+
+
+def first_kind(dg):
+    """Gamma_{a,ij} = (d_i g_aj + d_j g_ai - d_a g_ij) / 2 over the last three
+    axes of dg (or of d2g, with the extra derivative axis in front)."""
+    return 0.5 * (
+        np.einsum("...iaj->...aij", dg) + np.einsum("...jai->...aij", dg) - dg
+    )
+
+
+def einsum_ricci(g0, dg, d2g):
     """Ricci tensor and scalar through the full derivative of the symbols of
     the first kind: d_b Gamma_{a,ij} is formed as an array the size of d2g
     and traced by einsum.  Assumes no symmetry of the inputs beyond what the
     Christoffel formula itself uses."""
-    if ginv is None:
-        ginv = _invert_gram(g0)
-    first = _first_kind(dg)
-    dfirst = _first_kind(d2g)
+    ginv = np.linalg.inv(g0)
+    first = first_kind(dg)
+    dfirst = first_kind(d2g)
     gamma = np.einsum("...ka,...aij->...kij", ginv, first)
     # d_b g^ka = -g^km d_b g_ml g^la
     dginv = -np.einsum(
@@ -150,8 +157,8 @@ def dense_d2g(hess, pattern):
 
 def gram_values_loop(metric, p):
     """``geometry.gram_values`` as one numpy write per position."""
-    pts, x = _coordinates(p)
-    rows = metric.gram(x)
+    pts = nk.point_batch(p)
+    rows = metric.gram(list(np.ascontiguousarray(pts.T)))
     n = len(rows)
     out = np.empty(pts.shape[:-1] + (n, n))
     for i, row in enumerate(rows):
@@ -188,10 +195,10 @@ def gram_jets_loop(metric, p, order: int = 2):
 
 def scalar_laplacian(metric, f, p):
     """Laplace-Beltrami of a scalar, g^{ab} (d_a d_b f - Gamma^c_ab d_c f),
-    from the package's own Laplacian term: an (N,) array on a batch (N, n)."""
-    pts = nk.point_batch(p)
-    g0, dg = gram_jets(metric, pts, order=1)
-    return _laplacian(g0, dg, _invert_gram(g0), _scalar_jet(f, pts))
+    from one pass of the metric and the package's own Laplacian: an (N,)
+    array on a batch (N, n)."""
+    jets = gram_jets(metric, p)
+    return laplacian(jets, jets.scalar(f))
 
 
 def rescaled_metric(structure, omega2):
@@ -207,10 +214,11 @@ def rescaled_metric(structure, omega2):
 
 
 def density_lie_derivative(metric, field, psi, p):
-    """L_X^w f = X(f) + w Div(X) f: an (N,) array on a batch (N, n)."""
-    pts = nk.point_batch(p)
-    fj = psi.coefficient(nk.seed_point(pts, order=1))
-    return _lie_term(field, psi.weight, fj, divergence(metric, field, pts), pts)
+    """L_X^w f = X(f) + w Div(X) f from one first-order pass of the metric:
+    an (N,) array on a batch (N, n)."""
+    jets = gram_jets(metric, p, order=1)
+    fj = jets.scalar(psi.coefficient)
+    return _lie_term(field, psi.weight, fj, divergence(jets, field), jets.pts)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +629,9 @@ def boundary_loop(d: int, pts: np.ndarray, rng) -> dict:
     found = {
         "scale_invariance": scale_r,
         "clock_closed": nk.sample_max(dw),
-        "xi_parallel": nk.sample_max(covariant_derivative(metric, boundary_xi(d), pts)),
+        "xi_parallel": nk.sample_max(
+            covariant_derivative(gram_jets(metric, pts, order=1), boundary_xi(d))
+        ),
         "xi_null": nk.sample_max(g0[:, d + 1, d + 1]),
         "xi_matches_ambient": nk.sample_max(X @ Z0.T - J[:, :, d + 1]),
         "conformal_to_flat": nk.sample_max(g0 - factor[:, None, None] * flat),

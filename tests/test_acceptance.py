@@ -119,7 +119,7 @@ def test_criterion_02_conformal_killing_realization():
         for e in commutant_basis(d):
             field, _ = realize_field(e.blocks, d)
             alpha, chi = e.blocks.alpha, e.blocks.chi
-            lie = lie_derivative_metric(bg.metric, field, pts)
+            lie = lie_derivative_metric(gram_jets(bg.metric, pts, order=1), field)
             g0 = gram_values(bg.metric, pts)
             phi = 2.0 * (alpha * pts[:, d] + chi)
             gate.check(
@@ -167,11 +167,11 @@ def test_criterion_04_nullfluid_identity():
     # frozen: d=3, lam=-1/2, mu=1 gives Ric + 5 g = 7 theta x theta, -10
     cfg = SchrodingerManifoldConfig(3, -0.5, 1.0)
     p = [[0.1, -0.2, 0.3, 0.4, 0.5, 1.7]]
-    from schrogeo.geometry import ricci_scalar
     from schrogeo.homogeneous import theta_hat_form
 
-    ric, _ = ricci_scalar(bulk_metric(cfg), p)
-    g0 = gram_jets(bulk_metric(cfg), p)[0]
+    jets = gram_jets(bulk_metric(cfg), p)
+    ric, _ = jets.ricci()
+    g0 = jets.g0
     th = component_values(theta_hat_form(cfg).components, p)[0]
     gate.check(
         float(np.abs(ric[0] + 5.0 * g0[0] - 7.0 * np.outer(th, th)).max()) < 1e-10,
@@ -311,7 +311,7 @@ def test_criterion_10_boundary_structure():
         dw, _ = exterior_wedge(th, pts)
         gate.check(float(np.abs(dw).max()) < 1e-8, f"clock not closed d={d}")
         gate.check(
-            float(np.abs(covariant_derivative(m, th, pts)).max()) < 1e-8,
+            float(np.abs(covariant_derivative(gram_jets(m, pts, order=1), th)).max()) < 1e-8,
             f"clock not parallel d={d}",
         )
         g0 = gram_values(m, pts)

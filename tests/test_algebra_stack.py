@@ -35,8 +35,10 @@ from schrogeo.ambient import (
     exp_algebra,
     random_algebra_element,
     realize_field,
+    require_sch,
     sch_dimension,
     sch_matrix,
+    sch_residuals,
 )
 from schrogeo.bargmann import _expansion_generator
 from schrogeo.geometry import component_values, jet_components
@@ -51,7 +53,7 @@ def element_stack(elements: list[AlgebraElement], d: int) -> AlgebraElement:
     """A per-sample stack of single elements: their matrices stacked, the
     blocks split from the stack."""
     matrices = np.array([e.matrix for e in elements])
-    return AlgebraElement(matrices, decompose_sch(matrices, d, validate=False))
+    return AlgebraElement(matrices, decompose_sch(matrices, d))
 
 
 def measured(fn, record: str, d: int, seed: int) -> dict:
@@ -235,7 +237,7 @@ def pairs(d: int, count: int, rng: np.random.Generator) -> list:
             lam[rng.integers(d + 2), [b for b in range(d + 2) if b != d + 1]] = 0.0
             lam[rng.integers(d + 2), 0] = -0.0
             m = sch_matrix(replace(e.blocks, Lam=lam), d)
-            pair[0] = AlgebraElement(m, decompose_sch(m, d, validate=False))
+            pair[0] = AlgebraElement(m, decompose_sch(m, d))
         out.append(pair)
     return out
 
@@ -293,8 +295,8 @@ def test_a_stack_is_checked_at_its_worst_element():
     bad = stack.matrix.copy()
     bad[-1, 0, d + 1] += 1e-3  # moves the vertical direction
     with pytest.raises(ContractViolationError):
-        decompose_sch(bad, d)
-    blocks = decompose_sch(bad, d, validate=False)
+        require_sch(sch_residuals(bad, d))
+    blocks = decompose_sch(bad, d)
     with pytest.raises(ContractViolationError, match="Lam xi"):
         realize_field(blocks, d)
     realize_field(decompose_sch(stack.matrix, d), d)

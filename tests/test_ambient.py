@@ -33,6 +33,7 @@ from schrogeo.ambient import (
     random_algebra_element,
     random_group_element,
     realize_field,
+    require_sch,
     sch_dimension,
     sch_matrix,
     sch_residuals,
@@ -120,11 +121,11 @@ class TestCommutant:
     def test_decompose_rejects_matrices_outside_the_algebra(self):
         d = 2
         with pytest.raises(ContractViolationError, match="commute with Z0"):
-            decompose_sch(generic_tangent(d, np.random.default_rng(1)), d)
+            require_sch(sch_residuals(generic_tangent(d, np.random.default_rng(1)), d))
         M = np.zeros((d + 4, d + 4))
         M[d + 2, d + 3] = 1.0  # commutes with Z0, outside the block pattern
         with pytest.raises(ContractViolationError, match="block form"):
-            decompose_sch(M, d)
+            require_sch(sch_residuals(M, d))
 
     def test_residuals_of_a_stack_match_one_matrix_at_a_time(self):
         d = 3
@@ -270,7 +271,7 @@ class TestGroup:
         Z = sch_matrix(blocks, d)
         Z[0, 0] = np.nan
         with pytest.raises(ContractViolationError):
-            decompose_sch(Z, d)
+            require_sch(sch_residuals(Z, d))
 
     def test_exponential_of_translation_terminates(self):
         d = 2

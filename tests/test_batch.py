@@ -40,15 +40,16 @@ from schrogeo.ambient import (
 from schrogeo.geometry import (
     DegenerateMetricError,
     _invert_gram,
-    christoffel,
     component_values,
+    covariant_derivative,
     divergence,
     gram_jets,
     gram_values,
     jet_components,
+    laplacian,
     lie_bracket,
+    lie_derivative_metric,
     ricci_from_derivatives,
-    ricci_scalar,
     yamabe_residual,
 )
 from schrogeo.homogeneous import (
@@ -69,6 +70,7 @@ from schrogeo.homogeneous import (
     nullfluid_residual,
     theta_hat,
     xi_hat_consistency,
+    xi_hat_field,
 )
 from schrogeo.numkernel import Jet2, SeededSampler
 from schrogeo.suites import SuiteConfig, check_seed, run_suite
@@ -231,19 +233,21 @@ class TestBatchedGeometry:
         pts = rng.uniform(-1.2, 1.2, size=(6, n))
         if metric.chart.names[-1] == "rh":
             pts[:, -1] = rng.uniform(0.7, 2.2, size=6)
-        batch = gram_jets(metric, pts)
-        entries = len(batch[3])
+        jets = gram_jets(metric, pts)
+        batch = (jets.g0, jets.dg, jets.hess, jets.pattern)
+        entries = len(jets.pattern)
         assert [a.shape for a in batch] == [
             (6, n, n), (6, n, n, n), (6, entries, n, n), (entries, n, n)
         ]
-        ric, scalar = ricci_from_derivatives(*batch)
+        ric, scalar = jets.ricci()
         assert ric.shape == (6, n, n) and scalar.shape == (6,)
         for k in range(len(pts)):
-            single = gram_jets(metric, pts[k : k + 1])
+            one = gram_jets(metric, pts[k : k + 1])
+            single = (one.g0, one.dg, one.hess, one.pattern)
             for a, b in zip(batch[:3], single):
                 assert np.abs(a[k] - b[0]).max() <= 1e-13
             assert same_bits(batch[3], single[3])
-            r, s = ricci_from_derivatives(*single)
+            r, s = one.ricci()
             assert r.shape == (1, n, n) and s.shape == (1,)
             assert same_bits(ric[k], r[0]) and same_bits(scalar[k], s[0])
 
@@ -255,7 +259,8 @@ class TestBatchedGeometry:
         pts = rng.uniform(-1.2, 1.2, size=(4, n))
         if metric.chart.names[-1] == "rh":
             pts[:, -1] = rng.uniform(0.7, 2.2, size=4)
-        batch = gram_jets(metric, pts)
+        jets = gram_jets(metric, pts)
+        batch = (jets.ginv, jets.dg, jets.hess, jets.pattern)
         ric, scalar = ricci_from_derivatives(*batch)
         # the pattern has no sample axis: it keeps its entries, in any layout
         *stack, pattern = batch
@@ -472,9 +477,11 @@ class TestBatchedWaveOperators:
         field, _ = realize_field(random_algebra_element(d, np.random.default_rng(d)).blocks, d)
         pts = _flat_points(d)
         for vf in (structure.xi, field):
-            batch = divergence(structure.metric, vf, pts)
+            batch = divergence(gram_jets(structure.metric, pts, 1), vf)
             assert batch.shape == (len(pts),)
-            single = [divergence(structure.metric, vf, p) for p in _batches_of_one(pts)]
+            single = [
+                divergence(gram_jets(structure.metric, p, 1), vf) for p in _batches_of_one(pts)
+            ]
             _assert_bitwise(batch, single)
 
     @pytest.mark.parametrize("density", ["plane_wave", "translation", "boost", "dilation", "expansion"])
@@ -482,9 +489,10 @@ class TestBatchedWaveOperators:
         structure = bg.flat_bargmann(d)
         f = _densities(d)[density].coefficient
         pts = _flat_points(d, seed=1)
-        for op in (scalar_laplacian, yamabe_residual):
-            batch = op(structure.metric, f, pts)
-            _assert_bitwise(batch, [op(structure.metric, f, p) for p in _batches_of_one(pts)])
+        for op in (laplacian, yamabe_residual):
+            batch = _on_pass(op, structure.metric, f, pts)
+            single = [_on_pass(op, structure.metric, f, p) for p in _batches_of_one(pts)]
+            _assert_bitwise(batch, single)
 
     @pytest.mark.parametrize("density", ["plane_wave", "translation", "boost", "dilation", "expansion"])
     def test_density_lie_derivative_and_residual(self, d, density):
@@ -670,7 +678,7 @@ def sequential_bracket_fields(e1, e2, d, p):
     wv, wj = (a[0] for a in jet_components(v2.components, p[None]))
     fb = np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
-    vm, _ = realize_field(decompose_sch(m, d, validate=False), d)
+    vm, _ = realize_field(decompose_sch(m, d), d)
     mv = np.array([c[0] for c in vm.components(list(p[:, None]))], dtype=float)
     return {"minus": float(np.abs(fb + mv).max()), "plus": float(np.abs(fb - mv).max())}
 
@@ -809,6 +817,17 @@ def test_group_chart_checks_match_per_point_loops(monkeypatch, d, seed):
 # one contract: a batch (N, n) in, a leading sample axis out
 
 
+def _pass_arrays(jets):
+    """The arrays a pass holds with a sample axis."""
+    return jets.g0, jets.dg, jets.hess, jets.ginv
+
+
+def _on_pass(op, metric, f, p):
+    """``op`` on the metric's pass over ``p`` and the jet of f on its seeds."""
+    jets = gram_jets(metric, p)
+    return op(jets, jets.scalar(f))
+
+
 def _evaluators():
     """Each public evaluator as a call on its points, with a batch of one
     point of its chart."""
@@ -821,15 +840,24 @@ def _evaluators():
     field, _ = realize_field(e1.blocks, d)
     psi = bg.plane_wave(d, [0.3, -0.2], PARAMS)
     comps = field.components
+    cfg_xi = xi_hat_field(cfg)
+
+    def bulk(p, order):
+        return gram_jets(bulk_metric(cfg), p, order)
+
     return {
         "gram_values": (flat_one, lambda p: gram_values(flat.metric, p)),
-        "gram_jets": (flat_one, lambda p: gram_jets(flat.metric, p)[:3]),
+        "gram_jets": (flat_one, lambda p: _pass_arrays(gram_jets(flat.metric, p))),
         "jet_components": (flat_one, lambda p: jet_components(comps, p)),
         "component_values": (flat_one, lambda p: component_values(comps, p)),
-        "christoffel": (bulk_one, lambda p: christoffel(bulk_metric(cfg), p)),
-        "ricci_scalar": (bulk_one, lambda p: ricci_scalar(bulk_metric(cfg), p)),
-        "divergence": (flat_one, lambda p: divergence(flat.metric, field, p)),
-        "yamabe_residual": (flat_one, lambda p: yamabe_residual(flat.metric, psi.coefficient, p)),
+        "covariant_derivative": (bulk_one, lambda p: covariant_derivative(bulk(p, 1), cfg_xi)),
+        "lie_derivative_metric": (bulk_one, lambda p: lie_derivative_metric(bulk(p, 1), cfg_xi)),
+        "ricci": (bulk_one, lambda p: bulk(p, 2).ricci()),
+        "divergence": (flat_one, lambda p: divergence(gram_jets(flat.metric, p, 1), field)),
+        "laplacian": (flat_one, lambda p: _on_pass(laplacian, flat.metric, psi.coefficient, p)),
+        "yamabe_residual": (
+            flat_one, lambda p: _on_pass(yamabe_residual, flat.metric, psi.coefficient, p)
+        ),
         "lie_bracket": (flat_one, lambda p: lie_bracket(field, flat.xi, p)),
         "induced_metric": (bulk_one, lambda p: induced_metric(cfg, p, p, p)),
         "xi_hat_consistency": (bulk_one, lambda p: xi_hat_consistency(cfg, p)),

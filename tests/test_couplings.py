@@ -17,7 +17,9 @@ from schrogeo import homogeneous as hg
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.bargmann import (
+    BargmannStructure,
     SchrodingerParams,
+    bargmann_axioms_check,
     flat_bargmann,
     plane_wave,
     schrodinger_residual,
@@ -144,8 +146,8 @@ class TestCouplingBatchedBitwise:
 
     def test_metric_clock_and_embedding(self, stacked):
         d, pts, mc, x = stacked
-        g0, dg, hess, pattern = gram_jets(hg.bulk_metric(mc), x)
-        jets = (g0, dg, dense_d2g(hess, pattern))
+        both = gram_jets(hg.bulk_metric(mc), x)
+        jets = (both.g0, both.dg, dense_d2g(both.hess, both.pattern))
         values = gram_values(hg.bulk_metric(mc), x)
         clock = jet_components(hg.theta_hat_form(mc).components, x)
         embed = jet_components(lambda q: hg.embed_components(mc, q), x)
@@ -155,8 +157,8 @@ class TestCouplingBatchedBitwise:
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
             rows = slice(c * N, (c + 1) * N)
             # a float mu = 0 has no clock entry: compare the dense d2g
-            w0, w1, *factors = gram_jets(hg.bulk_metric(one), pts)
-            for g, w in zip(jets, (w0, w1, dense_d2g(*factors))):
+            alone = gram_jets(hg.bulk_metric(one), pts)
+            for g, w in zip(jets, (alone.g0, alone.dg, dense_d2g(alone.hess, alone.pattern))):
                 assert same_values(g[rows], w)
             # clock and embedding: vals and jac, bit for bit
             for got, want in (
@@ -329,14 +331,14 @@ def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
     def recorded_jets(metric, p, order=2):
         out = jets(metric, p, order)
         if order == 2:
-            g0, _, hess, pattern = out
             # the bulk metric's non-constant entries: a and the clock term
-            assert hess.shape == g0.shape[:1] + pattern.shape and len(pattern) <= 2
-            passes.append(g0.shape[:2])
+            assert out.hess.shape == out.g0.shape[:1] + out.pattern.shape
+            assert len(out.pattern) <= 2
+            passes.append(out.g0.shape[:2])
         return out
 
     monkeypatch.setattr(hg, "schrodinger_axiom_audit", counted_audit)
-    monkeypatch.setattr(geometry, "gram_jets", recorded_jets)
+    monkeypatch.setattr(hg, "gram_jets", recorded_jets)
     checks = run_suite(SuiteConfig("axioms", dims=dims, samples=samples)).checks
     assert {c.status for c in checks} == {"PASS"}
     assert audited == list(dims)
@@ -518,40 +520,70 @@ def test_nan_bracket_fails_the_realization(monkeypatch):
 # the covariant Schrödinger pair shares its metric pass
 
 
+def _counting(calls, name, fn, args=None):
+    """``fn``, adding one to ``calls[name]`` per call and, given a list
+    ``args``, appending each call's positional arguments to it."""
+
+    def wrapper(*a, **kw):
+        calls[name] += 1
+        if args is not None:
+            args.append(a)
+        return fn(*a, **kw)
+
+    return wrapper
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
     structure = flat_bargmann(d)
     params = SchrodingerParams()
     wave = plane_wave(d, [0.4] * d, params)
     pts = SeededSampler(3, [(-1.0, 1.0)] * (d + 2)).points(4)
-    want1 = yamabe_residual(structure.metric, wave.coefficient, pts)
+    jets = gram_jets(structure.metric, pts)
+    want1 = yamabe_residual(jets, jets.scalar(wave.coefficient))
     lie = density_lie_derivative(structure.metric, structure.xi, wave, pts)
     want2 = (params.hbar / 1j) * lie - params.mass * wave.coefficient(
         nk.seed_point(pts)
     ).value
 
-    calls = {"coefficient": 0, "gram_jets": 0, "inverse": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(geometry, "gram_jets", counted("gram_jets", geometry.gram_jets))
+    calls = {"coefficient": 0, "seed_point": 0, "inverse": 0}
+    seeded = []
+    seed_point = _counting(calls, "seed_point", nk.seed_point, seeded)
+    monkeypatch.setattr(geometry, "seed_point", seed_point)
+    monkeypatch.setattr(nk, "seed_point", seed_point)
     monkeypatch.setattr(
-        geometry, "_invert_gram", counted("inverse", geometry._invert_gram)
+        geometry, "_invert_gram", _counting(calls, "inverse", geometry._invert_gram)
     )
     psi = type(wave)(
-        coefficient=counted("coefficient", wave.coefficient),
+        coefficient=_counting(calls, "coefficient", wave.coefficient),
         weight=wave.weight,
         d=wave.d,
     )
     r1, r2 = schrodinger_residual(structure, psi, params, pts)
-    assert calls == {"coefficient": 1, "gram_jets": 1, "inverse": 1}
+    assert calls == {"coefficient": 1, "seed_point": 1, "inverse": 1}
+    assert [a[1:] for a in seeded] == [(2,)]  # order 2, for the Yamabe operator
     assert same_bits(r1, want1)
     assert same_bits(r2, want2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bargmann_axioms_check_makes_one_metric_pass(monkeypatch, d):
+    # the Gram callable runs for the metric's pass and for the clock g(xi)
+    structure = flat_bargmann(d)
+    pts = SeededSampler(4, [(-1.0, 1.0)] * (d + 2)).points(5)
+    want = bargmann_axioms_check(structure, pts)
+    calls = {"gram": 0, "inverse": 0}
+    metric = structure.metric
+    counted = MetricField(metric.chart, _counting(calls, "gram", metric.gram), metric.signature)
+    monkeypatch.setattr(
+        geometry, "_invert_gram", _counting(calls, "inverse", geometry._invert_gram)
+    )
+    got = bargmann_axioms_check(
+        BargmannStructure(counted, structure.xi, structure.theta, d), pts
+    )
+    assert calls == {"gram": 2, "inverse": 1}
+    assert got.keys() == want.keys()
+    assert all(same_bits(got[k], want[k]) for k in want)
 
 
 def test_an_order2_pass_stays_within_its_budget():

@@ -25,23 +25,33 @@ from schrogeo.geometry import (
     MetricField,
     OneForm,
     VectorField,
-    christoffel,
     christoffel_from_derivatives,
     covariant_derivative,
     divergence,
     exterior_wedge,
     gram_jets,
     gram_values,
+    laplacian,
     lie_bracket,
     lie_derivative_metric,
     ricci_from_derivatives,
-    ricci_scalar,
     yamabe_residual,
 )
 from schrogeo.ambient import flat_gram_matrix, flat_metric
 from schrogeo.bargmann import flat_bargmann
-from schrogeo.homogeneous import SchrodingerManifoldConfig, boundary_metric, bulk_metric
+from schrogeo.homogeneous import (
+    SchrodingerManifoldConfig,
+    boundary_metric,
+    bulk_chart,
+    bulk_metric,
+)
 from schrogeo.numkernel import SeededSampler
+
+
+def christoffel(metric, p):
+    """The Levi-Civita symbols of one first-order pass."""
+    jets = gram_jets(metric, p, order=1)
+    return christoffel_from_derivatives(jets.ginv, jets.dg)
 
 
 def sphere_metric():
@@ -82,19 +92,19 @@ class TestFlat:
         bg = flat_bargmann(2)
         pts = SeededSampler(5, [(-1, 1)] * 4).points(4)
         assert np.abs(christoffel(bg.metric, pts)).max() == 0.0
-        ric, scal = ricci_scalar(bg.metric, pts)
+        ric, scal = gram_jets(bg.metric, pts).ricci()
         assert np.abs(ric).max() == 0.0
         assert np.all(scal == 0.0)
 
     def test_vertical_field_is_parallel(self):
         bg = flat_bargmann(2)
-        nabla = covariant_derivative(bg.metric, bg.xi, [[0.1, 0.2, 0.3, 0.4]])
+        nabla = covariant_derivative(gram_jets(bg.metric, [[0.1, 0.2, 0.3, 0.4]], 1), bg.xi)
         assert np.abs(nabla).max() == 0.0
 
     def test_euclidean_divergence(self):
         m = euclidean(2)
         v = VectorField(m.chart, lambda p: [p[0], p[1]])
-        assert divergence(m, v, [[0.3, -0.8]])[0] == pytest.approx(2.0)
+        assert divergence(gram_jets(m, [[0.3, -0.8]], 1), v)[0] == pytest.approx(2.0)
 
     def test_laplacian_of_quadratic(self):
         m = euclidean(2)
@@ -106,8 +116,9 @@ class TestSphere:
     def test_ricci_equals_metric(self):
         m = sphere_metric()
         p = [[1.0, 0.3]]
-        ric, scal = ricci_scalar(m, p)
-        g0 = gram_jets(m, p)[0]
+        jets = gram_jets(m, p)
+        ric, scal = jets.ricci()
+        g0 = jets.g0
         assert np.abs(ric - g0).max() < 1e-12
         assert scal[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -123,8 +134,9 @@ class TestSphere:
     def test_metricity(self):
         # nabla_c g_ab = d_c g_ab - Gamma^e_ca g_eb - Gamma^e_cb g_ae
         m = sphere_metric()
-        g0, dg = (a[0] for a in gram_jets(m, [[0.9, 2.0]], order=1))
-        gamma = christoffel_from_derivatives(g0, dg)
+        jets = gram_jets(m, [[0.9, 2.0]], order=1)
+        g0, dg = jets.g0[0], jets.dg[0]
+        gamma = christoffel_from_derivatives(jets.ginv[0], dg)
         nabla = (
             dg
             - np.einsum("eca,eb->cab", gamma, g0)
@@ -170,8 +182,9 @@ class TestCurvedBulk:
         cfg = SchrodingerManifoldConfig(3, -0.5)
         metric = bulk_metric(cfg)
         pts = SeededSampler(9, [(-1, 1)] * 5 + [(0.8, 2.0)]).points(3)
-        ric, scal = ricci_scalar(metric, pts)
-        g0 = gram_jets(metric, pts)[0]
+        jets = gram_jets(metric, pts)
+        ric, scal = jets.ricci()
+        g0 = jets.g0
         assert np.abs(ric + 5.0 * g0).max() < 1e-10
         assert np.abs(scal + 30.0).max() <= 1e-9
 
@@ -179,8 +192,9 @@ class TestCurvedBulk:
         cfg = SchrodingerManifoldConfig(3, -1.0)
         metric = bulk_metric(cfg)
         p = [[0.2, -0.5, 0.1, 0.9, 0.6, 1.4]]
-        ric, _ = ricci_scalar(metric, p)
-        g0 = gram_jets(metric, p)[0]
+        jets = gram_jets(metric, p)
+        ric, _ = jets.ricci()
+        g0 = jets.g0
         assert np.abs(ric + 2.5 * g0).max() < 1e-10
 
     def test_yamabe_on_constants(self):
@@ -188,7 +202,8 @@ class TestCurvedBulk:
         # -(n-2)/(4(n-1)) * R = -(4/20) * (-30) = 6 for d = 3 at lam = -1/2
         cfg = SchrodingerManifoldConfig(3, -0.5)
         metric = bulk_metric(cfg)
-        val = yamabe_residual(metric, lambda p: 1.0 + 0.0 * p[0], [[0.1] * 5 + [1.3]])
+        jets = gram_jets(metric, [[0.1] * 5 + [1.3]])
+        val = yamabe_residual(jets, jets.scalar(lambda p: 1.0 + 0.0 * p[0]))
         assert val.shape == (1,)
         assert complex(val[0]).real == pytest.approx(6.0, abs=1e-9)
         assert complex(val[0]).imag == pytest.approx(0.0, abs=1e-12)
@@ -197,8 +212,8 @@ class TestCurvedBulk:
         cfg = SchrodingerManifoldConfig(2, -0.7)
         metric = bulk_metric(cfg)
         p = [[0.4, -0.1, 0.2, 0.5, 1.1]]
-        g0, dg, hess, pattern = gram_jets(metric, p)
-        d2g = dense_d2g(hess, pattern)
+        jets = gram_jets(metric, p)
+        g0, dg, d2g = jets.g0, jets.dg, dense_d2g(jets.hess, jets.pattern)
         g0f, dgf, d2gf = fd_gram_derivatives(metric, p)
         assert np.abs(g0 - g0f).max() < 1e-14
         assert np.abs(dg - dgf).max() < 1e-8
@@ -221,7 +236,7 @@ class TestRicciKernel:
         # a dense d2g enters as one entry per position
         rng = np.random.default_rng(100 * d + samples)
         g0, dg, d2g = generic_metric_derivatives(rng, d + 3, (samples,))
-        ric, scalar = ricci_from_derivatives(g0, dg, *factored(d2g))
+        ric, scalar = ricci_from_derivatives(np.linalg.inv(g0), dg, *factored(d2g))
         assert_matches_the_einsum_oracle(ric, scalar, g0, dg, d2g)
 
     @pytest.mark.parametrize("d", range(1, 9))
@@ -230,17 +245,18 @@ class TestRicciKernel:
         # the only non-constant entries, so no n^4 array reaches the kernel
         metric = per_sample_bulk(d, 6)
         pts = SeededSampler(31 + d, [(-1.2, 1.2)] * (d + 2) + [(0.7, 2.2)]).points(6)
-        g0, dg, hess, pattern = gram_jets(metric, pts)
+        jets = gram_jets(metric, pts)
         n = d + 3
-        assert hess.shape == (6, 2, n, n) and pattern.shape == (2, n, n)
-        ric, scalar = ricci_from_derivatives(g0, dg, hess, pattern)
-        assert_matches_the_einsum_oracle(ric, scalar, g0, dg, dense_d2g(hess, pattern))
+        assert jets.hess.shape == (6, 2, n, n) and jets.pattern.shape == (2, n, n)
+        ric, scalar = jets.ricci()
+        d2g = dense_d2g(jets.hess, jets.pattern)
+        assert_matches_the_einsum_oracle(ric, scalar, jets.g0, jets.dg, d2g)
 
     def test_fd_derivatives_give_the_einstein_ricci(self):
         # central differences of Gram values: no jet on this path
         cfg = SchrodingerManifoldConfig(2, -0.5)
         g0, dg, d2g = fd_gram_derivatives(bulk_metric(cfg), [[0.4, -0.1, 0.2, 0.5, 1.1]])
-        ric, scal = geometry.ricci_from_derivatives(g0, dg, *factored(d2g))
+        ric, scal = geometry.ricci_from_derivatives(np.linalg.inv(g0), dg, *factored(d2g))
         assert np.abs(ric + 4.0 * g0).max() < 1e-4
         assert scal[0] == pytest.approx(-20.0, abs=1e-3)
 
@@ -274,13 +290,13 @@ class TestConstantMetricShortcut:
     def test_ricci_equals_the_einsum_kernel(self, monkeypatch, metric):
         n = metric.chart.dim
         pts = SeededSampler(5, [(-1.0, 1.0)] * n).points(6)
-        # the oracle holds its own reference to the symbols of the first kind
+        # the oracle has its own symbols of the first kind
         monkeypatch.setattr(geometry, "_first_kind", _forbidden("_first_kind"))
         for p in (pts, pts[:1]):
-            g0, dg, hess, pattern = gram_jets(metric, p)
-            assert len(pattern) == 0 and not dg.any()
-            ref, ref_scalar = einsum_ricci(g0, dg, dense_d2g(hess, pattern))
-            ric, scalar = ricci_from_derivatives(g0, dg, hess, pattern)
+            jets = gram_jets(metric, p)
+            assert len(jets.pattern) == 0 and not jets.dg.any()
+            ref, ref_scalar = einsum_ricci(jets.g0, jets.dg, dense_d2g(jets.hess, jets.pattern))
+            ric, scalar = jets.ricci()
             assert ric.shape == ref.shape and np.array_equal(ric, ref)
             assert scalar.shape == (len(p),) and np.array_equal(scalar, ref_scalar)
 
@@ -293,10 +309,11 @@ class TestConstantMetricShortcut:
         def f(x):
             return nk.sin(x[0]) * nk.exp(x[n - 1]) + x[n // 2] * x[n // 2]
 
-        g0, dg = gram_jets(metric, pts, order=1)
+        jets = gram_jets(metric, pts)
+        g0, dg = jets.g0, jets.dg
         ginv = np.linalg.inv(g0)
         fj = f(nk.seed_point(pts))
-        gamma = christoffel_from_derivatives(g0, dg, ginv=ginv)
+        gamma = christoffel_from_derivatives(ginv, dg)
         hess, grad = np.moveaxis(fj.hess, -1, 0), fj.grad.T
         lap = np.einsum("...ab,...ab->...", ginv, hess) - np.einsum(
             "...ab,...cab,...c->...", ginv, gamma, grad
@@ -308,8 +325,8 @@ class TestConstantMetricShortcut:
         monkeypatch.setattr(
             geometry, "christoffel_from_derivatives", _forbidden("christoffel_from_derivatives")
         )
-        assert np.array_equal(scalar_laplacian(metric, f, pts), lap)
-        assert np.array_equal(divergence(metric, field, pts), div)
+        assert np.array_equal(laplacian(jets, jets.scalar(f)), lap)
+        assert np.array_equal(divergence(jets, field), div)
 
     def test_an_empty_pattern_with_a_gradient_takes_the_full_contraction(self, monkeypatch):
         # no entry with a Hessian, but a nonzero first derivative: the
@@ -325,10 +342,72 @@ class TestConstantMetricShortcut:
             return first_kind(a)
 
         monkeypatch.setattr(geometry, "_first_kind", spy)
-        ric, scalar = ricci_from_derivatives(g0, dg, hess, pattern)
+        ric, scalar = ricci_from_derivatives(np.linalg.inv(g0), dg, hess, pattern)
         assert calls == [dg.shape]
         assert np.abs(ric).max() > 0.1
         assert_matches_the_einsum_oracle(ric, scalar, g0, dg, np.zeros((samples,) + (n,) * 4))
+
+
+GRID = [(lam, mu) for lam in (-2.0, -1.0, -0.5, -0.3) for mu in (-1.0, 0.0, 1.0, 2.0)]
+
+
+class TestCurvedOperators:
+    """The Laplacian and the divergence off the constant-metric shortcut,
+    on the bulk metric a [dx^2 + 2 dt ds + dr^2] - mu a^2 dt^2 with
+    a = -2 lam / r^2.  Whatever mu, g^rr = 1/a and det g = -a^(d+3), so
+    Delta r^D = D (D - d - 2) r^D / (-2 lam) and Div(r d_r) = -(d + 2)."""
+
+    @staticmethod
+    def passes():
+        for d in (1, 2, 3):
+            pts = SeededSampler(40 + d, [(-1.2, 1.2)] * (d + 2) + [(0.7, 2.2)]).points(6)
+            for lam, mu in GRID:
+                metric = bulk_metric(SchrodingerManifoldConfig(d, lam, mu))
+                yield d, lam, pts, gram_jets(metric, pts)
+
+    def test_laplacian_of_a_power_of_r(self):
+        for d, lam, pts, jets in self.passes():
+            assert jets.dg.any()
+            r = pts[:, d + 2]
+            for power in (0.4, 2.3):
+                got = geometry.laplacian(jets, jets.scalar(lambda x: x[d + 2] ** power))
+                want = power * (power - d - 2.0) * r**power / (-2.0 * lam)
+                assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * np.abs(want))
+
+    def test_divergence_of_the_radial_field(self):
+        for d, _, _, jets in self.passes():
+            n = d + 3
+            radial = VectorField(bulk_chart(d), lambda x: [0.0] * (n - 1) + [x[n - 1]])
+            got = geometry.divergence(jets, radial)
+            assert np.all(np.abs(got + (d + 2.0)) <= 16 * np.finfo(float).eps * (d + 2.0))
+
+
+def _mutated(name, old, new):
+    """The geometry function ``name`` recompiled with one source edit."""
+    src = textwrap.dedent(inspect.getsource(getattr(geometry, name)))
+    assert src.count(old) == 1
+    scope = dict(vars(geometry))
+    exec(compile(src.replace(old, new), geometry.__file__, "exec"), scope)
+    return scope[name]
+
+
+@pytest.mark.parametrize(
+    "name, old, new, test",
+    [
+        pytest.param(
+            "laplacian", "return lap - np.einsum", "return lap + 0.0 * np.einsum",
+            "test_laplacian_of_a_power_of_r", id="drop-laplacian-gamma",
+        ),
+        pytest.param(
+            "divergence", "div = div + 0.5 * np.einsum", "div = div + 0.0 * np.einsum",
+            "test_divergence_of_the_radial_field", id="drop-divergence-density",
+        ),
+    ],
+)
+def test_a_dropped_operator_term_fails_the_closed_forms(monkeypatch, name, old, new, test):
+    monkeypatch.setattr(geometry, name, _mutated(name, old, new))
+    with pytest.raises(AssertionError):
+        getattr(TestCurvedOperators(), test)()
 
 
 # each Ricci oracle test that a dropped term of the kernel must fail
@@ -336,15 +415,6 @@ SPHERE = (TestSphere, "test_ricci_equals_metric")
 EINSTEIN = (TestCurvedBulk, "test_einstein_metric_at_critical_lam")
 PROPORTIONAL = (TestCurvedBulk, "test_proportionality_off_critical")
 FD = (TestRicciKernel, "test_fd_derivatives_give_the_einstein_ricci")
-
-
-def _mutated_ricci(old, new):
-    """``ricci_from_derivatives`` recompiled with one source edit."""
-    src = textwrap.dedent(inspect.getsource(geometry.ricci_from_derivatives))
-    assert src.count(old) == 1
-    scope = dict(vars(geometry))
-    exec(compile(src.replace(old, new), geometry.__file__, "exec"), scope)
-    return scope["ricci_from_derivatives"]
 
 
 @pytest.mark.parametrize(
@@ -361,7 +431,8 @@ def _mutated_ricci(old, new):
     ],
 )
 def test_a_dropped_ricci_term_fails_the_oracles(monkeypatch, old, new, oracles):
-    monkeypatch.setattr(geometry, "ricci_from_derivatives", _mutated_ricci(old, new))
+    name = "ricci_from_derivatives"
+    monkeypatch.setattr(geometry, name, _mutated(name, old, new))
     for cls, name in oracles:
         with pytest.raises(AssertionError):
             getattr(cls(), name)()
@@ -372,7 +443,7 @@ class TestLieAndConformal:
         bg = flat_bargmann(2)
         # spatial rotation is an isometry of the flat structure
         rot = VectorField(bg.metric.chart, lambda p: [-p[1], p[0], 0.0, 0.0])
-        lie = lie_derivative_metric(bg.metric, rot, [[0.3, 0.7, -0.2, 0.5]])
+        lie = lie_derivative_metric(gram_jets(bg.metric, [[0.3, 0.7, -0.2, 0.5]], 1), rot)
         assert np.abs(lie).max() < 1e-14
 
     def test_conformal_factor_of_dilation_like_field(self):
@@ -388,8 +459,9 @@ class TestLieAndConformal:
 
         v = VectorField(bg.metric.chart, comps)
         p = [0.5, -0.3, t0, 0.2]
-        g0 = gram_jets(bg.metric, [p])[0][0]
-        lie = lie_derivative_metric(bg.metric, v, [p])[0]
+        jets = gram_jets(bg.metric, [p], order=1)
+        g0 = jets.g0[0]
+        lie = lie_derivative_metric(jets, v)[0]
         # L_v g = phi g with phi = tr(g^{-1} L_v g) / n
         phi = float(np.einsum("ij,ij->", np.linalg.inv(g0), lie)) / len(p)
         assert phi == pytest.approx(2.0 * alpha * t0, abs=1e-12)
@@ -449,9 +521,10 @@ def dense_jets(metric, p, order):
     """``gram_jets`` with its order-2 factors expanded to a dense d2g, after
     checking that every position is held by at most one entry."""
     jets = gram_jets(metric, p, order)
+    g0, dg, hess, pattern = jets.g0, jets.dg, jets.hess, jets.pattern
     if order == 1:
-        return jets
-    g0, dg, hess, pattern = jets
+        assert hess is None and pattern is None
+        return g0, dg
     assert hess.shape == g0.shape[:-2] + pattern.shape
     assert set(np.unique(pattern)) <= {0.0, 1.0} and pattern.sum(axis=0).max() <= 1
     return g0, dg, dense_d2g(hess, pattern)
