@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,10 +38,12 @@ __all__ = [
     "exterior_wedge",
     "gram_jets",
     "gram_values",
+    "inverse_gram",
     "jet_components",
     "laplacian",
     "lie_bracket",
     "lie_derivative_metric",
+    "negative_index",
     "ricci_from_derivatives",
     "yamabe_residual",
 ]
@@ -150,6 +152,11 @@ def _entry_positions(rows) -> list[tuple[object, int | np.ndarray]]:
     ]
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two (n, n) axes as one axis of n * n entries."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
 def _put(flat: np.ndarray, k, value) -> None:
     """flat[..., k] = value, at one flat position or at each of an index
     array's; ``flat`` views an array's last two (n, n) axes as one."""
@@ -165,7 +172,7 @@ def gram_values(metric: MetricField, p: np.ndarray) -> np.ndarray:
     rows = metric.gram(x)
     n = len(rows)
     out = np.zeros(pts.shape[:-1] + (n, n))
-    flat = out.reshape(out.shape[:-2] + (n * n,))
+    flat = _flat(out)
     for e, k in _entry_positions(rows):
         _put(flat, k, e)
     return out
@@ -234,7 +241,7 @@ def gram_jets(metric: MetricField, p: np.ndarray, order: int = 2) -> MetricJets:
     rows = metric.gram(seeds)
     g0 = np.zeros(batch + (n, n))
     dg = np.zeros(batch + (n, n, n))
-    flat = [a.reshape(a.shape[:-2] + (n * n,)) for a in (g0, dg)]
+    flat = [_flat(g0), _flat(dg)]
     jets = []
     for e, k in _entry_positions(rows):
         if isinstance(e, Jet2):
@@ -296,25 +303,147 @@ def component_values(
     return out
 
 
-def _invert_gram(g0: np.ndarray) -> np.ndarray:
-    """Inverse of a stack of Gram matrices (N, n, n).
+# ---------------------------------------------------------------------------
+# Gram matrices block by block
+#
+# A stack of Gram matrices (N, n, n) is split by its nonzero pattern, taken
+# over the whole stack, into connected blocks: the bulk metric's is one 1x1
+# block per x_i and r and one 2x2 (t, s) block.  The inverse, the singular
+# values and the signs of the eigenvalues are then read block by block, in
+# closed form for blocks of one and two and through LAPACK for larger ones;
+# a dense Gram is one block and gets bitwise ``np.linalg.inv``.
 
-    A sample counts as singular when its smallest singular value is below
+
+@dataclass(frozen=True)
+class _Blocks:
+    """The connected blocks of a Gram pattern.  ``at`` holds flat positions
+    i * n + j in the (n, n) matrix, cut by ``parts`` into five runs: the
+    diagonal position of each 1x1 block, then the ii, ij, ji and jj
+    positions of each 2x2 block, i < j.  ``larger`` holds the sorted index
+    array of each larger block."""
+
+    at: np.ndarray
+    parts: tuple[slice, ...]
+    larger: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=None)
+def _split(key: bytes, n: int) -> _Blocks:
+    """The blocks of the symmetric (n, n) boolean pattern ``key``."""
+    linked = np.frombuffer(key, dtype=bool).reshape(n, n)
+    label = list(range(n))
+    for i, j in zip(*np.nonzero(linked)):
+        if label[i] != label[j]:
+            old = label[j]
+            label = [label[i] if c == old else c for c in label]
+    blocks = [np.flatnonzero(np.array(label) == c) for c in dict.fromkeys(label)]
+    ones = [b[0] * (n + 1) for b in blocks if len(b) == 1]
+    i, j = np.array([b for b in blocks if len(b) == 2], dtype=int).reshape(-1, 2).T
+    k, m = len(ones), len(i)
+    return _Blocks(
+        np.concatenate([ones, i * (n + 1), i * n + j, j * n + i, j * (n + 1)]).astype(int),
+        (slice(0, k), *(slice(k + r * m, k + (r + 1) * m) for r in range(4))),
+        tuple(b for b in blocks if len(b) > 2),
+    )
+
+
+def _blocks(g0: np.ndarray) -> _Blocks:
+    """The blocks of the stack ``g0``'s nonzero pattern, cached per
+    pattern; a NaN entry counts as nonzero."""
+    n = g0.shape[-1]
+    linked = g0.reshape(-1, n, n).any(axis=0)
+    linked |= linked.T
+    return _split(linked.tobytes(), n)
+
+
+def _small_entries(g0: np.ndarray, blocks: _Blocks) -> list[np.ndarray]:
+    """The entries of the 1x1 blocks, then the entries (a, b, c, d) =
+    (g_ii, g_ij, g_ji, g_jj) of the 2x2 blocks: five (..., k) arrays."""
+    entries = _flat(g0)[..., blocks.at]
+    return [entries[..., part] for part in blocks.parts]
+
+
+def _pair_inverse(a, b, c, d) -> tuple[np.ndarray, ...]:
+    """The inverse [[d, -b], [-c, a]] / det of the 2x2 blocks [[a, b], [c, d]]."""
+    det = a * d - b * c
+    return d / det, -b / det, -c / det, a / det
+
+
+def _block_inverse(g0: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    one, *pair = _small_entries(g0, blocks)
+    out = np.zeros(g0.shape)
+    _flat(out)[..., blocks.at] = np.concatenate([1.0 / one, *_pair_inverse(*pair)], axis=-1)
+    for k in blocks.larger:
+        out[..., k[:, None], k] = np.linalg.inv(g0[..., k[:, None], k])
+    return out
+
+
+def inverse_gram(g0: np.ndarray) -> np.ndarray:
+    """Inverse of a stack of Gram matrices (..., n, n), block by block and
+    with no test of its conditioning (``_invert_gram`` makes that test).
+    Exactly singular 1x1 and 2x2 blocks give infinities or NaN, a larger
+    one ``LinAlgError``."""
+    return _block_inverse(g0, _blocks(g0))
+
+
+def _singular_range(g0: np.ndarray, blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_min, sigma_max) of each Gram matrix of the stack, over its
+    blocks.  A Gram matrix is symmetric, so its singular values are the
+    absolute values of its eigenvalues: |g| for a 1x1 block, and for a 2x2
+    block sigma_max = |tr / 2| + hypot((a - d) / 2, b) and sigma_min =
+    |det| / sigma_max, zero where sigma_max is.  A NaN entry gives NaN and
+    an infinite one sigma_max = inf; a larger block with either reads NaN
+    for both, and its eigenvalues are not computed there."""
+    one, a, b, c, d = _small_entries(g0, blocks)
+    ones = np.abs(one)
+    high = np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
+    low = np.abs(a * d - b * c) / np.where(high > 0, high, np.inf)
+    lows, highs = [ones, low], [ones, high]
+    for k in blocks.larger:
+        sub = g0[..., k[:, None], k]
+        finite = np.isfinite(sub).all(axis=(-2, -1))
+        s = np.abs(np.linalg.eigvalsh(np.where(finite[..., None, None], sub, 0.0)))
+        s[~finite] = np.nan
+        lows.append(s.min(axis=-1, keepdims=True))
+        highs.append(s.max(axis=-1, keepdims=True))
+    smin = np.concatenate(lows, axis=-1).min(axis=-1)
+    smax = np.concatenate(highs, axis=-1).max(axis=-1)
+    return smin, smax
+
+
+def _invert_gram(g0: np.ndarray) -> np.ndarray:
+    """Inverse of a stack of Gram matrices (N, n, n), block by block.
+
+    A sample counts as singular unless its smallest singular value exceeds
     1e-12 of its largest: a relative test, blind to the overall scale of
-    the metric and to its determinant.  A Gram matrix is symmetric, so its
-    singular values are the absolute values of its eigenvalues.
+    the metric and to its determinant, that a non-finite entry fails.
     """
-    s = np.abs(np.linalg.eigvalsh(g0))
-    s.sort(axis=-1)
-    singular = s[..., 0] <= 1e-12 * s[..., -1]
-    if np.any(singular):
+    blocks = _blocks(g0)
+    smin, smax = _singular_range(g0, blocks)
+    singular = ~(smin > 1e-12 * smax)
+    if singular.any():
         k = int(np.flatnonzero(singular)[0])
-        smin, smax = s.reshape(-1, s.shape[-1])[k, [0, -1]]
-        detail = f"sigma_min = {smin:.3e}, sigma_max = {smax:.3e}"
+        detail = f"sigma_min = {smin.flat[k]:.3e}, sigma_max = {smax.flat[k]:.3e}"
         raise DegenerateMetricError(
             f"Gram matrix is singular at sample {k} ({detail})", sample=k, detail=detail
         )
-    return np.linalg.inv(g0)
+    return _block_inverse(g0, blocks)
+
+
+def negative_index(g0: np.ndarray) -> np.ndarray:
+    """The number of negative eigenvalues of each Gram matrix of the stack
+    (its negative index of inertia), block by block: the sign of a 1x1
+    block; for a 2x2 block one where det < 0, two where det > 0 and the
+    trace is negative, one where det = 0 and the trace is negative, and
+    none otherwise."""
+    blocks = _blocks(g0)
+    one, a, b, c, d = _small_entries(g0, blocks)
+    count = (one < 0).sum(axis=-1)
+    det = a * d - b * c
+    count += np.where(det < 0, 1, (a + d < 0) * (1 + (det > 0))).sum(axis=-1)
+    for k in blocks.larger:
+        count += (np.linalg.eigvalsh(g0[..., k[:, None], k]) < 0).sum(axis=-1)
+    return count
 
 
 # ---------------------------------------------------------------------------

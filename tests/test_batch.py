@@ -49,6 +49,7 @@ from schrogeo.geometry import (
     laplacian,
     lie_bracket,
     lie_derivative_metric,
+    negative_index,
     ricci_from_derivatives,
     yamabe_residual,
 )
@@ -313,6 +314,116 @@ class TestInvertGram:
     def test_zero_metric_is_singular(self):
         with pytest.raises(DegenerateMetricError):
             _invert_gram(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "where",
+        [(0, 0), (0, 2), (slice(None), slice(None))],
+        ids=["diagonal", "off-diagonal", "whole"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_sample_is_singular_and_named(self, where, value):
+        stack = np.array([np.diag([2.0, -1.0, 3.0])] * 4)
+        stack[2][where] = value
+        stack[2][where[::-1]] = value
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DegenerateMetricError, match="sample 2 ") as info:
+                _invert_gram(stack)
+        assert info.value.sample == 2
+        # NaN spreads to sigma_min; an infinity makes sigma_max infinite,
+        # or, in a block of three, reads sigma_min = NaN
+        assert "nan" in info.value.detail or info.value.detail.endswith("sigma_max = inf")
+
+    def test_an_all_zero_pair_block_is_singular(self):
+        # (t, s) pairs [[-mu, 1], [1, 0]] beside a 1x1 block; the pair
+        # vanishes at sample 1, where sigma_max of the block is 0
+        stack = np.zeros((3, 3, 3))
+        stack[:, 0, 0] = -2.0
+        stack[:, 0, 1] = stack[:, 1, 0] = 1.0
+        stack[:, 2, 2] = 5.0
+        stack[1, :2, :2] = 0.0
+        with pytest.raises(DegenerateMetricError, match="sample 1 ") as info:
+            _invert_gram(stack)
+        assert info.value.detail == "sigma_min = 0.000e+00, sigma_max = 5.000e+00"
+
+    def test_permuted_blocks_and_a_larger_block_take_lapack(self, monkeypatch):
+        # blocks {0, 4}, {2}, {1, 3, 6} and {5} of a 7 x 7 Gram, interleaved
+        rng = np.random.default_rng(30)
+        blocks = [[0, 4], [2], [1, 3, 6], [5]]
+        g = np.zeros((6, 7, 7))
+        for b in blocks:
+            m = rng.normal(size=(6, len(b), len(b))) + 3.0 * np.eye(len(b))
+            g[:, np.array(b)[:, None], b] = m + m.swapaxes(-1, -2)
+        seen = []
+        lapack = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(a.copy()) or lapack(a))
+        ginv = _invert_gram(g)
+        assert [a.shape for a in seen] == [(6, 3, 3)]
+        assert np.array_equal(seen[0], g[:, [[1], [3], [6]], [1, 3, 6]])
+        assert np.array_equal(ginv[:, [[1], [3], [6]], [1, 3, 6]], lapack(seen[0]))
+        assert np.allclose(ginv @ g, np.eye(7), rtol=0.0, atol=1e-12)
+        off_block = np.ones((7, 7), dtype=bool)
+        for b in blocks:
+            off_block[np.array(b)[:, None], b] = False
+        assert not ginv[:, off_block].any()
+
+    def test_a_dense_gram_is_one_block_and_bitwise_lapack(self):
+        m = np.random.default_rng(31).normal(size=(9, 5, 5))
+        g = m + m.swapaxes(-1, -2)
+        assert np.array_equal(_invert_gram(g), np.linalg.inv(g))
+
+    def test_the_decision_is_the_eigvalsh_decision_across_the_cut(self):
+        # one block of each kind, {1, 4}, {3} and {0, 2, 5}; at each sample
+        # one of them carries sigma_min / sigma_max log-uniform on
+        # [1e-14, 1e-10], around the cut at 1e-12.  Both methods round
+        # sigma_min by about eps * sigma_max, 1e-4 of it at the cut, so
+        # samples within 1e-3 (in log10) of the cut are left out.
+        rng = np.random.default_rng(32)
+        blocks = [np.array([1, 4]), np.array([3]), np.array([0, 2, 5])]
+        decided = []
+        for _ in range(300):
+            g = np.zeros((6, 6))
+            thin = rng.integers(len(blocks))
+            big = 10.0 ** rng.uniform(-3.0, 3.0)
+            for k, b in enumerate(blocks):
+                s = big * rng.choice([-1.0, 1.0], size=len(b)) * rng.uniform(0.5, 1.0, len(b))
+                if k == thin:
+                    s[0] = s[-1] * 10.0 ** rng.uniform(-14.0, -10.0)
+                q, _ = np.linalg.qr(rng.normal(size=(len(b), len(b))))
+                m = (q * s) @ q.T
+                g[b[:, None], b] = 0.5 * (m + m.T)
+            sv = np.abs(np.linalg.eigvalsh(g))
+            ratio = sv.min() / sv.max()
+            if abs(np.log10(ratio) + 12.0) < 1e-3:
+                continue
+            try:
+                _invert_gram(g)
+                singular = False
+            except DegenerateMetricError:
+                singular = True
+            assert singular == (ratio <= 1e-12), (ratio, g)
+            decided.append(singular)
+        assert len(decided) > 290
+        assert 50 < sum(decided) < len(decided) - 50
+
+
+class TestNegativeIndex:
+    def test_blocks_count_as_eigvalsh(self):
+        # 2x2 blocks of each sign pattern, det = 0 with either trace
+        # included, beside 1x1 and 3x3 blocks
+        rng = np.random.default_rng(33)
+        g = np.zeros((40, 8, 8))
+        for b in ([0, 5], [1, 3], [7], [2, 4, 6]):
+            m = rng.normal(size=(40, len(b), len(b)))
+            g[:, np.array(b)[:, None], b] = m + m.swapaxes(-1, -2)
+        # the {0, 5} pair at samples 0..3: [[-1, 1], [1, -1]] and
+        # [[1, 1], [1, 1]] (det 0, trace -2 and 2), diag(-1, 0), zero
+        g[:4, 0, 0] = [-1.0, 1.0, -1.0, 0.0]
+        g[:4, 5, 5] = [-1.0, 1.0, 0.0, 0.0]
+        g[:4, 0, 5] = g[:4, 5, 0] = [1.0, 1.0, 0.0, 0.0]
+        count = negative_index(g)
+        assert np.array_equal(count, (np.linalg.eigvalsh(g) < 0).sum(axis=-1))
+        assert count.dtype.kind == "i"
+        assert {int(c) for c in count} >= {3, 4, 5}
 
 
 # ---------------------------------------------------------------------------

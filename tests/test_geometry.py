@@ -31,6 +31,7 @@ from schrogeo.geometry import (
     exterior_wedge,
     gram_jets,
     gram_values,
+    inverse_gram,
     laplacian,
     lie_bracket,
     lie_derivative_metric,
@@ -42,10 +43,12 @@ from schrogeo.bargmann import flat_bargmann
 from schrogeo.homogeneous import (
     SchrodingerManifoldConfig,
     boundary_metric,
+    bulk_boxes,
     bulk_chart,
     bulk_metric,
 )
 from schrogeo.numkernel import SeededSampler
+from schrogeo.suites import SuiteConfig, run_suite
 
 
 def christoffel(metric, p):
@@ -380,6 +383,51 @@ class TestCurvedOperators:
             radial = VectorField(bulk_chart(d), lambda x: [0.0] * (n - 1) + [x[n - 1]])
             got = geometry.divergence(jets, radial)
             assert np.all(np.abs(got + (d + 2.0)) <= 16 * np.finfo(float).eps * (d + 2.0))
+
+
+class TestBulkInverse:
+    """``inverse_gram`` on the bulk metric against its closed form.  The
+    Gram is a [dx^2 + 2 dt ds + dr^2] - mu a^2 dt^2 with a = -2 lam / r^2,
+    so g^tt = 0, g^ts = 1/a, g^ss = mu and g^xx = g^rr = 1/a, and every
+    other entry is zero."""
+
+    def test_the_closed_form(self):
+        ulps = 4 * np.finfo(float).eps
+        for d in (1, 2, 3, 6, 8):
+            pts = SeededSampler(50 + d, bulk_boxes(d)).points(20)
+            r = pts[:, d + 2]
+            diagonal = [*range(d), d + 2]
+            for lam, mu in GRID:
+                g0 = gram_values(bulk_metric(SchrodingerManifoldConfig(d, lam, mu)), pts)
+                ginv = inverse_gram(g0)
+                inv_a = 1.0 / ((-2.0 * lam) / (r * r))
+                assert np.array_equal(ginv[:, d, d], np.zeros(len(pts)))
+                for got in (ginv[:, d, d + 1], ginv[:, d + 1, d], *ginv[:, diagonal, diagonal].T):
+                    assert np.all(np.abs(got - inv_a) <= ulps * np.abs(inv_a))
+                assert np.all(np.abs(ginv[:, d + 1, d + 1] - mu) <= ulps * abs(mu))
+                rest = np.ones(g0.shape[1:], dtype=bool)
+                rest[diagonal, diagonal] = False
+                rest[d : d + 2, d : d + 2] = False
+                assert not ginv[:, rest].any()
+
+
+# the records the (t, s) block's inverse feeds: Ricci through the pass's
+# ginv, and the null-fluid identity built on it
+FED_BY_THE_PAIR = [f"homogeneous_d{d}_{kind}" for d in (1, 2) for kind in ("nullfluid", "einstein")]
+
+
+def test_a_flipped_pair_inverse_fails_the_closed_form_and_the_bulk_records(monkeypatch):
+    name = "_pair_inverse"
+    flipped = _mutated(
+        name,
+        "return d / det, -b / det, -c / det, a / det",
+        "return d / det, b / det, c / det, a / det",
+    )
+    monkeypatch.setattr(geometry, name, flipped)
+    with pytest.raises(AssertionError):
+        TestBulkInverse().test_the_closed_form()
+    records = {c.name: c for c in run_suite(SuiteConfig("homogeneous", dims=(1, 2))).checks}
+    assert {records[n].status for n in FED_BY_THE_PAIR} == {"FAIL"}
 
 
 def _mutated(name, old, new):

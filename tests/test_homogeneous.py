@@ -151,11 +151,12 @@ class TestInducedMetric:
         assert (res["killing"] < 1e-10).all()
 
     def test_signature_lorentzian_across_family(self):
-        for lam in (-0.5, -1.0, -0.3):
-            for mu in (-1.0, 0.0, 1.0, 2.0):
-                cfg = SchrodingerManifoldConfig(2, lam, mu)
-                p = sample_bulk(2, 1, seed=8)
-                assert negative_eigenvalue_count(cfg, p).tolist() == [1]
+        for d in (1, 2, 3, 6, 8):
+            p = sample_bulk(d, 1, seed=8)
+            for lam in (-0.5, -1.0, -0.3):
+                for mu in (-1.0, 0.0, 1.0, 2.0):
+                    cfg = SchrodingerManifoldConfig(d, lam, mu)
+                    assert negative_eigenvalue_count(cfg, p).tolist() == [1]
 
     def test_integrability_of_clock(self):
         cfg = SchrodingerManifoldConfig(2, -0.6)

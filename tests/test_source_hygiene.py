@@ -4,7 +4,8 @@ imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
 randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
-and group elements, only ``ambient`` names the chart guard, ``suites`` builds each record
+and group elements, only ``ambient`` names the chart guard, only ``geometry``
+inverts Gram matrices, ``suites`` builds each record
 once, with no ``dataclasses.replace`` copy, ``report.dump_json`` is the
 one serializer of the report, and no branch picks a one-point path by the
 shape of its points."""
@@ -375,6 +376,51 @@ def test_the_fold_rule_sees_a_stray_call():
     ):
         assert FOLD in _names(ast.parse(source)), source
     assert FOLD not in _names(ast.parse("worst = float(np.max(np.abs(r)))\n"))
+
+
+# the Gram is inverted block by block in ``geometry``, through one split, the
+# singular-value cut and the closed forms of small blocks: a LAPACK inverse or
+# eigenvalue call elsewhere bypasses them.  The one other inverse is the
+# constant matrix of a linear chart map, ``bargmann._linear_map``.
+LAPACK = {"inv", "eigvalsh"}
+LAPACK_ALLOWED = {("bargmann.py", "_linear_map")}
+
+
+def _lapack_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """Each call of ``inv`` or ``eigvalsh``, by name or attribute, with the
+    top-level function (or "<module>") around it and its line."""
+    found = []
+    for node in tree.body:
+        where = getattr(node, "name", "<module>")
+        found += [(where, name, line) for name, line in _calls(node, LAPACK)]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "geometry.py"], ids=lambda p: p.name
+)
+def test_only_geometry_inverts_grams(path):
+    calls = [c for c in _lapack_calls(_tree(path)) if (path.name, c[0]) not in LAPACK_ALLOWED]
+    assert not calls, f"{path.name}: {calls}"
+
+
+def test_the_inverse_rule_sees_a_stray_call():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def _linear_map(W):\n"
+        "    return np.linalg.inv(W)\n"
+        "def audit(g0):\n"
+        "    ginv = np.linalg.inv(g0)\n"
+        "    return ginv, (eigvalsh(g0) < 0).sum(axis=-1), np.linalg.det(g0)\n"
+        "SIGNS = np.linalg.eigvalsh(np.eye(2))\n"
+    )
+    assert _lapack_calls(tree) == [
+        ("_linear_map", "inv", 4),
+        ("audit", "inv", 6),
+        ("audit", "eigvalsh", 7),
+        ("<module>", "eigvalsh", 8),
+    ]
 
 
 # ``suites`` builds each record once, with every field it files: a record
