@@ -11,8 +11,6 @@ from .ambient import (
     GroupBlocks,
     GroupElement,
     SchBlocks,
-    commutant_basis,
-    random_group_element,
     sch_dimension,
 )
 from .bargmann import (
@@ -54,14 +52,12 @@ __all__ = [
     "bargmann_axioms_check",
     "boundary_structure",
     "bulk_metric",
-    "commutant_basis",
     "einstein_residual",
     "flat_bargmann",
     "isometry_check",
     "isotropy_check",
     "nullfluid_residual",
     "plane_wave",
-    "random_group_element",
     "sch_dimension",
     "schrodinger_axiom_audit",
     "schrodinger_residual",

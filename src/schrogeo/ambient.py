@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .geometry import Chart, MetricField, VectorField, component_values, lie_bracket
+from .geometry import MetricField, VectorField, component_values, lie_bracket
 from .numkernel import ContractViolationError, Jet2, jet_value
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "exp_algebra",
     "extract_blocks",
     "group_inverse",
-    "flat_chart",
     "flat_gram_matrix",
     "flat_metric",
     "g_adjoint",
@@ -57,7 +56,6 @@ __all__ = [
     "make_special",
     "mark_escapes",
     "projective_action",
-    "random_algebra_element",
     "random_group_element",
     "realize_field",
     "require_sch",
@@ -149,11 +147,6 @@ def _frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.n
     return g, xi, _read_only(g @ xi), _read_only(np.eye(d + 2)), _read_only(np.eye(d + 4))
 
 
-def flat_chart(d: int) -> Chart:
-    names = tuple(f"x{i+1}" for i in range(d)) + ("t", "s")
-    return Chart(names)
-
-
 def _chart_square(x):
     """g(x, x) of the d + 2 flat chart coordinates ``x`` (jets, numbers or
     (N,) arrays): the spatial squares in order, then 2 t s."""
@@ -171,7 +164,7 @@ def flat_metric(d: int) -> MetricField:
     def gram(p):
         return rows
 
-    return MetricField(flat_chart(d), gram, (d + 1, 1))
+    return MetricField(gram)
 
 
 @lru_cache(maxsize=None)
@@ -478,12 +471,6 @@ def algebra_elements(d: int, coeffs: np.ndarray) -> AlgebraElement:
     return AlgebraElement(Z, decompose_sch(Z, d))
 
 
-def random_algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> AlgebraElement:
-    """One random algebra element: the stack of one of ``algebra_elements``
-    on one ``group_coefficients`` row, its axis dropped."""
-    return algebra_elements(d, group_coefficients(d, rng, 1, scale)).take(0)
-
-
 # ---------------------------------------------------------------------------
 # realization as conformal vector fields on the flat chart
 
@@ -573,11 +560,10 @@ def _affine_rows(x, d: int, const: np.ndarray, M: np.ndarray, quad, rate=None):
     return _add_linear(rows, M, X)
 
 
-def realize_field(blocks: SchBlocks, d: int):
-    """Vector field on the flat chart plus the fiber-scaling coefficient.
+def realize_field(blocks: SchBlocks, d: int) -> VectorField:
+    """Vector field on the flat chart:
 
-    delta x = Lam x + Gam - (alpha/2) g(x,x) xi + alpha t x + chi x, and the
-    fiber coordinate scales with rate alpha t + chi.
+    delta x = Lam x + Gam - (alpha/2) g(x,x) xi + alpha t x + chi x.
 
     ``blocks`` is one element's, or a per-sample stack of N elements'
     (``decompose_sch`` of an (N, d+4, d+4) stack) whose element s is
@@ -606,10 +592,7 @@ def realize_field(blocks: SchBlocks, d: int):
         rows = _affine_rows(x, d, gam, lam, quad, rate=alpha * t + chi)
         return _unstack_rows(rows)
 
-    def fiber_rate(x):
-        return alpha * x[d] + chi
-
-    return VectorField(flat_chart(d), comps), fiber_rate
+    return VectorField(comps)
 
 
 def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
@@ -623,11 +606,11 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
     blocks from ``decompose_sch``): sample s then brackets pair s at point
     s, bitwise as that pair alone at that point.
     """
-    v1, _ = realize_field(e1.blocks, d)
-    v2, _ = realize_field(e2.blocks, d)
+    v1 = realize_field(e1.blocks, d)
+    v2 = realize_field(e2.blocks, d)
     fb = lie_bracket(v1, v2, p)
     m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
-    vm, _ = realize_field(decompose_sch(m, d), d)
+    vm = realize_field(decompose_sch(m, d), d)
     mv = component_values(vm.components, p)
     return {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
 
@@ -1042,7 +1025,6 @@ def cone_point(x, r):
 
 @dataclass(frozen=True)
 class WitnessReport:
-    Z0_split: np.ndarray
     conjugation_residual: float
     commutator_norms: dict
     isometry_residuals: dict
@@ -1086,7 +1068,6 @@ def component_witnesses(d: int) -> WitnessReport:
         return float(np.abs(M.T @ Gs @ M - Gs).max())
 
     return WitnessReport(
-        Z0_split=Z0_split,
         conjugation_residual=conj_resid,
         commutator_norms={
             "identity": comm(eye),

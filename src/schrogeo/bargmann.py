@@ -32,8 +32,6 @@ from .ambient import (
     assemble_group_element,
     exp_algebra,
     extract_blocks,
-    flat_chart,
-    flat_gram_matrix,
     flat_metric,
     group_inverse,
     projective_action,
@@ -80,11 +78,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BargmannStructure:
-    """Metric plus the distinguished parallel null direction and its clock."""
+    """Metric plus the distinguished parallel null direction; its clock
+    theta = g(xi, .) is ``metric_clock``."""
 
     metric: MetricField
     xi: VectorField
-    theta: OneForm
     d: int
 
 
@@ -101,7 +99,6 @@ class DensityFunction:
 
     coefficient: Callable[[Sequence], Jet2]
     weight: float
-    d: int
 
 
 def density_weight(d: int) -> float:
@@ -112,21 +109,11 @@ def density_weight(d: int) -> float:
 def flat_bargmann(d: int) -> BargmannStructure:
     metric = flat_metric(d)
     xi = xi_vector(d)
-    theta_row = flat_gram_matrix(d) @ xi
 
     def xi_comps(p):
         return [float(c) for c in xi]
 
-    def theta_comps(p):
-        return [float(c) for c in theta_row]
-
-    chart = flat_chart(d)
-    return BargmannStructure(
-        metric=metric,
-        xi=VectorField(chart, xi_comps),
-        theta=OneForm(chart, theta_comps),
-        d=d,
-    )
+    return BargmannStructure(metric=metric, xi=VectorField(xi_comps), d=d)
 
 
 def metric_clock(structure: BargmannStructure) -> OneForm:
@@ -137,7 +124,7 @@ def metric_clock(structure: BargmannStructure) -> OneForm:
         xiv = xi.components(p)
         return [sparse_dot(row, xiv) for row in metric.gram(p)]
 
-    return OneForm(metric.chart, comps)
+    return OneForm(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +233,7 @@ def plane_wave(
             phase = phase + k[i] * x[i]
         return nk.cos(phase) + 1j * nk.sin(phase)
 
-    return DensityFunction(coefficient=coeff, weight=density_weight(d), d=d)
+    return DensityFunction(coefficient=coeff, weight=density_weight(d))
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +246,13 @@ class ChartMap:
     maps and the jet-evaluable Jacobian-determinant factor |det D(inverse)|
     used by density transport."""
 
-    name: str
-    d: int
     forward: Callable[[Sequence], list]
     inverse: Callable[[Sequence], list]
     jacobian_factor: Callable[[Sequence], Jet2]
 
 
-def _linear_map(name: str, d: int, W: np.ndarray, shift=None) -> ChartMap:
-    n = d + 2
+def _linear_map(W: np.ndarray, shift=None) -> ChartMap:
+    n = len(W)
     Winv = np.linalg.inv(W)
     shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
     jac = abs(float(np.linalg.det(Winv)))
@@ -282,17 +267,17 @@ def _linear_map(name: str, d: int, W: np.ndarray, shift=None) -> ChartMap:
     def jacobian_factor(x):
         return jac
 
-    return ChartMap(name, d, forward, inverse, jacobian_factor)
+    return ChartMap(forward, inverse, jacobian_factor)
 
 
 def translation_map(d: int, gamma: Sequence[float]) -> ChartMap:
-    return _linear_map("translation", d, np.eye(d + 2), shift=gamma)
+    return _linear_map(np.eye(d + 2), shift=gamma)
 
 
 def dilation_map(d: int, chi: float) -> ChartMap:
     """x -> e^chi x, t -> e^{2chi} t, s -> s."""
     scales = [np.exp(chi)] * d + [np.exp(2.0 * chi), 1.0]
-    return _linear_map("dilation", d, np.diag(scales))
+    return _linear_map(np.diag(scales))
 
 
 def boost_map(d: int, b: Sequence[float]) -> ChartMap:
@@ -303,10 +288,10 @@ def boost_map(d: int, b: Sequence[float]) -> ChartMap:
     W[:d, d] = b
     W[d + 1, :d] = -b
     W[d + 1, d] = -0.5 * float(b @ b)
-    return _linear_map("boost", d, W)
+    return _linear_map(W)
 
 
-def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
+def group_map(ge: GroupElement) -> ChartMap:
     """Projective action of one stabilizer element (``take(0)`` of a stack)
     as a chart map.
 
@@ -330,7 +315,7 @@ def group_map(ge: GroupElement, name: str = "group") -> ChartMap:
         den = e_i - a_i * x[d]
         return (den * den) ** (-(d + 2) / 2.0) if isinstance(den, Jet2) else abs(den) ** (-(d + 2.0))
 
-    return ChartMap(name, d, forward, inverse, jacobian_factor)
+    return ChartMap(forward, inverse, jacobian_factor)
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +329,7 @@ def expansion_map_projective(d: int, alpha: float) -> ChartMap:
     ge = assemble_group_element(extract_blocks(A, d), d)
     for a in (ge.matrix, *vars(ge.blocks).values()):
         a.flags.writeable = False
-    return group_map(ge.take(0), name="expansion")
+    return group_map(ge.take(0))
 
 
 def _expansion_generator(d: int, alpha: float) -> np.ndarray:
@@ -370,7 +355,7 @@ def transported_density(
         fj = psi.coefficient(pre)
         return fj * phi.jacobian_factor(x) ** w
 
-    return DensityFunction(coefficient=coeff, weight=psi.weight, d=psi.d)
+    return DensityFunction(coefficient=coeff, weight=psi.weight)
 
 
 def symmetry_transport_check(

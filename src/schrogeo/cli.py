@@ -210,6 +210,7 @@ def _build_config(args) -> SuiteConfig:
             raise ConfigError(f"${ENV_SEED} must be an integer, got {raw!r}") from exc
     if seed is None:
         seed = data.get("seed")
+    tol = args.tol if args.tol is not None else data.get("tol")
 
     # what no flag, environment or file sets keeps the SuiteConfig default
     fields = {
@@ -218,7 +219,8 @@ def _build_config(args) -> SuiteConfig:
         "mus": _grid(args.mu, data, "mu", float),
         "samples": args.samples if args.samples is not None else data.get("samples"),
         "seed": seed,
-        "tol": args.tol if args.tol is not None else data.get("tol"),
+        # a file's integer tol files as the float the flag parses
+        "tol": None if tol is None else float(tol),
         "fmt": args.format or data.get("format"),
         "out": args.out or data.get("out"),
     }

@@ -1,6 +1,6 @@
 """Coordinate tensor calculus on jets.
 
-A metric is a callable Gram matrix over a named chart, evaluable on the
+A metric is a callable Gram matrix over a chart, evaluable on the
 per-sample coordinate arrays of a batch of points or on seeded jets.
 Because the jet arithmetic is exact to second order, the Christoffel symbols
 and the Riemann/Ricci contractions built from jet-derived metric derivatives
@@ -25,7 +25,6 @@ import numpy as np
 from .numkernel import ContractViolationError, Jet2, jet_value, point_batch, seed_point
 
 __all__ = [
-    "Chart",
     "DegenerateMetricError",
     "MetricField",
     "MetricJets",
@@ -73,39 +72,24 @@ class DegenerateMetricError(ValueError):
 
 
 @dataclass(frozen=True)
-class Chart:
-    """Named coordinates."""
-
-    names: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-
-@dataclass(frozen=True)
 class MetricField:
-    """Pseudo-Riemannian metric: chart, Gram callable, expected signature.
+    """Pseudo-Riemannian metric as a Gram callable.
 
     ``gram`` maps the coordinates of a batch of points (n jets or (N,)
     arrays) to an n x n nested sequence; entries may be plain numbers when
     constant.
     """
 
-    chart: Chart
     gram: Callable[[Sequence], Sequence[Sequence]]
-    signature: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class VectorField:
-    chart: Chart
     components: Callable[[Sequence], Sequence]
 
 
 @dataclass(frozen=True)
 class OneForm:
-    chart: Chart
     components: Callable[[Sequence], Sequence]
 
 
@@ -391,24 +375,25 @@ def _singular_range(g0: np.ndarray, blocks: _Blocks) -> tuple[np.ndarray, np.nda
     blocks.  A Gram matrix is symmetric, so its singular values are the
     absolute values of its eigenvalues: |g| for a 1x1 block, and for a 2x2
     block sigma_max = |tr / 2| + hypot((a - d) / 2, b) and sigma_min =
-    |det| / sigma_max, zero where sigma_max is.  A NaN entry gives NaN and
-    an infinite one sigma_max = inf; a larger block with either reads NaN
-    for both, and its eigenvalues are not computed there."""
+    |det| / sigma_max, zero where sigma_max is.  A Gram matrix with a
+    non-finite entry reads NaN for both: its singular values are computed
+    from zeros, so no inf - inf or inf / inf raises a floating-point
+    warning, and then discarded."""
+    finite = np.isfinite(g0).all(axis=(-2, -1))
+    if not finite.all():
+        g0 = np.where(finite[..., None, None], g0, 0.0)
     one, a, b, c, d = _small_entries(g0, blocks)
     ones = np.abs(one)
     high = np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
     low = np.abs(a * d - b * c) / np.where(high > 0, high, np.inf)
     lows, highs = [ones, low], [ones, high]
     for k in blocks.larger:
-        sub = g0[..., k[:, None], k]
-        finite = np.isfinite(sub).all(axis=(-2, -1))
-        s = np.abs(np.linalg.eigvalsh(np.where(finite[..., None, None], sub, 0.0)))
-        s[~finite] = np.nan
+        s = np.abs(np.linalg.eigvalsh(g0[..., k[:, None], k]))
         lows.append(s.min(axis=-1, keepdims=True))
         highs.append(s.max(axis=-1, keepdims=True))
     smin = np.concatenate(lows, axis=-1).min(axis=-1)
     smax = np.concatenate(highs, axis=-1).max(axis=-1)
-    return smin, smax
+    return np.where(finite, smin, np.nan), np.where(finite, smax, np.nan)
 
 
 def _invert_gram(g0: np.ndarray) -> np.ndarray:

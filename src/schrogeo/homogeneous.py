@@ -8,8 +8,9 @@ which inherits a conformal Bargmann structure.  Everything here is verified
 numerically: embeddings against chart formulas, curvature identities, Killing
 and isotropy conditions, and the boundary-structure axioms.
 
-Chart conventions: bulk points are (xh_1 .. xh_d, th, sh, rh) with rh > 0 the
-defining function of the boundary; boundary points are (x_1 .. x_d, t, s).
+Coordinate conventions: bulk points are (xh_1 .. xh_d, th, sh, rh) with
+rh > 0 the defining function of the boundary; boundary points are
+(x_1 .. x_d, t, s).
 
 The bulk checks take a batch of chart points of shape (N, n), one point
 being the batch of one p[None], and evaluate the whole batch in one jet
@@ -43,13 +44,11 @@ from .ambient import (
     assemble_group_element,
     build_Z0,
     commutant_stack,
-    flat_chart,
     flat_gram_matrix,
     mark_escapes,
     xi_vector,
 )
 from .geometry import (
-    Chart,
     DegenerateMetricError,
     MetricField,
     OneForm,
@@ -77,7 +76,6 @@ __all__ = [
     "boundary_structure",
     "boundary_xi",
     "bulk_boxes",
-    "bulk_chart",
     "bulk_isotropy_element",
     "bulk_metric",
     "chart_from_ambient",
@@ -145,7 +143,7 @@ class SchrodingerManifoldConfig:
     ``lam`` and ``mu`` are floats, or per-sample (N,) arrays for a batch of
     N points whose sample k has the metric of (lam[k], mu[k]).  The
     batched checks (metric, clock, embedding, dual path, vertical field,
-    curvature identities, signature and integrability) accept either;
+    curvature identities, negative index and integrability) accept either;
     ``isometry_check``, ``isotropy_check`` and the axiom audit take floats.
     A config with arrays is neither hashable nor comparable.
     """
@@ -280,11 +278,6 @@ def bulk_boxes(d: int) -> list[tuple[float, float]]:
     return [(-1.2, 1.2)] * (d + 2) + [(0.7, 2.2)]
 
 
-def bulk_chart(d: int) -> Chart:
-    names = tuple(f"xh{i + 1}" for i in range(d)) + ("th", "sh", "rh")
-    return Chart(names)
-
-
 def _flat_square(d: int, x) -> object:
     # g(x, x) on the d+2 flat block: twice t*s, then the spatial squares.
     # ambient._chart_square adds the same terms in the other order; the bulk
@@ -341,7 +334,7 @@ def bulk_metric(cfg: SchrodingerManifoldConfig) -> MetricField:
             rows[d][d] = over_rh2(clock2 * a)
         return rows
 
-    return MetricField(bulk_chart(d), gram, (d + 2, 1))
+    return MetricField(gram)
 
 
 def theta_hat_form(cfg: SchrodingerManifoldConfig) -> OneForm:
@@ -355,14 +348,14 @@ def theta_hat_form(cfg: SchrodingerManifoldConfig) -> OneForm:
         out[d] = (-2.0 * lam) / (rh * rh)
         return out
 
-    return OneForm(bulk_chart(cfg.d), comps)
+    return OneForm(comps)
 
 
 def xi_hat_field(cfg: SchrodingerManifoldConfig) -> VectorField:
     n = cfg.d + 3
     e = [0.0] * n
     e[cfg.d + 1] = 1.0
-    return VectorField(bulk_chart(cfg.d), lambda p: list(e))
+    return VectorField(lambda p: list(e))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +728,7 @@ def boundary_metric(d: int) -> MetricField:
             rows.append([over_f0(sparse_dot(coeffs, col)) for col in cols])
         return rows
 
-    return MetricField(flat_chart(d), gram, (d + 1, 1))
+    return MetricField(gram)
 
 
 def theta_f0_form(d: int) -> OneForm:
@@ -756,13 +749,13 @@ def theta_f0_form(d: int) -> OneForm:
         u = [sparse_dot(col, X) for col in cols]
         return [over_f0(-sparse_dot(u, [J[B][c] for B in live])) for c in range(n)]
 
-    return OneForm(flat_chart(d), comps)
+    return OneForm(comps)
 
 
 def boundary_xi(d: int) -> VectorField:
     e = [0.0] * (d + 2)
     e[d + 1] = 1.0
-    return VectorField(flat_chart(d), lambda p: list(e))
+    return VectorField(lambda p: list(e))
 
 
 def _cone_forms(G: np.ndarray, Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -45,7 +45,6 @@ __all__ = [
     "seed_point",
     "sin",
     "sparse_dot",
-    "sqrt",
 ]
 
 
@@ -301,16 +300,6 @@ def log(x):
             raise ContractViolationError("log needs a positive real jet value")
         return _chain(x, np.log(v), 1.0 / v, -1.0 / _pow(v, 2))
     return np.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Jet2):
-        v = x.value
-        if not _positive_real(v):
-            raise ContractViolationError("sqrt needs a positive real jet value")
-        s = np.sqrt(v)
-        return _chain(x, s, 0.5 / s, -0.25 / (s * v))
-    return np.sqrt(x)
 
 
 def sin(x):

@@ -352,7 +352,7 @@ def _dispersion(c, seed):
             phase = phase + k[i] * x[i]
         return bg.nk.cos(phase) + 1j * bg.nk.sin(phase)
 
-    psi = bg.DensityFunction(coefficient=coeff, weight=bg.density_weight(d), d=d)
+    psi = bg.DensityFunction(coefficient=coeff, weight=bg.density_weight(d))
     per = max(2, c.samples // 4)
     r1, _ = bg.schrodinger_residual(c.structure, psi, params, _box_points(seed, 1.0, d + 2, per))
     return bg.complex_magnitude(r1)
@@ -629,7 +629,7 @@ def _clock(c, seed):
     return np.concatenate(_over_grid(c.d, c.first_mu, pts, 1, diff))
 
 
-def _signature(c, seed):
+def _lorentzian(c, seed):
     # one 0/1 flag per (coupling, point): 1 where the Gram is not Lorentzian
     def flags(mc, x, _):
         return (hg.negative_eigenvalue_count(mc, x) != 1).astype(float)
@@ -727,7 +727,7 @@ HOMOGENEOUS = Suite(
         Measure(_dualpath, Row("dualpath", 1e-10,
             "ambient pullback equals the chart Gram on the whole grid")),
         Measure(_clock, Row("clock", 1e-10, "ambient clock equals the chart clock")),
-        Measure(_signature, Row("signature", 0.5, "every grid metric is Lorentzian")),
+        Measure(_lorentzian, Row("signature", 0.5, "every grid metric is Lorentzian")),
         Measure(_vertical, Row("vertical", 1e-10,
             "the vertical field matches its ambient image, is null and Killing")),
         Measure(_einstein, Row("einstein", TOL,

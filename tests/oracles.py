@@ -4,7 +4,8 @@ metric derivatives, dense second derivatives to and from the factored form of
 ``gram_jets``, Gram assembly entry by entry, the scalar Laplacian, conformal
 rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
-its generator field, group-element stacks built element by element, the
+its generator field, one algebra element drawn as a stack of one,
+group-element stacks built element by element, the
 Padé order of one matrix at a time, the commutant basis of Z0 built element
 by element from its own SVD per tolerance, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
@@ -27,14 +28,15 @@ from schrogeo.ambient import (
     GroupBlocks,
     GroupElement,
     SchBlocks,
+    algebra_elements,
     ambient_gram,
     assemble_group_element,
     bracket_fields,
     build_Z0,
     commutant_stack,
     flat_gram_matrix,
+    group_coefficients,
     random_group_element,
-    random_algebra_element,
     realize_field,
     require_sch,
     sch_residuals,
@@ -210,7 +212,7 @@ def rescaled_metric(structure, omega2):
         f = omega2(p)
         return [[f * e for e in row] for row in base.gram(p)]
 
-    return MetricField(base.chart, gram, base.signature)
+    return MetricField(gram)
 
 
 def density_lie_derivative(metric, field, psi, p):
@@ -347,15 +349,16 @@ def flow_rk4(blocks: SchBlocks, d: int, step: float = 1e-3):
     -alpha (g x) xi term cancels alpha x_d, since (g x)_{d+1} = t.  So ``ell``
     rides along as one more state variable and no matrix is carried.
     """
-    vec, fiber_rate = realize_field(blocks, d)
+    vec = realize_field(blocks, d)
     n = d + 2
     trace = float(np.trace(blocks.Lam))
+    alpha, chi = blocks.alpha, blocks.chi
     steps = max(1, round(1.0 / step))
     h = 1.0 / steps
 
     def rhs(y):
         x = y[:n]
-        return list(vec.components(x)) + [trace + n * fiber_rate(x)]
+        return list(vec.components(x)) + [trace + n * (alpha * x[d] + chi)]
 
     def mapper(x):
         y = list(x) + [0.0]
@@ -393,12 +396,16 @@ def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
         return last[1]
 
     return ChartMap(
-        "expansion_rk4",
-        d,
         lambda x: fwd(x)[0],
         lambda x: back(x)[0],
         lambda x: nk.exp(back(x)[1]),
     )
+
+
+def algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4):
+    """One algebra element: the stack of one that ``algebra_elements`` makes
+    of one ``group_coefficients`` row, its element axis dropped."""
+    return algebra_elements(d, group_coefficients(d, rng, 1, scale)).take(0)
 
 
 def stack_elements(elements: list[GroupElement]) -> GroupElement:
@@ -497,8 +504,8 @@ def realization_rounds(c, seed) -> dict:
     pts = _box_points(seed, 1.0, c.d + 2, 3)
     found = []
     for _ in range(3):
-        e1 = random_algebra_element(c.d, rng)
-        e2 = random_algebra_element(c.d, rng)
+        e1 = algebra_element(c.d, rng)
+        e2 = algebra_element(c.d, rng)
         found.append(bracket_fields(e1, e2, c.d, pts)["minus"])
     return {"residual": np.concatenate(found), "sign": -1}
 

@@ -117,7 +117,7 @@ def test_criterion_02_conformal_killing_realization():
         bg = flat_bargmann(d)
         pts = SeededSampler(101 + d, [(-1.0, 1.0)] * (d + 2)).points(20)
         for e in commutant_basis(d):
-            field, _ = realize_field(e.blocks, d)
+            field = realize_field(e.blocks, d)
             alpha, chi = e.blocks.alpha, e.blocks.chi
             lie = lie_derivative_metric(gram_jets(bg.metric, pts, order=1), field)
             g0 = gram_values(bg.metric, pts)
@@ -275,7 +275,7 @@ def test_criterion_08_group_constraints_and_infinitesimal_action():
             assemble_group_element(extract_blocks(exp_algebra(h * e.matrix[None]), d), d).take(0)
             for h in (eps, -eps)
         )
-        field, _ = realize_field(e.blocks, d)
+        field = realize_field(e.blocks, d)
         x = np.array([0.3, -0.2, 0.4, 0.1])
         fwd = np.array(projective_action(A_p, x))
         bwd = np.array(projective_action(A_m, x))

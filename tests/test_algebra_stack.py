@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import closure_rows, commutant_loop, pade_order_one, realization_rounds
+from oracles import algebra_element, closure_rows, commutant_loop, pade_order_one, realization_rounds
 
 from schrogeo import ambient
 from schrogeo import numkernel as nk
@@ -33,7 +33,6 @@ from schrogeo.ambient import (
     commutant_stack,
     decompose_sch,
     exp_algebra,
-    random_algebra_element,
     realize_field,
     require_sch,
     sch_dimension,
@@ -230,7 +229,7 @@ def pairs(d: int, count: int, rng: np.random.Generator) -> list:
     column kept), so zero patterns differ from sample to sample."""
     out = []
     for i in range(count):
-        pair = [random_algebra_element(d, rng) for _ in range(2)]
+        pair = [algebra_element(d, rng) for _ in range(2)]
         if i % 2:
             e = pair[0]
             lam = e.blocks.Lam.copy()
@@ -265,13 +264,12 @@ def test_per_sample_stack_is_one_pair_at_a_time(d):
             ).tobytes()
     assert e1.blocks.alpha.shape == e1.blocks.chi.shape == (count,)
 
-    field, rate = realize_field(e1.blocks, d)
+    field = realize_field(e1.blocks, d)
     singles = [realize_field(one.blocks, d) for one, _ in drawn]
     values = component_values(field.components, pts)
     vals, jac = jet_components(field.components, pts)
     second = field.components(nk.seed_point(pts))
-    rates = rate(list(pts.T))
-    for s, (one_field, one_rate) in enumerate(singles):
+    for s, one_field in enumerate(singles):
         p = pts[s : s + 1]  # sample s as a batch of one
         assert values[s].tobytes() == component_values(one_field.components, p).tobytes()
         one_vals, one_jac = jet_components(one_field.components, p)
@@ -280,7 +278,6 @@ def test_per_sample_stack_is_one_pair_at_a_time(d):
         one_second = one_field.components(nk.seed_point(p))
         for got, want in zip(second, one_second):
             assert as_bits(per_point(got, s)) == as_bits([want.value, want.grad, want.hess])
-        assert as_bits([rates[s]]) == as_bits([one_rate(list(p.T))])
 
     stacked = bracket_fields(e1, e2, d, pts)
     one_pair = [bracket_fields(a, b, d, pts[s : s + 1]) for s, (a, b) in enumerate(drawn)]
@@ -291,7 +288,7 @@ def test_per_sample_stack_is_one_pair_at_a_time(d):
 def test_a_stack_is_checked_at_its_worst_element():
     d = 3
     rng = np.random.default_rng(4)
-    stack = element_stack([random_algebra_element(d, rng) for _ in range(4)], d)
+    stack = element_stack([algebra_element(d, rng) for _ in range(4)], d)
     bad = stack.matrix.copy()
     bad[-1, 0, d + 1] += 1e-3  # moves the vertical direction
     with pytest.raises(ContractViolationError):

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import algebra_element
 
 from schrogeo import ambient
 from schrogeo.ambient import (
@@ -30,7 +31,6 @@ from schrogeo.ambient import (
     make_special,
     group_inverse,
     projective_action,
-    random_algebra_element,
     random_group_element,
     realize_field,
     require_sch,
@@ -131,7 +131,7 @@ class TestCommutant:
         d = 3
         rng = np.random.default_rng(4)
         stack = np.array(
-            [random_algebra_element(d, rng).matrix for _ in range(3)]
+            [algebra_element(d, rng).matrix for _ in range(3)]
             + [generic_tangent(d, rng)]
         )
         res = sch_residuals(stack, d)
@@ -149,7 +149,7 @@ class TestCommutant:
     def test_decompose_round_trip_random(self):
         rng = np.random.default_rng(12)
         for d in (1, 3):
-            e = random_algebra_element(d, rng)
+            e = algebra_element(d, rng)
             again = sch_matrix(decompose_sch(e.matrix, d), d)
             assert np.abs(again - e.matrix).max() < 1e-12
 
@@ -164,11 +164,10 @@ class TestRealization:
         blocks = SchBlocks(
             Lam=lam, Gam=np.array([0.1, -0.2, 0.05, 0.3]), alpha=0.2, chi=0.0
         )
-        field, rate = realize_field(blocks, d)
+        field = realize_field(blocks, d)
         x = [0.5, -0.3, 0.7, 0.2]
         vals = [float(v) for v in field.components(x)]
         assert vals == pytest.approx([0.26, -0.092, 0.148, 0.266], abs=1e-15)
-        assert rate(x) == pytest.approx(0.14, abs=1e-15)
 
     def test_rejects_vertical_violation(self):
         d = 1
@@ -181,8 +180,8 @@ class TestRealization:
     def test_field_bracket_reverses_matrix_bracket(self):
         rng = np.random.default_rng(5)
         d = 2
-        e1 = random_algebra_element(d, rng)
-        e2 = random_algebra_element(d, rng)
+        e1 = algebra_element(d, rng)
+        e2 = algebra_element(d, rng)
         res = bracket_fields(e1, e2, d, [[0.4, -0.2, 0.6, 0.1], [0.0, 0.3, -0.5, 0.9]])
         assert (res["minus"] < 1e-9).all()
         assert (res["plus"] > 1e-3).all()  # the sign is not an accident
@@ -265,7 +264,7 @@ class TestGroup:
 
     def test_nan_vertical_residual_is_refused(self):
         d = 2
-        blocks = random_algebra_element(d, np.random.default_rng(4)).blocks
+        blocks = algebra_element(d, np.random.default_rng(4)).blocks
         with pytest.raises(ContractViolationError, match="Lam xi"):
             realize_field(SchBlocks(blocks.Lam, blocks.Gam, blocks.alpha, np.nan), d)
         Z = sch_matrix(blocks, d)
@@ -309,7 +308,7 @@ EXP_DIMS = (1, 2, 3, 4, 6, 8)
 def algebra_sweep(d, scale, count):
     """Seeded random algebra elements at the default spread, times ``scale``."""
     rng = np.random.default_rng(400 + d)
-    return [scale * random_algebra_element(d, rng).matrix for _ in range(count)]
+    return [scale * algebra_element(d, rng).matrix for _ in range(count)]
 
 
 def orthogonality_defect(A, d):
@@ -392,7 +391,7 @@ class TestExponential:
     )
     def test_order_and_scaling_pinned(self, kind, x, m, s):
         Z = x * {
-            "alg": lambda: random_algebra_element(2, np.random.default_rng(7)).matrix,
+            "alg": lambda: algebra_element(2, np.random.default_rng(7)).matrix,
             "nil": lambda: np.array([[1.0, 1.0], [-1.0, -1.0]]),
             "tri": lambda: np.array([[0.013, 1e3], [0.0, -0.013]]),
             "diag": lambda: np.diag([1.0, -1.0]),
@@ -431,7 +430,7 @@ class TestVerticalCompatibility:
         d = 2
         bg = flat_bargmann(d)
         for e in commutant_basis(d):
-            field, _ = realize_field(e.blocks, d)
+            field = realize_field(e.blocks, d)
             br = lie_bracket(field, bg.xi, [[0.3, -0.6, 0.8, 0.2]])
             assert np.abs(br).max() < 1e-12
 

@@ -38,7 +38,7 @@ from schrogeo.suites import BARGMANN_AXIOMS, SuiteConfig, _box_points, check_see
 def axioms(structure, samples, seed):
     """The axiom verdicts at seeded points of the box [-1.2, 1.2]^n, judged
     by the table's rows."""
-    pts = _box_points(seed, 1.2, structure.metric.chart.dim, samples)
+    pts = _box_points(seed, 1.2, structure.d + 2, samples)
     return verdicts(BARGMANN_AXIOMS, bargmann_axioms_check(structure, pts))
 
 
@@ -52,10 +52,8 @@ class TestAxioms:
 
     def test_skewed_vertical_fails_parallelism(self):
         bg = flat_bargmann(1)
-        bad_xi = VectorField(
-            bg.metric.chart, lambda p: [0.0 * p[0], 0.0 * p[0], 1.0 + p[0]]
-        )
-        bad = BargmannStructure(metric=bg.metric, xi=bad_xi, theta=bg.theta, d=1)
+        bad_xi = VectorField(lambda p: [0.0 * p[0], 0.0 * p[0], 1.0 + p[0]])
+        bad = BargmannStructure(metric=bg.metric, xi=bad_xi, d=1)
         by_name = axioms(bad, samples=6, seed=2)
         assert by_name["xi_null"].status == "PASS"
         assert by_name["xi_parallel"].status == "FAIL"
@@ -65,11 +63,11 @@ class TestAxioms:
         # the allowed conformal freedom); a spatial factor destroys it
         bg = flat_bargmann(1)
         along_time = rescaled_metric(bg, lambda p: nk.exp(2.0 * p[1]))
-        still_ok = BargmannStructure(metric=along_time, xi=bg.xi, theta=bg.theta, d=1)
+        still_ok = BargmannStructure(metric=along_time, xi=bg.xi, d=1)
         assert all(c.status == "PASS" for c in axioms(still_ok, samples=6, seed=3).values())
 
         across = rescaled_metric(bg, lambda p: nk.exp(2.0 * p[0]))
-        bad = BargmannStructure(metric=across, xi=bg.xi, theta=bg.theta, d=1)
+        bad = BargmannStructure(metric=across, xi=bg.xi, d=1)
         by_name = axioms(bad, samples=6, seed=3)
         assert by_name["xi_parallel"].status == "FAIL"
         assert by_name["clock_closed"].status == "FAIL"
@@ -106,7 +104,7 @@ class TestWavePair:
             phase = k * x[0] + ms * x[2]
             return nk.cos(phase) + 1j * nk.sin(phase)
 
-        stale = DensityFunction(coefficient=coeff, weight=density_weight(d), d=d)
+        stale = DensityFunction(coefficient=coeff, weight=density_weight(d))
         (r1,), (r2,) = schrodinger_residual(bg, stale, params, [[0.3, -0.2, 0.5]])
         assert abs(r1) == pytest.approx(k * k, abs=1e-12)
         assert abs(r2) < 1e-14
@@ -114,7 +112,7 @@ class TestWavePair:
     def test_rejects_wrong_weight(self):
         bg = flat_bargmann(2)
         psi = plane_wave(2, [0.3, 0.1])
-        off = DensityFunction(coefficient=psi.coefficient, weight=0.3, d=2)
+        off = DensityFunction(coefficient=psi.coefficient, weight=0.3)
         with pytest.raises(ContractViolationError):
             schrodinger_residual(bg, off, SchrodingerParams(), [[0.1, 0.2, 0.3, 0.4]])
 

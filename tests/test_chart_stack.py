@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import stack_elements
+from oracles import algebra_element, stack_elements
 
 from schrogeo import ambient
 from schrogeo import numkernel as nk
@@ -35,7 +35,6 @@ from schrogeo.ambient import (
     group_elements,
     group_inverse,
     projective_action,
-    random_algebra_element,
     random_group_element,
     realize_field,
     sch_matrix,
@@ -137,11 +136,11 @@ def with_blocks(ge, **changes):
 @pytest.mark.parametrize("d", DIMS)
 def test_realized_components_match_the_row_loop(d):
     rng = np.random.default_rng(d)
-    dense = random_algebra_element(d, rng).blocks
+    dense = algebra_element(d, rng).blocks
     # the vertical column Lam xi = -chi xi is what realize_field checks
     thinned = replace(dense, Lam=sparse(dense.Lam, rng, keep_column=d + 1))
     for blocks in (dense, thinned):
-        field, _ = realize_field(blocks, d)
+        field = realize_field(blocks, d)
         for kind, x in inputs(d, 10 + d).items():
             got = field.components(x)
             assert type(got[0]) is type(reference_field(blocks, d, x)[0]), kind
@@ -238,7 +237,7 @@ def test_one_reciprocal_per_jet_batch_projective_call(monkeypatch, d):
 def test_realized_field_builds_jets_linearly_in_the_dimension(monkeypatch):
     made = []
     for d in DIMS:
-        field, _ = realize_field(random_algebra_element(d, np.random.default_rng(d)).blocks, d)
+        field = realize_field(algebra_element(d, np.random.default_rng(d)).blocks, d)
         jets = nk.seed_point(np.random.default_rng(1).uniform(-0.5, 0.5, size=(4, d + 2)))
         counts = counting(monkeypatch)
         field.components(jets)

@@ -193,6 +193,20 @@ class TestPrecedence:
         assert doc["config"]["dims"] == [1]
         assert doc["config"]["seed"] == 5
 
+    def test_an_integer_tol_in_the_file_files_what_the_flag_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # {"tol": 1} and --tol 1 are one configuration, so one byte stream
+        monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "boundary", "tol": 1}))
+        from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        args = [*FAST, "--format", "json", "--out"]
+        assert main(["--config", str(cfg), *args, str(from_file)]) == 0
+        assert main(["boundary", "--tol", "1", *args, str(from_flag)]) == 0
+        assert from_file.read_bytes() == from_flag.read_bytes()
+        assert '"tol": 1.0' in from_file.read_text()
+
 
     def test_flag_free_run_takes_every_default_from_suite_config(
         self, capsys, monkeypatch

@@ -379,7 +379,7 @@ def _singular_at(monkeypatch, coordinate):
             scaled = {id(e): e * keep for row in rows for e in row}
             return [[scaled[id(e)] for e in row] for row in rows]
 
-        return MetricField(metric.chart, gram, metric.signature)
+        return MetricField(gram)
 
     monkeypatch.setattr(hg, "bulk_metric", broken)
 
@@ -557,7 +557,6 @@ def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
     psi = type(wave)(
         coefficient=_counting(calls, "coefficient", wave.coefficient),
         weight=wave.weight,
-        d=wave.d,
     )
     r1, r2 = schrodinger_residual(structure, psi, params, pts)
     assert calls == {"coefficient": 1, "seed_point": 1, "inverse": 1}
@@ -574,13 +573,11 @@ def test_bargmann_axioms_check_makes_one_metric_pass(monkeypatch, d):
     want = bargmann_axioms_check(structure, pts)
     calls = {"gram": 0, "inverse": 0}
     metric = structure.metric
-    counted = MetricField(metric.chart, _counting(calls, "gram", metric.gram), metric.signature)
+    counted = MetricField(_counting(calls, "gram", metric.gram))
     monkeypatch.setattr(
         geometry, "_invert_gram", _counting(calls, "inverse", geometry._invert_gram)
     )
-    got = bargmann_axioms_check(
-        BargmannStructure(counted, structure.xi, structure.theta, d), pts
-    )
+    got = bargmann_axioms_check(BargmannStructure(counted, structure.xi, d), pts)
     assert calls == {"gram": 2, "inverse": 1}
     assert got.keys() == want.keys()
     assert all(same_bits(got[k], want[k]) for k in want)

@@ -21,7 +21,6 @@ from oracles import (
 from schrogeo import geometry
 from schrogeo import numkernel as nk
 from schrogeo.geometry import (
-    Chart,
     MetricField,
     OneForm,
     VectorField,
@@ -44,7 +43,6 @@ from schrogeo.homogeneous import (
     SchrodingerManifoldConfig,
     boundary_metric,
     bulk_boxes,
-    bulk_chart,
     bulk_metric,
 )
 from schrogeo.numkernel import SeededSampler
@@ -58,19 +56,16 @@ def christoffel(metric, p):
 
 
 def sphere_metric():
-    chart = Chart(("theta", "phi"))
-
     def gram(p):
         s = nk.sin(p[0])
         return [[1.0, 0.0], [0.0, s * s]]
 
-    return MetricField(chart, gram, (2, 0))
+    return MetricField(gram)
 
 
 def euclidean(n):
-    chart = Chart(tuple(f"x{i}" for i in range(n)))
     eye = np.eye(n)
-    return MetricField(chart, lambda p: eye, (n, 0))
+    return MetricField(lambda p: eye)
 
 
 def conformal_christoffel_oracle(flat_gram, grad_log_omega):
@@ -106,7 +101,7 @@ class TestFlat:
 
     def test_euclidean_divergence(self):
         m = euclidean(2)
-        v = VectorField(m.chart, lambda p: [p[0], p[1]])
+        v = VectorField(lambda p: [p[0], p[1]])
         assert divergence(gram_jets(m, [[0.3, -0.8]], 1), v)[0] == pytest.approx(2.0)
 
     def test_laplacian_of_quadratic(self):
@@ -268,12 +263,12 @@ def constant_gram_metric(n: int, seed: int) -> MetricField:
     """A metric whose Gram is one dense constant Lorentzian matrix."""
     g0, _, _ = generic_metric_derivatives(np.random.default_rng(seed), n)
     rows = g0.tolist()
-    return MetricField(Chart(tuple(f"x{i}" for i in range(n))), lambda p: rows, (n - 1, 1))
+    return MetricField(lambda p: rows)
 
 
 CONSTANT_METRICS = [
-    *(pytest.param(flat_bargmann(d).metric, id=f"flat_bargmann_d{d}") for d in (1, 2, 3, 4)),
-    *(pytest.param(constant_gram_metric(n, n), id=f"dense_n{n}") for n in (3, 5, 7)),
+    *(pytest.param(flat_bargmann(d).metric, d + 2, id=f"flat_bargmann_d{d}") for d in (1, 2, 3, 4)),
+    *(pytest.param(constant_gram_metric(n, n), n, id=f"dense_n{n}") for n in (3, 5, 7)),
 ]
 
 
@@ -289,9 +284,8 @@ class TestConstantMetricShortcut:
     curvature contraction and the Christoffel and density terms, and gives
     what the full formulas give, up to the sign of zeros."""
 
-    @pytest.mark.parametrize("metric", CONSTANT_METRICS)
-    def test_ricci_equals_the_einsum_kernel(self, monkeypatch, metric):
-        n = metric.chart.dim
+    @pytest.mark.parametrize("metric,n", CONSTANT_METRICS)
+    def test_ricci_equals_the_einsum_kernel(self, monkeypatch, metric, n):
         pts = SeededSampler(5, [(-1.0, 1.0)] * n).points(6)
         # the oracle has its own symbols of the first kind
         monkeypatch.setattr(geometry, "_first_kind", _forbidden("_first_kind"))
@@ -303,11 +297,10 @@ class TestConstantMetricShortcut:
             assert ric.shape == ref.shape and np.array_equal(ric, ref)
             assert scalar.shape == (len(p),) and np.array_equal(scalar, ref_scalar)
 
-    @pytest.mark.parametrize("metric", CONSTANT_METRICS)
-    def test_laplacian_and_divergence_equal_the_full_terms(self, monkeypatch, metric):
-        n = metric.chart.dim
+    @pytest.mark.parametrize("metric,n", CONSTANT_METRICS)
+    def test_laplacian_and_divergence_equal_the_full_terms(self, monkeypatch, metric, n):
         pts = SeededSampler(6, [(-1.0, 1.0)] * n).points(5)
-        field = VectorField(metric.chart, lambda x: [x[(i + 1) % n] * x[i] for i in range(n)])
+        field = VectorField(lambda x: [x[(i + 1) % n] * x[i] for i in range(n)])
 
         def f(x):
             return nk.sin(x[0]) * nk.exp(x[n - 1]) + x[n // 2] * x[n // 2]
@@ -380,7 +373,7 @@ class TestCurvedOperators:
     def test_divergence_of_the_radial_field(self):
         for d, _, _, jets in self.passes():
             n = d + 3
-            radial = VectorField(bulk_chart(d), lambda x: [0.0] * (n - 1) + [x[n - 1]])
+            radial = VectorField(lambda x: [0.0] * (n - 1) + [x[n - 1]])
             got = geometry.divergence(jets, radial)
             assert np.all(np.abs(got + (d + 2.0)) <= 16 * np.finfo(float).eps * (d + 2.0))
 
@@ -490,7 +483,7 @@ class TestLieAndConformal:
     def test_killing_field_has_zero_lie_derivative(self):
         bg = flat_bargmann(2)
         # spatial rotation is an isometry of the flat structure
-        rot = VectorField(bg.metric.chart, lambda p: [-p[1], p[0], 0.0, 0.0])
+        rot = VectorField(lambda p: [-p[1], p[0], 0.0, 0.0])
         lie = lie_derivative_metric(gram_jets(bg.metric, [[0.3, 0.7, -0.2, 0.5]], 1), rot)
         assert np.abs(lie).max() < 1e-14
 
@@ -505,7 +498,7 @@ class TestLieAndConformal:
             fiber = -0.5 * alpha * (p[0] * p[0] + p[1] * p[1])
             return [rate * p[0], rate * p[1], alpha * p[2] * p[2], fiber]
 
-        v = VectorField(bg.metric.chart, comps)
+        v = VectorField(comps)
         p = [0.5, -0.3, t0, 0.2]
         jets = gram_jets(bg.metric, [p], order=1)
         g0 = jets.g0[0]
@@ -516,9 +509,8 @@ class TestLieAndConformal:
         assert np.linalg.norm(lie - phi * g0) / np.linalg.norm(g0) < 1e-12
 
     def test_lie_bracket_coordinate_fields(self):
-        chart = Chart(("x", "y"))
-        v = VectorField(chart, lambda p: [p[1], 0.0 * p[0]])
-        w = VectorField(chart, lambda p: [0.0 * p[0], p[0]])
+        v = VectorField(lambda p: [p[1], 0.0 * p[0]])
+        w = VectorField(lambda p: [0.0 * p[0], p[0]])
         # [y d_x, x d_y] = y d_y - x d_x
         b = lie_bracket(v, w, [[0.4, 0.9]])[0]
         assert b[0] == pytest.approx(-0.4)
@@ -527,21 +519,18 @@ class TestLieAndConformal:
 
 class TestExterior:
     def test_contact_like_form(self):
-        chart = Chart(("x1", "t", "s"))
-        w = OneForm(chart, lambda p: [0.0 * p[0], 1.0 + 0.0 * p[0], p[0]])
+        w = OneForm(lambda p: [0.0 * p[0], 1.0 + 0.0 * p[0], p[0]])
         dw, wedge = (a[0] for a in exterior_wedge(w, [[0.6, 0.1, -0.4]]))
         assert dw[0, 2] == pytest.approx(1.0)
         assert dw[2, 0] == pytest.approx(-1.0)
         assert wedge[1, 0, 2] == pytest.approx(1.0)
 
     def test_closed_form_with_radial_weight(self):
-        chart = Chart(("x1", "t", "s", "r"))
-
         def comps(p):
             w = 1.0 / (p[3] * p[3])
             return [0.0 * p[0], w, 0.0 * p[0], 0.0 * p[0]]
 
-        w = OneForm(chart, comps)
+        w = OneForm(comps)
         dw, wedge = (a[0] for a in exterior_wedge(w, [[0.2, 0.5, -0.1, 1.0]]))
         assert dw[3, 1] == pytest.approx(-2.0)
         assert dw[1, 3] == pytest.approx(2.0)
@@ -549,9 +538,8 @@ class TestExterior:
         assert np.abs(wedge).max() < 1e-14
 
     def test_exact_form_is_closed(self):
-        chart = Chart(("x", "y"))
         # w = d(x^2 y) = 2xy dx + x^2 dy
-        w = OneForm(chart, lambda p: [2.0 * p[0] * p[1], p[0] * p[0]])
+        w = OneForm(lambda p: [2.0 * p[0] * p[1], p[0] * p[0]])
         dw, _ = exterior_wedge(w, [[1.1, -0.7]])
         assert np.abs(dw).max() < 1e-13
 
@@ -581,7 +569,6 @@ def dense_jets(metric, p, order):
 def shared_entries_metric():
     """Shared jet and float objects, a -0.0 constant, int entries and one
     position filled by a distinct object equal to a shared one."""
-    chart = Chart(("x", "y", "z", "w"))
     half = 2.5
 
     def gram(p):
@@ -597,7 +584,7 @@ def shared_entries_metric():
         rows[2][1] = p[3] * 1.0
         return rows
 
-    return MetricField(chart, gram, (3, 1))
+    return MetricField(gram)
 
 
 def per_sample_bulk(d, samples):

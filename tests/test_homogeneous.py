@@ -425,7 +425,7 @@ class TestAudit:
 
         def scaled(c):
             form = original(c)
-            return OneForm(form.chart, lambda p: [root * v for v in form.components(p)])
+            return OneForm(lambda p: [root * v for v in form.components(p)])
 
         monkeypatch.setattr(hg, "theta_hat_form", scaled)
         flipped = audit(cfg)[name]

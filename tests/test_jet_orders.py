@@ -9,13 +9,12 @@ symmetrized Hessian of the product and chain rules; and
 
 import numpy as np
 import pytest
-from oracles import density_lie_derivative, expansion_map_rk4
+from oracles import algebra_element, density_lie_derivative, expansion_map_rk4
 
 from schrogeo import homogeneous as hg
 from schrogeo import numkernel as nk
 from schrogeo.ambient import (
     projective_action,
-    random_algebra_element,
     random_group_element,
     realize_field,
 )
@@ -58,7 +57,6 @@ UNARY = {
     "pow2.5": lambda u: u**2.5,
     "exp": nk.exp,
     "log": nk.log,
-    "sqrt": nk.sqrt,
     "sin": nk.sin,
     "cos": nk.cos,
     "add_scalar": lambda u: u + 1.7,
@@ -178,7 +176,7 @@ def test_operation_hessians_are_exactly_symmetric(seed):
 def test_batched_operation_hessians_are_exactly_symmetric():
     rng = np.random.default_rng(9)
     u, w = random_jet(rng, 3, (5,), positive=True), random_jet(rng, 3, (5,))
-    for out in (u + w, u * w, u / w, w**2, nk.sqrt(u), nk.cos(w), 2.0 / u):
+    for out in (u + w, u * w, u / w, w**2, u**0.5, nk.cos(w), 2.0 / u):
         assert np.array_equal(out.hess, out.hess.swapaxes(0, 1))
 
 
@@ -218,7 +216,7 @@ def test_chart_action_first_order_matches_value_and_gradient():
     d = 3
     rng = np.random.default_rng(10)
     ge = random_group_element(d, rng)
-    field, _ = realize_field(random_algebra_element(d, rng).blocks, d)
+    field = realize_field(algebra_element(d, rng).blocks, d)
     pts = rng.uniform(-0.3, 0.3, size=(4, d + 2))
     for fn in (field.components, lambda x: projective_action(ge, x)):
         for p in (pts, pts[:1]):

@@ -64,7 +64,7 @@ def first(j):
 
 def scalar_fn_jets(p):
     x, y = p[0], p[1]
-    return nk.sin(x) * nk.exp(y) + x * x * x * y + nk.sqrt(2.0 + x) / (1.0 + y * y)
+    return nk.sin(x) * nk.exp(y) + x * x * x * y + (2.0 + x) ** 0.5 / (1.0 + y * y)
 
 
 def scalar_fn_floats(p):

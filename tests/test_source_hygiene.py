@@ -7,8 +7,9 @@ randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
 and group elements, only ``ambient`` names the chart guard, only ``geometry``
 inverts Gram matrices, ``suites`` builds each record
 once, with no ``dataclasses.replace`` copy, ``report.dump_json`` is the
-one serializer of the report, and no branch picks a one-point path by the
-shape of its points."""
+one serializer of the report, no branch picks a one-point path by the
+shape of its points, and every field a package class declares is read
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -484,6 +485,49 @@ def test_the_serializer_rule_sees_a_stray_dump():
         "d = dump_json(doc)\n"
     )
     assert _indented_json_calls(tree) == [3, 4, 5]
+
+
+# every field a package class declares is read as an attribute somewhere in
+# the package: a field that is only built and passed along is metadata that no
+# check reads
+def _unread_fields(trees: list[ast.AST]) -> list[tuple[str, str]]:
+    """(class, field) of each annotated class field that no tree reads as an
+    attribute; a store or a keyword argument is no read."""
+    reads = {
+        n.attr
+        for t in trees
+        for n in ast.walk(t)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        (c.name, n.target.id)
+        for t in trees
+        for c in ast.walk(t)
+        if isinstance(c, ast.ClassDef)
+        for n in c.body
+        if isinstance(n, ast.AnnAssign)
+        and isinstance(n.target, ast.Name)
+        and n.target.id not in reads
+    ]
+
+
+def test_every_class_field_is_read():
+    assert not _unread_fields([_tree(p) for p in SOURCES])
+
+
+def test_the_field_rule_sees_a_stray_field():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Structure:\n"
+        "    metric: object\n"
+        "    theta: object\n"
+        "    d: int = 0\n"
+        "    LIMIT = 3\n"
+        "def check(s):\n"
+        "    s.theta = None\n"
+        "    return s.metric, Structure(metric=1, theta=2).d\n"
+    )
+    assert _unread_fields([tree]) == [("Structure", "theta")]
 
 
 # one point is a batch of one: the package takes its points as (N, n)

@@ -304,7 +304,7 @@ class TestIntegrabilityMutation:
                 out[cfg.d + 1] = out[cfg.d + 1] + eps * p[0]
                 return out
 
-            return OneForm(form.chart, comps)
+            return OneForm(comps)
 
         dims = (1, 2)
         names = [f"homogeneous_d{d}_integrability" for d in dims]
@@ -366,7 +366,7 @@ class TestPlaneWaveMutation:
                 phase = shift * x[d]
                 return psi.coefficient(x) * (nk.cos(phase) + 1j * nk.sin(phase))
 
-            return bargmann.DensityFunction(coeff, psi.weight, d)
+            return bargmann.DensityFunction(coeff, psi.weight)
 
         dims = (1, 2, 3)
         before = {c.name: c for c in run_suite(small("schrodinger-eq", dims=dims)).checks}
