@@ -742,186 +742,76 @@ def assemble_group_element(blocks: GroupBlocks, d: int) -> GroupElement:
     return GroupElement(A, blocks, d)
 
 
-# Scaling and squaring after Al-Mohy & Higham, "A new scaling and squaring
-# algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl. 31 (2009),
-# doi:10.1137/09074721X.  Per Padé order m: the threshold theta_m on
-# d_k = ||A^k||_1^(1/k), 1/|c_{2m+1}| of the backward-error bound behind
-# ell(A, m), and the coefficients b_0..b_m of r_m = (V - U)^-1 (V + U).
-_PADE = {
-    3: (1.495585217958292e-2, 100800.0, (120.0, 60.0, 12.0, 1.0)),
-    5: (
-        2.539398330063230e-1,
-        10059033600.0,
-        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    ),
-    7: (
-        9.504178996162932e-1,
-        4487938430976000.0,
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    ),
-    9: (
-        2.097847961257068,
-        5914384781877411840000.0,
-        (
-            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-        ),
-    ),
-    13: (
-        4.25,
-        113250775606021113483283660800000000.0,
-        (
-            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-            1187353796428800.0, 129060195264000.0, 10559470521600.0,
-            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-            16380.0, 182.0, 1.0,
-        ),
-    ),
-}
-# rows (odd b, even b) against the powers I, A^2, ..., A^(m-1): U = A (row 0
-# . powers) and V = row 1 . powers
-_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, (_, _, b) in _PADE.items() if m < 13}
-# r_13 is U = A (A^6 hiU + loU), V = A^6 hiV + loV, rows of b against I, A^2,
-# A^4, A^6 in the order hiU, loU, hiV, loV
-_B13 = _PADE[13][2]
+# Scaling and squaring with the [13/13] Padé approximant after Higham, "The
+# scaling and squaring method for the matrix exponential revisited", SIAM J.
+# Matrix Anal. Appl. 26 (2005) 1179, doi:10.1137/04061101X: the coefficients
+# b_0..b_13 of r_13 = (V - U)^-1 (V + U), and theta_13, the largest 1-norm at
+# which r_13's backward error stays within unit roundoff.
+_B13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+# U = Z (Z^6 hiU + loU), V = Z^6 hiV + loV: rows of b against I, Z^2, Z^4,
+# Z^6 in the order hiU, loU, hiV, loV
 _PADE13_ROWS = np.array([(0.0, *_B13[9::2]), _B13[1:9:2], (0.0, *_B13[8::2]), _B13[0:8:2]])
-# r_13 of 2^-s A scales the column of A^2j by 2^(-2js), the hi rows by the
-# 2^(-6s) of their A^6 factor and both U rows by the 2^-s of their A factor
-_PADE13_SHIFTS = 2 * np.arange(4) + np.array([[7], [1], [6], [0]])
-_UNIT_ROUNDOFF = 2.0**-53
 
 
-def _pade_powers(Z: np.ndarray, Z2: np.ndarray) -> np.ndarray:
-    """I, Z^2, Z^4, Z^6, Z^8 and Z as one (6, n, n) stack, or (E, 6, n, n)
-    for a stack of E matrices: the 1-norms are one call, and the Padé sums
-    one matrix product."""
-    n = Z.shape[-1]
-    P = np.zeros(Z.shape[:-2] + (6, n, n))
-    P[..., 0, :, :] = np.eye(n)
-    P[..., 1, :, :] = Z2
-    np.matmul(Z2, Z2, out=P[..., 2, :, :])
-    np.matmul(P[..., 2, :, :], Z2, out=P[..., 3, :, :])
-    np.matmul(P[..., 3, :, :], Z2, out=P[..., 4, :, :])
-    P[..., 5, :, :] = Z
-    return P
+def _squarings(Z: np.ndarray) -> np.ndarray:
+    """The least s >= 0 with ||2^-s Z||_1 <= theta_13 for each matrix of an
+    (E, n, n) stack.
 
-
-def _pade_orders(P: np.ndarray) -> list[tuple[int, int]]:
-    """The Padé order m and the scaling s of each Z = P[j, 5] of an
-    (E, 6, n, n) stack of ``_pade_powers``.
-
-    m and s come from d_k = ||Z^k||_1^(1/k) of the even powers, raised by
-    ell(Z, m) where the backward-error bound of 2^-s Z needs it; s is 0
-    below order 13.  The norms are taken over the whole stack, one call per
-    power, and the column sums 1^T |Z|^k behind ell are carried for every
-    matrix at once, as far as the highest order any matrix asks for.  Only
-    the threshold and ell tests run matrix by matrix, on Python floats
-    (float ``**`` rounds as libm, numpy's vectorized power does not).
+    With ||Z||_1 = m 2^e and theta_13 = m' 2^e' (1/2 <= m, m' < 1), the test
+    reads e - s < e', or e - s = e' and m <= m': exact, with no logarithm to
+    round.  A zero or non-finite norm gives s = 0.
     """
-    abs_p = np.abs(P[:, 2:])
-    col_sums = abs_p.sum(axis=-2)
-    norms = col_sums.max(axis=-1).tolist()
-    abs_z = abs_p[:, 3]
-    # 1-norm of |Z|^k as the largest column sum 1^T |Z|^k: cols[k - 1] for
-    # every matrix, one stacked vector-matrix product per power
-    cols = [col_sums[:, 3]]
-    tops: dict[int, list[float]] = {}
-
-    def top(k: int) -> list[float]:
-        if k not in tops:
-            while len(cols) < k:
-                cols.append(np.matmul(cols[-1][:, None], abs_z)[:, 0])
-            tops[k] = cols[k - 1].max(axis=-1).tolist()
-        return tops[k]
-
-    def ell(j: int, m: int, s: int = 0) -> int:
-        # ell(2^-s Z, m) = max(ell(Z, m) - s, 0): scaling by 2^-s is exact
-        norm1 = norms[j][3]
-        if norm1 == 0.0:
-            return 0
-        log_cu = math.log2(_PADE[m][1] * _UNIT_ROUNDOFF)
-        # ||Z||_1^(2m+1) bounds ||(|Z|^(2m+1))||_1: where the bound already
-        # gives 0, so does the exact norm, and no product is needed
-        if 2 * m * (math.log2(norm1) - s) < log_cu - 1e-9:
-            return 0
-        t = top(2 * m + 1)[j]
-        if t == 0.0:
-            return 0
-        return max(math.ceil((math.log2(t / norm1) - log_cu) / (2 * m)) - s, 0)
-
-    orders: list = [None] * len(norms)
-    high = []
-    for j, (n4, n6, n8, _) in enumerate(norms):
-        d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
-        for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
-            if eta < _PADE[m][0] and ell(j, m) == 0:
-                orders[j] = (m, 0)
-                break
-        else:
-            high.append(j)
-    if high:
-        n10s = np.abs(P[high, 2] @ P[high, 3]).sum(axis=-2).max(axis=-1).tolist()
-        for j, n10 in zip(high, n10s):
-            d6, d8 = norms[j][1] ** (1 / 6), norms[j][2] ** 0.125
-            eta = min(max(d6, d8), max(d8, n10**0.1))
-            s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
-            orders[j] = (13, s + ell(j, 13, s))
-    return orders
+    mant, expo = np.frexp(np.abs(Z).sum(axis=-2).max(axis=-1))
+    theta_mant, theta_expo = math.frexp(_THETA13)
+    return np.maximum(expo - theta_expo + (mant > theta_mant), 0)
 
 
-def _pade_exp(P: np.ndarray, m: int, s: int) -> np.ndarray:
-    """e^Z for each Z of an (E, 6, n, n) stack of ``_pade_powers``, all at
-    Padé order m and scaling s (``_pade_orders``), with exact 1-norms (n is
-    tiny).
-
-    r_m is evaluated as I + 2 (V - U)^-1 U with one stacked solve, then
-    squared s times.  Every step is a matrix product, solve or elementwise
-    operation per matrix, so each result is bitwise the one-matrix result.
-    """
-    E, n = P.shape[0], P.shape[-1]
-    Z = P[:, 5]
-
-    def solve(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        X = np.linalg.solve(V - U, U)
-        X *= 2.0
-        X += P[:, 0]
-        return X
-
-    if m < 13:
-        k = m // 2 + 1
-        sums = (_PADE_ROWS[m] @ P[:, :k].reshape(E, k, n * n)).reshape(E, 2, n, n)
-        return solve(Z @ sums[:, 0], sums[:, 1])
-
-    rows = np.ldexp(_PADE13_ROWS, -s * _PADE13_SHIFTS)
-    sums = (rows @ P[:, :4].reshape(E, 4, n * n)).reshape(E, 4, n, n)
+def _pade13(Z: np.ndarray) -> np.ndarray:
+    """r_13(Z) for each matrix of an (E, n, n) stack: I, Z^2, Z^4 and Z^6,
+    the four Padé sums as one matrix product, then I + 2 (V - U)^-1 U with
+    one stacked solve."""
+    E, n = Z.shape[0], Z.shape[-1]
+    P = np.empty((E, 4, n, n))
+    P[:, 0] = np.eye(n)
+    np.matmul(Z, Z, out=P[:, 1])
+    np.matmul(P[:, 1], P[:, 1], out=P[:, 2])
+    np.matmul(P[:, 2], P[:, 1], out=P[:, 3])
+    sums = (_PADE13_ROWS @ P.reshape(E, 4, n * n)).reshape(E, 4, n, n)
     hi_u, lo_u, hi_v, lo_v = (sums[:, i] for i in range(4))
-    X = solve(Z @ (P[:, 3] @ hi_u + lo_u), P[:, 3] @ hi_v + lo_v)
-    for _ in range(s):
-        X = X @ X
+    U = Z @ (P[:, 3] @ hi_u + lo_u)
+    X = np.linalg.solve(P[:, 3] @ hi_v + lo_v - U, U)
+    X *= 2.0
+    X += P[:, 0]
     return X
 
 
 def exp_algebra(Z: np.ndarray) -> np.ndarray:
     """Matrix exponential of one (n, n) matrix or of each matrix of an
-    (E, n, n) stack, by Padé scaling and squaring (Al-Mohy & Higham 2009)
-    for every input, nilpotent and zero ones included: Z = 0 takes order 3
-    with no scaling and gives I exactly.
+    (E, n, n) stack, by [13/13] Padé scaling and squaring (Higham 2005) for
+    every input, nilpotent and zero ones included: Z = 0 takes no scaling
+    and gives I exactly.
 
-    One matrix is a stack of one.  The Padé order m and scaling s of every
-    matrix are chosen over the whole stack in one pass (``_pade_orders``),
-    each from that matrix's own norms; the matrices that share (m, s) then
-    take one stacked evaluation (``_pade_exp``).  So every result is
-    bitwise the one-matrix result.
+    One matrix is a stack of one.  Each matrix takes the least s with
+    ||2^-s Z||_1 <= theta_13 (``_squarings``); the matrices that share s are
+    scaled by 2^-s, take one stacked ``_pade13`` and are squared s times.
+    Every step is a matrix product, solve or elementwise operation per
+    matrix, so every result is bitwise the one-matrix result.
     """
     Z = np.asarray(Z, dtype=float)
     stack = Z.reshape((-1,) + Z.shape[-2:])
-    P = _pade_powers(stack, stack @ stack)
+    squarings = _squarings(stack)
     out = np.empty_like(stack)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for j, order in enumerate(_pade_orders(P)):
-        groups.setdefault(order, []).append(j)
-    for (m, s), held in groups.items():
-        out[held] = _pade_exp(P[held], m, s)
+    for s in np.unique(squarings).tolist():
+        held = np.flatnonzero(squarings == s)
+        X = _pade13(np.ldexp(stack[held], -s))
+        for _ in range(s):
+            X = X @ X
+        out[held] = X
     return out.reshape(Z.shape)
 
 

@@ -5,8 +5,7 @@ metric derivatives, dense second derivatives to and from the factored form of
 rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
 its generator field, one algebra element drawn as a stack of one,
-group-element stacks built element by element, the
-Padé order of one matrix at a time, the commutant basis of Z0 built element
+group-element stacks built element by element, the commutant basis of Z0 built element
 by element from its own SVD per tolerance, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
 element pair at a time, the isotropy stabilizer elements built one at a
@@ -15,7 +14,6 @@ the boundary structure with its scale and cone-kernel forms taken one point
 at a time, and the homogeneous isometry record with one group draw per
 coupling."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +21,6 @@ import numpy as np
 from schrogeo import numkernel as nk
 from schrogeo import bargmann as bg
 from schrogeo.ambient import (
-    _PADE,
-    _UNIT_ROUNDOFF,
     GroupBlocks,
     GroupElement,
     SchBlocks,
@@ -421,43 +417,6 @@ def stack_elements(elements: list[GroupElement]) -> GroupElement:
 
 # ---------------------------------------------------------------------------
 # the algebra layer one matrix, one basis row and one element pair at a time
-
-
-def pade_order_one(P: np.ndarray) -> tuple[int, int]:
-    """The Padé order m and scaling s of the one matrix Z = P[5] of a
-    (6, n, n) ``_pade_powers`` stack: its norms and its column sums
-    1^T |Z|^k taken alone, the products carried only as far as its own
-    orders ask (Al-Mohy & Higham 2009, as ``_pade_orders``)."""
-    abs_p = np.abs(P[2:])
-    col_sums = abs_p.sum(axis=1)
-    n4, n6, n8, norm1 = col_sums.max(axis=1).tolist()
-    abs_z = abs_p[3]
-    col = col_sums[3]
-    k = 1
-
-    def ell(m: int, s: int = 0) -> int:
-        nonlocal col, k
-        if norm1 == 0.0:
-            return 0
-        log_cu = math.log2(_PADE[m][1] * _UNIT_ROUNDOFF)
-        if 2 * m * (math.log2(norm1) - s) < log_cu - 1e-9:
-            return 0
-        while k < 2 * m + 1:
-            col = col.dot(abs_z)
-            k += 1
-        top = float(col.max())
-        if top == 0.0:
-            return 0
-        return max(math.ceil((math.log2(top / norm1) - log_cu) / (2 * m)) - s, 0)
-
-    d4, d6, d8 = n4**0.25, n6 ** (1 / 6), n8**0.125
-    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
-        if eta < _PADE[m][0] and ell(m) == 0:
-            return m, 0
-    d10 = float(np.abs(P[2] @ P[3]).sum(axis=0).max()) ** 0.1
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0.0 else 0
-    return 13, s + ell(13, s)
 
 
 def commutant_loop(d: int, tol: float) -> np.ndarray:

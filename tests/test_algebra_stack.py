@@ -3,11 +3,9 @@
 The commutant basis of Z0 is one product of the null rows of one SVD per d
 with the skew-basis stack, the realization check brackets all its (element
 pair, point) samples in one ``bracket_fields`` pass over per-sample element
-stacks, ``exp_algebra`` chooses the Padé order and scaling of every matrix
-of a stack in one pass, and the closure check brackets the basis k pairs to
-a ``sch_residuals`` call.  Each must give, bit for bit, what the
-element-by-element, one-pair, one-matrix and one-row-at-a-time computations
-give (``tests/oracles.py``).
+stacks, and the closure check brackets the basis k pairs to a
+``sch_residuals`` call.  Each must give, bit for bit, what the
+element-by-element, one-pair and one-row-at-a-time computations give (``tests/oracles.py``).
 """
 
 from dataclasses import replace
@@ -16,30 +14,24 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import algebra_element, closure_rows, commutant_loop, pade_order_one, realization_rounds
+from oracles import algebra_element, closure_rows, commutant_loop, realization_rounds
 
-from schrogeo import ambient
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.ambient import (
     AlgebraElement,
-    SchBlocks,
     _commutant_cached,
     _commutant_svd,
-    _pade_orders,
-    _pade_powers,
     bracket_fields,
     commutant_dim,
     commutant_stack,
     decompose_sch,
-    exp_algebra,
     realize_field,
     require_sch,
     sch_dimension,
     sch_matrix,
     sch_residuals,
 )
-from schrogeo.bargmann import _expansion_generator
 from schrogeo.geometry import component_values, jet_components
 from schrogeo.numkernel import ContractViolationError, Jet2
 from schrogeo.suites import LIE_ALGEBRA, SuiteConfig, check_seed
@@ -166,57 +158,6 @@ def test_realization_is_one_bracket_pass(monkeypatch, d):
     suites._realization(LIE_ALGEBRA.context(SuiteConfig("lie-algebra"), d), 0)
     n = d + 4
     assert seen == [((9, n, n), (9, n, n), (9, d + 2))]
-
-
-# ---------------------------------------------------------------------------
-# Padé orders over the stack against one matrix at a time
-
-
-def pade_inputs(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Zero, nilpotent expansions, a translation and basis sums at scales
-    1e-4 to 30 (every order, with and without squarings), shuffled."""
-    basis = commutant_stack(d)
-    sums = [
-        (c[:, None, None] * basis).sum(axis=0)
-        for scale in np.geomspace(1e-4, 30.0, 24)
-        for c in rng.uniform(-scale, scale, size=(2, len(basis)))
-    ]
-    translation = SchBlocks(np.zeros((d + 2, d + 2)), rng.uniform(-1, 1, d + 2), 0.0, 0.0)
-    special = [
-        np.zeros((d + 4, d + 4)),
-        sch_matrix(translation, d),
-        _expansion_generator(d, 0.3),
-        _expansion_generator(d, -1.7),
-        _expansion_generator(d, 60.0),
-    ]
-    Zs = np.array(sums + special)
-    return Zs[rng.permutation(len(Zs))]
-
-
-@pytest.mark.parametrize("d", [1, 4, 8])
-def test_stacked_pade_orders_match_one_matrix_orders(d):
-    Zs = pade_inputs(d, np.random.default_rng(900 + d))
-    P = _pade_powers(Zs, Zs @ Zs)
-    got = _pade_orders(P)
-    assert got == [pade_order_one(_pade_powers(Z, Z @ Z)) for Z in Zs]
-    assert got == [_pade_orders(P[j : j + 1])[0] for j in range(len(Zs))]
-    assert {m for m, _ in got} == {3, 5, 7, 9, 13}
-    assert any(s > 0 for _, s in got)
-
-
-def test_exp_algebra_chooses_orders_once_per_stack(monkeypatch):
-    calls = []
-    orders = ambient._pade_orders
-
-    def counted(P):
-        calls.append(len(P))
-        return orders(P)
-
-    monkeypatch.setattr(ambient, "_pade_orders", counted)
-    Zs = pade_inputs(4, np.random.default_rng(5))
-    exp_algebra(Zs)
-    exp_algebra(Zs[0])
-    assert calls == [len(Zs), 1]
 
 
 # ---------------------------------------------------------------------------

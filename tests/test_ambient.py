@@ -11,8 +11,8 @@ from oracles import algebra_element
 from schrogeo import ambient
 from schrogeo.ambient import (
     SchBlocks,
-    _pade_orders,
-    _pade_powers,
+    _THETA13,
+    _squarings,
     StabilizerConstraintError,
     ambient_gram,
     ambient_gram_split,
@@ -316,9 +316,8 @@ def orthogonality_defect(A, d):
 
 
 class TestExponential:
-    """The Padé exponential against independent references.  Scales 1 and 4
-    select the orders 5, 7, 9 and 13 without squaring; scale 16 adds order 13
-    with one or two squarings."""
+    """The [13/13] Padé exponential against independent references.  Scale 1
+    takes no squaring, scale 4 none or one, and scale 16 one to three."""
 
     @pytest.mark.parametrize("scale", [1.0, 4.0])
     @pytest.mark.parametrize("d", EXP_DIMS)
@@ -374,30 +373,27 @@ class TestExponential:
         for Z, A in zip(stack, got):
             assert A.tobytes() == exp_algebra(Z).tobytes()
 
-    # Padé order m and squarings s as Al-Mohy & Higham's algorithm chooses
-    # them with exact 1-norms; scipy.sparse.linalg._matfuncs._expm's decision
-    # steps give the same table.  The nonnormal "tri" and "nil" x100 take a
-    # lower order without ell(Z, m); "diag" x5 lies between theta_13 and
-    # 2 theta_13, so it pins theta_13.
+    # squarings s: the least s >= 0 with ||2^-s Z||_1 <= theta_13.  x diag(1, -1)
+    # has 1-norm x, so x = 5, 6 and 12 pin theta_13 between 5 and 6 and the
+    # count above it; "alg" scales an algebra element to x theta_13 in 1-norm,
+    # just inside and just outside each power-of-two multiple
     @pytest.mark.parametrize(
-        "kind, x, m, s",
+        "kind, x, s",
         [
-            ("alg", 0.01, 3, 0), ("alg", 0.05, 5, 0), ("alg", 0.3, 5, 0),
-            ("alg", 1.0, 7, 0), ("alg", 3.0, 9, 0), ("alg", 8.0, 13, 0),
-            ("alg", 30.0, 13, 2), ("alg", 100.0, 13, 3),
-            ("nil", 0.013, 5, 0), ("nil", 1.0, 9, 0), ("nil", 100.0, 13, 6),
-            ("tri", 1.0, 5, 0), ("diag", 5.0, 13, 1), ("diag", 12.0, 13, 2),
+            ("diag", 5.0, 0), ("diag", 6.0, 1), ("diag", 12.0, 2),
+            ("alg", 1 - 1e-9, 0), ("alg", 1 + 1e-9, 1),
+            ("alg", 2 - 2e-9, 1), ("alg", 2 + 2e-9, 2), ("alg", 4 + 4e-9, 3),
         ],
     )
-    def test_order_and_scaling_pinned(self, kind, x, m, s):
-        Z = x * {
-            "alg": lambda: algebra_element(2, np.random.default_rng(7)).matrix,
-            "nil": lambda: np.array([[1.0, 1.0], [-1.0, -1.0]]),
-            "tri": lambda: np.array([[0.013, 1e3], [0.0, -0.013]]),
-            "diag": lambda: np.diag([1.0, -1.0]),
-        }[kind]()
-        # one matrix's powers as a stack of one
-        assert _pade_orders(_pade_powers(Z[None], (Z @ Z)[None])) == [(m, s)]
+    def test_squarings_pinned(self, kind, x, s):
+        if kind == "diag":
+            Z = x * np.diag([1.0, -1.0])
+        else:
+            Z = algebra_element(2, np.random.default_rng(7)).matrix
+            Z *= x * _THETA13 / np.abs(Z).sum(axis=0).max()
+        # one matrix as a stack of one, and inside a stack
+        assert _squarings(Z[None]).tolist() == [s]
+        assert _squarings(np.array([np.zeros_like(Z), Z])).tolist() == [0, s]
 
     def test_nilpotent_probe_when_trace_vanishes(self):
         # tr Z^2 = 0 without Z nilpotent: a trace test alone cannot tell it
