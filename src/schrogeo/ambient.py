@@ -806,7 +806,7 @@ def exp_algebra(Z: np.ndarray) -> np.ndarray:
     stack = Z.reshape((-1,) + Z.shape[-2:])
     squarings = _squarings(stack)
     out = np.empty_like(stack)
-    for s in np.unique(squarings).tolist():
+    for s in set(squarings.tolist()):
         held = np.flatnonzero(squarings == s)
         X = _pade13(np.ldexp(stack[held], -s))
         for _ in range(s):

@@ -410,7 +410,9 @@ def induced_metric(
 ) -> dict:
     """Metric on a pair of chart tangents, via the ambient pullback (path A)
     and the chart Gram (path B).  ``delta`` and ``delta2`` carry one tangent
-    per sample, shape (N, n)."""
+    per sample, shape (N, n).  The "difference" is relative: |A - B| over
+    max(1, max|g| max|delta| max|delta2|), since the entries of g grow like
+    -2 lam / rh^2 and their rounding with them."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
@@ -423,20 +425,27 @@ def induced_metric(
     ambient = _vv(_vm(dq, G), dq2) - cfg.mu * _vv(th_row, delta) * _vv(
         th_row, delta2
     )
-    chart = _vv(_vm(delta, gram_values(bulk_metric(cfg), p)), delta2)
-    return {"ambient": ambient, "chart": chart, "difference": np.abs(ambient - chart)}
+    g = gram_values(bulk_metric(cfg), p)
+    chart = _vv(_vm(delta, g), delta2)
+    size = nk.sample_max(g) * nk.sample_max(delta) * nk.sample_max(delta2)
+    difference = np.abs(ambient - chart) / np.maximum(1.0, size)
+    return {"ambient": ambient, "chart": chart, "difference": difference}
 
 
 def theta_hat(cfg: SchrodingerManifoldConfig, p: np.ndarray, delta) -> dict:
-    """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs chart row."""
+    """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs chart row.
+    The "difference" is relative, over max(1, max|row| max|delta|)."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
     vals, jac = _embedding_jets(cfg, p)
     Q, J = vals.real, jac.real
     QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d).matrix)
     ambient = _vv(-QGZ, _mv(J, delta))
-    chart = _vv(component_values(theta_hat_form(cfg).components, p), delta)
-    return {"ambient": ambient, "chart": chart, "difference": np.abs(ambient - chart)}
+    row = component_values(theta_hat_form(cfg).components, p)
+    chart = _vv(row, delta)
+    size = nk.sample_max(row) * nk.sample_max(delta)
+    difference = np.abs(ambient - chart) / np.maximum(1.0, size)
+    return {"ambient": ambient, "chart": chart, "difference": difference}
 
 
 def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> dict:

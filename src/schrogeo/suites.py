@@ -166,13 +166,11 @@ class Measure:
     of its one row, or a dict of them keyed by row suffix (``verdicts``
     folds a per-sample residual).  A raising measurement files one ERROR
     record with the suffix and claim of ``group``, by default those of its
-    one row.  ``samples`` overrides the context's samples: the count the
-    measurement reads as ``ctx.samples``, which a record files unless it
-    folded samples of its own.
+    one row.
     """
 
-    def __init__(self, fn, *rows: Row, group: tuple | None = None, samples=None):
-        self.fn, self.rows, self.samples = fn, rows, samples
+    def __init__(self, fn, *rows: Row, group: tuple | None = None):
+        self.fn, self.rows = fn, rows
         self.group = group or (rows[0].suffix, rows[0].claim)
 
 
@@ -254,8 +252,6 @@ def _file(ctx, base: str, m: Measure, seed: int) -> list[CheckResult]:
     the run.  An exception that names the coupling it failed at (a
     DegenerateMetricError from ``hg.over_couplings``) files that coupling
     and the sample's index among its points as ``extra``."""
-    if m.samples:
-        ctx = SimpleNamespace(**{**vars(ctx), "samples": m.samples})
     filed = {"config": ctx.conf, "seed": seed}
     try:
         measured = m.fn(ctx, seed)
@@ -329,7 +325,7 @@ BARGMANN = Suite(
 
 def _plane_wave(c, seed):
     d = c.d
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     per = max(2, c.samples // 4)
     # one stream of three consecutive blocks, one per wave, measured in one
     # pass: wave i goes with the points of block i
@@ -368,7 +364,7 @@ _MAPS = {
 
 def _transport(c, seed, name: str, weight=None):
     transform = _MAPS[name](c.d)
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     psi = bg.plane_wave(c.d, 0.8 * rng.normal(size=c.d), c.params)
     per = max(3, c.samples // 4)
     pts = _box_points(seed, 0.8, c.d + 2, per)
@@ -439,7 +435,7 @@ def _closure(c, seed):
 
 def _realization(c, seed):
     d = c.d
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     pts = _box_points(seed, 1.0, d + 2, 3)
     # three pairs in one draw, round by round: elements 2i and 2i + 1 are
     # pair i; then every (pair, point) sample, pair by pair and in point
@@ -520,7 +516,7 @@ def _constraints(c, seed):
 
 def _projective(c, seed):
     d, count = c.d, c.samples
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     pts = _box_points(seed, 1.0, d + 2, 4)
     # round by round: an element's coefficients, then its radii
     draws = [
@@ -539,7 +535,7 @@ def _projective(c, seed):
 
 def _pullback(c, seed):
     d = c.d
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     g0 = flat_gram_matrix(d)
     pts = _box_points(seed, 1.0, d + 2, 4)
     ge, x = _pairs(group_elements(d, group_coefficients(d, rng, c.rounds)), pts)
@@ -557,7 +553,7 @@ def _pullback(c, seed):
 
 def _inverse(c, seed):
     d = c.d
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     pts = _box_points(seed, 1.0, d + 2, 4)
     stack = group_elements(d, group_coefficients(d, rng, c.rounds))
     ge, x = _pairs(stack, pts)
@@ -609,8 +605,8 @@ def _over_grid(d: int, couplings: list, pts: np.ndarray, order: int, fn) -> list
 
 def _dualpath(c, seed):
     pts = _grid_points(c, seed)
-    # the same stream as a (v1, v2) draw per point and coupling in turn
-    v = SeededSampler.generator(seed).normal(size=(len(c.grid), len(pts), 2, c.d + 3))
+    # one (v1, v2) draw per point and coupling in turn, from the seed + 1 stream
+    v = SeededSampler.generator(seed + 1).normal(size=(len(c.grid), len(pts), 2, c.d + 3))
 
     def diff(mc, x, part):
         w = v[part].reshape(-1, 2, c.d + 3)
@@ -621,7 +617,7 @@ def _dualpath(c, seed):
 
 def _clock(c, seed):
     pts = _grid_points(c, seed)
-    v = SeededSampler.generator(seed).normal(size=(len(c.first_mu), len(pts), c.d + 3))
+    v = SeededSampler.generator(seed + 1).normal(size=(len(c.first_mu), len(pts), c.d + 3))
 
     def diff(mc, x, part):
         return hg.theta_hat(mc, x, v[part].reshape(-1, c.d + 3))["difference"]
@@ -675,7 +671,7 @@ def _recovery(c, seed):
 
 
 def _isometry(c, seed):
-    rng = SeededSampler.generator(seed)
+    rng = SeededSampler.generator(seed + 1)
     # each coupling measures the same points, coupling i with element i
     pts = _grid_points(c, seed)
     stack = group_elements(c.d, group_coefficients(c.d, rng, 2))
@@ -699,7 +695,7 @@ def _isometry_control(c, seed):
 
 def _isotropy(c, seed):
     mc = hg.SchrodingerManifoldConfig(c.d, -0.5, 1.0)
-    res = hg.isotropy_check(mc, SeededSampler.generator(seed), c.samples)
+    res = hg.isotropy_check(mc, SeededSampler.generator(seed), 4)
     return {
         "residual": np.maximum(res["bulk_fix_residual"], res["boundary_fix_residual"]),
         "holds": (
@@ -741,7 +737,7 @@ HOMOGENEOUS = Suite(
         Measure(_isometry_control, Row("isometry_control", 1e-3,
             "an ambient isometry that moves the clock fails the deformed metric", control=True)),
         Measure(_isotropy, Row("isotropy", 1e-10,
-            "stabilizer dimensions give a (d+3)-dim bulk and (d+2)-dim boundary"), samples=4),
+            "stabilizer dimensions give a (d+3)-dim bulk and (d+2)-dim boundary")),
         Measure(_integrability, Row("integrability", 1e-12,
             "the bulk clock satisfies the Frobenius condition")),
     ),

@@ -459,7 +459,7 @@ def realization_rounds(c, seed) -> dict:
     """The lie-algebra realization residual per (pair, point) sample, one
     ``bracket_fields`` pass per round: a pair of elements drawn, then
     brackets at the three points."""
-    rng = nk.SeededSampler.generator(seed)
+    rng = nk.SeededSampler.generator(seed + 1)
     pts = _box_points(seed, 1.0, c.d + 2, 3)
     found = []
     for _ in range(3):
@@ -535,7 +535,7 @@ def plane_wave_loop(c, seed) -> dict:
     ``schrodinger_residual`` pass per wave: a wave vector drawn, then its
     residuals at its block of the points."""
     d = c.d
-    rng = nk.SeededSampler.generator(seed)
+    rng = nk.SeededSampler.generator(seed + 1)
     per = max(2, c.samples // 4)
     pts = _box_points(seed, 1.0, d + 2, 3 * per).reshape(3, per, d + 2)
     found = []
@@ -614,7 +614,7 @@ def boundary_loop(d: int, pts: np.ndarray, rng) -> dict:
 def isometry_loop(c, seed) -> dict:
     """The homogeneous isometry residual per (coupling, point), one
     ``random_group_element`` draw per coupling."""
-    rng = nk.SeededSampler.generator(seed)
+    rng = nk.SeededSampler.generator(seed + 1)
     pts = _grid_points(c, seed)
     found = []
     for lam, mu in ((-0.5, 1.0), (-1.0, 2.0)):

@@ -840,7 +840,7 @@ def sequential_projective(cfg, d, sample_group):
     """Reference: the projective check one point and one r draw at a time,
     each point a batch of one, each escape read off its NaN image."""
     seed = check_seed(cfg, f"group_d{d}_projective")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed + 1)
     pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
     worst, used = 0.0, 0
     for _ in range(max(5, cfg.samples // 2)):
@@ -861,7 +861,7 @@ def sequential_inverse(cfg, d, sample_group):
     """Reference: the inverse check one point at a time, each a batch of
     one, each escape read off its NaN image."""
     seed = check_seed(cfg, f"group_d{d}_inverse")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed + 1)
     pts = SeededSampler(seed, [(-1.0, 1.0)] * (d + 2)).points(4)
     worst, used = 0.0, 0
     for _ in range(max(3, max(5, cfg.samples // 2) // 3)):

@@ -453,7 +453,7 @@ def test_projective_draws_coefficients_then_radii_round_by_round(monkeypatch, d)
     """The projective check's rng stream is the per-element one: each round
     draws one element (its coefficients), then one radius per point."""
     cfg = SuiteConfig("group", dims=(d,), samples=40, seed=11)
-    rng = np.random.default_rng(check_seed(cfg, f"group_d{d}_projective"))
+    rng = np.random.default_rng(check_seed(cfg, f"group_d{d}_projective") + 1)
     want, radii = [], []
     for _ in range(20):
         want.append(random_group_element(d, rng).matrix)

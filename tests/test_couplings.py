@@ -459,6 +459,20 @@ def test_one_coupling_names_its_singular_sample(monkeypatch, k):
 
 
 # ---------------------------------------------------------------------------
+# large couplings: the dual-path and clock residuals are relative to the
+# entries they compare, which grow like -2 lam / rh^2
+
+
+@pytest.mark.parametrize("dims, lam", [((1, 2, 3), -1000.0), ((1,), -1e6)])
+def test_dual_path_and_clock_hold_at_large_couplings(dims, lam):
+    cfg = SuiteConfig("homogeneous", dims=dims, lams=(lam,), mus=(1.0,))
+    records = {c.name: c for c in run_suite(cfg).checks}
+    for d in dims:
+        for family in ("dualpath", "clock"):
+            assert records[f"homogeneous_d{d}_{family}"].status == "PASS"
+
+
+# ---------------------------------------------------------------------------
 # NaN residuals fail
 
 

@@ -3,7 +3,8 @@ through ``ast``: every name in a module's ``__all__`` is defined there, no
 imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
-randomness, only ``suites`` folds samples, only ``ambient`` builds algebra
+randomness, no seed of an ``all`` run feeds both a sampler and a bare
+generator, only ``suites`` folds samples, only ``ambient`` builds algebra
 and group elements, only ``ambient`` names the chart guard, only ``geometry``
 inverts Gram matrices, ``suites`` builds each record
 once, with no ``dataclasses.replace`` copy, ``report.dump_json`` is the
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import schrogeo
+from schrogeo import numkernel as nk
+from schrogeo.suites import SuiteConfig, run_suite
 
 PACKAGE = Path(schrogeo.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -306,6 +309,50 @@ def test_the_draw_rule_sees_a_stray_call():
         ("SeededSampler", 11),
         ("SeededSampler", 11),
     ]
+
+
+# a measurement draws its points from a SeededSampler at its seed and every
+# other value from a bare generator at seed + 1: a seed that feeds both reads
+# one PCG64 stream twice, so the drawn values repeat the points they act on
+def _shared_seeds(run) -> set[int]:
+    """The seeds that feed both a SeededSampler and a bare
+    ``SeededSampler.generator`` call made outside SeededSampler itself,
+    while ``run()`` runs."""
+    samplers, bare, inside = set(), set(), []
+    init, generator = nk.SeededSampler.__init__, nk.SeededSampler.generator
+
+    def tracked_init(self, seed, *args, **kwargs):
+        samplers.add(int(seed))
+        inside.append(seed)
+        try:
+            init(self, seed, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def tracked_generator(seed):
+        if not inside:
+            bare.add(int(seed))
+        return generator(seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nk.SeededSampler, "__init__", tracked_init)
+        mp.setattr(nk.SeededSampler, "generator", staticmethod(tracked_generator))
+        run()
+    return samplers & bare
+
+
+def test_no_seed_feeds_both_points_and_other_draws():
+    assert not _shared_seeds(lambda: run_suite(SuiteConfig("all")))
+
+
+def test_the_stream_rule_sees_a_stray_call():
+    def check():
+        nk.SeededSampler(5, [(-1.0, 1.0)]).points(2)
+        nk.SeededSampler.generator(5).normal()
+        nk.SeededSampler(6, [(-1.0, 1.0)]).points(2)
+        nk.SeededSampler.generator(7).normal()
+
+    assert _shared_seeds(check) == {5}
 
 
 # only ``ambient`` builds algebra and group elements: every other module takes

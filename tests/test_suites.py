@@ -567,7 +567,8 @@ ERROR_CASES = [
         "homogeneous_d1_isotropy",
         "stabilizer dimensions give a (d+3)-dim bulk and (d+2)-dim boundary",
         "homogeneous_d1_isotropy",
-        4,
+        # the homogeneous context's max(2, 4 // 4); a PASS files its own 4 draws
+        2,
         {"d": 1, "lams": [-0.5], "mus": [1.0]},
         0,
     ),
