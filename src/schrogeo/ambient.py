@@ -13,9 +13,9 @@ null pair.  Bars denote the G-adjoint: Abar = G A^T G, vbar = (G v)^T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,8 +210,7 @@ def g_adjoint(a: np.ndarray, G: np.ndarray) -> np.ndarray:
 # the special null vector
 
 
-@dataclass(frozen=True)
-class SpecialNullVector:
+class SpecialNullVector(NamedTuple):
     """Square-zero rank-two generator Z = P Qbar - Q Pbar of a totally null
     plane, plus the pair that built it."""
 
@@ -282,8 +281,7 @@ def sch_dimension(d: int) -> int:
     return (d * d + 3 * d + 8) // 2
 
 
-@dataclass(frozen=True)
-class SchBlocks:
+class SchBlocks(NamedTuple):
     """Block data of an algebra element: boost/rotation block Lam acting on
     R^{d+2} (annihilating the vertical direction up to -chi), translation
     Gam, expansion rate alpha, dilation rate chi.  Blocks of a stack carry a
@@ -295,20 +293,16 @@ class SchBlocks:
     chi: float
 
 
-class _Stack:
-    """An element stack: the matrix and every block field carry a leading
-    element axis."""
-
-    def take(self, index):
-        """The elements at ``index``: a stack at an index or boolean array,
-        one element (its axis dropped) at an integer."""
-        blocks = self.blocks
-        fields = (f[index] for f in vars(blocks).values())
-        return replace(self, matrix=self.matrix[index], blocks=type(blocks)(*fields))
+def _take(self, index):
+    """The elements at ``index`` of an element stack: a stack at an index or
+    boolean array, one element (its axis dropped) at an integer.  The matrix
+    and every block field carry the leading element axis."""
+    blocks = self.blocks
+    fields = (f[index] for f in blocks)
+    return self._replace(matrix=self.matrix[index], blocks=type(blocks)(*fields))
 
 
-@dataclass(frozen=True)
-class AlgebraElement(_Stack):
+class AlgebraElement(NamedTuple):
     """A stack of algebra elements: the matrix and every block field carry
     a leading element axis (a per-sample stack, when element s goes with
     sample s of a batch of points).  One element is a stack of one, and
@@ -316,6 +310,8 @@ class AlgebraElement(_Stack):
 
     matrix: np.ndarray
     blocks: SchBlocks
+
+    take = _take
 
 
 @lru_cache(maxsize=None)
@@ -619,8 +615,7 @@ def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
 # the group: blocks, constraints, projective action
 
 
-@dataclass(frozen=True)
-class GroupBlocks:
+class GroupBlocks(NamedTuple):
     L: np.ndarray
     B: np.ndarray
     C: np.ndarray
@@ -630,8 +625,7 @@ class GroupBlocks:
     e: float
 
 
-@dataclass(frozen=True)
-class GroupElement(_Stack):
+class GroupElement(NamedTuple):
     """A stack of group elements: the matrix and every block field carry a
     leading element axis (a per-sample stack, when element s goes with
     sample s of a batch of points).  One element is a stack of one, and
@@ -640,6 +634,8 @@ class GroupElement(_Stack):
     matrix: np.ndarray
     blocks: GroupBlocks
     dim: int
+
+    take = _take
 
 
 def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
@@ -913,8 +909,7 @@ def cone_point(x, r):
 # component witnesses in the split basis
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     conjugation_residual: float
     commutator_norms: dict
     isometry_residuals: dict

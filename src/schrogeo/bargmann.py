@@ -19,9 +19,8 @@ being the batch of one p[None], and return (N,) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .ambient import (
 )
 from .geometry import (
     MetricField,
+    MetricJets,
     OneForm,
     VectorField,
     component_values,
@@ -76,8 +76,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BargmannStructure:
+class BargmannStructure(NamedTuple):
     """Metric plus the distinguished parallel null direction; its clock
     theta = g(xi, .) is ``metric_clock``."""
 
@@ -86,14 +85,12 @@ class BargmannStructure:
     d: int
 
 
-@dataclass(frozen=True)
-class SchrodingerParams:
+class SchrodingerParams(NamedTuple):
     mass: float = 1.0
     hbar: float = 1.0
 
 
-@dataclass(frozen=True)
-class DensityFunction:
+class DensityFunction(NamedTuple):
     """Coefficient of a density of weight ``weight``; the coefficient callable
     must accept jets and may return complex jets."""
 
@@ -134,11 +131,12 @@ def metric_clock(structure: BargmannStructure) -> OneForm:
 def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
     vanishing divergence at the points ``pts``: by axiom, its residual at
-    each point, (N,).  One first-order pass of the metric serves the
-    three metric axioms."""
+    each point, (N,).  One first-order pass of the metric, and one
+    evaluation of xi on its seeds, serve the three metric axioms; the clock
+    is evaluated on seeds of its own."""
     xi = structure.xi
     jets = gram_jets(structure.metric, pts, order=1)
-    xv = component_values(xi.components, pts)
+    xv, _ = jets.components(xi.components)
     null = np.einsum("...a,...ab,...b->...", xv, jets.g0, xv)
     dw, _ = exterior_wedge(metric_clock(structure), pts)
     found = {
@@ -164,10 +162,11 @@ def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.nda
 # densities and the covariant Schrödinger pair
 
 
-def _lie_term(field: VectorField, weight: float, fj: Jet2, div, pts: np.ndarray):
-    """X(f) + w Div(X) f from the jet of f and the divergence of X."""
-    xv = component_values(field.components, pts)
-    return np.einsum("...a,a...->...", xv, fj.grad) + weight * div * fj.value
+def _lie_term(jets: MetricJets, field: VectorField, weight: float, fj: Jet2):
+    """X(f) + w Div(X) f on the pass's batch, from the jet of f on its
+    seeds; one evaluation of X serves both terms."""
+    xv, _ = jets.components(field.components)
+    return np.einsum("...a,a...->...", xv, fj.grad) + weight * divergence(jets, field) * fj.value
 
 
 def schrodinger_residual(
@@ -185,7 +184,7 @@ def schrodinger_residual(
     equal to the values of that point alone.
     Requires the density to carry the covariant weight d/(2d+4).  One jet
     pass of the metric, seeded once, one inverse Gram and one evaluation of
-    the coefficient serve both members.
+    the coefficient and of xi serve both members.
     """
     w = density_weight(structure.d)
     if abs(psi.weight - w) > 1e-12:
@@ -195,7 +194,7 @@ def schrodinger_residual(
     jets = gram_jets(structure.metric, p)
     fj = jets.scalar(psi.coefficient)
     r1 = yamabe_residual(jets, fj)
-    lie = _lie_term(structure.xi, psi.weight, fj, divergence(jets, structure.xi), jets.pts)
+    lie = _lie_term(jets, structure.xi, psi.weight, fj)
     return r1, (params.hbar / 1j) * lie - params.mass * fj.value
 
 
@@ -240,8 +239,7 @@ def plane_wave(
 # finite symmetries as chart maps
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(NamedTuple):
     """Diffeomorphism of the flat chart with jet-evaluable forward/inverse
     maps and the jet-evaluable Jacobian-determinant factor |det D(inverse)|
     used by density transport."""
@@ -327,7 +325,7 @@ def expansion_map_projective(d: int, alpha: float) -> ChartMap:
     """
     A = exp_algebra(_expansion_generator(d, alpha)[None])
     ge = assemble_group_element(extract_blocks(A, d), d)
-    for a in (ge.matrix, *vars(ge.blocks).values()):
+    for a in (ge.matrix, *ge.blocks):
         a.flags.writeable = False
     return group_map(ge.take(0))
 

@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
         type=int,
         metavar="N",
         help="spatial dimension, repeatable (default "
-        + " ".join(map(str, SuiteConfig.dims))
+        + " ".join(map(str, SuiteConfig._field_defaults["dims"]))
         + ")",
     )
     parser.add_argument(

@@ -16,9 +16,8 @@ the unit-radius hyperbolic/anti-de Sitter spaces have Ric = -(n-1) g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,8 +70,7 @@ class DegenerateMetricError(ValueError):
         self.coupling = coupling
 
 
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(NamedTuple):
     """Pseudo-Riemannian metric as a Gram callable.
 
     ``gram`` maps the coordinates of a batch of points (n jets or (N,)
@@ -83,13 +81,11 @@ class MetricField:
     gram: Callable[[Sequence], Sequence[Sequence]]
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     components: Callable[[Sequence], Sequence]
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(NamedTuple):
     components: Callable[[Sequence], Sequence]
 
 
@@ -162,7 +158,6 @@ def gram_values(metric: MetricField, p: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class MetricJets:
     """One jet pass of a metric over a batch of points, as ``gram_jets``
     returns it; every operator that reads the metric takes one.
@@ -178,23 +173,39 @@ class MetricJets:
     (E, n, n); a metric with constant entries only has E = 0.  Both are
     None at order 1.  ``ginv`` is the inverse Gram, formed by
     ``_invert_gram`` on first read, so a pass that never reads it pays for
-    no inversion.
+    no inversion.  A pass's fields cannot be reassigned.
     """
 
     pts: np.ndarray
     seeds: list
     g0: np.ndarray
     dg: np.ndarray
-    hess: np.ndarray | None = None
-    pattern: np.ndarray | None = None
+    hess: np.ndarray | None
+    pattern: np.ndarray | None
+
+    def __init__(self, pts, seeds, g0, dg, hess=None, pattern=None):
+        vars(self).update(
+            pts=pts, seeds=seeds, g0=g0, dg=dg, hess=hess, pattern=pattern, _evaluated={}
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a metric pass is read-only: cannot set {name!r}")
 
     @cached_property
     def ginv(self) -> np.ndarray:
         return _invert_gram(self.g0)
 
     def components(self, fn: Callable[[Sequence], Sequence]) -> tuple[np.ndarray, np.ndarray]:
-        """``fn`` on the pass's seeds, as ``jet_components`` returns it."""
-        return _component_jets(fn(self.seeds), self.pts)
+        """``fn`` on the pass's seeds, as ``jet_components`` returns it.
+        Evaluated once per callable and pass: the operators that read one
+        field on one pass (``covariant_derivative`` and ``divergence`` of
+        xi, say) share its arrays, which are read-only."""
+        out = self._evaluated.get(fn)
+        if out is None:
+            out = self._evaluated[fn] = _component_jets(fn(self.seeds), self.pts)
+            for a in out:
+                a.flags.writeable = False
+        return out
 
     def scalar(self, f: Callable[[Sequence], Jet2]) -> Jet2:
         """``f`` on the pass's seeds; a constant result becomes a constant
@@ -298,8 +309,7 @@ def component_values(
 # a dense Gram is one block and gets bitwise ``np.linalg.inv``.
 
 
-@dataclass(frozen=True)
-class _Blocks:
+class _Blocks(NamedTuple):
     """The connected blocks of a Gram pattern.  ``at`` holds flat positions
     i * n + j in the (n, n) matrix, cut by ``parts`` into five runs: the
     diagonal position of each 1x1 block, then the ii, ij, ji and jj

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,8 +134,13 @@ def _per_matrix(x):
     return x[:, None, None] if isinstance(x, np.ndarray) else x
 
 
-@dataclass(frozen=True)
-class SchrodingerManifoldConfig:
+class _BulkParameters(NamedTuple):
+    d: int
+    lam: float | np.ndarray
+    mu: float | np.ndarray = 0.0
+
+
+class SchrodingerManifoldConfig(_BulkParameters):
     """Bulk geometry parameters: spatial dimension, quadric level lam < 0,
     and the clock-squared deformation strength mu.
 
@@ -148,25 +152,24 @@ class SchrodingerManifoldConfig:
     A config with arrays is neither hashable nor comparable.
     """
 
-    d: int
-    lam: float | np.ndarray
-    mu: float | np.ndarray = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"spatial dimension must be >= 1, got {self.d}")
-        if isinstance(self.lam, numbers.Real) and isinstance(self.mu, numbers.Real):
-            ok = self.lam < 0
+    def __new__(cls, d: int, lam: float | np.ndarray, mu: float | np.ndarray = 0.0):
+        if d < 1:
+            raise ValueError(f"spatial dimension must be >= 1, got {d}")
+        if isinstance(lam, numbers.Real) and isinstance(mu, numbers.Real):
+            ok = lam < 0
         else:
-            shapes = {np.shape(x) for x in (self.lam, self.mu)} - {()}
+            shapes = {np.shape(x) for x in (lam, mu)} - {()}
             if len(shapes) > 1 or any(len(shape) > 1 for shape in shapes):
                 raise ValueError(
                     f"lam and mu must be floats or per-sample arrays of one "
-                    f"shape (N,), got shapes {np.shape(self.lam)}, {np.shape(self.mu)}"
+                    f"shape (N,), got shapes {np.shape(lam)}, {np.shape(mu)}"
                 )
-            ok = np.all(self.lam < 0)
+            ok = np.all(lam < 0)
         if not ok:
-            raise ValueError(f"bulk constructions need lam < 0, got {self.lam}")
+            raise ValueError(f"bulk constructions need lam < 0, got {lam}")
+        return super().__new__(cls, d, lam, mu)
 
     @property
     def scale(self) -> float | np.ndarray:

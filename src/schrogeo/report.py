@@ -3,7 +3,6 @@ the JSON writer of the report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -25,7 +24,6 @@ def _jsonable(value):
     return value
 
 
-@dataclass
 class CheckResult:
     """Outcome of one named check.
 
@@ -38,18 +36,25 @@ class CheckResult:
 
     name: str
     status: str
-    residual: float | None = None
-    tolerance: float | None = None
-    claim: str = ""
-    config: dict = field(default_factory=dict)
-    samples: int | None = None
-    seed: int | None = None
-    extra: dict = field(default_factory=dict)
-    error: str | None = None
+    residual: float | None
+    tolerance: float | None
+    claim: str
+    config: dict
+    samples: int | None
+    seed: int | None
+    extra: dict
+    error: str | None
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"status must be one of {_STATUSES}, got {self.status!r}")
+    def __init__(
+        self, name, status, residual=None, tolerance=None, claim="", config=None,
+        samples=None, seed=None, extra=None, error=None,
+    ):
+        if status not in _STATUSES:
+            raise ValueError(f"status must be one of {_STATUSES}, got {status!r}")
+        self.name, self.status, self.claim, self.error = name, status, claim, error
+        self.residual, self.tolerance, self.samples, self.seed = residual, tolerance, samples, seed
+        self.config = {} if config is None else config
+        self.extra = {} if extra is None else extra
 
     def _fields(self) -> dict[str, Any]:
         # the filed fields, with config and extra as given; ``dump_json``

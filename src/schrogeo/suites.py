@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -76,8 +75,7 @@ class ConfigError(ValueError):
     """Invalid suite configuration (maps to exit code 2)."""
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """Which suite to run and over which parameter grid."""
 
     suite: str
@@ -195,7 +193,7 @@ def _context(cfg: SuiteConfig, d: int, samples: int | None, **shared) -> SimpleN
 def verdicts(
     rows: tuple[Row, ...],
     measured: dict,
-    tol: float = SuiteConfig.tol,
+    tol: float = SuiteConfig._field_defaults["tol"],
     prefix: str = "",
     samples: int | None = None,
     **filed,
@@ -892,8 +890,7 @@ TABLES = {
 SUITES = (*TABLES, "all")
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     config: dict
     checks: list[CheckResult]
     wall_time: float = 0.0

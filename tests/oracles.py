@@ -43,7 +43,6 @@ from schrogeo.geometry import (
     MetricField,
     component_values,
     covariant_derivative,
-    divergence,
     exterior_wedge,
     gram_jets,
     gram_values,
@@ -216,7 +215,7 @@ def density_lie_derivative(metric, field, psi, p):
     an (N,) array on a batch (N, n)."""
     jets = gram_jets(metric, p, order=1)
     fj = jets.scalar(psi.coefficient)
-    return _lie_term(field, psi.weight, fj, divergence(jets, field), jets.pts)
+    return _lie_term(jets, field, psi.weight, fj)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,7 @@ def algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4):
 def stack_elements(elements: list[GroupElement]) -> GroupElement:
     """One GroupElement stack of single elements, each block field stacked
     entry by entry, bit for bit (signed zeros too)."""
-    fields = zip(*(vars(ge.blocks).values() for ge in elements))
+    fields = zip(*(ge.blocks for ge in elements))
     return GroupElement(
         np.array([ge.matrix for ge in elements]),
         GroupBlocks(*map(np.array, fields)),
@@ -476,7 +475,7 @@ def realization_rounds(c, seed) -> dict:
 def _one_element(blocks: GroupBlocks, d: int) -> np.ndarray:
     """The matrix of one element's blocks, assembled and validated as a
     stack of one."""
-    stack = GroupBlocks(*(np.asarray(f)[None] for f in vars(blocks).values()))
+    stack = GroupBlocks(*(np.asarray(f)[None] for f in blocks))
     return assemble_group_element(stack, d).matrix[0]
 
 

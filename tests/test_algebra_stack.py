@@ -8,8 +8,6 @@ stacks, and the closure check brackets the basis k pairs to a
 element-by-element, one-pair and one-row-at-a-time computations give (``tests/oracles.py``).
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -176,7 +174,7 @@ def pairs(d: int, count: int, rng: np.random.Generator) -> list:
             lam = e.blocks.Lam.copy()
             lam[rng.integers(d + 2), [b for b in range(d + 2) if b != d + 1]] = 0.0
             lam[rng.integers(d + 2), 0] = -0.0
-            m = sch_matrix(replace(e.blocks, Lam=lam), d)
+            m = sch_matrix(e.blocks._replace(Lam=lam), d)
             pair[0] = AlgebraElement(m, decompose_sch(m, d))
         out.append(pair)
     return out

@@ -10,8 +10,6 @@ a sample that leaves the chart comes back NaN instead, in a batch of one
 as in any other batch.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -125,7 +123,7 @@ def sparse(M, rng, keep_column=None):
 
 
 def with_blocks(ge, **changes):
-    return GroupElement(ge.matrix, replace(ge.blocks, **changes), ge.dim)
+    return GroupElement(ge.matrix, ge.blocks._replace(**changes), ge.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +135,7 @@ def test_realized_components_match_the_row_loop(d):
     rng = np.random.default_rng(d)
     dense = algebra_element(d, rng).blocks
     # the vertical column Lam xi = -chi xi is what realize_field checks
-    thinned = replace(dense, Lam=sparse(dense.Lam, rng, keep_column=d + 1))
+    thinned = dense._replace(Lam=sparse(dense.Lam, rng, keep_column=d + 1))
     for blocks in (dense, thinned):
         field = realize_field(blocks, d)
         for kind, x in inputs(d, 10 + d).items():

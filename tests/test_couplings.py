@@ -27,6 +27,7 @@ from schrogeo.bargmann import (
 from schrogeo.geometry import (
     DegenerateMetricError,
     MetricField,
+    VectorField,
     component_values,
     gram_jets,
     gram_values,
@@ -560,7 +561,7 @@ def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
         nk.seed_point(pts)
     ).value
 
-    calls = {"coefficient": 0, "seed_point": 0, "inverse": 0}
+    calls = {"coefficient": 0, "seed_point": 0, "inverse": 0, "xi": 0}
     seeded = []
     seed_point = _counting(calls, "seed_point", nk.seed_point, seeded)
     monkeypatch.setattr(geometry, "seed_point", seed_point)
@@ -572,8 +573,9 @@ def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
         coefficient=_counting(calls, "coefficient", wave.coefficient),
         weight=wave.weight,
     )
-    r1, r2 = schrodinger_residual(structure, psi, params, pts)
-    assert calls == {"coefficient": 1, "seed_point": 1, "inverse": 1}
+    xi = VectorField(_counting(calls, "xi", structure.xi.components))
+    r1, r2 = schrodinger_residual(structure._replace(xi=xi), psi, params, pts)
+    assert calls == {"coefficient": 1, "seed_point": 1, "inverse": 1, "xi": 1}
     assert [a[1:] for a in seeded] == [(2,)]  # order 2, for the Yamabe operator
     assert same_bits(r1, want1)
     assert same_bits(r2, want2)
@@ -581,18 +583,19 @@ def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_bargmann_axioms_check_makes_one_metric_pass(monkeypatch, d):
-    # the Gram callable runs for the metric's pass and for the clock g(xi)
+    # the Gram callable and xi run for the metric's pass and for the clock
+    # g(xi), which is evaluated on seeds of its own
     structure = flat_bargmann(d)
     pts = SeededSampler(4, [(-1.0, 1.0)] * (d + 2)).points(5)
     want = bargmann_axioms_check(structure, pts)
-    calls = {"gram": 0, "inverse": 0}
-    metric = structure.metric
-    counted = MetricField(_counting(calls, "gram", metric.gram))
+    calls = {"gram": 0, "inverse": 0, "xi": 0}
+    counted = MetricField(_counting(calls, "gram", structure.metric.gram))
+    xi = VectorField(_counting(calls, "xi", structure.xi.components))
     monkeypatch.setattr(
         geometry, "_invert_gram", _counting(calls, "inverse", geometry._invert_gram)
     )
-    got = bargmann_axioms_check(BargmannStructure(counted, structure.xi, d), pts)
-    assert calls == {"gram": 2, "inverse": 1}
+    got = bargmann_axioms_check(BargmannStructure(counted, xi, d), pts)
+    assert calls == {"gram": 2, "inverse": 1, "xi": 2}
     assert got.keys() == want.keys()
     assert all(same_bits(got[k], want[k]) for k in want)
 

@@ -1,0 +1,96 @@
+"""The package's records: the immutable ones refuse a field assignment, an
+element stack's ``take`` indexes the matrix and every block field alike, and
+value records compare by value."""
+
+import numpy as np
+import pytest
+
+from schrogeo import geometry
+from schrogeo.ambient import (
+    GroupElement,
+    SchBlocks,
+    algebra_elements,
+    build_Z0,
+    component_witnesses,
+    group_coefficients,
+    group_elements,
+)
+from schrogeo.bargmann import (
+    SchrodingerParams,
+    flat_bargmann,
+    plane_wave,
+    translation_map,
+)
+from schrogeo.homogeneous import SchrodingerManifoldConfig
+from schrogeo.numkernel import SeededSampler
+from schrogeo.suites import SuiteConfig
+
+D = 2
+
+
+def _stack(kind: str, count: int = 4):
+    coeffs = group_coefficients(D, np.random.default_rng(5), count)
+    return (algebra_elements if kind == "algebra" else group_elements)(D, coeffs)
+
+
+def _pass():
+    pts = SeededSampler(1, [(-1.0, 1.0)] * (D + 2)).points(3)
+    return geometry.gram_jets(flat_bargmann(D).metric, pts)
+
+
+# each record whose fields may not be reassigned, with one of its fields
+READ_ONLY = {
+    "SpecialNullVector": (lambda: build_Z0(D), "matrix"),
+    "SchBlocks": (lambda: SchBlocks(np.eye(3), np.zeros(3), 0.1, 0.2), "alpha"),
+    "AlgebraElement": (lambda: _stack("algebra"), "blocks"),
+    "GroupBlocks": (lambda: _stack("group").blocks, "L"),
+    "GroupElement": (lambda: _stack("group"), "dim"),
+    "WitnessReport": (lambda: component_witnesses(D), "conjugation_residual"),
+    "MetricField": (lambda: flat_bargmann(D).metric, "gram"),
+    "VectorField": (lambda: flat_bargmann(D).xi, "components"),
+    "OneForm": (lambda: geometry.OneForm(lambda p: p), "components"),
+    "MetricJets": (_pass, "g0"),
+    "MetricJets.ginv": (_pass, "ginv"),
+    "_Blocks": (lambda: geometry._blocks(_pass().g0), "at"),
+    "SchrodingerManifoldConfig": (lambda: SchrodingerManifoldConfig(D, -1.0, 0.5), "mu"),
+    "BargmannStructure": (lambda: flat_bargmann(D), "xi"),
+    "SchrodingerParams": (SchrodingerParams, "mass"),
+    "DensityFunction": (lambda: plane_wave(D, [0.3] * D), "weight"),
+    "ChartMap": (lambda: translation_map(D, [0.1] * (D + 2)), "forward"),
+}
+
+
+@pytest.mark.parametrize("name", READ_ONLY)
+def test_a_read_only_record_refuses_a_field_assignment(name):
+    build, field = READ_ONLY[name]
+    record = build()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("kind", ["algebra", "group"])
+@pytest.mark.parametrize(
+    "index", [2, np.array([True, False, True, True])], ids=["integer", "mask"]
+)
+def test_take_indexes_the_matrix_and_every_block_field(kind, index):
+    stack = _stack(kind)
+    got = stack.take(index)
+    assert type(got) is type(stack) and type(got.blocks) is type(stack.blocks)
+    assert np.array_equal(got.matrix, stack.matrix[index])
+    for name, whole, field in zip(stack.blocks._fields, stack.blocks, got.blocks):
+        want = whole[index]
+        assert np.shape(field) == np.shape(want) and np.array_equal(field, want), name
+    if isinstance(stack, GroupElement):
+        assert got.dim == stack.dim == D
+
+
+def test_value_records_compare_by_value():
+    assert SuiteConfig("bargmann") == SuiteConfig("bargmann")
+    assert SuiteConfig("bargmann") != SuiteConfig("bargmann", seed=7)
+    assert SuiteConfig("group").dims == SuiteConfig._field_defaults["dims"] == (1, 2, 3)
+    assert SchrodingerManifoldConfig(2, -1.0) == SchrodingerManifoldConfig(2, -1.0, 0.0)
+    assert hash(SchrodingerManifoldConfig(2, -1.0)) == hash(SchrodingerManifoldConfig(2, -1.0))
+    assert SchrodingerParams() == SchrodingerParams(1.0, 1.0) != SchrodingerParams(2.0)
+

@@ -6,11 +6,11 @@ the package, only ``suites`` builds records, only ``suites`` draws seeded
 randomness, no seed of an ``all`` run feeds both a sampler and a bare
 generator, only ``suites`` folds samples, only ``ambient`` builds algebra
 and group elements, only ``ambient`` names the chart guard, only ``geometry``
-inverts Gram matrices, ``suites`` builds each record
-once, with no ``dataclasses.replace`` copy, ``report.dump_json`` is the
-one serializer of the report, no branch picks a one-point path by the
-shape of its points, and every field a package class declares is read
-somewhere in the package."""
+inverts Gram matrices, no module imports ``dataclasses`` (so ``suites``
+builds each record once, with no ``dataclasses.replace`` copy),
+``report.dump_json`` is the one serializer of the report, no branch picks a
+one-point path by the shape of its points, and every field a package class
+declares is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -471,34 +471,39 @@ def test_the_inverse_rule_sees_a_stray_call():
     ]
 
 
-# ``suites`` builds each record once, with every field it files: a record
-# copied by ``dataclasses.replace`` is built twice
-def _dataclass_replace(tree: ast.AST) -> list[int]:
-    """The lines that import ``replace`` from ``dataclasses`` or read
-    ``dataclasses.replace``."""
+# the package's records are NamedTuples and plain classes, whose methods
+# come compiled in the ``.pyc``: ``dataclasses`` writes and ``exec``s the
+# methods of each record it decorates, on every import.  Without it no
+# record is copied by ``dataclasses.replace``, so ``suites`` builds each
+# record once, with every field it files
+def _dataclasses_imports(tree: ast.AST) -> list[int]:
+    """The lines that import ``dataclasses`` or a name from it."""
     found = []
     for n in ast.walk(tree):
-        if isinstance(n, ast.ImportFrom) and n.module == "dataclasses":
-            found += [n.lineno for a in n.names if a.name == "replace"]
-        elif isinstance(n, ast.Attribute) and n.attr == "replace":
-            if isinstance(n.value, ast.Name) and n.value.id == "dataclasses":
-                found.append(n.lineno)
+        if isinstance(n, ast.Import):
+            found += [n.lineno for a in n.names if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(n, ast.ImportFrom) and not n.level and n.module == "dataclasses":
+            found.append(n.lineno)
     return found
 
 
-def test_suites_builds_each_record_once():
-    assert not _dataclass_replace(_tree(PACKAGE / "suites.py"))
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert not _dataclasses_imports(_tree(path)), path.name
 
 
-def test_the_copy_rule_sees_a_stray_replace():
+def test_the_dataclass_rule_sees_a_stray_import():
     tree = ast.parse(
-        "from dataclasses import dataclass, replace\n"
         "import dataclasses\n"
-        "def f(rec, row):\n"
-        "    a = dataclasses.replace(rec, seed=1)\n"
-        "    return row._replace(suffix='x'), 'ab'.replace('a', 'b')\n"
+        "from dataclasses import dataclass, field\n"
+        "import json, dataclasses as dc\n"
+        "from typing import NamedTuple\n"
+        "from .dataclasses import Record\n"
+        "def f(rec):\n"
+        "    from dataclasses import replace\n"
+        "    return replace(rec), rec._replace(d=1)\n"
     )
-    assert _dataclass_replace(tree) == [1, 4]
+    assert _dataclasses_imports(tree) == [1, 2, 3, 7]
 
 
 # the report has one serializer, ``report.dump_json``: an indented
@@ -570,11 +575,29 @@ def test_the_field_rule_sees_a_stray_field():
         "    theta: object\n"
         "    d: int = 0\n"
         "    LIMIT = 3\n"
+        "class Params(NamedTuple):\n"
+        "    mass: float\n"
+        "    hbar: float = 1.0\n"
+        "class _Levels(NamedTuple):\n"
+        "    dim: int\n"
+        "    lam: float\n"
+        "class Config(_Levels):\n"
+        "    __slots__ = ()\n"
+        "    def __new__(cls, dim, lam):\n"
+        "        return super().__new__(cls, dim, lam)\n"
+        "    @property\n"
+        "    def scale(self):\n"
+        "        return -2.0 * self.lam\n"
         "def check(s):\n"
         "    s.theta = None\n"
-        "    return s.metric, Structure(metric=1, theta=2).d\n"
+        "    c = Config(1, -1.0)._replace(dim=2)\n"
+        "    return s.metric, Structure(metric=1, theta=2).d, Params(1.0).mass, c.scale\n"
     )
-    assert _unread_fields([tree]) == [("Structure", "theta")]
+    assert _unread_fields([tree]) == [
+        ("Structure", "theta"),
+        ("Params", "hbar"),
+        ("_Levels", "dim"),
+    ]
 
 
 # one point is a batch of one: the package takes its points as (N, n)
