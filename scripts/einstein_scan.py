@@ -13,9 +13,11 @@ import argparse
 
 import numpy as np
 
+from schrogeo.geometry import gram_jets
 from schrogeo.homogeneous import (
     SchrodingerManifoldConfig,
     bulk_boxes,
+    bulk_metric,
     einstein_factor,
     einstein_residual,
 )
@@ -28,7 +30,7 @@ def scan(d: int, lams: np.ndarray, samples: int, seed: int) -> None:
     for lam in lams:
         cfg = SchrodingerManifoldConfig(d, float(lam))
         pts = SeededSampler(seed, bulk_boxes(d)).points(samples)
-        computed, predicted = einstein_residual(cfg, pts)
+        computed, predicted = einstein_residual(cfg, gram_jets(bulk_metric(cfg), pts))
         worst = float(np.abs(computed).max())
         gap = float(np.abs(computed - predicted).max())
         c = einstein_factor(d, float(lam))

@@ -63,6 +63,7 @@ __all__ = [
     "sch_matrix",
     "sch_residuals",
     "skew_basis",
+    "xi_field",
     "xi_vector",
 ]
 
@@ -138,6 +139,16 @@ def xi_vector(d: int) -> np.ndarray:
     xi = np.zeros(d + 2)
     xi[d + 1] = 1.0
     return _read_only(xi)
+
+
+@lru_cache(maxsize=None)
+def xi_field(d: int, n: int) -> VectorField:
+    """The null Killing field xi = d/ds, component d + 1 of the flat and
+    boundary charts (n = d + 2) and of the bulk chart (n = d + 3).  Built
+    once per (d, n) and shared, so a pass evaluates it once."""
+    e = [0.0] * n
+    e[d + 1] = 1.0
+    return VectorField(lambda p: list(e))
 
 
 @lru_cache(maxsize=None)

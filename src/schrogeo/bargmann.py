@@ -35,14 +35,12 @@ from .ambient import (
     group_inverse,
     projective_action,
     sch_matrix,
-    xi_vector,
+    xi_field,
 )
 from .geometry import (
     MetricField,
     MetricJets,
-    OneForm,
     VectorField,
-    component_values,
     covariant_derivative,
     divergence,
     exterior_wedge,
@@ -67,7 +65,6 @@ __all__ = [
     "expansion_map_projective",
     "flat_bargmann",
     "group_map",
-    "metric_clock",
     "plane_wave",
     "schrodinger_residual",
     "symmetry_transport_check",
@@ -78,7 +75,7 @@ __all__ = [
 
 class BargmannStructure(NamedTuple):
     """Metric plus the distinguished parallel null direction; its clock
-    theta = g(xi, .) is ``metric_clock``."""
+    theta = g(xi, .) is read off a pass of the metric (``MetricJets.clock``)."""
 
     metric: MetricField
     xi: VectorField
@@ -104,24 +101,7 @@ def density_weight(d: int) -> float:
 
 
 def flat_bargmann(d: int) -> BargmannStructure:
-    metric = flat_metric(d)
-    xi = xi_vector(d)
-
-    def xi_comps(p):
-        return [float(c) for c in xi]
-
-    return BargmannStructure(metric=metric, xi=VectorField(xi_comps), d=d)
-
-
-def metric_clock(structure: BargmannStructure) -> OneForm:
-    """theta = g(xi, .) computed from the metric, jet-evaluable."""
-    metric, xi = structure.metric, structure.xi
-
-    def comps(p):
-        xiv = xi.components(p)
-        return [sparse_dot(row, xiv) for row in metric.gram(p)]
-
-    return OneForm(comps)
+    return BargmannStructure(metric=flat_metric(d), xi=xi_field(d, d + 2), d=d)
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +111,14 @@ def metric_clock(structure: BargmannStructure) -> OneForm:
 def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
     vanishing divergence at the points ``pts``: by axiom, its residual at
-    each point, (N,).  One first-order pass of the metric, and one
-    evaluation of xi on its seeds, serve the three metric axioms; the clock
-    is evaluated on seeds of its own."""
+    each point, (N,).  One first-order pass of the metric, one evaluation
+    of xi on its seeds and one inverse Gram serve the four axioms; the clock
+    is read off the pass."""
     xi = structure.xi
     jets = gram_jets(structure.metric, pts, order=1)
     xv, _ = jets.components(xi.components)
     null = np.einsum("...a,...ab,...b->...", xv, jets.g0, xv)
-    dw, _ = exterior_wedge(metric_clock(structure), pts)
+    dw, _ = exterior_wedge(*jets.clock(xi))
     found = {
         "xi_null": null,
         "xi_parallel": covariant_derivative(jets, xi),
@@ -150,10 +130,11 @@ def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict
 
 def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.ndarray):
     """The largest entry of d Omega ^ theta at each of the points ``pts``,
-    (N,): zero when the conformal factor descends to the time axis."""
-    oj = omega(nk.seed_point(pts, order=1))
-    grad = oj.grad.T if isinstance(oj, Jet2) else np.zeros(pts.shape)
-    tv = component_values(metric_clock(structure).components, pts)
+    (N,): zero when the conformal factor descends to the time axis.  Omega
+    and the clock are read off one first-order pass of the metric."""
+    jets = gram_jets(structure.metric, pts, order=1)
+    grad = jets.scalar(omega).grad.T
+    tv, _ = jets.clock(structure.xi)
     wedge = grad[:, :, None] * tv[:, None, :] - tv[:, :, None] * grad[:, None, :]
     return sample_max(wedge)
 
@@ -186,12 +167,16 @@ def schrodinger_residual(
     pass of the metric, seeded once, one inverse Gram and one evaluation of
     the coefficient and of xi serve both members.
     """
+    return _covariant_pair(structure, psi, params, gram_jets(structure.metric, p))
+
+
+def _covariant_pair(structure: BargmannStructure, psi, params, jets: MetricJets) -> tuple:
+    """``schrodinger_residual`` on an order-2 pass of the structure's metric."""
     w = density_weight(structure.d)
     if abs(psi.weight - w) > 1e-12:
         raise ContractViolationError(
             f"density weight {psi.weight} != covariant weight {w}"
         )
-    jets = gram_jets(structure.metric, p)
     fj = jets.scalar(psi.coefficient)
     r1 = yamabe_residual(jets, fj)
     lie = _lie_term(jets, structure.xi, psi.weight, fj)
@@ -366,15 +351,17 @@ def symmetry_transport_check(
 ) -> dict:
     """Residuals of the covariant pair for the transported density at the
     images of the points ``pts`` (so the inverse map stays in its chart),
-    and how far phi is from a conformal map there: per point, (N,) each."""
+    and how far phi is from a conformal map there: per point, (N,) each.
+    One order-2 pass at the images serves the pullback and the pair."""
     vals, jac = jet_components(phi.forward, pts)
     q, J = vals.real, jac.real
+    jets = gram_jets(structure.metric, q)
     g_here = gram_values(structure.metric, pts)
-    pulled = J.swapaxes(-1, -2) @ gram_values(structure.metric, q) @ J
+    pulled = J.swapaxes(-1, -2) @ jets.g0 @ J
     # conformality: pulled metric proportional to the metric
     scale = (pulled * g_here).sum(axis=(-2, -1)) / (g_here * g_here).sum(axis=(-2, -1))
     moved = transported_density(phi, psi, weight=weight)
-    r1, r2 = schrodinger_residual(structure, moved, params, q)
+    r1, r2 = _covariant_pair(structure, moved, params, jets)
     return {
         "r1": complex_magnitude(r1),
         "r2": complex_magnitude(r2),

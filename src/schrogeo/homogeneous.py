@@ -45,11 +45,13 @@ from .ambient import (
     commutant_stack,
     flat_gram_matrix,
     mark_escapes,
+    xi_field,
     xi_vector,
 )
 from .geometry import (
     DegenerateMetricError,
     MetricField,
+    MetricJets,
     OneForm,
     VectorField,
     component_values,
@@ -73,7 +75,6 @@ __all__ = [
     "boundary_isotropy_element",
     "boundary_metric",
     "boundary_structure",
-    "boundary_xi",
     "bulk_boxes",
     "bulk_isotropy_element",
     "bulk_metric",
@@ -94,7 +95,6 @@ __all__ = [
     "over_couplings",
     "schrodinger_axiom_audit",
     "theta_hat",
-    "theta_hat_form",
     "xi_hat_consistency",
     "xi_hat_field",
 ]
@@ -146,10 +146,11 @@ class SchrodingerManifoldConfig(_BulkParameters):
 
     ``lam`` and ``mu`` are floats, or per-sample (N,) arrays for a batch of
     N points whose sample k has the metric of (lam[k], mu[k]).  The
-    batched checks (metric, clock, embedding, dual path, vertical field,
-    curvature identities, negative index and integrability) accept either;
-    ``isometry_check``, ``isotropy_check`` and the axiom audit take floats.
-    A config with arrays is neither hashable nor comparable.
+    batched checks (metric, embedding, dual path, negative index, and the
+    identities that take a pass of ``bulk_metric(cfg)``: vertical field,
+    curvature and integrability, with the clock read off that pass) accept
+    either; ``isometry_check``, ``isotropy_check`` and the axiom audit take
+    floats.  A config with arrays is neither hashable nor comparable.
     """
 
     __slots__ = ()
@@ -293,17 +294,16 @@ def _flat_square(d: int, x) -> object:
 
 
 def _divider(den):
-    """val -> val / den for the entries of one evaluation.  A jet ``den``
-    forms its reciprocal once and every entry multiplies by it, the product
-    a jet division forms, so the bits are those of dividing each entry;
-    floats and arrays keep the division.  A constant 0.0 entry stays 0.0
-    and forms no jet."""
-    inv = den._reciprocal() if isinstance(den, Jet2) else None
+    """val -> val * (1 / den) for the entries of one evaluation, the
+    reciprocal formed once.  A jet division forms the same product, so a
+    Gram's values are the same bits on arrays and on jets.  A constant 0.0
+    entry stays 0.0 and forms no jet."""
+    inv = den._reciprocal() if isinstance(den, Jet2) else 1.0 / den
 
     def over(val):
         if isinstance(val, float) and val == 0.0:
             return 0.0
-        return val / den if inv is None else val * inv
+        return val * inv
 
     return over
 
@@ -340,25 +340,10 @@ def bulk_metric(cfg: SchrodingerManifoldConfig) -> MetricField:
     return MetricField(gram)
 
 
-def theta_hat_form(cfg: SchrodingerManifoldConfig) -> OneForm:
-    """The bulk clock (-2 lam / rh^2) dt."""
-    d, lam = cfg.d, cfg.lam
-    n = d + 3
-
-    def comps(p):
-        rh = p[d + 2]
-        out = [0.0] * n
-        out[d] = (-2.0 * lam) / (rh * rh)
-        return out
-
-    return OneForm(comps)
-
-
 def xi_hat_field(cfg: SchrodingerManifoldConfig) -> VectorField:
-    n = cfg.d + 3
-    e = [0.0] * n
-    e[cfg.d + 1] = 1.0
-    return VectorField(lambda p: list(e))
+    """The bulk's null Killing field d/dsh.  The bulk clock is
+    g(xi, .) = (-2 lam / rh^2) dt, read off a pass (``MetricJets.clock``)."""
+    return xi_field(cfg.d, cfg.d + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +386,10 @@ def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q) -> list:
 # induced tensors, dual path
 
 
-def _embedding_jets(cfg, p):
-    return jet_components(lambda q: embed_components(cfg, q), p)
+def _embedding_jets(cfg: SchrodingerManifoldConfig, jets: MetricJets):
+    """(Q, J): the embedding and its Jacobian on the pass's seeds."""
+    vals, jac = jets.components(lambda q: embed_components(cfg, q))
+    return vals.real, jac.real
 
 
 def induced_metric(
@@ -415,12 +402,13 @@ def induced_metric(
     and the chart Gram (path B).  ``delta`` and ``delta2`` carry one tangent
     per sample, shape (N, n).  The "difference" is relative: |A - B| over
     max(1, max|g| max|delta| max|delta2|), since the entries of g grow like
-    -2 lam / rh^2 and their rounding with them."""
+    -2 lam / rh^2 and their rounding with them.  One first-order pass of
+    the chart metric serves both paths."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
     delta2 = np.asarray(delta2, dtype=float)
-    vals, jac = _embedding_jets(cfg, p)
-    Q, J = vals.real, jac.real
+    jets = gram_jets(bulk_metric(cfg), p, order=1)
+    Q, J = _embedding_jets(cfg, jets)
     G = ambient_gram(d)
     dq = _mv(J, delta)
     dq2 = _mv(J, delta2)
@@ -428,7 +416,7 @@ def induced_metric(
     ambient = _vv(_vm(dq, G), dq2) - cfg.mu * _vv(th_row, delta) * _vv(
         th_row, delta2
     )
-    g = gram_values(bulk_metric(cfg), p)
+    g = jets.g0
     chart = _vv(_vm(delta, g), delta2)
     size = nk.sample_max(g) * nk.sample_max(delta) * nk.sample_max(delta2)
     difference = np.abs(ambient - chart) / np.maximum(1.0, size)
@@ -436,35 +424,34 @@ def induced_metric(
 
 
 def theta_hat(cfg: SchrodingerManifoldConfig, p: np.ndarray, delta) -> dict:
-    """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs chart row.
+    """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs the chart
+    clock row g(xi, .), both on one first-order pass of the chart metric.
     The "difference" is relative, over max(1, max|row| max|delta|)."""
     d = cfg.d
     delta = np.asarray(delta, dtype=float)
-    vals, jac = _embedding_jets(cfg, p)
-    Q, J = vals.real, jac.real
+    jets = gram_jets(bulk_metric(cfg), p, order=1)
+    Q, J = _embedding_jets(cfg, jets)
     QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d).matrix)
     ambient = _vv(-QGZ, _mv(J, delta))
-    row = component_values(theta_hat_form(cfg).components, p)
+    row, _ = jets.clock(xi_hat_field(cfg))
     chart = _vv(row, delta)
     size = nk.sample_max(row) * nk.sample_max(delta)
     difference = np.abs(ambient - chart) / np.maximum(1.0, size)
     return {"ambient": ambient, "chart": chart, "difference": difference}
 
 
-def xi_hat_consistency(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> dict:
-    """The vertical field: ambient Z0 Q against the push-forward of d/dsh,
-    its norm, nullity, and Killing residual."""
+def xi_hat_consistency(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> dict:
+    """The vertical field on a pass of the bulk metric (order 1 suffices):
+    ambient Z0 Q against the push-forward of d/dsh, its norm, nullity, and
+    Killing residual."""
     d = cfg.d
-    vals, jac = _embedding_jets(cfg, p)
-    Q, J = vals.real, jac.real
+    Q, J = _embedding_jets(cfg, jets)
     ZQ = _mv(build_Z0(d).matrix, Q)
-    metric = bulk_metric(cfg)
-    g0 = gram_values(metric, p)
-    killing = np.abs(lie_derivative_metric(gram_jets(metric, p, order=1), xi_hat_field(cfg)))
+    killing = np.abs(lie_derivative_metric(jets, xi_hat_field(cfg)))
     return {
         "pushforward": np.abs(ZQ - J[..., d + 1]).max(axis=-1),
         "norm": np.abs(ZQ).max(axis=-1),
-        "nullity": np.abs(g0[..., d + 1, d + 1]),
+        "nullity": np.abs(jets.g0[..., d + 1, d + 1]),
         "killing": killing.max(axis=(-2, -1)),
     }
 
@@ -480,9 +467,10 @@ def einstein_factor(d: int, lam):
 
 
 def einstein_residual(
-    cfg: SchrodingerManifoldConfig, p: np.ndarray
+    cfg: SchrodingerManifoldConfig, jets: MetricJets
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Ric + (d+2) g, predicted multiple of g) for the undeformed metric.
+    """(Ric + (d+2) g, predicted multiple of g) for the undeformed metric,
+    on an order-2 pass of it.
 
     The two agree entrywise; the common value vanishes exactly when
     lam = -1/2, which is the normalization making the metric Einstein.
@@ -492,30 +480,28 @@ def einstein_residual(
     if mu.any() if isinstance(mu, np.ndarray) else mu != 0.0:
         raise ContractViolationError("einstein_residual expects mu = 0")
     d, lam = cfg.d, cfg.lam
-    metric = bulk_metric(cfg)
-    ric, _ = gram_jets(metric, p).ricci()
-    g0 = gram_values(metric, p)
+    ric, _ = jets.ricci()
+    g0 = jets.g0
     computed = ric + (d + 2.0) * g0
     predicted = _per_matrix(einstein_factor(d, lam)) * g0
     return computed, predicted
 
 
 def nullfluid_residual(
-    cfg: SchrodingerManifoldConfig, p: np.ndarray
+    cfg: SchrodingerManifoldConfig, jets: MetricJets
 ) -> tuple[np.ndarray, float | np.ndarray]:
-    """Residual of Ric(g) - ((d+2)/(2 lam)) g + mu (d+4)/(2 lam) clock^2,
-    plus the cosmological constant (d+1)(d+2)/(4 lam) of the equivalent
-    Einstein-with-sources form (per sample on per-sample couplings)."""
+    """Residual of Ric(g) - ((d+2)/(2 lam)) g + mu (d+4)/(2 lam) clock^2 on
+    an order-2 pass of the bulk metric, plus the cosmological constant
+    (d+1)(d+2)/(4 lam) of the equivalent Einstein-with-sources form (per
+    sample on per-sample couplings)."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
-    metric = bulk_metric(cfg)
-    ric, _ = gram_jets(metric, p).ricci()
-    g0 = gram_values(metric, p)
-    row = component_values(theta_hat_form(cfg).components, p)
+    ric, _ = jets.ricci()
+    theta, _ = jets.clock(xi_hat_field(cfg))
     residual = (
         ric
-        - _per_matrix((d + 2.0) / (2.0 * lam)) * g0
+        - _per_matrix((d + 2.0) / (2.0 * lam)) * jets.g0
         + _per_matrix(mu * (d + 4.0) / (2.0 * lam))
-        * (row[..., :, None] * row[..., None, :])
+        * (theta[..., :, None] * theta[..., None, :])
     )
     lam_cos = (d + 1.0) * (d + 2.0) / (4.0 * lam)
     return residual, lam_cos
@@ -544,9 +530,10 @@ def negative_eigenvalue_count(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> 
     return negative_index(gram_values(bulk_metric(cfg), p))
 
 
-def integrability_residual(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> np.ndarray:
-    """max |clock ^ d(clock)| at each point, (N,)."""
-    _, wedge = exterior_wedge(theta_hat_form(cfg), p)
+def integrability_residual(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> np.ndarray:
+    """max |clock ^ d(clock)| at each point of a pass of the bulk metric
+    (order 1 suffices), (N,)."""
+    _, wedge = exterior_wedge(*jets.clock(xi_hat_field(cfg)))
     return np.abs(wedge).max(axis=(-3, -2, -1))
 
 
@@ -764,12 +751,6 @@ def theta_f0_form(d: int) -> OneForm:
     return OneForm(comps)
 
 
-def boundary_xi(d: int) -> VectorField:
-    e = [0.0] * (d + 2)
-    e[d + 1] = 1.0
-    return VectorField(lambda p: list(e))
-
-
 def _cone_forms(G: np.ndarray, Xa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """At each null-cone representative, a row of Xa (N, d+4): an
     orthonormal basis (rows) of its G-orthogonal complement, the cone's
@@ -813,8 +794,9 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     f0 = boundary_f0(d, X.T)
     alpha = 3.7
     f0_scaled = boundary_f0(d, (alpha * X).T)
-    dw, _ = exterior_wedge(theta_f0_form(d), pts)
-    g0 = gram_values(metric, pts)
+    jets = gram_jets(metric, pts, order=1)
+    dw, _ = exterior_wedge(*jets.components(theta_f0_form(d).components))
+    g0 = jets.g0
     factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
 
     # the draws of ``rng`` stay in their per-point order: two tangents, then
@@ -863,9 +845,7 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     found = {
         "scale_invariance": scale_r,
         "clock_closed": nk.sample_max(dw),
-        "xi_parallel": nk.sample_max(
-            covariant_derivative(gram_jets(metric, pts, order=1), boundary_xi(d))
-        ),
+        "xi_parallel": nk.sample_max(covariant_derivative(jets, xi_field(d, d + 2))),
         "xi_null": nk.sample_max(g0[:, d + 1, d + 1]),
         "xi_matches_ambient": nk.sample_max(X @ Z0.T - J[:, :, d + 1]),
         "conformal_to_flat": nk.sample_max(g0 - factor[:, None, None] * flat),
@@ -945,11 +925,22 @@ def _audit(
         return np.abs(x).reshape(len(couplings), -1).max(axis=1)
 
     def einstein(config, rows, _):
-        return einstein_residual(SchrodingerManifoldConfig(d, config.lam), rows)
+        # the undeformed metric's pass, whose g0 is also g_plus
+        undeformed = SchrodingerManifoldConfig(d, config.lam)
+        jets = gram_jets(bulk_metric(undeformed), rows)
+        return (*einstein_residual(undeformed, jets), jets.g0)
+
+    # one first-order pass of the metric at the audit's points: axiom 1
+    # reads the vertical field off it, axiom 3 its Gram and clock.  Its dg,
+    # the audit's largest array, is not kept beside the sub-passes below
+    jets = gram_jets(metric, pts, order=1)
+    res = xi_hat_consistency(cfg, jets)
+    g0 = jets.g0
+    theta, _ = jets.clock(xi_hat_field(cfg))
+    del jets
 
     # axiom 1: vertical field is null and Killing, and the normalized
     # embedding converges to the boundary representative at rate rh^2
-    res = xi_hat_consistency(cfg, pts)
     killing = np.maximum(worst(res["killing"]), worst(res["pushforward"]))
     vertical = np.maximum(killing, worst(res["nullity"])).tolist()
     bnd = component_values(lambda q: boundary_embed_components(d, q), transverse)
@@ -973,17 +964,16 @@ def _audit(
         decay[rh] = worst(ginv - E).tolist()
 
     # axiom 3: adding back the clock square recovers the undeformed metric,
-    # which must be Einstein and induce the flat structure at rh = 0
-    g0 = gram_values(metric, pts)
-    row = component_values(theta_hat_form(cfg).components, pts)
-    mu_clock2 = _per_matrix(mu) * (row[:, :, None] * row[:, None, :])
-    g_plus = gram_values(plus, pts)
-    identity_r = worst(g0 + mu_clock2 - g_plus).tolist()
-    sizes = [worst(a).tolist() for a in (g0, mu_clock2, g_plus)]
-    # the one second-order read, passed the audit's couplings so that a
-    # singular sample is named by its own (lam, mu), not by (lam, 0)
+    # which must be Einstein and induce the flat structure at rh = 0.  The
+    # one second-order read, passed the audit's couplings so that a singular
+    # sample is named by its own (lam, mu), not by (lam, 0)
     runs = over_couplings(d, couplings, pts, 2, einstein)
-    computed, predicted = (np.concatenate(a) for a in zip(*runs))
+    computed, predicted, g_plus = (np.concatenate(a) for a in zip(*runs))
+    mu_clock2 = _per_matrix(mu) * (theta[:, :, None] * theta[:, None, :])
+    # relative to the largest entry compared: mu clock^2 grows like
+    # mu lam^2 / rh^4, and the entries' rounding with it
+    sizes = np.maximum(1.0, np.max([worst(a) for a in (g0, mu_clock2, g_plus)], axis=0))
+    identity_r = (worst(g0 + mu_clock2 - g_plus) / sizes).tolist()
     einstein_self = worst(computed - predicted).tolist()
     einstein_zero = worst(computed).tolist()
     rh = 1e-3
@@ -1009,10 +999,7 @@ def _audit(
                 "normalized": abs(mu_c - 1.0) < 1e-12,
                 "mu": mu_c,
             },
-            "axiom3_deformation_identity": {
-                "residual": identity_r[c],
-                "sizes": [size[c] for size in sizes],
-            },
+            "axiom3_deformation_identity": {"residual": identity_r[c]},
             "axiom3_einstein": {
                 "residual": einstein_zero[c],
                 "identity_residual": einstein_self[c],

@@ -36,6 +36,7 @@ from schrogeo.ambient import (
     realize_field,
     require_sch,
     sch_residuals,
+    xi_field,
     xi_vector,
 )
 from schrogeo.bargmann import ChartMap, _lie_term
@@ -46,6 +47,7 @@ from schrogeo.geometry import (
     exterior_wedge,
     gram_jets,
     gram_values,
+    jet_components,
     laplacian,
 )
 from schrogeo.homogeneous import (
@@ -56,7 +58,6 @@ from schrogeo.homogeneous import (
     boundary_embed_components,
     boundary_f0,
     boundary_metric,
-    boundary_xi,
     embed_components,
     isometry_check,
     theta_f0_form,
@@ -226,10 +227,13 @@ def _richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
-def fd_gram_derivatives(metric, p, step: float = 1e-5):
+def fd_gram_derivatives(metric, p, step: float = 1e-5, step2: float = 1e-3):
     """Central-difference metric derivatives on a batch of points (N, n),
     Richardson-extrapolated once: g0 (N, n, n), dg (N, n, n, n) and d2g
-    (N, n, n, n, n), each shift applied to every point at once.
+    (N, n, n, n, n), each shift applied to every point at once.  The second
+    differences take the larger ``step2``: their rounding error grows like
+    eps |g| / h^2, about 1e-5 at h = 1e-5, and their truncation error after
+    the extrapolation like h^4.
 
     Independent of the jet path; the oracle for the autodiff connection and
     curvature.
@@ -254,13 +258,13 @@ def fd_gram_derivatives(metric, p, step: float = 1e-5):
             d1[h] = (g_at(shift(a, h)) - g_at(shift(a, -h))) / (2.0 * h)
         dg[:, a] = _richardson(d1[step], d1[0.5 * step])
         d2 = {}
-        for h in (step, 0.5 * step):
+        for h in (step2, 0.5 * step2):
             d2[h] = (g_at(shift(a, h)) - 2.0 * g0 + g_at(shift(a, -h))) / h**2
-        d2g[:, a, a] = _richardson(d2[step], d2[0.5 * step])
+        d2g[:, a, a] = _richardson(d2[step2], d2[0.5 * step2])
     for a in range(n):
         for b in range(a + 1, n):
             mixed = {}
-            for h in (step, 0.5 * step):
+            for h in (step2, 0.5 * step2):
                 qpp = p.copy(); qpp[:, [a, b]] += h
                 qpm = p.copy(); qpm[:, a] += h; qpm[:, b] -= h
                 qmp = p.copy(); qmp[:, a] -= h; qmp[:, b] += h
@@ -268,7 +272,7 @@ def fd_gram_derivatives(metric, p, step: float = 1e-5):
                 mixed[h] = (g_at(qpp) - g_at(qpm) - g_at(qmp) + g_at(qmm)) / (
                     4.0 * h**2
                 )
-            d2g[:, a, b] = d2g[:, b, a] = _richardson(mixed[step], mixed[0.5 * step])
+            d2g[:, a, b] = d2g[:, b, a] = _richardson(mixed[step2], mixed[0.5 * step2])
     return g0, dg, d2g
 
 
@@ -561,7 +565,7 @@ def boundary_loop(d: int, pts: np.ndarray, rng) -> dict:
     f0 = boundary_f0(d, X.T)
     alpha = 3.7
     f0_scaled = boundary_f0(d, (alpha * X).T)
-    dw, _ = exterior_wedge(theta_f0_form(d), pts)
+    dw, _ = exterior_wedge(*jet_components(theta_f0_form(d).components, pts))
     g0 = gram_values(metric, pts)
     factor = (g0 * flat).sum(axis=(-2, -1)) / (flat * flat).sum()
 
@@ -595,7 +599,7 @@ def boundary_loop(d: int, pts: np.ndarray, rng) -> dict:
         "scale_invariance": scale_r,
         "clock_closed": nk.sample_max(dw),
         "xi_parallel": nk.sample_max(
-            covariant_derivative(gram_jets(metric, pts, order=1), boundary_xi(d))
+            covariant_derivative(gram_jets(metric, pts, order=1), xi_field(d, d + 2))
         ),
         "xi_null": nk.sample_max(g0[:, d + 1, d + 1]),
         "xi_matches_ambient": nk.sample_max(X @ Z0.T - J[:, :, d + 1]),

@@ -25,6 +25,7 @@ from schrogeo.ambient import (
     random_group_element,
     realize_field,
     sch_dimension,
+    xi_field,
 )
 from schrogeo.bargmann import (
     SchrodingerParams,
@@ -43,6 +44,7 @@ from schrogeo.geometry import (
     exterior_wedge,
     gram_jets,
     gram_values,
+    jet_components,
     lie_bracket,
     lie_derivative_metric,
 )
@@ -50,7 +52,6 @@ from schrogeo.homogeneous import (
     SchrodingerManifoldConfig,
     boundary_metric,
     boundary_structure,
-    boundary_xi,
     bulk_boxes,
     bulk_metric,
     einstein_residual,
@@ -135,12 +136,13 @@ def test_criterion_03_einstein_exactly_at_critical():
     gate = Gate(3, "einstein condition holds at the critical coupling only")
     for d in (1, 2, 3):
         cfg = SchrodingerManifoldConfig(d, -0.5)
-        computed, _ = einstein_residual(cfg, SeededSampler(31 + d, bulk_boxes(d)).points(25))
+        pts = SeededSampler(31 + d, bulk_boxes(d)).points(25)
+        computed, _ = einstein_residual(cfg, gram_jets(bulk_metric(cfg), pts))
         gate.check(float(np.abs(computed).max()) < 1e-8, f"not einstein at d={d}")
         for lam in (-1.0, -0.3):
             off = SchrodingerManifoldConfig(d, lam)
             p = SeededSampler(41 + d, bulk_boxes(d)).points(1)
-            computed, predicted = einstein_residual(off, p)
+            computed, predicted = einstein_residual(off, gram_jets(bulk_metric(off), p))
             gate.check(
                 float(np.abs(computed - predicted).max()) < 1e-8,
                 f"proportionality identity broken at lam={lam}",
@@ -159,7 +161,7 @@ def test_criterion_04_nullfluid_identity():
             for mu in MU_GRID:
                 cfg = SchrodingerManifoldConfig(d, lam, mu)
                 p = SeededSampler(7 * d + 1, bulk_boxes(d)).points(1)
-                residual, _ = nullfluid_residual(cfg, p)
+                residual, _ = nullfluid_residual(cfg, gram_jets(bulk_metric(cfg), p))
                 gate.check(
                     float(np.abs(residual).max()) < 1e-8,
                     f"identity fails at ({d},{lam},{mu})",
@@ -167,17 +169,17 @@ def test_criterion_04_nullfluid_identity():
     # frozen: d=3, lam=-1/2, mu=1 gives Ric + 5 g = 7 theta x theta, -10
     cfg = SchrodingerManifoldConfig(3, -0.5, 1.0)
     p = [[0.1, -0.2, 0.3, 0.4, 0.5, 1.7]]
-    from schrogeo.homogeneous import theta_hat_form
-
     jets = gram_jets(bulk_metric(cfg), p)
     ric, _ = jets.ricci()
     g0 = jets.g0
-    th = component_values(theta_hat_form(cfg).components, p)[0]
+    # the clock (-2 lam / rh^2) dt in closed form
+    th = np.zeros(6)
+    th[3] = 1.0 / 1.7**2
     gate.check(
         float(np.abs(ric[0] + 5.0 * g0[0] - 7.0 * np.outer(th, th)).max()) < 1e-10,
         "frozen stress identity",
     )
-    _, lam_cos = nullfluid_residual(cfg, p)
+    _, lam_cos = nullfluid_residual(cfg, jets)
     gate.check(abs(lam_cos + 10.0) < 1e-12, f"cosmological factor {lam_cos}")
     gate.finish()
 
@@ -306,9 +308,9 @@ def test_criterion_10_boundary_structure():
     for d in (1, 2):
         m = boundary_metric(d)
         th = theta_f0_form(d)
-        xi = boundary_xi(d)
+        xi = xi_field(d, d + 2)
         pts = SeededSampler(200 + d, [(-1.2, 1.2)] * (d + 2)).points(50)
-        dw, _ = exterior_wedge(th, pts)
+        dw, _ = exterior_wedge(*jet_components(th.components, pts))
         gate.check(float(np.abs(dw).max()) < 1e-8, f"clock not closed d={d}")
         gate.check(
             float(np.abs(covariant_derivative(gram_jets(m, pts, order=1), th)).max()) < 1e-8,

@@ -82,6 +82,11 @@ def bulk_points(d, count, seed=0):
     return SeededSampler(seed, bulk_boxes(d)).points(count)
 
 
+def bulk_pass(cfg, p, order=2):
+    """The bulk metric's pass, which the identities take."""
+    return gram_jets(bulk_metric(cfg), p, order)
+
+
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -440,8 +445,8 @@ class TestBatchedHomogeneous:
         v1, v2 = np.random.default_rng(3).normal(size=(2, 5, 5))
         # sample k alone is the batch of one [k : k + 1]
         cases = (
-            (xi_hat_consistency(self.cfg, pts),
-             lambda k: xi_hat_consistency(self.cfg, pts[k : k + 1])),
+            (xi_hat_consistency(self.cfg, bulk_pass(self.cfg, pts, 1)),
+             lambda k: xi_hat_consistency(self.cfg, bulk_pass(self.cfg, pts[k : k + 1], 1))),
             (induced_metric(self.cfg, pts, v1, v2),
              lambda k: induced_metric(self.cfg, pts[k : k + 1], v1[k : k + 1], v2[k : k + 1])),
             (theta_hat(self.cfg, pts, v1),
@@ -457,20 +462,21 @@ class TestBatchedHomogeneous:
 
     def test_curvature_residuals_match_per_point(self):
         pts = bulk_points(2, 4, seed=4)
-        res, _ = nullfluid_residual(self.cfg, pts)
+        res, _ = nullfluid_residual(self.cfg, bulk_pass(self.cfg, pts))
         plus = SchrodingerManifoldConfig(2, -0.5, 0.0)
-        computed, predicted = einstein_residual(plus, pts)
+        computed, predicted = einstein_residual(plus, bulk_pass(plus, pts))
         counts = negative_eigenvalue_count(self.cfg, pts)
-        wedge = integrability_residual(self.cfg, pts)
+        wedge = integrability_residual(self.cfg, bulk_pass(self.cfg, pts, 1))
         recovery = metric_recovery_residual(2, pts)
         for k in range(len(pts)):
             p = pts[k : k + 1]
-            assert np.abs(res[k] - nullfluid_residual(self.cfg, p)[0][0]).max() <= 1e-13
-            c, q = einstein_residual(plus, p)
+            one, _ = nullfluid_residual(self.cfg, bulk_pass(self.cfg, p))
+            assert np.abs(res[k] - one[0]).max() <= 1e-13
+            c, q = einstein_residual(plus, bulk_pass(plus, p))
             assert np.abs(computed[k] - c[0]).max() <= 1e-13
             assert np.abs(predicted[k] - q[0]).max() <= 1e-13
             assert counts[k] == negative_eigenvalue_count(self.cfg, p)[0] == 1
-            assert wedge[k] == integrability_residual(self.cfg, p)[0]
+            assert wedge[k] == integrability_residual(self.cfg, bulk_pass(self.cfg, p, 1))[0]
             assert recovery[k] == metric_recovery_residual(2, p)[0]
 
     def test_boundary_guard_checks_every_sample(self):
@@ -973,7 +979,7 @@ def _evaluators():
         ),
         "lie_bracket": (flat_one, lambda p: lie_bracket(field, flat.xi, p)),
         "induced_metric": (bulk_one, lambda p: induced_metric(cfg, p, p, p)),
-        "xi_hat_consistency": (bulk_one, lambda p: xi_hat_consistency(cfg, p)),
+        "xi_hat_consistency": (bulk_one, lambda p: xi_hat_consistency(cfg, bulk(p, 1))),
         "isometry_check": (bulk_one, lambda p: isometry_check(cfg, null_plane_boost(d, 1.5), p)),
         "schrodinger_residual": (flat_one, lambda p: bg.schrodinger_residual(flat, psi, PARAMS, p)),
         "bracket_fields": (flat_one, lambda p: bracket_fields(e1, e2, d, p)),

@@ -74,6 +74,16 @@ def segments(x, count=len(GRID)):
     return np.split(np.asarray(x), count)
 
 
+def bulk_pass(mc, x, order=2):
+    """The bulk metric's pass, which the identities take."""
+    return gram_jets(hg.bulk_metric(mc), x, order)
+
+
+def clock(mc, x):
+    """The bulk clock and its Jacobian, read off a first-order pass."""
+    return bulk_pass(mc, x, 1).clock(hg.xi_hat_field(mc))
+
+
 # ---------------------------------------------------------------------------
 # Jet2 with a per-sample scalar
 
@@ -150,10 +160,10 @@ class TestCouplingBatchedBitwise:
         both = gram_jets(hg.bulk_metric(mc), x)
         jets = (both.g0, both.dg, dense_d2g(both.hess, both.pattern))
         values = gram_values(hg.bulk_metric(mc), x)
-        clock = jet_components(hg.theta_hat_form(mc).components, x)
+        theta = clock(mc, x)
         embed = jet_components(lambda q: hg.embed_components(mc, q), x)
         embed_values = component_values(lambda q: hg.embed_components(mc, q), x)
-        assert len(clock) == len(embed) == 2
+        assert len(theta) == len(embed) == 2
         for c, (lam, mu) in enumerate(GRID):
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
             rows = slice(c * N, (c + 1) * N)
@@ -163,7 +173,7 @@ class TestCouplingBatchedBitwise:
                 assert same_values(g[rows], w)
             # clock and embedding: vals and jac, bit for bit
             for got, want in (
-                (clock, jet_components(hg.theta_hat_form(one).components, pts)),
+                (theta, clock(one, pts)),
                 (embed, jet_components(lambda q: hg.embed_components(one, q), pts)),
             ):
                 for g, w in zip(got, want):
@@ -180,10 +190,10 @@ class TestCouplingBatchedBitwise:
         batched = {
             "induced": hg.induced_metric(mc, x, v[:, 0], v[:, 1]),
             "clock": hg.theta_hat(mc, x, v[:, 0]),
-            "vertical": hg.xi_hat_consistency(mc, x),
+            "vertical": hg.xi_hat_consistency(mc, bulk_pass(mc, x, 1)),
         }
         counts = hg.negative_eigenvalue_count(mc, x)
-        wedge = hg.integrability_residual(mc, x)
+        wedge = hg.integrability_residual(mc, bulk_pass(mc, x, 1))
         for c, (lam, mu) in enumerate(GRID):
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
             rows = slice(c * N, (c + 1) * N)
@@ -191,7 +201,7 @@ class TestCouplingBatchedBitwise:
             singles = {
                 "induced": hg.induced_metric(one, pts, w[:, 0], w[:, 1]),
                 "clock": hg.theta_hat(one, pts, w[:, 0]),
-                "vertical": hg.xi_hat_consistency(one, pts),
+                "vertical": hg.xi_hat_consistency(one, bulk_pass(one, pts, 1)),
             }
             for name, single in singles.items():
                 assert set(single) == set(batched[name])
@@ -199,7 +209,7 @@ class TestCouplingBatchedBitwise:
                     same = same_values if key in ("ambient", "chart") else same_bits
                     assert same(batched[name][key][rows], value), (name, key)
             assert same_bits(counts[rows], hg.negative_eigenvalue_count(one, pts))
-            assert same_bits(wedge[rows], hg.integrability_residual(one, pts))
+            assert same_bits(wedge[rows], hg.integrability_residual(one, bulk_pass(one, pts, 1)))
         # residuals are magnitudes: the -0.0 of a mu = 0 clock entry stops short
         for res in batched.values():
             for key in ("difference", "pushforward", "nullity", "killing"):
@@ -209,16 +219,18 @@ class TestCouplingBatchedBitwise:
 
     def test_curvature_identities(self, stacked):
         d, pts, mc, x = stacked
-        res, lam_cos = hg.nullfluid_residual(mc, x)
+        res, lam_cos = hg.nullfluid_residual(mc, bulk_pass(mc, x))
         undeformed = hg.coupling_config(d, [(lam, 0.0) for lam, _ in GRID], N)
-        computed, predicted = hg.einstein_residual(undeformed, x)
+        computed, predicted = hg.einstein_residual(undeformed, bulk_pass(undeformed, x))
         for c, (lam, mu) in enumerate(GRID):
             rows = slice(c * N, (c + 1) * N)
-            r1, cos1 = hg.nullfluid_residual(hg.SchrodingerManifoldConfig(d, lam, mu), pts)
+            one = hg.SchrodingerManifoldConfig(d, lam, mu)
+            r1, cos1 = hg.nullfluid_residual(one, bulk_pass(one, pts))
             assert same_values(res[rows], r1)
             assert same_bits(np.abs(res[rows]), np.abs(r1))
             assert (lam_cos[rows] == cos1).all()
-            c1, p1 = hg.einstein_residual(hg.SchrodingerManifoldConfig(d, lam, 0.0), pts)
+            plus = hg.SchrodingerManifoldConfig(d, lam, 0.0)
+            c1, p1 = hg.einstein_residual(plus, bulk_pass(plus, pts))
             for got, want in ((computed[rows], c1), (predicted[rows], p1)):
                 assert same_values(got, want)
             assert same_bits(np.abs(computed[rows] - predicted[rows]), np.abs(c1 - p1))
@@ -226,10 +238,10 @@ class TestCouplingBatchedBitwise:
     def test_einstein_checks_mu_on_every_sample(self, stacked):
         d, _, mc, x = stacked
         with pytest.raises(ContractViolationError):
-            hg.einstein_residual(mc, x)
+            hg.einstein_residual(mc, bulk_pass(mc, x))
 
     # at N = 5 the audit's order-2 Einstein sub-passes hold all 16
-    # couplings at d = 1 and 3, three at d = 6 and one at d = 8
+    # couplings at d = 1 and 3, eight at d = 6 and four at d = 8
     @pytest.mark.parametrize("d", [1, 3, 6, 8], ids=lambda d: f"d{d}")
     def test_axiom_audit(self, d):
         seeds = [100 + c for c in range(len(GRID))]
@@ -302,14 +314,15 @@ def test_the_driver_splits_the_grid_into_its_budgeted_passes(d, samples, per_pas
         want = np.repeat(GRID[part], samples, axis=0)
         for got, column in ((mc.lam, 0), (mc.mu, 1)):
             assert (np.broadcast_to(got, len(rows)) == want[:, column]).all()
-        return hg.nullfluid_residual(mc, rows)[0]
+        return hg.nullfluid_residual(mc, bulk_pass(mc, rows))[0]
 
     got = np.concatenate(hg.over_couplings(d, GRID, pts, 2, residual))
     assert seen == hg.coupling_passes(d, len(GRID), samples, 2)
     assert len(seen) == -(-len(GRID) // per_pass) > 1
     for c, (lam, mu) in enumerate(GRID):
         rows = slice(c * samples, (c + 1) * samples)
-        one = hg.nullfluid_residual(hg.SchrodingerManifoldConfig(d, lam, mu), pts[rows])
+        cfg = hg.SchrodingerManifoldConfig(d, lam, mu)
+        one = hg.nullfluid_residual(cfg, bulk_pass(cfg, pts[rows]))
         assert same_values(got[rows], one[0])
         assert same_bits(np.abs(got[rows]), np.abs(one[0]))
     with pytest.raises(ContractViolationError, match="split evenly"):
@@ -449,7 +462,7 @@ def test_one_coupling_names_its_singular_sample(monkeypatch, k):
     _singular_at(monkeypatch, pts[k, 0])
 
     def residual(mc, rows, part):
-        return hg.nullfluid_residual(mc, rows)[0]
+        return hg.nullfluid_residual(mc, bulk_pass(mc, rows))[0]
 
     with pytest.raises(DegenerateMetricError) as info:
         hg.over_couplings(d, [(-1.0, 2.0)], pts, 2, residual)
@@ -583,8 +596,9 @@ def test_schrodinger_residual_makes_one_pass(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_bargmann_axioms_check_makes_one_metric_pass(monkeypatch, d):
-    # the Gram callable and xi run for the metric's pass and for the clock
-    # g(xi), which is evaluated on seeds of its own
+    # the Gram callable and xi run once, for the metric's pass, from which
+    # the clock g(xi) is read; covariant_derivative and divergence share
+    # the pass's one inverse
     structure = flat_bargmann(d)
     pts = SeededSampler(4, [(-1.0, 1.0)] * (d + 2)).points(5)
     want = bargmann_axioms_check(structure, pts)
@@ -595,9 +609,100 @@ def test_bargmann_axioms_check_makes_one_metric_pass(monkeypatch, d):
         geometry, "_invert_gram", _counting(calls, "inverse", geometry._invert_gram)
     )
     got = bargmann_axioms_check(BargmannStructure(counted, xi, d), pts)
-    assert calls == {"gram": 2, "inverse": 1, "xi": 2}
+    assert calls == {"gram": 1, "inverse": 1, "xi": 1}
     assert got.keys() == want.keys()
     assert all(same_bits(got[k], want[k]) for k in want)
+
+
+def _recording(evaluated, name, metric):
+    """``metric``, appending (name, the coordinates' values) to
+    ``evaluated`` per Gram evaluation, on jets or on arrays alike."""
+
+    def gram(p):
+        values = np.array([nk.jet_value(x) for x in p])
+        evaluated.append((name, values.tobytes()))
+        return metric.gram(p)
+
+    return MetricField(gram)
+
+
+def _recorded_bulk_metric(monkeypatch, evaluated):
+    """Patch ``hg.bulk_metric`` to record each evaluation, named "deformed"
+    for a config with a per-sample mu and "undeformed" for a float mu = 0."""
+    make = hg.bulk_metric
+
+    def bulk_metric(cfg):
+        kind = "deformed" if isinstance(cfg.mu, np.ndarray) else "undeformed"
+        assert kind == "deformed" or cfg.mu == 0.0
+        return _recording(evaluated, kind, make(cfg))
+
+    monkeypatch.setattr(hg, "bulk_metric", bulk_metric)
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [
+        ("xi_hat_consistency", 1),
+        ("integrability_residual", 1),
+        ("nullfluid_residual", 2),
+        ("einstein_residual", 2),
+    ],
+)
+@pytest.mark.parametrize("d", [1, 3])
+def test_each_bulk_identity_makes_one_gram_evaluation(monkeypatch, name, order, d):
+    # the identity reads g0, dg and the clock off the pass it is given
+    identity = getattr(hg, name)
+    pts = SeededSampler(5, hg.bulk_boxes(d)).points(N)
+    grid = [(lam, 0.0) for lam, _ in GRID] if name == "einstein_residual" else GRID
+    mc = hg.coupling_config(d, grid, N)
+    x = np.tile(pts, (len(grid), 1))
+    want = identity(mc, bulk_pass(mc, x, order))
+    evaluated = []
+    _recorded_bulk_metric(monkeypatch, evaluated)
+    got = identity(mc, gram_jets(hg.bulk_metric(mc), x, order))
+    assert len(evaluated) == 1
+    if isinstance(want, dict):
+        got, want = got.values(), want.values()
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 8])
+def test_each_audit_pass_evaluates_a_metric_once_at_its_points(monkeypatch, d):
+    # per first-order pass of the audit: the deformed metric at its bulk
+    # points and at the transverse points at rh = 1e-2 and 1e-3, and the
+    # undeformed metric at rh = 1e-3; per Einstein sub-pass, the undeformed
+    # metric at that sub-pass's bulk points, whose g0 is also g_plus
+    seeds = [100 + c for c in range(len(GRID))]
+    pts, transverse = _audit_points(d, N, seeds)
+    want = hg.schrodinger_axiom_audit(configs(d), pts, transverse)
+    evaluated = []
+    _recorded_bulk_metric(monkeypatch, evaluated)
+    got = hg.schrodinger_axiom_audit(configs(d), pts, transverse)
+    assert json.dumps(got) == json.dumps(want)
+    assert len(hg.coupling_passes(d, len(GRID), N, 1)) == 1
+    sub_passes = hg.coupling_passes(d, len(GRID), N, 2)
+    assert len(evaluated) == len(set(evaluated)) == 4 + len(sub_passes)
+    assert [kind for kind, _ in evaluated].count("deformed") == 3
+    at_pts = {("deformed", pts.T.tobytes())} | {
+        ("undeformed", pts[part.start * N : part.stop * N].T.tobytes()) for part in sub_passes
+    }
+    assert at_pts <= set(evaluated)
+
+
+def test_boundary_structure_evaluates_its_gram_once_at_its_points(monkeypatch):
+    d = 2
+    pts = SeededSampler(3, [(-1.2, 1.2)] * (d + 2)).points(6)
+    want = hg.boundary_structure(d, pts, np.random.default_rng(4))
+    evaluated = []
+    make = hg.boundary_metric
+    monkeypatch.setattr(hg, "boundary_metric", lambda d: _recording(evaluated, "g", make(d)))
+    got = hg.boundary_structure(d, pts, np.random.default_rng(4))
+    for name, numbers in want.items():
+        assert all(same_bits(got[name][k], v) for k, v in numbers.items()), name
+    # its points, then the twenty drawn at four fixed times
+    assert len(evaluated) == len(set(evaluated)) == 2
+    assert evaluated[0][1] == np.ascontiguousarray(pts.T).tobytes()
 
 
 def test_an_order2_pass_stays_within_its_budget():
@@ -608,7 +713,7 @@ def test_an_order2_pass_stays_within_its_budget():
     pts = SeededSampler(13, hg.bulk_boxes(d)).points(len(GRID) * samples)
 
     def residual(mc, rows, _):
-        return float(np.abs(hg.nullfluid_residual(mc, rows)[0]).max())
+        return float(np.abs(hg.nullfluid_residual(mc, bulk_pass(mc, rows))[0]).max())
 
     hg.over_couplings(d, GRID, pts, 2, residual)  # warm caches and imports
     tracemalloc.start()

@@ -11,9 +11,16 @@ einstein_scan = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(einstein_scan)
 
 
-def test_scan_vanishes_at_the_critical_coupling_only(capsys):
+def test_scan_vanishes_at_the_critical_coupling_only(capsys, monkeypatch):
     lams = np.array([-2.0, -1.0, -0.5, -0.3])
+    passes = []
+    gram_jets = einstein_scan.gram_jets
+    monkeypatch.setattr(
+        einstein_scan, "gram_jets", lambda *a: passes.append(a) or gram_jets(*a)
+    )
     einstein_scan.scan(1, lams, samples=3, seed=0)
+    # one pass (order 2, the default) of the undeformed metric per lambda
+    assert [len(pts) for _, pts in passes] == [3] * len(lams)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "d = 1"
     rows = [[float(v) for v in line.split()] for line in lines[2:] if line.strip()]

@@ -31,13 +31,14 @@ from schrogeo.geometry import (
     gram_jets,
     gram_values,
     inverse_gram,
+    jet_components,
     laplacian,
     lie_bracket,
     lie_derivative_metric,
     ricci_from_derivatives,
     yamabe_residual,
 )
-from schrogeo.ambient import flat_gram_matrix, flat_metric
+from schrogeo.ambient import flat_gram_matrix, flat_metric, xi_field
 from schrogeo.bargmann import flat_bargmann
 from schrogeo.homogeneous import (
     SchrodingerManifoldConfig,
@@ -517,10 +518,15 @@ class TestLieAndConformal:
         assert b[1] == pytest.approx(0.9)
 
 
+def _wedge(w: OneForm, p):
+    """``exterior_wedge`` of a one-form's values and Jacobian at ``p``."""
+    return exterior_wedge(*jet_components(w.components, p))
+
+
 class TestExterior:
     def test_contact_like_form(self):
         w = OneForm(lambda p: [0.0 * p[0], 1.0 + 0.0 * p[0], p[0]])
-        dw, wedge = (a[0] for a in exterior_wedge(w, [[0.6, 0.1, -0.4]]))
+        dw, wedge = (a[0] for a in _wedge(w, [[0.6, 0.1, -0.4]]))
         assert dw[0, 2] == pytest.approx(1.0)
         assert dw[2, 0] == pytest.approx(-1.0)
         assert wedge[1, 0, 2] == pytest.approx(1.0)
@@ -531,7 +537,7 @@ class TestExterior:
             return [0.0 * p[0], w, 0.0 * p[0], 0.0 * p[0]]
 
         w = OneForm(comps)
-        dw, wedge = (a[0] for a in exterior_wedge(w, [[0.2, 0.5, -0.1, 1.0]]))
+        dw, wedge = (a[0] for a in _wedge(w, [[0.2, 0.5, -0.1, 1.0]]))
         assert dw[3, 1] == pytest.approx(-2.0)
         assert dw[1, 3] == pytest.approx(2.0)
         # proportional to dt, and dw has a dr^dt leg only: w ^ dw = 0
@@ -540,7 +546,7 @@ class TestExterior:
     def test_exact_form_is_closed(self):
         # w = d(x^2 y) = 2xy dx + x^2 dy
         w = OneForm(lambda p: [2.0 * p[0] * p[1], p[0] * p[0]])
-        dw, _ = exterior_wedge(w, [[1.1, -0.7]])
+        dw, _ = _wedge(w, [[1.1, -0.7]])
         assert np.abs(dw).max() < 1e-13
 
 
@@ -641,6 +647,73 @@ def test_per_sample_couplings_assemble_as_the_entry_loop(d):
         for a, b in zip(dense_jets(metric, pts, order), want):
             assert same_bits(a, b)
 
+
+
+def g0_cases():
+    for d in range(1, 9):
+        n = d + 3
+        pts = SeededSampler(29 + d, bulk_boxes(d)).points(6)
+        for lam, mu in ((-0.7, 1.3), (-0.5, 0.0), (-1000.0, 1000.0)):
+            yield f"bulk_d{d}_lam{lam:g}_mu{mu:g}", bulk_metric(
+                SchrodingerManifoldConfig(d, lam, mu)
+            ), pts
+        yield f"bulk_per_sample_d{d}", per_sample_bulk(d, 6), pts
+        boundary_pts = SeededSampler(37 + d, [(-1.2, 1.2)] * (n - 1)).points(6)
+        yield f"boundary_d{d}", boundary_metric(d), boundary_pts
+        yield f"flat_d{d}", flat_metric(d), boundary_pts
+
+
+@pytest.mark.parametrize(
+    "metric, pts", [c[1:] for c in g0_cases()], ids=[c[0] for c in g0_cases()]
+)
+def test_a_pass_holds_the_gram_values_bit_for_bit(metric, pts):
+    # one rounding path: a pass's g0 is what gram_values gives at its points,
+    # so a check reads its Gram from its pass and never evaluates it again
+    want = gram_values(metric, pts)
+    for order in (1, 2):
+        assert same_bits(gram_jets(metric, pts, order).g0, want)
+
+
+class TestClock:
+    """theta = g(xi, .) and its Jacobian read off a pass."""
+
+    def test_a_varying_field_on_a_curved_metric(self):
+        # g = diag(1 + x^2, e^y) dx dy plus a 2 x dx dy cross term, xi = (y, x^2)
+        metric = MetricField(
+            lambda p: [[1.0 + p[0] * p[0], 2.0 * p[0]], [2.0 * p[0], nk.exp(p[1])]]
+        )
+        xi = VectorField(lambda p: [p[1], p[0] * p[0]])
+
+        def theta(p):
+            g, v = metric.gram(p), xi.components(p)
+            return [g[b][0] * v[0] + g[b][1] * v[1] for b in range(2)]
+
+        pts = SeededSampler(3, [(-0.9, 0.9)] * 2).points(5)
+        for order in (1, 2):
+            got = gram_jets(metric, pts, order).clock(xi)
+            for a, b in zip(got, jet_components(theta, pts)):
+                assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_the_bulk_clock_is_the_closed_form(self, d):
+        # theta_hat = (-2 lam / rh^2) dt, and d theta_hat its rh derivative
+        lam = np.array([-0.5, -2.0, -0.3, -1000.0])
+        mu = np.array([1.0, -1.0, 2.0, 1000.0])
+        cfg = SchrodingerManifoldConfig(d, lam, mu)
+        pts = SeededSampler(11, bulk_boxes(d)).points(4)
+        rh = pts[:, d + 2]
+        theta, dtheta = gram_jets(bulk_metric(cfg), pts, order=1).clock(
+            xi_field(d, d + 3)
+        )
+        want = np.zeros((4, d + 3))
+        want[:, d] = -2.0 * lam / rh**2
+        dwant = np.zeros((4, d + 3, d + 3))
+        dwant[:, d, d + 2] = 4.0 * lam / rh**3
+        # to rounding: within a few ulps of the largest entry, per sample
+        ulp = np.finfo(float).eps
+        assert (np.abs(theta - want).max(axis=1) <= 2 * ulp * np.abs(want).max(axis=1)).all()
+        err = np.abs(dtheta - dwant).max(axis=(1, 2))
+        assert (err <= 4 * ulp * np.abs(dwant).max(axis=(1, 2))).all()
 
 
 @pytest.mark.parametrize("d", range(1, 9))

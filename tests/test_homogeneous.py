@@ -9,14 +9,15 @@ import pytest
 from oracles import boundary_loop, embed, isotropy_loop, origin_point
 
 from schrogeo import homogeneous as hg
-from schrogeo.ambient import ambient_gram, random_group_element
+from schrogeo.ambient import ambient_gram, random_group_element, xi_field
 from schrogeo.geometry import (
-    OneForm,
+    VectorField,
     component_values,
     covariant_derivative,
     exterior_wedge,
     gram_jets,
     gram_values,
+    jet_components,
 )
 from schrogeo.homogeneous import (
     BoundaryPointError,
@@ -26,7 +27,6 @@ from schrogeo.homogeneous import (
     boundary_isotropy_element,
     boundary_metric,
     boundary_structure,
-    boundary_xi,
     bulk_boxes,
     bulk_isotropy_element,
     bulk_metric,
@@ -58,6 +58,11 @@ from schrogeo.suites import AUDIT, BOUNDARY_STRUCTURE, _audit_points, _box_point
 
 def sample_bulk(d, count, seed=0):
     return SeededSampler(seed, bulk_boxes(d)).points(count)
+
+
+def bulk_pass(cfg, p, order=2):
+    """The bulk metric's pass, which the identities take."""
+    return gram_jets(bulk_metric(cfg), p, order)
 
 
 class TestConfig:
@@ -144,7 +149,7 @@ class TestInducedMetric:
 
     def test_vertical_direction(self):
         cfg = SchrodingerManifoldConfig(2, -0.9, 1.0)
-        res = xi_hat_consistency(cfg, sample_bulk(2, 3, seed=2))
+        res = xi_hat_consistency(cfg, bulk_pass(cfg, sample_bulk(2, 3, seed=2), 1))
         assert (res["pushforward"] < 1e-12).all()
         assert (np.abs(res["nullity"]) < 1e-12).all()
         assert (res["norm"] > 0.1).all()  # nowhere vanishing
@@ -160,22 +165,24 @@ class TestInducedMetric:
 
     def test_integrability_of_clock(self):
         cfg = SchrodingerManifoldConfig(2, -0.6)
-        assert (integrability_residual(cfg, sample_bulk(2, 3, seed=4)) < 1e-12).all()
+        jets = bulk_pass(cfg, sample_bulk(2, 3, seed=4), 1)
+        assert (integrability_residual(cfg, jets) < 1e-12).all()
 
 
 class TestEinsteinFamily:
     def test_einstein_exactly_at_critical_coupling(self):
         for d in (1, 2, 3):
             cfg = SchrodingerManifoldConfig(d, -0.5)
-            computed, predicted = einstein_residual(cfg, sample_bulk(d, 3, seed=1))
+            computed, predicted = einstein_residual(cfg, bulk_pass(cfg, sample_bulk(d, 3, seed=1)))
             assert np.abs(computed).max() < 1e-10
             assert np.abs(predicted).max() < 1e-12
 
     def test_proportional_failure_off_critical(self):
         cfg = SchrodingerManifoldConfig(3, -1.0)
         p = [[0.1, -0.2, 0.3, 0.4, 0.5, 2.0]]
-        computed, predicted = einstein_residual(cfg, p)
-        g0 = gram_jets(bulk_metric(cfg), p).g0
+        jets = bulk_pass(cfg, p)
+        computed, predicted = einstein_residual(cfg, jets)
+        g0 = jets.g0
         # predicted factor (d+2)(1+2 lam)/(2 lam) = 2.5 at lam = -1, d = 3
         assert np.abs(predicted - 2.5 * g0).max() < 1e-13
         assert np.abs(computed - predicted).max() < 1e-10
@@ -184,14 +191,14 @@ class TestEinsteinFamily:
     def test_rejects_deformed_metric(self):
         cfg = SchrodingerManifoldConfig(2, -0.5, 1.0)
         with pytest.raises(ContractViolationError):
-            einstein_residual(cfg, sample_bulk(2, 1))
+            einstein_residual(cfg, bulk_pass(cfg, sample_bulk(2, 1)))
 
     def test_nullfluid_identity_frozen(self):
         # at d = 3, lam = -1/2, mu = 1: Ric + 5 g = 7 theta x theta and
         # the cosmological factor is -10
         cfg = SchrodingerManifoldConfig(3, -0.5, 1.0)
         p = [[0.1, -0.2, 0.3, 0.4, 0.5, 1.7]]
-        residual, lam_cos = nullfluid_residual(cfg, p)
+        residual, lam_cos = nullfluid_residual(cfg, bulk_pass(cfg, p))
         assert np.abs(residual).max() < 1e-10
         assert lam_cos == pytest.approx(-10.0, abs=1e-12)
 
@@ -200,7 +207,7 @@ class TestEinsteinFamily:
             for lam in (-0.5, -1.0):
                 for mu in (0.0, 1.0, -1.0):
                     cfg = SchrodingerManifoldConfig(d, lam, mu)
-                    residual, _ = nullfluid_residual(cfg, sample_bulk(d, 1, seed=6))
+                    residual, _ = nullfluid_residual(cfg, bulk_pass(cfg, sample_bulk(d, 1, seed=6)))
                     assert np.abs(residual).max() < 1e-9
 
     def test_metric_recovery(self):
@@ -318,14 +325,14 @@ class TestBoundary:
         m = boundary_metric(d)
         th = theta_f0_form(d)
         pts = SeededSampler(13, [(-1, 1)] * (d + 2)).points(3)
-        dw, _ = exterior_wedge(th, pts)
+        dw, _ = exterior_wedge(*jet_components(th.components, pts))
         assert np.abs(dw).max() < 1e-12
         assert np.abs(covariant_derivative(gram_jets(m, pts, order=1), th)).max() < 1e-10
 
     def test_vertical_is_null_and_parallel(self):
         d = 2
         m = boundary_metric(d)
-        xi = boundary_xi(d)
+        xi = xi_field(d, d + 2)
         p = [[0.2, -0.5, 0.9, 0.1]]
         g0 = gram_values(m, p)[0]
         xv = component_values(xi.components, p)[0]
@@ -415,19 +422,33 @@ class TestAudit:
 
     @pytest.mark.parametrize("d, lam, mu", [(2, -0.5, 1.0), (2, -50.0, -30.0), (3, -2.0, 2.0)])
     def test_deformation_identity_sees_mu_scaled_by_one_ppb(self, d, lam, mu, monkeypatch):
-        # scaling the clock by sqrt(1 + 1e-9) is mu scaled by (1 + 1e-9) in
-        # the identity g + mu clock^2 = g_plus, and nothing else in the audit
+        # scaling xi by sqrt(1 + 1e-9) scales its clock g(xi, .) alike, which
+        # is mu scaled by (1 + 1e-9) in the identity g + mu clock^2 = g_plus;
+        # a constant multiple of xi is still null and Killing, so nothing
+        # else in the audit moves
         cfg = SchrodingerManifoldConfig(d, lam, mu)
         name = "axiom3_deformation_identity"
-        assert audit(cfg)[name].status == "PASS"
-        original = hg.theta_hat_form
+        before = audit(cfg)
+        assert before[name].status == "PASS"
+        original = hg.xi_hat_field
         root = math.sqrt(1.0 + 1e-9)
 
         def scaled(c):
-            form = original(c)
-            return OneForm(lambda p: [root * v for v in form.components(p)])
+            field = original(c)
+            return VectorField(lambda p: [root * v for v in field.components(p)])
 
-        monkeypatch.setattr(hg, "theta_hat_form", scaled)
-        flipped = audit(cfg)[name]
-        assert flipped.status == "FAIL"
-        assert flipped.residual > 1e3 * flipped.tolerance
+        monkeypatch.setattr(hg, "xi_hat_field", scaled)
+        flipped = audit(cfg)
+        assert flipped[name].status == "FAIL"
+        assert flipped[name].residual > 1e3 * flipped[name].tolerance
+        moved = [k for k, c in flipped.items() if c.status != before[k].status]
+        assert moved == [name]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_deformation_identity_is_relative_at_large_couplings(self, d):
+        # at (lam, mu) = (-1000, 1000) the entries compared reach ~1e13,
+        # whose rounding an absolute residual would carry into the record
+        cfg = SchrodingerManifoldConfig(d, -1000.0, 1000.0)
+        found = audit(cfg)["axiom3_deformation_identity"]
+        assert found.status == "PASS"
+        assert found.residual <= 16.0 * np.finfo(float).eps == found.tolerance

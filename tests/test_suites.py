@@ -12,7 +12,7 @@ from oracles import isometry_loop, stack_elements
 from schrogeo import ambient, bargmann, homogeneous, suites
 from schrogeo import numkernel as nk
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
-from schrogeo.geometry import OneForm
+from schrogeo.geometry import VectorField
 from schrogeo.report import judged
 from schrogeo.suites import (
     AUDIT,
@@ -292,29 +292,39 @@ class TestIntegrabilityMutation:
     """A clock that is not integrable flips the Frobenius record to FAIL."""
 
     def test_bent_clock_fails_integrability(self, monkeypatch):
-        clock = homogeneous.theta_hat_form
+        field = homogeneous.xi_hat_field
         eps = 1e-3
 
         def bent(cfg):
-            # theta + eps xh1 d(sh): theta ^ d theta gains eps a(rh) dt ^ dxh1 ^ dsh
-            form = clock(cfg)
+            # xi + eps xh1 d/dth: its clock g(xi, .) gains eps xh1 (a dsh +
+            # g_tt dth), and theta ^ d theta gains eps a(rh)^2 dth ^ dxh1 ^ dsh
+            xi = field(cfg)
 
             def comps(p):
-                out = list(form.components(p))
-                out[cfg.d + 1] = out[cfg.d + 1] + eps * p[0]
+                out = list(xi.components(p))
+                out[cfg.d] = out[cfg.d] + eps * p[0]
                 return out
 
-            return OneForm(comps)
+            return VectorField(comps)
 
         dims = (1, 2)
         names = [f"homogeneous_d{d}_integrability" for d in dims]
         before = {c.name: c for c in run_suite(small("homogeneous", dims=dims)).checks}
-        monkeypatch.setattr(homogeneous, "theta_hat_form", bent)
+        monkeypatch.setattr(homogeneous, "xi_hat_field", bent)
         after = {c.name: c for c in run_suite(small("homogeneous", dims=dims)).checks}
         for name in names:
             assert before[name].status == "PASS"
             assert after[name].status == "FAIL"
             assert after[name].residual > 1e-6
+
+
+def test_axioms_at_large_couplings_match_the_theory():
+    # (lam, mu) = (-1000, 1000): the deformation identity compares entries
+    # near 1e13, and is filed relative to them, so its rounding (up to
+    # 2.4e-7 absolute) no longer reaches the record judged at --tol 1e-8
+    report = run_suite(SuiteConfig("axioms", lams=(-1000.0,), mus=(1000.0,)))
+    assert [c.status for c in report.checks] == ["PASS"] * 3
+    assert max(c.residual for c in report.checks) < 1e-12
 
 
 class TestIsotropyMutation:
