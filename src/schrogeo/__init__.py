@@ -6,13 +6,7 @@ covariant form of the Schrödinger equation, all checked by exact
 second-order jet arithmetic on seeded sample points.
 """
 
-from .ambient import (
-    AlgebraElement,
-    GroupBlocks,
-    GroupElement,
-    SchBlocks,
-    sch_dimension,
-)
+from .ambient import GroupBlocks, SchBlocks, sch_dimension
 from .bargmann import (
     BargmannStructure,
     DensityFunction,
@@ -38,12 +32,10 @@ from .report import CheckResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraElement",
     "BargmannStructure",
     "CheckResult",
     "DensityFunction",
     "GroupBlocks",
-    "GroupElement",
     "Jet2",
     "SchBlocks",
     "SchrodingerManifoldConfig",

@@ -24,11 +24,9 @@ from .numkernel import ContractViolationError, Jet2, jet_value
 
 __all__ = [
     "CHART_GUARD",
-    "AlgebraElement",
     "ChartEscapeError",
     "DegeneratePairError",
     "GroupBlocks",
-    "GroupElement",
     "SchBlocks",
     "SpecialNullVector",
     "StabilizerConstraintError",
@@ -46,6 +44,7 @@ __all__ = [
     "cone_point",
     "decompose_sch",
     "exp_algebra",
+    "exp_group",
     "extract_blocks",
     "group_inverse",
     "flat_gram_matrix",
@@ -56,6 +55,7 @@ __all__ = [
     "make_special",
     "mark_escapes",
     "projective_action",
+    "projective_denominator",
     "random_group_element",
     "realize_field",
     "require_sch",
@@ -304,27 +304,6 @@ class SchBlocks(NamedTuple):
     chi: float
 
 
-def _take(self, index):
-    """The elements at ``index`` of an element stack: a stack at an index or
-    boolean array, one element (its axis dropped) at an integer.  The matrix
-    and every block field carry the leading element axis."""
-    blocks = self.blocks
-    fields = (f[index] for f in blocks)
-    return self._replace(matrix=self.matrix[index], blocks=type(blocks)(*fields))
-
-
-class AlgebraElement(NamedTuple):
-    """A stack of algebra elements: the matrix and every block field carry
-    a leading element axis (a per-sample stack, when element s goes with
-    sample s of a batch of points).  One element is a stack of one, and
-    ``take(0)`` drops its axis for the maps that act on one element."""
-
-    matrix: np.ndarray
-    blocks: SchBlocks
-
-    take = _take
-
-
 @lru_cache(maxsize=None)
 def _commutant_svd(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The skew basis B, and the singular values and right singular vectors
@@ -366,17 +345,16 @@ def commutant_stack(d: int, tol: float = 1e-10) -> np.ndarray:
     return _commutant_cached(d, tol)
 
 
-def commutant_basis(d: int, tol: float = 1e-10) -> list[AlgebraElement]:
-    """Frobenius-orthonormal basis of {Z in o(d+2,2) : [Z, Z0] = 0}.
+def commutant_basis(d: int, tol: float = 1e-10) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of {Z in o(d+2,2) : [Z, Z0] = 0}, as a
+    list of (d+4, d+4) matrices.
 
     The nullspace coefficients come from an SVD over an orthonormal ambient
     basis, so the returned matrices are orthonormal too.  That SVD is taken
     once per d and shared by every tolerance (``commutant_stack``).  Each
     call returns fresh writable copies.
     """
-    stack = commutant_stack(d, tol).copy()
-    elements = AlgebraElement(stack, decompose_sch(stack, d))
-    return [elements.take(i) for i in range(len(stack))]
+    return list(commutant_stack(d, tol).copy())
 
 
 def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
@@ -458,24 +436,17 @@ def sch_matrix(blocks: SchBlocks, d: int) -> np.ndarray:
     return Z
 
 
-def _algebra_matrices(d: int, coeffs: np.ndarray) -> np.ndarray:
-    """The (count, d+4, d+4) matrices of the (count, k) coefficient rows
-    ``coeffs`` in the ``commutant_stack`` basis: each summed basis element
-    by basis element, as sum(c * b) would, holding one (count, n, n) term at
-    a time."""
+def algebra_elements(d: int, coeffs: np.ndarray) -> np.ndarray:
+    """The (count, d+4, d+4) algebra elements with the (count, k)
+    coefficient rows ``coeffs`` (``group_coefficients``) in the
+    ``commutant_stack`` basis: each summed basis element by basis element,
+    as sum(c * b) would, holding one (count, n, n) term at a time."""
     basis = commutant_stack(d)
     Z = coeffs[:, 0, None, None] * basis[0]
     term = np.empty_like(Z)
     for c, b in zip(coeffs.T[1:, :, None, None], basis[1:]):
         Z += np.multiply(c, b, out=term)
     return Z
-
-
-def algebra_elements(d: int, coeffs: np.ndarray) -> AlgebraElement:
-    """The algebra elements with the (count, k) coefficient rows ``coeffs``
-    (``group_coefficients``), as one stack."""
-    Z = _algebra_matrices(d, coeffs)
-    return AlgebraElement(Z, decompose_sch(Z, d))
 
 
 # ---------------------------------------------------------------------------
@@ -602,21 +573,21 @@ def realize_field(blocks: SchBlocks, d: int) -> VectorField:
     return VectorField(comps)
 
 
-def bracket_fields(e1: AlgebraElement, e2: AlgebraElement, d: int, p) -> dict:
+def bracket_fields(Z1: np.ndarray, Z2: np.ndarray, d: int, p) -> dict:
     """Vector-field bracket of two realizations vs the matrix bracket.
 
     The realization is an anti-homomorphism (left action), so the field
     bracket matches realize(-[Z1, Z2]); both signed residuals are returned
     so callers can record the verified sign.  ``p`` is a batch (N, n),
-    evaluated in one jet pass; each residual is (N,).  ``e1`` and ``e2``
-    may be per-sample stacks of N elements each (matrices (N, d+4, d+4),
-    blocks from ``decompose_sch``): sample s then brackets pair s at point
-    s, bitwise as that pair alone at that point.
+    evaluated in one jet pass; each residual is (N,).  ``Z1`` and ``Z2``
+    are two algebra elements, or two per-sample (N, d+4, d+4) stacks:
+    sample s then brackets pair s at point s, bitwise as that pair alone at
+    that point.
     """
-    v1 = realize_field(e1.blocks, d)
-    v2 = realize_field(e2.blocks, d)
+    v1 = realize_field(decompose_sch(Z1, d), d)
+    v2 = realize_field(decompose_sch(Z2, d), d)
     fb = lie_bracket(v1, v2, p)
-    m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
+    m = Z1 @ Z2 - Z2 @ Z1
     vm = realize_field(decompose_sch(m, d), d)
     mv = component_values(vm.components, p)
     return {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
@@ -634,19 +605,6 @@ class GroupBlocks(NamedTuple):
     b: float
     dd: float
     e: float
-
-
-class GroupElement(NamedTuple):
-    """A stack of group elements: the matrix and every block field carry a
-    leading element axis (a per-sample stack, when element s goes with
-    sample s of a batch of points).  One element is a stack of one, and
-    ``take(0)`` drops its axis for the maps that act on one element."""
-
-    matrix: np.ndarray
-    blocks: GroupBlocks
-    dim: int
-
-    take = _take
 
 
 def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
@@ -733,7 +691,7 @@ def _assembled(blocks: GroupBlocks, d: int):
     return A, (i, StabilizerConstraintError(*_CONSTRAINTS[k], float(table[i, k])))
 
 
-def assemble_group_element(blocks: GroupBlocks, d: int) -> GroupElement:
+def assemble_group_element(blocks: GroupBlocks, d: int) -> np.ndarray:
     """Build the group elements of a block stack (fields with a leading
     element axis) and verify every block constraint, once over the stack.
 
@@ -741,12 +699,13 @@ def assemble_group_element(blocks: GroupBlocks, d: int) -> GroupElement:
     its first violated constraint, in the order: vertical eigenvector of L,
     of L-adjoint, the L-adjoint normalization, the column relation, the two
     pairing normalizations, and the null-length relation; then Abar A = 1
-    and [A, Z0] = 0 on the assembled matrix.
+    and [A, Z0] = 0 on the assembled matrix.  The (E, d+4, d+4) stack
+    holds L, C, a and e verbatim.
     """
     A, failed = _assembled(blocks, d)
     if failed:
         raise failed[1]
-    return GroupElement(A, blocks, d)
+    return A
 
 
 # Scaling and squaring with the [13/13] Padé approximant after Higham, "The
@@ -832,20 +791,19 @@ def group_coefficients(
     return rng.uniform(-scale, scale, size=(count, len(commutant_stack(d))))
 
 
-def group_elements(d: int, coeffs: np.ndarray) -> GroupElement:
-    """The exponentials of the algebra elements with the (count, k)
-    coefficient rows ``coeffs`` (in the ``commutant_stack`` basis), as one
-    stack, reassembled from their blocks.
+def exp_group(Z: np.ndarray, d: int) -> np.ndarray:
+    """The exponentials of an (E, d+4, d+4) stack of algebra elements ``Z``,
+    reassembled from their blocks.
 
     The exponential is one ``exp_algebra`` call on the stack; the block
-    constraints, Abar A = 1 and [A, Z0] = 0 are checked once over it.  The
+    constraints, Abar A = 1 and [A, Z0] = 0 are checked once over it, and
+    so is the drift of the reassembled matrix from the exponential.  The
     elements, and the StabilizerConstraintError or block-pattern error
-    raised for the first failing one, are those of the elements drawn one
-    at a time.
+    raised for the first failing one, are those of the elements
+    exponentiated one at a time.
     """
-    raw = exp_algebra(_algebra_matrices(d, coeffs))
-    blocks = extract_blocks(raw, d)
-    A, failed = _assembled(blocks, d)
+    raw = exp_algebra(Z)
+    A, failed = _assembled(extract_blocks(raw, d), d)
     rebuild = np.abs(A - raw).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(raw).max(axis=(-2, -1)))
     drift = np.flatnonzero(~(rebuild <= 1e-12 * scale))
@@ -855,35 +813,49 @@ def group_elements(d: int, coeffs: np.ndarray) -> GroupElement:
         raise ContractViolationError(
             f"exponential left the block pattern (residual {rebuild[drift[0]]:.3e})"
         )
-    return GroupElement(A, blocks, d)
+    return A
 
 
-def random_group_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> GroupElement:
+def group_elements(d: int, coeffs: np.ndarray) -> np.ndarray:
+    """The exponentials of the algebra elements with the (count, k)
+    coefficient rows ``coeffs`` (in the ``commutant_stack`` basis), as one
+    validated (count, d+4, d+4) stack (``exp_group``)."""
+    return exp_group(algebra_elements(d, coeffs), d)
+
+
+def random_group_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
     """Exponential of a random algebra element, reassembled from its blocks
     (which re-validates every constraint): the stack of one of
     ``group_elements``, its axis dropped."""
-    return group_elements(d, group_coefficients(d, rng, 1, scale)).take(0)
+    return group_elements(d, group_coefficients(d, rng, 1, scale))[0]
 
 
-def group_inverse(ge: GroupElement) -> GroupElement:
-    """The inverses Abar = G A^T G of a stack, validated as one stack:
-    raises for the first failing inverse."""
-    d = ge.dim
-    return assemble_group_element(extract_blocks(g_adjoint(ge.matrix, ambient_gram(d)), d), d)
+def group_inverse(A: np.ndarray) -> np.ndarray:
+    """The inverses Abar = G A^T G of an (E, d+4, d+4) stack, validated as
+    one stack: raises for the first failing inverse."""
+    d = A.shape[-1] - 4
+    return assemble_group_element(extract_blocks(g_adjoint(A, ambient_gram(d)), d), d)
 
 
-def projective_action(ge: GroupElement, x, r=None):
+def projective_denominator(A: np.ndarray, t):
+    """e - a t: the denominator of the projective action of the group
+    element ``A`` (or of each element of a per-sample stack) at chart time
+    ``t``, a number, an (N,) array or a jet."""
+    d = A.shape[-1] - 4
+    return A[..., d + 3, d + 3] - A[..., d + 1, d + 2] * t
+
+
+def projective_action(A: np.ndarray, x, r=None):
     """Linear-fractional action on the flat chart and the fiber coordinate.
 
     x' = (L x - (a/2) g(x,x) xi + C) / (e - a t), r' = r / (e - a t).  ``x``
     holds the n = d + 2 coordinates of a batch of N points, (N,) arrays or
     jets with a trailing sample axis, whose images come back in the same
-    form.  ``ge`` is one element, or a per-sample stack of N elements
-    (``GroupElement.take``) whose element s acts on sample s of the batch:
-    one pass over N (element, point) pairs.  Where |e - a t| falls to
-    ``CHART_GUARD`` the image leaves the chart: that sample's image and r'
-    come back NaN (``mark_escapes``) while every other sample is what it
-    would be alone.
+    form.  ``A`` is one (d+4, d+4) group element, or a per-sample stack of N
+    elements whose element s acts on sample s of the batch: one pass over N
+    (element, point) pairs.  Where |e - a t| falls to ``CHART_GUARD`` the
+    image leaves the chart: that sample's image and r' come back NaN
+    (``mark_escapes``) while every other sample is what it would be alone.
 
     The n numerators are one stack (``_affine_rows``): (a/2) g(x,x) is formed
     once, and row a adds its L[a, b] x[b] in column order b, skipping zero
@@ -892,13 +864,13 @@ def projective_action(ge: GroupElement, x, r=None):
     therefore rounded exactly as (C[a] - (a/2) g(x,x) xi[a] + L[a, 0] x[0] +
     ...) / (e - a t) evaluated on its own, for one sample and one element.
     """
-    d = ge.dim
-    blocks = ge.blocks
-    t = x[d]
-    den = blocks.e - blocks.a * t
+    d = A.shape[-1] - 4
+    n = d + 2
+    den = projective_denominator(A, x[d])
     escaped = np.abs(jet_value(den)) <= CHART_GUARD
     den = mark_escapes(den, escaped, "projective denominator vanished")
-    rows = _affine_rows(x, d, blocks.C, blocks.L, 0.5 * blocks.a * _chart_square(x))
+    quad = 0.5 * A[..., d + 1, n] * _chart_square(x)
+    rows = _affine_rows(x, d, A[..., :n, n + 1], A[..., :n, :n], quad)
     if isinstance(den, Jet2):
         # jet division multiplies by the reciprocal: one for every row
         rows = rows * _over_rows(den._reciprocal(), rows)

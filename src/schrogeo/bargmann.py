@@ -26,14 +26,12 @@ import numpy as np
 
 from . import numkernel as nk
 from .ambient import (
-    GroupElement,
     SchBlocks,
-    assemble_group_element,
-    exp_algebra,
-    extract_blocks,
+    exp_group,
     flat_metric,
     group_inverse,
     projective_action,
+    projective_denominator,
     sch_matrix,
     xi_field,
 )
@@ -274,28 +272,27 @@ def boost_map(d: int, b: Sequence[float]) -> ChartMap:
     return _linear_map(W)
 
 
-def group_map(ge: GroupElement) -> ChartMap:
-    """Projective action of one stabilizer element (``take(0)`` of a stack)
-    as a chart map.
+def group_map(A: np.ndarray) -> ChartMap:
+    """Projective action of one (d+4, d+4) stabilizer element as a chart
+    map.
 
     The action is conformal with factor Omega(x) = 1 / (e - a t), so
     |det D(inverse)|(p) = |e' - a' t|^{-(d+2)} with (a', e') read off the
     inverse element; that closed form is what makes the transported
     coefficient jet-evaluable to second order.
     """
-    d = ge.dim
-    # inverted as a stack of one: take(None) gives every field the element axis
-    gi = group_inverse(ge.take(None)).take(0)
-    a_i, e_i = gi.blocks.a, gi.blocks.e
+    d = A.shape[-1] - 4
+    # inverted as a stack of one
+    Ai = group_inverse(A[None])[0]
 
     def forward(x):
-        return projective_action(ge, x)
+        return projective_action(A, x)
 
     def inverse(x):
-        return projective_action(gi, x)
+        return projective_action(Ai, x)
 
     def jacobian_factor(x):
-        den = e_i - a_i * x[d]
+        den = projective_denominator(Ai, x[d])
         return (den * den) ** (-(d + 2) / 2.0) if isinstance(den, Jet2) else abs(den) ** (-(d + 2.0))
 
     return ChartMap(forward, inverse, jacobian_factor)
@@ -305,14 +302,11 @@ def group_map(ge: GroupElement) -> ChartMap:
 def expansion_map_projective(d: int, alpha: float) -> ChartMap:
     """Projective form of the finite expansion exp(alpha E).
 
-    Built once per (d, alpha) and shared, so its element's arrays are
-    read-only.
+    Built once per (d, alpha) and shared, so its element is read-only.
     """
-    A = exp_algebra(_expansion_generator(d, alpha)[None])
-    ge = assemble_group_element(extract_blocks(A, d), d)
-    for a in (ge.matrix, *ge.blocks):
-        a.flags.writeable = False
-    return group_map(ge.take(0))
+    A = exp_group(_expansion_generator(d, alpha)[None], d)[0]
+    A.flags.writeable = False
+    return group_map(A)
 
 
 def _expansion_generator(d: int, alpha: float) -> np.ndarray:

@@ -38,7 +38,6 @@ import numpy as np
 from . import numkernel as nk
 from .ambient import (
     GroupBlocks,
-    GroupElement,
     ambient_gram,
     assemble_group_element,
     build_Z0,
@@ -553,28 +552,30 @@ def null_plane_boost(d: int, c: float) -> np.ndarray:
     return A
 
 
-def isometry_check(cfg: SchrodingerManifoldConfig, element, pts: np.ndarray) -> dict:
-    """Pull the chart metric back through the ambient action of ``element``
-    (a group element or a raw ambient matrix) at the chart points ``pts``
-    and compare.
+def isometry_check(cfg: SchrodingerManifoldConfig, A: np.ndarray, pts: np.ndarray) -> dict:
+    """Pull the chart metric back through the ambient action of the
+    (d+4, d+4) matrix ``A`` (a group element or any ambient matrix) at the
+    chart points ``pts`` and compare.
 
     Per point, (N,) each: the metric residual, the relative quadric
     residual, and whether the image left the rh > 0 sheet.  An escaped
     point's metric residual is NaN and the rest are exact
-    (``chart_from_ambient``).
+    (``chart_from_ambient``).  The points are embedded once, as jets: the
+    quadric reads their values.
     """
     d = cfg.d
-    A = element.matrix if isinstance(element, GroupElement) else np.asarray(element)
+    A = np.asarray(A)
     metric = bulk_metric(cfg)
+    embedded = []
 
     def moved(q):
-        comps = embed_components(cfg, q)
-        return chart_from_ambient(cfg, [sparse_dot(row, comps) for row in A])
+        embedded[:] = embed_components(cfg, q)
+        return chart_from_ambient(cfg, [sparse_dot(row, embedded) for row in A])
 
     vals, jac = jet_components(moved, pts)
     J = jac.real
     pulled = J.swapaxes(-1, -2) @ gram_values(metric, vals.real) @ J
-    Q2 = _mv(A, component_values(lambda q: embed_components(cfg, q), pts))
+    Q2 = _mv(A, np.stack([c.value for c in embedded], axis=-1))
     quad = np.abs(_vv(_vm(Q2, ambient_gram(d)), Q2) - 2.0 * cfg.lam)
     return {
         "metric_residual": np.abs(pulled - gram_values(metric, pts)).max(axis=(-2, -1)),
@@ -589,7 +590,7 @@ def isometry_check(cfg: SchrodingerManifoldConfig, element, pts: np.ndarray) -> 
 
 def bulk_isotropy_element(
     cfg: SchrodingerManifoldConfig, R: np.ndarray, u: np.ndarray, a: np.ndarray
-) -> GroupElement:
+) -> np.ndarray:
     """Stabilizer elements of the bulk base point, one per row of the
     rotations R (E, d, d), boost vectors u (E, d) and expansion strengths
     a (E,), as one validated stack."""
@@ -611,7 +612,7 @@ def bulk_isotropy_element(
 
 def boundary_isotropy_element(
     d: int, R: np.ndarray, v: np.ndarray, a: np.ndarray, e: np.ndarray
-) -> GroupElement:
+) -> np.ndarray:
     """Stabilizer elements of the boundary base ray, one per row of the
     rotations R (E, d, d), velocities v (E, d), expansion strengths a (E,)
     and dilation factors e (E,), as one validated stack."""
@@ -660,8 +661,8 @@ def isotropy_check(
         a[k] = 0.8 * rng.normal()
         v[k] = 0.7 * rng.normal(size=d)
         e[k] = np.exp(0.5 * rng.normal()) * (-1.0 if k % 2 else 1.0)
-    bulk = bulk_isotropy_element(cfg, R, u, a).matrix
-    boundary = boundary_isotropy_element(d, R, v, a, e).matrix
+    bulk = bulk_isotropy_element(cfg, R, u, a)
+    boundary = boundary_isotropy_element(d, R, v, a, e)
     return {
         "bulk_isotropy_dim": n_alg - rank_bulk,
         "bulk_isotropy_expected": d * (d + 1) // 2 + 1,

@@ -70,7 +70,7 @@ class Jet2:
     product alone symmetrizes, since its sum (u h' + u' h + g g'^T) + g' g^T
     rounds differently above and below the diagonal.
 
-    ``hess`` is None on a first-order jet (``order`` 1): it holds the value
+    ``hess`` is None on a first-order jet (order 1): it holds the value
     and the gradient only, each bitwise what the second-order jet holds.  An
     operation on two jets of different orders raises ContractViolationError.
 
@@ -115,14 +115,6 @@ class Jet2:
     def dim(self) -> int:
         return self.grad.shape[0]
 
-    @property
-    def order(self) -> int:
-        """1 for a first-order jet, 2 for one that carries its Hessian."""
-        return 1 if self.hess is None else 2
-
-    def __repr__(self) -> str:
-        return f"Jet2({self.value!r}, grad={self.grad!r})"
-
     # -- helpers -------------------------------------------------------
 
     def _coerce(self, other):
@@ -133,7 +125,7 @@ class Jet2:
                 )
             if (other.hess is None) != (self.hess is None):
                 raise ContractViolationError(
-                    f"jet orders differ: {self.order} vs {other.order}"
+                    "jet orders differ: one jet carries a Hessian, the other not"
                 )
             return other
         if isinstance(other, numbers.Number):
@@ -226,7 +218,8 @@ class Jet2:
         if isinstance(k, numbers.Integral):
             k = int(k)
             if k == 0:
-                return Jet2.constant(np.ones_like(self.value), self.dim, self.order)
+                order = 1 if self.hess is None else 2
+                return Jet2.constant(np.ones_like(self.value), self.dim, order)
             if k == 1:
                 return Jet2(self.value, self.grad, self.hess, _symmetric=True)
             if k < 0:

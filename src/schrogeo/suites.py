@@ -40,6 +40,7 @@ from .ambient import (
     group_elements,
     group_inverse,
     projective_action,
+    projective_denominator,
     require_sch,
     sch_dimension,
     sch_residuals,
@@ -440,8 +441,7 @@ def _realization(c, seed):
     # order, in one bracket pass
     drawn = algebra_elements(d, group_coefficients(d, rng, 6))
     first = np.repeat(np.arange(0, 6, 2), len(pts))
-    e1, e2 = drawn.take(first), drawn.take(first + 1)
-    found = bracket_fields(e1, e2, d, np.tile(pts, (3, 1)))["minus"]
+    found = bracket_fields(drawn[first], drawn[first + 1], d, np.tile(pts, (3, 1)))["minus"]
     return {"residual": found, "sign": -1}
 
 
@@ -491,8 +491,7 @@ def _pairs(stack, pts: np.ndarray) -> tuple:
     """Every (element, point) pair of an element stack and the points,
     element by element and in point order: a per-sample element stack and
     the points it acts on."""
-    count = len(stack.matrix)
-    return stack.take(np.repeat(np.arange(count), len(pts))), np.tile(pts, (count, 1))
+    return np.repeat(stack, len(pts), axis=0), np.tile(pts, (len(stack), 1))
 
 
 def _group_context(cfg: SuiteConfig, d: int) -> SimpleNamespace:
@@ -505,9 +504,8 @@ def _constraints(c, seed):
     rng = SeededSampler.generator(seed)
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
-    stack = group_elements(d, group_coefficients(d, rng, count))
-    A = stack.matrix
-    Ainv = group_inverse(stack).matrix
+    A = group_elements(d, group_coefficients(d, rng, count))
+    Ainv = group_inverse(A)
     found = [A.swapaxes(-1, -2) @ G @ A - G, A @ Z0 - Z0 @ A, Ainv @ A - np.eye(d + 4)]
     return np.abs(found).max(axis=(0, 2, 3))
 
@@ -527,7 +525,7 @@ def _projective(c, seed):
     img, r2 = projective_action(ge, list(x.T), r)
     lifted = np.array(cone_point(img, r2)).T
     # one matrix-vector product per sample, rounded as for one point
-    moved = (ge.matrix @ np.array(cone_point(list(x.T), r)).T[..., None])[..., 0]
+    moved = (ge @ np.array(cone_point(list(x.T), r)).T[..., None])[..., 0]
     return {"residual": np.abs(lifted - moved).max(axis=1), "escaped": ~np.isfinite(r2)}
 
 
@@ -537,7 +535,7 @@ def _pullback(c, seed):
     g0 = flat_gram_matrix(d)
     pts = _box_points(seed, 1.0, d + 2, 4)
     ge, x = _pairs(group_elements(d, group_coefficients(d, rng, c.rounds)), pts)
-    den = ge.blocks.e - ge.blocks.a * x[:, d]
+    den = projective_denominator(ge, x[:, d])
     _, jac = jet_components(lambda y: projective_action(ge, y), x)
     J = jac.real
     pulled = J.swapaxes(-1, -2) @ g0 @ J
@@ -674,7 +672,7 @@ def _isometry(c, seed):
     pts = _grid_points(c, seed)
     stack = group_elements(c.d, group_coefficients(c.d, rng, 2))
     found = [
-        hg.isometry_check(hg.SchrodingerManifoldConfig(c.d, lam, mu), stack.take(i), pts)
+        hg.isometry_check(hg.SchrodingerManifoldConfig(c.d, lam, mu), stack[i], pts)
         for i, (lam, mu) in enumerate(((-0.5, 1.0), (-1.0, 2.0)))
     ]
     return {

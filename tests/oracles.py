@@ -4,9 +4,9 @@ metric derivatives, dense second derivatives to and from the factored form of
 ``gram_jets``, Gram assembly entry by entry, the scalar Laplacian, conformal
 rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
-its generator field, one algebra element drawn as a stack of one,
-group-element stacks built element by element, the commutant basis of Z0 built element
-by element from its own SVD per tolerance, the per-sample residuals of the
+its generator field, one algebra element drawn as a stack of one, the
+commutant basis of Z0 built element by element from its own SVD per
+tolerance, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
 element pair at a time, the isotropy stabilizer elements built one at a
 time, the schrodinger-eq plane-wave record measured one wave per pass, and
@@ -22,7 +22,6 @@ from schrogeo import numkernel as nk
 from schrogeo import bargmann as bg
 from schrogeo.ambient import (
     GroupBlocks,
-    GroupElement,
     SchBlocks,
     algebra_elements,
     ambient_gram,
@@ -401,21 +400,10 @@ def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
     )
 
 
-def algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4):
+def algebra_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
     """One algebra element: the stack of one that ``algebra_elements`` makes
     of one ``group_coefficients`` row, its element axis dropped."""
-    return algebra_elements(d, group_coefficients(d, rng, 1, scale)).take(0)
-
-
-def stack_elements(elements: list[GroupElement]) -> GroupElement:
-    """One GroupElement stack of single elements, each block field stacked
-    entry by entry, bit for bit (signed zeros too)."""
-    fields = zip(*(ge.blocks for ge in elements))
-    return GroupElement(
-        np.array([ge.matrix for ge in elements]),
-        GroupBlocks(*map(np.array, fields)),
-        elements[0].dim,
-    )
+    return algebra_elements(d, group_coefficients(d, rng, 1, scale))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +468,7 @@ def _one_element(blocks: GroupBlocks, d: int) -> np.ndarray:
     """The matrix of one element's blocks, assembled and validated as a
     stack of one."""
     stack = GroupBlocks(*(np.asarray(f)[None] for f in blocks))
-    return assemble_group_element(stack, d).matrix[0]
+    return assemble_group_element(stack, d)[0]
 
 
 def isotropy_loop(cfg: SchrodingerManifoldConfig, rng, samples: int) -> dict:

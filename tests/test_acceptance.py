@@ -17,9 +17,8 @@ from schrogeo.ambient import (
     commutant_basis,
     component_witnesses,
     cone_point,
-    exp_algebra,
-    extract_blocks,
-    assemble_group_element,
+    decompose_sch,
+    exp_group,
     g_adjoint,
     projective_action,
     random_group_element,
@@ -118,8 +117,9 @@ def test_criterion_02_conformal_killing_realization():
         bg = flat_bargmann(d)
         pts = SeededSampler(101 + d, [(-1.0, 1.0)] * (d + 2)).points(20)
         for e in commutant_basis(d):
-            field = realize_field(e.blocks, d)
-            alpha, chi = e.blocks.alpha, e.blocks.chi
+            blocks = decompose_sch(e, d)
+            field = realize_field(blocks, d)
+            alpha, chi = blocks.alpha, blocks.chi
             lie = lie_derivative_metric(gram_jets(bg.metric, pts, order=1), field)
             g0 = gram_values(bg.metric, pts)
             phi = 2.0 * (alpha * pts[:, d] + chi)
@@ -250,8 +250,7 @@ def test_criterion_08_group_constraints_and_infinitesimal_action():
     G = ambient_gram(d)
     Z0 = build_Z0(d).matrix
     for i in range(50):
-        ge = random_group_element(d, rng, scale=0.35)
-        A = ge.matrix
+        A = random_group_element(d, rng, scale=0.35)
         gate.check(
             float(np.abs(g_adjoint(A, G) @ A - np.eye(d + 4)).max()) < 1e-10,
             f"isometry relation {i}",
@@ -265,19 +264,16 @@ def test_criterion_08_group_constraints_and_infinitesimal_action():
         r = rng.uniform(0.6, 1.4)
         xp, rp = projective_action(ge, x, r)
         gate.check(
-            float(np.abs(ge.matrix @ cone_point(x, r) - cone_point(xp, rp)).max())
+            float(np.abs(ge @ cone_point(x, r) - cone_point(xp, rp)).max())
             < 1e-10,
             f"cone equivariance {i}",
         )
     # derivative of the finite action reproduces the algebra realization
     eps = 1e-5
     for e in commutant_basis(d)[:6]:
-        # each exponential assembled as a stack of one
-        A_p, A_m = (
-            assemble_group_element(extract_blocks(exp_algebra(h * e.matrix[None]), d), d).take(0)
-            for h in (eps, -eps)
-        )
-        field = realize_field(e.blocks, d)
+        # each exponential validated as a stack of one
+        A_p, A_m = (exp_group(h * e[None], d)[0] for h in (eps, -eps))
+        field = realize_field(decompose_sch(e, d), d)
         x = np.array([0.3, -0.2, 0.4, 0.1])
         fwd = np.array(projective_action(A_p, x))
         bwd = np.array(projective_action(A_m, x))

@@ -17,7 +17,6 @@ from oracles import algebra_element, closure_rows, commutant_loop, realization_r
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.ambient import (
-    AlgebraElement,
     _commutant_cached,
     _commutant_svd,
     bracket_fields,
@@ -36,13 +35,6 @@ from schrogeo.suites import LIE_ALGEBRA, SuiteConfig, check_seed
 
 DIMS = range(1, 9)
 SEEDS = (0, 7, 42)
-
-
-def element_stack(elements: list[AlgebraElement], d: int) -> AlgebraElement:
-    """A per-sample stack of single elements: their matrices stacked, the
-    blocks split from the stack."""
-    matrices = np.array([e.matrix for e in elements])
-    return AlgebraElement(matrices, decompose_sch(matrices, d))
 
 
 def measured(fn, record: str, d: int, seed: int) -> dict:
@@ -149,7 +141,7 @@ def test_realization_is_one_bracket_pass(monkeypatch, d):
     brackets = suites.bracket_fields
 
     def counted(e1, e2, dim, p):
-        seen.append((e1.matrix.shape, e2.matrix.shape, np.shape(p)))
+        seen.append((e1.shape, e2.shape, np.shape(p)))
         return brackets(e1, e2, dim, p)
 
     monkeypatch.setattr(suites, "bracket_fields", counted)
@@ -170,12 +162,11 @@ def pairs(d: int, count: int, rng: np.random.Generator) -> list:
     for i in range(count):
         pair = [algebra_element(d, rng) for _ in range(2)]
         if i % 2:
-            e = pair[0]
-            lam = e.blocks.Lam.copy()
+            blocks = decompose_sch(pair[0], d)
+            lam = blocks.Lam
             lam[rng.integers(d + 2), [b for b in range(d + 2) if b != d + 1]] = 0.0
             lam[rng.integers(d + 2), 0] = -0.0
-            m = sch_matrix(e.blocks._replace(Lam=lam), d)
-            pair[0] = AlgebraElement(m, decompose_sch(m, d))
+            pair[0] = sch_matrix(blocks, d)
         out.append(pair)
     return out
 
@@ -195,16 +186,17 @@ def test_per_sample_stack_is_one_pair_at_a_time(d):
     drawn = pairs(d, count, rng)
     pts = rng.uniform(-0.9, 0.9, size=(count, d + 2))
     pts[0, 0], pts[1, -1] = -0.0, 0.0
-    e1, e2 = (element_stack([p[i] for p in drawn], d) for i in (0, 1))
+    e1, e2 = (np.array([p[i] for p in drawn]) for i in (0, 1))
+    blocks = decompose_sch(e1, d)
     for f in ("Lam", "Gam", "alpha", "chi"):
         for s, (one, _) in enumerate(drawn):
-            assert np.asarray(getattr(e1.blocks, f)[s]).tobytes() == np.asarray(
-                getattr(one.blocks, f)
+            assert np.asarray(getattr(blocks, f)[s]).tobytes() == np.asarray(
+                getattr(decompose_sch(one, d), f)
             ).tobytes()
-    assert e1.blocks.alpha.shape == e1.blocks.chi.shape == (count,)
+    assert blocks.alpha.shape == blocks.chi.shape == (count,)
 
-    field = realize_field(e1.blocks, d)
-    singles = [realize_field(one.blocks, d) for one, _ in drawn]
+    field = realize_field(blocks, d)
+    singles = [realize_field(decompose_sch(one, d), d) for one, _ in drawn]
     values = component_values(field.components, pts)
     vals, jac = jet_components(field.components, pts)
     second = field.components(nk.seed_point(pts))
@@ -227,12 +219,12 @@ def test_per_sample_stack_is_one_pair_at_a_time(d):
 def test_a_stack_is_checked_at_its_worst_element():
     d = 3
     rng = np.random.default_rng(4)
-    stack = element_stack([algebra_element(d, rng) for _ in range(4)], d)
-    bad = stack.matrix.copy()
+    stack = np.array([algebra_element(d, rng) for _ in range(4)])
+    bad = stack.copy()
     bad[-1, 0, d + 1] += 1e-3  # moves the vertical direction
     with pytest.raises(ContractViolationError):
         require_sch(sch_residuals(bad, d))
     blocks = decompose_sch(bad, d)
     with pytest.raises(ContractViolationError, match="Lam xi"):
         realize_field(blocks, d)
-    realize_field(decompose_sch(stack.matrix, d), d)
+    realize_field(decompose_sch(stack, d), d)

@@ -114,7 +114,7 @@ class TestCommutant:
         basis = commutant_basis(d)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                Z = basis[i].matrix @ basis[j].matrix - basis[j].matrix @ basis[i].matrix
+                Z = basis[i] @ basis[j] - basis[j] @ basis[i]
                 blocks = decompose_sch(Z, d)
                 assert np.abs(sch_matrix(blocks, d) - Z).max() < 1e-10
 
@@ -131,7 +131,7 @@ class TestCommutant:
         d = 3
         rng = np.random.default_rng(4)
         stack = np.array(
-            [algebra_element(d, rng).matrix for _ in range(3)]
+            [algebra_element(d, rng) for _ in range(3)]
             + [generic_tangent(d, rng)]
         )
         res = sch_residuals(stack, d)
@@ -144,14 +144,14 @@ class TestCommutant:
         d = 2
         Z0 = build_Z0(d).matrix
         for e in commutant_basis(d):
-            assert np.abs(e.matrix @ Z0 - Z0 @ e.matrix).max() < 1e-12
+            assert np.abs(e @ Z0 - Z0 @ e).max() < 1e-12
 
     def test_decompose_round_trip_random(self):
         rng = np.random.default_rng(12)
         for d in (1, 3):
             e = algebra_element(d, rng)
-            again = sch_matrix(decompose_sch(e.matrix, d), d)
-            assert np.abs(again - e.matrix).max() < 1e-12
+            again = sch_matrix(decompose_sch(e, d), d)
+            assert np.abs(again - e).max() < 1e-12
 
 
 class TestRealization:
@@ -191,9 +191,9 @@ class TestGroup:
     def test_identity_blocks(self):
         d = 2
         blocks = extract_blocks(np.eye(d + 4)[None], d)
-        ge = assemble_group_element(blocks, d)
-        assert ge.matrix.shape == (1, d + 4, d + 4)
-        assert np.abs(ge.matrix - np.eye(d + 4)).max() == 0.0
+        A = assemble_group_element(blocks, d)
+        assert A.shape == (1, d + 4, d + 4)
+        assert np.abs(A - np.eye(d + 4)).max() == 0.0
 
     def test_random_elements_satisfy_defining_relations(self):
         rng = np.random.default_rng(3)
@@ -201,8 +201,7 @@ class TestGroup:
         G = ambient_gram(d)
         Z0 = build_Z0(d).matrix
         for _ in range(10):
-            ge = random_group_element(d, rng)
-            A = ge.matrix
+            A = random_group_element(d, rng)
             assert np.abs(g_adjoint(A, G) @ A - np.eye(d + 4)).max() < 1e-10
             assert np.abs(A @ Z0 - Z0 @ A).max() < 1e-10
 
@@ -226,8 +225,7 @@ class TestGroup:
         # scaling only the spatial block keeps the vertical relations intact
         d = 2
         rng = np.random.default_rng(8)
-        ge = random_group_element(d, rng)
-        blocks = extract_blocks(ge.matrix[None], d)
+        blocks = extract_blocks(random_group_element(d, rng)[None], d)
         L = blocks.L.copy()
         L[:, :d, :d] *= 1.01
         bad = blocks.__class__(
@@ -242,7 +240,7 @@ class TestGroup:
 
     def test_nan_entry_fails_the_block_constraints(self):
         d = 2
-        A = random_group_element(d, np.random.default_rng(8)).matrix.copy()
+        A = random_group_element(d, np.random.default_rng(8))
         A[0, 0] = np.nan
         with pytest.raises(StabilizerConstraintError):
             assemble_group_element(extract_blocks(A[None], d), d)
@@ -264,7 +262,7 @@ class TestGroup:
 
     def test_nan_vertical_residual_is_refused(self):
         d = 2
-        blocks = algebra_element(d, np.random.default_rng(4)).blocks
+        blocks = decompose_sch(algebra_element(d, np.random.default_rng(4)), d)
         with pytest.raises(ContractViolationError, match="Lam xi"):
             realize_field(SchBlocks(blocks.Lam, blocks.Gam, blocks.alpha, np.nan), d)
         Z = sch_matrix(blocks, d)
@@ -287,17 +285,17 @@ class TestGroup:
         d = 1
         stack = ambient.group_elements(d, ambient.group_coefficients(d, rng, 1))
         inv = group_inverse(stack)
-        assert np.abs(stack.matrix @ inv.matrix - np.eye(d + 4)).max() < 1e-12
+        assert np.abs(stack @ inv - np.eye(d + 4)).max() < 1e-12
 
     def test_projective_action_lifts_to_cone(self):
         rng = np.random.default_rng(30)
         d = 2
         for _ in range(8):
-            ge = random_group_element(d, rng)
+            A = random_group_element(d, rng)
             x = rng.uniform(-0.8, 0.8, size=d + 2)
             r = rng.uniform(0.5, 1.5)
-            xp, rp = projective_action(ge, x, r)
-            lifted = ge.matrix @ cone_point(x, r)
+            xp, rp = projective_action(A, x, r)
+            lifted = A @ cone_point(x, r)
             assert np.abs(lifted - cone_point(xp, rp)).max() < 1e-12
 
 
@@ -308,7 +306,7 @@ EXP_DIMS = (1, 2, 3, 4, 6, 8)
 def algebra_sweep(d, scale, count):
     """Seeded random algebra elements at the default spread, times ``scale``."""
     rng = np.random.default_rng(400 + d)
-    return [scale * algebra_element(d, rng).matrix for _ in range(count)]
+    return [scale * algebra_element(d, rng) for _ in range(count)]
 
 
 def orthogonality_defect(A, d):
@@ -389,7 +387,7 @@ class TestExponential:
         if kind == "diag":
             Z = x * np.diag([1.0, -1.0])
         else:
-            Z = algebra_element(2, np.random.default_rng(7)).matrix
+            Z = algebra_element(2, np.random.default_rng(7))
             Z *= x * _THETA13 / np.abs(Z).sum(axis=0).max()
         # one matrix as a stack of one, and inside a stack
         assert _squarings(Z[None]).tolist() == [s]
@@ -426,7 +424,7 @@ class TestVerticalCompatibility:
         d = 2
         bg = flat_bargmann(d)
         for e in commutant_basis(d):
-            field = realize_field(e.blocks, d)
+            field = realize_field(decompose_sch(e, d), d)
             br = lie_bracket(field, bg.xi, [[0.3, -0.6, 0.8, 0.2]])
             assert np.abs(br).max() < 1e-12
 

@@ -16,7 +16,6 @@ from oracles import (
     embed,
     rescaled_metric,
     scalar_laplacian,
-    stack_elements,
 )
 
 from schrogeo import bargmann as bg
@@ -35,6 +34,7 @@ from schrogeo.ambient import (
     group_elements,
     group_inverse,
     projective_action,
+    projective_denominator,
     random_group_element,
     realize_field,
 )
@@ -497,7 +497,7 @@ class TestBatchedHomogeneous:
 
 
 def _group_matrix(d, seed):
-    return random_group_element(d, np.random.default_rng(seed)).matrix
+    return random_group_element(d, np.random.default_rng(seed))
 
 
 def _escaping_matrix(d, c):
@@ -593,7 +593,7 @@ def _batches_of_one(pts):
 class TestBatchedWaveOperators:
     def test_divergence(self, d):
         structure = bg.flat_bargmann(d)
-        field = realize_field(algebra_element(d, np.random.default_rng(d)).blocks, d)
+        field = realize_field(decompose_sch(algebra_element(d, np.random.default_rng(d)), d), d)
         pts = _flat_points(d)
         for vf in (structure.xi, field):
             batch = divergence(gram_jets(structure.metric, pts, 1), vf)
@@ -617,7 +617,7 @@ class TestBatchedWaveOperators:
     def test_density_lie_derivative_and_residual(self, d, density):
         structure = bg.flat_bargmann(d)
         psi = _densities(d)[density]
-        field = realize_field(algebra_element(d, np.random.default_rng(7)).blocks, d)
+        field = realize_field(decompose_sch(algebra_element(d, np.random.default_rng(7)), d), d)
         pts = _flat_points(d, seed=2)
         for vf in (structure.xi, field):
             batch = density_lie_derivative(structure.metric, vf, psi, pts)
@@ -644,9 +644,15 @@ def test_constant_function_on_a_batch():
 def _escaping_element(d):
     for seed in range(50):
         ge = random_group_element(d, np.random.default_rng(seed))
-        if abs(ge.blocks.a) > 0.05:
+        if abs(ge[d + 1, d + 2]) > 0.05:  # the expansion block a
             return ge
     raise AssertionError("no element with a visible expansion block")
+
+
+def _chart_root(ge):
+    """The time t at which the denominator e - a t of ``ge`` vanishes."""
+    d = ge.shape[-1] - 4
+    return ge[d + 3, d + 3] / ge[d + 1, d + 2]
 
 
 class TestBatchedProjectiveAction:
@@ -666,8 +672,8 @@ class TestBatchedProjectiveAction:
         d = 2
         ge = _escaping_element(d)
         pts = _flat_points(d, count=5)
-        pts[bad, d] = ge.blocks.e / ge.blocks.a  # denominator e - a t ~ 0
-        assert abs(ge.blocks.e - ge.blocks.a * pts[bad, d]) <= 1e-8
+        pts[bad, d] = _chart_root(ge)
+        assert abs(projective_denominator(ge, pts[bad, d])) <= 1e-8
         r = np.linspace(1.0, 1.4, 5)
         keep = np.arange(5) != bad
 
@@ -740,7 +746,7 @@ def test_transport_through_an_escaped_sample_reads_nan():
     pts = _flat_points(d, count=5, seed=11, box=0.5)
     clean = bg.symmetry_transport_check(phi, psi, bg.flat_bargmann(d), PARAMS, pts)
     assert all(np.isfinite(v).all() for v in clean.values())
-    pts[2, d] = ge.blocks.e / ge.blocks.a  # denominator e - a t ~ 0
+    pts[2, d] = _chart_root(ge)
     escaped = bg.symmetry_transport_check(phi, psi, bg.flat_bargmann(d), PARAMS, pts)
     for key, value in escaped.items():
         assert np.isnan(value[2]), key
@@ -791,12 +797,12 @@ def test_a_check_is_the_max_of_its_one_point_calls(d, check):
 def sequential_bracket_fields(e1, e2, d, p):
     """Reference: one point, both fields and the matrix bracket realized at
     that point alone, as a batch of one."""
-    v1 = realize_field(e1.blocks, d)
-    v2 = realize_field(e2.blocks, d)
+    v1 = realize_field(decompose_sch(e1, d), d)
+    v2 = realize_field(decompose_sch(e2, d), d)
     vv, vj = (a[0] for a in jet_components(v1.components, p[None]))
     wv, wj = (a[0] for a in jet_components(v2.components, p[None]))
     fb = np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
-    m = e1.matrix @ e2.matrix - e2.matrix @ e1.matrix
+    m = e1 @ e2 - e2 @ e1
     vm = realize_field(decompose_sch(m, d), d)
     mv = np.array([c[0] for c in vm.components(list(p[:, None]))], dtype=float)
     return {"minus": float(np.abs(fb + mv).max()), "plus": float(np.abs(fb - mv).max())}
@@ -823,9 +829,9 @@ class TestBatchedAlgebra:
         basis = commutant_basis(d)
         rng, ref = np.random.default_rng(d), np.random.default_rng(d)
         for _ in range(20):
-            got = algebra_element(d, rng).matrix
+            got = algebra_element(d, rng)
             coeffs = ref.uniform(-0.4, 0.4, size=len(basis))
-            want = sum(c * b.matrix for c, b in zip(coeffs, basis))
+            want = sum(c * b for c, b in zip(coeffs, basis))
             assert got.tobytes() == want.tobytes()
 
     def test_stack_is_read_only_and_basis_copies_are_fresh(self):
@@ -834,12 +840,12 @@ class TestBatchedAlgebra:
         with pytest.raises(ValueError):
             commutant_stack(d)[0, 0, 0] = 1.0
         basis = commutant_basis(d)
-        basis[0].matrix[:] = 7.0
-        basis[1].blocks.Lam[:] = 7.0
+        basis[0][:] = 7.0
+        basis[1][: d + 2, : d + 2] = 7.0
         assert commutant_stack(d).tobytes() == before.tobytes()
         again = commutant_basis(d)
-        assert np.array_equal(again[0].matrix, before[0])
-        assert np.array_equal(again[1].blocks.Lam, before[1][: d + 2, : d + 2])
+        assert np.array_equal(again[0], before[0])
+        assert np.array_equal(again[1], before[1])
 
 
 def sequential_projective(cfg, d, sample_group):
@@ -858,7 +864,7 @@ def sequential_projective(cfg, d, sample_group):
                 continue
             used += 1
             lifted = np.array([float(v) for v in cone_point([v[0] for v in img], r2[0])])
-            moved = ge.matrix @ np.array([float(v) for v in cone_point(list(p), r)])
+            moved = ge @ np.array([float(v) for v in cone_point(list(p), r)])
             worst = max(worst, float(np.abs(lifted - moved).max()))
     return worst, used
 
@@ -872,8 +878,7 @@ def sequential_inverse(cfg, d, sample_group):
     worst, used = 0.0, 0
     for _ in range(max(3, max(5, cfg.samples // 2) // 3)):
         ge = sample_group(d, rng)
-        # inverted as a stack of one: take(None) gives every field the element axis
-        gi = group_inverse(ge.take(None)).take(0)
+        gi = group_inverse(ge[None])[0]
         for p in pts:
             back = np.array(projective_action(gi, projective_action(ge, list(p[:, None]))))[:, 0]
             if not np.isfinite(back).all():
@@ -890,15 +895,15 @@ def sometimes_escaping(ts):
     Returns that stand-in and a one-element draw from an rng through it."""
 
     def element(d, coeffs):
-        ge = group_elements(d, coeffs[None]).take(0)
-        k = zlib.crc32(ge.matrix.tobytes()) % (2 * len(ts))
+        ge = group_elements(d, coeffs[None])[0]
+        k = zlib.crc32(ge.tobytes()) % (2 * len(ts))
         if k >= len(ts):
             return ge
         A = exp_algebra(bg._expansion_generator(d, 1.0 / ts[k])[None])
-        return assemble_group_element(extract_blocks(A, d), d).take(0)
+        return assemble_group_element(extract_blocks(A, d), d)[0]
 
     def elements(d, coeffs):
-        return stack_elements([element(d, c) for c in coeffs])
+        return np.array([element(d, c) for c in coeffs])
 
     def sample(d, rng):
         return element(d, group_coefficients(d, rng, 1)[0])
@@ -956,7 +961,7 @@ def _evaluators():
     flat = bg.flat_bargmann(d)
     rng = np.random.default_rng(5)
     e1, e2 = algebra_element(d, rng), algebra_element(d, rng)
-    field = realize_field(e1.blocks, d)
+    field = realize_field(decompose_sch(e1, d), d)
     psi = bg.plane_wave(d, [0.3, -0.2], PARAMS)
     comps = field.components
     cfg_xi = xi_hat_field(cfg)

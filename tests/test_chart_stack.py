@@ -13,7 +13,7 @@ as in any other batch.
 import numpy as np
 import pytest
 
-from oracles import algebra_element, stack_elements
+from oracles import algebra_element
 
 from schrogeo import ambient
 from schrogeo import numkernel as nk
@@ -21,11 +21,11 @@ from schrogeo import suites
 from schrogeo.ambient import (
     CHART_GUARD,
     ChartEscapeError,
-    GroupElement,
     SchBlocks,
     StabilizerConstraintError,
     _squarings,
     commutant_stack,
+    decompose_sch,
     exp_algebra,
     flat_gram_matrix,
     group_coefficients,
@@ -63,19 +63,21 @@ def reference_field(blocks, d, x):
     return out
 
 
-def reference_projective(ge, x, r=None, guard=CHART_GUARD):
-    d, blocks = ge.dim, ge.blocks
+def reference_projective(A, x, r=None, guard=CHART_GUARD):
+    d = A.shape[-1] - 4
+    n = d + 2
+    L, C, alpha, e = A[:n, :n], A[:n, n + 1], A[d + 1, n], A[n + 1, n + 1]
     xi = xi_vector(d)
-    den = blocks.e - blocks.a * x[d]
+    den = e - alpha * x[d]
     if np.any(np.abs(nk.jet_value(den)) <= guard):
         raise ChartEscapeError("projective denominator vanished")
     xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
     out = []
-    for a in range(d + 2):
-        val = blocks.C[a] - 0.5 * blocks.a * xx * xi[a]
-        for b in range(d + 2):
-            if blocks.L[a, b] != 0.0:
-                val = val + blocks.L[a, b] * x[b]
+    for a in range(n):
+        val = C[a] - 0.5 * alpha * xx * xi[a]
+        for b in range(n):
+            if L[a, b] != 0.0:
+                val = val + L[a, b] * x[b]
         out.append(val / den)
     return out if r is None else (out, r / den)
 
@@ -122,8 +124,24 @@ def sparse(M, rng, keep_column=None):
     return M
 
 
-def with_blocks(ge, **changes):
-    return GroupElement(ge.matrix, ge.blocks._replace(**changes), ge.dim)
+def spatial_block(A):
+    """The L block of a group element: its first d + 2 rows and columns."""
+    n = A.shape[-1] - 2
+    return A[:n, :n]
+
+
+def with_entries(A, L=None, a=None, e=None):
+    """A copy of the group element A with the entries that the chart action
+    reads replaced: the L block, the expansion entry a, the entry e."""
+    d = A.shape[-1] - 4
+    A = A.copy()
+    if L is not None:
+        A[: d + 2, : d + 2] = L
+    if a is not None:
+        A[d + 1, d + 2] = a
+    if e is not None:
+        A[d + 3, d + 3] = e
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +151,7 @@ def with_blocks(ge, **changes):
 @pytest.mark.parametrize("d", DIMS)
 def test_realized_components_match_the_row_loop(d):
     rng = np.random.default_rng(d)
-    dense = algebra_element(d, rng).blocks
+    dense = decompose_sch(algebra_element(d, rng), d)
     # the vertical column Lam xi = -chi xi is what realize_field checks
     thinned = dense._replace(Lam=sparse(dense.Lam, rng, keep_column=d + 1))
     for blocks in (dense, thinned):
@@ -148,7 +166,7 @@ def test_realized_components_match_the_row_loop(d):
 def test_projective_images_match_the_row_loop(d):
     rng = np.random.default_rng(100 + d)
     ge = random_group_element(d, rng)
-    for g in (ge, with_blocks(ge, L=sparse(ge.blocks.L, rng))):
+    for g in (ge, with_entries(ge, L=sparse(spatial_block(ge), rng))):
         for kind, x in inputs(d, 20 + d).items():
             r = 1.0 + 0.3 * rng.uniform(size=np.shape(nk.jet_value(x[0])))
             got, got_r = projective_action(g, x, r)
@@ -191,7 +209,7 @@ def assert_marked(ge, elements, pts, r, bad):
 def test_projective_guard_marks_like_the_row_loop(d):
     rng = np.random.default_rng(d)
     ge = random_group_element(d, rng)
-    ge = with_blocks(ge, a=0.5, e=0.25)  # the denominator vanishes at t = 0.5
+    ge = with_entries(ge, a=0.5, e=0.25)  # the denominator vanishes at t = 0.5
     pts = rng.uniform(-0.9, 0.9, size=(3, d + 2))
     pts[1, d] = 0.5
     for x in (list(pts[1:2].T), nk.seed_point(pts[1:2])):
@@ -234,7 +252,7 @@ def test_one_reciprocal_per_jet_batch_projective_call(monkeypatch, d):
 def test_realized_field_builds_jets_linearly_in_the_dimension(monkeypatch):
     made = []
     for d in DIMS:
-        field = realize_field(algebra_element(d, np.random.default_rng(d)).blocks, d)
+        field = realize_field(decompose_sch(algebra_element(d, np.random.default_rng(d)), d), d)
         jets = nk.seed_point(np.random.default_rng(1).uniform(-0.5, 0.5, size=(4, d + 2)))
         counts = counting(monkeypatch)
         field.components(jets)
@@ -271,26 +289,21 @@ def test_stacked_draws_match_one_element_at_a_time(d, seed):
     elements = group_elements(d, group_coefficients(d, rng, 7))
     singles = []
     for i in range(7):
-        ge = elements.take(i)
         coeffs = ref.uniform(-0.4, 0.4, size=len(stack))
         m = sum(c * b for c, b in zip(coeffs, stack))
         want = reassembled(exp_algebra(m), d)
-        assert ge.matrix.tobytes() == want.tobytes()
+        assert elements[i].tobytes() == want.tobytes()
         single = random_group_element(d, one)
-        assert single.matrix.tobytes() == want.tobytes()
-        for f in ("L", "B", "C", "a", "b", "dd", "e"):
-            assert np.asarray(getattr(ge.blocks, f)).tobytes() == np.asarray(
-                getattr(single.blocks, f)
-            ).tobytes()
         # one element: the stack of one with its axis dropped
-        assert single.matrix.shape == (d + 4, d + 4) and np.ndim(single.blocks.a) == 0
+        assert single.shape == (d + 4, d + 4)
+        assert single.tobytes() == want.tobytes()
         singles.append(single)
     # the three streams stand at the same place afterwards
     assert rng.random() == ref.random() == one.random()
     inverses = group_inverse(elements)
-    for i, (gi, ge) in enumerate(zip(inverses.matrix, singles)):
-        assert gi.tobytes() == group_inverse(elements.take([i])).matrix[0].tobytes()
-        adjoint = ambient.g_adjoint(ge.matrix, ambient.ambient_gram(d))
+    for i, (gi, ge) in enumerate(zip(inverses, singles)):
+        assert gi.tobytes() == group_inverse(elements[[i]])[0].tobytes()
+        adjoint = ambient.g_adjoint(ge, ambient.ambient_gram(d))
         assert gi.tobytes() == reassembled(adjoint, d).tobytes()
 
 
@@ -358,11 +371,9 @@ def test_stack_raises_what_the_first_failing_element_raises(monkeypatch, defect)
 
 def test_inverse_stack_raises_for_the_first_failing_inverse():
     elements = group_elements(D, group_coefficients(D, np.random.default_rng(4), 5))
-    bad = elements.matrix.copy()
-    bad[3, 0, 1] += 1e-3
-    elements = GroupElement(bad, elements.blocks, D)
+    elements[3, 0, 1] += 1e-3
     stacked = _raised(lambda: group_inverse(elements))
-    single = _raised(lambda: [group_inverse(elements.take([i])) for i in range(5)])
+    single = _raised(lambda: [group_inverse(elements[[i]]) for i in range(5)])
     assert isinstance(stacked, StabilizerConstraintError)
     assert str(stacked) == str(single)
 
@@ -413,14 +424,14 @@ def test_per_sample_action_matches_one_element_at_a_time(d):
     elements = [random_group_element(d, rng) for _ in range(4)]
     # L zero patterns that differ element by element, and a row of -0.0
     for i in (1, 2):
-        elements[i] = with_blocks(elements[i], L=sparse(elements[i].blocks.L, rng))
-    L = elements[3].blocks.L.copy()
+        elements[i] = with_entries(elements[i], L=sparse(spatial_block(elements[i]), rng))
+    L = spatial_block(elements[3]).copy()
     L[rng.integers(d + 2)] = -0.0
-    elements[3] = with_blocks(elements[3], L=L)
+    elements[3] = with_entries(elements[3], L=L)
     pts = rng.uniform(-0.9, 0.9, size=(3, d + 2))
     pts[0, 0], pts[1, -1] = -0.0, 0.0
     el, pt = np.divmod(np.arange(len(elements) * len(pts)), len(pts))
-    ge, x = stack_elements(elements).take(el), pts[pt]
+    ge, x = np.array(elements)[el], pts[pt]
     r = 1.0 + 0.3 * rng.uniform(size=len(x))
     for kind, batch, point in lifts(x):
         got, got_r = projective_action(ge, batch, r)
@@ -436,13 +447,13 @@ def test_per_sample_guard_marks_any_sample():
     d = 3
     rng = np.random.default_rng(9)
     elements = [random_group_element(d, rng) for _ in range(3)]
-    elements[2] = with_blocks(elements[2], a=0.5, e=0.25)  # vanishes at t = 0.5
+    elements[2] = with_entries(elements[2], a=0.5, e=0.25)  # vanishes at t = 0.5
     pts = np.random.default_rng(10).uniform(-0.9, 0.9, size=(3, d + 2))
     pts[2, d] = 0.5
-    assert_marked(stack_elements(elements), elements, pts, np.array([1.1, 1.2, 1.3]), bad=2)
+    assert_marked(np.array(elements), elements, pts, np.array([1.1, 1.2, 1.3]), bad=2)
     assert np.isnan(projective_action(elements[2], list(pts[2:3].T))).all()
     # the same point under another element stays on the chart
-    clear = projective_action(stack_elements(elements[:2] + elements[:1]), list(pts.T))
+    clear = projective_action(np.array(elements[:2] + elements[:1]), list(pts.T))
     assert np.isfinite(clear).all()
 
 
@@ -454,7 +465,7 @@ def test_projective_draws_coefficients_then_radii_round_by_round(monkeypatch, d)
     rng = np.random.default_rng(check_seed(cfg, f"group_d{d}_projective") + 1)
     want, radii = [], []
     for _ in range(20):
-        want.append(random_group_element(d, rng).matrix)
+        want.append(random_group_element(d, rng))
         radii.append(1.0 + 0.3 * rng.uniform(size=4))
     seen = []
 
@@ -475,7 +486,7 @@ def test_projective_draws_coefficients_then_radii_round_by_round(monkeypatch, d)
     at = [i for i, (kind, v) in enumerate(seen) if kind == "r" and v is not None]
     assert len(at) == 1
     stack = [v for kind, v in seen[: at[0]] if kind == "elements"][-1]
-    assert stack.matrix.tobytes() == np.array(want).tobytes()
+    assert stack.tobytes() == np.array(want).tobytes()
     assert seen[at[0]][1].tobytes() == np.concatenate(radii).tobytes()
 
 

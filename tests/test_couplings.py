@@ -16,6 +16,7 @@ from schrogeo import geometry
 from schrogeo import homogeneous as hg
 from schrogeo import numkernel as nk
 from schrogeo import suites
+from schrogeo.ambient import random_group_element
 from schrogeo.bargmann import (
     BargmannStructure,
     SchrodingerParams,
@@ -514,7 +515,7 @@ def test_nan_stabilizer_fails_the_isotropy(monkeypatch):
     def nan_first(*args, **kwargs):
         ge = original(*args, **kwargs)
         if not made:
-            ge.matrix[0, 0, 0] = np.nan
+            ge[0, 0, 0] = np.nan
         made.append(ge)
         return ge
 
@@ -703,6 +704,21 @@ def test_boundary_structure_evaluates_its_gram_once_at_its_points(monkeypatch):
     # its points, then the twenty drawn at four fixed times
     assert len(evaluated) == len(set(evaluated)) == 2
     assert evaluated[0][1] == np.ascontiguousarray(pts.T).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_isometry_check_embeds_its_points_once(monkeypatch, d):
+    # the quadric reads the values of the embedding jets that the pulled-back
+    # metric is built from, for a group element and for a raw matrix alike
+    cfg = hg.SchrodingerManifoldConfig(d, -0.5, 1.0)
+    pts = SeededSampler(6, hg.bulk_boxes(d)).points(N)
+    calls = {"embed": 0}
+    monkeypatch.setattr(hg, "embed_components", _counting(calls, "embed", hg.embed_components))
+    for A in (random_group_element(d, np.random.default_rng(d)), hg.null_plane_boost(d, 1.5)):
+        calls["embed"] = 0
+        got = hg.isometry_check(cfg, A, pts)
+        assert calls == {"embed": 1}
+        assert (got["quadric_residual"] < 1e-14).all()
 
 
 def test_an_order2_pass_stays_within_its_budget():

@@ -242,7 +242,7 @@ class TestIsometries:
         cfg = SchrodingerManifoldConfig(2, -0.5)
         el = bulk_isotropy_element(cfg, np.eye(2)[None], np.zeros((1, 2)), [0.7])
         Q0 = embed(cfg, origin_point(cfg)).Q
-        assert np.abs(el.matrix @ Q0 - Q0).max() < 1e-12
+        assert np.abs(el @ Q0 - Q0).max() < 1e-12
 
 
 class TestIsotropy:
@@ -270,7 +270,7 @@ class TestIsotropy:
 
         def spy(blocks, dim):
             ge = assemble(blocks, dim)
-            made.append(ge.matrix)
+            made.append(ge)
             return ge
 
         monkeypatch.setattr(hg, "assemble_group_element", spy)
@@ -290,7 +290,7 @@ class TestIsotropy:
         el = boundary_isotropy_element(d, np.eye(d)[None], [[0.3, -0.1]], [0.2], [1.4])
         X0 = np.zeros(d + 4)
         X0[d + 3] = 1.0
-        (image,) = el.matrix @ X0
+        (image,) = el @ X0
         assert np.abs(image - image[d + 3] * X0).max() < 1e-12
 
 

@@ -1,5 +1,4 @@
-"""The package's records: the immutable ones refuse a field assignment, an
-element stack's ``take`` indexes the matrix and every block field alike, and
+"""The package's records: the immutable ones refuse a field assignment, and
 value records compare by value."""
 
 import numpy as np
@@ -7,11 +6,10 @@ import pytest
 
 from schrogeo import geometry
 from schrogeo.ambient import (
-    GroupElement,
     SchBlocks,
-    algebra_elements,
     build_Z0,
     component_witnesses,
+    extract_blocks,
     group_coefficients,
     group_elements,
 )
@@ -28,11 +26,6 @@ from schrogeo.suites import SuiteConfig
 D = 2
 
 
-def _stack(kind: str, count: int = 4):
-    coeffs = group_coefficients(D, np.random.default_rng(5), count)
-    return (algebra_elements if kind == "algebra" else group_elements)(D, coeffs)
-
-
 def _pass():
     pts = SeededSampler(1, [(-1.0, 1.0)] * (D + 2)).points(3)
     return geometry.gram_jets(flat_bargmann(D).metric, pts)
@@ -42,9 +35,10 @@ def _pass():
 READ_ONLY = {
     "SpecialNullVector": (lambda: build_Z0(D), "matrix"),
     "SchBlocks": (lambda: SchBlocks(np.eye(3), np.zeros(3), 0.1, 0.2), "alpha"),
-    "AlgebraElement": (lambda: _stack("algebra"), "blocks"),
-    "GroupBlocks": (lambda: _stack("group").blocks, "L"),
-    "GroupElement": (lambda: _stack("group"), "dim"),
+    "GroupBlocks": (
+        lambda: extract_blocks(group_elements(D, group_coefficients(D, np.random.default_rng(5), 4)), D),
+        "L",
+    ),
     "WitnessReport": (lambda: component_witnesses(D), "conjugation_residual"),
     "MetricField": (lambda: flat_bargmann(D).metric, "gram"),
     "VectorField": (lambda: flat_bargmann(D).xi, "components"),
@@ -68,22 +62,6 @@ def test_a_read_only_record_refuses_a_field_assignment(name):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
-
-
-@pytest.mark.parametrize("kind", ["algebra", "group"])
-@pytest.mark.parametrize(
-    "index", [2, np.array([True, False, True, True])], ids=["integer", "mask"]
-)
-def test_take_indexes_the_matrix_and_every_block_field(kind, index):
-    stack = _stack(kind)
-    got = stack.take(index)
-    assert type(got) is type(stack) and type(got.blocks) is type(stack.blocks)
-    assert np.array_equal(got.matrix, stack.matrix[index])
-    for name, whole, field in zip(stack.blocks._fields, stack.blocks, got.blocks):
-        want = whole[index]
-        assert np.shape(field) == np.shape(want) and np.array_equal(field, want), name
-    if isinstance(stack, GroupElement):
-        assert got.dim == stack.dim == D
 
 
 def test_value_records_compare_by_value():

@@ -4,8 +4,8 @@ imported name goes unused, the coupling-pass layout stays in
 ``homogeneous.over_couplings``, no dense second-derivative array is built in
 the package, only ``suites`` builds records, only ``suites`` draws seeded
 randomness, no seed of an ``all`` run feeds both a sampler and a bare
-generator, only ``suites`` folds samples, only ``ambient`` builds algebra
-and group elements, only ``ambient`` names the chart guard, only ``geometry``
+generator, only ``suites`` folds samples, only ``ambient`` reads the block
+layout of algebra and group elements, only ``ambient`` names the chart guard, only ``geometry``
 inverts Gram matrices, no module imports ``dataclasses`` (so ``suites``
 builds each record once, with no ``dataclasses.replace`` copy),
 ``report.dump_json`` is the one serializer of the report, no branch picks a
@@ -355,28 +355,45 @@ def test_the_stream_rule_sees_a_stray_call():
     assert _shared_seeds(check) == {5}
 
 
-# only ``ambient`` builds algebra and group elements: every other module takes
-# the stacks its constructors return, and one element is a stack of one
-ELEMENTS = {"AlgebraElement", "GroupElement"}
+# only ``ambient`` knows the block layout of an algebra or group element:
+# every other module takes the (d+4, d+4) matrices its constructors return
+# and reads their blocks through ``ambient`` (``projective_denominator``,
+# ``bracket_fields``), never by splitting a matrix or loading a ``blocks``
+# field
+BLOCK_SPLITS = {"decompose_sch", "extract_blocks"}
+
+
+def _block_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each call of a block split and each load of an attribute named
+    ``blocks``, with its line."""
+    found = _calls(tree, BLOCK_SPLITS)
+    found += [
+        ("blocks", n.lineno)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "blocks" and isinstance(n.ctx, ast.Load)
+    ]
+    return sorted(found, key=lambda read: read[1])
 
 
 @pytest.mark.parametrize(
     "path", [p for p in SOURCES if p.name != "ambient.py"], ids=lambda p: p.name
 )
 def test_only_ambient_builds_elements(path):
-    assert not _calls(_tree(path), ELEMENTS), path.name
+    assert not _block_reads(_tree(path)), path.name
 
 
 def test_the_element_rule_sees_a_stray_call():
     tree = ast.parse(
-        "from .ambient import AlgebraElement, GroupElement\n"
-        "def pair(m, d):\n"
-        "    e = AlgebraElement(m, decompose_sch(m, d))\n"
-        "    return e, ambient.GroupElement(m, blocks, d)\n"
-        "def keep(ge):\n"
-        "    return isinstance(ge, GroupElement)\n"
+        "from .ambient import decompose_sch\n"
+        "def pair(m, d, ge):\n"
+        "    e = decompose_sch(m, d)\n"
+        "    return e, ambient.extract_blocks(m, d)\n"
+        "def keep(ge, blocks):\n"
+        "    return ge.blocks.e - blocks.a\n"
+        "def store(ge, b):\n"
+        "    ge.blocks = b\n"
     )
-    assert _calls(tree, ELEMENTS) == [("AlgebraElement", 3), ("GroupElement", 4)]
+    assert _block_reads(tree) == [("decompose_sch", 3), ("extract_blocks", 4), ("blocks", 6)]
 
 
 # the chart guard of ``projective_action`` lives in ``ambient``: a caller that

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import isometry_loop, stack_elements
+from oracles import isometry_loop
 from schrogeo import ambient, bargmann, homogeneous, suites
 from schrogeo import numkernel as nk
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
@@ -342,9 +342,8 @@ class TestIsotropyMutation:
             mover = ambient.group_elements(cfg.d, coeffs)
             Q0 = np.zeros(cfg.d + 4)
             Q0[cfg.d + 2], Q0[cfg.d + 3] = cfg.lam, 1.0
-            moved[cfg.d] = float(np.abs(mover.matrix[0] @ Q0 - Q0).max())
-            kept = [stack.take(i) for i in range(len(stack.matrix) - 1)]
-            return stack_elements([*kept, mover.take(0)])
+            moved[cfg.d] = float(np.abs(mover[0] @ Q0 - Q0).max())
+            return np.concatenate([stack[:-1], mover])
 
         dims = (1, 2)
         names = {d: f"homogeneous_d{d}_isotropy" for d in dims}
