@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +44,6 @@ __all__ = [
     "decompose_sch",
     "exp_algebra",
     "exp_group",
-    "extract_blocks",
     "group_inverse",
     "flat_gram_matrix",
     "flat_metric",
@@ -58,6 +56,7 @@ __all__ = [
     "projective_denominator",
     "random_group_element",
     "realize_field",
+    "require_group",
     "require_sch",
     "sch_dimension",
     "sch_matrix",
@@ -73,15 +72,13 @@ class DegeneratePairError(ValueError):
 
 
 class StabilizerConstraintError(ValueError):
-    """A block constraint of the stabilizer group failed."""
+    """A defining identity of the stabilizer group failed."""
 
-    def __init__(self, index: int, description: str, residual: float):
-        self.index = index
+    def __init__(self, description: str, residual: float):
         self.description = description
         self.residual = residual
         super().__init__(
-            f"stabilizer constraint {index} violated ({description}); "
-            f"residual {residual:.3e}"
+            f"stabilizer constraint violated ({description}); residual {residual:.3e}"
         )
 
 
@@ -94,7 +91,7 @@ class ChartEscapeError(ValueError):
 CHART_GUARD = 1e-8
 
 
-def mark_escapes(den, off, message: str):
+def mark_escapes(den, off):
     """The denominator ``den`` of a chart map, with ``off`` its per-sample
     escape test.
 
@@ -152,10 +149,10 @@ def xi_field(d: int, n: int) -> VectorField:
 
 
 @lru_cache(maxsize=None)
-def _frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """g, xi, theta = g xi, and the (d+2) and (d+4) identities, read-only."""
+def _frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g, xi, theta = g xi, and the (d+4) identity, read-only."""
     g, xi = flat_gram_matrix(d), xi_vector(d)
-    return g, xi, _read_only(g @ xi), _read_only(np.eye(d + 2)), _read_only(np.eye(d + 4))
+    return g, xi, _read_only(g @ xi), _read_only(np.eye(d + 4))
 
 
 def _chart_square(x):
@@ -366,13 +363,12 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
     likewise, and "vertical" the absolute |Lam xi + chi xi|.  Each holds
     one value per matrix.
     """
-    n = d + 2
     M = np.asarray(M, dtype=float)
     Z0 = build_Z0(d).matrix
     G = ambient_gram(d)
     xi = xi_vector(d)
-    chi = M[..., n, n]
-    back = sch_matrix(SchBlocks(M[..., :n, :n], M[..., :n, n + 1], M[..., d + 1, n], chi), d)
+    blocks = decompose_sch(M, d)
+    back = sch_matrix(blocks, d)
 
     def worst(a):
         return np.abs(a).max(axis=(-2, -1))
@@ -382,7 +378,7 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
         "commutator": worst(M @ Z0 - Z0 @ M) / scale,
         "skew": worst(G @ M.swapaxes(-1, -2) @ G + M) / scale,
         "block": worst(back - M) / scale,
-        "vertical": np.abs(M[..., :n, :n] @ xi + chi[..., None] * xi).max(axis=-1),
+        "vertical": np.abs(blocks.Lam @ xi + blocks.chi[..., None] * xi).max(axis=-1),
     }
 
 
@@ -594,7 +590,7 @@ def bracket_fields(Z1: np.ndarray, Z2: np.ndarray, d: int, p) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the group: blocks, constraints, projective action
+# the group: block form, defining identities, projective action
 
 
 class GroupBlocks(NamedTuple):
@@ -611,7 +607,7 @@ def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
     """The (E, d+4, d+4) matrices of a block stack, whose fields carry a
     leading element axis."""
     n = d + 2
-    g, xi, theta, _, _ = _frame(d)
+    g, xi, theta, _ = _frame(d)
     A = np.zeros(np.shape(blocks.a) + (n + 2, n + 2))
     A[..., :n, :n] = blocks.L
     A[..., :n, n] = np.multiply.outer(blocks.a, xi)
@@ -624,87 +620,45 @@ def _group_matrix(blocks: GroupBlocks, d: int) -> np.ndarray:
     return A
 
 
-def extract_blocks(A: np.ndarray, d: int) -> GroupBlocks:
-    """Blocks of an (E, d+4, d+4) stack, every field with the leading
-    element axis.  The arrays are fresh copies."""
+def _block_pattern(A: np.ndarray) -> np.ndarray:
+    """The matrices of an (E, d+4, d+4) stack rewritten in block form from
+    the entries that form reads (L, B g, C, a, b, dd, e): every other entry
+    is set from those, so a matrix off the pattern comes back changed."""
+    d = A.shape[-1] - 4
     n = d + 2
-    A = np.asarray(A)
+    B = A[..., n, :n] @ flat_gram_matrix(d)
     scalars = (A[..., d + 1, n], A[..., n, n], A[..., n, n + 1], A[..., n + 1, n + 1])
-    return GroupBlocks(
-        A[..., :n, :n].copy(),
-        A[..., n, :n] @ flat_gram_matrix(d),
-        A[..., :n, n + 1].copy(),
-        *(s.copy() for s in scalars),
-    )
+    return _group_matrix(GroupBlocks(A[..., :n, :n], B, A[..., :n, n + 1], *scalars), d)
 
 
-# assemble_group_element's checks in the order it reports them: the seven
-# block constraints, then the two on the assembled matrix
-_CONSTRAINTS = (
-    (1, "L xi = e xi"),
-    (2, "Lbar xi = b xi"),
-    (3, "Lbar L = 1 + a (xi Bbar + B xibar)"),
-    (4, "Lbar C = a d xi - e B"),
-    (5, "a xibar C + b e = 1"),
-    (6, "xibar (B + C) = 0"),
-    (7, "Cbar C + 2 d e = 0"),
-    (0, "Abar A = 1"),
-    (0, "A Z0 = Z0 A"),
-)
+def require_group(A: np.ndarray) -> None:
+    """Check the defining identities Abar A = 1 and A Z0 = Z0 A of the
+    group over an (E, d+4, d+4) stack, each to 1e-10 in its largest entry.
 
-
-def _assembled(blocks: GroupBlocks, d: int):
-    """Matrices of a block stack (fields with a leading element axis) and
-    the first failure: (A, None), or (A, (i, error)) for the first element i
-    that violates a constraint, naming its first violated one."""
-    g, xi, theta, eye_n, eye = _frame(d)
-    L, B, C = blocks.L, blocks.B, blocks.C
-    a, b, dd, e = (np.asarray(f)[:, None] for f in (blocks.a, blocks.b, blocks.dd, blocks.e))
-    Lstar = g @ L.swapaxes(-1, -2) @ g
-    cross = xi[:, None] * (B @ g)[:, None, :] + B[:, :, None] * theta
-    A = _group_matrix(blocks, d)
-    G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
-    residuals = [
-        # the shape in full, so that an empty stack reshapes too
-        r.reshape(len(A), math.prod(r.shape[1:]))
-        for r in (
-            L @ xi - e * xi,
-            Lstar @ xi - b * xi,
-            Lstar @ L - eye_n - a[..., None] * cross,
-            (Lstar @ C[..., None])[..., 0] - a * dd * xi + e * B,
-            a * (C @ theta)[:, None] + b * e - 1.0,
-            (B + C) @ theta,
-            np.einsum("ea,ea->e", C @ g, C)[:, None] + 2.0 * dd * e,
-            g_adjoint(A, G) @ A - eye,
-            A @ Z0 - Z0 @ A,
-        )
-    ]
-    # the largest |entry| of each constraint, element by element: (E, 9)
-    starts = list(accumulate((r.shape[1] for r in residuals[:-1]), initial=0))
-    table = np.maximum.reduceat(np.abs(np.concatenate(residuals, axis=1)), starts, axis=1)
+    Raises StabilizerConstraintError for the first failing element, naming
+    the first identity, in that order, that it fails.
+    """
+    d = A.shape[-1] - 4
+    G, Z0, eye = ambient_gram(d), build_Z0(d).matrix, _frame(d)[3]
+    identities = {
+        "Abar A = 1": g_adjoint(A, G) @ A - eye,
+        "A Z0 = Z0 A": A @ Z0 - Z0 @ A,
+    }
+    # the largest |entry| of each identity, element by element: (E, 2)
+    table = np.stack([np.abs(r).max(axis=(-2, -1)) for r in identities.values()], axis=-1)
     # ~(r <= 1e-10), not r > 1e-10: a NaN residual must fail
     bad = ~(table <= 1e-10)
-    if not bad.any():
-        return A, None
-    i, k = np.argwhere(bad)[0]
-    return A, (i, StabilizerConstraintError(*_CONSTRAINTS[k], float(table[i, k])))
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise StabilizerConstraintError(list(identities)[k], float(table[i, k]))
 
 
 def assemble_group_element(blocks: GroupBlocks, d: int) -> np.ndarray:
     """Build the group elements of a block stack (fields with a leading
-    element axis) and verify every block constraint, once over the stack.
-
-    Raises StabilizerConstraintError for the first failing element, naming
-    its first violated constraint, in the order: vertical eigenvector of L,
-    of L-adjoint, the L-adjoint normalization, the column relation, the two
-    pairing normalizations, and the null-length relation; then Abar A = 1
-    and [A, Z0] = 0 on the assembled matrix.  The (E, d+4, d+4) stack
-    holds L, C, a and e verbatim.
-    """
-    A, failed = _assembled(blocks, d)
-    if failed:
-        raise failed[1]
+    element axis) and check them once over the stack (``require_group``).
+    The (E, d+4, d+4) stack holds L, C, a and e verbatim."""
+    A = _group_matrix(blocks, d)
+    require_group(A)
     return A
 
 
@@ -793,26 +747,26 @@ def group_coefficients(
 
 def exp_group(Z: np.ndarray, d: int) -> np.ndarray:
     """The exponentials of an (E, d+4, d+4) stack of algebra elements ``Z``,
-    reassembled from their blocks.
+    rewritten in block form (``_block_pattern``).
 
-    The exponential is one ``exp_algebra`` call on the stack; the block
-    constraints, Abar A = 1 and [A, Z0] = 0 are checked once over it, and
-    so is the drift of the reassembled matrix from the exponential.  The
-    elements, and the StabilizerConstraintError or block-pattern error
-    raised for the first failing one, are those of the elements
-    exponentiated one at a time.
+    The exponential is one ``exp_algebra`` call on the stack; the drift of
+    the block form from the exponential, Abar A = 1 and [A, Z0] = 0 are
+    checked once over it.  The elements, and the StabilizerConstraintError
+    or block-pattern error raised for the first failing one, are those of
+    the elements exponentiated one at a time: an element that fails both
+    raises StabilizerConstraintError.
     """
     raw = exp_algebra(Z)
-    A, failed = _assembled(extract_blocks(raw, d), d)
+    A = _block_pattern(raw)
     rebuild = np.abs(A - raw).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(raw).max(axis=(-2, -1)))
     drift = np.flatnonzero(~(rebuild <= 1e-12 * scale))
-    if failed and not (drift.size and drift[0] < failed[0]):
-        raise failed[1]
     if drift.size:
+        require_group(A[: drift[0] + 1])
         raise ContractViolationError(
             f"exponential left the block pattern (residual {rebuild[drift[0]]:.3e})"
         )
+    require_group(A)
     return A
 
 
@@ -824,8 +778,8 @@ def group_elements(d: int, coeffs: np.ndarray) -> np.ndarray:
 
 
 def random_group_element(d: int, rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
-    """Exponential of a random algebra element, reassembled from its blocks
-    (which re-validates every constraint): the stack of one of
+    """Exponential of a random algebra element, rewritten in block form and
+    checked (``exp_group``): the stack of one of
     ``group_elements``, its axis dropped."""
     return group_elements(d, group_coefficients(d, rng, 1, scale))[0]
 
@@ -833,8 +787,9 @@ def random_group_element(d: int, rng: np.random.Generator, scale: float = 0.4) -
 def group_inverse(A: np.ndarray) -> np.ndarray:
     """The inverses Abar = G A^T G of an (E, d+4, d+4) stack, validated as
     one stack: raises for the first failing inverse."""
-    d = A.shape[-1] - 4
-    return assemble_group_element(extract_blocks(g_adjoint(A, ambient_gram(d)), d), d)
+    inverse = _block_pattern(g_adjoint(A, ambient_gram(A.shape[-1] - 4)))
+    require_group(inverse)
+    return inverse
 
 
 def projective_denominator(A: np.ndarray, t):
@@ -868,7 +823,7 @@ def projective_action(A: np.ndarray, x, r=None):
     n = d + 2
     den = projective_denominator(A, x[d])
     escaped = np.abs(jet_value(den)) <= CHART_GUARD
-    den = mark_escapes(den, escaped, "projective denominator vanished")
+    den = mark_escapes(den, escaped)
     quad = 0.5 * A[..., d + 1, n] * _chart_square(x)
     rows = _affine_rows(x, d, A[..., :n, n + 1], A[..., :n, :n], quad)
     if isinstance(den, Jet2):

@@ -375,7 +375,7 @@ def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q) -> list:
     """
     d = cfg.d
     last = Q[d + 3]
-    last = mark_escapes(last, jet_value(last).real <= 1e-8, "point left the rh > 0 sheet")
+    last = mark_escapes(last, jet_value(last).real <= 1e-8)
     out = [Q[i] / last for i in range(d + 2)]
     out.append(cfg.scale / last)
     return out

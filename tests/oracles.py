@@ -8,8 +8,9 @@ its generator field, one algebra element drawn as a stack of one, the
 commutant basis of Z0 built element by element from its own SVD per
 tolerance, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
-element pair at a time, the isotropy stabilizer elements built one at a
-time, the schrodinger-eq plane-wave record measured one wave per pass, and
+element pair at a time, the seven block relations of a group element with
+the element written entry by entry from its blocks, the isotropy stabilizer
+elements built one at a time, the schrodinger-eq plane-wave record measured one wave per pass, and
 the boundary structure with its scale and cone-kernel forms taken one point
 at a time, and the homogeneous isometry record with one group draw per
 coupling."""
@@ -21,11 +22,9 @@ import numpy as np
 from schrogeo import numkernel as nk
 from schrogeo import bargmann as bg
 from schrogeo.ambient import (
-    GroupBlocks,
     SchBlocks,
     algebra_elements,
     ambient_gram,
-    assemble_group_element,
     bracket_fields,
     build_Z0,
     commutant_stack,
@@ -461,20 +460,77 @@ def realization_rounds(c, seed) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the group in block form: blocks written and read entry by entry, and the
+# seven block relations, the defining identities Abar A = 1 and
+# A Z0 = Z0 A written out block by block
+
+
+def block_form(blocks, d: int) -> np.ndarray:
+    """One (d+4, d+4) group element written entry by entry from its blocks
+    (L, B, C, a, b, dd, e)."""
+    L, B, C, a, b, dd, e = blocks
+    n = d + 2
+    g, xi = flat_gram_matrix(d), xi_vector(d)
+    A = np.zeros((n + 2, n + 2))
+    A[:n, :n] = L
+    A[:n, n] = a * xi
+    A[:n, n + 1] = C
+    A[n, :n] = B @ g
+    A[n, n] = b
+    A[n, n + 1] = dd
+    A[n + 1, :n] = -a * (g @ xi)
+    A[n + 1, n + 1] = e
+    return A
+
+
+def group_blocks(A: np.ndarray, d: int) -> tuple:
+    """The blocks (L, B, C, a, b, dd, e) of one element, read from the
+    entries ``block_form`` writes them to."""
+    n = d + 2
+    B = A[n, :n] @ flat_gram_matrix(d)
+    return A[:n, :n], B, A[:n, n + 1], A[d + 1, n], A[n, n], A[n, n + 1], A[n + 1, n + 1]
+
+
+def block_relations(A: np.ndarray, d: int) -> np.ndarray:
+    """The largest |entry| of each of the seven block relations at one
+    element, (7,): L xi = e xi, Lbar xi = b xi, Lbar L = 1 + a (xi Bbar +
+    B xibar), Lbar C = a dd xi - e B, a xibar C + b e = 1, xibar (B + C) = 0
+    and Cbar C + 2 dd e = 0."""
+    L, B, C, a, b, dd, e = group_blocks(A, d)
+    g, xi = flat_gram_matrix(d), xi_vector(d)
+    theta = g @ xi
+    Lbar = g @ L.T @ g
+    cross = np.outer(xi, B @ g) + np.outer(B, theta)
+    residuals = (
+        L @ xi - e * xi,
+        Lbar @ xi - b * xi,
+        Lbar @ L - np.eye(d + 2) - a * cross,
+        Lbar @ C - a * dd * xi + e * B,
+        a * (C @ theta) + b * e - 1.0,
+        (B + C) @ theta,
+        C @ g @ C + 2.0 * dd * e,
+    )
+    return np.array([np.abs(r).max() for r in residuals])
+
+
+# ---------------------------------------------------------------------------
 # the isotropy stabilizer elements one at a time
 
 
-def _one_element(blocks: GroupBlocks, d: int) -> np.ndarray:
-    """The matrix of one element's blocks, assembled and validated as a
-    stack of one."""
-    stack = GroupBlocks(*(np.asarray(f)[None] for f in blocks))
-    return assemble_group_element(stack, d)[0]
+def _one_element(blocks, d: int) -> np.ndarray:
+    """The matrix of one element's blocks, written entry by entry and held
+    to the seven block relations."""
+    A = block_form(blocks, d)
+    worst = block_relations(A, d).max()
+    if not worst <= 1e-10:
+        raise nk.ContractViolationError(f"block relation violated (residual {worst:.3e})")
+    return A
 
 
 def isotropy_loop(cfg: SchrodingerManifoldConfig, rng, samples: int) -> dict:
     """The stabilizer elements of ``isotropy_check`` and how far they move
-    what they fix, each element drawn, built, validated and applied on its
-    own: the bulk and boundary matrices, (samples, d+4, d+4), and residuals,
+    what they fix, each element drawn, written entry by entry, held to the
+    block relations and applied on its own: the bulk and boundary matrices, (samples, d+4, d+4), and residuals,
     (samples,)."""
     d, lam = cfg.d, cfg.lam
     n = d + 2
@@ -496,7 +552,7 @@ def isotropy_loop(cfg: SchrodingerManifoldConfig, rng, samples: int) -> dict:
         L[d + 1, :d] = -(R.T @ u)
         L[d + 1, d] = -0.5 * float(u @ u) + lam * a * a
         L[d + 1, d + 1] = 1.0
-        A = _one_element(GroupBlocks(L, lam * a * xi, -lam * a * xi, a, 1.0, 0.0, 1.0), d)
+        A = _one_element((L, lam * a * xi, -lam * a * xi, a, 1.0, 0.0, 1.0), d)
         found["bulk"].append(A)
         found["bulk_fix_residual"].append(np.abs(A @ Q0 - Q0).max())
         v = 0.7 * rng.normal(size=d)
@@ -510,7 +566,7 @@ def isotropy_loop(cfg: SchrodingerManifoldConfig, rng, samples: int) -> dict:
         L[d + 1, :d] = v
         L[d + 1, d] = -0.5 * float(v @ v) / e
         L[d + 1, d + 1] = e
-        A = _one_element(GroupBlocks(L, np.zeros(n), np.zeros(n), a, 1.0 / e, 0.0, e), d)
+        A = _one_element((L, np.zeros(n), np.zeros(n), a, 1.0 / e, 0.0, e), d)
         found["boundary"].append(A)
         found["boundary_fix_residual"].append(np.abs(A @ X0 - e * X0).max())
     return {key: np.array(v) for key, v in found.items()}

@@ -1,18 +1,20 @@
 """Algebra, group, and witness machinery: nilpotent structure of the special
-element, commutant dimensions, the block constraints, and the moving-frame
+element, commutant dimensions, the group's defining identities against
+their block-by-block relations, and the moving-frame
 one-form checked against hand-expanded formulas."""
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import algebra_element
+from oracles import algebra_element, block_form, block_relations, group_blocks
 
 from schrogeo import ambient
 from schrogeo.ambient import (
     SchBlocks,
     _THETA13,
     _squarings,
+    GroupBlocks,
     StabilizerConstraintError,
     ambient_gram,
     ambient_gram_split,
@@ -25,7 +27,6 @@ from schrogeo.ambient import (
     cone_point,
     decompose_sch,
     exp_algebra,
-    extract_blocks,
     flat_gram_matrix,
     g_adjoint,
     make_special,
@@ -33,6 +34,7 @@ from schrogeo.ambient import (
     projective_action,
     random_group_element,
     realize_field,
+    require_group,
     require_sch,
     sch_dimension,
     sch_matrix,
@@ -187,10 +189,21 @@ class TestRealization:
         assert (res["plus"] > 1e-3).all()  # the sign is not an accident
 
 
+def _stack_of_one(A, d):
+    """The blocks of one element, each with a leading element axis of one."""
+    return GroupBlocks(*(np.asarray(f)[None] for f in group_blocks(A, d)))
+
+
+def _defining_identities(A, d):
+    """The largest |entry| of Abar A - 1 and of A Z0 - Z0 A together."""
+    G, Z0 = ambient_gram(d), build_Z0(d).matrix
+    return max(np.abs(g_adjoint(A, G) @ A - np.eye(d + 4)).max(), np.abs(A @ Z0 - Z0 @ A).max())
+
+
 class TestGroup:
     def test_identity_blocks(self):
         d = 2
-        blocks = extract_blocks(np.eye(d + 4)[None], d)
+        blocks = _stack_of_one(np.eye(d + 4), d)
         A = assemble_group_element(blocks, d)
         assert A.shape == (1, d + 4, d + 4)
         assert np.abs(A - np.eye(d + 4)).max() == 0.0
@@ -205,45 +218,62 @@ class TestGroup:
             assert np.abs(g_adjoint(A, G) @ A - np.eye(d + 4)).max() < 1e-10
             assert np.abs(A @ Z0 - Z0 @ A).max() < 1e-10
 
+    # the seven block relations are the two defining identities written out
+    # block by block: on a block-form matrix their largest residuals agree,
+    # so checking the two accepts the elements the seven accept
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_block_relations_match_the_defining_identities(self, d):
+        rng = np.random.default_rng(40 + d)
+        for eps in (1e-3, 1e-6, 1e-9):
+            for _ in range(20):
+                blocks = group_blocks(random_group_element(d, rng), d)
+                noisy = [f + eps * rng.normal(size=np.shape(f)) for f in blocks]
+                A = block_form(noisy, d)
+                seven, two = block_relations(A, d).max(), _defining_identities(A, d)
+                assert abs(seven - two) <= 1e-6 * two, (eps, seven, two)
+                with pytest.raises(StabilizerConstraintError):
+                    require_group(A[None])
+
     def test_first_constraint_trips(self):
         d = 2
-        blocks = extract_blocks(np.eye(d + 4)[None], d)
-        bad = blocks.__class__(
-            L=blocks.L + 0.01,
-            B=blocks.B,
-            C=blocks.C,
-            a=blocks.a,
-            b=blocks.b,
-            dd=blocks.dd,
-            e=blocks.e,
-        )
+        blocks = _stack_of_one(np.eye(d + 4), d)
+        bad = blocks._replace(L=blocks.L + 0.01)
         with pytest.raises(StabilizerConstraintError) as exc:
             assemble_group_element(bad, d)
-        assert exc.value.index == 1
+        assert exc.value.description == "Abar A = 1"
 
-    def test_third_constraint_trips(self):
+    def test_a_scaled_spatial_block_fails_the_isometry(self):
         # scaling only the spatial block keeps the vertical relations intact
         d = 2
         rng = np.random.default_rng(8)
-        blocks = extract_blocks(random_group_element(d, rng)[None], d)
+        blocks = _stack_of_one(random_group_element(d, rng), d)
         L = blocks.L.copy()
         L[:, :d, :d] *= 1.01
-        bad = blocks.__class__(
-            L=L, B=blocks.B, C=blocks.C, a=blocks.a, b=blocks.b, dd=blocks.dd, e=blocks.e
-        )
+        with pytest.raises(StabilizerConstraintError) as exc:
+            assemble_group_element(blocks._replace(L=L), d)
+        assert exc.value.description == "Abar A = 1"
+
+    def test_an_isometry_off_the_commutant_fails_the_commutation(self):
+        # diag(1, ..., 1/e, e) on the extra null pair keeps Abar A = 1, but
+        # L xi = xi != e xi
+        d = 2
+        blocks = _stack_of_one(np.eye(d + 4), d)
+        bad = blocks._replace(b=np.array([0.5]), e=np.array([2.0]))
         with pytest.raises(StabilizerConstraintError) as exc:
             assemble_group_element(bad, d)
-        assert exc.value.index == 3
+        assert exc.value.description == "A Z0 = Z0 A"
+        assert exc.value.residual == 1.0
 
     # every guard fails a NaN residual: nan > tol is False, so each reads
     # ~(residual <= tol)
 
-    def test_nan_entry_fails_the_block_constraints(self):
+    def test_nan_entry_fails_the_defining_identities(self):
         d = 2
         A = random_group_element(d, np.random.default_rng(8))
         A[0, 0] = np.nan
         with pytest.raises(StabilizerConstraintError):
-            assemble_group_element(extract_blocks(A[None], d), d)
+            require_group(A[None])
 
     def test_nan_outside_the_block_pattern_is_drift(self, monkeypatch):
         d = 2
@@ -251,7 +281,7 @@ class TestGroup:
 
         def polluted(Z):
             A = exp_algebra(Z)
-            A[..., n + 1, n] = np.nan  # an entry extract_blocks never reads
+            A[..., n + 1, n] = np.nan  # an entry the block form never reads
             return A
 
         monkeypatch.setattr(ambient, "exp_algebra", polluted)

@@ -22,14 +22,12 @@ from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.ambient import (
-    assemble_group_element,
     bracket_fields,
     commutant_basis,
     commutant_stack,
     cone_point,
     decompose_sch,
-    exp_algebra,
-    extract_blocks,
+    exp_group,
     group_coefficients,
     group_elements,
     group_inverse,
@@ -899,8 +897,7 @@ def sometimes_escaping(ts):
         k = zlib.crc32(ge.tobytes()) % (2 * len(ts))
         if k >= len(ts):
             return ge
-        A = exp_algebra(bg._expansion_generator(d, 1.0 / ts[k])[None])
-        return assemble_group_element(extract_blocks(A, d), d)[0]
+        return exp_group(bg._expansion_generator(d, 1.0 / ts[k])[None], d)[0]
 
     def elements(d, coeffs):
         return np.array([element(d, c) for c in coeffs])

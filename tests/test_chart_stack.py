@@ -365,7 +365,6 @@ def test_stack_raises_what_the_first_failing_element_raises(monkeypatch, defect)
     assert type(stacked) is type(single)
     assert str(stacked) == str(single)
     if isinstance(single, StabilizerConstraintError):
-        assert stacked.index == single.index
         assert stacked.description == single.description
 
 

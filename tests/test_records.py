@@ -6,12 +6,10 @@ import pytest
 
 from schrogeo import geometry
 from schrogeo.ambient import (
+    GroupBlocks,
     SchBlocks,
     build_Z0,
     component_witnesses,
-    extract_blocks,
-    group_coefficients,
-    group_elements,
 )
 from schrogeo.bargmann import (
     SchrodingerParams,
@@ -35,10 +33,7 @@ def _pass():
 READ_ONLY = {
     "SpecialNullVector": (lambda: build_Z0(D), "matrix"),
     "SchBlocks": (lambda: SchBlocks(np.eye(3), np.zeros(3), 0.1, 0.2), "alpha"),
-    "GroupBlocks": (
-        lambda: extract_blocks(group_elements(D, group_coefficients(D, np.random.default_rng(5), 4)), D),
-        "L",
-    ),
+    "GroupBlocks": (lambda: GroupBlocks(np.eye(4), np.zeros(4), np.zeros(4), 0.0, 1.0, 0.0, 1.0), "L"),
     "WitnessReport": (lambda: component_witnesses(D), "conjugation_residual"),
     "MetricField": (lambda: flat_bargmann(D).metric, "gram"),
     "VectorField": (lambda: flat_bargmann(D).xi, "components"),

@@ -360,7 +360,7 @@ def test_the_stream_rule_sees_a_stray_call():
 # and reads their blocks through ``ambient`` (``projective_denominator``,
 # ``bracket_fields``), never by splitting a matrix or loading a ``blocks``
 # field
-BLOCK_SPLITS = {"decompose_sch", "extract_blocks"}
+BLOCK_SPLITS = {"decompose_sch", "_block_pattern"}
 
 
 def _block_reads(tree: ast.Module) -> list[tuple[str, int]]:
@@ -387,13 +387,13 @@ def test_the_element_rule_sees_a_stray_call():
         "from .ambient import decompose_sch\n"
         "def pair(m, d, ge):\n"
         "    e = decompose_sch(m, d)\n"
-        "    return e, ambient.extract_blocks(m, d)\n"
+        "    return e, ambient._block_pattern(m)\n"
         "def keep(ge, blocks):\n"
         "    return ge.blocks.e - blocks.a\n"
         "def store(ge, b):\n"
         "    ge.blocks = b\n"
     )
-    assert _block_reads(tree) == [("decompose_sch", 3), ("extract_blocks", 4), ("blocks", 6)]
+    assert _block_reads(tree) == [("decompose_sch", 3), ("_block_pattern", 4), ("blocks", 6)]
 
 
 # the chart guard of ``projective_action`` lives in ``ambient``: a caller that
