@@ -6,7 +6,7 @@ covariant form of the Schrödinger equation, all checked by exact
 second-order jet arithmetic on seeded sample points.
 """
 
-from .ambient import GroupBlocks, SchBlocks, sch_dimension
+from .ambient import GroupBlocks, sch_dimension
 from .bargmann import (
     BargmannStructure,
     DensityFunction,
@@ -37,7 +37,6 @@ __all__ = [
     "DensityFunction",
     "GroupBlocks",
     "Jet2",
-    "SchBlocks",
     "SchrodingerManifoldConfig",
     "SchrodingerParams",
     "SeededSampler",

@@ -24,10 +24,7 @@ from .numkernel import ContractViolationError, Jet2, jet_value
 __all__ = [
     "CHART_GUARD",
     "ChartEscapeError",
-    "DegeneratePairError",
     "GroupBlocks",
-    "SchBlocks",
-    "SpecialNullVector",
     "StabilizerConstraintError",
     "algebra_elements",
     "ambient_gram",
@@ -44,31 +41,25 @@ __all__ = [
     "decompose_sch",
     "exp_algebra",
     "exp_group",
+    "expansion_generator",
     "group_inverse",
     "flat_gram_matrix",
     "flat_metric",
     "g_adjoint",
     "group_coefficients",
     "group_elements",
-    "make_special",
     "mark_escapes",
     "projective_action",
     "projective_denominator",
     "random_group_element",
     "realize_field",
     "require_group",
-    "require_sch",
     "sch_dimension",
-    "sch_matrix",
     "sch_residuals",
     "skew_basis",
     "xi_field",
     "xi_vector",
 ]
-
-
-class DegeneratePairError(ValueError):
-    """The (P, Q) pair spans no plane: P Qbar - Q Pbar vanished."""
 
 
 class StabilizerConstraintError(ValueError):
@@ -215,51 +206,20 @@ def g_adjoint(a: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the special null vector
-
-
-class SpecialNullVector(NamedTuple):
-    """Square-zero rank-two generator Z = P Qbar - Q Pbar of a totally null
-    plane, plus the pair that built it."""
-
-    P: np.ndarray
-    Q: np.ndarray
-    matrix: np.ndarray
-
-
-def make_special(P, Q, G: np.ndarray) -> SpecialNullVector:
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    for label, val in (
-        ("G(P,P)", P @ G @ P),
-        ("G(Q,Q)", Q @ G @ Q),
-        ("G(P,Q)", P @ G @ Q),
-    ):
-        if abs(val) > 1e-12 * max(1.0, P @ P, Q @ Q):
-            raise ContractViolationError(
-                f"pair is not totally null: {label} = {val:.3e}"
-            )
-    Z = np.outer(P, G @ Q) - np.outer(Q, G @ P)
-    if np.abs(Z).max() <= 1e-12:
-        raise DegeneratePairError("degenerate pair: P and Q are parallel")
-    return SpecialNullVector(P, Q, Z)
+# the vertical generator
 
 
 @lru_cache(maxsize=None)
-def build_Z0(d: int) -> SpecialNullVector:
-    """The canonical vertical generator built on the s-direction and the
-    first extra null direction.
+def build_Z0(d: int) -> np.ndarray:
+    """The canonical vertical generator Z0 = P Qbar - Q Pbar on the
+    s-direction P = e_{d+1} and the first extra null direction Q = e_{d+2}:
+    square-zero, of rank two, with the totally null plane (P, Q) as image.
 
-    Built once per d and shared, so its arrays are read-only.
+    Built once per d and shared, so the array is read-only.
     """
-    P0 = np.zeros(d + 4)
-    P0[d + 1] = 1.0
-    Q0 = np.zeros(d + 4)
-    Q0[d + 2] = 1.0
-    sn = make_special(P0, Q0, ambient_gram(d))
-    for a in (sn.P, sn.Q, sn.matrix):
-        a.flags.writeable = False
-    return sn
+    P, Q = np.eye(d + 4)[d + 1 : d + 3]
+    G = ambient_gram(d)
+    return _read_only(np.outer(P, G @ Q) - np.outer(Q, G @ P))
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +249,12 @@ def sch_dimension(d: int) -> int:
     return (d * d + 3 * d + 8) // 2
 
 
-class SchBlocks(NamedTuple):
-    """Block data of an algebra element: boost/rotation block Lam acting on
-    R^{d+2} (annihilating the vertical direction up to -chi), translation
-    Gam, expansion rate alpha, dilation rate chi.  Blocks of a stack carry a
-    leading element axis, alpha and chi as arrays."""
-
-    Lam: np.ndarray
-    Gam: np.ndarray
-    alpha: float
-    chi: float
-
-
 @lru_cache(maxsize=None)
 def _commutant_svd(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The skew basis B, and the singular values and right singular vectors
     of the commutator map B -> [B, Z0] on it: one SVD per d, which every
     tolerance reads."""
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     B = skew_basis(d)
     cols = (B @ Z0 - Z0 @ B).reshape(len(B), -1).T
     _, s, vh = np.linalg.svd(cols)
@@ -356,19 +304,13 @@ def commutant_basis(d: int, tol: float = 1e-10) -> list[np.ndarray]:
 
 def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
     """How far each matrix of M, one (d+4, d+4) matrix or a stack of them,
-    is from the algebra.
-
-    "commutator" is |[M, Z0]| and "skew" |G M^T G + M|, both relative to
-    max(1, max|M|); "block" is |sch_matrix(decompose_sch(M)) - M| relative
-    likewise, and "vertical" the absolute |Lam xi + chi xi|.  Each holds
-    one value per matrix.
+    is from the algebra, by its two defining identities: "commutator" is
+    |[M, Z0]| and "skew" |G M^T G + M|, both relative to max(1, max|M|).
+    Each holds one value per matrix.
     """
     M = np.asarray(M, dtype=float)
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     G = ambient_gram(d)
-    xi = xi_vector(d)
-    blocks = decompose_sch(M, d)
-    back = sch_matrix(blocks, d)
 
     def worst(a):
         return np.abs(a).max(axis=(-2, -1))
@@ -377,58 +319,30 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
     return {
         "commutator": worst(M @ Z0 - Z0 @ M) / scale,
         "skew": worst(G @ M.swapaxes(-1, -2) @ G + M) / scale,
-        "block": worst(back - M) / scale,
-        "vertical": np.abs(blocks.Lam @ xi + blocks.chi[..., None] * xi).max(axis=-1),
     }
 
 
-def decompose_sch(Z: np.ndarray, d: int) -> SchBlocks:
-    """Split an (E, d+4, d+4) stack of commutant elements into (Lam, Gam,
-    alpha, chi) block data, each with the leading element axis: alpha and
-    chi are (E,).  The split is entrywise, so it keeps any leading axes.
-    The arrays are fresh copies.  The redundant rows of Z are
-    permutations/negations of these blocks, so reassembly via
-    ``sch_matrix`` reproduces Z exactly.  The split does not check Z: a
-    caller that must, checks it against Z0, the block form and the vertical
-    condition first (``require_sch(sch_residuals(Z, d))``).
+def decompose_sch(Z: np.ndarray, d: int) -> tuple:
+    """The blocks (Lam, Gam, alpha, chi) of an algebra element, or of each
+    element of a stack: the boost/rotation block Lam acting on R^{d+2}, the
+    translation Gam, the expansion rate alpha and the dilation rate chi,
+    each with the leading axes of ``Z``.  The split is entrywise and returns
+    fresh copies; the other entries of an algebra element follow from these
+    by its two defining identities.  The split does not check Z.
     """
     n = d + 2
     Z = np.asarray(Z, dtype=float)
     parts = (Z[..., :n, :n], Z[..., :n, n + 1], Z[..., d + 1, n], Z[..., n, n])
-    return SchBlocks(*(part.copy() for part in parts))
+    return tuple(part.copy() for part in parts)
 
 
-def require_sch(residuals: dict) -> None:
-    """Raise ContractViolationError at the first check of a commutant
-    element that ``sch_residuals`` output fails (Z0, block form, vertical),
-    each taken at its worst matrix."""
-    for key, tol, what in (
-        ("commutator", 1e-10, "matrix does not commute with Z0"),
-        ("block", 1e-12, "matrix is not in block form"),
-        ("vertical", 1e-10, "Lam xi + chi xi != 0"),
-    ):
-        value = float(np.max(residuals[key]))
-        if not value <= tol:
-            raise ContractViolationError(f"{what} (residual {value:.3e})")
-
-
-def sch_matrix(blocks: SchBlocks, d: int) -> np.ndarray:
-    """Assemble the (d+4) matrix from block data, or a stack of them from
-    blocks with leading axes: Lam (..., n, n), Gam (..., n), alpha and chi
-    (...)."""
-    n = d + 2
-    g = flat_gram_matrix(d)
-    xi = xi_vector(d)
-    alpha = np.asarray(blocks.alpha, dtype=float)[..., None]
-    Z = np.zeros(np.shape(blocks.Lam)[:-2] + (n + 2, n + 2))
-    Z[..., :n, :n] = blocks.Lam
-    Z[..., :n, n] = alpha * xi
-    Z[..., :n, n + 1] = blocks.Gam
-    # g is symmetric: Gam g is g Gam, row by row
-    Z[..., n, :n] = -(blocks.Gam @ g)
-    Z[..., n, n] = blocks.chi
-    Z[..., n + 1, :n] = -alpha * (g @ xi)
-    Z[..., n + 1, n + 1] = -blocks.chi
+def expansion_generator(d: int, alpha: float) -> np.ndarray:
+    """The expansion generator: the algebra element whose one nonzero block
+    is alpha, written as alpha xi into column d+2 and -alpha g xi into row
+    d+3, the entries (d+1, d+2) and (d+3, d)."""
+    Z = np.zeros((d + 4, d + 4))
+    Z[d + 1, d + 2] = alpha
+    Z[d + 3, d] = -alpha
     return Z
 
 
@@ -534,16 +448,16 @@ def _affine_rows(x, d: int, const: np.ndarray, M: np.ndarray, quad, rate=None):
     return _add_linear(rows, M, X)
 
 
-def realize_field(blocks: SchBlocks, d: int) -> VectorField:
-    """Vector field on the flat chart:
+def realize_field(Z: np.ndarray, d: int) -> VectorField:
+    """Vector field on the flat chart of the algebra element ``Z``, with
+    blocks (Lam, Gam, alpha, chi) (``decompose_sch``):
 
     delta x = Lam x + Gam - (alpha/2) g(x,x) xi + alpha t x + chi x.
 
-    ``blocks`` is one element's, or a per-sample stack of N elements'
-    (``decompose_sch`` of an (N, d+4, d+4) stack) whose element s is
-    realized at sample s of a batch of N points: one pass over N (element,
-    point) pairs.  The vertical condition Lam xi + chi xi = 0 is checked
-    once over the whole stack and raises for its worst element.
+    ``Z`` is one (d+4, d+4) element, or a per-sample (N, d+4, d+4) stack
+    whose element s is realized at sample s of a batch of N points: one pass
+    over N (element, point) pairs.  The vertical condition Lam xi + chi xi =
+    0 is checked once over the whole stack and raises for its worst element.
 
     The components are built as one stack of d + 2 rows (``_affine_rows``):
     alpha t + chi and (alpha/2) g(x,x) are formed once, and row a adds its
@@ -553,12 +467,11 @@ def realize_field(blocks: SchBlocks, d: int) -> VectorField:
     + ... evaluated on its own, for one sample and one element, and comes
     back as a jet or (N,) array like its inputs.
     """
+    lam, gam, alpha, chi = decompose_sch(Z, d)
     xi = xi_vector(d)
-    vert = float(np.abs(blocks.Lam @ xi + np.multiply.outer(blocks.chi, xi)).max())
+    vert = float(np.abs(lam @ xi + np.multiply.outer(chi, xi)).max())
     if not vert <= 1e-10:
         raise ContractViolationError(f"Lam xi + chi xi != 0 (residual {vert:.3e})")
-    lam, gam = blocks.Lam, blocks.Gam
-    alpha, chi = blocks.alpha, blocks.chi
 
     def comps(x):
         t = x[d]
@@ -580,11 +493,11 @@ def bracket_fields(Z1: np.ndarray, Z2: np.ndarray, d: int, p) -> dict:
     sample s then brackets pair s at point s, bitwise as that pair alone at
     that point.
     """
-    v1 = realize_field(decompose_sch(Z1, d), d)
-    v2 = realize_field(decompose_sch(Z2, d), d)
+    v1 = realize_field(Z1, d)
+    v2 = realize_field(Z2, d)
     fb = lie_bracket(v1, v2, p)
     m = Z1 @ Z2 - Z2 @ Z1
-    vm = realize_field(decompose_sch(m, d), d)
+    vm = realize_field(m, d)
     mv = component_values(vm.components, p)
     return {"minus": np.abs(fb + mv).max(axis=-1), "plus": np.abs(fb - mv).max(axis=-1)}
 
@@ -639,7 +552,7 @@ def require_group(A: np.ndarray) -> None:
     the first identity, in that order, that it fails.
     """
     d = A.shape[-1] - 4
-    G, Z0, eye = ambient_gram(d), build_Z0(d).matrix, _frame(d)[3]
+    G, Z0, eye = ambient_gram(d), build_Z0(d), _frame(d)[3]
     identities = {
         "Abar A = 1": g_adjoint(A, G) @ A - eye,
         "A Z0 = Z0 A": A @ Z0 - Z0 @ A,
@@ -863,7 +776,7 @@ def component_witnesses(d: int) -> WitnessReport:
     """
     n = d + 4
     S = basis_change(d)
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     Z0_split = S.T @ Z0 @ S
 
     # closed-form blocks the conjugation must reproduce

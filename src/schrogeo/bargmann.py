@@ -26,13 +26,12 @@ import numpy as np
 
 from . import numkernel as nk
 from .ambient import (
-    SchBlocks,
     exp_group,
+    expansion_generator,
     flat_metric,
     group_inverse,
     projective_action,
     projective_denominator,
-    sch_matrix,
     xi_field,
 )
 from .geometry import (
@@ -304,17 +303,9 @@ def expansion_map_projective(d: int, alpha: float) -> ChartMap:
 
     Built once per (d, alpha) and shared, so its element is read-only.
     """
-    A = exp_group(_expansion_generator(d, alpha)[None], d)[0]
+    A = exp_group(expansion_generator(d, alpha)[None], d)[0]
     A.flags.writeable = False
     return group_map(A)
-
-
-def _expansion_generator(d: int, alpha: float) -> np.ndarray:
-    n = d + 2
-    blocks = SchBlocks(
-        Lam=np.zeros((n, n)), Gam=np.zeros(n), alpha=alpha, chi=0.0
-    )
-    return sch_matrix(blocks, d)
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def induced_metric(
     G = ambient_gram(d)
     dq = _mv(J, delta)
     dq2 = _mv(J, delta2)
-    th_row = _vm(-_vm(_vm(Q, G), build_Z0(d).matrix), J)
+    th_row = _vm(-_vm(_vm(Q, G), build_Z0(d)), J)
     ambient = _vv(_vm(dq, G), dq2) - cfg.mu * _vv(th_row, delta) * _vv(
         th_row, delta2
     )
@@ -430,7 +430,7 @@ def theta_hat(cfg: SchrodingerManifoldConfig, p: np.ndarray, delta) -> dict:
     delta = np.asarray(delta, dtype=float)
     jets = gram_jets(bulk_metric(cfg), p, order=1)
     Q, J = _embedding_jets(cfg, jets)
-    QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d).matrix)
+    QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d))
     ambient = _vv(-QGZ, _mv(J, delta))
     row, _ = jets.clock(xi_hat_field(cfg))
     chart = _vv(row, delta)
@@ -445,7 +445,7 @@ def xi_hat_consistency(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> dict
     Killing residual."""
     d = cfg.d
     Q, J = _embedding_jets(cfg, jets)
-    ZQ = _mv(build_Z0(d).matrix, Q)
+    ZQ = _mv(build_Z0(d), Q)
     killing = np.abs(lie_derivative_metric(jets, xi_hat_field(cfg)))
     return {
         "pushforward": np.abs(ZQ - J[..., d + 1]).max(axis=-1),
@@ -697,11 +697,11 @@ def _section_jacobian(d: int, p: Sequence) -> list[list]:
 
 def boundary_f0(d: int, X) -> object:
     """The degree-2 normalizer: squared pairings of X with the two null
-    directions that build Z0."""
-    sn = build_Z0(d)
+    directions e_{d+1} and e_{d+2} that build Z0, whose G-images are rows
+    d+1 and d+2 of G."""
     G = ambient_gram(d)
-    xp = sparse_dot(G @ sn.P, X)
-    xq = sparse_dot(G @ sn.Q, X)
+    xp = sparse_dot(G[d + 1], X)
+    xq = sparse_dot(G[d + 2], X)
     return xp * xp + xq * xq
 
 
@@ -734,7 +734,7 @@ def boundary_metric(d: int) -> MetricField:
 def theta_f0_form(d: int) -> OneForm:
     """Quotient clock -G(X, Z0 dX) / F0 through the section Jacobian."""
     G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     M = G @ Z0
     n = d + 2
     # u_B = (X^T G Z0)_B vanishes on the zero columns of G Z0 (all but two)
@@ -782,7 +782,7 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
     the smallest normalizer, and the cone kernel the kernel dimensions it
     met."""
     G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     metric = boundary_metric(d)
     flat = flat_gram_matrix(d)
     samples = len(pts)

@@ -41,7 +41,6 @@ from .ambient import (
     group_inverse,
     projective_action,
     projective_denominator,
-    require_sch,
     sch_dimension,
     sch_residuals,
 )
@@ -425,11 +424,7 @@ def _closure(c, seed):
         a, b = stack[left[at : at + k]], stack[right[at : at + k]]
         runs.append(sch_residuals(a @ b - b @ a, c.d))
     found = {key: np.concatenate([r[key] for r in runs]) for key in runs[0]}
-    residual = np.maximum(found["commutator"], found["skew"])
-    if (residual < 1e-10).all():
-        # brackets inside the algebra must also decompose
-        require_sch(found)
-    return residual
+    return np.maximum(found["commutator"], found["skew"])
 
 
 def _realization(c, seed):
@@ -468,7 +463,7 @@ LIE_ALGEBRA = Suite(
     (
         Measure(_commutant_dim, Row("commutant_dim", 0.5,
             "centralizer dimension matches (d^2 + 3d + 8)/2")),
-        Measure(_closure, Row("closure", 1e-10,
+        Measure(_closure, Row("closure", 1e-12,
             "brackets of basis elements decompose inside the algebra")),
         Measure(_realization, Row("realization", 1e-9,
             "field brackets realize the matrix brackets with a sign flip")),
@@ -503,7 +498,7 @@ def _constraints(c, seed):
     d, count = c.d, c.samples
     rng = SeededSampler.generator(seed)
     G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     A = group_elements(d, group_coefficients(d, rng, count))
     Ainv = group_inverse(A)
     found = [A.swapaxes(-1, -2) @ G @ A - G, A @ Z0 - Z0 @ A, Ainv @ A - np.eye(d + 4)]

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from conftest import record_criterion
+from oracles import algebra_blocks
 
 from schrogeo.ambient import (
     _commutant_cached,
@@ -17,7 +18,6 @@ from schrogeo.ambient import (
     commutant_basis,
     component_witnesses,
     cone_point,
-    decompose_sch,
     exp_group,
     g_adjoint,
     projective_action,
@@ -117,9 +117,8 @@ def test_criterion_02_conformal_killing_realization():
         bg = flat_bargmann(d)
         pts = SeededSampler(101 + d, [(-1.0, 1.0)] * (d + 2)).points(20)
         for e in commutant_basis(d):
-            blocks = decompose_sch(e, d)
-            field = realize_field(blocks, d)
-            alpha, chi = blocks.alpha, blocks.chi
+            field = realize_field(e, d)
+            _, _, alpha, chi = algebra_blocks(e, d)
             lie = lie_derivative_metric(gram_jets(bg.metric, pts, order=1), field)
             g0 = gram_values(bg.metric, pts)
             phi = 2.0 * (alpha * pts[:, d] + chi)
@@ -248,7 +247,7 @@ def test_criterion_08_group_constraints_and_infinitesimal_action():
     rng = np.random.default_rng(11)
     d = 2
     G = ambient_gram(d)
-    Z0 = build_Z0(d).matrix
+    Z0 = build_Z0(d)
     for i in range(50):
         A = random_group_element(d, rng, scale=0.35)
         gate.check(
@@ -273,7 +272,7 @@ def test_criterion_08_group_constraints_and_infinitesimal_action():
     for e in commutant_basis(d)[:6]:
         # each exponential validated as a stack of one
         A_p, A_m = (exp_group(h * e[None], d)[0] for h in (eps, -eps))
-        field = realize_field(decompose_sch(e, d), d)
+        field = realize_field(e, d)
         x = np.array([0.3, -0.2, 0.4, 0.1])
         fwd = np.array(projective_action(A_p, x))
         bwd = np.array(projective_action(A_m, x))

@@ -1,17 +1,23 @@
 """Algebra, group, and witness machinery: nilpotent structure of the special
-element, commutant dimensions, the group's defining identities against
-their block-by-block relations, and the moving-frame
+element, commutant dimensions, the defining identities of the algebra and of
+the group against their block-by-block relations, and the moving-frame
 one-form checked against hand-expanded formulas."""
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import algebra_element, block_form, block_relations, group_blocks
+from oracles import (
+    algebra_block_relations,
+    algebra_element,
+    algebra_form,
+    block_form,
+    block_relations,
+    group_blocks,
+)
 
 from schrogeo import ambient
 from schrogeo.ambient import (
-    SchBlocks,
     _THETA13,
     _squarings,
     GroupBlocks,
@@ -27,21 +33,19 @@ from schrogeo.ambient import (
     cone_point,
     decompose_sch,
     exp_algebra,
+    exp_group,
+    expansion_generator,
     flat_gram_matrix,
     g_adjoint,
-    make_special,
     group_inverse,
     projective_action,
     random_group_element,
     realize_field,
     require_group,
-    require_sch,
     sch_dimension,
-    sch_matrix,
     sch_residuals,
     xi_vector,
 )
-from schrogeo.bargmann import _expansion_generator
 from schrogeo.numkernel import ContractViolationError
 
 
@@ -56,22 +60,32 @@ def generic_tangent(d, rng):
 class TestSpecialElement:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_square_zero_rank_two(self, d):
-        Z0 = build_Z0(d).matrix
+        Z0 = build_Z0(d)
         assert np.abs(Z0 @ Z0).max() == 0.0
         assert np.linalg.matrix_rank(Z0) == 2
 
     def test_g_skew(self):
         d = 2
-        Z0 = build_Z0(d).matrix
+        Z0 = build_Z0(d)
         G = ambient_gram(d)
         assert np.abs(G @ Z0 + (G @ Z0).T).max() == 0.0
 
     def test_entries_d2(self):
-        Z0 = build_Z0(2).matrix
+        Z0 = build_Z0(2)
         expected = np.zeros((6, 6))
         expected[3, 5] = 1.0
         expected[4, 2] = -1.0
         assert np.array_equal(Z0, expected)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_z0_generates_a_totally_null_plane(self, d):
+        Z0, G = build_Z0(d), ambient_gram(d)
+        assert not Z0.flags.writeable
+        assert not (Z0 @ Z0).any()
+        assert np.linalg.matrix_rank(Z0) == 2
+        assert not (G @ Z0 + (G @ Z0).T).any()
+        # the image, spanned by the columns, is totally null
+        assert not (Z0.T @ G @ Z0).any()
 
     def test_basis_change_recovers_split_gram(self):
         d = 2
@@ -84,9 +98,9 @@ class TestSharedConstants:
     @pytest.mark.parametrize("d", [1, 3])
     def test_cached_arrays_are_read_only_and_fresh(self, d):
         G = ambient_gram(d)
-        sn = build_Z0(d)
-        assert ambient_gram(d) is G and build_Z0(d) is sn
-        for a in (G, sn.P, sn.Q, sn.matrix):
+        Z0 = build_Z0(d)
+        assert ambient_gram(d) is G and build_Z0(d) is Z0
+        for a in (G, Z0):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 1.0
@@ -94,10 +108,6 @@ class TestSharedConstants:
         fresh_G[: d + 2, : d + 2] = flat_gram_matrix(d)
         fresh_G[d + 2, d + 3] = fresh_G[d + 3, d + 2] = 1.0
         assert np.array_equal(G, fresh_G)
-        P, Q = np.eye(d + 4)[d + 1], np.eye(d + 4)[d + 2]
-        fresh = make_special(P, Q, fresh_G)
-        for a, b in ((sn.P, fresh.P), (sn.Q, fresh.Q), (sn.matrix, fresh.matrix)):
-            assert np.array_equal(a, b)
 
 
 class TestCommutant:
@@ -117,17 +127,41 @@ class TestCommutant:
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 Z = basis[i] @ basis[j] - basis[j] @ basis[i]
-                blocks = decompose_sch(Z, d)
-                assert np.abs(sch_matrix(blocks, d) - Z).max() < 1e-10
+                assert max(v for v in sch_residuals(Z, d).values()) < 1e-12
+                assert algebra_block_relations(Z, d)["block"] < 1e-10
 
-    def test_decompose_rejects_matrices_outside_the_algebra(self):
+    def test_residuals_flag_matrices_outside_the_algebra(self):
         d = 2
-        with pytest.raises(ContractViolationError, match="commute with Z0"):
-            require_sch(sch_residuals(generic_tangent(d, np.random.default_rng(1)), d))
+        tangent = generic_tangent(d, np.random.default_rng(1))
+        assert sch_residuals(tangent, d)["commutator"] > 0.1
+        with pytest.raises(ContractViolationError, match="Lam xi"):
+            realize_field(tangent, d)
         M = np.zeros((d + 4, d + 4))
         M[d + 2, d + 3] = 1.0  # commutes with Z0, outside the block pattern
-        with pytest.raises(ContractViolationError, match="block form"):
-            require_sch(sch_residuals(M, d))
+        res = sch_residuals(M, d)
+        assert (res["commutator"], res["skew"]) == (0.0, 2.0)
+        assert algebra_block_relations(M, d)["block"] == 1.0
+
+    # the block and vertical relations of the algebra follow from its two
+    # defining identities [M, Z0] = 0 and G M^T G + M = 0: each entry the
+    # block form rewrites is an entry of [M, Z0] or of G M^T G + M, or half
+    # of one, and for i != d+1 vertical_i is entry (i, d+3) of [M, Z0], while
+    # vertical_{d+1} is that entry plus entry (d+2, d+2) of G M^T G + M; so
+    # checking the two refuses every matrix the block checks refused
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_block_relations_follow_from_the_defining_identities(self, d):
+        rng = np.random.default_rng(60 + d)
+        for eps in (1e-3, 1e-6, 1e-9):
+            clean = np.array([algebra_element(d, rng) for _ in range(20)])
+            M = clean + eps * rng.normal(size=clean.shape)
+            res = sch_residuals(M, d)
+            identities = np.maximum(res["commutator"], res["skew"])
+            scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1)))
+            rel = algebra_block_relations(M, d)
+            assert (rel["block"] <= identities).all(), eps
+            assert (rel["vertical"] <= 2.0 * scale * identities).all(), eps
+            assert (identities > 1e-12).all(), eps
 
     def test_residuals_of_a_stack_match_one_matrix_at_a_time(self):
         d = 3
@@ -144,7 +178,7 @@ class TestCommutant:
 
     def test_elements_commute_with_special(self):
         d = 2
-        Z0 = build_Z0(d).matrix
+        Z0 = build_Z0(d)
         for e in commutant_basis(d):
             assert np.abs(e @ Z0 - Z0 @ e).max() < 1e-12
 
@@ -152,7 +186,7 @@ class TestCommutant:
         rng = np.random.default_rng(12)
         for d in (1, 3):
             e = algebra_element(d, rng)
-            again = sch_matrix(decompose_sch(e, d), d)
+            again = algebra_form(*decompose_sch(e, d), d)
             assert np.abs(again - e).max() < 1e-12
 
 
@@ -163,10 +197,8 @@ class TestRealization:
         lam = np.zeros((4, 4))
         lam[0, 1] = -0.3
         lam[1, 0] = 0.3
-        blocks = SchBlocks(
-            Lam=lam, Gam=np.array([0.1, -0.2, 0.05, 0.3]), alpha=0.2, chi=0.0
-        )
-        field = realize_field(blocks, d)
+        Z = algebra_form(lam, np.array([0.1, -0.2, 0.05, 0.3]), 0.2, 0.0, d)
+        field = realize_field(Z, d)
         x = [0.5, -0.3, 0.7, 0.2]
         vals = [float(v) for v in field.components(x)]
         assert vals == pytest.approx([0.26, -0.092, 0.148, 0.266], abs=1e-15)
@@ -175,9 +207,8 @@ class TestRealization:
         d = 1
         lam = np.zeros((3, 3))
         lam[0, 2] = 1.0  # moves the vertical direction
-        blocks = SchBlocks(Lam=lam, Gam=np.zeros(3), alpha=0.0, chi=0.0)
         with pytest.raises(ContractViolationError):
-            realize_field(blocks, d)
+            realize_field(algebra_form(lam, np.zeros(3), 0.0, 0.0, d), d)
 
     def test_field_bracket_reverses_matrix_bracket(self):
         rng = np.random.default_rng(5)
@@ -196,7 +227,7 @@ def _stack_of_one(A, d):
 
 def _defining_identities(A, d):
     """The largest |entry| of Abar A - 1 and of A Z0 - Z0 A together."""
-    G, Z0 = ambient_gram(d), build_Z0(d).matrix
+    G, Z0 = ambient_gram(d), build_Z0(d)
     return max(np.abs(g_adjoint(A, G) @ A - np.eye(d + 4)).max(), np.abs(A @ Z0 - Z0 @ A).max())
 
 
@@ -212,7 +243,7 @@ class TestGroup:
         rng = np.random.default_rng(3)
         d = 2
         G = ambient_gram(d)
-        Z0 = build_Z0(d).matrix
+        Z0 = build_Z0(d)
         for _ in range(10):
             A = random_group_element(d, rng)
             assert np.abs(g_adjoint(A, G) @ A - np.eye(d + 4)).max() < 1e-10
@@ -292,20 +323,18 @@ class TestGroup:
 
     def test_nan_vertical_residual_is_refused(self):
         d = 2
-        blocks = decompose_sch(algebra_element(d, np.random.default_rng(4)), d)
+        lam, gam, alpha, _ = decompose_sch(algebra_element(d, np.random.default_rng(4)), d)
         with pytest.raises(ContractViolationError, match="Lam xi"):
-            realize_field(SchBlocks(blocks.Lam, blocks.Gam, blocks.alpha, np.nan), d)
-        Z = sch_matrix(blocks, d)
+            realize_field(algebra_form(lam, gam, alpha, np.nan, d), d)
+        Z = algebra_form(lam, gam, alpha, 0.0, d)
         Z[0, 0] = np.nan
         with pytest.raises(ContractViolationError):
-            require_sch(sch_residuals(Z, d))
+            realize_field(Z, d)
+        assert not sch_residuals(Z, d)["commutator"] <= 1e-12
 
     def test_exponential_of_translation_terminates(self):
         d = 2
-        blocks = SchBlocks(
-            Lam=np.zeros((4, 4)), Gam=np.array([0.3, -0.1, 0.2, 0.4]), alpha=0.0, chi=0.0
-        )
-        Z = sch_matrix(blocks, d)
+        Z = algebra_form(np.zeros((4, 4)), np.array([0.3, -0.1, 0.2, 0.4]), 0.0, 0.0, d)
         # nilpotent: third power vanishes identically
         assert np.abs(np.linalg.matrix_power(Z, 3)).max() == 0.0
         assert np.abs(exp_algebra(Z) - scipy.linalg.expm(Z)).max() < 1e-15
@@ -379,14 +408,25 @@ class TestExponential:
         # polynomial I + Z + Z^2/2, which the Padé path must reproduce
         rng = np.random.default_rng(50 + d)
         gam = rng.uniform(-1, 1, d + 2)
-        translation = sch_matrix(
-            SchBlocks(Lam=np.zeros((d + 2, d + 2)), Gam=gam, alpha=0.0, chi=0.0), d
-        )
-        for Z in (translation, _expansion_generator(d, 0.3), _expansion_generator(d, -1.7)):
+        translation = algebra_form(np.zeros((d + 2, d + 2)), gam, 0.0, 0.0, d)
+        for Z in (translation, expansion_generator(d, 0.3), expansion_generator(d, -1.7)):
             Z2 = Z @ Z
             assert np.abs(Z2 @ Z).max() == 0.0
             exact = np.eye(d + 4) + Z + Z2 / 2
             assert np.abs(exp_algebra(Z) - exact).max() <= 4 * EPS * np.abs(exact).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_expansion_generator_is_the_written_expansion(self, d):
+        # the two entries of alpha E; the block writer also writes -0.0
+        # zeros, and no bit of the exponential differs
+        n = d + 2
+        for alpha in (0.3, -1.7):
+            Z = expansion_generator(d, alpha)
+            written = algebra_form(np.zeros((n, n)), np.zeros(n), alpha, 0.0, d)
+            assert np.array_equal(Z, written)
+            assert np.count_nonzero(Z) == 2
+            got, want = (exp_group(M[None], d) for M in (Z, written))
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", [1, 4, 8])
     def test_zero_is_the_identity(self, d):
@@ -454,7 +494,7 @@ class TestVerticalCompatibility:
         d = 2
         bg = flat_bargmann(d)
         for e in commutant_basis(d):
-            field = realize_field(decompose_sch(e, d), d)
+            field = realize_field(e, d)
             br = lie_bracket(field, bg.xi, [[0.3, -0.6, 0.8, 0.2]])
             assert np.abs(br).max() < 1e-12
 

@@ -257,11 +257,11 @@ class TestExpansionMaps:
         flows = []
         flow_rk4 = oracles.flow_rk4
 
-        def counted(blocks, d, step):
-            mapper = flow_rk4(blocks, d, step)
+        def counted(Z, d, step):
+            mapper = flow_rk4(Z, d, step)
 
             def run(x):
-                flows.append(blocks.alpha)
+                flows.append(oracles.algebra_blocks(Z, d)[2])
                 return mapper(x)
 
             return run

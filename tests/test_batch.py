@@ -26,8 +26,8 @@ from schrogeo.ambient import (
     commutant_basis,
     commutant_stack,
     cone_point,
-    decompose_sch,
     exp_group,
+    expansion_generator,
     group_coefficients,
     group_elements,
     group_inverse,
@@ -591,7 +591,7 @@ def _batches_of_one(pts):
 class TestBatchedWaveOperators:
     def test_divergence(self, d):
         structure = bg.flat_bargmann(d)
-        field = realize_field(decompose_sch(algebra_element(d, np.random.default_rng(d)), d), d)
+        field = realize_field(algebra_element(d, np.random.default_rng(d)), d)
         pts = _flat_points(d)
         for vf in (structure.xi, field):
             batch = divergence(gram_jets(structure.metric, pts, 1), vf)
@@ -615,7 +615,7 @@ class TestBatchedWaveOperators:
     def test_density_lie_derivative_and_residual(self, d, density):
         structure = bg.flat_bargmann(d)
         psi = _densities(d)[density]
-        field = realize_field(decompose_sch(algebra_element(d, np.random.default_rng(7)), d), d)
+        field = realize_field(algebra_element(d, np.random.default_rng(7)), d)
         pts = _flat_points(d, seed=2)
         for vf in (structure.xi, field):
             batch = density_lie_derivative(structure.metric, vf, psi, pts)
@@ -795,13 +795,13 @@ def test_a_check_is_the_max_of_its_one_point_calls(d, check):
 def sequential_bracket_fields(e1, e2, d, p):
     """Reference: one point, both fields and the matrix bracket realized at
     that point alone, as a batch of one."""
-    v1 = realize_field(decompose_sch(e1, d), d)
-    v2 = realize_field(decompose_sch(e2, d), d)
+    v1 = realize_field(e1, d)
+    v2 = realize_field(e2, d)
     vv, vj = (a[0] for a in jet_components(v1.components, p[None]))
     wv, wj = (a[0] for a in jet_components(v2.components, p[None]))
     fb = np.einsum("c,ac->a", vv, wj) - np.einsum("c,ac->a", wv, vj)
     m = e1 @ e2 - e2 @ e1
-    vm = realize_field(decompose_sch(m, d), d)
+    vm = realize_field(m, d)
     mv = np.array([c[0] for c in vm.components(list(p[:, None]))], dtype=float)
     return {"minus": float(np.abs(fb + mv).max()), "plus": float(np.abs(fb - mv).max())}
 
@@ -897,7 +897,7 @@ def sometimes_escaping(ts):
         k = zlib.crc32(ge.tobytes()) % (2 * len(ts))
         if k >= len(ts):
             return ge
-        return exp_group(bg._expansion_generator(d, 1.0 / ts[k])[None], d)[0]
+        return exp_group(expansion_generator(d, 1.0 / ts[k])[None], d)[0]
 
     def elements(d, coeffs):
         return np.array([element(d, c) for c in coeffs])
@@ -958,7 +958,7 @@ def _evaluators():
     flat = bg.flat_bargmann(d)
     rng = np.random.default_rng(5)
     e1, e2 = algebra_element(d, rng), algebra_element(d, rng)
-    field = realize_field(decompose_sch(e1, d), d)
+    field = realize_field(e1, d)
     psi = bg.plane_wave(d, [0.3, -0.2], PARAMS)
     comps = field.components
     cfg_xi = xi_hat_field(cfg)

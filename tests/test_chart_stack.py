@@ -13,7 +13,7 @@ as in any other batch.
 import numpy as np
 import pytest
 
-from oracles import algebra_element
+from oracles import algebra_element, algebra_form
 
 from schrogeo import ambient
 from schrogeo import numkernel as nk
@@ -21,12 +21,11 @@ from schrogeo import suites
 from schrogeo.ambient import (
     CHART_GUARD,
     ChartEscapeError,
-    SchBlocks,
     StabilizerConstraintError,
     _squarings,
     commutant_stack,
-    decompose_sch,
     exp_algebra,
+    expansion_generator,
     flat_gram_matrix,
     group_coefficients,
     group_elements,
@@ -34,10 +33,8 @@ from schrogeo.ambient import (
     projective_action,
     random_group_element,
     realize_field,
-    sch_matrix,
     xi_vector,
 )
-from schrogeo.bargmann import _expansion_generator
 from schrogeo.numkernel import ContractViolationError, Jet2
 from schrogeo.suites import SuiteConfig, check_seed, run_suite
 
@@ -48,9 +45,10 @@ DIMS = range(1, 9)
 # scalar references: one row at a time, one linear term at a time
 
 
-def reference_field(blocks, d, x):
+def reference_field(Z, d, x):
+    n = d + 2
     xi = xi_vector(d)
-    lam, gam, alpha, chi = blocks.Lam, blocks.Gam, blocks.alpha, blocks.chi
+    lam, gam, alpha, chi = Z[:n, :n], Z[:n, n + 1], Z[d + 1, n], Z[n, n]
     t = x[d]
     xx = sum(x[i] * x[i] for i in range(d)) + 2.0 * x[d] * x[d + 1]
     out = []
@@ -125,7 +123,8 @@ def sparse(M, rng, keep_column=None):
 
 
 def spatial_block(A):
-    """The L block of a group element: its first d + 2 rows and columns."""
+    """The L block of a group element, or the Lam block of an algebra
+    element: its first d + 2 rows and columns."""
     n = A.shape[-1] - 2
     return A[:n, :n]
 
@@ -151,15 +150,16 @@ def with_entries(A, L=None, a=None, e=None):
 @pytest.mark.parametrize("d", DIMS)
 def test_realized_components_match_the_row_loop(d):
     rng = np.random.default_rng(d)
-    dense = decompose_sch(algebra_element(d, rng), d)
+    dense = algebra_element(d, rng)
     # the vertical column Lam xi = -chi xi is what realize_field checks
-    thinned = dense._replace(Lam=sparse(dense.Lam, rng, keep_column=d + 1))
-    for blocks in (dense, thinned):
-        field = realize_field(blocks, d)
+    thinned = dense.copy()
+    thinned[: d + 2, : d + 2] = sparse(spatial_block(dense), rng, keep_column=d + 1)
+    for Z in (dense, thinned):
+        field = realize_field(Z, d)
         for kind, x in inputs(d, 10 + d).items():
             got = field.components(x)
-            assert type(got[0]) is type(reference_field(blocks, d, x)[0]), kind
-            assert bits(got) == bits(reference_field(blocks, d, x)), kind
+            assert type(got[0]) is type(reference_field(Z, d, x)[0]), kind
+            assert bits(got) == bits(reference_field(Z, d, x)), kind
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -252,7 +252,7 @@ def test_one_reciprocal_per_jet_batch_projective_call(monkeypatch, d):
 def test_realized_field_builds_jets_linearly_in_the_dimension(monkeypatch):
     made = []
     for d in DIMS:
-        field = realize_field(decompose_sch(algebra_element(d, np.random.default_rng(d)), d), d)
+        field = realize_field(algebra_element(d, np.random.default_rng(d)), d)
         jets = nk.seed_point(np.random.default_rng(1).uniform(-0.5, 0.5, size=(4, d + 2)))
         counts = counting(monkeypatch)
         field.components(jets)
@@ -393,8 +393,8 @@ def test_stacked_exponential_matches_one_matrix_at_a_time(d):
         for scale in (0.1, 0.4, 3.0, 12.0)
         for c in rng.uniform(-scale, scale, size=(3, len(basis)))
     ]
-    translation = SchBlocks(np.zeros((d + 2, d + 2)), rng.uniform(-1, 1, d + 2), 0.0, 0.0)
-    Zs += [sch_matrix(translation, d), _expansion_generator(d, 0.3), _expansion_generator(d, -1.7)]
+    translation = algebra_form(np.zeros((d + 2, d + 2)), rng.uniform(-1, 1, d + 2), 0.0, 0.0, d)
+    Zs += [translation, expansion_generator(d, 0.3), expansion_generator(d, -1.7)]
     Zs = np.array(Zs)[rng.permutation(len(Zs))]
     squarings = set(_squarings(Zs).tolist())
     assert len(squarings) >= 3, squarings

@@ -42,7 +42,7 @@ def skew_basis_unscaled(d: int) -> list[sp.Matrix]:
 def exact_commutant(d: int) -> list[sp.Matrix]:
     """A rational basis of {M in o(d+2,2) : [M, Z0] = 0}."""
     n = d + 4
-    Z0 = integer_matrix(build_Z0(d).matrix)
+    Z0 = integer_matrix(build_Z0(d))
     basis = skew_basis_unscaled(d)
     cols = sp.Matrix.hstack(*[(B * Z0 - Z0 * B).reshape(n * n, 1) for B in basis])
     null = DomainMatrix.from_Matrix(cols).convert_to(sp.QQ).nullspace().to_Matrix()

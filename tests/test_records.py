@@ -7,8 +7,6 @@ import pytest
 from schrogeo import geometry
 from schrogeo.ambient import (
     GroupBlocks,
-    SchBlocks,
-    build_Z0,
     component_witnesses,
 )
 from schrogeo.bargmann import (
@@ -31,8 +29,6 @@ def _pass():
 
 # each record whose fields may not be reassigned, with one of its fields
 READ_ONLY = {
-    "SpecialNullVector": (lambda: build_Z0(D), "matrix"),
-    "SchBlocks": (lambda: SchBlocks(np.eye(3), np.zeros(3), 0.1, 0.2), "alpha"),
     "GroupBlocks": (lambda: GroupBlocks(np.eye(4), np.zeros(4), np.zeros(4), 0.0, 1.0, 0.0, 1.0), "L"),
     "WitnessReport": (lambda: component_witnesses(D), "conjugation_residual"),
     "MetricField": (lambda: flat_bargmann(D).metric, "gram"),

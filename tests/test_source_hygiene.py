@@ -358,8 +358,8 @@ def test_the_stream_rule_sees_a_stray_call():
 # only ``ambient`` knows the block layout of an algebra or group element:
 # every other module takes the (d+4, d+4) matrices its constructors return
 # and reads their blocks through ``ambient`` (``projective_denominator``,
-# ``bracket_fields``), never by splitting a matrix or loading a ``blocks``
-# field
+# ``realize_field``, ``bracket_fields``), never by splitting a matrix or
+# loading a ``blocks`` field
 BLOCK_SPLITS = {"decompose_sch", "_block_pattern"}
 
 

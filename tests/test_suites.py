@@ -158,13 +158,14 @@ class TestCouplingScan:
 
 class TestClosureMutation:
     """Brackets that leave the commutant of Z0, or leave o(d+2,2), flip the
-    closure record to FAIL."""
+    closure record to FAIL, above its 1e-12 bound: a 1e-7 nudge lifts the
+    residual past 1e-10, and a 1e-11 nudge past 1e-12."""
 
     @pytest.mark.parametrize("leave", ["commutant", "skew"])
     def test_nudged_basis_fails_closure(self, monkeypatch, leave):
         d = 2
         n = d + 4
-        G, Z0 = ambient_gram(d), build_Z0(d).matrix
+        G, Z0 = ambient_gram(d), build_Z0(d)
         if leave == "commutant":
             N = np.random.default_rng(0).normal(size=(n, n))
             nudge = 0.5 * (N - G @ N.T @ G)
@@ -173,14 +174,15 @@ class TestClosureMutation:
             nudge = np.zeros((n, n))
             nudge[0, 0] = 1.0  # commutes with Z0 but is not G-skew
             assert not np.abs(nudge @ Z0 - Z0 @ nudge).any()
-        stack = commutant_stack(d).copy()
-        stack[0] += 1e-7 * nudge
-        monkeypatch.setattr(suites, "commutant_stack", lambda d, tol=1e-10: stack)
-        checks = run_suite(small("lie-algebra", dims=(d,))).checks
-        closure = {c.name: c for c in checks}["liealgebra_d2_closure"]
-        assert closure.status == "FAIL"
-        assert closure.residual > 1e-10
-        assert (closure.samples, closure.extra) == (36, {})
+        for size, floor in ((1e-7, 1e-10), (1e-11, 1e-12)):
+            stack = commutant_stack(d).copy()
+            stack[0] += size * nudge
+            monkeypatch.setattr(suites, "commutant_stack", lambda d, tol=1e-10: stack)
+            checks = run_suite(small("lie-algebra", dims=(d,))).checks
+            closure = {c.name: c for c in checks}["liealgebra_d2_closure"]
+            assert closure.status == "FAIL", size
+            assert closure.residual > floor, size
+            assert (closure.samples, closure.extra) == (36, {}), size
 
 
 class TestCommutantDimMutation:
