@@ -31,6 +31,7 @@ __all__ = [
     "ambient_gram_split",
     "assemble_group_element",
     "basis_change",
+    "boost_element",
     "bracket_fields",
     "build_Z0",
     "commutant_basis",
@@ -39,8 +40,10 @@ __all__ = [
     "component_witnesses",
     "cone_point",
     "decompose_sch",
+    "dilation_element",
     "exp_algebra",
     "exp_group",
+    "expansion_element",
     "expansion_generator",
     "group_inverse",
     "flat_gram_matrix",
@@ -57,6 +60,7 @@ __all__ = [
     "sch_dimension",
     "sch_residuals",
     "skew_basis",
+    "translation_element",
     "xi_field",
     "xi_vector",
 ]
@@ -573,6 +577,53 @@ def assemble_group_element(blocks: GroupBlocks, d: int) -> np.ndarray:
     A = _group_matrix(blocks, d)
     require_group(A)
     return A
+
+
+# the finite symmetries of the free Schrödinger equation (Niederer 1972) that
+# fix the chart's time origin, each as a validated stack of one element
+
+
+def _affine_element(d: int, L, B, C, b: float = 1.0, dd: float = 0.0, e: float = 1.0):
+    """The element with a = 0 and blocks L, B, C, b, dd, e, as a stack of
+    one (``assemble_group_element``)."""
+    scalars = (np.array([v]) for v in (0.0, b, dd, e))
+    return assemble_group_element(GroupBlocks(L[None], B[None], C[None], *scalars), d)
+
+
+def translation_element(d: int, gamma) -> np.ndarray:
+    """x -> x + gamma on the flat chart: L = 1, B = -gamma, C = gamma and
+    dd = -g(gamma, gamma)/2."""
+    gamma = np.asarray(gamma, dtype=float)
+    dd = -0.5 * float(gamma @ flat_gram_matrix(d) @ gamma)
+    return _affine_element(d, np.eye(d + 2), -gamma, gamma, dd=dd)
+
+
+def boost_element(d: int, b) -> np.ndarray:
+    """x -> x + b t, s -> s - b.x - |b|^2 t / 2 (a null rotation of g): L is
+    that linear map, and B = C = 0."""
+    b = np.asarray(b, dtype=float)
+    n = d + 2
+    W = np.eye(n)
+    W[:d, d] = b
+    W[d + 1, :d] = -b
+    W[d + 1, d] = -0.5 * float(b @ b)
+    return _affine_element(d, W, np.zeros(n), np.zeros(n))
+
+
+def dilation_element(d: int, chi: float) -> np.ndarray:
+    """x -> e^chi x, t -> e^{2chi} t, s -> s: L = diag(1, ..., 1, e^chi,
+    e^-chi), b = e^chi and e = e^-chi, so the projective factor 1/e scales
+    the chart by e^chi."""
+    n = d + 2
+    up, down = math.exp(chi), math.exp(-chi)
+    L = np.diag([1.0] * d + [up, down])
+    return _affine_element(d, L, np.zeros(n), np.zeros(n), b=up, e=down)
+
+
+def expansion_element(d: int, alpha: float) -> np.ndarray:
+    """The finite expansion exp(alpha E) (``expansion_generator``), as a
+    stack of one (``exp_group``)."""
+    return exp_group(expansion_generator(d, alpha)[None], d)
 
 
 # Scaling and squaring with the [13/13] Padé approximant after Higham, "The

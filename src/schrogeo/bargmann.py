@@ -19,19 +19,20 @@ being the batch of one p[None], and return (N,) arrays.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import numkernel as nk
 from .ambient import (
-    exp_group,
-    expansion_generator,
+    boost_element,
+    dilation_element,
+    expansion_element,
     flat_metric,
     group_inverse,
     projective_action,
     projective_denominator,
+    translation_element,
     xi_field,
 )
 from .geometry import (
@@ -46,7 +47,7 @@ from .geometry import (
     jet_components,
     yamabe_residual,
 )
-from .numkernel import ContractViolationError, Jet2, sample_max, sparse_dot
+from .numkernel import ContractViolationError, Jet2, jet_value, sample_max
 
 __all__ = [
     "BargmannStructure",
@@ -131,7 +132,7 @@ def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.nda
     and the clock are read off one first-order pass of the metric."""
     jets = gram_jets(structure.metric, pts, order=1)
     grad = jets.scalar(omega).grad.T
-    tv, _ = jets.clock(structure.xi)
+    tv = jets.theta(structure.xi)
     wedge = grad[:, :, None] * tv[:, None, :] - tv[:, :, None] * grad[:, None, :]
     return sample_max(wedge)
 
@@ -231,81 +232,58 @@ class ChartMap(NamedTuple):
     jacobian_factor: Callable[[Sequence], Jet2]
 
 
-def _linear_map(W: np.ndarray, shift=None) -> ChartMap:
-    n = len(W)
-    Winv = np.linalg.inv(W)
-    shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
-    jac = abs(float(np.linalg.det(Winv)))
-
-    def forward(x):
-        return [sparse_dot(W[a], x) + shift[a] for a in range(n)]
-
-    def inverse(x):
-        y = [x[a] - shift[a] for a in range(n)]
-        return [sparse_dot(Winv[a], y) for a in range(n)]
-
-    def jacobian_factor(x):
-        return jac
-
-    return ChartMap(forward, inverse, jacobian_factor)
-
-
-def translation_map(d: int, gamma: Sequence[float]) -> ChartMap:
-    return _linear_map(np.eye(d + 2), shift=gamma)
-
-
-def dilation_map(d: int, chi: float) -> ChartMap:
-    """x -> e^chi x, t -> e^{2chi} t, s -> s."""
-    scales = [np.exp(chi)] * d + [np.exp(2.0 * chi), 1.0]
-    return _linear_map(np.diag(scales))
-
-
-def boost_map(d: int, b: Sequence[float]) -> ChartMap:
-    """x -> x + b t, s -> s - b.x - |b|^2 t / 2 (a null rotation of g)."""
-    b = np.asarray(b, dtype=float)
-    n = d + 2
-    W = np.eye(n)
-    W[:d, d] = b
-    W[d + 1, :d] = -b
-    W[d + 1, d] = -0.5 * float(b @ b)
-    return _linear_map(W)
-
-
 def group_map(A: np.ndarray) -> ChartMap:
-    """Projective action of one (d+4, d+4) stabilizer element as a chart
-    map.
+    """Projective action of an (E, d+4, d+4) stack of stabilizer elements
+    as a chart map: one element (E = 1) acts on every sample of a batch,
+    and a per-sample stack (E = N) acts element s on sample s.
 
     The action is conformal with factor Omega(x) = 1 / (e - a t), so
     |det D(inverse)|(p) = |e' - a' t|^{-(d+2)} with (a', e') read off the
     inverse element; that closed form is what makes the transported
     coefficient jet-evaluable to second order.
     """
+    if np.ndim(A) != 3:
+        raise ContractViolationError(f"group_map takes an (E, n, n) stack, got {np.shape(A)}")
     d = A.shape[-1] - 4
-    # inverted as a stack of one
-    Ai = group_inverse(A[None])[0]
+    Ai = group_inverse(A)
+
+    def on_batch(B, x):
+        # the stack broadcast over the batch of x, so a jet meets (N,) entries
+        return np.broadcast_to(B, np.shape(jet_value(x[d])) + B.shape[1:])
 
     def forward(x):
-        return projective_action(A, x)
+        return projective_action(on_batch(A, x), x)
 
     def inverse(x):
-        return projective_action(Ai, x)
+        return projective_action(on_batch(Ai, x), x)
 
     def jacobian_factor(x):
-        den = projective_denominator(Ai, x[d])
+        den = projective_denominator(on_batch(Ai, x), x[d])
         return (den * den) ** (-(d + 2) / 2.0) if isinstance(den, Jet2) else abs(den) ** (-(d + 2.0))
 
     return ChartMap(forward, inverse, jacobian_factor)
 
 
-@lru_cache(maxsize=None)
-def expansion_map_projective(d: int, alpha: float) -> ChartMap:
-    """Projective form of the finite expansion exp(alpha E).
+def translation_map(d: int, gamma: Sequence[float]) -> ChartMap:
+    """x -> x + gamma (``ambient.translation_element``)."""
+    return group_map(translation_element(d, gamma))
 
-    Built once per (d, alpha) and shared, so its element is read-only.
-    """
-    A = exp_group(expansion_generator(d, alpha)[None], d)[0]
-    A.flags.writeable = False
-    return group_map(A)
+
+def dilation_map(d: int, chi: float) -> ChartMap:
+    """x -> e^chi x, t -> e^{2chi} t, s -> s (``ambient.dilation_element``)."""
+    return group_map(dilation_element(d, chi))
+
+
+def boost_map(d: int, b: Sequence[float]) -> ChartMap:
+    """x -> x + b t, s -> s - b.x - |b|^2 t / 2, a null rotation of g
+    (``ambient.boost_element``)."""
+    return group_map(boost_element(d, b))
+
+
+def expansion_map_projective(d: int, alpha: float) -> ChartMap:
+    """Projective form of the finite expansion exp(alpha E)
+    (``ambient.expansion_element``)."""
+    return group_map(expansion_element(d, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +291,11 @@ def expansion_map_projective(d: int, alpha: float) -> ChartMap:
 
 
 def transported_density(
-    phi: ChartMap, psi: DensityFunction, weight: float | None = None
+    phi: ChartMap, psi: DensityFunction, weight=None
 ) -> DensityFunction:
-    """Pushforward coefficient (f o phi^{-1}) |det D phi^{-1}|^w."""
+    """Pushforward coefficient (f o phi^{-1}) |det D phi^{-1}|^w, with w the
+    density's weight, or ``weight``: a number, or an (N,) array whose entry
+    s is the weight at sample s of a batch of N points."""
     w = psi.weight if weight is None else weight
 
     def coeff(x):
@@ -332,12 +312,17 @@ def symmetry_transport_check(
     structure: BargmannStructure,
     params: SchrodingerParams,
     pts: np.ndarray,
-    weight: float | None = None,
+    weight=None,
 ) -> dict:
     """Residuals of the covariant pair for the transported density at the
     images of the points ``pts`` (so the inverse map stays in its chart),
     and how far phi is from a conformal map there: per point, (N,) each.
-    One order-2 pass at the images serves the pullback and the pair."""
+    One order-2 pass at the images serves the pullback and the pair.
+
+    A per-sample map (``group_map`` of an (N, d+4, d+4) stack), wave
+    (``plane_wave`` of an (N, d) stack) and (N,) ``weight`` transport N
+    (element, wave, weight) triples in that one pass, sample s bitwise the
+    pass of its triple alone."""
     vals, jac = jet_components(phi.forward, pts)
     q, J = vals.real, jac.real
     jets = gram_jets(structure.metric, q)

@@ -220,6 +220,12 @@ class MetricJets:
         (``ricci_from_derivatives``)."""
         return ricci_from_derivatives(self.ginv, self.dg, self.hess, self.pattern)
 
+    def theta(self, xi: VectorField) -> np.ndarray:
+        """The clock theta = g(xi, .) = g0 xi of the pass's metric and field
+        xi, (N, n), without its derivatives (``clock``)."""
+        xv, _ = self.components(xi.components)
+        return (self.g0 @ xv.real[..., None])[..., 0]
+
     def clock(self, xi: VectorField) -> tuple[np.ndarray, np.ndarray]:
         """The clock theta = g(xi, .) of the pass's metric and field xi, in
         the (vals, jac) layout of ``jet_components``: theta = g0 xi, (N, n),
@@ -227,11 +233,10 @@ class MetricJets:
         xv, xj = self.components(xi.components)
         xv, xj = xv.real, xj.real
         N, n = xv.shape
-        theta = (self.g0 @ xv[..., None])[..., 0]
         # dg xi as one (n^2, n) matrix-vector product per sample: half the
         # time of the equivalent einsum at n = 11
         dg_xi = (self.dg.reshape(N, n * n, n) @ xv[..., None]).reshape(N, n, n)
-        return theta, dg_xi.swapaxes(-1, -2) + self.g0 @ xj
+        return self.theta(xi), dg_xi.swapaxes(-1, -2) + self.g0 @ xj
 
 
 def gram_jets(metric: MetricField, p: np.ndarray, order: int = 2) -> MetricJets:

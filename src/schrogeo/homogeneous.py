@@ -432,7 +432,7 @@ def theta_hat(cfg: SchrodingerManifoldConfig, p: np.ndarray, delta) -> dict:
     Q, J = _embedding_jets(cfg, jets)
     QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d))
     ambient = _vv(-QGZ, _mv(J, delta))
-    row, _ = jets.clock(xi_hat_field(cfg))
+    row = jets.theta(xi_hat_field(cfg))
     chart = _vv(row, delta)
     size = nk.sample_max(row) * nk.sample_max(delta)
     difference = np.abs(ambient - chart) / np.maximum(1.0, size)
@@ -495,7 +495,7 @@ def nullfluid_residual(
     sample on per-sample couplings)."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
     ric, _ = jets.ricci()
-    theta, _ = jets.clock(xi_hat_field(cfg))
+    theta = jets.theta(xi_hat_field(cfg))
     residual = (
         ric
         - _per_matrix((d + 2.0) / (2.0 * lam)) * jets.g0
@@ -937,7 +937,7 @@ def _audit(
     jets = gram_jets(metric, pts, order=1)
     res = xi_hat_consistency(cfg, jets)
     g0 = jets.g0
-    theta, _ = jets.clock(xi_hat_field(cfg))
+    theta = jets.theta(xi_hat_field(cfg))
     del jets
 
     # axiom 1: vertical field is null and Killing, and the normalized

@@ -228,7 +228,9 @@ class Jet2:
             # the second derivative is a per-sample power loop: skip it at order 1
             f2 = None if self.hess is None else k * (k - 1) * _pow(v, k - 2)
             return _chain(self, _pow(v, k), k * _pow(v, k - 1), f2)
-        if isinstance(k, numbers.Real):
+        if isinstance(k, (numbers.Real, np.ndarray)):
+            # an (N,) array is a per-sample exponent, as a per-sample scalar
+            self._coerce(k)
             v = self.value
             if not _positive_real(v):
                 raise ContractViolationError(
@@ -242,12 +244,16 @@ class Jet2:
 def _pow(v, k):
     """v ** k with the rounding of a scalar power, sample by sample over the
     (N,) array ``v``: numpy's vectorized power rounds differently, and each
-    sample must be bitwise its own scalar power."""
+    sample must be bitwise its own scalar power.  ``k`` is a number, or an
+    (N,) array whose entry s is the exponent of sample s."""
     if getattr(v, "ndim", None) != 1:
         raise ContractViolationError(
             "a jet value must be an (N,) array over a batch of N points, "
             f"got shape {np.shape(v)}"
         )
+    if isinstance(k, np.ndarray):
+        k = np.broadcast_to(k, v.shape).tolist()
+        return np.array([x**e for x, e in zip(v.tolist(), k)], dtype=v.dtype)
     return np.array([x**k for x in v.tolist()], dtype=v.dtype)
 
 

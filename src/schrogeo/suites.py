@@ -29,12 +29,15 @@ from .ambient import (
     ChartEscapeError,
     algebra_elements,
     ambient_gram,
+    boost_element,
     bracket_fields,
     build_Z0,
     commutant_dim,
     commutant_stack,
     component_witnesses,
     cone_point,
+    dilation_element,
+    expansion_element,
     flat_gram_matrix,
     group_coefficients,
     group_elements,
@@ -43,6 +46,7 @@ from .ambient import (
     projective_denominator,
     sch_dimension,
     sch_residuals,
+    translation_element,
 )
 from .geometry import gram_jets, jet_components
 from .numkernel import SeededSampler, max_entry, sample_max
@@ -352,24 +356,44 @@ def _dispersion(c, seed):
     return bg.complex_magnitude(r1)
 
 
-_MAPS = {
-    "translation": lambda d: bg.translation_map(d, [0.3] * d + [0.2, -0.4]),
-    "boost": lambda d: bg.boost_map(d, [0.35] * d),
-    "dilation": lambda d: bg.dilation_map(d, 0.3),
-    "expansion": lambda d: bg.expansion_map_projective(d, 0.25),
+# the transported symmetries, one row each, in the order their blocks of
+# points, waves and elements take in the one transport pass
+_ELEMENTS = {
+    "translation": lambda d: translation_element(d, [0.3] * d + [0.2, -0.4]),
+    "boost": lambda d: boost_element(d, [0.35] * d),
+    "dilation": lambda d: dilation_element(d, 0.3),
+    "expansion": lambda d: expansion_element(d, 0.25),
 }
 
 
-def _transport(c, seed, name: str, weight=None):
-    transform = _MAPS[name](c.d)
-    rng = SeededSampler.generator(seed + 1)
-    psi = bg.plane_wave(c.d, 0.8 * rng.normal(size=c.d), c.params)
+def _transport(c, seed):
+    """The four transports and the weight control as one pass: row i takes
+    block i of the points, wave i and its element; the control transports
+    the expansion at weight 0, which a constant Jacobian could not see."""
+    d = c.d
     per = max(3, c.samples // 4)
-    pts = _box_points(seed, 0.8, c.d + 2, per)
-    res = bg.symmetry_transport_check(transform, psi, c.structure, c.params, pts, weight)
-    out = {"residual": np.maximum(res["r1"], res["r2"])}
-    if weight is None:
-        out["conformal_residual"] = max_entry(res["conformal_residual"])
+    pts = _box_points(seed, 0.8, d + 2, 5 * per)
+    waves = 0.8 * SeededSampler.generator(seed + 1).normal(size=(5, d))
+    elements = [make(d) for make in _ELEMENTS.values()]
+    elements.append(elements[-1])
+    weights = [bg.density_weight(d)] * 4 + [0.0]
+    res = bg.symmetry_transport_check(
+        bg.group_map(np.repeat(np.concatenate(elements), per, axis=0)),
+        bg.plane_wave(d, np.repeat(waves, per, axis=0), c.params),
+        c.structure,
+        c.params,
+        pts,
+        np.repeat(weights, per),
+    )
+    residual = np.maximum(res["r1"], res["r2"]).reshape(5, per)
+    conformal = res["conformal_residual"].reshape(5, per)
+    out = {
+        f"transport_{name}": {
+            "residual": residual[i], "conformal_residual": max_entry(conformal[i])
+        }
+        for i, name in enumerate(_ELEMENTS)
+    }
+    out["weight_control"] = residual[4]
     return out
 
 
@@ -383,13 +407,16 @@ SCHRODINGER = Suite(
             "plane waves with the parabolic dispersion solve the covariant pair")),
         Measure(_dispersion, Row("dispersion_control", 0.1,
             "dropping the dispersion relation leaves a visible residual", control=True)),
-        *(
-            Measure(partial(_transport, name=name), Row(f"transport_{name}", 1e-7,
-                "weighted transport maps solutions to solutions"))
-            for name in _MAPS
+        Measure(
+            _transport,
+            *(
+                Row(f"transport_{name}", 1e-7, "weighted transport maps solutions to solutions")
+                for name in _ELEMENTS
+            ),
+            Row("weight_control", 1e-3,
+                "transport without the density weight breaks the equations", control=True),
+            group=("transport", "weighted transport maps solutions to solutions"),
         ),
-        Measure(partial(_transport, name="expansion", weight=0.0), Row("weight_control", 1e-3,
-            "transport without the density weight breaks the equations", control=True)),
     ),
 )
 
@@ -464,7 +491,7 @@ LIE_ALGEBRA = Suite(
         Measure(_commutant_dim, Row("commutant_dim", 0.5,
             "centralizer dimension matches (d^2 + 3d + 8)/2")),
         Measure(_closure, Row("closure", 1e-12,
-            "brackets of basis elements decompose inside the algebra")),
+            "brackets of basis elements satisfy the algebra's two defining identities")),
         Measure(_realization, Row("realization", 1e-9,
             "field brackets realize the matrix brackets with a sign flip")),
         Measure(_witnesses, Row("witnesses", 1e-12,

@@ -4,7 +4,8 @@ metric derivatives, dense second derivatives to and from the factored form of
 ``gram_jets``, Gram assembly entry by entry, the scalar Laplacian, conformal
 rescaling and the weighted Lie derivative of a density, the quadric embedding
 with its (X, Y) decomposition, the finite expansion integrated by RK4 from
-its generator field, one algebra element drawn as a stack of one, the
+its generator field, the translations, boosts and dilations as closed-form
+linear chart maps, one algebra element drawn as a stack of one, the
 algebra block layout written and read entry by entry with its block and
 vertical relations, the
 commutant basis of Z0 built element by element from its own SVD per
@@ -12,7 +13,8 @@ tolerance, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
 element pair at a time, the seven block relations of a group element with
 the element written entry by entry from its blocks, the isotropy stabilizer
-elements built one at a time, the schrodinger-eq plane-wave record measured one wave per pass, and
+elements built one at a time, the schrodinger-eq plane-wave record measured one wave per pass
+and its transport rows one row per pass, and
 the boundary structure with its scale and cone-kernel forms taken one point
 at a time, and the homogeneous isometry record with one group draw per
 coupling."""
@@ -374,6 +376,41 @@ def flow_rk4(Z: np.ndarray, d: int, step: float = 1e-3):
     return mapper
 
 
+def linear_chart_map(W: np.ndarray, shift=None) -> ChartMap:
+    """The affine chart map x -> W x + shift in closed form: the inverse
+    through numpy's matrix inverse, and the constant |det W^-1| as its
+    Jacobian factor.  The translations, boosts and dilations of the flat
+    chart are such maps."""
+    n = len(W)
+    Winv = np.linalg.inv(W)
+    shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=float)
+    jac = abs(float(np.linalg.det(Winv)))
+
+    def forward(x):
+        return [nk.sparse_dot(W[a], x) + shift[a] for a in range(n)]
+
+    def inverse(x):
+        y = [x[a] - shift[a] for a in range(n)]
+        return [nk.sparse_dot(Winv[a], y) for a in range(n)]
+
+    return ChartMap(forward, inverse, lambda x: jac)
+
+
+def linear_symmetries(d: int) -> dict:
+    """The schrodinger-eq translation, boost and dilation as closed-form
+    linear chart maps (``linear_chart_map``)."""
+    b = np.full(d, 0.35)
+    boost = np.eye(d + 2)
+    boost[:d, d] = b
+    boost[d + 1, :d] = -b
+    boost[d + 1, d] = -0.5 * float(b @ b)
+    return {
+        "translation": linear_chart_map(np.eye(d + 2), [0.3] * d + [0.2, -0.4]),
+        "boost": linear_chart_map(boost),
+        "dilation": linear_chart_map(np.diag([np.exp(0.3)] * d + [np.exp(0.6), 1.0])),
+    }
+
+
 def expansion_map_rk4(d: int, alpha: float, step: float = 1e-3) -> ChartMap:
     """The finite expansion exp(alpha E) integrated from its generator field:
     forward and inverse by RK4, |det D(inverse)| = exp(ell) of the backward
@@ -633,6 +670,32 @@ def plane_wave_loop(c, seed) -> dict:
         r1, r2 = bg.schrodinger_residual(c.structure, psi, c.params, x)
         found.append(np.maximum(bg.complex_magnitude(r1), bg.complex_magnitude(r2)))
     return {"residual": np.concatenate(found), "waves": 3}
+
+
+def transport_loop(c, seed) -> list:
+    """The schrodinger-eq transport rows, one ``symmetry_transport_check``
+    pass per row in the order translation, boost, dilation, expansion and
+    weight control: its chart map, its wave of the one (5, d) draw and its
+    weight (the density's, or 0 for the control) at its block of the
+    points.  The passes' results, one per row."""
+    d = c.d
+    per = max(3, c.samples // 4)
+    pts = _box_points(seed, 0.8, d + 2, 5 * per).reshape(5, per, d + 2)
+    waves = 0.8 * nk.SeededSampler.generator(seed + 1).normal(size=(5, d))
+    maps = [
+        bg.translation_map(d, [0.3] * d + [0.2, -0.4]),
+        bg.boost_map(d, [0.35] * d),
+        bg.dilation_map(d, 0.3),
+        bg.expansion_map_projective(d, 0.25),
+    ]
+    maps.append(maps[-1])
+    weights = [None] * 4 + [0.0]
+    return [
+        bg.symmetry_transport_check(
+            phi, bg.plane_wave(d, k, c.params), c.structure, c.params, x, w
+        )
+        for phi, k, x, w in zip(maps, waves, pts, weights)
+    ]
 
 
 def boundary_loop(d: int, pts: np.ndarray, rng) -> dict:

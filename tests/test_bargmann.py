@@ -7,7 +7,7 @@ import oracles
 import pytest
 from oracles import expansion_map_rk4, rescaled_metric
 
-from schrogeo import bargmann
+from schrogeo import ambient, bargmann
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.bargmann import (
@@ -169,6 +169,119 @@ class TestStackedWaves:
             plane_wave(2, np.zeros(shape))
 
 
+class TestStackedTransport:
+    """The four transport rows and the weight control of one d are one
+    ``symmetry_transport_check`` pass over a per-sample element, wave and
+    weight stack, each row's slice bitwise the pass of its triple alone."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_one_pass_matches_the_per_row_loop(self, monkeypatch, d, seed):
+        passes = []
+        check = bargmann.symmetry_transport_check
+
+        def pass_spy(*args):
+            passes.append(len(args[4]))
+            return check(*args)
+
+        monkeypatch.setattr(bargmann, "symmetry_transport_check", pass_spy)
+        cfg = SuiteConfig("schrodinger-eq", dims=(d,), seed=seed)
+        c = suites.SCHRODINGER.context(cfg, d)
+        seed = check_seed(cfg, f"schrodinger_d{d}_transport")
+        got = suites._transport(c, seed)
+        assert passes == [25]
+        want = oracles.transport_loop(c, seed)
+        assert passes == [25] + [5] * 5
+        rows = [f"transport_{name}" for name in suites._ELEMENTS] + ["weight_control"]
+        assert list(got) == rows
+        for row, one in zip(rows, want):
+            residual = np.maximum(one["r1"], one["r2"])
+            if row == "weight_control":
+                assert got[row].tobytes() == residual.tobytes()
+                continue
+            assert got[row]["residual"].tobytes() == residual.tobytes(), row
+            assert got[row]["conformal_residual"] == nk.max_entry(one["conformal_residual"])
+
+    def test_one_pass_per_d(self, monkeypatch):
+        calls = []
+        check = bargmann.symmetry_transport_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(bargmann, "symmetry_transport_check", counted)
+        suites.run_suite(SuiteConfig("schrodinger-eq"))
+        assert len(calls) == 3
+
+    def test_a_defective_element_flips_only_its_own_row(self, monkeypatch):
+        # a dilation whose L scales t and s by e^{+-1.01 chi}: conformal, but
+        # it rescales xi = d/ds, so the transported wave has the wrong mass.
+        # It fails A Z0 = Z0 A, so the element checks are switched off to
+        # let it through
+        cfg = SuiteConfig("schrodinger-eq", dims=(1, 2))
+        before = {c.name: c.to_dict() for c in suites.run_suite(cfg).checks}
+        assert all(rec["status"] == "PASS" for rec in before.values())
+
+        def defective(d, chi=0.3):
+            n = d + 2
+            L = np.diag([1.0] * d + [np.exp(1.01 * chi), np.exp(-1.01 * chi)])
+            blocks = ambient.GroupBlocks(
+                L[None], np.zeros((1, n)), np.zeros((1, n)),
+                *(np.array([v]) for v in (0.0, np.exp(chi), 0.0, np.exp(-chi))),
+            )
+            return ambient.assemble_group_element(blocks, d)
+
+        monkeypatch.setattr(ambient, "require_group", lambda A: None)
+        monkeypatch.setitem(suites._ELEMENTS, "dilation", defective)
+        after = {c.name: c.to_dict() for c in suites.run_suite(cfg).checks}
+        assert after.keys() == before.keys()
+        for name, rec in after.items():
+            if name.endswith("_transport_dilation"):
+                assert rec["status"] == "FAIL" and rec["residual"] > 1e-3, name
+            else:
+                assert rec == before[name], name
+
+
+class TestClosedForms:
+    """Translations, boosts and dilations act through their group elements
+    as the closed-form linear maps they are."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", ["translation", "boost", "dilation"])
+    def test_group_maps_are_the_linear_maps(self, d, name):
+        params = SchrodingerParams()
+        ours = {
+            "translation": translation_map(d, [0.3] * d + [0.2, -0.4]),
+            "boost": boost_map(d, [0.35] * d),
+            "dilation": dilation_map(d, 0.3),
+        }[name]
+        ref = oracles.linear_symmetries(d)[name]
+        pts = _box_points(d, 0.8, d + 2, 7)
+        x = nk.seed_point(pts)
+        # a dilation's factor e^chi is the reciprocal of e^-chi, which
+        # rounds apart from e^chi: a few ulps
+        ulps = 0 if name != "dilation" else 4
+        for side in ("forward", "inverse"):
+            for a, b in zip(getattr(ours, side)(x), getattr(ref, side)(x)):
+                for part in ("value", "grad", "hess"):
+                    p, q = getattr(a, part), getattr(b, part)
+                    bound = ulps * np.finfo(float).eps * np.maximum(1.0, np.abs(q))
+                    assert (np.abs(p - q) <= bound).all(), (side, part)
+        psi = plane_wave(d, 0.8 * np.random.default_rng(d).normal(size=d), params)
+        got = symmetry_transport_check(ours, psi, flat_bargmann(d), params, pts)
+        want = symmetry_transport_check(ref, psi, flat_bargmann(d), params, pts)
+        for key in got:
+            assert (np.abs(got[key] - want[key]) <= ulps * np.finfo(float).eps).all(), key
+        if not ulps:
+            assert all(got[k].tobytes() == want[k].tobytes() for k in got)
+
+    def test_group_map_takes_a_stack(self):
+        ge = random_group_element(1, np.random.default_rng(2), scale=0.25)
+        with pytest.raises(ContractViolationError):
+            group_map(ge)
+
+
 class TestTransport:
     params = SchrodingerParams()
 
@@ -217,7 +330,7 @@ class TestTransport:
         for _ in range(3):
             ge = random_group_element(d, rng, scale=0.25)
             res = symmetry_transport_check(
-                group_map(ge), psi, bg, self.params, _box_points(5, 0.5, d + 2, 4)
+                group_map(ge[None]), psi, bg, self.params, _box_points(5, 0.5, d + 2, 4)
             )
             assert (np.maximum(res["r1"], res["r2"]) < 1e-6).all()
 
@@ -286,7 +399,7 @@ class TestExpansionMaps:
         rng = np.random.default_rng(14)
         d = 2
         ge = random_group_element(d, rng, scale=0.3)
-        phi = group_map(ge)
+        phi = group_map(ge[None])
         pts = np.array([[0.2, -0.3, 0.4, 0.1], [-0.1, 0.5, 0.0, 0.3]])
         _, jac_inv = jet_components(phi.inverse, pts)
         oracle = np.abs(np.linalg.det(jac_inv.real))

@@ -722,7 +722,8 @@ def sequential_transport(phi, psi, structure, params, samples, seed, weight=None
 def test_symmetry_transport_matches_per_point_loop(d, weight):
     structure = bg.flat_bargmann(d)
     psi = _densities(d)["plane_wave"]
-    maps = dict(_maps(d), group=bg.group_map(random_group_element(d, np.random.default_rng(3), scale=0.25)))
+    ge = random_group_element(d, np.random.default_rng(3), scale=0.25)
+    maps = dict(_maps(d), group=bg.group_map(ge[None]))
     for name, phi in maps.items():
         pts = _flat_points(d, count=5, seed=11, box=0.5)
         batched = bg.symmetry_transport_check(phi, psi, structure, PARAMS, pts, weight)
@@ -740,7 +741,7 @@ def test_transport_through_an_escaped_sample_reads_nan():
     other sample reads as before."""
     d = 2
     ge = _escaping_element(d)
-    phi, psi = bg.group_map(ge), _densities(d)["plane_wave"]
+    phi, psi = bg.group_map(ge[None]), _densities(d)["plane_wave"]
     pts = _flat_points(d, count=5, seed=11, box=0.5)
     clean = bg.symmetry_transport_check(phi, psi, bg.flat_bargmann(d), PARAMS, pts)
     assert all(np.isfinite(v).all() for v in clean.values())

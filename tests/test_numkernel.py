@@ -136,6 +136,22 @@ class TestJet2:
         with pytest.raises(ContractViolationError, match=r"\(N,\) array .* got shape \(\)"):
             expr(u)
 
+    def test_a_per_sample_exponent_is_each_sample_alone(self):
+        # sample s of u ** k is bitwise u_s ** k[s] on its batch of one,
+        # with k[s] a Python float, the weight-0 sample included
+        pts = np.array([[0.4, 1.3], [-0.2, 0.7], [0.9, 2.1], [0.1, 0.3]])
+        k = np.array([-1.5, 1.0 / 3.0, 0.0, 2.5])
+        u = (2.0 + seed_point(pts)[0]) * seed_point(pts)[1]
+        got = u**k
+        for s, p in enumerate(pts):
+            x, y = seed_one(p)
+            one = ((2.0 + x) * y) ** float(k[s])
+            assert got.value[s] == one.value[0]
+            assert got.grad[:, s].tobytes() == one.grad[:, 0].tobytes()
+            assert got.hess[..., s].tobytes() == one.hess[..., 0].tobytes()
+        with pytest.raises(ContractViolationError):
+            u ** np.ones(3)
+
     @given(
         st.floats(-2, 2),
         st.floats(-2, 2),

@@ -445,10 +445,8 @@ def test_the_fold_rule_sees_a_stray_call():
 
 # the Gram is inverted block by block in ``geometry``, through one split, the
 # singular-value cut and the closed forms of small blocks: a LAPACK inverse or
-# eigenvalue call elsewhere bypasses them.  The one other inverse is the
-# constant matrix of a linear chart map, ``bargmann._linear_map``.
+# eigenvalue call elsewhere bypasses them.
 LAPACK = {"inv", "eigvalsh"}
-LAPACK_ALLOWED = {("bargmann.py", "_linear_map")}
 
 
 def _lapack_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
@@ -465,7 +463,7 @@ def _lapack_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
     "path", [p for p in SOURCES if p.name != "geometry.py"], ids=lambda p: p.name
 )
 def test_only_geometry_inverts_grams(path):
-    calls = [c for c in _lapack_calls(_tree(path)) if (path.name, c[0]) not in LAPACK_ALLOWED]
+    calls = _lapack_calls(_tree(path))
     assert not calls, f"{path.name}: {calls}"
 
 
@@ -473,7 +471,7 @@ def test_the_inverse_rule_sees_a_stray_call():
     tree = ast.parse(
         "import numpy as np\n"
         "from numpy.linalg import eigvalsh\n"
-        "def _linear_map(W):\n"
+        "def _chart_inverse(W):\n"
         "    return np.linalg.inv(W)\n"
         "def audit(g0):\n"
         "    ginv = np.linalg.inv(g0)\n"
@@ -481,7 +479,7 @@ def test_the_inverse_rule_sees_a_stray_call():
         "SIGNS = np.linalg.eigvalsh(np.eye(2))\n"
     )
     assert _lapack_calls(tree) == [
-        ("_linear_map", "inv", 4),
+        ("_chart_inverse", "inv", 4),
         ("audit", "inv", 6),
         ("audit", "eigvalsh", 7),
         ("<module>", "eigvalsh", 8),

@@ -563,14 +563,14 @@ ERROR_CASES = [
         0,
     ),
     (
-        bargmann,
-        "dilation_map",
-        "schrodinger_d1_transport_dilation",
+        suites,
+        "dilation_element",
+        "schrodinger_d1_transport",
         "weighted transport maps solutions to solutions",
-        "schrodinger_d1_transport_dilation",
+        "schrodinger_d1_transport",
         4,
         {"d": 1},
-        0,
+        5,
     ),
     (
         homogeneous,
@@ -584,6 +584,17 @@ ERROR_CASES = [
         0,
     ),
 ]
+
+
+def _rows_filed_with(name):
+    """The d = 1 record names of the rows of the measurement whose ERROR
+    record is ``name``."""
+    for suite in TABLES.values():
+        base = f"{suite.prefix}_d1"
+        for m in suite.table:
+            if f"{base}_{m.group[0]}" == name:
+                return {f"{base}_{row.suffix}" for row in m.rows}
+    raise AssertionError(f"no measurement files {name}")
 
 
 class TestErrorPath:
@@ -619,7 +630,7 @@ class TestErrorPath:
         assert errors == [expected]
         lost = set(before) - set(after)
         assert len(lost) == replaced
-        assert all(n.startswith(seed_name) for n in lost)
+        assert lost == _rows_filed_with(name) - {name}
         for n, rec in after.items():
             if n != name:
                 assert rec == before[n], n
