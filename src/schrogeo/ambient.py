@@ -579,8 +579,9 @@ def assemble_group_element(blocks: GroupBlocks, d: int) -> np.ndarray:
     return A
 
 
-# the finite symmetries of the free Schrödinger equation (Niederer 1972) that
-# fix the chart's time origin, each as a validated stack of one element
+# the finite symmetries of the free Schrödinger equation (Niederer 1972):
+# translations, boosts and dilations, whose expansion block a is 0, and the
+# expansion, each as a validated stack of one element
 
 
 def _affine_element(d: int, L, B, C, b: float = 1.0, dd: float = 0.0, e: float = 1.0):

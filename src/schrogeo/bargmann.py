@@ -291,7 +291,7 @@ def expansion_map_projective(d: int, alpha: float) -> ChartMap:
 
 
 def transported_density(
-    phi: ChartMap, psi: DensityFunction, weight=None
+    phi: ChartMap, psi: DensityFunction, weight: float | np.ndarray | None = None
 ) -> DensityFunction:
     """Pushforward coefficient (f o phi^{-1}) |det D phi^{-1}|^w, with w the
     density's weight, or ``weight``: a number, or an (N,) array whose entry
@@ -312,7 +312,7 @@ def symmetry_transport_check(
     structure: BargmannStructure,
     params: SchrodingerParams,
     pts: np.ndarray,
-    weight=None,
+    weight: float | np.ndarray | None = None,
 ) -> dict:
     """Residuals of the covariant pair for the transported density at the
     images of the points ``pts`` (so the inverse map stays in its chart),

@@ -690,9 +690,12 @@ class TestClock:
 
         pts = SeededSampler(3, [(-0.9, 0.9)] * 2).points(5)
         for order in (1, 2):
-            got = gram_jets(metric, pts, order).clock(xi)
+            jets = gram_jets(metric, pts, order)
+            got = jets.clock(xi)
             for a, b in zip(got, jet_components(theta, pts)):
                 assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+            # theta alone is the clock's first member, bit for bit
+            assert jets.theta(xi).tobytes() == got[0].tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_the_bulk_clock_is_the_closed_form(self, d):
