@@ -25,14 +25,10 @@ import numpy as np
 
 from . import numkernel as nk
 from .ambient import (
-    boost_element,
-    dilation_element,
-    expansion_element,
     flat_metric,
     group_inverse,
     projective_action,
     projective_denominator,
-    translation_element,
     xi_field,
 )
 from .geometry import (
@@ -55,18 +51,14 @@ __all__ = [
     "DensityFunction",
     "SchrodingerParams",
     "bargmann_axioms_check",
-    "boost_map",
     "complex_magnitude",
     "conformal_equivalence_check",
     "density_weight",
-    "dilation_map",
-    "expansion_map_projective",
     "flat_bargmann",
     "group_map",
     "plane_wave",
     "schrodinger_residual",
     "symmetry_transport_check",
-    "translation_map",
     "transported_density",
 ]
 
@@ -106,14 +98,13 @@ def flat_bargmann(d: int) -> BargmannStructure:
 # structure checks
 
 
-def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict:
+def bargmann_axioms_check(structure: BargmannStructure, jets: MetricJets) -> dict:
     """Nullity of xi, parallelism of xi, closedness of the clock, and
-    vanishing divergence at the points ``pts``: by axiom, its residual at
-    each point, (N,).  One first-order pass of the metric, one evaluation
-    of xi on its seeds and one inverse Gram serve the four axioms; the clock
-    is read off the pass."""
+    vanishing divergence on a pass of the structure's metric (order 1
+    suffices): by axiom, its residual at each point, (N,).  One evaluation
+    of xi on the pass's seeds and one inverse Gram serve the four axioms;
+    the clock is read off the pass."""
     xi = structure.xi
-    jets = gram_jets(structure.metric, pts, order=1)
     xv, _ = jets.components(xi.components)
     null = np.einsum("...a,...ab,...b->...", xv, jets.g0, xv)
     dw, _ = exterior_wedge(*jets.clock(xi))
@@ -126,11 +117,11 @@ def bargmann_axioms_check(structure: BargmannStructure, pts: np.ndarray) -> dict
     return {name: sample_max(v) for name, v in found.items()}
 
 
-def conformal_equivalence_check(omega, structure: BargmannStructure, pts: np.ndarray):
-    """The largest entry of d Omega ^ theta at each of the points ``pts``,
-    (N,): zero when the conformal factor descends to the time axis.  Omega
-    and the clock are read off one first-order pass of the metric."""
-    jets = gram_jets(structure.metric, pts, order=1)
+def conformal_equivalence_check(omega, structure: BargmannStructure, jets: MetricJets):
+    """The largest entry of d Omega ^ theta at each point of a pass of the
+    structure's metric (order 1 suffices), (N,): zero when the conformal
+    factor descends to the time axis.  Omega and the clock are read off the
+    pass."""
     grad = jets.scalar(omega).grad.T
     tv = jets.theta(structure.xi)
     wedge = grad[:, :, None] * tv[:, None, :] - tv[:, :, None] * grad[:, None, :]
@@ -262,28 +253,6 @@ def group_map(A: np.ndarray) -> ChartMap:
         return (den * den) ** (-(d + 2) / 2.0) if isinstance(den, Jet2) else abs(den) ** (-(d + 2.0))
 
     return ChartMap(forward, inverse, jacobian_factor)
-
-
-def translation_map(d: int, gamma: Sequence[float]) -> ChartMap:
-    """x -> x + gamma (``ambient.translation_element``)."""
-    return group_map(translation_element(d, gamma))
-
-
-def dilation_map(d: int, chi: float) -> ChartMap:
-    """x -> e^chi x, t -> e^{2chi} t, s -> s (``ambient.dilation_element``)."""
-    return group_map(dilation_element(d, chi))
-
-
-def boost_map(d: int, b: Sequence[float]) -> ChartMap:
-    """x -> x + b t, s -> s - b.x - |b|^2 t / 2, a null rotation of g
-    (``ambient.boost_element``)."""
-    return group_map(boost_element(d, b))
-
-
-def expansion_map_projective(d: int, alpha: float) -> ChartMap:
-    """Projective form of the finite expansion exp(alpha E)
-    (``ambient.expansion_element``)."""
-    return group_map(expansion_element(d, alpha))
 
 
 # ---------------------------------------------------------------------------

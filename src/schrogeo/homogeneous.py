@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from types import MethodType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,7 +62,6 @@ from .geometry import (
     inverse_gram,
     jet_components,
     lie_derivative_metric,
-    negative_index,
 )
 from .numkernel import ContractViolationError, Jet2, jet_value, rank_nullspace, sparse_dot
 
@@ -88,12 +88,10 @@ __all__ = [
     "isometry_check",
     "isotropy_check",
     "metric_recovery_residual",
-    "negative_eigenvalue_count",
     "null_plane_boost",
     "nullfluid_residual",
     "over_couplings",
     "schrodinger_axiom_audit",
-    "theta_hat",
     "xi_hat_consistency",
     "xi_hat_field",
 ]
@@ -145,11 +143,11 @@ class SchrodingerManifoldConfig(_BulkParameters):
 
     ``lam`` and ``mu`` are floats, or per-sample (N,) arrays for a batch of
     N points whose sample k has the metric of (lam[k], mu[k]).  The
-    batched checks (metric, embedding, dual path, negative index, and the
-    identities that take a pass of ``bulk_metric(cfg)``: vertical field,
-    curvature and integrability, with the clock read off that pass) accept
-    either; ``isometry_check``, ``isotropy_check`` and the axiom audit take
-    floats.  A config with arrays is neither hashable nor comparable.
+    batched checks (metric, embedding, and the identities that take a pass
+    of ``bulk_metric(cfg)``: dual path, vertical field, curvature and
+    integrability, with the clock read off that pass) accept either;
+    ``isometry_check``, ``isotropy_check`` and the axiom audit take floats.
+    A config with arrays is neither hashable nor comparable.
     """
 
     __slots__ = ()
@@ -386,62 +384,37 @@ def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q) -> list:
 
 
 def _embedding_jets(cfg: SchrodingerManifoldConfig, jets: MetricJets):
-    """(Q, J): the embedding and its Jacobian on the pass's seeds."""
-    vals, jac = jets.components(lambda q: embed_components(cfg, q))
+    """(Q, J): the embedding and its Jacobian on the pass's seeds.  Bound
+    methods of one function to one object compare equal, so every check
+    that reads the embedding on one pass and config shares its evaluation."""
+    vals, jac = jets.components(MethodType(embed_components, cfg))
     return vals.real, jac.real
 
 
-def induced_metric(
-    cfg: SchrodingerManifoldConfig,
-    p: np.ndarray,
-    delta: np.ndarray,
-    delta2: np.ndarray,
-) -> dict:
-    """Metric on a pair of chart tangents, via the ambient pullback (path A)
-    and the chart Gram (path B).  ``delta`` and ``delta2`` carry one tangent
-    per sample, shape (N, n).  The "difference" is relative: |A - B| over
-    max(1, max|g| max|delta| max|delta2|), since the entries of g grow like
-    -2 lam / rh^2 and their rounding with them.  One first-order pass of
-    the chart metric serves both paths."""
+def induced_metric(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> dict:
+    """The ambient pullback against the chart metric on a pass of the bulk
+    metric (order 1 suffices), per sample (N,) each.  With th = -(Q^T G Z0) J
+    the ambient clock row, "metric" is max|J^T G J - mu th (x) th - g0| over
+    max(1, max|g0|), and "clock" is max|th - theta| over max(1, max|theta|),
+    theta being the chart clock g(xi, .).  Both are relative, since the
+    entries of g grow like -2 lam / rh^2 and their rounding with them."""
     d = cfg.d
-    delta = np.asarray(delta, dtype=float)
-    delta2 = np.asarray(delta2, dtype=float)
-    jets = gram_jets(bulk_metric(cfg), p, order=1)
     Q, J = _embedding_jets(cfg, jets)
     G = ambient_gram(d)
-    dq = _mv(J, delta)
-    dq2 = _mv(J, delta2)
-    th_row = _vm(-_vm(_vm(Q, G), build_Z0(d)), J)
-    ambient = _vv(_vm(dq, G), dq2) - cfg.mu * _vv(th_row, delta) * _vv(
-        th_row, delta2
+    th = _vm(-_vm(_vm(Q, G), build_Z0(d)), J)
+    pulled = J.swapaxes(-1, -2) @ G @ J - _per_matrix(cfg.mu) * (
+        th[..., :, None] * th[..., None, :]
     )
-    g = jets.g0
-    chart = _vv(_vm(delta, g), delta2)
-    size = nk.sample_max(g) * nk.sample_max(delta) * nk.sample_max(delta2)
-    difference = np.abs(ambient - chart) / np.maximum(1.0, size)
-    return {"ambient": ambient, "chart": chart, "difference": difference}
-
-
-def theta_hat(cfg: SchrodingerManifoldConfig, p: np.ndarray, delta) -> dict:
-    """Clock value on a chart tangent: ambient -G(Q, Z0 dQ) vs the chart
-    clock row g(xi, .), both on one first-order pass of the chart metric.
-    The "difference" is relative, over max(1, max|row| max|delta|)."""
-    d = cfg.d
-    delta = np.asarray(delta, dtype=float)
-    jets = gram_jets(bulk_metric(cfg), p, order=1)
-    Q, J = _embedding_jets(cfg, jets)
-    QGZ = _vm(_vm(Q, ambient_gram(d)), build_Z0(d))
-    ambient = _vv(-QGZ, _mv(J, delta))
-    row = jets.theta(xi_hat_field(cfg))
-    chart = _vv(row, delta)
-    size = nk.sample_max(row) * nk.sample_max(delta)
-    difference = np.abs(ambient - chart) / np.maximum(1.0, size)
-    return {"ambient": ambient, "chart": chart, "difference": difference}
+    g, theta = jets.g0, jets.theta(xi_hat_field(cfg))
+    return {
+        "metric": nk.sample_max(pulled - g) / np.maximum(1.0, nk.sample_max(g)),
+        "clock": nk.sample_max(th - theta) / np.maximum(1.0, nk.sample_max(theta)),
+    }
 
 
 def xi_hat_consistency(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> dict:
     """The vertical field on a pass of the bulk metric (order 1 suffices):
-    ambient Z0 Q against the push-forward of d/dsh, its norm, nullity, and
+    ambient Z0 Q against the push-forward of d/dsh, its nullity, and its
     Killing residual."""
     d = cfg.d
     Q, J = _embedding_jets(cfg, jets)
@@ -449,7 +422,6 @@ def xi_hat_consistency(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> dict
     killing = np.abs(lie_derivative_metric(jets, xi_hat_field(cfg)))
     return {
         "pushforward": np.abs(ZQ - J[..., d + 1]).max(axis=-1),
-        "norm": np.abs(ZQ).max(axis=-1),
         "nullity": np.abs(jets.g0[..., d + 1, d + 1]),
         "killing": killing.max(axis=(-2, -1)),
     }
@@ -486,24 +458,18 @@ def einstein_residual(
     return computed, predicted
 
 
-def nullfluid_residual(
-    cfg: SchrodingerManifoldConfig, jets: MetricJets
-) -> tuple[np.ndarray, float | np.ndarray]:
+def nullfluid_residual(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> np.ndarray:
     """Residual of Ric(g) - ((d+2)/(2 lam)) g + mu (d+4)/(2 lam) clock^2 on
-    an order-2 pass of the bulk metric, plus the cosmological constant
-    (d+1)(d+2)/(4 lam) of the equivalent Einstein-with-sources form (per
-    sample on per-sample couplings)."""
+    an order-2 pass of the bulk metric."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
     ric, _ = jets.ricci()
     theta = jets.theta(xi_hat_field(cfg))
-    residual = (
+    return (
         ric
         - _per_matrix((d + 2.0) / (2.0 * lam)) * jets.g0
         + _per_matrix(mu * (d + 4.0) / (2.0 * lam))
         * (theta[..., :, None] * theta[..., None, :])
     )
-    lam_cos = (d + 1.0) * (d + 2.0) / (4.0 * lam)
-    return residual, lam_cos
 
 
 def metric_recovery_residual(d: int, p: np.ndarray) -> np.ndarray:
@@ -521,12 +487,6 @@ def metric_recovery_residual(d: int, p: np.ndarray) -> np.ndarray:
     ref[..., d + 2, d + 2] = inv2
     ref[..., d, d] = -inv2 * inv2
     return np.abs(g0 - ref).max(axis=(-2, -1))
-
-
-def negative_eigenvalue_count(cfg: SchrodingerManifoldConfig, p: np.ndarray) -> np.ndarray:
-    """Negative eigenvalues of the Gram matrix at each point, (N,) counts
-    (``negative_index``)."""
-    return negative_index(gram_values(bulk_metric(cfg), p))
 
 
 def integrability_residual(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> np.ndarray:

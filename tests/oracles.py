@@ -28,15 +28,19 @@ from schrogeo import bargmann as bg
 from schrogeo.ambient import (
     algebra_elements,
     ambient_gram,
+    boost_element,
     bracket_fields,
     build_Z0,
     commutant_stack,
+    dilation_element,
+    expansion_element,
     expansion_generator,
     flat_gram_matrix,
     group_coefficients,
     random_group_element,
     realize_field,
     sch_residuals,
+    translation_element,
     xi_field,
     xi_vector,
 )
@@ -683,10 +687,10 @@ def transport_loop(c, seed) -> list:
     pts = _box_points(seed, 0.8, d + 2, 5 * per).reshape(5, per, d + 2)
     waves = 0.8 * nk.SeededSampler.generator(seed + 1).normal(size=(5, d))
     maps = [
-        bg.translation_map(d, [0.3] * d + [0.2, -0.4]),
-        bg.boost_map(d, [0.35] * d),
-        bg.dilation_map(d, 0.3),
-        bg.expansion_map_projective(d, 0.25),
+        bg.group_map(translation_element(d, [0.3] * d + [0.2, -0.4])),
+        bg.group_map(boost_element(d, [0.35] * d)),
+        bg.group_map(dilation_element(d, 0.3)),
+        bg.group_map(expansion_element(d, 0.25)),
     ]
     maps.append(maps[-1])
     weights = [None] * 4 + [0.0]

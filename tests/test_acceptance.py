@@ -14,28 +14,29 @@ from schrogeo.ambient import (
     _commutant_cached,
     _commutant_svd,
     ambient_gram,
+    boost_element,
     build_Z0,
     commutant_basis,
     component_witnesses,
     cone_point,
+    dilation_element,
     exp_group,
+    expansion_element,
     g_adjoint,
     projective_action,
     random_group_element,
     realize_field,
     sch_dimension,
+    translation_element,
     xi_field,
 )
 from schrogeo.bargmann import (
     SchrodingerParams,
-    boost_map,
-    dilation_map,
-    expansion_map_projective,
     flat_bargmann,
+    group_map,
     plane_wave,
     schrodinger_residual,
     symmetry_transport_check,
-    translation_map,
 )
 from schrogeo.geometry import (
     component_values,
@@ -160,12 +161,12 @@ def test_criterion_04_nullfluid_identity():
             for mu in MU_GRID:
                 cfg = SchrodingerManifoldConfig(d, lam, mu)
                 p = SeededSampler(7 * d + 1, bulk_boxes(d)).points(1)
-                residual, _ = nullfluid_residual(cfg, gram_jets(bulk_metric(cfg), p))
+                residual = nullfluid_residual(cfg, gram_jets(bulk_metric(cfg), p))
                 gate.check(
                     float(np.abs(residual).max()) < 1e-8,
                     f"identity fails at ({d},{lam},{mu})",
                 )
-    # frozen: d=3, lam=-1/2, mu=1 gives Ric + 5 g = 7 theta x theta, -10
+    # frozen: d=3, lam=-1/2, mu=1 gives Ric + 5 g = 7 theta x theta
     cfg = SchrodingerManifoldConfig(3, -0.5, 1.0)
     p = [[0.1, -0.2, 0.3, 0.4, 0.5, 1.7]]
     jets = gram_jets(bulk_metric(cfg), p)
@@ -178,8 +179,6 @@ def test_criterion_04_nullfluid_identity():
         float(np.abs(ric[0] + 5.0 * g0[0] - 7.0 * np.outer(th, th)).max()) < 1e-10,
         "frozen stress identity",
     )
-    _, lam_cos = nullfluid_residual(cfg, jets)
-    gate.check(abs(lam_cos + 10.0) < 1e-12, f"cosmological factor {lam_cos}")
     gate.finish()
 
 
@@ -225,10 +224,10 @@ def test_criterion_07_wave_pair_and_transport():
     bg = flat_bargmann(d)
     psi = plane_wave(d, [0.5, 0.2], params)
     maps = {
-        "translation": translation_map(d, [0.3, -0.1, 0.2, 0.4]),
-        "boost": boost_map(d, [0.25, -0.4]),
-        "dilation": dilation_map(d, 0.3),
-        "expansion": expansion_map_projective(d, 0.2),
+        "translation": group_map(translation_element(d, [0.3, -0.1, 0.2, 0.4])),
+        "boost": group_map(boost_element(d, [0.25, -0.4])),
+        "dilation": group_map(dilation_element(d, 0.3)),
+        "expansion": group_map(expansion_element(d, 0.2)),
     }
     for name, phi in maps.items():
         res = symmetry_transport_check(phi, psi, bg, params, _box_points(77, 0.8, d + 2, 6))

@@ -22,11 +22,14 @@ from schrogeo import bargmann as bg
 from schrogeo import numkernel as nk
 from schrogeo import suites
 from schrogeo.ambient import (
+    boost_element,
     bracket_fields,
     commutant_basis,
     commutant_stack,
     cone_point,
+    dilation_element,
     exp_group,
+    expansion_element,
     expansion_generator,
     group_coefficients,
     group_elements,
@@ -35,6 +38,7 @@ from schrogeo.ambient import (
     projective_denominator,
     random_group_element,
     realize_field,
+    translation_element,
 )
 from schrogeo.geometry import (
     DegenerateMetricError,
@@ -65,10 +69,8 @@ from schrogeo.homogeneous import (
     integrability_residual,
     isometry_check,
     metric_recovery_residual,
-    negative_eigenvalue_count,
     null_plane_boost,
     nullfluid_residual,
-    theta_hat,
     xi_hat_consistency,
     xi_hat_field,
 )
@@ -440,15 +442,12 @@ class TestBatchedHomogeneous:
 
     def test_dict_checks_match_per_point(self):
         pts = bulk_points(2, 5, seed=3)
-        v1, v2 = np.random.default_rng(3).normal(size=(2, 5, 5))
         # sample k alone is the batch of one [k : k + 1]
         cases = (
             (xi_hat_consistency(self.cfg, bulk_pass(self.cfg, pts, 1)),
              lambda k: xi_hat_consistency(self.cfg, bulk_pass(self.cfg, pts[k : k + 1], 1))),
-            (induced_metric(self.cfg, pts, v1, v2),
-             lambda k: induced_metric(self.cfg, pts[k : k + 1], v1[k : k + 1], v2[k : k + 1])),
-            (theta_hat(self.cfg, pts, v1),
-             lambda k: theta_hat(self.cfg, pts[k : k + 1], v1[k : k + 1])),
+            (induced_metric(self.cfg, bulk_pass(self.cfg, pts, 1)),
+             lambda k: induced_metric(self.cfg, bulk_pass(self.cfg, pts[k : k + 1], 1))),
         )
         for batch, single in cases:
             for k in range(5):
@@ -460,20 +459,20 @@ class TestBatchedHomogeneous:
 
     def test_curvature_residuals_match_per_point(self):
         pts = bulk_points(2, 4, seed=4)
-        res, _ = nullfluid_residual(self.cfg, bulk_pass(self.cfg, pts))
+        res = nullfluid_residual(self.cfg, bulk_pass(self.cfg, pts))
         plus = SchrodingerManifoldConfig(2, -0.5, 0.0)
         computed, predicted = einstein_residual(plus, bulk_pass(plus, pts))
-        counts = negative_eigenvalue_count(self.cfg, pts)
+        counts = negative_index(gram_values(bulk_metric(self.cfg), pts))
         wedge = integrability_residual(self.cfg, bulk_pass(self.cfg, pts, 1))
         recovery = metric_recovery_residual(2, pts)
         for k in range(len(pts)):
             p = pts[k : k + 1]
-            one, _ = nullfluid_residual(self.cfg, bulk_pass(self.cfg, p))
+            one = nullfluid_residual(self.cfg, bulk_pass(self.cfg, p))
             assert np.abs(res[k] - one[0]).max() <= 1e-13
             c, q = einstein_residual(plus, bulk_pass(plus, p))
             assert np.abs(computed[k] - c[0]).max() <= 1e-13
             assert np.abs(predicted[k] - q[0]).max() <= 1e-13
-            assert counts[k] == negative_eigenvalue_count(self.cfg, p)[0] == 1
+            assert counts[k] == negative_index(gram_values(bulk_metric(self.cfg), p))[0] == 1
             assert wedge[k] == integrability_residual(self.cfg, bulk_pass(self.cfg, p, 1))[0]
             assert recovery[k] == metric_recovery_residual(2, p)[0]
 
@@ -555,10 +554,10 @@ PARAMS = bg.SchrodingerParams()
 
 def _maps(d):
     return {
-        "translation": bg.translation_map(d, [0.3] * d + [0.2, -0.4]),
-        "boost": bg.boost_map(d, [0.35] * d),
-        "dilation": bg.dilation_map(d, 0.3),
-        "expansion": bg.expansion_map_projective(d, 0.25),
+        "translation": bg.group_map(translation_element(d, [0.3] * d + [0.2, -0.4])),
+        "boost": bg.group_map(boost_element(d, [0.35] * d)),
+        "dilation": bg.group_map(dilation_element(d, 0.3)),
+        "expansion": bg.group_map(expansion_element(d, 0.25)),
     }
 
 
@@ -762,9 +761,13 @@ def _one_point_checks(d):
     )
     phi, psi = _maps(d)["expansion"], _densities(d)["plane_wave"]
     return {
-        "bargmann_axioms": lambda pts: bg.bargmann_axioms_check(across, pts),
+        "bargmann_axioms": lambda pts: bg.bargmann_axioms_check(
+            across, gram_jets(across.metric, pts, 1)
+        ),
         "conformal_equivalence": lambda pts: {
-            "residual": bg.conformal_equivalence_check(lambda x: nk.exp(x[0]), structure, pts)
+            "residual": bg.conformal_equivalence_check(
+                lambda x: nk.exp(x[0]), structure, gram_jets(structure.metric, pts, 1)
+            )
         },
         "symmetry_transport": lambda pts: bg.symmetry_transport_check(
             phi, psi, structure, PARAMS, pts, weight=0.0
@@ -981,7 +984,7 @@ def _evaluators():
             flat_one, lambda p: _on_pass(yamabe_residual, flat.metric, psi.coefficient, p)
         ),
         "lie_bracket": (flat_one, lambda p: lie_bracket(field, flat.xi, p)),
-        "induced_metric": (bulk_one, lambda p: induced_metric(cfg, p, p, p)),
+        "induced_metric": (bulk_one, lambda p: induced_metric(cfg, bulk(p, 1))),
         "xi_hat_consistency": (bulk_one, lambda p: xi_hat_consistency(cfg, bulk(p, 1))),
         "isometry_check": (bulk_one, lambda p: isometry_check(cfg, null_plane_boost(d, 1.5), p)),
         "schrodinger_residual": (flat_one, lambda p: bg.schrodinger_residual(flat, psi, PARAMS, p)),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from oracles import dense_d2g, density_lie_derivative
 
-from schrogeo import geometry
+from schrogeo import bargmann, geometry
 from schrogeo import homogeneous as hg
 from schrogeo import numkernel as nk
 from schrogeo import suites
@@ -33,6 +33,7 @@ from schrogeo.geometry import (
     gram_jets,
     gram_values,
     jet_components,
+    negative_index,
     yamabe_residual,
 )
 from schrogeo.numkernel import ContractViolationError, Jet2, SeededSampler
@@ -186,50 +187,47 @@ class TestCouplingBatchedBitwise:
             )
 
     def test_dual_path_vertical_and_scalar_checks(self, stacked):
+        # the first-order checks of one stacked pass, each coupling's rows
+        # bitwise its own pass
         d, pts, mc, x = stacked
-        v = np.random.default_rng(2).normal(size=(len(GRID) * N, 2, d + 3))
+        jets = bulk_pass(mc, x, 1)
         batched = {
-            "induced": hg.induced_metric(mc, x, v[:, 0], v[:, 1]),
-            "clock": hg.theta_hat(mc, x, v[:, 0]),
-            "vertical": hg.xi_hat_consistency(mc, bulk_pass(mc, x, 1)),
+            "induced": hg.induced_metric(mc, jets),
+            "vertical": hg.xi_hat_consistency(mc, jets),
         }
-        counts = hg.negative_eigenvalue_count(mc, x)
-        wedge = hg.integrability_residual(mc, bulk_pass(mc, x, 1))
+        counts = negative_index(jets.g0)
+        wedge = hg.integrability_residual(mc, jets)
         for c, (lam, mu) in enumerate(GRID):
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
             rows = slice(c * N, (c + 1) * N)
-            w = v[rows]
+            alone = bulk_pass(one, pts, 1)
             singles = {
-                "induced": hg.induced_metric(one, pts, w[:, 0], w[:, 1]),
-                "clock": hg.theta_hat(one, pts, w[:, 0]),
-                "vertical": hg.xi_hat_consistency(one, bulk_pass(one, pts, 1)),
+                "induced": hg.induced_metric(one, alone),
+                "vertical": hg.xi_hat_consistency(one, alone),
             }
             for name, single in singles.items():
                 assert set(single) == set(batched[name])
                 for key, value in single.items():
-                    same = same_values if key in ("ambient", "chart") else same_bits
-                    assert same(batched[name][key][rows], value), (name, key)
-            assert same_bits(counts[rows], hg.negative_eigenvalue_count(one, pts))
-            assert same_bits(wedge[rows], hg.integrability_residual(one, bulk_pass(one, pts, 1)))
+                    assert same_bits(batched[name][key][rows], value), (name, key)
+            assert same_bits(counts[rows], negative_index(alone.g0))
+            assert same_bits(wedge[rows], hg.integrability_residual(one, alone))
         # residuals are magnitudes: the -0.0 of a mu = 0 clock entry stops short
         for res in batched.values():
-            for key in ("difference", "pushforward", "nullity", "killing"):
-                if key in res:
-                    assert no_negative_zero(res[key])
+            for value in res.values():
+                assert no_negative_zero(value)
         assert no_negative_zero(wedge)
 
     def test_curvature_identities(self, stacked):
         d, pts, mc, x = stacked
-        res, lam_cos = hg.nullfluid_residual(mc, bulk_pass(mc, x))
+        res = hg.nullfluid_residual(mc, bulk_pass(mc, x))
         undeformed = hg.coupling_config(d, [(lam, 0.0) for lam, _ in GRID], N)
         computed, predicted = hg.einstein_residual(undeformed, bulk_pass(undeformed, x))
         for c, (lam, mu) in enumerate(GRID):
             rows = slice(c * N, (c + 1) * N)
             one = hg.SchrodingerManifoldConfig(d, lam, mu)
-            r1, cos1 = hg.nullfluid_residual(one, bulk_pass(one, pts))
+            r1 = hg.nullfluid_residual(one, bulk_pass(one, pts))
             assert same_values(res[rows], r1)
             assert same_bits(np.abs(res[rows]), np.abs(r1))
-            assert (lam_cos[rows] == cos1).all()
             plus = hg.SchrodingerManifoldConfig(d, lam, 0.0)
             c1, p1 = hg.einstein_residual(plus, bulk_pass(plus, pts))
             for got, want in ((computed[rows], c1), (predicted[rows], p1)):
@@ -315,7 +313,7 @@ def test_the_driver_splits_the_grid_into_its_budgeted_passes(d, samples, per_pas
         want = np.repeat(GRID[part], samples, axis=0)
         for got, column in ((mc.lam, 0), (mc.mu, 1)):
             assert (np.broadcast_to(got, len(rows)) == want[:, column]).all()
-        return hg.nullfluid_residual(mc, bulk_pass(mc, rows))[0]
+        return hg.nullfluid_residual(mc, bulk_pass(mc, rows))
 
     got = np.concatenate(hg.over_couplings(d, GRID, pts, 2, residual))
     assert seen == hg.coupling_passes(d, len(GRID), samples, 2)
@@ -324,8 +322,8 @@ def test_the_driver_splits_the_grid_into_its_budgeted_passes(d, samples, per_pas
         rows = slice(c * samples, (c + 1) * samples)
         cfg = hg.SchrodingerManifoldConfig(d, lam, mu)
         one = hg.nullfluid_residual(cfg, bulk_pass(cfg, pts[rows]))
-        assert same_values(got[rows], one[0])
-        assert same_bits(np.abs(got[rows]), np.abs(one[0]))
+        assert same_values(got[rows], one)
+        assert same_bits(np.abs(got[rows]), np.abs(one))
     with pytest.raises(ContractViolationError, match="split evenly"):
         hg.over_couplings(d, GRID, pts[:-1], 2, residual)
 
@@ -463,7 +461,7 @@ def test_one_coupling_names_its_singular_sample(monkeypatch, k):
     _singular_at(monkeypatch, pts[k, 0])
 
     def residual(mc, rows, part):
-        return hg.nullfluid_residual(mc, bulk_pass(mc, rows))[0]
+        return hg.nullfluid_residual(mc, bulk_pass(mc, rows))
 
     with pytest.raises(DegenerateMetricError) as info:
         hg.over_couplings(d, [(-1.0, 2.0)], pts, 2, residual)
@@ -496,8 +494,8 @@ def test_nan_difference_fails_the_dual_path(monkeypatch):
 
     def nan_difference(*args, **kwargs):
         res = original(*args, **kwargs)
-        res["difference"] = res["difference"].copy()
-        res["difference"][-1] = np.nan
+        res["metric"] = res["metric"].copy()
+        res["metric"][-1] = np.nan
         return res
 
     monkeypatch.setattr(hg, "induced_metric", nan_difference)
@@ -602,14 +600,14 @@ def test_bargmann_axioms_check_makes_one_metric_pass(monkeypatch, d):
     # the pass's one inverse
     structure = flat_bargmann(d)
     pts = SeededSampler(4, [(-1.0, 1.0)] * (d + 2)).points(5)
-    want = bargmann_axioms_check(structure, pts)
+    want = bargmann_axioms_check(structure, gram_jets(structure.metric, pts, 1))
     calls = {"gram": 0, "inverse": 0, "xi": 0}
     counted = MetricField(_counting(calls, "gram", structure.metric.gram))
     xi = VectorField(_counting(calls, "xi", structure.xi.components))
     monkeypatch.setattr(
         geometry, "_invert_gram", _counting(calls, "inverse", geometry._invert_gram)
     )
-    got = bargmann_axioms_check(BargmannStructure(counted, xi, d), pts)
+    got = bargmann_axioms_check(BargmannStructure(counted, xi, d), gram_jets(counted, pts, 1))
     assert calls == {"gram": 1, "inverse": 1, "xi": 1}
     assert got.keys() == want.keys()
     assert all(same_bits(got[k], want[k]) for k in want)
@@ -643,6 +641,7 @@ def _recorded_bulk_metric(monkeypatch, evaluated):
 @pytest.mark.parametrize(
     "name, order",
     [
+        ("induced_metric", 1),
         ("xi_hat_consistency", 1),
         ("integrability_residual", 1),
         ("nullfluid_residual", 2),
@@ -721,6 +720,57 @@ def test_isometry_check_embeds_its_points_once(monkeypatch, d):
         assert (got["quadric_residual"] < 1e-14).all()
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_the_dual_path_and_vertical_field_share_one_embedding(monkeypatch, d):
+    # both read the embedding jets of the pass they are given, evaluated once
+    mc = hg.coupling_config(d, GRID, N)
+    pts = SeededSampler(6, hg.bulk_boxes(d)).points(N)
+    jets = bulk_pass(mc, np.tile(pts, (len(GRID), 1)), 1)
+    calls = {"embed": 0}
+    monkeypatch.setattr(hg, "embed_components", _counting(calls, "embed", hg.embed_components))
+    hg.induced_metric(mc, jets)
+    hg.xi_hat_consistency(mc, jets)
+    assert calls == {"embed": 1}
+
+
+def _passes(monkeypatch, cfg) -> list:
+    """(rows, order) of each jet pass and Gram evaluation that a run of
+    ``cfg`` makes, a Gram evaluation being order 0."""
+    seen = []
+    jets, values = geometry.gram_jets, geometry.gram_values
+
+    def gram_jets(metric, p, order=2):
+        seen.append((len(p), order))
+        return jets(metric, p, order)
+
+    def gram_values(metric, p):
+        seen.append((len(p), 0))
+        return values(metric, p)
+
+    for module in (suites, hg, bargmann):
+        monkeypatch.setattr(module, "gram_jets", gram_jets)
+    monkeypatch.setattr(hg, "gram_values", gram_values)
+    assert run_suite(cfg).all_passed()
+    return seen
+
+
+def test_the_grid_reads_one_first_order_pass_per_d(monkeypatch):
+    # dualpath, clock, signature and vertical share one order-1 pass of the
+    # 16 couplings at 5 points; integrability keeps its pass of the first
+    # mu's 4 couplings, and the curvature its order-2 passes
+    dims = (1, 2, 3)
+    seen = _passes(monkeypatch, SuiteConfig("homogeneous", dims=dims))
+    grid = [order for rows, order in seen if rows == len(GRID) * N]
+    assert sorted(grid) == [1] * len(dims) + [2] * len(dims)
+    assert [rows for rows, order in seen if order == 1] == [len(GRID) * N, 4 * N] * len(dims)
+
+
+def test_the_bargmann_table_reads_one_pass_per_d(monkeypatch):
+    dims = (1, 2, 3)
+    seen = _passes(monkeypatch, SuiteConfig("bargmann", dims=dims))
+    assert seen == [(20, 1)] * len(dims)
+
+
 def test_an_order2_pass_stays_within_its_budget():
     # d = 8, 16 couplings x 5 points: four passes of four couplings, each
     # holding the factored second derivatives and the Ricci working set;
@@ -729,7 +779,7 @@ def test_an_order2_pass_stays_within_its_budget():
     pts = SeededSampler(13, hg.bulk_boxes(d)).points(len(GRID) * samples)
 
     def residual(mc, rows, _):
-        return float(np.abs(hg.nullfluid_residual(mc, bulk_pass(mc, rows))[0]).max())
+        return float(np.abs(hg.nullfluid_residual(mc, bulk_pass(mc, rows))).max())
 
     hg.over_couplings(d, GRID, pts, 2, residual)  # warm caches and imports
     tracemalloc.start()

@@ -18,6 +18,7 @@ from schrogeo.geometry import (
     gram_jets,
     gram_values,
     jet_components,
+    negative_index,
 )
 from schrogeo.homogeneous import (
     BoundaryPointError,
@@ -38,13 +39,12 @@ from schrogeo.homogeneous import (
     isometry_check,
     isotropy_check,
     metric_recovery_residual,
-    negative_eigenvalue_count,
     null_plane_boost,
     nullfluid_residual,
     schrodinger_axiom_audit,
     theta_f0_form,
-    theta_hat,
     xi_hat_consistency,
+    xi_hat_field,
 )
 from schrogeo.numkernel import (
     ContractViolationError,
@@ -125,34 +125,36 @@ class TestEmbedding:
 
 class TestInducedMetric:
     def test_chart_and_ambient_paths_agree(self):
-        rng = np.random.default_rng(11)
         for d in (1, 2):
             for lam in (-0.5, -1.0):
                 for mu in (0.0, 1.0, 2.0):
                     cfg = SchrodingerManifoldConfig(d, lam, mu)
-                    p = sample_bulk(d, 1, seed=5)
-                    delta = rng.normal(size=(1, d + 3))
-                    delta2 = rng.normal(size=(1, d + 3))
-                    res = induced_metric(cfg, p, delta, delta2)
-                    assert abs(res["difference"][0]) < 1e-10
+                    res = induced_metric(cfg, bulk_pass(cfg, sample_bulk(d, 3, seed=5), 1))
+                    assert (res["metric"] < 1e-12).all()
+                    assert (res["clock"] < 1e-12).all()
 
     def test_clock_values(self):
+        # the clock (-2 lam / rh^2) dt: its dt entry, chart order
+        # (x1, t, s, r), is 1/4 at rh = 2 and 1/1.69 at rh = 1.3
         cfg = SchrodingerManifoldConfig(1, -0.5)
-        dt = np.zeros((1, 4))
-        dt[0, 1] = 1.0  # chart order (x1, t, s, r)
-        p = [[0.2, 0.1, -0.3, 2.0]]
-        res = theta_hat(cfg, p, dt)
-        assert res["chart"][0] == pytest.approx(0.25, abs=1e-14)
-        p2 = [[0.2, 0.1, -0.3, 1.3]]
-        assert theta_hat(cfg, p2, dt)["chart"][0] == pytest.approx(1.0 / 1.69, abs=1e-13)
-        assert abs(res["chart"][0] - res["ambient"][0]) < 1e-12
+        jets = bulk_pass(cfg, [[0.2, 0.1, -0.3, 2.0], [0.2, 0.1, -0.3, 1.3]], 1)
+        theta = jets.theta(xi_hat_field(cfg))
+        assert theta[0, 1] == pytest.approx(0.25, abs=1e-14)
+        assert theta[1, 1] == pytest.approx(1.0 / 1.69, abs=1e-13)
+        assert (induced_metric(cfg, jets)["clock"] < 1e-12).all()
+
+    def test_dual_path_sees_the_clock_term(self):
+        # the pullback alone misses -mu th (x) th: a deformed metric read as
+        # undeformed leaves a gap of the size of mu a^2
+        cfg = SchrodingerManifoldConfig(1, -0.5, 1.0)
+        jets = bulk_pass(cfg, sample_bulk(1, 3, seed=5), 1)
+        assert (induced_metric(cfg._replace(mu=0.0), jets)["metric"] > 1e-3).all()
 
     def test_vertical_direction(self):
         cfg = SchrodingerManifoldConfig(2, -0.9, 1.0)
         res = xi_hat_consistency(cfg, bulk_pass(cfg, sample_bulk(2, 3, seed=2), 1))
         assert (res["pushforward"] < 1e-12).all()
         assert (np.abs(res["nullity"]) < 1e-12).all()
-        assert (res["norm"] > 0.1).all()  # nowhere vanishing
         assert (res["killing"] < 1e-10).all()
 
     def test_signature_lorentzian_across_family(self):
@@ -161,7 +163,7 @@ class TestInducedMetric:
             for lam in (-0.5, -1.0, -0.3):
                 for mu in (-1.0, 0.0, 1.0, 2.0):
                     cfg = SchrodingerManifoldConfig(d, lam, mu)
-                    assert negative_eigenvalue_count(cfg, p).tolist() == [1]
+                    assert negative_index(gram_values(bulk_metric(cfg), p)).tolist() == [1]
 
     def test_integrability_of_clock(self):
         cfg = SchrodingerManifoldConfig(2, -0.6)
@@ -198,16 +200,15 @@ class TestEinsteinFamily:
         # the cosmological factor is -10
         cfg = SchrodingerManifoldConfig(3, -0.5, 1.0)
         p = [[0.1, -0.2, 0.3, 0.4, 0.5, 1.7]]
-        residual, lam_cos = nullfluid_residual(cfg, bulk_pass(cfg, p))
+        residual = nullfluid_residual(cfg, bulk_pass(cfg, p))
         assert np.abs(residual).max() < 1e-10
-        assert lam_cos == pytest.approx(-10.0, abs=1e-12)
 
     def test_nullfluid_across_grid(self):
         for d in (1, 2):
             for lam in (-0.5, -1.0):
                 for mu in (0.0, 1.0, -1.0):
                     cfg = SchrodingerManifoldConfig(d, lam, mu)
-                    residual, _ = nullfluid_residual(cfg, bulk_pass(cfg, sample_bulk(d, 1, seed=6)))
+                    residual = nullfluid_residual(cfg, bulk_pass(cfg, sample_bulk(d, 1, seed=6)))
                     assert np.abs(residual).max() < 1e-9
 
     def test_metric_recovery(self):

@@ -8,12 +8,13 @@ from schrogeo import geometry
 from schrogeo.ambient import (
     GroupBlocks,
     component_witnesses,
+    translation_element,
 )
 from schrogeo.bargmann import (
     SchrodingerParams,
     flat_bargmann,
+    group_map,
     plane_wave,
-    translation_map,
 )
 from schrogeo.homogeneous import SchrodingerManifoldConfig
 from schrogeo.numkernel import SeededSampler
@@ -41,7 +42,7 @@ READ_ONLY = {
     "BargmannStructure": (lambda: flat_bargmann(D), "xi"),
     "SchrodingerParams": (SchrodingerParams, "mass"),
     "DensityFunction": (lambda: plane_wave(D, [0.3] * D), "weight"),
-    "ChartMap": (lambda: translation_map(D, [0.1] * (D + 2)), "forward"),
+    "ChartMap": (lambda: group_map(translation_element(D, [0.1] * (D + 2))), "forward"),
 }
 
 

@@ -12,7 +12,7 @@ from oracles import isometry_loop
 from schrogeo import ambient, bargmann, homogeneous, suites
 from schrogeo import numkernel as nk
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
-from schrogeo.geometry import VectorField
+from schrogeo.geometry import MetricField, VectorField, negative_index
 from schrogeo.report import judged
 from schrogeo.suites import (
     AUDIT,
@@ -277,6 +277,7 @@ class TestOneFold:
             "group_d{d}_projective": 40,
             "homogeneous_d{d}_isometry": 10,
             "homogeneous_d{d}_dualpath": 80,
+            "homogeneous_d{d}_clock": 80,
             "homogeneous_d{d}_signature": 80,
             # structural: the count drawn
             "boundary_d{d}_factor_varies_with_t": 20,
@@ -318,6 +319,85 @@ class TestIntegrabilityMutation:
             assert before[name].status == "PASS"
             assert after[name].status == "FAIL"
             assert after[name].residual > 1e-6
+
+
+class TestGridMutations:
+    """Each first-order grid family flips to FAIL under a defect in what it
+    alone reads of the shared pass, and every other record stays PASS."""
+
+    DIMS = (1, 2)
+
+    def failing(self, monkeypatch, edit):
+        cfg = SuiteConfig("homogeneous", dims=self.DIMS)
+        before = run_suite(cfg).checks
+        assert all(c.status == "PASS" for c in before)
+        edit(monkeypatch)
+        return {c.name: c.status for c in run_suite(cfg).checks if c.status != "PASS"}
+
+    def expect(self, family):
+        return {f"homogeneous_d{d}_{family}": "FAIL" for d in self.DIMS}
+
+    def test_dropped_clock_square_fails_the_dual_path(self, monkeypatch):
+        # the ambient side without mu th (x) th: mu != 0 on the default grid
+        original = homogeneous.induced_metric
+
+        def undeformed(cfg, jets):
+            return original(cfg._replace(mu=0.0), jets)
+
+        def defect(m):
+            m.setattr(homogeneous, "induced_metric", undeformed)
+
+        assert self.failing(monkeypatch, defect) == self.expect("dualpath")
+
+    def test_flipped_ambient_clock_fails_the_clock(self, monkeypatch):
+        # -Z0 inside the dual path flips th, which mu th (x) th cannot see
+        original = homogeneous.induced_metric
+
+        def flipped(cfg, jets):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(homogeneous, "build_Z0", lambda d: -build_Z0(d))
+                return original(cfg, jets)
+
+        def defect(m):
+            m.setattr(homogeneous, "induced_metric", flipped)
+
+        assert self.failing(monkeypatch, defect) == self.expect("clock")
+
+    def test_sh_dependent_gram_fails_the_vertical_field(self, monkeypatch):
+        # the vertical field read on a metric whose dt ds entry grows with
+        # sh, along which d/dsh is then no Killing field
+        original = homogeneous.xi_hat_consistency
+
+        def skewed(cfg):
+            d, gram = cfg.d, homogeneous.bulk_metric(cfg).gram
+
+            def rows(p):
+                out = gram(p)
+                out[d][d + 1] = out[d + 1][d] = out[d][d + 1] * (1.0 + 1e-3 * p[d + 1])
+                return out
+
+            return MetricField(rows)
+
+        def defect(m):
+            m.setattr(
+                homogeneous,
+                "xi_hat_consistency",
+                lambda cfg, jets: original(cfg, suites.gram_jets(skewed(cfg), jets.pts, 1)),
+            )
+
+        assert self.failing(monkeypatch, defect) == self.expect("vertical")
+
+    def test_flipped_rr_entry_fails_the_signature(self, monkeypatch):
+        # a second negative direction: -a dr^2
+        def flipped(g0):
+            g = g0.copy()
+            g[..., -1, -1] *= -1.0
+            return negative_index(g)
+
+        def defect(m):
+            m.setattr(suites, "negative_index", flipped)
+
+        assert self.failing(monkeypatch, defect) == self.expect("signature")
 
 
 def test_axioms_at_large_couplings_match_the_theory():
@@ -540,7 +620,7 @@ ERROR_CASES = [
         "bargmann_d1",
         4,
         {"d": 1},
-        4,
+        6,
     ),
     (
         homogeneous,
@@ -571,6 +651,16 @@ ERROR_CASES = [
         4,
         {"d": 1},
         5,
+    ),
+    (
+        homogeneous,
+        "induced_metric",
+        "homogeneous_d1_grid",
+        "first-order identities of the grid metrics",
+        "homogeneous_d1_grid",
+        2,
+        {"d": 1, "lams": [-0.5], "mus": [1.0]},
+        4,
     ),
     (
         homogeneous,
