@@ -143,13 +143,6 @@ class TestInducedMetric:
         assert theta[1, 1] == pytest.approx(1.0 / 1.69, abs=1e-13)
         assert (induced_metric(cfg, jets)["clock"] < 1e-12).all()
 
-    def test_dual_path_sees_the_clock_term(self):
-        # the pullback alone misses -mu th (x) th: a deformed metric read as
-        # undeformed leaves a gap of the size of mu a^2
-        cfg = SchrodingerManifoldConfig(1, -0.5, 1.0)
-        jets = bulk_pass(cfg, sample_bulk(1, 3, seed=5), 1)
-        assert (induced_metric(cfg._replace(mu=0.0), jets)["metric"] > 1e-3).all()
-
     def test_vertical_direction(self):
         cfg = SchrodingerManifoldConfig(2, -0.9, 1.0)
         res = xi_hat_consistency(cfg, bulk_pass(cfg, sample_bulk(2, 3, seed=2), 1))
