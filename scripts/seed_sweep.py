@@ -3,9 +3,10 @@
 that did not PASS and the worst margin, optionally against a second
 checkout.
 
-    python3 scripts/seed_sweep.py SUITE [--seeds K] [--against CHECKOUT]
+    python3 scripts/seed_sweep.py SUITE [--seeds K] [--dim D ...] [--against CHECKOUT]
 
-The suite runs at its defaults and at the seeds 0..K-1, in one fresh
+The suite runs at its defaults, or at the dimensions given by ``--dim``,
+and at the seeds 0..K-1, in one fresh
 interpreter per checkout with that checkout's ``src/`` first on the path
 and one BLAS thread, so two checkouts are swept alike.  A family is a
 record name with its ``_d<d>`` part, and an audit record's coupling, read
@@ -34,9 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CHILD = """\
 import json, sys
 from schrogeo.suites import SuiteConfig, emit_report, run_suite
-suite, seeds = sys.argv[1], int(sys.argv[2])
+suite, seeds, dims = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
 for seed in range(seeds):
-    report = json.loads(emit_report(run_suite(SuiteConfig(suite, seed=seed, fmt="json")), "json"))
+    cfg = SuiteConfig(suite, seed=seed, fmt="json", **({"dims": tuple(dims)} if dims else {}))
+    report = json.loads(emit_report(run_suite(cfg), "json"))
     for c in report["checks"]:
         control = "must_exceed" in c.get("extra", {})
         keep = (c["name"], seed, c["status"], c.get("residual"), c.get("tolerance"), control)
@@ -51,12 +53,13 @@ def family(name: str) -> str:
     return re.sub(r"_lam[^_]+_mu[^_]+$", "_lam*_mu*", name)
 
 
-def sweep(checkout: Path, suite: str, seeds: int) -> list[tuple]:
+def sweep(checkout: Path, suite: str, seeds: int, dims: list[int] | None = None) -> list[tuple]:
     """(name, seed, status, residual, tolerance, control) of every record of
-    ``suite`` at the seeds 0..seeds-1, run from ``checkout``."""
+    ``suite`` at the seeds 0..seeds-1 and the dimensions ``dims`` (the
+    suite's defaults when None), run from ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, suite, str(seeds)],
+        [sys.executable, "-c", CHILD, suite, str(seeds), json.dumps(dims)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
     return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
@@ -94,6 +97,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("suite", help="a suite name, as the CLI takes it")
     parser.add_argument("--seeds", type=int, default=20, help="sweep the seeds 0..K-1")
+    parser.add_argument(
+        "--dim", type=int, action="append",
+        help="a dimension to run (repeatable; default: the suite's own)",
+    )
     parser.add_argument("--against", type=Path, help="a second checkout to sweep alike")
     args = parser.parse_args(argv)
     if args.seeds < 1:
@@ -105,8 +112,12 @@ def main(argv=None) -> int:
             parser.error(f"no schrogeo source under {other / 'src'}")
         sides["against"] = other
 
-    found = {name: summarize(sweep(path, args.suite, args.seeds)) for name, path in sides.items()}
-    print(f"{args.suite}, seeds 0..{args.seeds - 1}")
+    found = {
+        name: summarize(sweep(path, args.suite, args.seeds, args.dim))
+        for name, path in sides.items()
+    }
+    dims = "" if args.dim is None else ", d = " + ", ".join(map(str, args.dim))
+    print(f"{args.suite}, seeds 0..{args.seeds - 1}{dims}")
     head = f"{'family':<40} {'kind':<8} {'records':>7} {'non-PASS':>8} {'worst':>10}"
     if "against" in sides:
         head += f" {'against':>8} {'worst':>10}"

@@ -173,7 +173,8 @@ class MetricJets:
     (E, n, n); a metric with constant entries only has E = 0.  Both are
     None at order 1.  ``ginv`` is the inverse Gram, formed by
     ``_invert_gram`` on first read, so a pass that never reads it pays for
-    no inversion.  A pass's fields cannot be reassigned.
+    no inversion; ``ricci()`` is likewise formed once.  A pass's fields
+    cannot be reassigned.
     """
 
     pts: np.ndarray
@@ -217,8 +218,16 @@ class MetricJets:
 
     def ricci(self) -> tuple[np.ndarray, np.ndarray]:
         """Ricci tensor and scalar of an order-2 pass
-        (``ricci_from_derivatives``)."""
-        return ricci_from_derivatives(self.ginv, self.dg, self.hess, self.pattern)
+        (``ricci_from_derivatives``), formed on first read: the identities
+        read off one pass share one contraction and its read-only arrays."""
+        return self._ricci
+
+    @cached_property
+    def _ricci(self) -> tuple[np.ndarray, np.ndarray]:
+        out = ricci_from_derivatives(self.ginv, self.dg, self.hess, self.pattern)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def theta(self, xi: VectorField) -> np.ndarray:
         """The clock theta = g(xi, .) = g0 xi of the pass's metric and field
@@ -398,18 +407,25 @@ def inverse_gram(g0: np.ndarray) -> np.ndarray:
     return _block_inverse(g0, _blocks(g0))
 
 
+def _finite(g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(finite, g0): which Gram matrices of the stack hold finite entries
+    only, and the stack with every other matrix read as zeros, so no
+    inf - inf or inf / inf in the tests below raises a floating-point
+    warning."""
+    finite = np.isfinite(g0).all(axis=(-2, -1))
+    if not finite.all():
+        g0 = np.where(finite[..., None, None], g0, 0.0)
+    return finite, g0
+
+
 def _singular_range(g0: np.ndarray, blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
     """(sigma_min, sigma_max) of each Gram matrix of the stack, over its
     blocks.  A Gram matrix is symmetric, so its singular values are the
     absolute values of its eigenvalues: |g| for a 1x1 block, and for a 2x2
     block sigma_max = |tr / 2| + hypot((a - d) / 2, b) and sigma_min =
     |det| / sigma_max, zero where sigma_max is.  A Gram matrix with a
-    non-finite entry reads NaN for both: its singular values are computed
-    from zeros, so no inf - inf or inf / inf raises a floating-point
-    warning, and then discarded."""
-    finite = np.isfinite(g0).all(axis=(-2, -1))
-    if not finite.all():
-        g0 = np.where(finite[..., None, None], g0, 0.0)
+    non-finite entry reads NaN for both."""
+    finite, g0 = _finite(g0)
     one, a, b, c, d = _small_entries(g0, blocks)
     ones = np.abs(one)
     high = np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
@@ -424,19 +440,45 @@ def _singular_range(g0: np.ndarray, blocks: _Blocks) -> tuple[np.ndarray, np.nda
     return np.where(finite, smin, np.nan), np.where(finite, smax, np.nan)
 
 
+# A 2x2 block's determinant ad - bc is two rounded products and their
+# difference, off by at most a few eps (|ad| + |bc|); past 64 times that the
+# determinant's sign and size are known and adj / det is accurate.
+_PAIR_CANCELLATION = 64.0 * np.finfo(float).eps
+
+
+def _regular(g0: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """Whether each Gram matrix of the stack is invertible, block by block:
+    a 1x1 block must be nonzero, a 2x2 block's determinant must not cancel
+    (|ad - bc| > 64 eps (|ad| + |bc|)), and a larger block's smallest
+    singular value must exceed 1e-12 of its own largest.  A matrix with a
+    non-finite entry is not."""
+    finite, g0 = _finite(g0)
+    one, a, b, c, d = _small_entries(g0, blocks)
+    ad, bc = a * d, b * c
+    ok = finite & (one != 0.0).all(axis=-1)
+    ok &= (np.abs(ad - bc) > _PAIR_CANCELLATION * (np.abs(ad) + np.abs(bc))).all(axis=-1)
+    for k in blocks.larger:
+        s = np.abs(np.linalg.eigvalsh(g0[..., k[:, None], k]))
+        ok &= s.min(axis=-1) > 1e-12 * s.max(axis=-1)
+    return ok
+
+
 def _invert_gram(g0: np.ndarray) -> np.ndarray:
     """Inverse of a stack of Gram matrices (N, n, n), block by block.
 
-    A sample counts as singular unless its smallest singular value exceeds
-    1e-12 of its largest: a relative test, blind to the overall scale of
-    the metric and to its determinant, that a non-finite entry fails.
-    """
+    A sample counts as singular unless each of its blocks is regular by its
+    own test (``_regular``): each test is blind to the scale of its block,
+    and a well-conditioned block beside a large one is not judged by the
+    other's size.  The bulk (t, s) block [[-mu a^2, a], [a, 0]] has
+    sigma_min / sigma_max ~ 1 / (mu a^2), yet its determinant -a^2 is exact
+    and so is its inverse.  The error names the first singular sample and
+    its singular values over all its blocks."""
     blocks = _blocks(g0)
-    smin, smax = _singular_range(g0, blocks)
-    singular = ~(smin > 1e-12 * smax)
+    singular = ~_regular(g0, blocks)
     if singular.any():
         k = int(np.flatnonzero(singular)[0])
-        detail = f"sigma_min = {smin.flat[k]:.3e}, sigma_max = {smax.flat[k]:.3e}"
+        smin, smax = map(float, _singular_range(g0.reshape(-1, *g0.shape[-2:])[k], blocks))
+        detail = f"sigma_min = {smin:.3e}, sigma_max = {smax:.3e}"
         raise DegenerateMetricError(
             f"Gram matrix is singular at sample {k} ({detail})", sample=k, detail=detail
         )

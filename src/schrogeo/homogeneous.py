@@ -190,17 +190,18 @@ class SchrodingerManifoldConfig(_BulkParameters):
 # temporaries: dg and at most three more alive at once, which the factor 4
 # counts.  Folding order 2 into the order-1 budget (all 16 couplings of a d
 # in one pass on bulk_wide) read a peak RSS of 44.2-44.5 MB against
-# 41.1-41.2 MB at 4 N n^3, and a slower battery (three runs each).  At
-# 4 N n^3 a bulk_wide battery runs 4 + 1 + 4 order-2 passes at d = 8 (null
-# fluid, Einstein, the audit's Einstein) and 2 + 1 + 2 at d = 6, where a
-# dense N n^4 d2g had taken 16 + 4 + 16 and 6 + 2 + 6; the median peak RSS
-# moved from 41.18 to 41.13 MB on bulk_wide and fell by about 1 MB on
-# bulk_dense and default_all (2-core x86-64 host, 18 s runs, 10 pairs).
+# 41.1-41.2 MB at 4 N n^3, and a slower battery (three runs each).  Each d
+# makes one order-2 pass family per metric family: the homogeneous suite's
+# curvature rows share one over its grid, and the axiom audit reads the
+# undeformed metric once per distinct lam.  At 4 N n^3 and 5 points a
+# bulk_wide battery then runs 4 + 1 order-2 passes at d = 8 (curvature, the
+# audit's Einstein read) and 2 + 1 at d = 6; bulk_dense (20 points) runs
+# 1 + 1, 2 + 1 and 3 + 1 at d = 1, 2, 3.
 # At 2^17 entries per pass the first-order checks take one pass at d = 6
 # and d = 8, 5 points.
 # The axiom audit is budgeted by the same rule, part by part: it stacks a
-# d's couplings under the order-1 budget and runs its one order-2 read, the
-# Einstein residual of the undeformed metric, in order-2 sub-passes.
+# d's couplings under the order-1 budget and its distinct lam under the
+# order-2 one.
 COUPLING_PASS_ENTRIES = 2**17
 
 
@@ -842,15 +843,17 @@ def schrodinger_axiom_audit(
        is Einstein exactly at lam = -1/2 and induces the flat structure at
        the boundary.
 
-    ``cfgs`` are C configs of one d.  ``pts`` stacks S bulk points per
-    config and ``transverse`` S transverse points (d+2 coordinates) per
-    config, which the audit moves toward the boundary, both in config order.
-    The result is one map per config, from each entry to its residual,
-    ratios and flags, and equal to that config's call alone; whether an
-    entry holds for its (lam, mu) is judged from them.  The configs share
-    jet passes (``over_couplings``) budgeted at order 1, as the audit reads
-    first derivatives; the Einstein axiom alone reads second derivatives,
-    in order-2 sub-passes of its own.
+    ``cfgs`` are C configs of one d, each audited at the same S bulk points
+    ``pts`` and S transverse points ``transverse`` (d+2 coordinates), which
+    the audit moves toward the boundary.  The result is one map per config,
+    from each entry to its residual, ratios and flags, and equal to that
+    config's call alone; whether an entry holds for its (lam, mu) is judged
+    from them.  The configs share jet passes (``over_couplings``) budgeted
+    at order 1, as the audit reads first derivatives.  The Einstein axiom
+    alone reads second derivatives, of the undeformed metric, which depends
+    on lam alone: it runs once per distinct lam, in order-2 passes of its
+    own, named by the first config of that lam, and serves every config of
+    that lam.
     """
     d = cfgs[0].d
     if any(c.d != d for c in cfgs) or len(transverse) != len(pts):
@@ -858,13 +861,29 @@ def schrodinger_axiom_audit(
             "the audit takes configs of one d and one transverse point per bulk point"
         )
     couplings = [(float(c.lam), float(c.mu)) for c in cfgs]
-    S = len(pts) // len(cfgs)
+    first = {}
+    for lam, mu in couplings:
+        first.setdefault(lam, (lam, mu))
+    runs = over_couplings(d, list(first.values()), np.tile(pts, (len(first), 1)), 2, _einstein)
+    # per lam: its (computed, predicted, g_plus) at the S points
+    split = (np.split(np.concatenate(a), len(first)) for a in zip(*runs))
+    einstein = dict(zip(first, zip(*split)))
 
     def audit(config, rows, part):
-        far = transverse[part.start * S : part.stop * S]
-        return _audit(config, rows, far, couplings[part])
+        held = couplings[part]
+        found = [np.concatenate([einstein[lam][i] for lam, _ in held]) for i in range(3)]
+        return _audit(config, rows, np.tile(transverse, (len(held), 1)), held, found)
 
-    return [r for run in over_couplings(d, couplings, pts, 1, audit) for r in run]
+    stacked = np.tile(pts, (len(couplings), 1))
+    return [r for run in over_couplings(d, couplings, stacked, 1, audit) for r in run]
+
+
+def _einstein(config, rows, _) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Einstein residual of the undeformed metric of ``config``'s lam on
+    its pass at ``rows``, and that pass's g0, which is also g_plus."""
+    undeformed = SchrodingerManifoldConfig(config.d, config.lam)
+    jets = gram_jets(bulk_metric(undeformed), rows)
+    return (*einstein_residual(undeformed, jets), jets.g0)
 
 
 def _audit(
@@ -872,9 +891,12 @@ def _audit(
     pts: np.ndarray,
     transverse: np.ndarray,
     couplings: Sequence[tuple[float, float]],
+    einstein: Sequence[np.ndarray],
 ) -> list[dict[str, dict]]:
     """The audit of ``couplings`` stacked in ``cfg`` over equal segments of
-    ``pts`` and ``transverse``; every maximum is taken per segment."""
+    ``pts`` and ``transverse``, given the (computed, predicted, g_plus) of
+    their undeformed metrics at ``pts``; every maximum is taken per
+    segment."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
     metric = bulk_metric(cfg)
     plus = bulk_metric(SchrodingerManifoldConfig(d, lam, 0.0))
@@ -885,20 +907,13 @@ def _audit(
         # max |x| per coupling; np.max keeps a NaN that Python's max drops
         return np.abs(x).reshape(len(couplings), -1).max(axis=1)
 
-    def einstein(config, rows, _):
-        # the undeformed metric's pass, whose g0 is also g_plus
-        undeformed = SchrodingerManifoldConfig(d, config.lam)
-        jets = gram_jets(bulk_metric(undeformed), rows)
-        return (*einstein_residual(undeformed, jets), jets.g0)
-
     # one first-order pass of the metric at the audit's points: axiom 1
-    # reads the vertical field off it, axiom 3 its Gram and clock.  Its dg,
-    # the audit's largest array, is not kept beside the sub-passes below
+    # reads the vertical field off it, axiom 3 its Gram and clock, and the
+    # defining function its inverse Gram
     jets = gram_jets(metric, pts, order=1)
     res = xi_hat_consistency(cfg, jets)
-    g0 = jets.g0
+    g0, ginv = jets.g0, jets.ginv
     theta = jets.theta(xi_hat_field(cfg))
-    del jets
 
     # axiom 1: vertical field is null and Killing, and the normalized
     # embedding converges to the boundary representative at rate rh^2
@@ -913,23 +928,18 @@ def _audit(
         gaps[rh] = worst(Q / Q[:, d + 3 :] - bnd).tolist()
 
     # axiom 2: inverse metric minus mu * (vertical)^2 decays at rate rh^2,
-    # and the deformation is normalized to mu = 1.  Near rh = 0 the Gram's
-    # condition number grows like mu a^2, up to 6e13 at rh = 1e-3 on the
-    # default grid, past the singular cut of a pass's ginv; these inverses
-    # skip that cut
+    # and the deformation is normalized to mu = 1.  These inverses are of
+    # Gram values off any pass, formed without a test
     E = np.zeros((len(pts), n, n))
     E[:, d + 1, d + 1] = mu
     decay = {}
     for rh in (1e-2, 1e-3):
-        ginv = inverse_gram(gram_values(metric, _with_rh(transverse, rh)))
-        decay[rh] = worst(ginv - E).tolist()
+        near = inverse_gram(gram_values(metric, _with_rh(transverse, rh)))
+        decay[rh] = worst(near - E).tolist()
 
     # axiom 3: adding back the clock square recovers the undeformed metric,
-    # which must be Einstein and induce the flat structure at rh = 0.  The
-    # one second-order read, passed the audit's couplings so that a singular
-    # sample is named by its own (lam, mu), not by (lam, 0)
-    runs = over_couplings(d, couplings, pts, 2, einstein)
-    computed, predicted, g_plus = (np.concatenate(a) for a in zip(*runs))
+    # which must be Einstein and induce the flat structure at rh = 0
+    computed, predicted, g_plus = einstein
     mu_clock2 = _per_matrix(mu) * (theta[:, :, None] * theta[:, None, :])
     # relative to the largest entry compared: mu clock^2 grows like
     # mu lam^2 / rh^4, and the entries' rounding with it
@@ -943,7 +953,6 @@ def _audit(
 
     # defining function: rh positive on the chart, gradient of fixed
     # nonzero length -1/(2 lam) for the rescaled metric
-    ginv = inverse_gram(g0)
     val = ginv[:, n - 1, n - 1] / pts[:, n - 1] ** 2
     grad_r = worst(val - (-1.0 / (2.0 * lam))).tolist()
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -47,7 +48,7 @@ from .ambient import (
     sch_residuals,
     translation_element,
 )
-from .geometry import gram_jets, jet_components, negative_index
+from .geometry import exterior_wedge, gram_jets, jet_components, negative_index
 from .numkernel import SeededSampler, max_entry, sample_max
 from .report import CheckResult, dump_json, judged, status_of
 
@@ -370,6 +371,17 @@ _ELEMENTS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _transport_elements(d: int, makers: tuple) -> np.ndarray:
+    """The element of each transport block at d, the expansion twice (its
+    second block is the weight control): one read-only stack, built and
+    validated once per d and constructors."""
+    elements = [make(d) for make in makers]
+    stack = np.concatenate([*elements, elements[-1]])
+    stack.flags.writeable = False
+    return stack
+
+
 def _transport(c, seed):
     """The four transports and the weight control as one pass: row i takes
     block i of the points, wave i and its element; the control transports
@@ -378,11 +390,10 @@ def _transport(c, seed):
     per = max(3, c.samples // 4)
     pts = _box_points(seed, 0.8, d + 2, 5 * per)
     waves = 0.8 * SeededSampler.generator(seed + 1).normal(size=(5, d))
-    elements = [make(d) for make in _ELEMENTS.values()]
-    elements.append(elements[-1])
+    elements = _transport_elements(d, tuple(_ELEMENTS.values()))
     weights = [bg.density_weight(d)] * 4 + [0.0]
     res = bg.symmetry_transport_check(
-        bg.group_map(np.repeat(np.concatenate(elements), per, axis=0)),
+        bg.group_map(np.repeat(elements, per, axis=0)),
         bg.plane_wave(d, np.repeat(waves, per, axis=0), c.params),
         c.structure,
         c.params,
@@ -605,14 +616,15 @@ GROUP = Suite(
 
 
 def _homogeneous_context(cfg: SuiteConfig, d: int) -> SimpleNamespace:
+    grid = [(lam, mu) for lam in cfg.lams for mu in cfg.mus]
     return _context(
         cfg,
         d,
         max(2, cfg.samples // 4),
         conf={"d": d, "lams": list(cfg.lams), "mus": list(cfg.mus)},
-        grid=[(lam, mu) for lam in cfg.lams for mu in cfg.mus],
-        first_mu=[(lam, cfg.mus[0]) for lam in cfg.lams],
-        undeformed=[(lam, 0.0) for lam in cfg.lams],
+        grid=grid,
+        # the grid, and the undeformed metrics it lacks
+        curved=grid if 0.0 in cfg.mus else grid + [(lam, 0.0) for lam in cfg.lams],
     )
 
 
@@ -646,29 +658,55 @@ def _grid(c, seed):
     return {key: np.concatenate([r[key] for r in runs]) for key in runs[0]}
 
 
-def _einstein(c, seed):
-    def residuals(mc, x, part):
-        computed, predicted = hg.einstein_residual(mc, gram_jets(hg.bulk_metric(mc), x))
-        vanish = np.abs(computed).reshape(len(c.undeformed[part]), -1).max(axis=1)
-        return sample_max(computed - predicted), vanish
+def _curvature(c, seed):
+    """The curvature identities of every grid metric, read off one order-2
+    pass and its one Ricci tensor per sample: the null-fluid identity on
+    the grid, relative to max(1, max|Ric|); the Einstein identity on the
+    undeformed metrics (mu = 0), where the null-fluid residual is
+    Ric + (d+2) g less its predicted multiple einstein_factor * g, so that
+    adding the multiple back gives Ric + (d+2) g, which must vanish exactly
+    at the critical level; the clock's Frobenius condition at the first
+    mu, max |clock ^ d(clock)| (``hg.integrability_residual``) formed on
+    those rows alone.  The null-fluid form keeps the Einstein residual at
+    the rounding of Ric: Ric + (d+2) g - einstein_factor * g cancels terms
+    of size (d+2) max|g|, which grows like -lam."""
+    d = c.d
+    pts = _grid_points(c, seed)
 
-    runs = _over_grid(c.d, c.undeformed, _grid_points(c, seed), 2, residuals)
-    vanish = np.concatenate([v for _, v in runs]).tolist()
+    def read(mc, x, part):
+        jets = gram_jets(hg.bulk_metric(mc), x)
+        ric = jets.ricci()[0]
+        res = hg.nullfluid_residual(mc, jets)
+        factor = np.reshape(hg.einstein_factor(d, mc.lam), (-1, 1, 1))
+        first = np.repeat([mu == c.cfg.mus[0] for _, mu in c.curved[part]], len(pts))
+        _, wedge = exterior_wedge(*(a[first] for a in jets.clock(hg.xi_hat_field(mc))))
+        residual = sample_max(res)
+        return (
+            residual / np.maximum(1.0, sample_max(ric)),
+            residual,
+            sample_max(res + factor * jets.g0),
+        ), np.abs(wedge).max(axis=(-3, -2, -1))
+
+    runs = _over_grid(d, c.curved, pts, 2, read)
+    nullfluid, einstein, vanish = (
+        np.concatenate(a).reshape(len(c.curved), -1) for a in zip(*(r for r, _ in runs))
+    )
+    wedge = np.concatenate([w for _, w in runs]).reshape(len(c.cfg.lams), -1)
+    row = {coupling: i for i, coupling in enumerate(c.curved)}
+    undeformed = [row[lam, 0.0] for lam in c.cfg.lams]
+    vanish = vanish[undeformed].max(axis=1).tolist()
     return {
-        "residual": np.concatenate([r for r, _ in runs]),
-        "holds": all(
-            v < c.cfg.tol if abs(lam + 0.5) < 1e-12 else v > 1e-3
-            for (lam, _), v in zip(c.undeformed, vanish)
-        ),
-        "factors": {f"{lam:g}": hg.einstein_factor(c.d, lam) for lam in c.cfg.lams},
+        "nullfluid": nullfluid[: len(c.grid)],
+        "einstein": {
+            "residual": einstein[undeformed],
+            "holds": all(
+                v < c.cfg.tol if abs(lam + 0.5) < 1e-12 else v > 1e-3
+                for lam, v in zip(c.cfg.lams, vanish)
+            ),
+            "factors": {f"{lam:g}": hg.einstein_factor(d, lam) for lam in c.cfg.lams},
+        },
+        "integrability": wedge,
     }
-
-
-def _nullfluid(c, seed):
-    def residual(mc, x, _):
-        return sample_max(hg.nullfluid_residual(mc, gram_jets(hg.bulk_metric(mc), x)))
-
-    return np.concatenate(_over_grid(c.d, c.grid, _grid_points(c, seed), 2, residual))
 
 
 def _recovery(c, seed):
@@ -714,13 +752,6 @@ def _isotropy(c, seed):
     }
 
 
-def _integrability(c, seed):
-    def residual(mc, x, _):
-        return hg.integrability_residual(mc, gram_jets(hg.bulk_metric(mc), x, 1))
-
-    return np.concatenate(_over_grid(c.d, c.first_mu, _grid_points(c, seed), 1, residual))
-
-
 HOMOGENEOUS = Suite(
     "homogeneous",
     _homogeneous_context,
@@ -735,10 +766,14 @@ HOMOGENEOUS = Suite(
                 "the vertical field matches its ambient image, is null and Killing"),
             group=("grid", "first-order identities of the grid metrics"),
         ),
-        Measure(_einstein, Row("einstein", TOL,
-            "undeformed metric is Einstein exactly at the critical level")),
-        Measure(_nullfluid, Row("nullfluid", TOL,
-            "deformed metrics satisfy the sourced Einstein identity on the grid")),
+        Measure(
+            _curvature,
+            Row("einstein", TOL, "undeformed metric is Einstein exactly at the critical level"),
+            Row("nullfluid", TOL,
+                "deformed metrics satisfy the sourced Einstein identity on the grid"),
+            Row("integrability", 1e-12, "the bulk clock satisfies the Frobenius condition"),
+            group=("curvature", "curvature identities of the grid metrics"),
+        ),
         Measure(_recovery, Row("recovery", 1e-12,
             "the critical normalized metric matches its closed chart form")),
         Measure(_isometry, Row("isometry", TOL,
@@ -747,8 +782,6 @@ HOMOGENEOUS = Suite(
             "an ambient isometry that moves the clock fails the deformed metric", control=True)),
         Measure(_isotropy, Row("isotropy", 1e-10,
             "stabilizer dimensions give a (d+3)-dim bulk and (d+2)-dim boundary")),
-        Measure(_integrability, Row("integrability", 1e-12,
-            "the bulk clock satisfies the Frobenius condition")),
     ),
 )
 
@@ -814,13 +847,12 @@ AUDIT = (
 )
 
 
-def _audit_points(d: int, samples: int, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The axiom audit's inputs for one coupling per seed, stacked in seed
-    order: its bulk points, and the transverse points it moves toward the
-    boundary, drawn from the seed + 1 stream."""
-    pts = [SeededSampler(s, hg.bulk_boxes(d)).points(samples) for s in seeds]
-    transverse = [_box_points(s + 1, 1.2, d + 2, samples) for s in seeds]
-    return np.concatenate(pts), np.concatenate(transverse)
+def _audit_points(d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The axiom audit's inputs, which every coupling of a d shares: its
+    bulk points, and the transverse points it moves toward the boundary,
+    drawn from the seed + 1 stream."""
+    pts = SeededSampler(seed, hg.bulk_boxes(d)).points(samples)
+    return pts, _box_points(seed + 1, 1.2, d + 2, samples)
 
 
 def _coupling(c, seed):
@@ -828,7 +860,7 @@ def _coupling(c, seed):
     every status is the one the theory predicts."""
     # no numbers: the d's stacked call raised, and this coupling reruns alone
     numbers = c.numbers or hg.schrodinger_axiom_audit(
-        [hg.SchrodingerManifoldConfig(c.d, c.lam, c.mu)], *_audit_points(c.d, c.samples, [seed])
+        [hg.SchrodingerManifoldConfig(c.d, c.lam, c.mu)], *c.points
     )[0]
     found = verdicts(AUDIT, numbers, c.cfg.tol)
     expected = {row.suffix: row.expect(c.lam, c.mu) for row in AUDIT}
@@ -848,9 +880,10 @@ def _coupling(c, seed):
 def _run_axioms(suite: Suite, cfg: SuiteConfig) -> list[CheckResult]:
     """The runner of the axioms table, whose one row is filed once per
     (lambda, mu), its suffix formatted from them.  A d's couplings are
-    one audit call, which budgets its own jet passes.  When that call
-    raises, each coupling reruns alone, so only a failing coupling files
-    ERROR."""
+    one audit call at one shared point set, drawn from the d's shared seed,
+    which every record files; the audit budgets its own jet passes.  When
+    that call raises, each coupling reruns alone at the same points, so
+    only a failing coupling files ERROR."""
     checks: list[CheckResult] = []
     (measure,) = suite.table
     (row,) = measure.rows
@@ -858,18 +891,20 @@ def _run_axioms(suite: Suite, cfg: SuiteConfig) -> list[CheckResult]:
     for d in cfg.dims:
         shared = suite.context(cfg, d)
         base = f"{suite.prefix}_d{d}"
-        rows = [row._replace(suffix=row.suffix.format(lam=lam, mu=mu)) for lam, mu in grid]
-        seeds = [check_seed(cfg, f"{base}_{r.suffix}") for r in rows]
+        seed = check_seed(cfg, base)
+        points = _audit_points(d, shared.samples, seed)
         try:
             audits = hg.schrodinger_axiom_audit(
-                [hg.SchrodingerManifoldConfig(d, lam, mu) for lam, mu in grid],
-                *_audit_points(d, shared.samples, seeds),
+                [hg.SchrodingerManifoldConfig(d, lam, mu) for lam, mu in grid], *points
             )
         except Exception:
             audits = [None] * len(grid)
-        for (lam, mu), r, seed, numbers in zip(grid, rows, seeds, audits):
+        for (lam, mu), numbers in zip(grid, audits):
             conf = {"d": d, "lam": lam, "mu": mu}
-            ctx = _context(cfg, d, shared.samples, conf=conf, lam=lam, mu=mu, numbers=numbers)
+            ctx = _context(
+                cfg, d, shared.samples, conf=conf, lam=lam, mu=mu, numbers=numbers, points=points
+            )
+            r = row._replace(suffix=row.suffix.format(lam=lam, mu=mu))
             checks += _file(ctx, base, Measure(measure.fn, r), seed)
     return checks
 
@@ -881,6 +916,7 @@ AXIOMS = Suite(
         Measure(_coupling, Row("lam{lam:g}_mu{mu:g}", TOL,
             "audit outcome matches the theory for this (lambda, mu)")),
     ),
+    shared_seed=True,
 )
 
 

@@ -327,7 +327,7 @@ def test_criterion_11_coupling_audit():
         for lam in LAM_GRID:
             for mu in MU_GRID:
                 cfg = SchrodingerManifoldConfig(d, lam, mu)
-                (numbers,) = schrodinger_axiom_audit([cfg], *_audit_points(d, 5, [21]))
+                (numbers,) = schrodinger_axiom_audit([cfg], *_audit_points(d, 5, 21))
                 by_name = verdicts(AUDIT, numbers)
                 should_pass = lam == -0.5 and mu == 1.0
                 gate.check(

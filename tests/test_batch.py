@@ -314,9 +314,12 @@ class TestInvertGram:
         assert np.allclose(_invert_gram(g) @ g, np.eye(3))
 
     def test_singular_sample_named_in_stack(self):
-        stack = np.array([np.eye(3), np.diag([1.0, 1.0, 1e-14]), np.eye(3)])
+        # a 1x1 block is singular only where it is zero
+        stack = np.array([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.eye(3)])
         with pytest.raises(DegenerateMetricError, match="sample 1"):
             _invert_gram(stack)
+        stack[1, 2, 2] = 2.0**-900
+        assert np.array_equal(_invert_gram(stack)[1], np.diag([1.0, 1.0, 2.0**900]))
 
     def test_zero_metric_is_singular(self):
         with pytest.raises(DegenerateMetricError):
@@ -379,26 +382,28 @@ class TestInvertGram:
         assert np.array_equal(_invert_gram(g), np.linalg.inv(g))
 
     def test_the_decision_is_the_eigvalsh_decision_across_the_cut(self):
-        # one block of each kind, {1, 4}, {3} and {0, 2, 5}; at each sample
-        # one of them carries sigma_min / sigma_max log-uniform on
-        # [1e-14, 1e-10], around the cut at 1e-12.  Both methods round
-        # sigma_min by about eps * sigma_max, 1e-4 of it at the cut, so
-        # samples within 1e-3 (in log10) of the cut are left out.
+        # blocks {1, 4}, {3} and {0, 2, 5}, the larger block carrying
+        # sigma_min / sigma_max log-uniform on [1e-14, 1e-10] of its own
+        # eigenvalues, around the cut at 1e-12, and the other two far from
+        # singular at a scale up to 1e6 times larger or smaller.  The larger
+        # block is judged against itself alone.  eigvalsh rounds sigma_min by
+        # about eps * sigma_max, 1e-4 of it at the cut, so samples within
+        # 1e-3 (in log10) of the cut are left out.
         rng = np.random.default_rng(32)
         blocks = [np.array([1, 4]), np.array([3]), np.array([0, 2, 5])]
         decided = []
         for _ in range(300):
             g = np.zeros((6, 6))
-            thin = rng.integers(len(blocks))
-            big = 10.0 ** rng.uniform(-3.0, 3.0)
+            ratio = 10.0 ** rng.uniform(-14.0, -10.0)
             for k, b in enumerate(blocks):
+                big = 10.0 ** rng.uniform(-6.0, 6.0)
                 s = big * rng.choice([-1.0, 1.0], size=len(b)) * rng.uniform(0.5, 1.0, len(b))
-                if k == thin:
-                    s[0] = s[-1] * 10.0 ** rng.uniform(-14.0, -10.0)
+                if k == 2:
+                    s[0] = s[-1] * ratio
                 q, _ = np.linalg.qr(rng.normal(size=(len(b), len(b))))
                 m = (q * s) @ q.T
                 g[b[:, None], b] = 0.5 * (m + m.T)
-            sv = np.abs(np.linalg.eigvalsh(g))
+            sv = np.abs(np.linalg.eigvalsh(g[blocks[2][:, None], blocks[2]]))
             ratio = sv.min() / sv.max()
             if abs(np.log10(ratio) + 12.0) < 1e-3:
                 continue
@@ -411,6 +416,34 @@ class TestInvertGram:
             decided.append(singular)
         assert len(decided) > 290
         assert 50 < sum(decided) < len(decided) - 50
+
+    def test_a_pair_block_is_singular_where_its_determinant_cancels(self):
+        # [[a, b], [b, b^2 / a (1 + delta)]]: ad - bc = b^2 delta, against
+        # |ad| + |bc| ~ 2 b^2, so the cut sits at delta ~ 128 eps
+        eps = np.finfo(float).eps
+        deltas = np.array([0.0, 8.0 * eps, 64.0 * eps, 512.0 * eps, 1e-10, 1.0])
+        a, b = 3.0, -2.0
+        g = np.zeros((len(deltas), 3, 3))
+        g[:, 0, 0] = a
+        g[:, 0, 1] = g[:, 1, 0] = b
+        g[:, 1, 1] = b * b / a * (1.0 + deltas)
+        g[:, 2, 2] = 1.0
+        for k, delta in enumerate(deltas):
+            if delta < 100.0 * eps:
+                with pytest.raises(DegenerateMetricError, match="sample 0 "):
+                    _invert_gram(g[k : k + 1])
+            else:
+                assert np.allclose(_invert_gram(g[k : k + 1])[0] @ g[k], np.eye(3), atol=1e-5)
+
+    @pytest.mark.parametrize("mu_a2", [1.0, 1e12, 1e19])
+    def test_the_bulk_pair_block_is_regular_at_any_clock_strength(self, mu_a2):
+        # [[-mu a^2, a], [a, 0]] with a = 2 beside a 1x1 block a: its
+        # 2-norm condition number is about mu a^2 / a^2, but det = -a^2 has
+        # no cancellation, and the inverse [[0, 1/a], [1/a, mu]] is exact
+        a = 2.0
+        g = np.array([[-mu_a2, a, 0.0], [a, 0.0, 0.0], [0.0, 0.0, a]])
+        want = np.array([[0.0, 1 / a, 0.0], [1 / a, mu_a2 / (a * a), 0.0], [0.0, 0.0, 1 / a]])
+        assert np.array_equal(_invert_gram(g[None])[0], want)
 
 
 class TestNegativeIndex:

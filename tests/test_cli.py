@@ -14,7 +14,9 @@ import pytest
 
 from schrogeo import cli
 from schrogeo.cli import main
-from schrogeo.suites import SuiteConfig, run_suite
+from schrogeo.homogeneous import bulk_boxes
+from schrogeo.numkernel import SeededSampler
+from schrogeo.suites import SuiteConfig, check_seed, run_suite
 
 FAST = ["--dim", "1", "--samples", "4"]
 
@@ -266,21 +268,26 @@ class TestDegenerateMetricRegressions:
 
 
 class TestErrorCapture:
-    """An ERROR record keeps the coupling and the sample it failed at: at
-    lambda = -1e6 the null-fluid Gram is singular at the relative cut of
-    ``_invert_gram`` (a known limit of the coupling range)."""
+    """An ERROR record keeps the coupling and the sample it failed at: here
+    a bulk Gram made singular at one point of the curvature pass
+    (``singular_at``)."""
 
-    def test_singular_nullfluid_files_its_coupling_and_sample(self, tmp_path, monkeypatch):
+    def test_singular_nullfluid_files_its_coupling_and_sample(
+        self, tmp_path, monkeypatch, singular_at
+    ):
         monkeypatch.delenv("SCHROGEO_SEED", raising=False)
+        cfg = SuiteConfig("homogeneous", dims=(1,), lams=(-1e6,), mus=(1.0,))
+        seed = check_seed(cfg, "homogeneous_d1_curvature")
+        singular_at(SeededSampler(seed, bulk_boxes(1)).points(5)[3, 0])
         out = tmp_path / "report.json"
         argv = ["homogeneous", "--dim", "1", "--lambda=-1e6", "--mu", "1"]
         assert main([*argv, "--format", "json", "--out", str(out)]) == cli.EXIT_CHECKS
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         errors = [name for name, c in checks.items() if c["status"] == "ERROR"]
-        assert errors == ["homogeneous_d1_nullfluid"]
-        record = checks["homogeneous_d1_nullfluid"]
-        assert record["extra"] == {"coupling": [-1e6, 1.0], "sample": 0}
-        assert "(lam, mu) = (-1e+06, 1), sample 0" in record["error"]
+        assert errors == ["homogeneous_d1_curvature"]
+        record = checks["homogeneous_d1_curvature"]
+        assert record["extra"] == {"coupling": [-1e6, 1.0], "sample": 3}
+        assert "(lam, mu) = (-1e+06, 1), sample 3" in record["error"]
 
 
 class TestLargeCouplingAudit:

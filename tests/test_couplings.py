@@ -239,18 +239,27 @@ class TestCouplingBatchedBitwise:
         with pytest.raises(ContractViolationError):
             hg.einstein_residual(mc, bulk_pass(mc, x))
 
-    # at N = 5 the audit's order-2 Einstein sub-passes hold all 16
-    # couplings at d = 1 and 3, eight at d = 6 and four at d = 8
+    # at N = 5 the audit holds the 16 couplings in one first-order pass and
+    # their 4 distinct lam in one Einstein pass, at every d here
     @pytest.mark.parametrize("d", [1, 3, 6, 8], ids=lambda d: f"d{d}")
     def test_axiom_audit(self, d):
-        seeds = [100 + c for c in range(len(GRID))]
-        reports = hg.schrodinger_axiom_audit(configs(d), *_audit_points(d, N, seeds))
-        assert len(reports) == len(GRID)
-        for (lam, mu), seed, rep in zip(GRID, seeds, reports):
-            (alone,) = hg.schrodinger_axiom_audit(
-                [hg.SchrodingerManifoldConfig(d, lam, mu)], *_audit_points(d, N, [seed])
-            )
-            assert json.dumps(rep) == json.dumps(alone)
+        _audit_alone_equals_stacked(d, N)
+
+    def test_axiom_audit_across_passes(self):
+        # d = 8 at 20 points: four first-order passes of four couplings and
+        # one Einstein pass per lam, each lam's read mapped to its couplings
+        assert len(hg.coupling_passes(8, len(GRID), 20, 1)) == 4
+        assert len(hg.coupling_passes(8, 4, 20, 2)) == 4
+        _audit_alone_equals_stacked(8, 20)
+
+
+def _audit_alone_equals_stacked(d, samples):
+    points = _audit_points(d, samples, 100)
+    reports = hg.schrodinger_axiom_audit(configs(d), *points)
+    assert len(reports) == len(GRID)
+    for (lam, mu), rep in zip(GRID, reports):
+        (alone,) = hg.schrodinger_axiom_audit([hg.SchrodingerManifoldConfig(d, lam, mu)], *points)
+        assert json.dumps(rep) == json.dumps(alone)
 
 
 def test_config_rejects_mismatched_or_positive_couplings():
@@ -356,9 +365,13 @@ def test_the_axioms_suite_audits_each_d_once_within_the_order2_budget(
     assert {c.status for c in checks} == {"PASS"}
     assert audited == list(dims)
     per = max(4, samples // 4)
-    assert len(passes) == sum(
-        len(hg.coupling_passes(d, len(GRID), per, 2)) for d in dims
-    )
+    # the undeformed metric's Einstein read, once per distinct lam
+    lams = len(SuiteConfig("axioms").lams)
+    assert len(passes) == sum(len(hg.coupling_passes(d, lams, per, 2)) for d in dims)
+    assert [count for count, _ in passes] == [
+        len(range(lams)[part]) * per for d in dims for part in hg.coupling_passes(d, lams, per, 2)
+    ]
+    assert sum(count for count, _ in passes) == lams * per * len(dims)
     for count, n in passes:
         assert 4 * count * n**3 <= hg.COUPLING_PASS_ENTRIES or count == per
 
@@ -376,76 +389,64 @@ def test_one_stacked_normal_draw_is_consecutive_draws(d):
 # ERROR isolation: one singular coupling of a pass
 
 
-def _singular_at(monkeypatch, coordinate):
-    """Make the bulk Gram vanish at the samples whose first coordinate is
-    ``coordinate``; every other sample is multiplied by 1.0, exactly.  Each
-    distinct entry is scaled once, so entries shared between positions stay
-    shared and the factored second derivatives keep their grouping."""
-    original = hg.bulk_metric
-
-    def broken(cfg):
-        metric = original(cfg)
-
-        def gram(p):
-            keep = np.where(nk.jet_value(p[0]) == coordinate, 0.0, 1.0)
-            rows = metric.gram(p)
-            scaled = {id(e): e * keep for row in rows for e in row}
-            return [[scaled[id(e)] for e in row] for row in rows]
-
-        return MetricField(gram)
-
-    monkeypatch.setattr(hg, "bulk_metric", broken)
-
-
-def _a_singular_coupling_errors_alone(monkeypatch, d):
+def _singular_couplings_error_alone(singular_at, d, where, targets):
+    """Make the bulk Gram singular at sample 2 of the axioms suite's shared
+    points for the couplings ``where`` selects (``singular_at``'s lam and
+    mu); the stacked audit names the first of ``targets`` and sample 2, and
+    a run files exactly ``targets`` as ERROR, each naming its own coupling,
+    with every other record as it was."""
     cfg = SuiteConfig("axioms", dims=(d,), seed=5)
     before = {c.name: c.to_dict() for c in run_suite(cfg).checks}
-    target = f"axioms_d{d}_lam-1_mu2"
     samples = max(4, cfg.samples // 4)
-    pts, _ = _audit_points(d, samples, [check_seed(cfg, target)])
-    _singular_at(monkeypatch, pts[2, 0])
+    points = _audit_points(d, samples, check_seed(cfg, f"axioms_d{d}"))
+    singular_at(points[0][2, 0], **where)
 
-    # the pass names the coupling and the index within it, not the stack's
-    names = [f"axioms_d{d}_lam{lam:g}_mu{mu:g}" for lam, mu in GRID]
+    # the pass names the coupling and the index within its points
     with pytest.raises(DegenerateMetricError) as info:
-        hg.schrodinger_axiom_audit(
-            configs(d), *_audit_points(d, samples, [check_seed(cfg, n) for n in names])
-        )
+        hg.schrodinger_axiom_audit(configs(d), *points)
     assert info.value.sample == 2
-    assert "(lam, mu) = (-1, 2), sample 2 (" in str(info.value)
+    assert f"(lam, mu) = ({targets[0][0]:g}, {targets[0][1]:g}), sample 2 (" in str(info.value)
 
     after = {c.name: c.to_dict() for c in run_suite(cfg).checks}
     assert set(after) == set(before)
+    names = {f"axioms_d{d}_lam{lam:g}_mu{mu:g}": (lam, mu) for lam, mu in targets}
     errors = [n for n, rec in after.items() if rec["status"] == "ERROR"]
-    assert errors == [target]
-    assert after[target]["error"].startswith(
-        "DegenerateMetricError: Gram matrix is singular at (lam, mu) = (-1, 2), sample 2 ("
-    )
-    assert after[target]["seed"] == before[target]["seed"]
+    assert sorted(errors) == sorted(names)
+    for n, (lam, mu) in names.items():
+        assert after[n]["error"].startswith(
+            "DegenerateMetricError: Gram matrix is singular at "
+            f"(lam, mu) = ({lam:g}, {mu:g}), sample 2 ("
+        )
+        assert after[n]["seed"] == before[n]["seed"] == check_seed(cfg, f"axioms_d{d}")
     for n, rec in after.items():
-        if n != target:
+        if n not in names:
             assert rec == before[n], n
 
 
-def test_a_singular_coupling_errors_alone(monkeypatch):
-    _a_singular_coupling_errors_alone(monkeypatch, 1)
+def test_a_singular_coupling_errors_alone(singular_at):
+    # the deformed metric of (-1, 2) alone: its first-order pass's inverse
+    # Gram, read by the defining function, finds the singular sample
+    _singular_couplings_error_alone(singular_at, 1, {"lam": -1.0, "mu": 2.0}, [(-1.0, 2.0)])
 
 
-def test_a_singular_coupling_in_an_einstein_sub_pass_errors_alone(monkeypatch):
-    # d = 8: the grid is audited in one pass whose Einstein part runs four
-    # couplings per sub-pass, so the singular sample sits in the second
-    # sub-pass beside three regular couplings
+def test_a_singular_coupling_in_an_einstein_sub_pass_errors_alone(singular_at):
+    # d = 8: the Einstein pass holds the 4 distinct lam, and the undeformed
+    # metric of lam = -1 is singular beside three regular ones.  That metric
+    # is g_plus of every coupling (-1, mu), so those four error, each named
+    # by its own coupling when it reruns alone, and no other coupling moves;
+    # the stacked call names the first coupling of lam = -1
     samples = max(4, SuiteConfig("axioms").samples // 4)
     assert len(hg.coupling_passes(8, len(GRID), samples, 1)) == 1
-    assert len(hg.coupling_passes(8, len(GRID), samples, 2)) == len(GRID) // 4
-    _a_singular_coupling_errors_alone(monkeypatch, 8)
+    assert len(hg.coupling_passes(8, 4, samples, 2)) == 1
+    targets = [(lam, mu) for lam, mu in GRID if lam == -1.0]
+    _singular_couplings_error_alone(singular_at, 8, {"lam": -1.0, "mu": 0.0}, targets)
 
 
-def test_a_singular_grid_sample_is_named_in_the_homogeneous_error(monkeypatch):
+def test_a_singular_grid_sample_is_named_in_the_homogeneous_error(singular_at):
     cfg = SuiteConfig("homogeneous", dims=(1,), seed=5)
-    name = "homogeneous_d1_nullfluid"
+    name = "homogeneous_d1_curvature"
     pts = SeededSampler(check_seed(cfg, name), hg.bulk_boxes(1)).points(5)
-    _singular_at(monkeypatch, pts[3, 0])
+    singular_at(pts[3, 0])
     rec = {c.name: c for c in run_suite(cfg).checks}[name]
     assert rec.status == "ERROR"
     # the first coupling of the grid meets the singular sample first
@@ -453,12 +454,12 @@ def test_a_singular_grid_sample_is_named_in_the_homogeneous_error(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 3, 4])
-def test_one_coupling_names_its_singular_sample(monkeypatch, k):
+def test_one_coupling_names_its_singular_sample(singular_at, k):
     # a pass of one coupling: the sample index within the batch is the index
     # within the coupling, and the message names both
     d = 1
     pts = SeededSampler(17, hg.bulk_boxes(d)).points(5)
-    _singular_at(monkeypatch, pts[k, 0])
+    singular_at(pts[k, 0])
 
     def residual(mc, rows, part):
         return hg.nullfluid_residual(mc, bulk_pass(mc, rows))
@@ -671,21 +672,22 @@ def test_each_bulk_identity_makes_one_gram_evaluation(monkeypatch, name, order, 
 def test_each_audit_pass_evaluates_a_metric_once_at_its_points(monkeypatch, d):
     # per first-order pass of the audit: the deformed metric at its bulk
     # points and at the transverse points at rh = 1e-2 and 1e-3, and the
-    # undeformed metric at rh = 1e-3; per Einstein sub-pass, the undeformed
-    # metric at that sub-pass's bulk points, whose g0 is also g_plus
-    seeds = [100 + c for c in range(len(GRID))]
-    pts, transverse = _audit_points(d, N, seeds)
+    # undeformed metric at rh = 1e-3; per Einstein pass, the undeformed
+    # metric of each distinct lam at the shared bulk points, whose g0 is
+    # also g_plus
+    pts, transverse = _audit_points(d, N, 100)
     want = hg.schrodinger_axiom_audit(configs(d), pts, transverse)
     evaluated = []
     _recorded_bulk_metric(monkeypatch, evaluated)
     got = hg.schrodinger_axiom_audit(configs(d), pts, transverse)
     assert json.dumps(got) == json.dumps(want)
     assert len(hg.coupling_passes(d, len(GRID), N, 1)) == 1
-    sub_passes = hg.coupling_passes(d, len(GRID), N, 2)
+    lams = np.tile(pts, (4, 1))
+    sub_passes = hg.coupling_passes(d, 4, N, 2)
     assert len(evaluated) == len(set(evaluated)) == 4 + len(sub_passes)
     assert [kind for kind, _ in evaluated].count("deformed") == 3
-    at_pts = {("deformed", pts.T.tobytes())} | {
-        ("undeformed", pts[part.start * N : part.stop * N].T.tobytes()) for part in sub_passes
+    at_pts = {("deformed", np.tile(pts, (len(GRID), 1)).T.tobytes())} | {
+        ("undeformed", lams[part.start * N : part.stop * N].T.tobytes()) for part in sub_passes
     }
     assert at_pts <= set(evaluated)
 
@@ -756,13 +758,25 @@ def _passes(monkeypatch, cfg) -> list:
 
 def test_the_grid_reads_one_first_order_pass_per_d(monkeypatch):
     # dualpath, clock, signature and vertical share one order-1 pass of the
-    # 16 couplings at 5 points; integrability keeps its pass of the first
-    # mu's 4 couplings, and the curvature its order-2 passes
+    # 16 couplings at 5 points; einstein, nullfluid and integrability share
+    # one order-2 pass of the same couplings, which hold mu = 0, and no
+    # other pass reads jets
     dims = (1, 2, 3)
     seen = _passes(monkeypatch, SuiteConfig("homogeneous", dims=dims))
-    grid = [order for rows, order in seen if rows == len(GRID) * N]
-    assert sorted(grid) == [1] * len(dims) + [2] * len(dims)
-    assert [rows for rows, order in seen if order == 1] == [len(GRID) * N, 4 * N] * len(dims)
+    jets = [(rows, order) for rows, order in seen if order]
+    assert jets == [(len(GRID) * N, 1), (len(GRID) * N, 2)] * len(dims)
+
+
+def test_the_curvature_pass_adds_the_undeformed_metrics_a_grid_lacks(monkeypatch):
+    # mu in (1, 2): the curvature pass holds the 8 grid couplings and the 4
+    # (lam, 0); nullfluid folds the grid's 8 x 5 samples, einstein the
+    # added 4 x 5, integrability the first mu's 4 x 5
+    cfg = SuiteConfig("homogeneous", dims=(1,), mus=(1.0, 2.0))
+    seen = _passes(monkeypatch, cfg)
+    assert [(rows, order) for rows, order in seen if order] == [(8 * N, 1), (12 * N, 2)]
+    records = {c.name: c for c in run_suite(cfg).checks}
+    for family, samples in (("nullfluid", 8 * N), ("einstein", 4 * N), ("integrability", 4 * N)):
+        assert records[f"homogeneous_d1_{family}"].samples == samples
 
 
 def test_the_bargmann_table_reads_one_pass_per_d(monkeypatch):

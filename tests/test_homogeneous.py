@@ -387,7 +387,7 @@ class TestBoundary:
 
 def audit(cfg):
     """The audit's verdicts, judged by the table's audit rows."""
-    (numbers,) = schrodinger_axiom_audit([cfg], *_audit_points(cfg.d, 5, [1]))
+    (numbers,) = schrodinger_axiom_audit([cfg], *_audit_points(cfg.d, 5, 1))
     return verdicts(AUDIT, numbers)
 
 

@@ -48,3 +48,14 @@ def test_two_seeds_against_the_same_checkout(capsys):
         assert worst == worst_against, fam
         assert (float(worst) > 1.0) == (kind == "control"), fam
     assert lines[-2:] == ["non-PASS records, this: 0", "non-PASS records, against: 0"]
+
+
+def test_the_dimensions_given(capsys):
+    assert seed_sweep.main(["schrodinger-eq", "--seeds", "1", "--dim", "4", "--dim", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "schrodinger-eq, seeds 0..0, d = 4, 5"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
+    assert len(rows) == 7
+    # two dims at one seed
+    assert {records for _, records, *_ in rows.values()} == {"2"}
+    assert lines[-1] == "non-PASS records, this: 0"

@@ -1,15 +1,17 @@
 """Suite runner behavior: validation, determinism, report shape, and the
 expectation-aware coupling scan."""
 
+import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import isometry_loop
-from schrogeo import ambient, bargmann, homogeneous, suites
+from schrogeo import ambient, bargmann, geometry, homogeneous, suites
 from schrogeo import numkernel as nk
 from schrogeo.ambient import ambient_gram, build_Z0, commutant_stack
 from schrogeo.geometry import MetricField, VectorField, negative_index
@@ -321,9 +323,19 @@ class TestIntegrabilityMutation:
             assert after[name].residual > 1e-6
 
 
+def _recompiled(module, name, old, new):
+    """The function ``name`` of ``module`` recompiled with one source edit."""
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert src.count(old) == 1
+    scope = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), scope)
+    return scope[name]
+
+
 class TestGridMutations:
-    """Each first-order grid family flips to FAIL under a defect in what it
-    alone reads of the shared pass, and every other record stays PASS."""
+    """Each grid family flips to FAIL under a defect in what it alone reads
+    of its shared pass (the first-order grid pass, or the order-2 curvature
+    pass), and every other record stays PASS."""
 
     DIMS = (1, 2)
 
@@ -398,6 +410,46 @@ class TestGridMutations:
             m.setattr(suites, "negative_index", flipped)
 
         assert self.failing(monkeypatch, defect) == self.expect("signature")
+
+    def test_a_wrong_clock_term_fails_the_null_fluid_alone(self, monkeypatch):
+        # (d+3) for (d+4): the mu = 0 rows that einstein reads carry no clock
+        # term, so only the deformed metrics see it
+        wrong = _recompiled(homogeneous, "nullfluid_residual", "(d + 4.0)", "(d + 3.0)")
+
+        def defect(m):
+            m.setattr(homogeneous, "nullfluid_residual", wrong)
+
+        assert self.failing(monkeypatch, defect) == self.expect("nullfluid")
+
+    def test_a_wrong_einstein_factor_fails_the_einstein_row_alone(self, monkeypatch):
+        # (1 - 2 lam) for (1 + 2 lam): nonzero at lam = -1/2, so what must
+        # vanish there does not
+        wrong = _recompiled(
+            homogeneous, "einstein_factor", "(1.0 + 2.0 * lam)", "(1.0 - 2.0 * lam)"
+        )
+
+        def defect(m):
+            m.setattr(homogeneous, "einstein_factor", wrong)
+
+        assert self.failing(monkeypatch, defect) == self.expect("einstein")
+
+    def test_a_flipped_pair_inverse_fails_both_ricci_rows(self, monkeypatch):
+        # the (t, s) block's inverse with the off-diagonal signs flipped:
+        # the pass's one Ricci tensor is wrong, and both rows that read it
+        # fail; integrability reads no inverse
+        wrong = _recompiled(
+            geometry,
+            "_pair_inverse",
+            "return d / det, -b / det, -c / det, a / det",
+            "return d / det, b / det, c / det, a / det",
+        )
+
+        def defect(m):
+            m.setattr(geometry, "_pair_inverse", wrong)
+
+        assert self.failing(monkeypatch, defect) == {
+            **self.expect("nullfluid"), **self.expect("einstein")
+        }
 
 
 def test_axioms_at_large_couplings_match_the_theory():
@@ -576,7 +628,7 @@ class TestTable:
     def test_audit_rows_are_the_audit_entries(self):
         names = [row.suffix for row in AUDIT]
         (numbers,) = homogeneous.schrodinger_axiom_audit(
-            [homogeneous.SchrodingerManifoldConfig(1, -0.5, 1.0)], *_audit_points(1, 4, [0])
+            [homogeneous.SchrodingerManifoldConfig(1, -0.5, 1.0)], *_audit_points(1, 4, 0)
         )
         assert len(names) == len(set(names)) == 6
         assert names == list(numbers)
@@ -643,8 +695,8 @@ ERROR_CASES = [
         0,
     ),
     (
-        suites,
-        "dilation_element",
+        bargmann,
+        "symmetry_transport_check",
         "schrodinger_d1_transport",
         "weighted transport maps solutions to solutions",
         "schrodinger_d1_transport",
