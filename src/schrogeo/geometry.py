@@ -624,15 +624,16 @@ def covariant_derivative(jets: MetricJets, w) -> np.ndarray:
 
 
 def lie_derivative_metric(jets: MetricJets, field: VectorField) -> np.ndarray:
-    """(L_Z g)_ab = Z^c d_c g_ab + g_cb d_a Z^c + g_ac d_b Z^c."""
-    g0 = jets.g0
+    """(L_Z g)_ab = Z^c d_c g_ab + g_cb d_a Z^c + g_ac d_b Z^c.
+
+    Per sample, Z^c d_c g is one (1, n) by (n, n^2) product, and the last
+    two terms are M + M^T with M = (dZ)^T g, g being symmetric."""
     zv, zj = jets.components(field.components)
     zv, zj = zv.real, zj.real
-    return (
-        np.einsum("...c,...cab->...ab", zv, jets.dg)
-        + np.einsum("...cb,...ca->...ab", g0, zj)
-        + np.einsum("...ac,...cb->...ab", g0, zj)
-    )
+    N, n = zv.shape
+    along = (zv[:, None, :] @ jets.dg.reshape(N, n, n * n)).reshape(N, n, n)
+    M = zj.swapaxes(-1, -2) @ jets.g0
+    return along + M + M.swapaxes(-1, -2)
 
 
 def lie_bracket(v: VectorField, w: VectorField, p: np.ndarray) -> np.ndarray:

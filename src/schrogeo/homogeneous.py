@@ -145,8 +145,9 @@ class SchrodingerManifoldConfig(_BulkParameters):
     N points whose sample k has the metric of (lam[k], mu[k]).  The
     batched checks (metric, embedding, and the identities that take a pass
     of ``bulk_metric(cfg)``: dual path, vertical field, curvature and
-    integrability, with the clock read off that pass) accept either;
-    ``isometry_check``, ``isotropy_check`` and the axiom audit take floats.
+    integrability, with the clock read off that pass) and
+    ``isometry_check`` accept either; ``isotropy_check`` and the axiom
+    audit take floats.
     A config with arrays is neither hashable nor comparable.
     """
 
@@ -198,7 +199,8 @@ class SchrodingerManifoldConfig(_BulkParameters):
 # audit's Einstein read) and 2 + 1 at d = 6; bulk_dense (20 points) runs
 # 1 + 1, 2 + 1 and 3 + 1 at d = 1, 2, 3.
 # At 2^17 entries per pass the first-order checks take one pass at d = 6
-# and d = 8, 5 points.
+# and d = 8, 5 points: the grid's identities, the isometry row's two
+# couplings, and the audit's couplings.
 # The axiom audit is budgeted by the same rule, part by part: it stacks a
 # d's couplings under the order-1 budget and its distinct lam under the
 # order-2 one.
@@ -375,9 +377,11 @@ def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q) -> list:
     d = cfg.d
     last = Q[d + 3]
     last = mark_escapes(last, jet_value(last).real <= 1e-8)
-    out = [Q[i] / last for i in range(d + 2)]
-    out.append(cfg.scale / last)
-    return out
+    if not isinstance(last, Jet2):
+        return [Q[i] / last for i in range(d + 2)] + [cfg.scale / last]
+    # a jet quotient is the product with the reciprocal, formed once here
+    inv = last._reciprocal()
+    return [Q[i] * inv for i in range(d + 2)] + [inv * cfg.scale]
 
 
 # ---------------------------------------------------------------------------
@@ -513,34 +517,64 @@ def null_plane_boost(d: int, c: float) -> np.ndarray:
     return A
 
 
+def _act(A: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """The rows of ``A`` applied to stacked components, (m, k, N): entry i
+    is sum_b A[i, b] comps[b], added column by column in b order.  ``A`` is
+    one (m, m) matrix or a per-sample (N, m, m) stack whose sample s acts on
+    sample s.  As in ``sparse_dot``, a zero coefficient adds nothing and a
+    row's first nonzero product starts its sum, so each sample is bitwise
+    what ``sparse_dot`` gives that row of its matrix on jets holding these
+    values and gradients; a row with no nonzero coefficient is 0.0."""
+    A = np.asarray(A, dtype=float)
+    # coeffs[i, b] is A[i, b] per sample, or once for every sample, (m, m, 1, N | 1)
+    coeffs = np.moveaxis(A.reshape((-1,) + A.shape[-2:]), 0, -1)[:, :, None]
+    live = coeffs != 0.0
+    # -0.0 is the exact identity of addition, so a row's first live product
+    # starts its sum with its own bits; a zero coefficient's term is skipped
+    total = np.full(comps.shape, -0.0)
+    for b, x in enumerate(comps):
+        total = np.where(live[:, b], total + coeffs[:, b] * x, total)
+    return np.where(live.any(axis=1), total, 0.0)
+
+
 def isometry_check(cfg: SchrodingerManifoldConfig, A: np.ndarray, pts: np.ndarray) -> dict:
-    """Pull the chart metric back through the ambient action of the
-    (d+4, d+4) matrix ``A`` (a group element or any ambient matrix) at the
-    chart points ``pts`` and compare.
+    """Pull the chart metric back through the ambient action of ``A`` at
+    the chart points ``pts`` (N, n) and compare.  ``A`` is one (d+4, d+4)
+    matrix (a group element or any ambient matrix) acting on every point,
+    or a per-sample (N, d+4, d+4) stack whose element s acts on point s;
+    the config may carry per-sample couplings.  A stack of another length
+    than N raises ContractViolationError.
 
     Per point, (N,) each: the metric residual, the relative quadric
     residual, and whether the image left the rh > 0 sheet.  An escaped
     point's metric residual is NaN and the rest are exact
-    (``chart_from_ambient``).  The points are embedded once, as jets: the
-    quadric reads their values.
+    (``chart_from_ambient``).  The points are embedded once, as jets whose
+    values and gradients ``_act`` moves as one stack: the quadric reads
+    their values.
     """
     d = cfg.d
     A = np.asarray(A)
+    if A.ndim == 3 and len(A) != len(pts):
+        raise ContractViolationError(
+            f"a stack of {len(A)} elements for {len(pts)} points: one per point, or one matrix"
+        )
     metric = bulk_metric(cfg)
-    embedded = []
+    values = []
 
     def moved(q):
-        embedded[:] = embed_components(cfg, q)
-        return chart_from_ambient(cfg, [sparse_dot(row, embedded) for row in A])
+        embedded = embed_components(cfg, q)
+        values[:] = [c.value for c in embedded]
+        comps = _act(A, np.stack([np.concatenate([c.value[None], c.grad]) for c in embedded]))
+        return chart_from_ambient(cfg, [Jet2(c[0], c[1:]) for c in comps])
 
     vals, jac = jet_components(moved, pts)
     J = jac.real
     pulled = J.swapaxes(-1, -2) @ gram_values(metric, vals.real) @ J
-    Q2 = _mv(A, np.stack([c.value for c in embedded], axis=-1))
+    Q2 = _mv(A, np.stack(values, axis=-1))
     quad = np.abs(_vv(_vm(Q2, ambient_gram(d)), Q2) - 2.0 * cfg.lam)
     return {
         "metric_residual": np.abs(pulled - gram_values(metric, pts)).max(axis=(-2, -1)),
-        "quadric_residual": quad / abs(2.0 * cfg.lam),
+        "quadric_residual": quad / np.abs(2.0 * cfg.lam),
         "escaped": np.isnan(vals[..., d + 2].real),
     }
 
@@ -826,6 +860,11 @@ def boundary_structure(d: int, pts: np.ndarray, rng: np.random.Generator) -> dic
 # the axiom audit
 
 
+# the depth at which the rescaled undeformed metric is compared with the
+# flat boundary structure
+_INFINITY_RH = 1e-3
+
+
 def _two_scale_ratio(values: dict[float, float]) -> float:
     hi, lo = max(values), min(values)
     return values[hi] / values[lo] if values[lo] else math.inf
@@ -853,7 +892,9 @@ def schrodinger_axiom_audit(
     alone reads second derivatives, of the undeformed metric, which depends
     on lam alone: it runs once per distinct lam, in order-2 passes of its
     own, named by the first config of that lam, and serves every config of
-    that lam.
+    that lam; so does its Gram near the boundary, one evaluation for every
+    distinct lam.  The transverse points' boundary representatives are
+    formed once, for every config.
     """
     d = cfgs[0].d
     if any(c.d != d for c in cfgs) or len(transverse) != len(pts):
@@ -865,14 +906,20 @@ def schrodinger_axiom_audit(
     for lam, mu in couplings:
         first.setdefault(lam, (lam, mu))
     runs = over_couplings(d, list(first.values()), np.tile(pts, (len(first), 1)), 2, _einstein)
-    # per lam: its (computed, predicted, g_plus) at the S points
-    split = (np.split(np.concatenate(a), len(first)) for a in zip(*runs))
-    einstein = dict(zip(first, zip(*split)))
+    # g_plus at the transverse points near the boundary, once per lam
+    near = gram_values(
+        bulk_metric(coupling_config(d, [(lam, 0.0) for lam in first], len(pts))),
+        _with_rh(np.tile(transverse, (len(first), 1)), _INFINITY_RH),
+    )
+    # per lam: its (computed, predicted, g_plus) at the S points, and near
+    fields = [np.concatenate(a) for a in zip(*runs)] + [near]
+    undeformed = dict(zip(first, zip(*(np.split(a, len(first)) for a in fields))))
+    boundary = component_values(lambda q: boundary_embed_components(d, q), transverse)
 
     def audit(config, rows, part):
         held = couplings[part]
-        found = [np.concatenate([einstein[lam][i] for lam, _ in held]) for i in range(3)]
-        return _audit(config, rows, np.tile(transverse, (len(held), 1)), held, found)
+        found = [np.concatenate([undeformed[lam][i] for lam, _ in held]) for i in range(4)]
+        return _audit(config, rows, transverse, boundary, held, found)
 
     stacked = np.tile(pts, (len(couplings), 1))
     return [r for run in over_couplings(d, couplings, stacked, 1, audit) for r in run]
@@ -890,18 +937,21 @@ def _audit(
     cfg: SchrodingerManifoldConfig,
     pts: np.ndarray,
     transverse: np.ndarray,
+    boundary: np.ndarray,
     couplings: Sequence[tuple[float, float]],
-    einstein: Sequence[np.ndarray],
+    undeformed: Sequence[np.ndarray],
 ) -> list[dict[str, dict]]:
     """The audit of ``couplings`` stacked in ``cfg`` over equal segments of
-    ``pts`` and ``transverse``, given the (computed, predicted, g_plus) of
-    their undeformed metrics at ``pts``; every maximum is taken per
-    segment."""
+    ``pts``, each moving the S points ``transverse``, whose boundary
+    representatives are ``boundary``, toward the boundary; given their
+    undeformed metrics' (computed, predicted, g_plus) at ``pts`` and g_plus
+    at the transverse points at rh = _INFINITY_RH.  Every maximum is taken
+    per segment."""
     d, lam, mu = cfg.d, cfg.lam, cfg.mu
     metric = bulk_metric(cfg)
-    plus = bulk_metric(SchrodingerManifoldConfig(d, lam, 0.0))
     flat = flat_gram_matrix(d)
     n = d + 3
+    far = np.tile(transverse, (len(couplings), 1))
 
     def worst(x) -> np.ndarray:
         # max |x| per coupling; np.max keeps a NaN that Python's max drops
@@ -919,12 +969,10 @@ def _audit(
     # embedding converges to the boundary representative at rate rh^2
     killing = np.maximum(worst(res["killing"]), worst(res["pushforward"]))
     vertical = np.maximum(killing, worst(res["nullity"])).tolist()
-    bnd = component_values(lambda q: boundary_embed_components(d, q), transverse)
+    bnd = np.tile(boundary, (len(couplings), 1))
     gaps = {}
     for rh in (1e-2, 1e-3):
-        Q = component_values(
-            lambda q: embed_components(cfg, q), _with_rh(transverse, rh)
-        )
+        Q = component_values(lambda q: embed_components(cfg, q), _with_rh(far, rh))
         gaps[rh] = worst(Q / Q[:, d + 3 :] - bnd).tolist()
 
     # axiom 2: inverse metric minus mu * (vertical)^2 decays at rate rh^2,
@@ -934,12 +982,12 @@ def _audit(
     E[:, d + 1, d + 1] = mu
     decay = {}
     for rh in (1e-2, 1e-3):
-        near = inverse_gram(gram_values(metric, _with_rh(transverse, rh)))
+        near = inverse_gram(gram_values(metric, _with_rh(far, rh)))
         decay[rh] = worst(near - E).tolist()
 
     # axiom 3: adding back the clock square recovers the undeformed metric,
     # which must be Einstein and induce the flat structure at rh = 0
-    computed, predicted, g_plus = einstein
+    computed, predicted, g_plus, gp = undeformed
     mu_clock2 = _per_matrix(mu) * (theta[:, :, None] * theta[:, None, :])
     # relative to the largest entry compared: mu clock^2 grows like
     # mu lam^2 / rh^4, and the entries' rounding with it
@@ -947,8 +995,7 @@ def _audit(
     identity_r = (worst(g0 + mu_clock2 - g_plus) / sizes).tolist()
     einstein_self = worst(computed - predicted).tolist()
     einstein_zero = worst(computed).tolist()
-    rh = 1e-3
-    gp = gram_values(plus, _with_rh(transverse, rh))
+    rh = _INFINITY_RH
     ci = worst((rh * rh) * gp[:, : d + 2, : d + 2] - flat).tolist()
 
     # defining function: rh positive on the chart, gradient of fixed

@@ -714,20 +714,19 @@ def _recovery(c, seed):
 
 
 def _isometry(c, seed):
+    """Both couplings in one first-order pass: each measures the same
+    points, coupling i with element i, repeated per point."""
     rng = SeededSampler.generator(seed + 1)
-    # each coupling measures the same points, coupling i with element i
     pts = _grid_points(c, seed)
     stack = group_elements(c.d, group_coefficients(c.d, rng, 2))
-    found = [
-        hg.isometry_check(hg.SchrodingerManifoldConfig(c.d, lam, mu), stack[i], pts)
-        for i, (lam, mu) in enumerate(((-0.5, 1.0), (-1.0, 2.0)))
-    ]
-    return {
-        "residual": np.concatenate(
-            [np.maximum(r["metric_residual"], r["quadric_residual"]) for r in found]
-        ),
-        "escaped": np.concatenate([r["escaped"] for r in found]),
-    }
+
+    def read(mc, x, part):
+        res = hg.isometry_check(mc, np.repeat(stack[part], len(pts), axis=0), x)
+        return np.maximum(res["metric_residual"], res["quadric_residual"]), res["escaped"]
+
+    runs = _over_grid(c.d, [(-0.5, 1.0), (-1.0, 2.0)], pts, 1, read)
+    residual, escaped = (np.concatenate(a) for a in zip(*runs))
+    return {"residual": residual, "escaped": escaped}
 
 
 def _isometry_control(c, seed):

@@ -671,25 +671,36 @@ def test_each_bulk_identity_makes_one_gram_evaluation(monkeypatch, name, order, 
 @pytest.mark.parametrize("d", [1, 8])
 def test_each_audit_pass_evaluates_a_metric_once_at_its_points(monkeypatch, d):
     # per first-order pass of the audit: the deformed metric at its bulk
-    # points and at the transverse points at rh = 1e-2 and 1e-3, and the
-    # undeformed metric at rh = 1e-3; per Einstein pass, the undeformed
-    # metric of each distinct lam at the shared bulk points, whose g0 is
-    # also g_plus
+    # points and at the transverse points at rh = 1e-2 and 1e-3; per
+    # Einstein pass, the undeformed metric of each distinct lam at the
+    # shared bulk points, whose g0 is also g_plus; once per audit, the
+    # undeformed metric of each distinct lam at the S transverse points at
+    # rh = 1e-3, and the boundary representatives of those S points
     pts, transverse = _audit_points(d, N, 100)
     want = hg.schrodinger_axiom_audit(configs(d), pts, transverse)
-    evaluated = []
+    evaluated, represented = [], []
     _recorded_bulk_metric(monkeypatch, evaluated)
+    make = hg.boundary_embed_components
+
+    def boundary_embed_components(d, q):
+        represented.append(np.array(q).tobytes())
+        return make(d, q)
+
+    monkeypatch.setattr(hg, "boundary_embed_components", boundary_embed_components)
     got = hg.schrodinger_axiom_audit(configs(d), pts, transverse)
     assert json.dumps(got) == json.dumps(want)
     assert len(hg.coupling_passes(d, len(GRID), N, 1)) == 1
     lams = np.tile(pts, (4, 1))
     sub_passes = hg.coupling_passes(d, 4, N, 2)
     assert len(evaluated) == len(set(evaluated)) == 4 + len(sub_passes)
-    assert [kind for kind, _ in evaluated].count("deformed") == 3
-    at_pts = {("deformed", np.tile(pts, (len(GRID), 1)).T.tobytes())} | {
-        ("undeformed", lams[part.start * N : part.stop * N].T.tobytes()) for part in sub_passes
-    }
-    assert at_pts <= set(evaluated)
+    far = np.tile(transverse, (len(GRID), 1))
+    assert set(evaluated) == {
+        ("deformed", np.tile(pts, (len(GRID), 1)).T.tobytes()),
+        ("deformed", hg._with_rh(far, 1e-2).T.tobytes()),
+        ("deformed", hg._with_rh(far, 1e-3).T.tobytes()),
+        ("undeformed", hg._with_rh(np.tile(transverse, (4, 1)), 1e-3).T.tobytes()),
+    } | {("undeformed", lams[part.start * N : part.stop * N].T.tobytes()) for part in sub_passes}
+    assert represented == [transverse.T.tobytes()]
 
 
 def test_boundary_structure_evaluates_its_gram_once_at_its_points(monkeypatch):

@@ -488,6 +488,25 @@ class TestLieAndConformal:
         lie = lie_derivative_metric(gram_jets(bg.metric, [[0.3, 0.7, -0.2, 0.5]], 1), rot)
         assert np.abs(lie).max() < 1e-14
 
+    def test_lie_derivative_matches_the_einsum_form(self):
+        # a field with no Killing symmetry on a deformed bulk metric, so that
+        # every term of L_Z g = Z^c d_c g + g_cb d_a Z^c + g_ac d_b Z^c counts
+        cfg = SchrodingerManifoldConfig(2, -0.7, 1.3)
+        field = VectorField(
+            lambda p: [p[1] * p[4], p[0] * p[0] - p[2], p[3] * p[4], p[0] * p[2] + p[1], p[0]]
+        )
+        pts = SeededSampler(11, bulk_boxes(2)).points(6)
+        jets = gram_jets(bulk_metric(cfg), pts, 1)
+        zv, zj = jets.components(field.components)
+        want = (
+            np.einsum("...c,...cab->...ab", zv, jets.dg)
+            + np.einsum("...cb,...ca->...ab", jets.g0, zj)
+            + np.einsum("...ac,...cb->...ab", jets.g0, zj)
+        )
+        got = lie_derivative_metric(jets, field)
+        assert min(np.abs(a).max() for a in (zv, zj, want)) > 0.1
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_conformal_factor_of_dilation_like_field(self):
         # field x d/dx + 2t d/dt + alpha*t fiber rate, frozen check:
         # phi = 2*(alpha*t + chi) with alpha = 0.2, chi = 0 at t = 0.7

@@ -52,6 +52,7 @@ from schrogeo.numkernel import (
     SeededSampler,
     jet_value,
     seed_point,
+    sparse_dot,
 )
 from schrogeo.suites import AUDIT, BOUNDARY_STRUCTURE, _audit_points, _box_points, verdicts
 
@@ -231,6 +232,89 @@ class TestIsometries:
         off = isometry_check(SchrodingerManifoldConfig(2, -0.5, 0.0), boost, pts)
         assert (on["metric_residual"] > 1e-3).all()
         assert (off["metric_residual"] < 1e-8).all()
+
+    @staticmethod
+    def jets(rng, m, n, N):
+        """m first-order jets over N samples, with signed zeros among the
+        gradients and a value that is an exact zero."""
+        values = rng.normal(size=(m, N))
+        values[1, 0] = 0.0
+        grads = rng.normal(size=(m, n, N))
+        grads[rng.random(grads.shape) < 0.3] = 0.0
+        grads[rng.random(grads.shape) < 0.2] = -0.0
+        return [Jet2(v, g) for v, g in zip(values, grads)]
+
+    @staticmethod
+    def stacked(jets):
+        return np.stack([np.concatenate([c.value[None], c.grad]) for c in jets])
+
+    @staticmethod
+    def sparse(rng, shape):
+        """A matrix or stack with zero entries, cancelling pairs and an
+        all-zero column."""
+        A = rng.normal(size=shape)
+        A[rng.random(shape) < 0.4] = 0.0
+        A[..., 2] = 0.0
+        A[..., 0, 3] = -A[..., 0, 4]
+        return A
+
+    def test_the_action_is_sparse_dot_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        m, n, N = 7, 4, 6
+        jets = self.jets(rng, m, n, N)
+        A = self.sparse(rng, (m, m))
+        want = self.stacked([sparse_dot(row, jets) for row in A])
+        assert hg._act(A, self.stacked(jets)).tobytes() == want.tobytes()
+
+    def test_a_stack_acts_per_sample_as_its_own_matrix(self):
+        # sample k of a stack's action is sparse_dot with the rows of A[k]
+        rng = np.random.default_rng(43)
+        m, n, N = 7, 4, 6
+        jets = self.jets(rng, m, n, N)
+        A = self.sparse(rng, (N, m, m))
+        got = hg._act(A, self.stacked(jets))
+        for k in range(N):
+            at_k = [Jet2(c.value[k : k + 1], c.grad[:, k : k + 1]) for c in jets]
+            want = self.stacked([sparse_dot(row, at_k) for row in A[k]])
+            assert got[..., k : k + 1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_chart_from_ambient_is_jet_division_bit_for_bit(self, d):
+        cfg = SchrodingerManifoldConfig(d, -0.7, 1.3)
+        A = random_group_element(d, np.random.default_rng(d), scale=0.3)
+        Q = [sparse_dot(row, embed_components(cfg, seed_point(sample_bulk(d, 5), 1))) for row in A]
+        last = Q[d + 3]
+        want = [Q[i] / last for i in range(d + 2)] + [cfg.scale / last]
+        got = chart_from_ambient(cfg, Q)
+        for a, b in zip(got, want):
+            assert a.value.tobytes() == b.value.tobytes()
+            assert a.grad.tobytes() == b.grad.tobytes()
+        # on arrays, a true division
+        values = [q.value for q in Q]
+        got = chart_from_ambient(cfg, values)
+        for a, b in zip(got, [v / values[d + 3] for v in values[: d + 2]]):
+            assert a.tobytes() == b.tobytes()
+        assert got[-1].tobytes() == (cfg.scale / values[d + 3]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_stack_of_elements_moves_each_point_by_its_own(self, d):
+        # element k and coupling k at point k, bitwise its call alone
+        pts = sample_bulk(d, 4, seed=8)
+        rng = np.random.default_rng(8)
+        stack = np.stack([random_group_element(d, rng, scale=0.3) for _ in pts])
+        couplings = [(-0.5, 1.0), (-1.0, 2.0), (-0.3, 0.0), (-2.0, -1.0)]
+        lam, mu = (np.array(v) for v in zip(*couplings))
+        got = isometry_check(SchrodingerManifoldConfig(d, lam, mu), stack, pts)
+        for k, coupling in enumerate(couplings):
+            one = isometry_check(SchrodingerManifoldConfig(d, *coupling), stack[k], pts[k : k + 1])
+            for key, value in one.items():
+                assert got[key][k : k + 1].tobytes() == value.tobytes(), key
+
+    def test_a_stack_of_another_length_is_refused(self):
+        cfg = SchrodingerManifoldConfig(1, -0.5, 1.0)
+        stack = np.stack([null_plane_boost(1, 1.5)] * 3)
+        with pytest.raises(ContractViolationError, match="3 elements for 4 points"):
+            isometry_check(cfg, stack, sample_bulk(1, 4))
 
     def test_explicit_stabilizer_fixes_origin_image(self):
         cfg = SchrodingerManifoldConfig(2, -0.5)

@@ -452,6 +452,40 @@ class TestGridMutations:
         }
 
 
+class TestIsometryMutations:
+    """Each isometry family flips to FAIL under a defect in the ambient
+    action (``homogeneous._act``) that moves the points, and every other
+    record stays PASS.  At seed 7 the transposed action reads residuals of
+    4.85-8.24 against the 1e-8 bound, and the identity leaves the control's
+    smallest residual at <= 1.5e-17 against the 1e-3 it must exceed."""
+
+    DIMS = (1, 2, 3)
+
+    def failing(self, monkeypatch, defect):
+        cfg = SuiteConfig("homogeneous", dims=self.DIMS, seed=7)
+        assert all(c.status == "PASS" for c in run_suite(cfg).checks)
+        original = homogeneous._act
+        monkeypatch.setattr(homogeneous, "_act", lambda A, comps: original(defect(A), comps))
+        return {c.name: c.status for c in run_suite(cfg).checks if c.status != "PASS"}
+
+    def expect(self, family):
+        return {f"homogeneous_d{d}_{family}": "FAIL" for d in self.DIMS}
+
+    def test_the_transposed_action_fails_the_isometry_alone(self, monkeypatch):
+        # a group element's transpose is no isometry; the control's boost is
+        # diagonal, its own transpose
+        transposed = self.failing(monkeypatch, lambda A: np.swapaxes(A, -1, -2))
+        assert transposed == self.expect("isometry")
+
+    def test_the_identity_action_fails_the_control_alone(self, monkeypatch):
+        # the identity is an isometry of every metric, so the control that
+        # must see the boost move the clock sees nothing
+        identity = self.failing(
+            monkeypatch, lambda A: np.broadcast_to(np.eye(A.shape[-1]), A.shape)
+        )
+        assert identity == self.expect("isometry_control")
+
+
 def test_axioms_at_large_couplings_match_the_theory():
     # (lam, mu) = (-1000, 1000): the deformation identity compares entries
     # near 1e13, and is filed relative to them, so its rounding (up to
