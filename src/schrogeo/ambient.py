@@ -51,6 +51,7 @@ __all__ = [
     "g_adjoint",
     "group_coefficients",
     "group_elements",
+    "linear_action",
     "mark_escapes",
     "projective_action",
     "projective_denominator",
@@ -416,14 +417,15 @@ def _add_linear(rows, M: np.ndarray, X):
     M[a, b] only: each row adds its terms in b order and skips its zeros, as
     a per-row loop would.  ``M`` is one (n, n) matrix, or a per-sample
     (N, n, n) stack whose sample s acts on the batch's sample s; the zeros
-    are then skipped sample by sample.  Jets go through as one packed array,
-    since every step is elementwise (so a symmetric Hessian stays exactly
-    symmetric)."""
-    if isinstance(rows, Jet2):
-        dim = rows.dim
-        out = _add_linear(_packed(rows), M, _packed(X))
-        hess = None if rows.hess is None else out[dim + 1 :].reshape((dim, dim) + out.shape[1:])
-        return Jet2(out[0], out[1 : dim + 1], hess, _symmetric=True)
+    are then skipped sample by sample.  ``rows`` may be a plain number, such
+    as -0.0, the exact identity of addition.  Jets go through as one packed
+    array, since every step is elementwise (so a symmetric Hessian stays
+    exactly symmetric); whether to pack is read off ``X``."""
+    jet = isinstance(X, Jet2)
+    if jet:
+        dim, order2 = X.dim, X.hess is not None
+        X = _packed(X)
+        rows = _packed(rows) if isinstance(rows, Jet2) else rows
     nonzero = M != 0.0
     n = M.shape[-1]
     # column b's nonzero entries over every row and sample
@@ -431,7 +433,19 @@ def _add_linear(rows, M: np.ndarray, X):
         if hits:
             step = rows + X[..., b : b + 1] * M[..., b]
             rows = step if hits == M.size // n else np.where(nonzero[..., b], step, rows)
-    return rows
+    if not jet:
+        return rows
+    hess = rows[dim + 1 :].reshape((dim, dim) + rows.shape[1:]) if order2 else None
+    return Jet2(rows[0], rows[1 : dim + 1], hess, _symmetric=True)
+
+
+def linear_action(A: np.ndarray, x) -> list:
+    """A x for coordinates ``x`` (jets, numbers or (N,) arrays): entry a is
+    bitwise ``sparse_dot(A[a], x)``, per sample for a per-sample (N, m, m)
+    stack ``A``, since each sum starts from -0.0, the exact identity of
+    addition (``_add_linear``).  A row with no nonzero coefficient is -0.0,
+    where ``sparse_dot`` gives the constant 0.0."""
+    return _unstack_rows(_add_linear(-0.0, A, _stack_rows(x)))
 
 
 def _affine_rows(x, d: int, const: np.ndarray, M: np.ndarray, quad, rate=None):

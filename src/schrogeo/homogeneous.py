@@ -44,6 +44,7 @@ from .ambient import (
     build_Z0,
     commutant_stack,
     flat_gram_matrix,
+    linear_action,
     mark_escapes,
     xi_field,
     xi_vector,
@@ -373,15 +374,12 @@ def chart_from_ambient(cfg: SchrodingerManifoldConfig, Q) -> list:
     The components carry a sample axis: the samples whose last ambient
     component is at or below 1e-8 left the sheet and come back NaN, and
     the rest are exact, as in ``projective_action`` (``mark_escapes``).
+    Each quotient is the product with one shared reciprocal (``_divider``),
+    on arrays as on jets.
     """
     d = cfg.d
-    last = Q[d + 3]
-    last = mark_escapes(last, jet_value(last).real <= 1e-8)
-    if not isinstance(last, Jet2):
-        return [Q[i] / last for i in range(d + 2)] + [cfg.scale / last]
-    # a jet quotient is the product with the reciprocal, formed once here
-    inv = last._reciprocal()
-    return [Q[i] * inv for i in range(d + 2)] + [inv * cfg.scale]
+    over = _divider(mark_escapes(Q[d + 3], jet_value(Q[d + 3]).real <= 1e-8))
+    return [over(Q[i]) for i in range(d + 2)] + [over(cfg.scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +492,10 @@ def metric_recovery_residual(d: int, p: np.ndarray) -> np.ndarray:
     return np.abs(g0 - ref).max(axis=(-2, -1))
 
 
-def integrability_residual(cfg: SchrodingerManifoldConfig, jets: MetricJets) -> np.ndarray:
-    """max |clock ^ d(clock)| at each point of a pass of the bulk metric
-    (order 1 suffices), (N,)."""
-    _, wedge = exterior_wedge(*jets.clock(xi_hat_field(cfg)))
+def integrability_residual(clock: tuple) -> np.ndarray:
+    """max |clock ^ d(clock)| at each point, (N,), from the clock and its
+    Jacobian as ``MetricJets.clock`` gives them (order 1 suffices)."""
+    _, wedge = exterior_wedge(*clock)
     return np.abs(wedge).max(axis=(-3, -2, -1))
 
 
@@ -517,26 +515,6 @@ def null_plane_boost(d: int, c: float) -> np.ndarray:
     return A
 
 
-def _act(A: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """The rows of ``A`` applied to stacked components, (m, k, N): entry i
-    is sum_b A[i, b] comps[b], added column by column in b order.  ``A`` is
-    one (m, m) matrix or a per-sample (N, m, m) stack whose sample s acts on
-    sample s.  As in ``sparse_dot``, a zero coefficient adds nothing and a
-    row's first nonzero product starts its sum, so each sample is bitwise
-    what ``sparse_dot`` gives that row of its matrix on jets holding these
-    values and gradients; a row with no nonzero coefficient is 0.0."""
-    A = np.asarray(A, dtype=float)
-    # coeffs[i, b] is A[i, b] per sample, or once for every sample, (m, m, 1, N | 1)
-    coeffs = np.moveaxis(A.reshape((-1,) + A.shape[-2:]), 0, -1)[:, :, None]
-    live = coeffs != 0.0
-    # -0.0 is the exact identity of addition, so a row's first live product
-    # starts its sum with its own bits; a zero coefficient's term is skipped
-    total = np.full(comps.shape, -0.0)
-    for b, x in enumerate(comps):
-        total = np.where(live[:, b], total + coeffs[:, b] * x, total)
-    return np.where(live.any(axis=1), total, 0.0)
-
-
 def isometry_check(cfg: SchrodingerManifoldConfig, A: np.ndarray, pts: np.ndarray) -> dict:
     """Pull the chart metric back through the ambient action of ``A`` at
     the chart points ``pts`` (N, n) and compare.  ``A`` is one (d+4, d+4)
@@ -548,9 +526,8 @@ def isometry_check(cfg: SchrodingerManifoldConfig, A: np.ndarray, pts: np.ndarra
     Per point, (N,) each: the metric residual, the relative quadric
     residual, and whether the image left the rh > 0 sheet.  An escaped
     point's metric residual is NaN and the rest are exact
-    (``chart_from_ambient``).  The points are embedded once, as jets whose
-    values and gradients ``_act`` moves as one stack: the quadric reads
-    their values.
+    (``chart_from_ambient``).  The points are embedded once, as jets that
+    ``linear_action`` moves as one stack: the quadric reads their values.
     """
     d = cfg.d
     A = np.asarray(A)
@@ -564,8 +541,7 @@ def isometry_check(cfg: SchrodingerManifoldConfig, A: np.ndarray, pts: np.ndarra
     def moved(q):
         embedded = embed_components(cfg, q)
         values[:] = [c.value for c in embedded]
-        comps = _act(A, np.stack([np.concatenate([c.value[None], c.grad]) for c in embedded]))
-        return chart_from_ambient(cfg, [Jet2(c[0], c[1:]) for c in comps])
+        return chart_from_ambient(cfg, linear_action(A, embedded))
 
     vals, jac = jet_components(moved, pts)
     J = jac.real

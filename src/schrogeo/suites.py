@@ -48,7 +48,7 @@ from .ambient import (
     sch_residuals,
     translation_element,
 )
-from .geometry import exterior_wedge, gram_jets, jet_components, negative_index
+from .geometry import gram_jets, jet_components, negative_index
 from .numkernel import SeededSampler, max_entry, sample_max
 from .report import CheckResult, dump_json, judged, status_of
 
@@ -679,13 +679,13 @@ def _curvature(c, seed):
         res = hg.nullfluid_residual(mc, jets)
         factor = np.reshape(hg.einstein_factor(d, mc.lam), (-1, 1, 1))
         first = np.repeat([mu == c.cfg.mus[0] for _, mu in c.curved[part]], len(pts))
-        _, wedge = exterior_wedge(*(a[first] for a in jets.clock(hg.xi_hat_field(mc))))
+        clock = tuple(a[first] for a in jets.clock(hg.xi_hat_field(mc)))
         residual = sample_max(res)
         return (
             residual / np.maximum(1.0, sample_max(ric)),
             residual,
             sample_max(res + factor * jets.g0),
-        ), np.abs(wedge).max(axis=(-3, -2, -1))
+        ), hg.integrability_residual(clock)
 
     runs = _over_grid(d, c.curved, pts, 2, read)
     nullfluid, einstein, vanish = (

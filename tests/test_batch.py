@@ -496,7 +496,8 @@ class TestBatchedHomogeneous:
         plus = SchrodingerManifoldConfig(2, -0.5, 0.0)
         computed, predicted = einstein_residual(plus, bulk_pass(plus, pts))
         counts = negative_index(gram_values(bulk_metric(self.cfg), pts))
-        wedge = integrability_residual(self.cfg, bulk_pass(self.cfg, pts, 1))
+        xi = xi_hat_field(self.cfg)
+        wedge = integrability_residual(bulk_pass(self.cfg, pts, 1).clock(xi))
         recovery = metric_recovery_residual(2, pts)
         for k in range(len(pts)):
             p = pts[k : k + 1]
@@ -506,7 +507,7 @@ class TestBatchedHomogeneous:
             assert np.abs(computed[k] - c[0]).max() <= 1e-13
             assert np.abs(predicted[k] - q[0]).max() <= 1e-13
             assert counts[k] == negative_index(gram_values(bulk_metric(self.cfg), p))[0] == 1
-            assert wedge[k] == integrability_residual(self.cfg, bulk_pass(self.cfg, p, 1))[0]
+            assert wedge[k] == integrability_residual(bulk_pass(self.cfg, p, 1).clock(xi))[0]
             assert recovery[k] == metric_recovery_residual(2, p)[0]
 
     def test_boundary_guard_checks_every_sample(self):

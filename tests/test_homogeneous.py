@@ -162,7 +162,7 @@ class TestInducedMetric:
     def test_integrability_of_clock(self):
         cfg = SchrodingerManifoldConfig(2, -0.6)
         jets = bulk_pass(cfg, sample_bulk(2, 3, seed=4), 1)
-        assert (integrability_residual(cfg, jets) < 1e-12).all()
+        assert (integrability_residual(jets.clock(xi_hat_field(cfg))) < 1e-12).all()
 
 
 class TestEinsteinFamily:
@@ -234,19 +234,27 @@ class TestIsometries:
         assert (off["metric_residual"] < 1e-8).all()
 
     @staticmethod
-    def jets(rng, m, n, N):
-        """m first-order jets over N samples, with signed zeros among the
-        gradients and a value that is an exact zero."""
+    def jets(rng, m, n, N, order):
+        """m jets of ``order`` over N samples, with signed zeros among the
+        derivatives and a value that is an exact zero."""
         values = rng.normal(size=(m, N))
         values[1, 0] = 0.0
         grads = rng.normal(size=(m, n, N))
         grads[rng.random(grads.shape) < 0.3] = 0.0
         grads[rng.random(grads.shape) < 0.2] = -0.0
-        return [Jet2(v, g) for v, g in zip(values, grads)]
+        hess = rng.normal(size=(m, n, n, N)) if order == 2 else [None] * m
+        return [Jet2(v, g, h) for v, g, h in zip(values, grads, hess)]
 
     @staticmethod
-    def stacked(jets):
-        return np.stack([np.concatenate([c.value[None], c.grad]) for c in jets])
+    def same_jets(got, want):
+        """The jets of ``got`` and ``want`` hold the same bits."""
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.value.tobytes() == b.value.tobytes()
+            assert a.grad.tobytes() == b.grad.tobytes()
+            assert (a.hess is None) == (b.hess is None)
+            if a.hess is not None:
+                assert a.hess.tobytes() == b.hess.tobytes()
 
     @staticmethod
     def sparse(rng, shape):
@@ -259,24 +267,56 @@ class TestIsometries:
         return A
 
     def test_the_action_is_sparse_dot_bit_for_bit(self):
+        # the action isometry_check moves its points by, on jets of either
+        # order and on arrays
         rng = np.random.default_rng(42)
         m, n, N = 7, 4, 6
-        jets = self.jets(rng, m, n, N)
         A = self.sparse(rng, (m, m))
-        want = self.stacked([sparse_dot(row, jets) for row in A])
-        assert hg._act(A, self.stacked(jets)).tobytes() == want.tobytes()
+        for order in (1, 2):
+            jets = self.jets(rng, m, n, N, order)
+            self.same_jets(hg.linear_action(A, jets), [sparse_dot(row, jets) for row in A])
+        values = [c.value for c in jets]
+        want = [sparse_dot(row, values) for row in A]
+        assert np.array(hg.linear_action(A, values)).tobytes() == np.array(want).tobytes()
+
+    @staticmethod
+    def at(jets, k):
+        """Sample k of each jet, as a batch of one."""
+        keep = slice(k, k + 1)
+        return [
+            Jet2(c.value[keep], c.grad[:, keep], None if c.hess is None else c.hess[..., keep])
+            for c in jets
+        ]
 
     def test_a_stack_acts_per_sample_as_its_own_matrix(self):
         # sample k of a stack's action is sparse_dot with the rows of A[k]
         rng = np.random.default_rng(43)
         m, n, N = 7, 4, 6
-        jets = self.jets(rng, m, n, N)
         A = self.sparse(rng, (N, m, m))
-        got = hg._act(A, self.stacked(jets))
-        for k in range(N):
-            at_k = [Jet2(c.value[k : k + 1], c.grad[:, k : k + 1]) for c in jets]
-            want = self.stacked([sparse_dot(row, at_k) for row in A[k]])
-            assert got[..., k : k + 1].tobytes() == want.tobytes()
+        for order in (1, 2):
+            jets = self.jets(rng, m, n, N, order)
+            got = hg.linear_action(A, jets)
+            for k in range(N):
+                want = [sparse_dot(row, self.at(jets, k)) for row in A[k]]
+                self.same_jets(self.at(got, k), want)
+
+    def test_a_row_without_coefficients_is_negative_zero(self):
+        # sparse_dot gives such a row the constant 0.0; the action, which
+        # starts every sum from -0.0, gives -0.0 values and derivatives.
+        # No group element has such a row.
+        rng = np.random.default_rng(44)
+        m, n, N = 5, 3, 4
+        jets = self.jets(rng, m, n, N, 2)
+        A = self.sparse(rng, (m, m))
+        A[3] = 0.0
+        got = hg.linear_action(A, jets)
+        assert sparse_dot(A[3], jets) == 0.0
+        zero = got[3]
+        assert (zero.value.shape, zero.grad.shape, zero.hess.shape) == ((N,), (n, N), (n, n, N))
+        for part in (zero.value, zero.grad, zero.hess):
+            assert (part == 0.0).all() and np.signbit(part).all()
+        others = [i for i in range(m) if i != 3]
+        self.same_jets([got[i] for i in others], [sparse_dot(A[i], jets) for i in others])
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_chart_from_ambient_is_jet_division_bit_for_bit(self, d):
@@ -289,12 +329,12 @@ class TestIsometries:
         for a, b in zip(got, want):
             assert a.value.tobytes() == b.value.tobytes()
             assert a.grad.tobytes() == b.grad.tobytes()
-        # on arrays, a true division
+        # on arrays, the product with the reciprocal, as in the metrics
         values = [q.value for q in Q]
+        inv = 1.0 / values[d + 3]
         got = chart_from_ambient(cfg, values)
-        for a, b in zip(got, [v / values[d + 3] for v in values[: d + 2]]):
+        for a, b in zip(got, [v * inv for v in values[: d + 2]] + [cfg.scale * inv]):
             assert a.tobytes() == b.tobytes()
-        assert got[-1].tobytes() == (cfg.scale / values[d + 3]).tobytes()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_a_stack_of_elements_moves_each_point_by_its_own(self, d):

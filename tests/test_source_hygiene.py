@@ -486,6 +486,33 @@ def test_the_inverse_rule_sees_a_stray_call():
     ]
 
 
+# jets are built by ``numkernel`` (the jet type and its arithmetic) and by
+# ``ambient`` (the stacked rows its linear action moves): a ``Jet2(...)`` call
+# elsewhere hand-rolls a stacked-jet layout beside theirs.  ``Jet2.constant``
+# and type tests are not such calls
+JET_BUILDERS = {"numkernel.py", "ambient.py"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in JET_BUILDERS], ids=lambda p: p.name
+)
+def test_only_numkernel_and_ambient_build_jets(path):
+    calls = _calls(_tree(path), {"Jet2"})
+    assert not calls, f"{path.name}: {calls}"
+
+
+def test_the_jet_rule_sees_a_stray_call():
+    tree = ast.parse(
+        "from .numkernel import Jet2\n"
+        "from . import numkernel as nk\n"
+        "def moved(c, A):\n"
+        "    out = Jet2(c[0], c[1:])\n"
+        "    keep = isinstance(out, Jet2) and nk.Jet2(A, A, None)\n"
+        "    return out, Jet2.constant(1.0, 3), keep\n"
+    )
+    assert _calls(tree, {"Jet2"}) == [("Jet2", 4), ("Jet2", 5)]
+
+
 # the package's records are NamedTuples and plain classes, whose methods
 # come compiled in the ``.pyc``: ``dataclasses`` writes and ``exec``s the
 # methods of each record it decorates, on every import.  Without it no

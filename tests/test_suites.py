@@ -454,18 +454,19 @@ class TestGridMutations:
 
 class TestIsometryMutations:
     """Each isometry family flips to FAIL under a defect in the ambient
-    action (``homogeneous._act``) that moves the points, and every other
-    record stays PASS.  At seed 7 the transposed action reads residuals of
-    4.85-8.24 against the 1e-8 bound, and the identity leaves the control's
-    smallest residual at <= 1.5e-17 against the 1e-3 it must exceed."""
+    action that moves the points (``linear_action``, as ``homogeneous``
+    binds it), and every other record stays PASS.  At seed 7 the transposed
+    action reads residuals of 4.85-8.24 against the 1e-8 bound, and the
+    identity leaves the control's smallest residual at <= 1.5e-17 against
+    the 1e-3 it must exceed."""
 
     DIMS = (1, 2, 3)
 
     def failing(self, monkeypatch, defect):
         cfg = SuiteConfig("homogeneous", dims=self.DIMS, seed=7)
         assert all(c.status == "PASS" for c in run_suite(cfg).checks)
-        original = homogeneous._act
-        monkeypatch.setattr(homogeneous, "_act", lambda A, comps: original(defect(A), comps))
+        original = homogeneous.linear_action
+        monkeypatch.setattr(homogeneous, "linear_action", lambda A, x: original(defect(A), x))
         return {c.name: c.status for c in run_suite(cfg).checks if c.status != "PASS"}
 
     def expect(self, family):
@@ -484,6 +485,29 @@ class TestIsometryMutations:
             monkeypatch, lambda A: np.broadcast_to(np.eye(A.shape[-1]), A.shape)
         )
         assert identity == self.expect("isometry_control")
+
+
+def test_one_transposed_kernel_fails_every_record_that_moves_jets(monkeypatch):
+    # one kernel applies an ambient matrix to stacked jets for the bulk
+    # isometry, the projective action and the realization: its transpose,
+    # injected once, flips exactly the records that move points through it
+    # (residuals of 0.080-8.24 at seed 7), in four suites
+    cfg = SuiteConfig("all", seed=7)
+    assert all(c.status == "PASS" for c in run_suite(cfg).checks)
+    add = ambient._add_linear
+    monkeypatch.setattr(
+        ambient, "_add_linear", lambda rows, M, X: add(rows, np.swapaxes(M, -1, -2), X)
+    )
+    failing = {c.name: c.status for c in run_suite(cfg).checks if c.status != "PASS"}
+    families = [
+        "homogeneous_d{}_isometry",
+        "group_d{}_projective",
+        "group_d{}_inverse",
+        "group_d{}_pullback",
+        "liealgebra_d{}_realization",
+        "schrodinger_d{}_transport_boost",
+    ]
+    assert failing == {f.format(d): "FAIL" for f in families for d in cfg.dims}
 
 
 def test_axioms_at_large_couplings_match_the_theory():
