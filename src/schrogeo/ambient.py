@@ -64,6 +64,7 @@ __all__ = [
     "translation_element",
     "xi_field",
     "xi_vector",
+    "z0_commutator",
 ]
 
 
@@ -183,6 +184,25 @@ def ambient_gram(d: int) -> np.ndarray:
     return _read_only(G)
 
 
+@lru_cache(maxsize=None)
+def _adjoint_index(d: int) -> np.ndarray:
+    """G A^T G as a gather from a flattened A, read off ``ambient_gram``: G
+    is a symmetric permutation p, G[i, p[i]] = 1, so entry (i, j) is
+    A[p[j], p[i]].  Read-only."""
+    _, p = np.nonzero(ambient_gram(d))
+    n = d + 4
+    return _read_only((p[None, :] * n + p[:, None]).ravel())
+
+
+def _gathered(a: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Each trailing (n, n) matrix of ``a``, flattened and read at the flat
+    positions ``at``: shape a.shape[:-2] + at.shape.  ``take`` returns it
+    C-contiguous (fancy indexing would put the stack axis innermost), so a
+    matmul reads it as it reads a dense product's result."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,)).take(at, axis=-1)
+
+
 def ambient_gram_split(d: int) -> np.ndarray:
     """G in the split basis: identity on the spatial block, then two
     diag(1,-1) planes replacing the two null pairs."""
@@ -204,10 +224,12 @@ def basis_change(d: int) -> np.ndarray:
     return S
 
 
-def g_adjoint(a: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Abar = G A^T G (G is involutive here, so no explicit inverse), of one
-    matrix or of each matrix of a stack."""
-    return G @ a.swapaxes(-1, -2) @ G
+def g_adjoint(a: np.ndarray) -> np.ndarray:
+    """Abar = G A^T G, G = ``ambient_gram(d)``, of one (d+4, d+4) matrix or
+    of each matrix of a stack.  G is a symmetric permutation p, applied by
+    index (``_adjoint_index``): entry (i, j) is A[p[j], p[i]], with finite
+    entries the dense product's value up to the sign of a zero."""
+    return _gathered(a, _adjoint_index(a.shape[-1] - 4)).reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +247,49 @@ def build_Z0(d: int) -> np.ndarray:
     P, Q = np.eye(d + 4)[d + 1 : d + 3]
     G = ambient_gram(d)
     return _read_only(np.outer(P, G @ Q) - np.outer(Q, G @ P))
+
+
+@lru_cache(maxsize=None)
+def _z0_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z0 as an index: the rows r, columns c and values v of its nonzero
+    entries, read off ``build_Z0``; two unit entries, in distinct rows and
+    columns.  Read-only."""
+    Z0 = build_Z0(d)
+    r, c = np.nonzero(Z0)
+    return _read_only(r), _read_only(c), _read_only(Z0[r, c])
+
+
+@lru_cache(maxsize=None)
+def _commutator_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """[M, Z0] = M Z0 - Z0 M as a gather from a flattened M: (2, m) flat
+    positions and weights of M Z0 (term 0) and Z0 M (term 1) at the m
+    entries in the rows or columns where Z0 has entries (``_z0_index``);
+    the commutator is zero elsewhere.  Entry (i, j) of M Z0 is
+    M[i, q[j]] wq[j], with (q[j], j) the entry of Z0 in column j, and of
+    Z0 M it is ws[i] M[s[i], j]; an empty column or row has weight 0.
+    Read-only."""
+    r, c, v = _z0_index(d)
+    n = d + 4
+    q, wq, s, ws = np.zeros(n, dtype=int), np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
+    q[c], wq[c], s[r], ws[r] = r, v, c, v
+    i, j = np.nonzero((wq[None, :] != 0.0) | (ws[:, None] != 0.0))
+    at = np.stack([i * n + q[j], s[i] * n + j])
+    return _read_only(at), _read_only(np.stack([wq[j], ws[i]]))
+
+
+def z0_commutator(M: np.ndarray) -> np.ndarray:
+    """max |[M, Z0]| of one (d+4, d+4) matrix or of each matrix of a stack,
+    read off the two rows and two columns where Z0 has entries
+    (``_commutator_index``).  Each entry is one product by a unit or the
+    difference of two, so with finite entries the value is that of the
+    dense M @ Z0 - Z0 @ M.  A matrix with an inf or NaN entry gives NaN, as
+    the dense product does: it multiplies the zeros of Z0 too."""
+    at, weight = _commutator_index(M.shape[-1] - 4)
+    terms = _gathered(M, at)
+    terms *= weight
+    worst = np.abs(terms[..., 0, :] - terms[..., 1, :]).max(axis=-1)
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    return worst if finite.all() else np.where(finite, worst, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +353,11 @@ def commutant_stack(d: int, tol: float = 1e-10) -> np.ndarray:
     """The basis of ``commutant_basis`` as one (k, d+4, d+4) matrix stack.
 
     The commutator map on ``skew_basis`` has one SVD per d, which every
-    tolerance shares; the stack is its null rows times the skew stack.
-    Built once per (d, tol) on first use and shared, so the array is
-    read-only.
+    tolerance shares; the stack is its null rows times the skew stack.  The
+    supports of its elements are pairwise disjoint, two or four entries
+    each, so a sum over the basis has one nonzero term per entry
+    (``algebra_elements``).  Built once per (d, tol) on first use and
+    shared, so the array is read-only.
     """
     return _commutant_cached(d, tol)
 
@@ -311,20 +378,15 @@ def sch_residuals(M: np.ndarray, d: int) -> dict[str, np.ndarray]:
     """How far each matrix of M, one (d+4, d+4) matrix or a stack of them,
     is from the algebra, by its two defining identities: "commutator" is
     |[M, Z0]| and "skew" |G M^T G + M|, both relative to max(1, max|M|).
-    Each holds one value per matrix.
+    Each holds one value per matrix.  G and Z0 are applied by index
+    (``g_adjoint``, ``z0_commutator``); as with dense products, a matrix
+    with an inf or NaN entry gives NaN in both.
     """
     M = np.asarray(M, dtype=float)
-    Z0 = build_Z0(d)
-    G = ambient_gram(d)
-
-    def worst(a):
-        return np.abs(a).max(axis=(-2, -1))
-
-    scale = np.maximum(1.0, worst(M))
-    return {
-        "commutator": worst(M @ Z0 - Z0 @ M) / scale,
-        "skew": worst(G @ M.swapaxes(-1, -2) @ G + M) / scale,
-    }
+    flat = M.reshape(M.shape[:-2] + (-1,))
+    scale = np.maximum(1.0, np.abs(flat).max(axis=-1))
+    skew = np.abs(_gathered(M, _adjoint_index(d)) + flat).max(axis=-1)
+    return {"commutator": z0_commutator(M) / scale, "skew": skew / scale}
 
 
 def decompose_sch(Z: np.ndarray, d: int) -> tuple:
@@ -354,14 +416,12 @@ def expansion_generator(d: int, alpha: float) -> np.ndarray:
 def algebra_elements(d: int, coeffs: np.ndarray) -> np.ndarray:
     """The (count, d+4, d+4) algebra elements with the (count, k)
     coefficient rows ``coeffs`` (``group_coefficients``) in the
-    ``commutant_stack`` basis: each summed basis element by basis element,
-    as sum(c * b) would, holding one (count, n, n) term at a time."""
+    ``commutant_stack`` basis, as one (count, k) @ (k, (d+4)^2) product.
+    The basis supports are pairwise disjoint, so each entry has one nonzero
+    term: it is c * b exactly, as sum(c * b) gives it, up to the sign of a
+    zero."""
     basis = commutant_stack(d)
-    Z = coeffs[:, 0, None, None] * basis[0]
-    term = np.empty_like(Z)
-    for c, b in zip(coeffs.T[1:, :, None, None], basis[1:]):
-        Z += np.multiply(c, b, out=term)
-    return Z
+    return (coeffs @ basis.reshape(len(basis), -1)).reshape((len(coeffs),) + basis.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +629,15 @@ def require_group(A: np.ndarray) -> None:
     Raises StabilizerConstraintError for the first failing element, naming
     the first identity, in that order, that it fails.
     """
-    d = A.shape[-1] - 4
-    G, Z0, eye = ambient_gram(d), build_Z0(d), _frame(d)[3]
+    eye = _frame(A.shape[-1] - 4)[3]
     identities = {
-        "Abar A = 1": g_adjoint(A, G) @ A - eye,
-        "A Z0 = Z0 A": A @ Z0 - Z0 @ A,
+        "Abar A = 1": np.abs(g_adjoint(A) @ A - eye).max(axis=(-2, -1)),
+        "A Z0 = Z0 A": z0_commutator(A),
     }
     # the largest |entry| of each identity, element by element: (E, 2)
-    table = np.stack([np.abs(r).max(axis=(-2, -1)) for r in identities.values()], axis=-1)
+    table = np.stack(list(identities.values()), axis=-1)
+    # as with the dense G: 0 * inf in G A^T G makes an inf element's Abar A NaN
+    table[~np.isfinite(A).all(axis=(-2, -1)), 0] = np.nan
     # ~(r <= 1e-10), not r > 1e-10: a NaN residual must fail
     bad = ~(table <= 1e-10)
     if bad.any():
@@ -766,7 +827,7 @@ def random_group_element(d: int, rng: np.random.Generator, scale: float = 0.4) -
 def group_inverse(A: np.ndarray) -> np.ndarray:
     """The inverses Abar = G A^T G of an (E, d+4, d+4) stack, validated as
     one stack: raises for the first failing inverse."""
-    inverse = _block_pattern(g_adjoint(A, ambient_gram(A.shape[-1] - 4)))
+    inverse = _block_pattern(g_adjoint(A))
     require_group(inverse)
     return inverse
 

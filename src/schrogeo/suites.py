@@ -31,7 +31,6 @@ from .ambient import (
     ambient_gram,
     boost_element,
     bracket_fields,
-    build_Z0,
     commutant_dim,
     commutant_stack,
     component_witnesses,
@@ -47,6 +46,7 @@ from .ambient import (
     sch_dimension,
     sch_residuals,
     translation_element,
+    z0_commutator,
 )
 from .geometry import gram_jets, jet_components, negative_index
 from .numkernel import SeededSampler, max_entry, sample_max
@@ -456,14 +456,14 @@ def _commutant_dim(c, seed):
 
 
 def _closure(c, seed):
-    # every bracket [B_i, B_j], i < j, in row order, k brackets to a stack:
+    # every bracket [B_i, B_j], i < j, in row order, 4k brackets to a stack:
     # one stack per d would hold k^2/2 brackets' temporaries at once
     stack = commutant_stack(c.d)
-    k = len(stack)
-    left, right = np.triu_indices(k, 1)
+    run = 4 * len(stack)
+    left, right = np.triu_indices(len(stack), 1)
     runs = []
-    for at in range(0, len(left), k):
-        a, b = stack[left[at : at + k]], stack[right[at : at + k]]
+    for at in range(0, len(left), run):
+        a, b = stack[left[at : at + run]], stack[right[at : at + run]]
         runs.append(sch_residuals(a @ b - b @ a, c.d))
     found = {key: np.concatenate([r[key] for r in runs]) for key in runs[0]}
     return np.maximum(found["commutator"], found["skew"])
@@ -540,11 +540,10 @@ def _constraints(c, seed):
     d, count = c.d, c.samples
     rng = SeededSampler.generator(seed)
     G = ambient_gram(d)
-    Z0 = build_Z0(d)
     A = group_elements(d, group_coefficients(d, rng, count))
     Ainv = group_inverse(A)
-    found = [A.swapaxes(-1, -2) @ G @ A - G, A @ Z0 - Z0 @ A, Ainv @ A - np.eye(d + 4)]
-    return np.abs(found).max(axis=(0, 2, 3))
+    found = [A.swapaxes(-1, -2) @ G @ A - G, Ainv @ A - np.eye(d + 4)]
+    return np.maximum(np.abs(found).max(axis=(0, 2, 3)), z0_commutator(A))
 
 
 def _projective(c, seed):

@@ -9,7 +9,8 @@ linear chart maps, one algebra element drawn as a stack of one, the
 algebra block layout written and read entry by entry with its block and
 vertical relations, the
 commutant basis of Z0 built element by element from its own SVD per
-tolerance, the per-sample residuals of the
+tolerance, the algebra residuals and the group identities with G and Z0 as
+dense matrices, the per-sample residuals of the
 lie-algebra closure and realization records, measured one basis row and one
 element pair at a time, the seven block relations of a group element with
 the element written entry by entry from its blocks, the isotropy stabilizer
@@ -26,6 +27,7 @@ import numpy as np
 from schrogeo import numkernel as nk
 from schrogeo import bargmann as bg
 from schrogeo.ambient import (
+    StabilizerConstraintError,
     algebra_elements,
     ambient_gram,
     boost_element,
@@ -39,7 +41,6 @@ from schrogeo.ambient import (
     group_coefficients,
     random_group_element,
     realize_field,
-    sch_residuals,
     translation_element,
     xi_field,
     xi_vector,
@@ -515,15 +516,47 @@ def commutant_loop(d: int, tol: float) -> np.ndarray:
     return np.array([sum(c * b for c, b in zip(coeff, basis)) for coeff in null])
 
 
+def dense_sch_residuals(M: np.ndarray, d: int) -> dict:
+    """``sch_residuals`` with G and Z0 as dense matrices: |M Z0 - Z0 M| and
+    |G M^T G + M|, each relative to max(1, max|M|), one value per matrix."""
+    G, Z0 = ambient_gram(d), build_Z0(d)
+
+    def worst(a):
+        return np.abs(a).max(axis=(-2, -1))
+
+    scale = np.maximum(1.0, worst(M))
+    return {
+        "commutator": worst(M @ Z0 - Z0 @ M) / scale,
+        "skew": worst(G @ M.swapaxes(-1, -2) @ G + M) / scale,
+    }
+
+
+def dense_require_group(A: np.ndarray) -> None:
+    """``require_group`` with G and Z0 as dense matrices: Abar A - 1 as
+    G A^T G A - 1 and A Z0 - Z0 A, raising for the first failing element
+    and the first identity, in that order, that it fails."""
+    d = A.shape[-1] - 4
+    G, Z0 = ambient_gram(d), build_Z0(d)
+    identities = {
+        "Abar A = 1": G @ A.swapaxes(-1, -2) @ G @ A - np.eye(d + 4),
+        "A Z0 = Z0 A": A @ Z0 - Z0 @ A,
+    }
+    table = np.stack([np.abs(r).max(axis=(-2, -1)) for r in identities.values()], axis=-1)
+    bad = ~(table <= 1e-10)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise StabilizerConstraintError(list(identities)[k], float(table[i, k]))
+
+
 def closure_rows(c, seed) -> np.ndarray:
     """The lie-algebra closure residual per bracket [B_i, B_j], i < j, in
-    row order, one ``sch_residuals`` call per basis row i holding every
-    bracket of that row."""
+    row order, with dense G and Z0 (``dense_sch_residuals``), one basis row
+    i and every bracket of that row at a time."""
     stack = commutant_stack(c.d)
     runs = []
     for i in range(len(stack) - 1):
         rest = stack[i + 1 :]
-        runs.append(sch_residuals(stack[i] @ rest - rest @ stack[i], c.d))
+        runs.append(dense_sch_residuals(stack[i] @ rest - rest @ stack[i], c.d))
     found = {key: np.concatenate([r[key] for r in runs]) for key in runs[0]}
     return np.maximum(found["commutator"], found["skew"])
 

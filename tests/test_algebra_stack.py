@@ -3,9 +3,10 @@
 The commutant basis of Z0 is one product of the null rows of one SVD per d
 with the skew-basis stack, the realization check brackets all its (element
 pair, point) samples in one ``bracket_fields`` pass over per-sample element
-stacks, and the closure check brackets the basis k pairs to a
-``sch_residuals`` call.  Each must give, bit for bit, what the
-element-by-element, one-pair and one-row-at-a-time computations give (``tests/oracles.py``).
+stacks, and the closure check brackets the basis 4k pairs to a
+``sch_residuals`` call, which applies G and Z0 by index.  Each must give,
+bit for bit, what the element-by-element, one-pair and one-row-at-a-time
+computations with dense G and Z0 give (``tests/oracles.py``).
 """
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_closure_matches_the_row_loop(monkeypatch, d, seed):
 
 
 @pytest.mark.parametrize("d", [1, 4, 8])
-def test_closure_brackets_k_pairs_to_a_call(monkeypatch, d):
+def test_closure_brackets_4k_pairs_to_a_call(monkeypatch, d):
     calls = []
     residuals = suites.sch_residuals
 
@@ -137,7 +138,7 @@ def test_closure_brackets_k_pairs_to_a_call(monkeypatch, d):
     suites._closure(LIE_ALGEBRA.context(SuiteConfig("lie-algebra"), d), 0)
     k = sch_dimension(d)
     assert sum(calls) == k * (k - 1) // 2
-    assert calls[:-1] == [k] * (len(calls) - 1) and 0 < calls[-1] <= k
+    assert calls[:-1] == [4 * k] * (len(calls) - 1) and 0 < calls[-1] <= 4 * k
 
 
 @pytest.mark.parametrize("d", [1, 4, 8])

@@ -510,6 +510,52 @@ def test_one_transposed_kernel_fails_every_record_that_moves_jets(monkeypatch):
     assert failing == {f.format(d): "FAIL" for f in families for d in cfg.dims}
 
 
+def _z0_sign_flipped(index):
+    def flipped(d):
+        r, c, v = index(d)
+        return r, c, v * [-1.0, 1.0]
+
+    return flipped
+
+
+def _gram_pair_swapped(d):
+    # G's permutation with its last two entries swapped: the extra null
+    # pair of G read as two unit squares
+    _, p = np.nonzero(ambient_gram(d))
+    p[[-2, -1]] = p[[-1, -2]]
+    return (p[None, :] * (d + 4) + p[:, None]).ravel()
+
+
+@pytest.mark.parametrize("defect", ["z0 sign", "G swap"])
+def test_one_wrong_index_entry_fails_the_algebra_and_group_records(monkeypatch, defect):
+    # the index forms of Z0 and G carry every algebra and group check: one
+    # wrong entry fails the closure and, through require_group, every record
+    # that draws or assembles a group element; the transport group files its
+    # rows as one ERROR record
+    cfg = SuiteConfig("all", seed=7)
+    if defect == "z0 sign":
+        monkeypatch.setattr(ambient, "_z0_index", _z0_sign_flipped(ambient._z0_index))
+    else:
+        monkeypatch.setattr(ambient, "_adjoint_index", _gram_pair_swapped)
+    ambient._commutator_index.cache_clear()
+    try:
+        failing = {c.name: c.status for c in run_suite(cfg).checks if c.status != "PASS"}
+    finally:
+        ambient._commutator_index.cache_clear()
+    errors = [
+        "group_d{}_constraints",
+        "group_d{}_inverse",
+        "group_d{}_projective",
+        "group_d{}_pullback",
+        "homogeneous_d{}_isometry",
+        "homogeneous_d{}_isotropy",
+        "schrodinger_d{}_transport",
+    ]
+    want = {f"liealgebra_d{d}_closure": "FAIL" for d in cfg.dims}
+    want.update({f.format(d): "ERROR" for f in errors for d in cfg.dims})
+    assert failing == want
+
+
 def test_axioms_at_large_couplings_match_the_theory():
     # (lam, mu) = (-1000, 1000): the deformation identity compares entries
     # near 1e13, and is filed relative to them, so its rounding (up to
